@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_TOLERANCE ?= 0.30
 
-.PHONY: build test race vet bench bench-smoke bench-baseline bench-diff metrics-lint crash-matrix serve-smoke shard-stress verify
+.PHONY: build test race vet bench bench-smoke bench-baseline bench-diff metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test verify
 
 build:
 	$(GO) build ./...
@@ -72,12 +72,25 @@ serve-smoke:
 # shard-stress drives the sharded coordinator under the race detector:
 # the concurrent write mix over a live cluster (fast path + forced
 # cross-shard traffic, sharded results pinned identical to unsharded),
-# the sharded HTTP surface, and the cross-shard half of the crash
-# matrix (2PC step kills + kill -9 under sharded stress traffic).
+# the HTTP surface (its whole suite is one table over 1 and 3 shards),
+# and the cross-shard half of the crash matrix (2PC step kills +
+# kill -9 under sharded stress traffic).
 shard-stress:
-	$(GO) test -race -run '^TestSharded' -count=1 ./internal/workload ./internal/serve
+	$(GO) test -race -run '^TestSharded' -count=1 ./internal/workload
+	$(GO) test -race -count=1 ./internal/serve
 	$(GO) test -race -run '^TestCrashMatrix(CrossShard2PC|ShardKill9)$$' -count=1 ./internal/workload
+
+# cpu-sweep reruns the parallel, storage and serving suites at every
+# core count whose chunk arithmetic differs: tier-1 was red at 2 and 3
+# cores while the 1- and 4-core shapes CI ran stayed green.
+cpu-sweep:
+	for n in 1 2 3 4 8; do GOMAXPROCS=$$n $(GO) test -count=1 ./internal/viewobject ./internal/reldb/... ./internal/serve || exit 1; done
+
+# benchmark-test runs the end-to-end benchmark's own tests (loader,
+# open-loop accounting, layer ledger) against the current engine.
+benchmark-test:
+	$(GO) test -count=1 ./benchmark
 
 # verify is the full gate: compile everything, vet, then run the whole
 # suite (including the concurrent stress tests) under the race detector.
-verify: build vet race metrics-lint crash-matrix serve-smoke shard-stress
+verify: build vet race metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test

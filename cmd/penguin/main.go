@@ -6,24 +6,30 @@
 // Usage:
 //
 //	penguin                   # start with the seeded university database
+//	                          # and its view objects (in memory)
 //	penguin -empty            # start with an empty database (RQL only)
-//	penguin -load snapshot.db # load a snapshot written by .save
-//	penguin -data-dir DIR     # open a durable database (WAL + checkpoints);
-//	                          # recovers committed state after a crash
+//	penguin -load snapshot.db # load a snapshot written by .save (RQL only)
+//	penguin -data-dir DIR     # open a durable database (WAL + checkpoints)
+//	                          # in DIR itself; recovers committed state
+//	                          # after a crash (RQL only)
 //	penguin -metrics-addr :9090 # additionally serve Prometheus metrics at /metrics
 //	                            # (plus /debug/traces and /debug/pprof/)
 //	penguin -slow-threshold 5ms # retain traces of operations slower than 5ms
-//	penguin -serve :8080      # serve the view-object HTTP API (DESIGN.md §14)
-//	                          # instead of the shell; combine with -data-dir
-//	                          # for durability; SIGINT/SIGTERM drains and
-//	                          # closes cleanly
-//	penguin -shards 4         # partition the university database over 4
-//	                          # shards (pivot-key hash; DESIGN.md §15);
-//	                          # works with the shell and with -serve, and
-//	                          # with -data-dir keeps one WAL per shard
+//	penguin -serve :8080      # serve the university's view objects over
+//	                          # HTTP (DESIGN.md §14) instead of the shell;
+//	                          # SIGINT/SIGTERM drains and closes cleanly
+//	penguin -shards 4         # partition the university over 4 shards
+//	                          # (pivot-key hash; DESIGN.md §15), in the
+//	                          # shell and with -serve; the default is 1
 //	penguin -loadgen http://host:8080 # run the open-loop load generator
 //	                          # against a serving tier, report latency
 //	                          # quantiles against -slo-p50/-slo-p99, exit
+//
+// The university is always a cluster of -shards databases, one by default.
+// Given -data-dir DIR, -serve (at any -shards) and -shards N > 1 keep
+// shard i in DIR/shard-<i>, each with its own WAL; a DIR that a plain
+// -data-dir session wrote (wal-*.log at its top level) is refused, not
+// migrated.
 //
 // Commands:
 //
@@ -86,14 +92,13 @@ import (
 
 // shell holds the interactive session state.
 type shell struct {
-	db *reldb.Database
-	// cluster is set in -shards sessions: object reads and updates route
-	// through the coordinator, and db aliases shard 0 so plain RQL still
-	// works (against that shard's replica of the non-island relations).
-	cluster  *shard.Cluster
-	g        *structural.Graph
-	objects  map[string]*viewobject.Definition
-	updaters map[string]*vupdate.Updater
+	// cluster is the session's database: one shard unless -shards says
+	// otherwise, holding the university's objects or (-empty, -load, bare
+	// -data-dir) none. Object reads and updates route through it; RQL and
+	// the catalog commands run against shard 0 (db), which over several
+	// shards sees that shard's partition of the island relations.
+	cluster *shard.Cluster
+	g       *structural.Graph
 	// materialized holds the delta-stream cache per object name for
 	// objects with .materialize enabled; .query and .instance route
 	// through it instead of instantiating from a fresh snapshot.
@@ -107,6 +112,21 @@ type shell struct {
 	// rec is the flight recorder behind .trace slow; installed on the
 	// default registry when the shell starts.
 	rec *obs.Recorder
+}
+
+// db is the database RQL, the catalog commands, and the single-database
+// commands (see single) run against.
+func (sh *shell) db() *reldb.Database { return sh.cluster.DB(0) }
+
+// single reports whether the session is one database; over several
+// shards it refuses the command, which needs one database's snapshot,
+// delta stream, or translator.
+func (sh *shell) single(why string) bool {
+	if sh.cluster.N() > 1 {
+		sh.errorf("%s - not supported over %d shards", why, sh.cluster.N())
+		return false
+	}
+	return true
 }
 
 // errorf reports a failure on the error stream. Results stay on out so
@@ -231,8 +251,6 @@ func main() {
 	lc := &lifecycle{}
 	trapSignals(lc)
 	sh := &shell{
-		objects:      make(map[string]*viewobject.Definition),
-		updaters:     make(map[string]*vupdate.Updater),
 		materialized: make(map[string]*viewobject.Materializer),
 		out:          bufio.NewWriter(os.Stdout),
 		errw:         os.Stderr,
@@ -250,54 +268,18 @@ func main() {
 		lc.setServer(ln)
 		fmt.Printf("metrics: http://%s/metrics\n", ln.Addr())
 	}
+	// The object-less sessions are one plain database; everything else
+	// is the university.
+	var db *reldb.Database
 	switch {
-	case *shards > 1:
-		if *empty || *load != "" {
-			fatal(errors.New("-shards cannot be combined with -empty or -load"))
-		}
-		var c *shard.Cluster
-		if *dataDir != "" {
-			var seeded bool
-			var err error
-			c, seeded, err = university.OpenSharded(*dataDir, *shards, reldb.OpenOptions{})
-			if err != nil {
-				fatal(err)
-			}
-			if seeded {
-				fmt.Printf("seeded %s with the university instance over %d shards\n", *dataDir, *shards)
-			} else {
-				fmt.Printf("recovered %s (%d shards, %d rows, cluster generation %d)\n",
-					*dataDir, c.N(), c.TotalRows(), c.Generation())
-			}
-		} else {
-			var err error
-			c, err = university.NewSharded(*shards)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		lc.setDB(c)
-		sh.cluster = c
-		sh.db = c.DB(0)
-		for _, name := range c.Objects() {
-			def, err := c.Object(name, 0)
-			if err != nil {
-				fatal(err)
-			}
-			sh.objects[name] = def
-		}
-		sh.g = sh.objects[university.ObjOmega].Graph()
-		fmt.Printf("PENGUIN shell — university database over %d shards; objects: %s\n",
-			c.N(), strings.Join(c.Objects(), ", "))
-		fmt.Println("type .help for commands (.shards shows per-shard state)")
+	case *shards > 1 && (*empty || *load != ""):
+		fatal(errors.New("-shards cannot be combined with -empty or -load"))
+	case *shards > 1: // the university, below
 	case *dataDir != "":
-		db, err := reldb.OpenDatabase(*dataDir)
-		if err != nil {
+		var err error
+		if db, err = reldb.OpenDatabase(*dataDir); err != nil {
 			fatal(err)
 		}
-		lc.setDB(db)
-		sh.db = db
-		sh.g = structural.NewGraph(db)
 		fmt.Printf("opened %s (%d relations, %d rows, generation %d)\n",
 			*dataDir, len(db.Names()), db.TotalRows(), db.Generation())
 	case *load != "":
@@ -305,140 +287,82 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		db, err := reldb.ReadSnapshot(f)
+		db, err = reldb.ReadSnapshot(f)
 		f.Close()
 		if err != nil {
 			fatal(err)
 		}
-		sh.db = db
-		sh.g = structural.NewGraph(db)
 		fmt.Printf("loaded %s (%d relations, %d rows)\n", *load, len(db.Names()), db.TotalRows())
 	case *empty:
-		sh.db = reldb.NewDatabase()
-		sh.g = structural.NewGraph(sh.db)
-	default:
-		db, g, err := university.NewSeeded()
-		if err != nil {
-			fatal(err)
-		}
-		sh.db, sh.g = db, g
-		om, err := university.Omega(g)
-		if err != nil {
-			fatal(err)
-		}
-		op, err := university.OmegaPrime(g)
-		if err != nil {
-			fatal(err)
-		}
-		sh.objects["omega"] = om
-		sh.objects["omega-prime"] = op
-		for name, def := range sh.objects {
-			sh.updaters[name] = vupdate.NewUpdater(vupdate.PermissiveTranslator(def))
-		}
-		fmt.Println("PENGUIN shell — university database loaded; objects: omega, omega-prime")
-		fmt.Println("type .help for commands")
+		db = reldb.NewDatabase()
 	}
+	if db != nil {
+		sh.adopt(db)
+	} else {
+		sh.cluster = openUniversity(*dataDir, *shards)
+		om, err := sh.cluster.Object(university.ObjOmega, 0)
+		if err != nil {
+			fatal(err)
+		}
+		sh.g = om.Graph()
+		fmt.Printf("PENGUIN shell — university database over %d shard(s); objects: %s\n",
+			sh.cluster.N(), strings.Join(sh.cluster.Objects(), ", "))
+		fmt.Println("type .help for commands (.shards shows per-shard state)")
+	}
+	lc.setDB(sh.cluster)
 	sh.run()
 	lc.shutdown()
 }
 
-// runServe runs the HTTP serving tier until a signal drains it: the
-// university objects over either a fresh seeded in-memory database or a
-// durable -data-dir one (recovered, schema ensured, seeded only when
-// empty). With -shards N the same objects serve from an N-shard cluster
-// — reads fan out, updates route through the coordinator. The
-// acknowledged-write contract is the point of the careful teardown: a
-// durable session commits through a synchronous WAL, so every 200 the
-// tier returned stays committed across SIGTERM and the next start
-// recovers it.
+// adopt makes a plain database the session: a 1-shard cluster with no
+// objects registered.
+func (sh *shell) adopt(db *reldb.Database) {
+	c, err := shard.New([]*reldb.Database{db})
+	if err != nil {
+		fatal(err) // unreachable: New only refuses an empty list
+	}
+	sh.cluster = c
+	sh.g = structural.NewGraph(db)
+}
+
+// openUniversity is the one bootstrap of shell and serve modes: the
+// university (schema, ω and ω′, the paper's instance) over n shards —
+// in memory, or durable under dataDir/shard-<i>, where a recovered
+// cluster keeps its rows and only an empty one is seeded.
+func openUniversity(dataDir string, n int) *shard.Cluster {
+	if dataDir == "" {
+		c, err := university.NewSharded(n)
+		if err != nil {
+			fatal(err)
+		}
+		return c
+	}
+	c, seeded, err := university.OpenSharded(dataDir, n, reldb.OpenOptions{})
+	if err != nil {
+		fatal(err)
+	}
+	if seeded {
+		fmt.Printf("seeded %s with the university instance over %d shard(s)\n", dataDir, n)
+	} else {
+		fmt.Printf("recovered %s (%d shard(s), %d rows, generation %d)\n",
+			dataDir, c.N(), c.TotalRows(), c.Generation())
+	}
+	return c
+}
+
+// runServe runs the HTTP serving tier over the university until a
+// signal drains it. The acknowledged-write contract is the point of the
+// careful teardown: a durable session commits through a synchronous
+// WAL, so every 200 the tier returned stays committed across SIGTERM
+// and the next start recovers it.
 func runServe(addr, dataDir string, shards, maxReads, maxWrites int, slowThreshold time.Duration) {
 	obs.Default.SetRecorder(obs.NewRecorder(slowThreshold, 64))
 	lc := &lifecycle{}
 	trapSignals(lc)
-
-	if shards > 1 {
-		var c *shard.Cluster
-		if dataDir != "" {
-			var seeded bool
-			var err error
-			c, seeded, err = university.OpenSharded(dataDir, shards, reldb.OpenOptions{})
-			if err != nil {
-				fatal(err)
-			}
-			if seeded {
-				fmt.Printf("seeded %s with the university instance over %d shards\n", dataDir, shards)
-			} else {
-				fmt.Printf("recovered %s (%d shards, %d rows, cluster generation %d)\n",
-					dataDir, c.N(), c.TotalRows(), c.Generation())
-			}
-		} else {
-			var err error
-			c, err = university.NewSharded(shards)
-			if err != nil {
-				fatal(err)
-			}
-		}
-		lc.setDB(c)
-		_, hs, err := serve.Start(addr, serve.Config{
-			Cluster:          c,
-			MaxReadInFlight:  maxReads,
-			MaxWriteInFlight: maxWrites,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		lc.setServer(hs)
-		fmt.Printf("serving view objects over %d shards at http://%s/objects (metrics at /metrics)\n",
-			shards, hs.Addr())
-		select {} // the signal handler exits the process after draining
-	}
-
-	var db *reldb.Database
-	var g *structural.Graph
-	if dataDir != "" {
-		var err error
-		db, err = reldb.OpenDatabase(dataDir)
-		if err != nil {
-			fatal(err)
-		}
-		lc.setDB(db)
-		g, err = university.Install(db)
-		if err != nil {
-			fatal(err)
-		}
-		seeded, err := university.EnsureSeeded(db)
-		if err != nil {
-			fatal(err)
-		}
-		if seeded {
-			fmt.Printf("seeded %s with the university instance\n", dataDir)
-		} else {
-			fmt.Printf("recovered %s (%d rows, generation %d)\n", dataDir, db.TotalRows(), db.Generation())
-		}
-	} else {
-		var err error
-		db, g, err = university.NewSeeded()
-		if err != nil {
-			fatal(err)
-		}
-	}
-	om, err := university.Omega(g)
-	if err != nil {
-		fatal(err)
-	}
-	op, err := university.OmegaPrime(g)
-	if err != nil {
-		fatal(err)
-	}
-	objects := map[string]*viewobject.Definition{"omega": om, "omega-prime": op}
-	updaters := make(map[string]*vupdate.Updater, len(objects))
-	for name, def := range objects {
-		updaters[name] = vupdate.NewUpdater(vupdate.PermissiveTranslator(def))
-	}
+	c := openUniversity(dataDir, shards)
+	lc.setDB(c)
 	_, hs, err := serve.Start(addr, serve.Config{
-		DB:               db,
-		Objects:          objects,
-		Updaters:         updaters,
+		Cluster:          c,
 		MaxReadInFlight:  maxReads,
 		MaxWriteInFlight: maxWrites,
 	})
@@ -446,7 +370,8 @@ func runServe(addr, dataDir string, shards, maxReads, maxWrites int, slowThresho
 		fatal(err)
 	}
 	lc.setServer(hs)
-	fmt.Printf("serving view objects at http://%s/objects (metrics at /metrics)\n", hs.Addr())
+	fmt.Printf("serving view objects over %d shard(s) at http://%s/objects (metrics at /metrics)\n",
+		shards, hs.Addr())
 	select {} // the signal handler exits the process after draining
 }
 
@@ -506,7 +431,7 @@ func (sh *shell) run() {
 
 // execRQL runs one RQL statement and prints its outcome.
 func (sh *shell) execRQL(line string) {
-	out, err := rql.Exec(sh.db, line)
+	out, err := rql.Exec(sh.db(), line)
 	switch {
 	case err != nil:
 		sh.errorf("error: %v", err)
@@ -530,7 +455,7 @@ func (sh *shell) command(line string) bool {
 	case ".help":
 		sh.help()
 	case ".tables":
-		rtx := sh.db.BeginRead()
+		rtx := sh.db().BeginRead()
 		for _, n := range rtx.Names() {
 			rel, _ := rtx.Relation(n)
 			fmt.Fprintf(sh.out, "%-12s %6d rows\n", n, rel.Count())
@@ -541,7 +466,7 @@ func (sh *shell) command(line string) bool {
 			sh.errorf("usage: .schema REL")
 			break
 		}
-		rel, err := sh.db.Relation(args[0])
+		rel, err := sh.db().Relation(args[0])
 		if err != nil {
 			sh.errorf("error: %v", err)
 			break
@@ -550,13 +475,8 @@ func (sh *shell) command(line string) bool {
 	case ".graph":
 		fmt.Fprint(sh.out, sh.g.Render())
 	case ".objects":
-		names := make([]string, 0, len(sh.objects))
-		for n := range sh.objects {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			def := sh.objects[n]
+		for _, n := range sh.cluster.Objects() {
+			def, _ := sh.cluster.Object(n, 0)
 			fmt.Fprintf(sh.out, "%-12s pivot %s, complexity %d\n", n, def.Pivot(), def.Complexity())
 		}
 	case ".object":
@@ -572,22 +492,16 @@ func (sh *shell) command(line string) bool {
 		if def == nil {
 			break
 		}
+		q, err := oql.Parse(def, strings.Join(args[1:], " "))
+		if err != nil {
+			sh.errorf("error: %v", err)
+			break
+		}
 		var insts []*viewobject.Instance
-		var err error
 		if m := sh.materialized[args[0]]; m != nil {
-			var q viewobject.Query
-			if q, err = oql.Parse(def, strings.Join(args[1:], " ")); err == nil {
-				insts, err = m.Instantiate(q)
-			}
-		} else if sh.cluster != nil {
-			var q viewobject.Query
-			if q, err = oql.Parse(def, strings.Join(args[1:], " ")); err == nil {
-				insts, err = sh.cluster.Instantiate(args[0], q)
-			}
+			insts, err = m.Instantiate(q)
 		} else {
-			rtx := sh.db.BeginRead()
-			insts, err = oql.Query(rtx, def, strings.Join(args[1:], " "))
-			rtx.Close()
+			insts, err = sh.cluster.Instantiate(args[0], q)
 		}
 		if err != nil {
 			sh.errorf("error: %v", err)
@@ -607,12 +521,8 @@ func (sh *shell) command(line string) bool {
 		var err error
 		if m := sh.materialized[args[0]]; m != nil {
 			inst, ok, err = m.InstantiateByKey(key)
-		} else if sh.cluster != nil {
-			inst, ok, err = sh.cluster.InstantiateByKey(args[0], key)
 		} else {
-			rtx := sh.db.BeginRead()
-			inst, ok, err = viewobject.InstantiateByKey(rtx, def, key)
-			rtx.Close()
+			inst, ok, err = sh.cluster.InstantiateByKey(args[0], key)
 		}
 		if err != nil {
 			sh.errorf("error: %v", err)
@@ -628,18 +538,7 @@ func (sh *shell) command(line string) bool {
 		if def == nil {
 			break
 		}
-		var res *vupdate.Result
-		var err error
-		if sh.cluster != nil {
-			res, err = sh.cluster.DeleteByKey(args[0], key)
-		} else {
-			u := sh.updaters[args[0]]
-			if u == nil {
-				sh.errorf("no translator chosen for %s - run .dialog first", args[0])
-				break
-			}
-			res, err = u.DeleteByKey(key)
-		}
+		res, err := sh.cluster.DeleteByKey(args[0], key)
 		if err != nil {
 			sh.errorf("rejected: %v", err)
 			break
@@ -650,16 +549,19 @@ func (sh *shell) command(line string) bool {
 		if def == nil {
 			break
 		}
-		if sh.cluster != nil {
-			sh.errorf("preview is not supported in sharded sessions")
+		// The dry run translates where the real update would: on the
+		// key's home shard, with the translator registered there.
+		home, err := sh.cluster.HomeOf(args[0], key)
+		if err != nil {
+			sh.errorf("error: %v", err)
 			break
 		}
-		u := sh.updaters[args[0]]
-		if u == nil {
-			sh.errorf("no translator chosen for %s - run .dialog first", args[0])
+		tr, err := sh.cluster.Translator(args[0], home)
+		if err != nil {
+			sh.errorf("error: %v", err)
 			break
 		}
-		res, err := u.PreviewDeleteByKey(key)
+		res, err := vupdate.NewUpdater(tr).PreviewDeleteByKey(key)
 		if err != nil {
 			sh.errorf("would be rejected: %v", err)
 			break
@@ -670,8 +572,7 @@ func (sh *shell) command(line string) bool {
 		if def == nil {
 			break
 		}
-		if sh.cluster != nil {
-			sh.errorf("translator dialogs are not supported in sharded sessions (the cluster registers translators at startup)")
+		if !sh.single("the dialog chooses one database's translator") {
 			break
 		}
 		sh.out.Flush()
@@ -682,7 +583,13 @@ func (sh *shell) command(line string) bool {
 			break
 		}
 		tr.RepairInserts = true
-		sh.updaters[args[0]] = vupdate.NewUpdater(tr)
+		err = sh.cluster.ReplaceObject(args[0], func(int, *reldb.Database) (*vupdate.Translator, error) {
+			return tr, nil
+		})
+		if err != nil {
+			sh.errorf("error: %v", err)
+			break
+		}
 		fmt.Fprintf(sh.out, "translator chosen after %d question(s)\n", len(tape))
 	case ".figures":
 		report, err := figures.All()
@@ -692,8 +599,7 @@ func (sh *shell) command(line string) bool {
 		}
 		fmt.Fprint(sh.out, report)
 	case ".materialize":
-		if sh.cluster != nil {
-			sh.errorf("materialized caches follow one database's delta stream - not supported in sharded sessions")
+		if !sh.single("materialized caches follow one database's delta stream") {
 			break
 		}
 		if len(args) == 0 {
@@ -733,7 +639,7 @@ func (sh *shell) command(line string) bool {
 		}
 		m := sh.materialized[args[0]]
 		if m == nil {
-			m = viewobject.NewMaterializer(sh.db, def)
+			m = viewobject.NewMaterializer(sh.db(), def)
 			sh.materialized[args[0]] = m
 		}
 		// Serve once to build (or refresh) the cache eagerly so the
@@ -797,8 +703,7 @@ func (sh *shell) command(line string) bool {
 			fmt.Fprintln(sh.out, ev)
 		}
 	case ".save":
-		if sh.cluster != nil {
-			sh.errorf("snapshots cover one database - not supported in sharded sessions (use -data-dir for durability)")
+		if !sh.single("snapshots cover one database (use -data-dir for durability)") {
 			break
 		}
 		if len(args) != 1 {
@@ -810,7 +715,7 @@ func (sh *shell) command(line string) bool {
 			sh.errorf("error: %v", err)
 			break
 		}
-		err = sh.db.WriteSnapshot(f)
+		err = sh.db().WriteSnapshot(f)
 		f.Close()
 		if err != nil {
 			sh.errorf("error: %v", err)
@@ -818,36 +723,22 @@ func (sh *shell) command(line string) bool {
 		}
 		fmt.Fprintln(sh.out, "saved", args[0])
 	case ".checkpoint":
-		if sh.cluster != nil {
-			for i := 0; i < sh.cluster.N(); i++ {
-				gen, err := sh.cluster.DB(i).Checkpoint()
-				switch {
-				case errors.Is(err, reldb.ErrNotDurable):
-					sh.errorf("this session is in-memory - start with -data-dir DIR for durability")
-				case err != nil:
-					sh.errorf("shard %d: %v", i, err)
-				default:
-					fmt.Fprintf(sh.out, "shard %d: checkpoint written at generation %d\n", i, gen)
-					continue
-				}
+		for i, db := range sh.cluster.Databases() {
+			gen, err := db.Checkpoint()
+			if errors.Is(err, reldb.ErrNotDurable) {
+				sh.errorf("this session is in-memory - start with -data-dir DIR for durability")
 				break
 			}
-			break
-		}
-		gen, err := sh.db.Checkpoint()
-		switch {
-		case errors.Is(err, reldb.ErrNotDurable):
-			sh.errorf("this session is in-memory - start with -data-dir DIR for durability")
-		case err != nil:
-			sh.errorf("error: %v", err)
-		default:
-			fmt.Fprintf(sh.out, "checkpoint written at generation %d\n", gen)
+			if err != nil {
+				sh.errorf("shard %d: %v", i, err)
+				break
+			}
+			fmt.Fprintf(sh.out, "shard %d: checkpoint written at generation %d\n", i, gen)
 		}
 	case ".shards":
 		sh.shards()
 	case ".load":
-		if sh.cluster != nil {
-			sh.errorf("snapshots cover one database - not supported in sharded sessions")
+		if !sh.single("snapshots cover one database") {
 			break
 		}
 		if len(args) != 1 {
@@ -865,10 +756,7 @@ func (sh *shell) command(line string) bool {
 			sh.errorf("error: %v", err)
 			break
 		}
-		sh.db = db
-		sh.g = structural.NewGraph(db)
-		sh.objects = map[string]*viewobject.Definition{}
-		sh.updaters = map[string]*vupdate.Updater{}
+		sh.adopt(db)
 		fmt.Fprintln(sh.out, "loaded", args[0], "(objects cleared: snapshots hold data, not schemas' connections)")
 	default:
 		sh.errorf("unknown command %s - try .help", cmd)
@@ -880,10 +768,6 @@ func (sh *shell) command(line string) bool {
 // row counts, and — in durable sessions — the by-shard WAL counters.
 func (sh *shell) shards() {
 	c := sh.cluster
-	if c == nil {
-		fmt.Fprintln(sh.out, "sharding: off (single database) - start with -shards N")
-		return
-	}
 	fmt.Fprintf(sh.out, "%d shard(s), cluster generation %d, %d stored row(s)\n",
 		c.N(), c.Generation(), c.TotalRows())
 	gens := c.Generations()
@@ -990,8 +874,8 @@ func (sh *shell) lookupObject(args []string) *viewobject.Definition {
 		sh.errorf("usage: ... NAME")
 		return nil
 	}
-	def, ok := sh.objects[args[0]]
-	if !ok {
+	def, err := sh.cluster.Object(args[0], 0)
+	if err != nil {
 		sh.errorf("no object named %s - see .objects", args[0])
 		return nil
 	}
@@ -1009,7 +893,7 @@ func (sh *shell) objectAndKey(args []string, usage string) (*viewobject.Definiti
 	if def == nil {
 		return nil, nil
 	}
-	pivotRel, err := sh.db.Relation(def.Pivot())
+	pivotRel, err := sh.db().Relation(def.Pivot())
 	if err != nil {
 		sh.errorf("error: %v", err)
 		return nil, nil
@@ -1046,13 +930,17 @@ Dot-commands:
   .figures              regenerate the paper's figures
   .materialize [NAME [on|off]]  keep NAME's instances materialized (patched from commit deltas)
   .parallel [N]         show or set the instantiation worker budget (0 tracks GOMAXPROCS)
-  .shards               show per-shard generations, rows, and WAL activity (-shards sessions)
+  .shards               show per-shard generations, rows, and WAL activity
   .stats                dump engine metrics (counters and histograms)
   .prom                 dump engine metrics in Prometheus exposition format
   .trace [N]            show the last N trace events (default 20)
   .trace slow [N]       list retained slow traces, or render the Nth as a tree
   .trace export N FILE  write the Nth slow trace as Chrome trace JSON
-  .checkpoint           write a durable checkpoint and prune the WAL (-data-dir sessions)
+  .checkpoint           write a durable checkpoint per shard and prune its WAL (-data-dir sessions)
   .save FILE .load FILE .quit
+The university is a cluster of -shards databases (default 1). .dialog, .materialize,
+.save and .load work on one database: over several shards they are refused. With
+-data-dir DIR a cluster keeps shard i in DIR/shard-<i>; a DIR written by a plain
+-data-dir session (wal-*.log at its top level) is refused, not migrated.
 `)
 }

@@ -13,36 +13,43 @@ import (
 	"penguin/internal/reldb"
 	"penguin/internal/university"
 	"penguin/internal/viewobject"
-	"penguin/internal/vupdate"
 )
 
 func keyOf(id string) reldb.Tuple { return reldb.Tuple{reldb.String(id)} }
 
-// testShell builds a shell over the seeded university with ω and ω′
-// registered. Stdout and stderr are captured in separate buffers (the
-// shell routes errors to stderr); out holds stdout, sh.errw the errors.
+// testShell builds the default session: a shell over the seeded
+// university (one shard) with ω and ω′ registered. Stdout and stderr
+// are captured in separate buffers (the shell routes errors to stderr);
+// out holds stdout, sh.errw the errors.
 func testShell(t *testing.T) (*shell, *bytes.Buffer) {
+	return testShellOver(t, 1, "")
+}
+
+// testShellOver is testShell over n shards, reading its input from
+// script.
+func testShellOver(t *testing.T, n int, script string) (*shell, *bytes.Buffer) {
 	t.Helper()
-	db, g, err := university.NewSeeded()
+	c, err := university.NewSharded(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	om := university.MustOmega(g)
-	op := university.MustOmegaPrime(g)
+	t.Cleanup(func() { c.Close() })
+	om, err := c.Object(university.ObjOmega, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out bytes.Buffer
 	sh := &shell{
-		db: db, g: g,
-		objects:      map[string]*viewobject.Definition{"omega": om, "omega-prime": op},
-		updaters:     make(map[string]*vupdate.Updater),
+		cluster:      c,
+		g:            om.Graph(),
 		materialized: make(map[string]*viewobject.Materializer),
 		out:          bufio.NewWriter(&out),
 		errw:         &bytes.Buffer{},
-		in:           bufio.NewReader(strings.NewReader("")),
+		in:           bufio.NewReader(strings.NewReader(script)),
 		ring:         obs.NewRing(64),
 	}
 	obs.Default.SetSink(sh.ring)
 	t.Cleanup(func() { obs.Default.SetSink(nil) })
-	sh.updaters["omega"] = vupdate.NewUpdater(vupdate.PermissiveTranslator(om))
 	return sh, &out
 }
 
@@ -156,13 +163,13 @@ func TestShellDelete(t *testing.T) {
 	if !strings.Contains(text, "translated into") {
 		t.Errorf(".delete output:\n%s", text)
 	}
-	if sh.db.MustRelation(university.Courses).Has(keyOf("CS445")) {
+	if sh.db().MustRelation(university.Courses).Has(keyOf("CS445")) {
 		t.Fatal("CS445 survived")
 	}
-	// ω′ has no updater registered in the test shell.
+	// On one shard ω′ translates updates too.
 	text = run(t, sh, out, ".delete omega-prime CS101")
-	if !strings.Contains(text, "no translator chosen") {
-		t.Errorf("missing-translator output:\n%s", text)
+	if !strings.Contains(text, "translated into") || sh.db().MustRelation(university.Courses).Has(keyOf("CS101")) {
+		t.Errorf("omega-prime .delete output:\n%s", text)
 	}
 }
 
@@ -182,7 +189,7 @@ func TestShellMaterialize(t *testing.T) {
 		t.Errorf("materialized .query output:\n%s", text)
 	}
 	// A committed deletion must surface through the cache on the next read.
-	if _, err := sh.updaters["omega"].DeleteByKey(keyOf("CS445")); err != nil {
+	if _, err := sh.cluster.DeleteByKey("omega", keyOf("CS445")); err != nil {
 		t.Fatal(err)
 	}
 	text = run(t, sh, out, ".instance omega CS445")
@@ -267,7 +274,7 @@ func TestShellSaveLoad(t *testing.T) {
 	if !strings.Contains(text, "loaded") {
 		t.Fatalf(".load output:\n%s", text)
 	}
-	if sh.db.MustRelation(university.Grades).Count() == 0 {
+	if sh.db().MustRelation(university.Grades).Count() == 0 {
 		t.Fatal("load did not restore data")
 	}
 	text = run(t, sh, out, ".load /nonexistent/file")
@@ -410,12 +417,12 @@ func TestShellPreview(t *testing.T) {
 	if !strings.Contains(text, "would translate into") || !strings.Contains(text, "nothing executed") {
 		t.Fatalf(".preview output:\n%s", text)
 	}
-	if !sh.db.MustRelation(university.Courses).Has(keyOf("CS445")) {
+	if !sh.db().MustRelation(university.Courses).Has(keyOf("CS445")) {
 		t.Fatal("preview mutated the database")
 	}
-	text = run(t, sh, out, ".preview omega-prime CS101")
-	if !strings.Contains(text, "no translator chosen") {
-		t.Fatalf("missing-translator output:\n%s", text)
+	text = run(t, sh, out, ".preview omega NOPE")
+	if !strings.Contains(text, "would be rejected") {
+		t.Fatalf("missing-instance preview output:\n%s", text)
 	}
 }
 
@@ -457,7 +464,7 @@ func TestShellCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh.db = db
+	sh.adopt(db)
 	if _, err := db.CreateRelation(reldb.MustSchema("T", []reldb.Attribute{
 		{Name: "K", Type: reldb.KindInt},
 	}, []string{"K"})); err != nil {
@@ -486,5 +493,48 @@ func TestShellCheckpoint(t *testing.T) {
 	rel, err := re.Relation("T")
 	if err != nil || rel.Count() != 1 {
 		t.Fatalf("reopened T: %v, count %d", err, rel.Count())
+	}
+}
+
+// TestShellOverShards drives the object commands over three shards:
+// reads, the dry run and the real deletion route by pivot key exactly as
+// on one shard, .shards and .checkpoint walk every shard, and the
+// commands that need one database's snapshot, delta stream or
+// translator are refused.
+func TestShellOverShards(t *testing.T) {
+	sh, out := testShellOver(t, 3, "")
+	text := run(t, sh, out, ".query omega Level = 'graduate' and count(STUDENT) < 5")
+	if !strings.Contains(text, "2 instance(s)") || !strings.Contains(text, "CS345") {
+		t.Errorf(".query output:\n%s", text)
+	}
+	text = run(t, sh, out, ".instance omega CS345")
+	if !strings.Contains(text, "COURSES: (CS345") {
+		t.Errorf(".instance output:\n%s", text)
+	}
+	text = run(t, sh, out, ".preview omega CS445")
+	if !strings.Contains(text, "would translate into") {
+		t.Errorf(".preview output:\n%s", text)
+	}
+	if text = run(t, sh, out, ".instance omega CS445"); !strings.Contains(text, "COURSES: (CS445") {
+		t.Errorf("preview mutated the cluster:\n%s", text)
+	}
+	text = run(t, sh, out, ".delete omega CS445")
+	if !strings.Contains(text, "translated into") {
+		t.Errorf(".delete output:\n%s", text)
+	}
+	if text = run(t, sh, out, ".instance omega CS445"); !strings.Contains(text, "no instance") {
+		t.Errorf("CS445 survived the routed delete:\n%s", text)
+	}
+	text = run(t, sh, out, ".shards")
+	if !strings.Contains(text, "3 shard(s)") || !strings.Contains(text, "shard 2: generation") {
+		t.Errorf(".shards output:\n%s", text)
+	}
+	if text = run(t, sh, out, ".checkpoint"); !strings.Contains(text, "-data-dir") {
+		t.Errorf("in-memory .checkpoint should point at -data-dir:\n%s", text)
+	}
+	for _, cmd := range []string{".dialog omega", ".materialize omega", ".save /dev/null", ".load /dev/null"} {
+		if text = run(t, sh, out, cmd); !strings.Contains(text, "not supported over 3 shards") {
+			t.Errorf("%s over 3 shards:\n%s", cmd, text)
+		}
 	}
 }

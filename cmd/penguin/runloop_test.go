@@ -1,27 +1,19 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"strings"
 	"testing"
 
-	"penguin/internal/obs"
 	"penguin/internal/university"
-	"penguin/internal/viewobject"
-	"penguin/internal/vupdate"
 )
 
 // TestShellRunLoop drives the whole interactive loop through a scripted
 // stdin: RQL, object commands, a full translator dialog (answering the
-// dialog's questions), a translated deletion, and .quit.
+// dialog's questions), a translated deletion, a second dialog that
+// forbids every update — proving the chosen translator is the one the
+// cluster routes through — and .quit.
 func TestShellRunLoop(t *testing.T) {
-	db, g, err := university.NewSeeded()
-	if err != nil {
-		t.Fatal(err)
-	}
-	om := university.MustOmega(g)
-
 	script := strings.Join([]string{
 		"", // blank line is skipped
 		"SELECT CourseID FROM COURSES WHERE Level = 'graduate' ORDER BY CourseID",
@@ -39,21 +31,13 @@ func TestShellRunLoop(t *testing.T) {
 		".delete omega CS445",
 		".stats",
 		".trace 10",
+		".dialog omega",
+		"n", "n", "n", // insertion, deletion, replacement: all forbidden
+		".delete omega CS345",
 		".quit",
 	}, "\n") + "\n"
 
-	var out bytes.Buffer
-	sh := &shell{
-		db: db, g: g,
-		objects:  map[string]*viewobject.Definition{"omega": om},
-		updaters: map[string]*vupdate.Updater{},
-		out:      bufio.NewWriter(&out),
-		errw:     &bytes.Buffer{},
-		in:       bufio.NewReader(strings.NewReader(script)),
-		ring:     obs.NewRing(64),
-	}
-	obs.Default.SetSink(sh.ring)
-	defer obs.Default.SetSink(nil)
+	sh, out := testShellOver(t, 1, script)
 	sh.run()
 	sh.out.Flush()
 	text := out.String()
@@ -68,30 +52,23 @@ func TestShellRunLoop(t *testing.T) {
 		// .trace shows the per-step spans and the commit.
 		"vupdate.step.translate",
 		"reldb.commit",
+		"translator chosen after 3 question(s)",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("run loop output missing %q:\n%s", want, text)
 		}
 	}
-	if db.MustRelation(university.Courses).Has(keyOf("CS445")) {
+	courses := sh.db().MustRelation(university.Courses)
+	if courses.Has(keyOf("CS445")) {
 		t.Fatal("dialog-driven delete did not run")
+	}
+	if !courses.Has(keyOf("CS345")) || !strings.Contains(sh.errw.(*bytes.Buffer).String(), "rejected") {
+		t.Fatalf("delete ran under a translator that forbids deletion; stderr:\n%s", sh.errw.(*bytes.Buffer))
 	}
 }
 
 // EOF on stdin exits the loop cleanly.
 func TestShellRunLoopEOF(t *testing.T) {
-	db, g, err := university.NewSeeded()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	sh := &shell{
-		db: db, g: g,
-		objects:  map[string]*viewobject.Definition{},
-		updaters: map[string]*vupdate.Updater{},
-		out:      bufio.NewWriter(&out),
-		errw:     &bytes.Buffer{},
-		in:       bufio.NewReader(strings.NewReader("SELECT * FROM STAFF")),
-	}
+	sh, _ := testShellOver(t, 1, "SELECT * FROM STAFF")
 	sh.run() // no trailing newline: statement runs? bufio returns EOF with partial line
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -146,8 +147,9 @@ func TestServeSignalDurability(t *testing.T) {
 	}
 
 	// Recovery: every acknowledged generation (and the Title stamp of at
-	// least the last awaited ack) must be in the reopened database.
-	db, err := reldb.OpenDatabase(dir)
+	// least the last awaited ack) must be in the reopened database — the
+	// served university's one shard.
+	db, err := reldb.OpenDatabase(filepath.Join(dir, "shard-0"))
 	if err != nil {
 		t.Fatalf("reopen after SIGTERM: %v", err)
 	}

@@ -15,8 +15,8 @@ import (
 // truncation and corruption. Secondary indexes are re-declared in the
 // snapshot (names and attribute lists) and rebuilt on load.
 //
-// Version 2 layout (version 1 files — no head generation, no CRC — are
-// still readable):
+// Version 2 layout (the only version read; version 1 files — no head
+// generation, no CRC — are refused as unsupported):
 //
 //	magic "PNGW" | u16 version | u64 headGen | u32 nRelations
 //	per relation:
@@ -30,14 +30,11 @@ import (
 // headGen is the database's commit generation at serialization time.
 // Restoring it on load is what keeps every generation-keyed subsystem
 // (plan caches, delta subscriptions, materializer build generations)
-// monotone across a restart: version 1 snapshots silently reset the
-// counter, so a post-restore commit would publish generation 1 and every
-// consumer's clock would run backwards.
+// monotone across a restart: without it a post-restore commit would
+// publish generation 1 and every consumer's clock would run backwards.
 const (
 	snapshotMagic     = "PNGW"
-	snapshotVersion1  = 1
-	snapshotVersion2  = 2
-	snapshotVersion   = snapshotVersion2
+	snapshotVersion   = 2
 	maxSnapshotString = 1 << 24
 	maxSnapshotCount  = 1 << 24
 )
@@ -146,11 +143,10 @@ func (rtx *ReadTx) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot deserializes a database previously written by
-// WriteSnapshot. Version 2 snapshots restore the head commit generation
-// and are CRC-verified end to end: a torn or bit-flipped file fails with
-// an error wrapping ErrSnapshotCorrupt instead of loading as garbage or
-// a confusing mid-row error. Version 1 snapshots (no generation, no CRC)
-// load with their legacy semantics.
+// WriteSnapshot, restoring the head commit generation. The stream is
+// CRC-verified end to end: a torn or bit-flipped file fails with an
+// error wrapping ErrSnapshotCorrupt instead of loading as garbage or a
+// confusing mid-row error. Any other format version is refused.
 func ReadSnapshot(r io.Reader) (*Database, error) {
 	br := bufio.NewReader(r)
 	cr := &crcReader{r: br}
@@ -165,42 +161,34 @@ func ReadSnapshot(r io.Reader) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch version {
-	case snapshotVersion1:
-		db := NewDatabase()
-		if err := readSnapshotBody(cr, db); err != nil {
-			return nil, err
-		}
-		return db, nil
-	case snapshotVersion2:
-		headGen, err := readU64(cr)
-		if err != nil {
-			return nil, corruptSnapshot(err)
-		}
-		db := NewDatabase()
-		if err := readSnapshotBody(cr, db); err != nil {
-			return nil, corruptSnapshot(err)
-		}
-		want := cr.crc
-		got, err := readU32(br) // trailer was never hashed
-		if err != nil {
-			return nil, corruptSnapshot(fmt.Errorf("reading CRC trailer: %w", err))
-		}
-		if got != want {
-			return nil, corruptSnapshot(fmt.Errorf("CRC mismatch: stored %08x, computed %08x", got, want))
-		}
-		// Restore the head generation. Loading created each relation
-		// through CreateRelation, which advanced the counter from zero;
-		// the stored head is always at least that (every relation's
-		// creation advanced the original counter too), so restoring it
-		// keeps generation-keyed consumers monotone across the restart.
-		if headGen > db.gen {
-			db.gen = headGen
-		}
-		return db, nil
-	default:
+	if version != snapshotVersion {
 		return nil, fmt.Errorf("reldb: unsupported snapshot version %d", version)
 	}
+	headGen, err := readU64(cr)
+	if err != nil {
+		return nil, corruptSnapshot(err)
+	}
+	db := NewDatabase()
+	if err := readSnapshotBody(cr, db); err != nil {
+		return nil, corruptSnapshot(err)
+	}
+	want := cr.crc
+	got, err := readU32(br) // trailer was never hashed
+	if err != nil {
+		return nil, corruptSnapshot(fmt.Errorf("reading CRC trailer: %w", err))
+	}
+	if got != want {
+		return nil, corruptSnapshot(fmt.Errorf("CRC mismatch: stored %08x, computed %08x", got, want))
+	}
+	// Restore the head generation. Loading created each relation
+	// through CreateRelation, which advanced the counter from zero;
+	// the stored head is always at least that (every relation's
+	// creation advanced the original counter too), so restoring it
+	// keeps generation-keyed consumers monotone across the restart.
+	if headGen > db.gen {
+		db.gen = headGen
+	}
+	return db, nil
 }
 
 // corruptSnapshot tags a version-2 decode failure as corruption: with a

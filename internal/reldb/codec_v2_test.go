@@ -1,10 +1,10 @@
 package reldb
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -103,35 +103,17 @@ func TestSnapshotTruncatedIsCorrupt(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadsV1 keeps the legacy format loadable: a version-1
-// stream (no head generation, no CRC trailer) still round-trips.
-func TestSnapshotReadsV1(t *testing.T) {
-	db := snapshotDB(t)
-	rtx := db.BeginRead()
-	defer rtx.Close()
+// TestSnapshotRejectsV1: no writer has produced format version 1 since
+// v2 landed, so a v1 stream takes the unsupported-version error instead
+// of loading without its generation or a CRC check.
+func TestSnapshotRejectsV1(t *testing.T) {
 	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	bw.WriteString(snapshotMagic)
-	writeU16(bw, snapshotVersion1)
-	names := rtx.Names()
-	writeU32(bw, uint32(len(names)))
-	for _, n := range names {
-		if err := writeRelation(bw, rtx.rels[n]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if len(got.Names()) != len(db.Names()) {
-		t.Fatalf("v1 load: %v, want %v", got.Names(), db.Names())
-	}
-	if got.MustRelation("MIXED").Count() != db.MustRelation("MIXED").Count() {
-		t.Fatal("v1 load lost rows")
+	buf.WriteString(snapshotMagic)
+	writeU16(&buf, 1)
+	writeU32(&buf, 0) // v1 body: zero relations
+	_, err := ReadSnapshot(&buf)
+	if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version 1") {
+		t.Fatalf("v1 snapshot: err = %v, want unsupported snapshot version 1", err)
 	}
 }
 

@@ -218,6 +218,39 @@ func TestSelectParallelMatchesSelect(t *testing.T) {
 	}
 }
 
+// TestSelectParallelChunkShapes sweeps row counts whose rounded-up chunk
+// size overshoots the row set in every way up to 8 workers allow: no
+// shape may panic or differ from Select.
+func TestSelectParallelChunkShapes(t *testing.T) {
+	r := newGradesRel(t)
+	rows := 0
+	for n := selectParallelMinRows + 4; n <= selectParallelMinRows+33; n++ {
+		for ; rows < n; rows++ {
+			if err := r.Insert(grade("CS101", int64(rows), "A")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := r.Select(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2, 3, 4, 8} {
+			got, err := r.SelectParallel(nil, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("rows=%d workers=%d: %d tuples, want %d", n, workers, len(got), len(want))
+			}
+			for i := range got {
+				if !got[i].Equal(want[i]) {
+					t.Fatalf("rows=%d workers=%d: tuple %d = %v, want %v", n, workers, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestSelectParallelError(t *testing.T) {
 	r := newGradesRel(t)
 	for i := 0; i < selectParallelMinRows; i++ {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -410,5 +411,79 @@ func TestSyncModes(t *testing.T) {
 			t.Fatalf("mode %d: recovered generation = %d, want %d", mode, g, gen)
 		}
 		re.Close()
+	}
+}
+
+// TestCheckpointRacesGroupCommit pins the syncer/roll ordering: a
+// checkpoint roll closes the segment it replaces, and a sync pass that
+// sampled that handle before the roll used to fsync it after the close,
+// leaving a sticky "file already closed" error that failed every later
+// commit. Four SyncCommit committers race a tight Checkpoint loop; no
+// commit may fail and the recovered state must equal the live one.
+func TestCheckpointRacesGroupCommit(t *testing.T) {
+	const committers, commits = 4, 500
+	dir := t.TempDir()
+	db, err := OpenDatabaseWith(dir, OpenOptions{CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustCreateRelation(kvSchema("R"))
+
+	stop := make(chan struct{})
+	ckptDone := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				ckptDone <- nil
+				return
+			default:
+			}
+			if _, err := db.Checkpoint(); err != nil {
+				ckptDone <- err
+				return
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	errs := make([]error, committers)
+	for c := 0; c < committers; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < commits && errs[c] == nil; i++ {
+				k := int64(c*commits + i)
+				errs[c] = db.RunInTx(func(tx *Tx) error {
+					return tx.Insert("R", Tuple{Int(k), String("v")})
+				})
+			}
+		}(c)
+	}
+	wg.Wait()
+	close(stop)
+	if err := <-ckptDone; err != nil {
+		t.Errorf("checkpoint: %v", err)
+	}
+	for c, err := range errs {
+		if err != nil {
+			t.Errorf("committer %d: %v", c, err)
+		}
+	}
+	gen, want := db.Generation(), rowsOf(t, db, "R")
+	if len(want) != committers*commits {
+		t.Errorf("live database holds %d rows, want %d", len(want), committers*commits)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := durableDB(t, dir)
+	defer re.Close()
+	if g := re.Generation(); g != gen {
+		t.Errorf("recovered generation = %d, want %d", g, gen)
+	}
+	if got := rowsOf(t, re, "R"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("recovered %d rows differ from the %d live ones", len(got), len(want))
 	}
 }

@@ -92,7 +92,9 @@ var ErrCrossShardMove = errors.New("pivot key would change home shard")
 // update runs one view-object update through the coordinator: an
 // optimistic home-shard-only attempt first, then — if the translation
 // emitted operations on replicated relations — a global retry under
-// every shard's writer lock with a two-phase commit.
+// every shard's writer lock with a two-phase commit. A 1-shard cluster
+// has no replicas, so whatever its one translation emitted is the whole
+// update and commits as is: the cluster costs what the database does.
 func (c *Cluster) update(o *object, home int, call func(*vupdate.Updater) (*vupdate.Result, error)) (*vupdate.Result, error) {
 	// Fast path: translate with only the home writer held. If every
 	// emitted operation stays inside the (hash-partitioned) island the
@@ -100,7 +102,7 @@ func (c *Cluster) update(o *object, home int, call func(*vupdate.Updater) (*vupd
 	u := &vupdate.Updater{T: o.trs[home], Hooks: &vupdate.TxHooks{
 		Begin: func() (*reldb.Tx, error) { return c.dbs[home].Begin(), nil },
 		Finish: func(tx *reldb.Tx, ops []vupdate.DBOp) error {
-			if allIsland(o, ops) {
+			if len(c.dbs) == 1 || allIsland(o, ops) {
 				return tx.Commit()
 			}
 			_ = tx.Rollback()

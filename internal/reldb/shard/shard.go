@@ -102,6 +102,9 @@ func Open(dir string, n int, opts reldb.OpenOptions) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: invalid shard count %d", n)
 	}
+	if err := refuseDatabaseDir(dir); err != nil {
+		return nil, err
+	}
 	dbs := make([]*reldb.Database, n)
 	for i := range dbs {
 		o := opts
@@ -132,6 +135,29 @@ func Open(dir string, n int, opts reldb.OpenOptions) (*Cluster, error) {
 	}
 	return c, nil
 }
+
+// refuseDatabaseDir rejects a directory that holds one database's own
+// log segments or snapshots (reldb's wal-*.log / snap-*.pngw) at its top
+// level — what reldb.OpenDatabase(dir) writes. Opening it as a cluster
+// would seed empty shards beside the data and silently ignore it.
+func refuseDatabaseDir(dir string) error {
+	for _, pat := range []string{"wal-*.log", "snap-*.pngw"} {
+		old, err := filepath.Glob(filepath.Join(dir, pat))
+		if err != nil {
+			return err
+		}
+		if len(old) > 0 {
+			return fmt.Errorf("shard: %s holds a single database's files (%s), not a cluster's shard-<i> directories: %w",
+				dir, filepath.Base(old[0]), ErrDatabaseLayout)
+		}
+	}
+	return nil
+}
+
+// ErrDatabaseLayout reports a data directory written by a plain
+// reldb.OpenDatabase where a cluster was asked for; its rows are not
+// migrated.
+var ErrDatabaseLayout = errors.New("directory uses the single-database layout")
 
 // resolveInDoubt settles every cross-shard prepare replayed without a
 // decision. The commit point of the protocol is the first durable
@@ -175,6 +201,25 @@ func (c *Cluster) AddObject(name string, build func(shard int, db *reldb.Databas
 	if _, dup := c.objects[name]; dup {
 		return fmt.Errorf("shard: object %s already registered", name)
 	}
+	return c.register(name, build)
+}
+
+// ReplaceObject re-registers an existing object with the translators a
+// fresh build returns — how a translator chosen after start-up (the §6
+// dialog) takes effect. Placement is validated again: the rows already
+// sit where the earlier registration put them, so an island that differs
+// from it is refused and the earlier registration stays. Like AddObject
+// it must not run concurrently with traffic.
+func (c *Cluster) ReplaceObject(name string, build func(shard int, db *reldb.Database) (*vupdate.Translator, error)) error {
+	if _, err := c.object(name); err != nil {
+		return err
+	}
+	return c.register(name, build)
+}
+
+// register builds and validates one object and, only if every check
+// passes, installs it under name.
+func (c *Cluster) register(name string, build func(shard int, db *reldb.Database) (*vupdate.Translator, error)) error {
 	o := &object{name: name, trs: make([]*vupdate.Translator, len(c.dbs))}
 	for i, db := range c.dbs {
 		tr, err := build(i, db)
@@ -193,24 +238,29 @@ func (c *Cluster) AddObject(name string, build func(shard int, db *reldb.Databas
 		n, _ := def.Node(id)
 		o.islandRels[n.Relation] = true
 	}
-	// A relation reachable both inside and outside the island would need
-	// to be partitioned and replicated at once — no consistent placement.
-	for _, id := range topo.NonIsland() {
-		n, _ := def.Node(id)
-		if o.islandRels[n.Relation] {
-			return fmt.Errorf("shard: object %s: relation %s is both island and non-island", name, n.Relation)
+	// Placement only exists between replicas: one shard holds every
+	// relation whole, so any set of objects fits it.
+	if len(c.dbs) > 1 {
+		// A relation reachable both inside and outside the island would
+		// need to be partitioned and replicated at once — no consistent
+		// placement.
+		for _, id := range topo.NonIsland() {
+			n, _ := def.Node(id)
+			if o.islandRels[n.Relation] {
+				return fmt.Errorf("shard: object %s: relation %s is both island and non-island", name, n.Relation)
+			}
 		}
-	}
-	// Placement is cluster-wide: an island relation here must not be a
-	// replicated relation of an earlier object, and vice versa.
-	for _, n := range def.Nodes() {
-		want := o.islandRels[n.Relation]
-		if have, seen := c.partitioned[n.Relation]; seen && have != want {
-			return fmt.Errorf("shard: object %s: relation %s placement conflicts with an earlier object", name, n.Relation)
+		// Placement is cluster-wide: an island relation here must not be
+		// a replicated relation of an earlier object, and vice versa.
+		for _, n := range def.Nodes() {
+			want := o.islandRels[n.Relation]
+			if have, seen := c.partitioned[n.Relation]; seen && have != want {
+				return fmt.Errorf("shard: object %s: relation %s placement conflicts with an earlier object", name, n.Relation)
+			}
 		}
-	}
-	for _, n := range def.Nodes() {
-		c.partitioned[n.Relation] = o.islandRels[n.Relation]
+		for _, n := range def.Nodes() {
+			c.partitioned[n.Relation] = o.islandRels[n.Relation]
+		}
 	}
 	o.pivotSchema = def.NodeSchema(def.Root())
 	c.objects[name] = o
@@ -227,11 +277,21 @@ func (c *Cluster) Object(name string, i int) (*viewobject.Definition, error) {
 	return o.trs[i].Definition(), nil
 }
 
+// Translator returns the translator registered for the object on shard
+// i — what a dry-run translation (vupdate's Preview calls) runs against.
+func (c *Cluster) Translator(name string, i int) (*vupdate.Translator, error) {
+	o, err := c.object(name)
+	if err != nil {
+		return nil, err
+	}
+	return o.trs[i], nil
+}
+
 // Updatable reports whether updates may route through the object.
 // Every registration carries a translator, but a fully restrictive one
-// (no verb allowed) serves reads only — the sharded university uses
-// that for ω′, whose paths cross partitioned relations outside its own
-// island.
+// (no verb allowed) serves reads only — the university uses that for ω′
+// over more than one shard, where its paths cross partitioned relations
+// outside its own island.
 func (c *Cluster) Updatable(name string) bool {
 	o, ok := c.objects[name]
 	if !ok {

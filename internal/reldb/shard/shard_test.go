@@ -4,10 +4,15 @@ package shard_test
 // lives above it in the dependency order): internal/workload's sharded
 // stress, crash, and benchmark suites drive Cluster end to end. The
 // tests here pin the cluster-level invariants that need no workload:
-// routing determinism and placement-conflict rejection.
+// routing determinism, placement-conflict rejection, re-registration,
+// and the data-directory layout check.
 
 import (
+	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"penguin/internal/reldb"
@@ -164,34 +169,108 @@ func TestCrossShardMoveRejected(t *testing.T) {
 	}
 }
 
-// TestPlacementConflictRejected: registering an object whose island
-// claims a relation an earlier object replicated (or vice versa) fails.
-func TestPlacementConflictRejected(t *testing.T) {
-	c := newMiniCluster(t, 2)
-	// A second object whose pivot is C and which references R would make
-	// R a peninsula (replicated) — but R is already partitioned.
-	err := c.AddObject("conflict", func(_ int, db *reldb.Database) (*vupdate.Translator, error) {
-		g := structural.NewGraph(db)
-		conn := &structural.Connection{
-			Name: "R->C.ref", Type: structural.Reference,
-			From: "R", To: "C", FromAttrs: []string{"K"}, ToAttrs: []string{"K"},
-		}
-		if err := g.AddConnection(conn); err != nil {
-			return nil, err
-		}
-		def, err := viewobject.NewDefinition("conflict", g, &viewobject.Node{
-			Relation: "C",
-			Children: []*viewobject.Node{{
-				Relation: "R",
-				Path:     []structural.Edge{{Conn: conn, Forward: false}},
-			}},
-		})
-		if err != nil {
-			return nil, err
-		}
-		return vupdate.PermissiveTranslator(def), nil
+// conflictObject builds an object over a new pivot P that references R:
+// R would be a referenced relation (replicated) — but mini already
+// partitioned it.
+func conflictObject(_ int, db *reldb.Database) (*vupdate.Translator, error) {
+	if !db.HasRelation("P") {
+		db.MustCreateRelation(reldb.MustSchema("P", []reldb.Attribute{
+			{Name: "PK", Type: reldb.KindInt},
+			{Name: "RK", Type: reldb.KindInt, Nullable: true},
+		}, []string{"PK"}))
+	}
+	g := structural.NewGraph(db)
+	conn := &structural.Connection{
+		Name: "P->R", Type: structural.Reference,
+		From: "P", To: "R", FromAttrs: []string{"RK"}, ToAttrs: []string{"K"},
+	}
+	if err := g.AddConnection(conn); err != nil {
+		return nil, err
+	}
+	def, err := viewobject.NewDefinition("conflict", g, &viewobject.Node{
+		Relation: "P",
+		Children: []*viewobject.Node{{
+			Relation: "R",
+			Path:     []structural.Edge{{Conn: conn, Forward: true}},
+		}},
 	})
-	if err == nil {
-		t.Fatal("conflicting placement accepted")
+	if err != nil {
+		return nil, err
+	}
+	return vupdate.PermissiveTranslator(def), nil
+}
+
+// TestPlacementConflictRejected: registering an object whose island
+// claims a relation an earlier object replicated (or vice versa) fails —
+// between replicas. One shard holds every relation whole, so the same
+// pair of objects registers there as it would over a plain database.
+func TestPlacementConflictRejected(t *testing.T) {
+	err := newMiniCluster(t, 2).AddObject("conflict", conflictObject)
+	if err == nil || !strings.Contains(err.Error(), "placement conflicts") {
+		t.Fatalf("conflicting placement over 2 shards: err = %v, want a placement conflict", err)
+	}
+	if err := newMiniCluster(t, 1).AddObject("conflict", conflictObject); err != nil {
+		t.Fatalf("1-shard cluster refused a placement that only replicas constrain: %v", err)
+	}
+}
+
+// TestReplaceObject: a re-registration swaps the translators in, is
+// refused for a name never added, and is refused — leaving the earlier
+// registration in force — when its island contradicts the placement the
+// rows already have.
+func TestReplaceObject(t *testing.T) {
+	c := newMiniCluster(t, 2)
+	if err := c.ReplaceObject("nope", miniRestrictive); err == nil {
+		t.Fatal("ReplaceObject accepted an unregistered name")
+	}
+	if err := c.ReplaceObject("mini", conflictObject); err == nil || !strings.Contains(err.Error(), "placement conflicts") {
+		t.Fatalf("ReplaceObject with a contradicting island: err = %v, want a placement conflict", err)
+	}
+	if !c.Updatable("mini") {
+		t.Fatal("refused replacement displaced the earlier registration")
+	}
+	if err := c.ReplaceObject("mini", miniRestrictive); err != nil {
+		t.Fatal(err)
+	}
+	if c.Updatable("mini") {
+		t.Fatal("replacement translator not in force")
+	}
+	if _, err := c.DeleteByKey("mini", reldb.Tuple{reldb.Int(1)}); err == nil {
+		t.Fatal("restrictive replacement still translated a deletion")
+	}
+}
+
+// miniRestrictive rebuilds mini with the default translator (no verb
+// allowed).
+func miniRestrictive(_ int, db *reldb.Database) (*vupdate.Translator, error) {
+	tr, err := miniObject(db)
+	if err != nil {
+		return nil, err
+	}
+	return vupdate.NewTranslator(tr.Definition()), nil
+}
+
+// TestOpenRefusesDatabaseDir: a directory a plain reldb.OpenDatabase
+// wrote (log segments at its top level) must not open as a cluster —
+// that would seed empty shards beside the data and ignore it.
+func TestOpenRefusesDatabaseDir(t *testing.T) {
+	dir := t.TempDir()
+	db, err := reldb.OpenDatabase(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.MustCreateRelation(reldb.MustSchema("R", []reldb.Attribute{{Name: "K", Type: reldb.KindInt}}, []string{"K"}))
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := shard.Open(dir, 1, reldb.OpenOptions{})
+	if !errors.Is(err, shard.ErrDatabaseLayout) {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("Open over a single-database directory: err = %v, want ErrDatabaseLayout", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "shard-0")); !os.IsNotExist(err) {
+		t.Fatalf("refused Open still created shard-0 (stat err %v)", err)
 	}
 }

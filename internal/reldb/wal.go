@@ -270,18 +270,19 @@ func (w *wal) intervalLoop() {
 }
 
 // syncPass fsyncs the active segment and advances the durability
-// watermark to the append watermark read before the fsync. If a
-// checkpoint rolled segments in between, the roll fsynced the old file
-// under fsyncMu before this pass could acquire it, so the watermark
-// advance is still sound.
+// watermark to the append watermark read before the fsync. The handle is
+// sampled and fsynced under fsyncMu (taken before mu, the order roll
+// uses), so a checkpoint roll can neither close it mid-pass nor swap it
+// between the sample and the fsync; segments rolled away earlier were
+// fsynced by their roll, so the watermark advance is sound.
 func (w *wal) syncPass() {
+	w.fsyncMu.Lock()
 	w.mu.Lock()
 	target := w.seq
 	f := w.f
 	w.mu.Unlock()
 	var err error
 	if f != nil {
-		w.fsyncMu.Lock()
 		start := time.Now()
 		err = f.Sync()
 		obs.Default.WALFsyncNs.Observe(time.Since(start).Nanoseconds())
@@ -289,8 +290,8 @@ func (w *wal) syncPass() {
 		if w.slot >= 0 {
 			obs.Default.WALFsyncsByShard.At(w.slot).Inc()
 		}
-		w.fsyncMu.Unlock()
 	}
+	w.fsyncMu.Unlock()
 	w.smu.Lock()
 	if err != nil && w.serr == nil {
 		w.serr = fmt.Errorf("reldb: wal fsync: %w", err)

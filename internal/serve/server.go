@@ -33,21 +33,13 @@ const maxBodyBytes = 8 << 20
 
 // Config describes one serving tier.
 type Config struct {
-	// DB is the database the objects are defined over.
-	DB *reldb.Database
-	// Objects maps the externally visible object names to definitions.
-	Objects map[string]*viewobject.Definition
-	// Updaters maps object names to their §5 update translators. An
-	// object without an updater serves reads only (its update endpoints
-	// answer 405).
-	Updaters map[string]*vupdate.Updater
-	// Cluster serves the same API over a sharded database instead of a
-	// single one: queries fan out across every shard and merge in pivot-
-	// key order, point reads go to the key's home shard, and updates
-	// route through the coordinator (island-local fast path or the
-	// cross-shard commit). When set, DB/Objects/Updaters are ignored —
-	// the tier publishes exactly the cluster's registered objects, all
-	// of them updatable.
+	// Cluster is the backend (required), of one shard (a plain database)
+	// or more: the tier publishes exactly its registered objects. Queries
+	// fan out across every shard and merge in pivot-key order, point
+	// reads go to the key's home shard, and updates route through the
+	// coordinator (a local commit, or the cross-shard one when replicas
+	// are touched). An object registered with a fully restrictive
+	// translator serves reads only (its update endpoints answer 405).
 	Cluster *shard.Cluster
 	// MaxReadInFlight and MaxWriteInFlight bound concurrently admitted
 	// requests per class; arrivals beyond the bound are shed with 429
@@ -214,45 +206,24 @@ func updateStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// object resolves {name}; a miss answers 404 and returns nil. Clustered,
-// the resolved definition is shard 0's copy — every shard's definition
-// has the identical shape, so it serves for parsing queries, keys, and
+// object resolves {name}; a miss answers 404 and returns nil. The
+// resolved definition is shard 0's copy — every shard's definition has
+// the identical shape, so it serves for parsing queries, keys, and
 // documents (reads against a specific shard use that shard's own copy
 // inside the cluster).
 func (s *Server) object(w http.ResponseWriter, name string) *viewobject.Definition {
-	if c := s.cfg.Cluster; c != nil {
-		def, err := c.Object(name, 0)
-		if err != nil {
-			writeError(w, http.StatusNotFound, "no object named %q", name)
-			return nil
-		}
-		return def
-	}
-	def, ok := s.cfg.Objects[name]
-	if !ok {
+	def, err := s.cfg.Cluster.Object(name, 0)
+	if err != nil {
 		writeError(w, http.StatusNotFound, "no object named %q", name)
 		return nil
 	}
 	return def
 }
 
-// generation samples the commit generation clients see in responses:
-// the database's, or the cluster-wide sum when sharded.
-func (s *Server) generation() uint64 {
-	if c := s.cfg.Cluster; c != nil {
-		return c.Generation()
-	}
-	return s.cfg.DB.Generation()
-}
-
 // pivotSchema returns the pivot relation's schema for key parsing.
-// Shard schemas are identical, so shard 0's copy answers for a cluster.
+// Shard schemas are identical, so shard 0's copy answers for them all.
 func (s *Server) pivotSchema(def *viewobject.Definition) (*reldb.Schema, error) {
-	db := s.cfg.DB
-	if c := s.cfg.Cluster; c != nil {
-		db = c.DB(0)
-	}
-	rel, err := db.Relation(def.Pivot())
+	rel, err := s.cfg.Cluster.DB(0).Relation(def.Pivot())
 	if err != nil {
 		return nil, err
 	}
@@ -268,50 +239,29 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		Complexity int      `json:"complexity"`
 		Updatable  bool     `json:"updatable"`
 	}
-	var infos []objInfo
-	if c := s.cfg.Cluster; c != nil {
-		names := c.Objects()
-		infos = make([]objInfo, 0, len(names))
-		for _, name := range names {
-			def, err := c.Object(name, 0)
-			if err != nil {
-				continue
-			}
-			infos = append(infos, objInfo{
-				Name:       name,
-				Pivot:      def.Pivot(),
-				Key:        def.Key(),
-				Complexity: def.Complexity(),
-				Updatable:  c.Updatable(name),
-			})
+	c := s.cfg.Cluster
+	names := c.Objects() // sorted: the API's order is not a map's
+	infos := make([]objInfo, 0, len(names))
+	for _, name := range names {
+		def, err := c.Object(name, 0)
+		if err != nil {
+			continue
 		}
-	} else {
-		rtx := s.cfg.DB.BeginRead()
-		defer rtx.Close()
-		infos = make([]objInfo, 0, len(s.cfg.Objects))
-		for name, def := range s.cfg.Objects {
-			infos = append(infos, objInfo{
-				Name:       name,
-				Pivot:      def.Pivot(),
-				Key:        def.Key(),
-				Complexity: def.Complexity(),
-				Updatable:  s.cfg.Updaters[name] != nil,
-			})
-		}
-	}
-	// Map order is random; the API is not.
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && infos[j-1].Name > infos[j].Name; j-- {
-			infos[j-1], infos[j] = infos[j], infos[j-1]
-		}
+		infos = append(infos, objInfo{
+			Name:       name,
+			Pivot:      def.Pivot(),
+			Key:        def.Key(),
+			Complexity: def.Complexity(),
+			Updatable:  c.Updatable(name),
+		})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"objects": infos})
 }
 
 // handleQuery answers GET /objects/{name}[?q=OQL]: the instances the
-// (optionally filtered) object query selects, in pivot-key order.
-// Clustered, the query fans out to every shard's snapshot and the
-// merged result carries the cluster generation.
+// (optionally filtered) object query selects, in pivot-key order. The
+// query fans out to every shard's snapshot and the merged result
+// carries the cluster generation.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	def := s.object(w, name)
@@ -323,19 +273,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad query: %v", err)
 		return
 	}
-	var (
-		insts []*viewobject.Instance
-		gen   uint64
-	)
-	if c := s.cfg.Cluster; c != nil {
-		insts, err = c.Instantiate(name, q)
-		gen = c.Generation()
-	} else {
-		rtx := s.cfg.DB.BeginRead()
-		defer rtx.Close()
-		insts, err = viewobject.Instantiate(rtx, def, q)
-		gen = rtx.Generation()
-	}
+	insts, err := s.cfg.Cluster.Instantiate(name, q)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "instantiate: %v", err)
 		return
@@ -346,14 +284,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"count":      len(docs),
-		"generation": gen,
+		"generation": s.cfg.Cluster.Generation(),
 		"instances":  docs,
 	})
 }
 
 // handleGet answers GET /objects/{name}/{key...}: one instance by pivot
-// key, key attributes as slash-separated path segments. Clustered, the
-// read goes to the key's home shard alone.
+// key, key attributes as slash-separated path segments. The read goes
+// to the key's home shard alone.
 func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	def := s.object(w, name)
@@ -365,17 +303,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad key: %v", err)
 		return
 	}
-	var (
-		inst *viewobject.Instance
-		ok   bool
-	)
-	if c := s.cfg.Cluster; c != nil {
-		inst, ok, err = c.InstantiateByKey(name, key)
-	} else {
-		rtx := s.cfg.DB.BeginRead()
-		defer rtx.Close()
-		inst, ok, err = viewobject.InstantiateByKey(rtx, def, key)
-	}
+	inst, ok, err := s.cfg.Cluster.InstantiateByKey(name, key)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "instantiate: %v", err)
 		return
@@ -459,11 +387,7 @@ func (s *Server) dispatchUpdate(w http.ResponseWriter, r *http.Request) {
 		if def == nil {
 			return
 		}
-		readOnly := s.cfg.Updaters[name] == nil
-		if c := s.cfg.Cluster; c != nil {
-			readOnly = !c.Updatable(name)
-		}
-		if readOnly {
+		if !s.cfg.Cluster.Updatable(name) {
 			writeError(w, http.StatusMethodNotAllowed, "object %q is read-only (no translator configured)", name)
 			return
 		}
@@ -479,11 +403,10 @@ func (s *Server) dispatchUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // updateResponse acknowledges a committed update. Generation is the
-// commit generation the update published (cluster-wide sum when
-// sharded); a client that received this response can expect the state
-// to survive a crash (SyncCommit makes the WAL append — and, cross-
-// shard, the commit decision on every participant — durable before the
-// updater returns).
+// commit generation the update published (the sum over the shards); a
+// client that received this response can expect the state to survive a
+// crash (SyncCommit makes the WAL append — and, cross-shard, the commit
+// decision on every participant — durable before the updater returns).
 func (s *Server) updateResponse(w http.ResponseWriter, res *vupdate.Result) {
 	ops := make([]string, len(res.Ops))
 	for i, op := range res.Ops {
@@ -492,7 +415,7 @@ func (s *Server) updateResponse(w http.ResponseWriter, res *vupdate.Result) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ops":        ops,
 		"count":      len(ops),
-		"generation": s.generation(),
+		"generation": s.cfg.Cluster.Generation(),
 	})
 }
 
@@ -503,12 +426,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, name string, def *viewobjec
 		writeError(w, http.StatusBadRequest, "bad key: %v", err)
 		return
 	}
-	var res *vupdate.Result
-	if c := s.cfg.Cluster; c != nil {
-		res, err = c.DeleteByKey(name, key)
-	} else {
-		res, err = s.cfg.Updaters[name].DeleteByKey(key)
-	}
+	res, err := s.cfg.Cluster.DeleteByKey(name, key)
 	if err != nil {
 		writeError(w, updateStatus(err), "delete rejected: %v", err)
 		return
@@ -527,14 +445,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, name string, def *viewobjec
 		writeError(w, http.StatusBadRequest, "bad instance: %v", err)
 		return
 	}
-	var res *vupdate.Result
-	if c := s.cfg.Cluster; c != nil {
-		// The instance was parsed against shard 0's definition; the
-		// coordinator re-homes it onto the pivot key's shard.
-		res, err = c.InsertInstance(name, inst)
-	} else {
-		res, err = s.cfg.Updaters[name].InsertInstance(inst)
-	}
+	// The instance was parsed against shard 0's definition; the
+	// coordinator re-homes it onto the pivot key's shard.
+	res, err := s.cfg.Cluster.InsertInstance(name, inst)
 	if err != nil {
 		writeError(w, updateStatus(err), "insert rejected: %v", err)
 		return
@@ -555,17 +468,7 @@ func (s *Server) handleReplace(w http.ResponseWriter, name string, def *viewobje
 		writeError(w, http.StatusBadRequest, "bad key: %v", err)
 		return
 	}
-	var (
-		oldInst *viewobject.Instance
-		ok      bool
-	)
-	if c := s.cfg.Cluster; c != nil {
-		oldInst, ok, err = c.InstantiateByKey(name, key)
-	} else {
-		rtx := s.cfg.DB.BeginRead()
-		oldInst, ok, err = viewobject.InstantiateByKey(rtx, def, key)
-		rtx.Close()
-	}
+	oldInst, ok, err := s.cfg.Cluster.InstantiateByKey(name, key)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "instantiate: %v", err)
 		return
@@ -579,12 +482,7 @@ func (s *Server) handleReplace(w http.ResponseWriter, name string, def *viewobje
 		writeError(w, http.StatusBadRequest, "bad instance: %v", err)
 		return
 	}
-	var res *vupdate.Result
-	if c := s.cfg.Cluster; c != nil {
-		res, err = c.ReplaceInstance(name, oldInst, newInst)
-	} else {
-		res, err = s.cfg.Updaters[name].ReplaceInstance(oldInst, newInst)
-	}
+	res, err := s.cfg.Cluster.ReplaceInstance(name, oldInst, newInst)
 	if err != nil {
 		writeError(w, updateStatus(err), "replace rejected: %v", err)
 		return

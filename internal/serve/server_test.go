@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -11,27 +12,36 @@ import (
 	"testing"
 
 	"penguin/internal/obs"
+	"penguin/internal/oql"
+	"penguin/internal/reldb"
+	"penguin/internal/reldb/shard"
 	"penguin/internal/university"
 	"penguin/internal/viewobject"
 	"penguin/internal/vupdate"
 )
 
-// newTestServer builds a serving tier over a freshly seeded university
-// database with a private registry, so counter assertions are isolated
+// newTestServer builds a serving tier over an n-shard university
+// cluster with a private registry, so counter assertions are isolated
 // from other tests.
-func newTestServer(t *testing.T, cfg Config) (*Server, *obs.Registry) {
+func newTestServer(t *testing.T, n int, cfg Config) (*Server, *shard.Cluster, *obs.Registry) {
 	t.Helper()
-	db, g := university.MustNewSeeded()
-	om := university.MustOmega(g)
-	op := university.MustOmegaPrime(g)
-	reg := obs.NewRegistry()
-	cfg.DB = db
-	cfg.Objects = map[string]*viewobject.Definition{"omega": om, "omega-prime": op}
-	cfg.Updaters = map[string]*vupdate.Updater{
-		"omega": vupdate.NewUpdater(vupdate.PermissiveTranslator(om)),
+	c, err := university.NewSharded(n)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg.Reg = reg
-	return New(cfg), reg
+	t.Cleanup(func() { c.Close() })
+	cfg.Cluster = c
+	cfg.Reg = obs.NewRegistry()
+	return New(cfg), c, cfg.Reg
+}
+
+// forEachN runs the test body against the plain database (one shard)
+// and a partitioned cluster: the HTTP surface must not tell them apart
+// except where the body says so.
+func forEachN(t *testing.T, body func(t *testing.T, n int)) {
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) { body(t, n) })
+	}
 }
 
 // do runs one request through the handler tree and decodes the JSON
@@ -60,138 +70,246 @@ func do(t *testing.T, s *Server, method, path string, body any) (int, map[string
 	return w.Code, doc
 }
 
+// figure4 is the paper's Figure 4 query (graduate courses with fewer
+// than 5 students), URL-encoded.
+const figure4 = "Level+%3D+%27graduate%27+and+count%28STUDENT%29+%3C+5"
+
+// TestListObjects pins the listing: both objects in name order, ω
+// updatable everywhere, ω′ updatable on one shard and read-only over
+// several (its paths cross partitioned relations outside its island, so
+// the university registers it restrictively there).
 func TestListObjects(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	code, doc := do(t, s, "GET", "/objects", nil)
-	if code != http.StatusOK {
-		t.Fatalf("GET /objects = %d", code)
-	}
-	objs := doc["objects"].([]any)
-	if len(objs) != 2 {
-		t.Fatalf("listed %d objects, want 2", len(objs))
-	}
-	first := objs[0].(map[string]any)
-	if first["name"] != "omega" || first["pivot"] != university.Courses {
-		t.Errorf("first object = %v, want omega over %s (sorted)", first, university.Courses)
-	}
-	if first["updatable"] != true {
-		t.Errorf("omega should be updatable")
-	}
-	second := objs[1].(map[string]any)
-	if second["name"] != "omega-prime" || second["updatable"] != false {
-		t.Errorf("second object = %v, want read-only omega-prime", second)
-	}
+	forEachN(t, func(t *testing.T, n int) {
+		s, _, _ := newTestServer(t, n, Config{})
+		code, doc := do(t, s, "GET", "/objects", nil)
+		if code != http.StatusOK {
+			t.Fatalf("GET /objects = %d", code)
+		}
+		objs := doc["objects"].([]any)
+		if len(objs) != 2 {
+			t.Fatalf("listed %d objects, want 2", len(objs))
+		}
+		first := objs[0].(map[string]any)
+		if first["name"] != "omega" || first["pivot"] != university.Courses || first["updatable"] != true {
+			t.Errorf("first object = %v, want updatable omega over %s (sorted)", first, university.Courses)
+		}
+		second := objs[1].(map[string]any)
+		if second["name"] != "omega-prime" || second["updatable"] != (n == 1) {
+			t.Errorf("second object = %v, want omega-prime with updatable=%v", second, n == 1)
+		}
+	})
 }
 
+// TestQueryEndpoint runs the Figure 4 query and the unfiltered listing:
+// the fan-out must find CS345 wherever its island landed and merge
+// every shard's courses in pivot-key order.
 func TestQueryEndpoint(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	// Figure 4's query: graduate courses with fewer than 5 students.
-	code, doc := do(t, s, "GET", "/objects/omega?q="+
-		"Level+%3D+%27graduate%27+and+count%28STUDENT%29+%3C+5", nil)
-	if code != http.StatusOK {
-		t.Fatalf("query = %d: %v", code, doc)
-	}
-	n, _ := doc["count"].(json.Number)
-	if v, _ := n.Int64(); v < 1 {
-		t.Fatalf("Figure 4 query selected %s instances, want >= 1 (CS345)", n)
-	}
-	found := false
-	for _, raw := range doc["instances"].([]any) {
-		inst := raw.(map[string]any)
-		if inst["CourseID"] == "CS345" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("CS345 missing from the Figure 4 query result")
-	}
+	forEachN(t, func(t *testing.T, n int) {
+		s, c, _ := newTestServer(t, n, Config{})
 
-	if code, _ := do(t, s, "GET", "/objects/omega?q=%28%28", nil); code != http.StatusBadRequest {
-		t.Errorf("malformed OQL = %d, want 400", code)
-	}
-	if code, _ := do(t, s, "GET", "/objects/nope", nil); code != http.StatusNotFound {
-		t.Errorf("unknown object = %d, want 404", code)
-	}
+		// Placement sanity: the 6 seeded courses are partitioned (counted
+		// once across shards), the 3 departments replicated (once each
+		// per shard).
+		courses, depts := 0, 0
+		for i := 0; i < c.N(); i++ {
+			rtx := c.DB(i).BeginRead()
+			courses += rtx.MustRelation(university.Courses).Count()
+			depts += rtx.MustRelation(university.Department).Count()
+			rtx.Close()
+		}
+		if courses != 6 || depts != 3*n {
+			t.Fatalf("COURSES rows = %d (want 6, partitioned), DEPARTMENT rows = %d (want %d, replicated)",
+				courses, depts, 3*n)
+		}
+
+		code, doc := do(t, s, "GET", "/objects/omega?q="+figure4, nil)
+		if code != http.StatusOK {
+			t.Fatalf("query = %d: %v", code, doc)
+		}
+		if v, _ := doc["count"].(json.Number).Int64(); v < 1 {
+			t.Fatalf("Figure 4 query selected %v instances, want >= 1 (CS345)", doc["count"])
+		}
+		found := false
+		for _, raw := range doc["instances"].([]any) {
+			if raw.(map[string]any)["CourseID"] == "CS345" {
+				found = true
+			}
+		}
+		if !found {
+			t.Error("CS345 missing from the Figure 4 query result")
+		}
+
+		code, doc = do(t, s, "GET", "/objects/omega", nil)
+		if code != http.StatusOK {
+			t.Fatalf("list query = %d", code)
+		}
+		insts := doc["instances"].([]any)
+		if len(insts) != 6 {
+			t.Fatalf("listing returned %d instances, want 6", len(insts))
+		}
+		prev := ""
+		for _, raw := range insts {
+			id := raw.(map[string]any)["CourseID"].(string)
+			if id < prev {
+				t.Fatalf("merged listing out of order: %q after %q", id, prev)
+			}
+			prev = id
+		}
+
+		if code, _ := do(t, s, "GET", "/objects/omega?q=%28%28", nil); code != http.StatusBadRequest {
+			t.Errorf("malformed OQL = %d, want 400", code)
+		}
+		if code, _ := do(t, s, "GET", "/objects/nope", nil); code != http.StatusNotFound {
+			t.Errorf("unknown object = %d, want 404", code)
+		}
+	})
 }
 
 func TestGetByKey(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	code, doc := do(t, s, "GET", "/objects/omega/CS345", nil)
-	if code != http.StatusOK {
-		t.Fatalf("get = %d: %v", code, doc)
-	}
-	if doc["CourseID"] != "CS345" {
-		t.Errorf("CourseID = %v", doc["CourseID"])
-	}
-	// Units is an int attribute: the wire form must be tagged.
-	units, ok := doc["Units"].(map[string]any)
-	if !ok || units["int"] == nil {
-		t.Errorf("Units = %v, want tagged int form", doc["Units"])
-	}
-	// ω nests STUDENT under GRADES (Figure 2's tree).
-	grades, ok := doc["GRADES"].([]any)
-	if !ok || len(grades) == 0 {
-		t.Fatalf("GRADES children missing: %v", doc["GRADES"])
-	}
-	if _, ok := grades[0].(map[string]any)["STUDENT"].([]any); !ok {
-		t.Errorf("STUDENT missing under GRADES: %v", grades[0])
-	}
+	forEachN(t, func(t *testing.T, n int) {
+		s, _, _ := newTestServer(t, n, Config{})
+		code, doc := do(t, s, "GET", "/objects/omega/CS345", nil)
+		if code != http.StatusOK {
+			t.Fatalf("get = %d: %v", code, doc)
+		}
+		if doc["CourseID"] != "CS345" {
+			t.Errorf("CourseID = %v", doc["CourseID"])
+		}
+		// Units is an int attribute: the wire form must be tagged.
+		units, ok := doc["Units"].(map[string]any)
+		if !ok || units["int"] == nil {
+			t.Errorf("Units = %v, want tagged int form", doc["Units"])
+		}
+		// ω nests STUDENT under GRADES (Figure 2's tree).
+		grades, ok := doc["GRADES"].([]any)
+		if !ok || len(grades) == 0 {
+			t.Fatalf("GRADES children missing: %v", doc["GRADES"])
+		}
+		if _, ok := grades[0].(map[string]any)["STUDENT"].([]any); !ok {
+			t.Errorf("STUDENT missing under GRADES: %v", grades[0])
+		}
 
-	if code, _ := do(t, s, "GET", "/objects/omega/NOPE999", nil); code != http.StatusNotFound {
-		t.Errorf("missing key = %d, want 404", code)
+		if code, _ := do(t, s, "GET", "/objects/omega/NOPE999", nil); code != http.StatusNotFound {
+			t.Errorf("missing key = %d, want 404", code)
+		}
+	})
+}
+
+// TestOneShardMatchesDatabase is the "a database is a 1-shard cluster"
+// contract at the wire: every query and by-key body a 1-shard server
+// writes is byte-identical to InstanceDoc over viewobject.Instantiate
+// run directly on the cluster's one database.
+func TestOneShardMatchesDatabase(t *testing.T) {
+	s, c, _ := newTestServer(t, 1, Config{})
+	get := func(path string) string {
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", path, w.Code, w.Body)
+		}
+		return w.Body.String()
+	}
+	encode := func(v any) string {
+		w := httptest.NewRecorder()
+		writeJSON(w, http.StatusOK, v)
+		return w.Body.String()
+	}
+	rtx := c.DB(0).BeginRead()
+	defer rtx.Close()
+	for _, name := range c.Objects() {
+		def, err := c.Object(name, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []string{"", "Level = 'graduate' and count(STUDENT) < 5"} {
+			insts, err := oql.Query(rtx, def, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs := make([]any, len(insts))
+			for i, inst := range insts {
+				docs[i] = InstanceDoc(inst)
+			}
+			want := encode(map[string]any{"count": len(docs), "generation": rtx.Generation(), "instances": docs})
+			path := "/objects/" + name
+			if q != "" {
+				path += "?q=" + figure4
+			}
+			if got := get(path); got != want {
+				t.Errorf("GET %s differs from the database's own answer:\n got %s\nwant %s", path, got, want)
+			}
+			for _, inst := range insts {
+				id := inst.Key()[0].MustString()
+				direct, ok, err := viewobject.InstantiateByKey(rtx, def, inst.Key())
+				if err != nil || !ok {
+					t.Fatalf("%s/%s: ok=%v err=%v", name, id, ok, err)
+				}
+				if got, want := get("/objects/"+name+"/"+id), encode(InstanceDoc(direct)); got != want {
+					t.Errorf("GET /objects/%s/%s differs from the database's own answer:\n got %s\nwant %s", name, id, got, want)
+				}
+			}
+		}
 	}
 }
 
 // TestUpdateRoundTrip exercises VO-CD, VO-CI, and VO-R through the
 // HTTP surface: fetch a document, delete it, reinsert it verbatim, and
 // finally replace an attribute — the fetched document must work as an
-// insert body unchanged (the codec round-trip in anger).
+// insert body unchanged (the codec round-trip in anger), the
+// coordinator must route each verb to CS345's home shard, and the
+// generation must advance.
 func TestUpdateRoundTrip(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	_, orig := do(t, s, "GET", "/objects/omega/CS345", nil)
+	forEachN(t, func(t *testing.T, n int) {
+		s, c, _ := newTestServer(t, n, Config{})
+		_, orig := do(t, s, "GET", "/objects/omega/CS345", nil)
+		gen0 := c.Generation()
 
-	code, res := do(t, s, "POST", "/objects/omega:delete", map[string]any{"key": []any{"CS345"}})
-	if code != http.StatusOK {
-		t.Fatalf("delete = %d: %v", code, res)
-	}
-	if n, _ := res["count"].(json.Number).Int64(); n < 1 {
-		t.Fatalf("delete translated into %v ops", res["count"])
-	}
-	if res["generation"] == nil {
-		t.Fatal("delete response carries no generation")
-	}
-	if code, _ := do(t, s, "GET", "/objects/omega/CS345", nil); code != http.StatusNotFound {
-		t.Fatalf("CS345 still instantiable after VO-CD (%d)", code)
-	}
+		code, res := do(t, s, "POST", "/objects/omega:delete", map[string]any{"key": []any{"CS345"}})
+		if code != http.StatusOK {
+			t.Fatalf("delete = %d: %v", code, res)
+		}
+		if n, _ := res["count"].(json.Number).Int64(); n < 1 {
+			t.Fatalf("delete translated into %v ops", res["count"])
+		}
+		if res["generation"] == nil {
+			t.Fatal("delete response carries no generation")
+		}
+		if c.Generation() <= gen0 {
+			t.Fatal("generation did not advance across the delete")
+		}
+		if code, _ := do(t, s, "GET", "/objects/omega/CS345", nil); code != http.StatusNotFound {
+			t.Fatalf("CS345 still instantiable after VO-CD (%d)", code)
+		}
 
-	code, res = do(t, s, "POST", "/objects/omega:insert", map[string]any{"instance": orig})
-	if code != http.StatusOK {
-		t.Fatalf("insert = %d: %v", code, res)
-	}
-	code, back := do(t, s, "GET", "/objects/omega/CS345", nil)
-	if code != http.StatusOK {
-		t.Fatalf("get after insert = %d", code)
-	}
-	normalize(orig)
-	normalize(back)
-	if !reflect.DeepEqual(orig, back) {
-		t.Errorf("document changed across delete+insert:\nbefore %v\nafter  %v", orig, back)
-	}
+		code, res = do(t, s, "POST", "/objects/omega:insert", map[string]any{"instance": orig})
+		if code != http.StatusOK {
+			t.Fatalf("insert = %d: %v", code, res)
+		}
+		code, back := do(t, s, "GET", "/objects/omega/CS345", nil)
+		if code != http.StatusOK {
+			t.Fatalf("get after insert = %d", code)
+		}
+		normalize(orig)
+		normalize(back)
+		if !reflect.DeepEqual(orig, back) {
+			t.Errorf("document changed across delete+insert:\nbefore %v\nafter  %v", orig, back)
+		}
 
-	// VO-R: change the title, keep everything else.
-	repl := map[string]any{}
-	data, _ := json.Marshal(back)
-	json.Unmarshal(data, &repl)
-	repl["Title"] = "Rewritten Databases"
-	code, res = do(t, s, "POST", "/objects/omega:replace",
-		map[string]any{"key": []any{"CS345"}, "instance": repl})
-	if code != http.StatusOK {
-		t.Fatalf("replace = %d: %v", code, res)
-	}
-	_, after := do(t, s, "GET", "/objects/omega/CS345", nil)
-	if after["Title"] != "Rewritten Databases" {
-		t.Errorf("Title after replace = %v", after["Title"])
-	}
+		// VO-R: change the title, keep everything else.
+		repl := map[string]any{}
+		data, _ := json.Marshal(back)
+		json.Unmarshal(data, &repl)
+		repl["Title"] = "Rewritten Databases"
+		code, res = do(t, s, "POST", "/objects/omega:replace",
+			map[string]any{"key": []any{"CS345"}, "instance": repl})
+		if code != http.StatusOK {
+			t.Fatalf("replace = %d: %v", code, res)
+		}
+		_, after := do(t, s, "GET", "/objects/omega/CS345", nil)
+		if after["Title"] != "Rewritten Databases" {
+			t.Errorf("Title after replace = %v", after["Title"])
+		}
+	})
 }
 
 // normalize sorts child arrays so document comparison ignores sibling
@@ -220,36 +338,117 @@ func normalize(doc map[string]any) {
 	}
 }
 
-func TestUpdateErrors(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
-	if code, _ := do(t, s, "POST", "/objects/omega", nil); code != http.StatusMethodNotAllowed {
-		t.Errorf("POST without verb = %d, want 405", code)
-	}
-	if code, _ := do(t, s, "POST", "/objects/omega:upsert", nil); code != http.StatusNotFound {
-		t.Errorf("unknown verb = %d, want 404", code)
-	}
-	if code, _ := do(t, s, "POST", "/objects/omega-prime:delete", map[string]any{"key": []any{"CS345"}}); code != http.StatusMethodNotAllowed {
-		t.Errorf("update on read-only object = %d, want 405", code)
-	}
-	if code, _ := do(t, s, "POST", "/objects/omega:delete", map[string]any{"key": []any{"CS345", "extra"}}); code != http.StatusBadRequest {
-		t.Errorf("wrong key arity = %d, want 400", code)
-	}
-	code, doc := do(t, s, "POST", "/objects/omega:delete", map[string]any{"key": []any{"NOPE999"}})
-	if code != http.StatusConflict {
-		t.Errorf("delete of a missing instance = %d (%v), want 409", code, doc)
-	}
+// TestPeninsulaDeleteTranslatesOnce pins the N=1 commit rule. Deleting
+// a course also removes its CURRICULUM rows — a relation outside ω's
+// island, replicated over several shards. There the optimistic local
+// attempt rolls back and the update re-translates under the cross-shard
+// commit; on one shard there are no replicas, so the §5 pipeline runs
+// exactly once and the cross-shard protocol never starts.
+func TestPeninsulaDeleteTranslatesOnce(t *testing.T) {
+	forEachN(t, func(t *testing.T, n int) {
+		s, _, _ := newTestServer(t, n, Config{})
+		before := obs.Capture()
+		code, res := do(t, s, "POST", "/objects/omega:delete", map[string]any{"key": []any{"CS345"}})
+		if code != http.StatusOK {
+			t.Fatalf("delete = %d: %v", code, res)
+		}
+		offIsland := false
+		for _, op := range res["ops"].([]any) {
+			if strings.Contains(op.(string), university.Curriculum) {
+				offIsland = true
+			}
+		}
+		if !offIsland {
+			t.Fatalf("delete of CS345 touched no %s row — not a peninsula-touching update: %v", university.Curriculum, res["ops"])
+		}
+		d := obs.Capture().Sub(before)
+		translations := d.Histogram("vupdate.step.translate_ns").Count
+		cross := d.Counter("reldb.cross.prepares") + d.Counter("reldb.cross.commits") + d.Counter("reldb.cross.aborts")
+		if n == 1 {
+			if translations != 1 || cross != 0 {
+				t.Errorf("one shard: %d translation(s), %d cross-shard protocol step(s); want 1 and 0", translations, cross)
+			}
+		} else if translations != 2 || d.Counter("reldb.cross.commits") == 0 {
+			t.Errorf("%d shards: %d translation(s), %d cross commits; want the retry (2) under the cross-shard commit",
+				n, translations, d.Counter("reldb.cross.commits"))
+		}
+	})
 }
 
-// TestAdmissionControlSheds pins the overload contract: with the write
-// path throttled (a StepProbe stalling the §5 pipeline, standing in for
-// a slow disk or a huge translation) and the write bound at 1, a second
-// concurrent update is answered 429 immediately — shed, not queued —
-// and the metrics partition arrivals into requests vs shed.
-func TestAdmissionControlSheds(t *testing.T) {
-	s, reg := newTestServer(t, Config{MaxWriteInFlight: 1})
+// TestUpdateErrors pins the status mapping: 405 for a verbless POST and
+// for a read-only object, 404 for an unknown verb, 400 for a malformed
+// key, 409 for a §5 rejection and for a replacement that would re-home
+// the pivot key (ErrCrossShardMove) instead of migrating the island.
+func TestUpdateErrors(t *testing.T) {
+	forEachN(t, func(t *testing.T, n int) {
+		s, c, _ := newTestServer(t, n, Config{})
+		if code, _ := do(t, s, "POST", "/objects/omega", nil); code != http.StatusMethodNotAllowed {
+			t.Errorf("POST without verb = %d, want 405", code)
+		}
+		if code, _ := do(t, s, "POST", "/objects/omega:upsert", nil); code != http.StatusNotFound {
+			t.Errorf("unknown verb = %d, want 404", code)
+		}
+		if code, _ := do(t, s, "POST", "/objects/omega:delete", map[string]any{"key": []any{"CS345", "extra"}}); code != http.StatusBadRequest {
+			t.Errorf("wrong key arity = %d, want 400", code)
+		}
+		code, doc := do(t, s, "POST", "/objects/omega:delete", map[string]any{"key": []any{"NOPE999"}})
+		if code != http.StatusConflict {
+			t.Errorf("delete of a missing instance = %d (%v), want 409", code, doc)
+		}
 
+		// ω′: one shard takes its updates like the plain database always
+		// did; over several it is registered read-only.
+		code, doc = do(t, s, "POST", "/objects/omega-prime:delete", map[string]any{"key": []any{"CS101"}})
+		if n == 1 {
+			if code != http.StatusOK {
+				t.Errorf("omega-prime delete on one shard = %d (%v), want 200", code, doc)
+			}
+			if code, _ := do(t, s, "GET", "/objects/omega-prime/CS101", nil); code != http.StatusNotFound {
+				t.Errorf("CS101 still instantiable after the omega-prime delete (%d)", code)
+			}
+			return // one shard: every key is home, nothing to move between
+		}
+		if code != http.StatusMethodNotAllowed {
+			t.Errorf("omega-prime delete over %d shards = %d (%v), want 405", n, code, doc)
+		}
+
+		// Find a course id homed on another shard, then ask VO-R to move
+		// CS345 there.
+		home, err := c.HomeOf("omega", reldb.Tuple{reldb.String("CS345")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		moved := ""
+		for i := 0; i < 64 && moved == ""; i++ {
+			cand := fmt.Sprintf("MOVE%03d", i)
+			h, err := c.HomeOf("omega", reldb.Tuple{reldb.String(cand)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h != home {
+				moved = cand
+			}
+		}
+		if moved == "" {
+			t.Fatal("no candidate key hashes to another shard")
+		}
+		_, orig := do(t, s, "GET", "/objects/omega/CS345", nil)
+		orig["CourseID"] = moved
+		code, doc = do(t, s, "POST", "/objects/omega:replace",
+			map[string]any{"key": []any{"CS345"}, "instance": orig})
+		if code != http.StatusConflict {
+			t.Errorf("cross-shard move = %d (%v), want 409", code, doc)
+		}
+	})
+}
+
+// stallOmega installs a StepProbe that parks the first ω update inside
+// the §5 pipeline (standing in for a slow disk or a huge translation)
+// until the returned release runs; entered closes once it is parked.
+func stallOmega(t *testing.T) (entered chan struct{}, release func()) {
+	t.Helper()
 	gate := make(chan struct{})
-	entered := make(chan struct{})
+	entered = make(chan struct{})
 	var once sync.Once
 	prev := vupdate.SetStepProbe(func(_ obs.Step, object string) {
 		if object == "omega" {
@@ -257,68 +456,70 @@ func TestAdmissionControlSheds(t *testing.T) {
 			<-gate
 		}
 	})
-	defer vupdate.SetStepProbe(prev)
+	t.Cleanup(func() { vupdate.SetStepProbe(prev) })
+	return entered, func() { close(gate) }
+}
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var slowCode int
-	go func() {
-		defer wg.Done()
-		slowCode, _ = do(t, s, "POST", "/objects/omega:delete", map[string]any{"key": []any{"CS345"}})
-	}()
-	<-entered // the first update holds the only write slot
+// TestAdmissionControlSheds pins the overload contract: with the write
+// path stalled and the write bound at 1, a second concurrent update is
+// answered 429 immediately — shed, not queued — and the metrics
+// partition arrivals into requests vs shed.
+func TestAdmissionControlSheds(t *testing.T) {
+	forEachN(t, func(t *testing.T, n int) {
+		s, _, reg := newTestServer(t, n, Config{MaxWriteInFlight: 1})
+		entered, release := stallOmega(t)
 
-	code, doc := do(t, s, "POST", "/objects/omega:delete", map[string]any{"key": []any{"CS101"}})
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("second concurrent write = %d (%v), want 429", code, doc)
-	}
-	if doc["error"] != "overloaded" {
-		t.Errorf("shed body = %v", doc)
-	}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		var slowCode int
+		go func() {
+			defer wg.Done()
+			slowCode, _ = do(t, s, "POST", "/objects/omega:delete", map[string]any{"key": []any{"CS345"}})
+		}()
+		<-entered // the first update holds the only write slot
 
-	close(gate)
-	wg.Wait()
-	if slowCode != http.StatusOK {
-		t.Fatalf("admitted write = %d, want 200", slowCode)
-	}
+		code, doc := do(t, s, "POST", "/objects/omega:delete", map[string]any{"key": []any{"CS101"}})
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("second concurrent write = %d (%v), want 429", code, doc)
+		}
+		if doc["error"] != "overloaded" {
+			t.Errorf("shed body = %v", doc)
+		}
 
-	if got := reg.HTTPShed.Load(); got != 1 {
-		t.Errorf("penguin.http.shed = %d, want 1", got)
-	}
-	if got := reg.HTTPShedByEndpoint.With(epDelete).Load(); got != 1 {
-		t.Errorf("per-endpoint shed = %d, want 1", got)
-	}
-	// The shed request is not an admitted request: requests counts 1
-	// (the slow delete), not 2.
-	if got := reg.HTTPRequests.Load(); got != 1 {
-		t.Errorf("penguin.http.requests = %d, want 1 (admitted only)", got)
-	}
-	if got := reg.HTTPNs.Count(); got != 1 {
-		t.Errorf("latency histogram holds %d observations, want 1 (admitted only)", got)
-	}
-	if got := reg.HTTPStatus[obs.Status4xx].Load(); got != 1 {
-		t.Errorf("4xx = %d, want 1 (the shed)", got)
-	}
-	if got := reg.HTTPStatus[obs.Status2xx].Load(); got != 1 {
-		t.Errorf("2xx = %d, want 1 (the admitted delete)", got)
-	}
+		release()
+		wg.Wait()
+		if slowCode != http.StatusOK {
+			t.Fatalf("admitted write = %d, want 200", slowCode)
+		}
+
+		if got := reg.HTTPShed.Load(); got != 1 {
+			t.Errorf("penguin.http.shed = %d, want 1", got)
+		}
+		if got := reg.HTTPShedByEndpoint.With(epDelete).Load(); got != 1 {
+			t.Errorf("per-endpoint shed = %d, want 1", got)
+		}
+		// The shed request is not an admitted request: requests counts 1
+		// (the slow delete), not 2.
+		if got := reg.HTTPRequests.Load(); got != 1 {
+			t.Errorf("penguin.http.requests = %d, want 1 (admitted only)", got)
+		}
+		if got := reg.HTTPNs.Count(); got != 1 {
+			t.Errorf("latency histogram holds %d observations, want 1 (admitted only)", got)
+		}
+		if got := reg.HTTPStatus[obs.Status4xx].Load(); got != 1 {
+			t.Errorf("4xx = %d, want 1 (the shed)", got)
+		}
+		if got := reg.HTTPStatus[obs.Status2xx].Load(); got != 1 {
+			t.Errorf("2xx = %d, want 1 (the admitted delete)", got)
+		}
+	})
 }
 
 // TestReadAdmissionIndependent checks the read and write semaphores are
 // separate: saturating writes must not shed reads.
 func TestReadAdmissionIndependent(t *testing.T) {
-	s, reg := newTestServer(t, Config{MaxWriteInFlight: 1, MaxReadInFlight: 8})
-
-	gate := make(chan struct{})
-	entered := make(chan struct{})
-	var once sync.Once
-	prev := vupdate.SetStepProbe(func(_ obs.Step, object string) {
-		if object == "omega" {
-			once.Do(func() { close(entered) })
-			<-gate
-		}
-	})
-	defer vupdate.SetStepProbe(prev)
+	s, _, reg := newTestServer(t, 1, Config{MaxWriteInFlight: 1, MaxReadInFlight: 8})
+	entered, release := stallOmega(t)
 
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -331,7 +532,7 @@ func TestReadAdmissionIndependent(t *testing.T) {
 	if code, _ := do(t, s, "GET", "/objects/omega/CS101", nil); code != http.StatusOK {
 		t.Errorf("read during write saturation = %d, want 200", code)
 	}
-	close(gate)
+	release()
 	wg.Wait()
 	if got := reg.HTTPShed.Load(); got != 0 {
 		t.Errorf("shed = %d, want 0", got)
@@ -341,7 +542,7 @@ func TestReadAdmissionIndependent(t *testing.T) {
 // TestMetricsMounted checks the serving tier exposes the same debug
 // surface as the standalone metrics listener.
 func TestMetricsMounted(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
+	s, _, _ := newTestServer(t, 1, Config{})
 	do(t, s, "GET", "/objects/omega/CS345", nil)
 
 	req := httptest.NewRequest("GET", "/metrics", nil)
@@ -367,34 +568,36 @@ func TestMetricsMounted(t *testing.T) {
 // TestEndpointMetricsPartition checks the labeled families sum to the
 // aggregate across a mixed request sequence.
 func TestEndpointMetricsPartition(t *testing.T) {
-	s, reg := newTestServer(t, Config{})
-	for i := 0; i < 3; i++ {
-		do(t, s, "GET", "/objects", nil)
-	}
-	do(t, s, "GET", "/objects/omega", nil)
-	do(t, s, "GET", "/objects/omega/CS345", nil)
-	do(t, s, "POST", "/objects/omega:replace", map[string]any{"key": []any{"CS345"}}) // 400: no instance
+	forEachN(t, func(t *testing.T, n int) {
+		s, _, reg := newTestServer(t, n, Config{})
+		for i := 0; i < 3; i++ {
+			do(t, s, "GET", "/objects", nil)
+		}
+		do(t, s, "GET", "/objects/omega", nil)
+		do(t, s, "GET", "/objects/omega/CS345", nil)
+		do(t, s, "POST", "/objects/omega:replace", map[string]any{"key": []any{"CS345"}}) // 400: no instance
 
-	byEp := reg.HTTPRequestsByEndpoint.StatByLabel()
-	var sum int64
-	for _, n := range byEp {
-		sum += n
-	}
-	if total := reg.HTTPRequests.Load(); sum != total {
-		t.Errorf("per-endpoint requests sum to %d, aggregate says %d (%v)", sum, total, byEp)
-	}
-	if byEp[epList] != 3 || byEp[epQuery] != 1 || byEp[epGet] != 1 || byEp[epReplace] != 1 {
-		t.Errorf("per-endpoint counts = %v", byEp)
-	}
-	if got := reg.HTTPStatus[obs.Status4xx].Load(); got != 1 {
-		t.Errorf("4xx = %d, want 1 (the bodyless replace)", got)
-	}
+		byEp := reg.HTTPRequestsByEndpoint.StatByLabel()
+		var sum int64
+		for _, n := range byEp {
+			sum += n
+		}
+		if total := reg.HTTPRequests.Load(); sum != total {
+			t.Errorf("per-endpoint requests sum to %d, aggregate says %d (%v)", sum, total, byEp)
+		}
+		if byEp[epList] != 3 || byEp[epQuery] != 1 || byEp[epGet] != 1 || byEp[epReplace] != 1 {
+			t.Errorf("per-endpoint counts = %v", byEp)
+		}
+		if got := reg.HTTPStatus[obs.Status4xx].Load(); got != 1 {
+			t.Errorf("4xx = %d, want 1 (the bodyless replace)", got)
+		}
+	})
 }
 
 // TestDefaultRegistryExposition drives requests and validates the wired
 // snapshot keys appear in text form under their expected names.
 func TestDefaultRegistryExposition(t *testing.T) {
-	s, reg := newTestServer(t, Config{})
+	s, _, reg := newTestServer(t, 1, Config{})
 	do(t, s, "GET", "/objects", nil)
 	snap := reg.Snapshot()
 	var buf bytes.Buffer

@@ -1,8 +1,10 @@
-// Sharded university build: the Figure 1 schema distributed over a
-// shard.Cluster. Registration broadcasts the schema and connection
-// graph to every shard; seeding partitions ω's dependency island
-// ({COURSES, GRADES}) by course and replicates every other relation —
-// the placement invariant the coordinator's fast path depends on.
+// The served university: the Figure 1 schema over a shard.Cluster of
+// n >= 1 shards — the one backend the CLI and the HTTP tier run on (one
+// shard is the plain database). Registration broadcasts the schema and
+// connection graph to every shard; seeding partitions ω's dependency
+// island ({COURSES, GRADES}) by course and replicates every other
+// relation — the placement invariant the coordinator's fast path
+// depends on.
 package university
 
 import (
@@ -12,7 +14,7 @@ import (
 	"penguin/internal/vupdate"
 )
 
-// Object names the sharded university registers.
+// Object names the university cluster registers.
 const (
 	ObjOmega      = "omega"
 	ObjOmegaPrime = "omega-prime"
@@ -69,11 +71,12 @@ func OpenSharded(dir string, n int, opts reldb.OpenOptions) (*shard.Cluster, boo
 // build callback runs once per shard over that shard's database.
 //
 // ω gets the §6 dialog's permissive translator and is fully updatable.
-// ω′ registers read-only (the default restrictive translator): its
-// STUDENT component reaches through GRADES, a relation that is
-// partitioned (it is ω's island) but outside ω′'s own island, so a ω′
-// translation could emit GRADES operations the coordinator would replay
-// on every replica — placement would break. Updates go through ω.
+// So does ω′ on one shard. Over several it registers read-only (the
+// default restrictive translator): its STUDENT component reaches through
+// GRADES, a relation that is partitioned (it is ω's island) but outside
+// ω′'s own island, so a ω′ translation could emit GRADES operations the
+// coordinator would replay on every replica — placement would break.
+// Updates go through ω there.
 func registerSharded(c *shard.Cluster) error {
 	graphs := make([]*structural.Graph, c.N())
 	for i := 0; i < c.N(); i++ {
@@ -96,6 +99,9 @@ func registerSharded(c *shard.Cluster) error {
 		op, err := OmegaPrime(graphs[i])
 		if err != nil {
 			return nil, err
+		}
+		if c.N() == 1 {
+			return vupdate.PermissiveTranslator(op), nil
 		}
 		return vupdate.NewTranslator(op), nil
 	})

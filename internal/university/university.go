@@ -353,17 +353,6 @@ func NewSeeded() (*reldb.Database, *structural.Graph, error) {
 	return db, g, nil
 }
 
-// EnsureSeeded seeds the paper's instance only into an empty database.
-// A durable session recovered from its WAL keeps the rows it already
-// has — Seed is not idempotent, and re-seeding over live data would
-// duplicate keys. Returns whether it seeded.
-func EnsureSeeded(db *reldb.Database) (bool, error) {
-	if db.TotalRows() > 0 {
-		return false, nil
-	}
-	return true, Seed(db)
-}
-
 // MustNewSeeded is NewSeeded that panics on error (fixtures and benches).
 func MustNewSeeded() (*reldb.Database, *structural.Graph) {
 	db, g, err := NewSeeded()

@@ -143,8 +143,12 @@ func instantiationRatio(t *testing.T, w *workload.Workload) float64 {
 // than the naive per-parent path's. Measured on the index-less variant,
 // where the difference is purely the batching (one shared scan per level
 // versus one scan per parent); with the auto edge indexes the ratio drops
-// to ~1 for both paths.
+// to ~1 for both paths. The worker budget is pinned to 1: every pivot
+// chunk of the parallel fan-out repeats the level's shared scan, so on
+// index-less data the ratio would otherwise grow with the host's core
+// count (30 one-pivot chunks at 8 cores) and measure that, not batching.
 func TestBatchedAssemblyCollapsesScanRatio(t *testing.T) {
+	defer SetParallelism(SetParallelism(1))
 	spec := workload.TreeSpec{Depth: 2, Width: 2, Fanout: 4, Roots: 30, Peninsulas: 1}
 	build := func() *workload.Workload {
 		w, err := workload.BuildTree(spec)

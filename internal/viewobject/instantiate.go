@@ -82,7 +82,7 @@ func InstantiateOp(res structural.Resolver, def *Definition, q Query, parent obs
 	if err != nil {
 		return nil, err
 	}
-	workers := Parallelism()
+	workers := workersFor(res)
 	pivots, scanned, err := pivotSelect(pivotRel, q.PivotPred, workers)
 	if err != nil {
 		return nil, fmt.Errorf("viewobject: %s: pivot selection: %w", def.Name, err)
@@ -295,7 +295,7 @@ func fillLevel(res structural.Resolver, def *Definition, parents []*InstNode) er
 // helpers need no locks; segment results concatenate in parent order.
 func fillChildLevel(res structural.Resolver, def *Definition, parents []*InstNode, child *Node) ([]*InstNode, error) {
 	helpers := 0
-	if len(parents) >= 2*minStealParents {
+	if len(parents) >= 2*minStealParents && workersFor(res) > 1 {
 		helpers = grabStealTokens(len(parents)/minStealParents - 1)
 	}
 	if helpers == 0 {

@@ -57,6 +57,18 @@ func Parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// workersFor is the worker budget an assembly resolving through res may
+// use. A write transaction clones relations lazily into an unguarded
+// map, so only the goroutine that owns it may resolve through it (the
+// update translators instantiate through theirs); snapshots and the
+// database itself are safe to share.
+func workersFor(res structural.Resolver) int {
+	if _, ok := res.(*reldb.Tx); ok {
+		return 1
+	}
+	return Parallelism()
+}
+
 // minStealParents is the smallest parent-segment size worth handing to a
 // stolen worker: below this the traversal batching already amortizes the
 // lookups and a goroutine handoff costs more than it saves.
@@ -116,10 +128,14 @@ func instantiateParallel(res structural.Resolver, def *Definition, pivots []reld
 	if nchunks > len(pivots) {
 		nchunks = len(pivots)
 	}
+	per := (len(pivots) + nchunks - 1) / nchunks
+	// Rounding per up can cover the pivots in fewer chunks than first
+	// counted (10 pivots, 8 chunks: per = 2 needs only 5); recount so no
+	// chunk starts past the end.
+	nchunks = (len(pivots) + per - 1) / per
 	if workers > nchunks {
 		workers = nchunks
 	}
-	per := (len(pivots) + nchunks - 1) / nchunks
 	results := make([][]*Instance, nchunks)
 	errs := make([]error, nchunks)
 	var cursor atomic.Int32

@@ -305,3 +305,85 @@ func TestLevelWorkStealingMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// chunkShapeWorkers × 4..33 items covers every way a rounded-up chunk
+// size can overshoot the item count (10 items in 8 chunks of 2 need only
+// 5) — the shapes a 1- and 4-core CI host never produced.
+var chunkShapeWorkers = []int{1, 2, 3, 4, 8}
+
+// renderWith instantiates the whole object under the given worker budget.
+func renderWith(t *testing.T, w *workload.Workload, workers int) []string {
+	t.Helper()
+	prev := SetParallelism(workers)
+	defer SetParallelism(prev)
+	insts, err := Instantiate(w.DB, w.Def, Query{})
+	if err != nil {
+		t.Fatalf("workers=%d: %v", workers, err)
+	}
+	return renderAll(t, insts)
+}
+
+// TestChunkShapesMatchSequential runs the table over both splits of the
+// assembler: the pivot chunking of instantiateParallel (n roots) and the
+// segment split of fillChildLevel (one root whose second level has n
+// parents, so only level stealing can fan out). Neither may panic, and
+// each must equal the sequential result element by element.
+func TestChunkShapesMatchSequential(t *testing.T) {
+	for n := 4; n <= 33; n++ {
+		for name, spec := range map[string]workload.TreeSpec{
+			"pivots":  {Depth: 1, Width: 1, Fanout: 2, Roots: n},
+			"parents": {Depth: 2, Width: 1, Fanout: n, Roots: 1},
+		} {
+			w, err := workload.BuildTree(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := renderWith(t, w, 1)
+			for _, workers := range chunkShapeWorkers {
+				got := renderWith(t, w, workers)
+				if len(got) != len(want) {
+					t.Fatalf("%s=%d workers=%d: %d instances, want %d", name, n, workers, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s=%d workers=%d: instance %d differs from the sequential result", name, n, workers, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A write transaction is not safe to resolve through from several
+// goroutines (Relation clones lazily into a plain map), and the update
+// translators instantiate through theirs: neither the pivot fan-out nor
+// level stealing may engage for it, whatever the worker budget.
+func TestWriteTxResolverStaysSequential(t *testing.T) {
+	w, err := workload.BuildTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 10, Roots: 8, Peninsulas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer SetParallelism(SetParallelism(4))
+	want := renderWith(t, w, 1)
+
+	tx := w.DB.Begin()
+	defer tx.Rollback()
+	before := obs.Capture()
+	insts, err := Instantiate(tx, w.Def, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := obs.Capture().Sub(before)
+	if workers, steals := d.Counter("viewobject.parallel.workers"), d.Counter("viewobject.parallel.steals"); workers != 0 || steals != 0 {
+		t.Fatalf("write-transaction resolver fanned out: %d pool workers, %d steals", workers, steals)
+	}
+	got := renderAll(t, insts)
+	if len(got) != len(want) {
+		t.Fatalf("%d instances through the transaction, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("instance %d differs between the transaction and the database", i)
+		}
+	}
+}

@@ -12,28 +12,27 @@ import (
 	"penguin/internal/obs"
 	"penguin/internal/serve"
 	"penguin/internal/university"
-	"penguin/internal/viewobject"
-	"penguin/internal/vupdate"
 )
 
-// startTier launches a real serving tier over a seeded university
-// database on an ephemeral port.
+// startTier launches a real serving tier over the seeded university
+// (one shard) on an ephemeral port.
 func startTier(t *testing.T, cfg serve.Config) (string, *obs.Registry) {
 	t.Helper()
-	db, g := university.MustNewSeeded()
-	om := university.MustOmega(g)
-	reg := obs.NewRegistry()
-	cfg.DB = db
-	cfg.Objects = map[string]*viewobject.Definition{"omega": om}
-	cfg.Updaters = map[string]*vupdate.Updater{
-		"omega": vupdate.NewUpdater(vupdate.PermissiveTranslator(om)),
+	c, err := university.NewSharded(1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	cfg.Cluster = c
 	cfg.Reg = reg
 	_, hs, err := serve.Start("127.0.0.1:0", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { hs.Close() })
+	t.Cleanup(func() {
+		hs.Close()
+		c.Close()
+	})
 	return "http://" + hs.Addr().String(), reg
 }
 

@@ -8,9 +8,10 @@ import (
 // HTTP serving tier (internal/serve): the view-object API over HTTP
 // with JSON documents and admission control.
 type (
-	// ServeConfig configures the serving tier: the database, the
-	// published objects and their updaters, and the in-flight admission
-	// limits (shed with 429 beyond them).
+	// ServeConfig configures the serving tier: the ShardCluster it
+	// serves (one shard is a plain database; its registered objects are
+	// what the tier publishes) and the in-flight admission limits (shed
+	// with 429 beyond them).
 	ServeConfig = serve.Config
 	// APIServer routes the view-object HTTP API.
 	APIServer = serve.Server

@@ -4,12 +4,13 @@ import (
 	"penguin/internal/reldb/shard"
 )
 
-// Sharded execution (internal/reldb/shard): the database partitioned by
-// pivot-key hash into N independent shards, with view-object updates
-// routed through a coordinator. Island-local updates commit on the home
-// shard's fast path; updates touching replicated relations run the
-// cross-shard two-phase protocol, with in-doubt transactions resolved
-// at open.
+// The serving backend (internal/reldb/shard): the database as N >= 1
+// independent shards partitioned by pivot-key hash, with view-object
+// updates routed through a coordinator. One shard is a plain database:
+// every translation commits locally. Over several, island-local updates
+// commit on the home shard's fast path; updates touching replicated
+// relations run the cross-shard two-phase protocol, with in-doubt
+// transactions resolved at open.
 type (
 	// ShardCluster is a set of shard databases plus the view objects
 	// registered over them; reads fan out and merge, updates route by
@@ -24,8 +25,10 @@ var (
 	// replicates the rest when loading).
 	NewShardCluster = shard.New
 	// OpenShardCluster opens (or creates) an N-shard durable cluster
-	// under a data directory — one WAL directory per shard, staggered
-	// checkpoints, and cluster-wide in-doubt resolution after replay.
+	// under a data directory — one WAL directory per shard (shard-<i>),
+	// staggered checkpoints, and cluster-wide in-doubt resolution after
+	// replay. A directory holding a single database's own files is
+	// refused with ErrDatabaseLayout.
 	OpenShardCluster = shard.Open
 )
 
@@ -33,3 +36,7 @@ var (
 // pivot key onto a different shard; the coordinator refuses to migrate
 // islands, so callers delete and re-insert instead.
 var ErrCrossShardMove = shard.ErrCrossShardMove
+
+// ErrDatabaseLayout reports that OpenShardCluster was pointed at a
+// directory written by OpenDatabase; its rows are not migrated.
+var ErrDatabaseLayout = shard.ErrDatabaseLayout
