@@ -569,56 +569,6 @@ func BenchmarkConnectionIndex(b *testing.B) {
 	})
 }
 
-// E13 — level-at-a-time batched assembly versus the naive
-// parent-at-a-time path, on the workload tree. The index-less variants
-// expose the scan amplification (per-parent child fetches degrade to one
-// full scan per parent; the batched path shares one scan per level); the
-// scanned/node custom metric is the ratio the obs counters track.
-func BenchmarkBatchedInstantiation(b *testing.B) {
-	spec := workload.TreeSpec{Depth: 2, Width: 2, Fanout: 4, Roots: 30, Peninsulas: 1}
-	for _, mode := range []struct {
-		name    string
-		naive   bool
-		noIndex bool
-	}{
-		{"naive-noindex", true, true},
-		{"batched-noindex", false, true},
-		{"batched-indexed", false, false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			w, err := workload.BuildTree(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if mode.noIndex {
-				for _, name := range w.DB.Names() {
-					rel := w.DB.MustRelation(name)
-					for _, ix := range rel.IndexNames() {
-						if err := rel.DropIndex(ix); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-			prev := viewobject.SetNaiveAssembly(mode.naive)
-			defer viewobject.SetNaiveAssembly(prev)
-			before := obs.Capture()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := viewobject.Instantiate(w.DB, w.Def, viewobject.Query{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			d := obs.Capture().Sub(before)
-			if nodes := d.Counter("viewobject.instantiate.nodes"); nodes > 0 {
-				scanned := d.Counter("viewobject.instantiate.tuples_scanned")
-				b.ReportMetric(float64(scanned)/float64(nodes), "scanned/node")
-			}
-		})
-	}
-}
-
 // parallelBenchSpec is the scale fixture for E14 and the speedup test:
 // ~10k instance nodes per full instantiation, enough pivot frontier for
 // the fan-out to dominate worker startup.

@@ -15,6 +15,7 @@
 //	penguin -metrics-addr :9090 # additionally serve Prometheus metrics at /metrics
 //	                            # (plus /debug/traces and /debug/pprof/)
 //	penguin -slow-threshold 5ms # retain traces of operations slower than 5ms
+//	                            # (0 retains every operation; default 25ms)
 //	penguin -serve :8080      # serve the university's view objects over
 //	                          # HTTP (DESIGN.md §14) instead of the shell;
 //	                          # SIGINT/SIGTERM drains and closes cleanly
@@ -50,9 +51,11 @@
 //	.shards                   show per-shard generations, rows, and WAL activity
 //	.stats                    dump engine metrics (counters and histograms)
 //	.prom                     dump engine metrics in Prometheus exposition format
-//	.trace [N]                show the last N trace events (default 20)
+//	.trace [N]                show the last N spans of the retained traces (default 20)
 //	.trace slow [N]           list retained slow traces, or render the Nth
 //	.trace export N FILE      write the Nth slow trace as Chrome trace JSON
+//	                          (all three read the flight recorder, which
+//	                          retains operations at or past -slow-threshold)
 //	.save FILE / .load FILE   snapshot the database
 //	.checkpoint               write a durable checkpoint and prune the WAL
 //	.help / .quit
@@ -106,11 +109,8 @@ type shell struct {
 	out          *bufio.Writer
 	errw         io.Writer
 	in           *bufio.Reader
-	// ring buffers trace events for .trace; installed as the engine's
-	// trace sink when the shell starts.
-	ring *obs.Ring
-	// rec is the flight recorder behind .trace slow; installed on the
-	// default registry when the shell starts.
+	// rec is the flight recorder behind every .trace form; installed on
+	// the default registry when the shell starts.
 	rec *obs.Recorder
 }
 
@@ -255,10 +255,8 @@ func main() {
 		out:          bufio.NewWriter(os.Stdout),
 		errw:         os.Stderr,
 		in:           bufio.NewReader(os.Stdin),
-		ring:         obs.NewRing(256),
 		rec:          obs.NewRecorder(*slowThreshold, 64),
 	}
-	obs.Default.SetSink(sh.ring)
 	obs.Default.SetRecorder(sh.rec)
 	if *metricsAddr != "" {
 		ln, err := obs.Serve(*metricsAddr)
@@ -690,16 +688,18 @@ func (sh *shell) command(line string) bool {
 			}
 			n = parsed
 		}
-		if sh.ring == nil {
-			sh.errorf("tracing is not enabled in this session")
+		var spans []obs.Event
+		for _, tr := range sh.rec.Traces() {
+			spans = append(spans, tr.Spans...)
+		}
+		if len(spans) == 0 {
+			fmt.Fprintf(sh.out, "no traces retained (threshold %s)\n", sh.rec.Threshold())
 			break
 		}
-		events := sh.ring.Last(n)
-		if len(events) == 0 {
-			fmt.Fprintln(sh.out, "no trace events recorded yet")
-			break
+		if len(spans) > n {
+			spans = spans[len(spans)-n:]
 		}
-		for _, ev := range events {
+		for _, ev := range spans {
 			fmt.Fprintln(sh.out, ev)
 		}
 	case ".save":
@@ -776,9 +776,9 @@ func (sh *shell) shards() {
 	}
 	snap := obs.Capture()
 	for _, fam := range []string{
-		"reldb.wal.appends.by_shard",
-		"reldb.wal.fsyncs.by_shard",
-		"reldb.wal.checkpoints.by_shard",
+		"reldb.wal.appends",
+		"reldb.wal.fsyncs",
+		"reldb.wal.checkpoints",
 	} {
 		lc, ok := snap.LabeledCounters[fam]
 		if !ok {
@@ -800,10 +800,6 @@ func (sh *shell) shards() {
 // traceSlow lists the flight recorder's retained traces (".trace slow")
 // or renders one span tree (".trace slow N", 1-based, oldest first).
 func (sh *shell) traceSlow(args []string) {
-	if sh.rec == nil {
-		sh.errorf("the flight recorder is not enabled in this session")
-		return
-	}
 	traces := sh.rec.Traces()
 	if len(traces) == 0 {
 		fmt.Fprintf(sh.out, "no slow traces retained (threshold %s)\n", sh.rec.Threshold())
@@ -827,10 +823,6 @@ func (sh *shell) traceSlow(args []string) {
 // traceExport writes one retained trace as Chrome trace-event JSON
 // (".trace export N FILE") for chrome://tracing or Perfetto.
 func (sh *shell) traceExport(args []string) {
-	if sh.rec == nil {
-		sh.errorf("the flight recorder is not enabled in this session")
-		return
-	}
 	if len(args) != 2 {
 		sh.errorf("usage: .trace export N FILE")
 		return
@@ -933,9 +925,10 @@ Dot-commands:
   .shards               show per-shard generations, rows, and WAL activity
   .stats                dump engine metrics (counters and histograms)
   .prom                 dump engine metrics in Prometheus exposition format
-  .trace [N]            show the last N trace events (default 20)
+  .trace [N]            show the last N spans of the retained traces (default 20)
   .trace slow [N]       list retained slow traces, or render the Nth as a tree
   .trace export N FILE  write the Nth slow trace as Chrome trace JSON
+                        (traces are retained at or past -slow-threshold; 0 keeps every operation)
   .checkpoint           write a durable checkpoint per shard and prune its WAL (-data-dir sessions)
   .save FILE .load FILE .quit
 The university is a cluster of -shards databases (default 1). .dialog, .materialize,

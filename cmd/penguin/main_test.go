@@ -46,10 +46,10 @@ func testShellOver(t *testing.T, n int, script string) (*shell, *bytes.Buffer) {
 		out:          bufio.NewWriter(&out),
 		errw:         &bytes.Buffer{},
 		in:           bufio.NewReader(strings.NewReader(script)),
-		ring:         obs.NewRing(64),
+		rec:          obs.NewRecorder(0, 8), // threshold 0: retain every operation
 	}
-	obs.Default.SetSink(sh.ring)
-	t.Cleanup(func() { obs.Default.SetSink(nil) })
+	obs.Default.SetRecorder(sh.rec)
+	t.Cleanup(func() { obs.Default.SetRecorder(nil) })
 	return sh, &out
 }
 
@@ -343,13 +343,14 @@ func TestShellStatsAndTrace(t *testing.T) {
 
 func TestShellTraceSlowAndExport(t *testing.T) {
 	sh, out := testShell(t)
-	sh.rec = obs.NewRecorder(0, 8) // threshold 0: retain every operation
-	obs.Default.SetRecorder(sh.rec)
-	t.Cleanup(func() { obs.Default.SetRecorder(nil) })
 
 	text := run(t, sh, out, ".trace slow")
 	if !strings.Contains(text, "no slow traces retained") {
 		t.Errorf(".trace slow before any op:\n%s", text)
+	}
+	text = run(t, sh, out, ".trace")
+	if !strings.Contains(text, "no traces retained") {
+		t.Errorf(".trace before any op:\n%s", text)
 	}
 
 	run(t, sh, out, ".delete omega CS445")
@@ -478,6 +479,14 @@ func TestShellCheckpoint(t *testing.T) {
 	text = run(t, sh, out, ".checkpoint")
 	if !strings.Contains(text, "checkpoint written at generation 2") {
 		t.Fatalf(".checkpoint output:\n%s", text)
+	}
+	// A database opened without a shard label is shard "0" of its
+	// 1-shard cluster in the one shard-labeled WAL family.
+	if text = run(t, sh, out, ".shards"); !strings.Contains(text, "reldb.wal.checkpoints: 0=") {
+		t.Errorf(".shards misses the shard-0 WAL counters:\n%s", text)
+	}
+	if text = run(t, sh, out, ".prom"); !strings.Contains(text, `reldb_wal_checkpoints{shard="0"}`) {
+		t.Errorf(".prom misses reldb_wal_checkpoints{shard=\"0\"}")
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)

@@ -3,7 +3,6 @@ package keller
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"penguin/internal/obs"
 	"penguin/internal/reldb"
@@ -56,21 +55,6 @@ type Result struct {
 // Total returns the number of database operations performed.
 func (r *Result) Total() int { return r.Inserts + r.Deletes + r.Replaces }
 
-// observe records one committed flat-view translation into the baseline
-// metrics: translation latency and emitted primitive operations. The
-// root op (active when tracing or the flight recorder is on) carries
-// the commit as a child span; without one a flat span preserves the old
-// behaviour for sinks installed mid-operation.
-func (r *Result) observe(name string, start time.Time, op obs.Op) {
-	obs.Default.KellerTranslateNs.Observe(time.Since(start).Nanoseconds())
-	obs.Default.KellerOps.Add(int64(r.Total()))
-	if op.Active() {
-		op.Finish(fmt.Sprintf("ops=%d", r.Total()))
-	} else if obs.Default.Tracing() {
-		obs.Default.EmitSpan(name, fmt.Sprintf("ops=%d", r.Total()), start)
-	}
-}
-
 // Insert translates a view insertion (Keller 1985): for each relation of
 // the query graph, the view tuple's attributes for that relation build a
 // base tuple (attributes the view projects out become null); then
@@ -84,7 +68,6 @@ func (r *Result) observe(name string, start time.Time, op obs.Op) {
 // The whole translation runs in one transaction.
 func (t *Translator) Insert(viewTuple reldb.Tuple) (*Result, error) {
 	op := obs.Default.StartOp("keller.insert")
-	start := time.Now()
 	res := &Result{}
 	err := t.View.db.RunInTx(func(tx *reldb.Tx) error {
 		tx.SetTraceOp(op)
@@ -105,7 +88,9 @@ func (t *Translator) Insert(viewTuple reldb.Tuple) (*Result, error) {
 		}
 		return nil, err
 	}
-	res.observe("keller.insert", start, op)
+	if op.Active() {
+		op.Finish(fmt.Sprintf("ops=%d", res.Total()))
+	}
 	return res, nil
 }
 
@@ -179,7 +164,6 @@ func visibleEqual(bt, existing reldb.Tuple, attrMap map[int]int) bool {
 // orphans (the comparison experiment measures them).
 func (t *Translator) Delete(viewTuple reldb.Tuple) (*Result, error) {
 	op := obs.Default.StartOp("keller.delete")
-	start := time.Now()
 	res := &Result{}
 	err := t.View.db.RunInTx(func(tx *reldb.Tx) error {
 		tx.SetTraceOp(op)
@@ -207,7 +191,9 @@ func (t *Translator) Delete(viewTuple reldb.Tuple) (*Result, error) {
 		}
 		return nil, err
 	}
-	res.observe("keller.delete", start, op)
+	if op.Active() {
+		op.Finish(fmt.Sprintf("ops=%d", res.Total()))
+	}
 	return res, nil
 }
 
@@ -217,7 +203,6 @@ func (t *Translator) Delete(viewTuple reldb.Tuple) (*Result, error) {
 // allowed) and inserts elsewhere.
 func (t *Translator) Replace(oldTuple, newTuple reldb.Tuple) (*Result, error) {
 	op := obs.Default.StartOp("keller.replace")
-	start := time.Now()
 	res := &Result{}
 	err := t.View.db.RunInTx(func(tx *reldb.Tx) error {
 		tx.SetTraceOp(op)
@@ -235,7 +220,9 @@ func (t *Translator) Replace(oldTuple, newTuple reldb.Tuple) (*Result, error) {
 		}
 		return nil, err
 	}
-	res.observe("keller.replace", start, op)
+	if op.Active() {
+		op.Finish(fmt.Sprintf("ops=%d", res.Total()))
+	}
 	return res, nil
 }
 

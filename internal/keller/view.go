@@ -16,7 +16,6 @@ package keller
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"penguin/internal/obs"
 	"penguin/internal/reldb"
@@ -172,7 +171,6 @@ func (v *View) Materialize() (*reldb.ResultSet, error) {
 // state), or a bare database.
 func (v *View) MaterializeIn(res resolver) (*reldb.ResultSet, error) {
 	op := obs.Default.StartOp("keller.materialize")
-	start := time.Now()
 	p, err := v.plan(res)
 	if err != nil {
 		return nil, err
@@ -181,7 +179,6 @@ func (v *View) MaterializeIn(res resolver) (*reldb.ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	obs.Default.KellerMaterializeNs.Observe(time.Since(start).Nanoseconds())
 	if op.Active() {
 		op.Finish(fmt.Sprintf("view=%s rows=%d", v.Name, len(rs.Rows)))
 	}

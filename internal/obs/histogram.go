@@ -104,25 +104,6 @@ func (h *Histogram) bucketIdx(v int64) int {
 	return len(h.bounds) // +Inf bucket
 }
 
-// Count returns the total number of observations (reading each stripe
-// atomically; see the ordering note on Histogram).
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.stripes {
-		n += h.stripes[i].count.Load()
-	}
-	return n
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() int64 {
-	var n int64
-	for i := range h.stripes {
-		n += h.stripes[i].sum.Load()
-	}
-	return n
-}
-
 // HistogramStat is a point-in-time copy of a histogram.
 type HistogramStat struct {
 	// Count and Sum aggregate every observation.

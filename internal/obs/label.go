@@ -200,3 +200,23 @@ func (v *HistogramVec) StatByLabel() map[string]HistogramStat {
 	}
 	return out
 }
+
+// Total returns the family's aggregate: the sum over every slot,
+// overflow included.
+func (v *HistogramVec) Total() HistogramStat { return sumStats(v.bounds(), v.StatByLabel()) }
+
+// bounds returns the bucket layout every slot shares.
+func (v *HistogramVec) bounds() []int64 { return v.hists[0].bounds }
+
+// sumStats adds the stats of one family, all over the same bounds.
+func sumStats(bounds []int64, vals map[string]HistogramStat) HistogramStat {
+	sum := HistogramStat{Bounds: bounds, Buckets: make([]int64, len(bounds)+1)}
+	for _, st := range vals {
+		sum.Count += st.Count
+		sum.Sum += st.Sum
+		for i, n := range st.Buckets {
+			sum.Buckets[i] += n
+		}
+	}
+	return sum
+}

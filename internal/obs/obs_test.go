@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounter(t *testing.T) {
@@ -90,103 +89,17 @@ func TestHistogramConcurrentCoherence(t *testing.T) {
 	}
 }
 
-// The hot-path primitives allocate nothing, and the trace fast path with
-// no sink installed is a single atomic load — the overhead-when-disabled
-// guarantee the instrumented engine paths rely on.
+// The hot-path primitives allocate nothing — the overhead-when-disabled
+// guarantee the instrumented engine paths rely on (the trace fast path
+// is pinned by TestOpZeroAllocationsWhenOff).
 func TestPrimitivesAllocationFree(t *testing.T) {
 	r := NewRegistry()
-	if r.Tracing() {
-		t.Fatal("fresh registry has a sink")
-	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Commits.Inc()
 		r.CommitNs.Observe(12345)
-		if r.Tracing() {
-			t.Fatal("tracing flipped on")
-		}
-		r.Emit(Event{Name: "noop"})
 	})
 	if allocs != 0 {
 		t.Fatalf("hot-path primitives allocated %.1f/op, want 0", allocs)
-	}
-}
-
-func TestRingEmitAndLast(t *testing.T) {
-	rg := NewRing(4)
-	for i := 0; i < 6; i++ {
-		rg.Emit(Event{Name: "e", Dur: time.Duration(i)})
-	}
-	evs := rg.Last(10)
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	if evs[0].Seq != 3 || evs[3].Seq != 6 {
-		t.Fatalf("wrong window: first=%d last=%d", evs[0].Seq, evs[3].Seq)
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq != evs[i-1].Seq+1 {
-			t.Fatalf("events out of order: %v", evs)
-		}
-	}
-	if got := rg.Last(2); len(got) != 2 || got[1].Seq != 6 {
-		t.Fatalf("Last(2) = %v", got)
-	}
-}
-
-func TestRingConcurrent(t *testing.T) {
-	rg := NewRing(64)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			evs := rg.Last(64)
-			for i := 1; i < len(evs); i++ {
-				if evs[i].Seq <= evs[i-1].Seq {
-					t.Error("ring read out of order")
-					return
-				}
-			}
-		}
-	}()
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				rg.Emit(Event{Name: "c"})
-			}
-		}()
-	}
-	wg.Wait()
-	close(stop)
-	if rg.Len() != 8000 {
-		t.Fatalf("emitted %d, want 8000", rg.Len())
-	}
-}
-
-func TestRegistrySinkInstallRemove(t *testing.T) {
-	r := NewRegistry()
-	rg := NewRing(8)
-	r.SetSink(rg)
-	if !r.Tracing() {
-		t.Fatal("sink installed but Tracing() false")
-	}
-	r.EmitSpan("test.span", "detail", time.Now())
-	if rg.Len() != 1 {
-		t.Fatalf("ring holds %d events, want 1", rg.Len())
-	}
-	r.SetSink(nil)
-	if r.Tracing() {
-		t.Fatal("sink removed but Tracing() true")
-	}
-	r.Emit(Event{Name: "dropped"})
-	if rg.Len() != 1 {
-		t.Fatal("event delivered after sink removal")
 	}
 }
 
@@ -195,8 +108,8 @@ func TestSnapshotSubAndWriteText(t *testing.T) {
 	before := r.Snapshot()
 	r.Commits.Inc()
 	r.CommitNs.Observe(50_000)
-	r.Ops[0].Add(3)
-	r.Rejects[2].Inc()
+	r.OpsByObject[0].At(0).Add(3)
+	r.RejectsByObject[2].At(0).Inc()
 	delta := r.Snapshot().Sub(before)
 	if got := delta.Counter("reldb.tx.commits"); got != 1 {
 		t.Fatalf("commits delta = %d, want 1", got)

@@ -16,11 +16,9 @@ import (
 //
 // Two engine-specific conventions:
 //
-//   - A family that exists both as a flat aggregate and as a labeled
-//     family under the same name (the per-object and per-relation splits
-//     partition their aggregates exactly, overflow slot included) is
-//     emitted labeled only, so consumers that sum over labels never
-//     double-count.
+//   - A family the snapshot holds both labeled and as the aggregate
+//     derived from those labeled series is emitted labeled only, so
+//     consumers that sum over labels never double-count.
 //   - `_count` is rendered as the `+Inf` cumulative bucket value rather
 //     than the stat's Count field: under a concurrent capture Count may
 //     trail ΣBuckets by in-flight observations (the histogram's

@@ -1,12 +1,9 @@
 package obs
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // Step indexes the four steps of the paper's §5 update pipeline. The
-// vupdate algorithms time each step into Registry.StepNs.
+// vupdate algorithms time each step into Registry.StepNsByObject.
 type Step uint8
 
 // §5 pipeline steps.
@@ -113,14 +110,20 @@ func StatusClass(code int) int {
 	}
 }
 
-// DefaultReadTxLagAlert is the generation lag at which a closing ReadTx
-// counts as a stale close (reldb.readtx.stale_closes) and emits a trace
-// event. Tune with SetReadTxLagAlert; 0 disables.
+// DefaultReadTxLagAlert is the generation lag at which a closing or
+// forking ReadTx counts as stale (reldb.readtx.stale_closes /
+// stale_forks). Tune with SetReadTxLagAlert; 0 disables.
 const DefaultReadTxLagAlert = 64
 
 // Registry is the engine-wide metric set. All fields are safe for
 // concurrent use; the engine packages write into the package-level
 // Default registry. Construct extra registries with NewRegistry (tests).
+//
+// Every fact is stored once. A family split by a label (object,
+// relation, endpoint, shard) is stored labeled only; its aggregate is
+// derived when a Snapshot is captured, as the sum over the label slots
+// (the overflow slot catches names past the capacity, so the sum loses
+// nothing).
 type Registry struct {
 	// Label dimensions. Values are interned at registration time:
 	// relation names when a schema is created (reldb.NewRelation),
@@ -129,11 +132,10 @@ type Registry struct {
 	Objects   *LabelSet // "object" — view-object names
 	Relations *LabelSet // "relation" — base-relation names
 	Endpoints *LabelSet // "endpoint" — serving-tier route names
-	Shards    *LabelSet // "shard" — shard indices of a sharded cluster
+	Shards    *LabelSet // "shard" — shard indices of a cluster
 
 	// reldb: transaction and snapshot metrics.
 	Commits        Counter   // write transactions committed
-	EmptyCommits   Counter   // commits that published no writes
 	Rollbacks      Counter   // write transactions rolled back
 	TxDoneHits     Counter   // operations attempted on a finished Tx/ReadTx
 	RelationClones Counter   // copy-on-write relation clones
@@ -144,30 +146,21 @@ type Registry struct {
 	ReadTxLag      Histogram // ReadTx generation lag observed at Close and Fork
 
 	// reldb: the per-commit delta stream (Database.Subscribe).
-	DeltaSubscribes Counter // subscriptions registered
-	DeltaPublishes  Counter // delta batches published to at least one subscriber
-	DeltaOverflows  Counter // subscriber queues overflowed (drop-to-resync)
+	DeltaPublishes Counter // delta batches published to at least one subscriber
+	DeltaOverflows Counter // subscriber queues overflowed (drop-to-resync)
 
-	// reldb: the write-ahead log. Appends count generation advances
-	// logged (commits and DDL); the fsync count lags the append count
-	// under load — that gap is group commit working. Replayed counts
-	// records applied by recovery at OpenDatabase.
-	WALAppends     Counter   // records appended to the log
-	WALBytes       Counter   // bytes appended, framing included
-	WALFsyncs      Counter   // fsyncs issued (one may acknowledge many commits)
-	WALReplayed    Counter   // records replayed by recovery
-	WALCheckpoints Counter   // checkpoints completed (snapshot + truncation)
-	WALFsyncNs     Histogram // fsync latency
-
-	// reldb: the same WAL families split by shard. Only databases opened
-	// with a shard label (OpenOptions.ShardLabel — the members of a
-	// sharded cluster) record here; an unsharded database reports only
-	// into the unlabeled totals above, so these families do NOT partition
-	// their aggregates the way the per-object families do.
-	WALAppendsByShard     *CounterVec
-	WALBytesByShard       *CounterVec
-	WALFsyncsByShard      *CounterVec
-	WALCheckpointsByShard *CounterVec
+	// reldb: the write-ahead log, by shard (a database opened without a
+	// shard label is shard "0": a database is a 1-shard cluster).
+	// Appends count generation advances logged (commits and DDL); the
+	// fsync count lags the append count under load — that gap is group
+	// commit working. Replayed counts records applied by recovery at
+	// OpenDatabase.
+	WALAppendsByShard     *CounterVec // records appended to the log
+	WALBytesByShard       *CounterVec // bytes appended, framing included
+	WALFsyncsByShard      *CounterVec // fsyncs issued (one may acknowledge many commits)
+	WALCheckpointsByShard *CounterVec // checkpoints completed (snapshot + truncation)
+	WALReplayed           Counter     // records replayed by recovery
+	WALFsyncNs            Histogram   // fsync latency
 
 	// reldb: the two-shard commit protocol (sharded clusters). Prepares
 	// count participants entering the prepared state; commits and aborts
@@ -199,23 +192,22 @@ type Registry struct {
 	PlanCacheInvalidations Counter // cached plans purged by index DDL
 	PlanCacheCloneDrops    Counter // warm plans left behind by a copy-on-write clone
 
-	// viewobject: instantiation metrics.
-	Instantiations Counter   // Instantiate / InstantiateByKey calls
-	TuplesScanned  Counter   // stored tuples visited while assembling instances
-	InstNodes      Counter   // instance nodes assembled
-	BatchedLookups Counter   // level-at-a-time batched child fetches issued
-	NodeFanOut     Histogram // components per (parent, child-node) pair
-	LevelFanOut    Histogram // instance nodes per assembly level
-	InstantiateNs  Histogram // instantiation latency
+	// viewobject: instantiation, by view object. ParallelNs times only
+	// the calls that actually fanned out, so it covers a subset of the
+	// InstantiateNs observations.
+	InstCallsByObject             *CounterVec   // Instantiate / InstantiateByKey calls
+	InstTuplesByObject            *CounterVec   // stored tuples visited while assembling instances
+	InstNodesByObject             *CounterVec   // instance nodes assembled
+	InstantiateNsByObject         *HistogramVec // instantiation latency
+	InstantiateParallelNsByObject *HistogramVec // latency of instantiations that fanned out
+	BatchedLookups                Counter       // level-at-a-time batched child fetches issued
+	LevelFanOut                   Histogram     // instance nodes per assembly level
 
 	// viewobject: parallel instantiation. Workers and chunks count per
-	// fan-out (a sequential call adds to neither); ParallelNs times only
-	// the calls that actually fanned out, so it partitions a subset of
-	// InstantiateNs observations rather than all of them.
-	ParallelWorkers       Counter   // worker goroutines launched by parallel fan-outs
-	ParallelChunks        Counter   // pivot chunks dispatched to workers
-	ParallelSteals        Counter   // level fan-outs split across idle workers (work stealing)
-	InstantiateParallelNs Histogram // latency of instantiations that fanned out
+	// fan-out (a sequential call adds to neither).
+	ParallelWorkers Counter // worker goroutines launched by parallel fan-outs
+	ParallelChunks  Counter // pivot chunks dispatched to workers
+	ParallelSteals  Counter // level fan-outs split across idle workers (work stealing)
 
 	// viewobject: the materialized view-object cache (Materializer).
 	// Every MaterializedInstantiate serve increments exactly one of
@@ -228,63 +220,32 @@ type Registry struct {
 	MatResyncs   Counter   // serves that re-instantiated after a delta-stream overflow
 	MatPatchNs   Histogram // latency of applying pending deltas to the cache
 
-	// viewobject: the same instantiation metrics split by view object.
-	// Each labeled family partitions its aggregate exactly: every
-	// increment lands in some slot (the overflow slot catches names past
-	// ObjectLabelCap), so summing a family over its labels reproduces the
-	// aggregate counter above.
-	InstCallsByObject             *CounterVec
-	InstTuplesByObject            *CounterVec
-	InstNodesByObject             *CounterVec
-	InstantiateNsByObject         *HistogramVec
-	InstantiateParallelNsByObject *HistogramVec
+	// vupdate: the §5 update pipeline, by view object.
+	CommittedByObject *CounterVec                   // translations that committed
+	RejectedByObject  *CounterVec                   // translations that rolled back with a rejection
+	StepNsByObject    [NumSteps]*HistogramVec       // per-step latency
+	OpsByObject       [NumOpKinds]*CounterVec       // emitted DBOps by OpKind
+	RejectsByObject   [NumRejectReasons]*CounterVec // rejections by Reason
 
-	// vupdate: §5 update-pipeline metrics.
-	UpdatesCommitted Counter                   // translations that committed
-	UpdatesRejected  Counter                   // translations that rolled back with a rejection
-	StepNs           [NumSteps]Histogram       // per-step latency
-	Ops              [NumOpKinds]Counter       // emitted DBOps by OpKind
-	Rejects          [NumRejectReasons]Counter // rejections by Reason
-
-	// vupdate: the same pipeline metrics split by view object.
-	CommittedByObject *CounterVec
-	RejectedByObject  *CounterVec
-	StepNsByObject    [NumSteps]*HistogramVec
-	OpsByObject       [NumOpKinds]*CounterVec
-	RejectsByObject   [NumRejectReasons]*CounterVec
-
-	// serve: the HTTP serving tier (penguin -serve). Requests counts
-	// requests admitted past admission control; Shed counts requests
-	// refused with a fast 429 because the in-flight bound was full — so
-	// Requests + Shed is the offered load. The latency histogram times
-	// admitted requests only (a shed costs microseconds by design), and
-	// the status-class counters tally every response written, sheds
-	// included (a shed is a 4xx). Labeled families partition their
-	// aggregates by endpoint, overflow slot included.
-	HTTPRequests           Counter
-	HTTPShed               Counter
-	HTTPNs                 Histogram
+	// serve: the HTTP serving tier (penguin -serve), by endpoint.
+	// Requests counts requests admitted past admission control; Shed
+	// counts requests refused with a fast 429 because the in-flight bound
+	// was full — so Requests + Shed is the offered load. The latency
+	// histogram times admitted requests only (a shed costs microseconds
+	// by design), and the status-class counters tally every response
+	// written, sheds included (a shed is a 4xx).
 	HTTPRequestsByEndpoint *CounterVec
 	HTTPShedByEndpoint     *CounterVec
 	HTTPNsByEndpoint       *HistogramVec
-	HTTPStatus             [NumStatusClasses]Counter
 	HTTPStatusByEndpoint   [NumStatusClasses]*CounterVec
 
 	// workload: the open-loop load generator (client side of the serving
-	// tier). Sent counts requests issued on the arrival schedule; Shed
-	// counts 429 responses observed; Errors counts transport failures
-	// and 5xx responses. The latency histogram records client-observed
-	// request latency (send → last body byte), split by endpoint.
+	// tier). Sent counts requests issued on the arrival schedule; the
+	// latency histogram records client-observed request latency (send →
+	// last body byte), by endpoint. Sheds and errors are reported by
+	// OpenLoopResult.
 	OpenLoopSent         Counter
-	OpenLoopShed         Counter
-	OpenLoopErrors       Counter
-	OpenLoopNs           Histogram
 	OpenLoopNsByEndpoint *HistogramVec
-
-	// keller: flat-view baseline metrics (for E-benchmark comparisons).
-	KellerMaterializeNs Histogram // view materialization latency
-	KellerTranslateNs   Histogram // flat-view update translation latency
-	KellerOps           Counter   // primitive ops emitted by the baseline
 
 	// obs: the flight recorder's own accounting. Captured counts ops
 	// retained as slow traces; dropped counts retained traces later
@@ -293,14 +254,9 @@ type Registry struct {
 	SlowTraceDropped  Counter
 
 	lagAlert atomic.Int64
-	sink     atomic.Pointer[sinkBox]
 	recorder atomic.Pointer[Recorder]
 	opSeq    atomic.Uint64 // span/trace ID allocator (trace ID = root span ID)
 }
-
-// sinkBox wraps a Sink so a nil interface and "no sink" are the same
-// single atomic-pointer load on the hot path.
-type sinkBox struct{ s Sink }
 
 // NewRegistry creates a registry with every histogram, label dimension,
 // and labeled family initialized.
@@ -314,18 +270,8 @@ func NewRegistry() *Registry {
 	r.CommitNs.init(DurationBounds)
 	r.ReadTxLag.init(CountBounds)
 	r.WALFsyncNs.init(DurationBounds)
-	r.NodeFanOut.init(CountBounds)
 	r.LevelFanOut.init(CountBounds)
-	r.InstantiateNs.init(DurationBounds)
-	r.InstantiateParallelNs.init(DurationBounds)
 	r.MatPatchNs.init(DurationBounds)
-	for i := range r.StepNs {
-		r.StepNs[i].init(DurationBounds)
-	}
-	r.KellerMaterializeNs.init(DurationBounds)
-	r.KellerTranslateNs.init(DurationBounds)
-	r.HTTPNs.init(HTTPDurationBounds)
-	r.OpenLoopNs.init(HTTPDurationBounds)
 
 	r.HTTPRequestsByEndpoint = NewCounterVec(r.Endpoints)
 	r.HTTPShedByEndpoint = NewCounterVec(r.Endpoints)
@@ -377,31 +323,3 @@ func (r *Registry) ReadTxLagAlert() int64 { return r.lagAlert.Load() }
 
 // Default is the registry the engine packages write into.
 var Default = NewRegistry()
-
-// SetSink installs (or, with nil, removes) the trace sink.
-func (r *Registry) SetSink(s Sink) {
-	if s == nil {
-		r.sink.Store(nil)
-		return
-	}
-	r.sink.Store(&sinkBox{s: s})
-}
-
-// Tracing reports whether a sink is installed. Hot paths check this
-// before building an Event, so tracing costs one atomic load when off.
-func (r *Registry) Tracing() bool { return r.sink.Load() != nil }
-
-// Emit sends an event to the sink, if one is installed. Callers that
-// format a Detail string should gate on Tracing() first to stay
-// allocation-free when tracing is off.
-func (r *Registry) Emit(ev Event) {
-	if b := r.sink.Load(); b != nil {
-		b.s.Emit(ev)
-	}
-}
-
-// EmitSpan emits a span event for the interval [start, now). It is a
-// convenience for call sites that already checked Tracing().
-func (r *Registry) EmitSpan(name, detail string, start time.Time) {
-	r.Emit(Event{Name: name, Detail: detail, Start: start, Dur: time.Since(start)})
-}

@@ -17,9 +17,9 @@ type Snapshot struct {
 	// "_ns" suffix and record nanoseconds.
 	Histograms map[string]HistogramStat
 	// LabeledCounters maps metric name → one-dimension labeled series.
-	// A name present here may also be present in Counters: the labeled
-	// family partitions the aggregate (overflow included), so summing
-	// its values reproduces the flat counter.
+	// A name present here may also be present in Counters: that entry is
+	// the family's aggregate, derived at capture as the sum of these
+	// values (overflow included).
 	LabeledCounters map[string]LabeledCounter
 	// LabeledHistograms is the histogram equivalent of LabeledCounters.
 	LabeledHistograms map[string]LabeledHistogram
@@ -49,126 +49,110 @@ type LabeledHistogram struct {
 	Values map[string]HistogramStat
 }
 
-// Snapshot captures the registry.
+// Snapshot captures the registry. A family stored labeled is captured
+// under its name twice over: the labeled series, and the aggregate
+// derived from those same captured series as their sum, the overflow
+// slot included. This is the one place aggregates are computed, so a
+// snapshot's aggregate always equals the sum of its labeled values.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
-		Counters:          make(map[string]int64, 32),
+		Counters:          make(map[string]int64, 64),
 		Histograms:        make(map[string]HistogramStat, 16),
-		LabeledCounters:   make(map[string]LabeledCounter, 16),
+		LabeledCounters:   make(map[string]LabeledCounter, 32),
 		LabeledHistograms: make(map[string]LabeledHistogram, 8),
 	}
 	c := func(name string, ctr *Counter) { s.Counters[name] = ctr.Load() }
 	h := func(name string, hist *Histogram) { s.Histograms[name] = hist.Stat() }
-	lc := func(name string, v *CounterVec) {
-		if vals := v.StatByLabel(); len(vals) > 0 {
+	// split captures a labeled family without an aggregate: the
+	// per-relation lookup costs, which nobody asks for in total.
+	split := func(name string, v *CounterVec) map[string]int64 {
+		vals := v.StatByLabel()
+		if len(vals) > 0 {
 			s.LabeledCounters[name] = LabeledCounter{Label: v.Set().Key(), Values: vals}
 		}
+		return vals
+	}
+	lc := func(name string, v *CounterVec) {
+		var total int64
+		for _, n := range split(name, v) {
+			total += n
+		}
+		s.Counters[name] = total
 	}
 	lh := func(name string, v *HistogramVec) {
-		if vals := v.StatByLabel(); len(vals) > 0 {
+		vals := v.StatByLabel()
+		if len(vals) > 0 {
 			s.LabeledHistograms[name] = LabeledHistogram{Label: v.Set().Key(), Values: vals}
 		}
+		s.Histograms[name] = sumStats(v.bounds(), vals)
 	}
 
 	c("reldb.tx.commits", &r.Commits)
-	c("reldb.tx.empty_commits", &r.EmptyCommits)
 	c("reldb.tx.rollbacks", &r.Rollbacks)
 	c("reldb.tx.txdone_hits", &r.TxDoneHits)
 	c("reldb.relation.clones", &r.RelationClones)
 	c("reldb.readtx.begins", &r.ReadTxBegins)
 	c("reldb.readtx.stale_closes", &r.StaleCloses)
 	c("reldb.readtx.stale_forks", &r.StaleForks)
-	c("reldb.delta.subscribes", &r.DeltaSubscribes)
 	c("reldb.delta.publishes", &r.DeltaPublishes)
 	c("reldb.delta.overflows", &r.DeltaOverflows)
-	c("reldb.wal.appends", &r.WALAppends)
-	c("reldb.wal.bytes", &r.WALBytes)
-	c("reldb.wal.fsyncs", &r.WALFsyncs)
+	lc("reldb.wal.appends", r.WALAppendsByShard)
+	lc("reldb.wal.bytes", r.WALBytesByShard)
+	lc("reldb.wal.fsyncs", r.WALFsyncsByShard)
+	lc("reldb.wal.checkpoints", r.WALCheckpointsByShard)
 	c("reldb.wal.replayed", &r.WALReplayed)
-	c("reldb.wal.checkpoints", &r.WALCheckpoints)
 	h("reldb.wal.fsync_ns", &r.WALFsyncNs)
-	// The shard splits live under their own .by_shard names rather than
-	// the aggregate's: unsharded databases count only in the aggregate,
-	// so the labeled family is NOT a partition of it, and reusing the
-	// name would make WriteProm's labeled-only convention swallow the
-	// bare reldb_wal_* samples whenever any shard label is live.
-	lc("reldb.wal.appends.by_shard", r.WALAppendsByShard)
-	lc("reldb.wal.bytes.by_shard", r.WALBytesByShard)
-	lc("reldb.wal.fsyncs.by_shard", r.WALFsyncsByShard)
-	lc("reldb.wal.checkpoints.by_shard", r.WALCheckpointsByShard)
 	c("reldb.cross.prepares", &r.CrossPrepares)
 	c("reldb.cross.commits", &r.CrossCommits)
 	c("reldb.cross.aborts", &r.CrossAborts)
 	h("reldb.tx.commit_ns", &r.CommitNs)
 	h("reldb.readtx.lag_generations", &r.ReadTxLag)
-	lc("reldb.relation.scanned", r.RelScanned)
-	lc("reldb.relation.probes", r.RelProbes)
-	lc("reldb.relation.scans", r.RelScans)
+	split("reldb.relation.scanned", r.RelScanned)
+	split("reldb.relation.probes", r.RelProbes)
+	split("reldb.relation.scans", r.RelScans)
 	c("reldb.plancache.lookups", &r.PlanCacheLookups)
 	c("reldb.plancache.hits", &r.PlanCacheHits)
 	c("reldb.plancache.misses", &r.PlanCacheMisses)
 	c("reldb.plancache.invalidations", &r.PlanCacheInvalidations)
 	c("reldb.plancache.clone_drops", &r.PlanCacheCloneDrops)
 
-	c("viewobject.instantiate.calls", &r.Instantiations)
-	c("viewobject.instantiate.tuples_scanned", &r.TuplesScanned)
-	c("viewobject.instantiate.nodes", &r.InstNodes)
+	lc("viewobject.instantiate.calls", r.InstCallsByObject)
+	lc("viewobject.instantiate.tuples_scanned", r.InstTuplesByObject)
+	lc("viewobject.instantiate.nodes", r.InstNodesByObject)
+	lh("viewobject.instantiate.ns", r.InstantiateNsByObject)
+	lh("viewobject.instantiate.parallel_ns", r.InstantiateParallelNsByObject)
 	c("viewobject.instantiate.batched_lookups", &r.BatchedLookups)
-	h("viewobject.instantiate.fanout", &r.NodeFanOut)
 	h("viewobject.instantiate.level_fanout", &r.LevelFanOut)
-	h("viewobject.instantiate.ns", &r.InstantiateNs)
 	c("viewobject.parallel.workers", &r.ParallelWorkers)
 	c("viewobject.parallel.chunks", &r.ParallelChunks)
 	c("viewobject.parallel.steals", &r.ParallelSteals)
-	h("viewobject.instantiate.parallel_ns", &r.InstantiateParallelNs)
 	c("viewobject.materialize.hits", &r.MatHits)
 	c("viewobject.materialize.misses", &r.MatMisses)
 	c("viewobject.materialize.patches", &r.MatPatches)
 	c("viewobject.materialize.falls_back", &r.MatFallbacks)
 	c("viewobject.materialize.resyncs", &r.MatResyncs)
 	h("viewobject.materialize.patch_ns", &r.MatPatchNs)
-	lc("viewobject.instantiate.calls", r.InstCallsByObject)
-	lc("viewobject.instantiate.tuples_scanned", r.InstTuplesByObject)
-	lc("viewobject.instantiate.nodes", r.InstNodesByObject)
-	lh("viewobject.instantiate.ns", r.InstantiateNsByObject)
-	lh("viewobject.instantiate.parallel_ns", r.InstantiateParallelNsByObject)
 
-	c("vupdate.updates.committed", &r.UpdatesCommitted)
-	c("vupdate.updates.rejected", &r.UpdatesRejected)
 	lc("vupdate.updates.committed", r.CommittedByObject)
 	lc("vupdate.updates.rejected", r.RejectedByObject)
 	for i := Step(0); i < NumSteps; i++ {
-		h("vupdate.step."+stepNames[i]+"_ns", &r.StepNs[i])
 		lh("vupdate.step."+stepNames[i]+"_ns", r.StepNsByObject[i])
 	}
 	for i := 0; i < NumOpKinds; i++ {
-		c("vupdate.ops."+opNames[i], &r.Ops[i])
 		lc("vupdate.ops."+opNames[i], r.OpsByObject[i])
 	}
 	for i := 0; i < NumRejectReasons; i++ {
-		c("vupdate.reject."+rejectReasonNames[i], &r.Rejects[i])
 		lc("vupdate.reject."+rejectReasonNames[i], r.RejectsByObject[i])
 	}
 
-	c("penguin.http.requests", &r.HTTPRequests)
-	c("penguin.http.shed", &r.HTTPShed)
-	h("penguin.http.ns", &r.HTTPNs)
 	lc("penguin.http.requests", r.HTTPRequestsByEndpoint)
 	lc("penguin.http.shed", r.HTTPShedByEndpoint)
 	lh("penguin.http.ns", r.HTTPNsByEndpoint)
 	for i := 0; i < NumStatusClasses; i++ {
-		c("penguin.http.status."+statusClassNames[i], &r.HTTPStatus[i])
 		lc("penguin.http.status."+statusClassNames[i], r.HTTPStatusByEndpoint[i])
 	}
 	c("workload.openloop.sent", &r.OpenLoopSent)
-	c("workload.openloop.shed", &r.OpenLoopShed)
-	c("workload.openloop.errors", &r.OpenLoopErrors)
-	h("workload.openloop.latency_ns", &r.OpenLoopNs)
 	lh("workload.openloop.latency_ns", r.OpenLoopNsByEndpoint)
-
-	h("keller.materialize_ns", &r.KellerMaterializeNs)
-	h("keller.translate_ns", &r.KellerTranslateNs)
-	c("keller.ops", &r.KellerOps)
 
 	c("obs.slowtrace.captured", &r.SlowTraceCaptured)
 	c("obs.slowtrace.dropped", &r.SlowTraceDropped)

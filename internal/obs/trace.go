@@ -9,20 +9,57 @@ import (
 	"time"
 )
 
+// Event is one completed span of an operation's tree (or a point event
+// with zero duration): a dotted name, a small preformatted detail, and
+// its causal identity — which operation it belongs to (TraceID) and
+// where it sits in that operation's tree (SpanID/ParentID).
+type Event struct {
+	// Name is the dotted event name, e.g. "vupdate.step.translate".
+	Name string
+	// Detail is a short preformatted description.
+	Detail string
+	// Start is when the span began.
+	Start time.Time
+	// Dur is the span duration (0 for point events).
+	Dur time.Duration
+	// TraceID identifies the operation this span belongs to (the root
+	// span's SpanID).
+	TraceID uint64
+	// SpanID identifies this span within its trace.
+	SpanID uint64
+	// ParentID is the SpanID of the enclosing span (0 for a root span).
+	ParentID uint64
+}
+
+// End returns when the span finished (Start for point events).
+func (e Event) End() time.Time { return e.Start.Add(e.Dur) }
+
+// String renders one trace line with a compact trace/span/parent
+// suffix, so the shell's `.trace N` view shows which operation each
+// span belongs to.
+func (e Event) String() string {
+	s := fmt.Sprintf("%-32s %10s", e.Name, e.Dur)
+	if e.Detail != "" {
+		s += "  " + e.Detail
+	}
+	if e.ParentID != 0 {
+		return s + fmt.Sprintf(" (t=%d s=%d p=%d)", e.TraceID, e.SpanID, e.ParentID)
+	}
+	return s + fmt.Sprintf(" (t=%d s=%d)", e.TraceID, e.SpanID)
+}
+
 // Op is a lightweight handle on one in-flight operation's span tree. The
 // zero value is inactive: every method is a no-op costing a nil check, so
 // instrumented paths thread Op values unconditionally and stay
-// allocation-free when neither a trace sink nor the flight recorder is
-// installed. An active Op (from Registry.StartOp) carries the trace
-// identity; Child spans inherit it, so an operation that fans out across
-// the parallel pool still yields one connected tree.
+// allocation-free when no flight recorder is installed. An active Op
+// (from Registry.StartOp) carries the trace identity; Child spans
+// inherit it, so an operation that fans out across the parallel pool
+// still yields one connected tree.
 //
 // Op is a value type and safe to copy across goroutines: span-ID
-// allocation is atomic and the flight-recorder collector behind col is
-// mutex-protected.
+// allocation is atomic and the collector behind col is mutex-protected.
 type Op struct {
-	reg    *Registry
-	col    *opCollector // non-nil while the flight recorder buffers this op
+	col    *opCollector // the op's span buffer; nil when inactive
 	name   string
 	start  time.Time
 	trace  uint64
@@ -33,7 +70,7 @@ type Op struct {
 // Active reports whether the op records anything. Call sites gate
 // Detail formatting (fmt.Sprintf) behind it to keep hot paths
 // allocation-free when observability is off.
-func (o Op) Active() bool { return o.reg != nil }
+func (o Op) Active() bool { return o.col != nil }
 
 // TraceID returns the op's trace identity (0 when inactive).
 func (o Op) TraceID() uint64 { return o.trace }
@@ -54,30 +91,29 @@ func (o Op) Child(name string) Op {
 // that timestamped the interval before deciding to trace it (e.g. a
 // commit span covering Begin→Commit).
 func (o Op) ChildAt(name string, start time.Time) Op {
-	if o.reg == nil {
+	if o.col == nil {
 		return Op{}
 	}
 	return Op{
-		reg:    o.reg,
 		col:    o.col,
 		name:   name,
 		start:  start,
 		trace:  o.trace,
-		span:   o.reg.opSeq.Add(1),
+		span:   o.col.reg.opSeq.Add(1),
 		parent: o.span,
 	}
 }
 
-// Finish completes the span with the interval [start, now) and emits it
-// to the trace sink and the flight-recorder buffer. Finishing the root
-// span seals the op: the buffered tree is retained as a SlowTrace when
-// the root duration reaches the recorder threshold and discarded
-// otherwise. Detail should be preformatted under an Active() gate.
+// Finish completes the span with the interval [start, now) and buffers
+// it in the op's collector. Finishing the root span seals the op: the
+// buffered tree is retained as a SlowTrace when the root duration
+// reaches the recorder threshold and discarded otherwise. Detail should
+// be preformatted under an Active() gate.
 func (o Op) Finish(detail string) {
-	if o.reg == nil {
+	if o.col == nil {
 		return
 	}
-	o.emit(Event{
+	ev := Event{
 		Name:     o.name,
 		Detail:   detail,
 		Start:    o.start,
@@ -85,7 +121,11 @@ func (o Op) Finish(detail string) {
 		TraceID:  o.trace,
 		SpanID:   o.span,
 		ParentID: o.parent,
-	})
+	}
+	o.col.add(ev)
+	if o.parent == 0 {
+		o.col.seal(ev)
+	}
 }
 
 // Span records an already-completed child span of this op — for call
@@ -93,16 +133,16 @@ func (o Op) Finish(detail string) {
 // it is worth a span (e.g. the delta-publish window inside the commit
 // critical section, emitted after the lock is released).
 func (o Op) Span(name, detail string, start time.Time, dur time.Duration) {
-	if o.reg == nil {
+	if o.col == nil {
 		return
 	}
-	o.emit(Event{
+	o.col.add(Event{
 		Name:     name,
 		Detail:   detail,
 		Start:    start,
 		Dur:      dur,
 		TraceID:  o.trace,
-		SpanID:   o.reg.opSeq.Add(1),
+		SpanID:   o.col.reg.opSeq.Add(1),
 		ParentID: o.span,
 	})
 }
@@ -112,22 +152,10 @@ func (o Op) Point(name, detail string) {
 	o.Span(name, detail, time.Now(), 0)
 }
 
-// emit fans one completed span out to the sink and the collector; the
-// root span additionally seals the collector.
-func (o Op) emit(ev Event) {
-	o.reg.Emit(ev)
-	if o.col != nil {
-		o.col.add(ev)
-		if ev.ParentID == 0 && ev.SpanID == ev.TraceID {
-			o.col.seal(o.reg, ev)
-		}
-	}
-}
-
 // StartOp begins a root span for a new operation. It returns the
-// inactive zero Op — without touching the ID allocator — unless a trace
-// sink or the flight recorder is installed, so the disabled path costs
-// two atomic loads and zero allocations.
+// inactive zero Op — without touching the ID allocator — unless the
+// flight recorder is installed, so the disabled path costs one atomic
+// load and zero allocations.
 func (r *Registry) StartOp(name string) Op {
 	return r.StartOpAt(name, time.Time{})
 }
@@ -137,18 +165,14 @@ func (r *Registry) StartOp(name string) Op {
 // before the op was created.
 func (r *Registry) StartOpAt(name string, start time.Time) Op {
 	rec := r.recorder.Load()
-	if rec == nil && !r.Tracing() {
+	if rec == nil {
 		return Op{}
 	}
 	if start.IsZero() {
 		start = time.Now()
 	}
 	id := r.opSeq.Add(1)
-	op := Op{reg: r, name: name, start: start, trace: id, span: id}
-	if rec != nil {
-		op.col = &opCollector{rec: rec}
-	}
-	return op
+	return Op{col: &opCollector{reg: r, rec: rec}, name: name, start: start, trace: id, span: id}
 }
 
 // OpUnder returns a child of parent when parent is active, and
@@ -167,12 +191,13 @@ func (r *Registry) OpUnder(parent Op, name string) Op {
 const DefaultRecorderSpanCap = 512
 
 // opCollector buffers the spans of one in-flight op for the flight
-// recorder. It is shared (by pointer) between every Op handle of the
-// trace, including handles copied into worker goroutines, so it is
-// mutex-protected. Sealing happens exactly once, when the root span
+// recorder it started under. It is shared (by pointer) between every Op
+// handle of the trace, including handles copied into worker goroutines,
+// so it is mutex-protected. Sealing happens exactly once, when the root span
 // finishes; spans finishing after the seal (a leaked handle) are
 // ignored.
 type opCollector struct {
+	reg    *Registry
 	rec    *Recorder
 	mu     sync.Mutex
 	spans  []Event
@@ -192,7 +217,7 @@ func (c *opCollector) add(ev Event) {
 	c.mu.Unlock()
 }
 
-func (c *opCollector) seal(r *Registry, root Event) {
+func (c *opCollector) seal(root Event) {
 	c.mu.Lock()
 	spans, extra := c.spans, c.extra
 	c.spans, c.sealed = nil, true
@@ -200,7 +225,7 @@ func (c *opCollector) seal(r *Registry, root Event) {
 	if root.Dur < time.Duration(c.rec.threshold.Load()) {
 		return // fast op: discard the buffer
 	}
-	r.SlowTraceCaptured.Inc()
+	c.reg.SlowTraceCaptured.Inc()
 	if c.rec.keep(SlowTrace{
 		TraceID:        root.TraceID,
 		Name:           root.Name,
@@ -210,7 +235,7 @@ func (c *opCollector) seal(r *Registry, root Event) {
 		Spans:          spans,
 		TruncatedSpans: extra,
 	}) {
-		r.SlowTraceDropped.Inc()
+		c.reg.SlowTraceDropped.Inc()
 	}
 }
 
@@ -407,6 +432,3 @@ func (r *Registry) SetRecorder(rec *Recorder) {
 
 // Recorder returns the installed flight recorder (nil when off).
 func (r *Registry) Recorder() *Recorder { return r.recorder.Load() }
-
-// Recording reports whether a flight recorder is installed.
-func (r *Registry) Recording() bool { return r.recorder.Load() != nil }

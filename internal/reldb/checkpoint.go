@@ -85,10 +85,7 @@ func (db *Database) Checkpoint() (uint64, error) {
 	if err := db.pruneBelow(gen); err != nil {
 		return 0, err
 	}
-	obs.Default.WALCheckpoints.Inc()
-	if db.obsShard >= 0 {
-		obs.Default.WALCheckpointsByShard.At(db.obsShard).Inc()
-	}
+	obs.Default.WALCheckpointsByShard.At(db.wal.slot).Inc()
 	return gen, nil
 }
 

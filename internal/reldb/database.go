@@ -60,10 +60,6 @@ type Database struct {
 	// Both guarded by mu.
 	pendingX map[string]*pendingCross
 	decidedX map[string]bool
-	// obsShard is the shard label slot this database's WAL metrics are
-	// additionally recorded under (-1: unsharded, unlabeled totals only).
-	// Set once at open via OpenOptions.ShardLabel.
-	obsShard int
 	// ckptMu serializes checkpoints (manual and background); ckptStop /
 	// ckptDone manage the background checkpointer goroutine.
 	ckptMu    sync.Mutex
@@ -75,7 +71,7 @@ type Database struct {
 
 // NewDatabase creates an empty database.
 func NewDatabase() *Database {
-	return &Database{relations: make(map[string]*Relation), obsShard: -1}
+	return &Database{relations: make(map[string]*Relation)}
 }
 
 // CreateRelation defines a new relation from the schema. DDL takes the

@@ -110,7 +110,6 @@ func (db *Database) Subscribe(buffer int) *Subscription {
 	s := &Subscription{db: db, cap: buffer, startGen: startGen}
 	db.subs = append(db.subs, s)
 	db.nsubs.Add(1)
-	obs.Default.DeltaSubscribes.Inc()
 	return s
 }
 

@@ -112,7 +112,7 @@ func (rtx *ReadTx) Fork() *Database {
 	lag := int64(rtx.Lag())
 	obs.Default.ReadTxLag.Observe(lag)
 	if th := obs.Default.ReadTxLagAlert(); th > 0 && lag >= th {
-		rtx.staleAlert("reldb.readtx.stale_fork", &obs.Default.StaleForks, lag, th)
+		obs.Default.StaleForks.Inc()
 	}
 	c := NewDatabase()
 	c.gen = rtx.gen
@@ -128,8 +128,7 @@ func (rtx *ReadTx) Fork() *Database {
 // the snapshot fell behind (its staleness) into the ReadTxLag histogram;
 // when that lag reaches the registry's alert threshold
 // (obs.SetReadTxLagAlert, default obs.DefaultReadTxLagAlert) the close
-// additionally counts into reldb.readtx.stale_closes and — with a trace
-// sink installed — emits a reldb.readtx.stale_close event, surfacing
+// additionally counts into reldb.readtx.stale_closes, surfacing
 // long-lived forks that pin memory. Exactly one alert fires per stale
 // ReadTx, however many times Close is called.
 func (rtx *ReadTx) Close() {
@@ -137,26 +136,9 @@ func (rtx *ReadTx) Close() {
 		lag := int64(rtx.db.Generation() - rtx.gen)
 		obs.Default.ReadTxLag.Observe(lag)
 		if th := obs.Default.ReadTxLagAlert(); th > 0 && lag >= th {
-			rtx.staleAlert("reldb.readtx.stale_close", &obs.Default.StaleCloses, lag, th)
+			obs.Default.StaleCloses.Inc()
 		}
 	}
 	rtx.done = true
 	rtx.rels = nil
-}
-
-// staleAlert records one stale-ReadTx observation: it bumps the given
-// counter unconditionally and builds the trace event only behind the
-// Tracing() gate, so the alert path — which fires on every stale Close
-// and Fork, threshold permitting — stays allocation-free when no sink
-// is installed. Both alert sites funnel through here so the gate cannot
-// drift between them; TestStaleAlertAllocationFreeWhenUntraced pins the
-// guarantee.
-func (rtx *ReadTx) staleAlert(name string, ctr *obs.Counter, lag, th int64) {
-	ctr.Inc()
-	if obs.Default.Tracing() {
-		obs.Default.Emit(obs.Event{
-			Name:   name,
-			Detail: fmt.Sprintf("lag=%d threshold=%d gen=%d", lag, th, rtx.gen),
-		})
-	}
 }

@@ -60,10 +60,9 @@ type OpenOptions struct {
 	// shards opened with phase i*interval/N snapshot in rotation instead
 	// of fsyncing simultaneously. Zero means no extra delay.
 	CheckpointPhase time.Duration
-	// ShardLabel, when non-empty, is the shard label value the database's
-	// WAL metrics are additionally recorded under (the reldb.wal.*
-	// families split by obs.Default.Shards). Empty for unsharded
-	// databases.
+	// ShardLabel is the shard label value the database's WAL metrics are
+	// recorded under (the reldb.wal.* families, by obs.Default.Shards).
+	// Empty means "0": a database is a 1-shard cluster.
 	ShardLabel string
 }
 
@@ -159,11 +158,11 @@ func OpenDatabaseWith(dir string, opts OpenOptions) (*Database, error) {
 	}
 
 	db.dataDir = dir
-	db.wal = newWAL(dir, opts.Sync, opts.SyncInterval, tail, tailStart, db.gen)
-	if opts.ShardLabel != "" {
-		db.obsShard = obs.Default.Shards.Intern(opts.ShardLabel)
-		db.wal.slot = db.obsShard
+	label := opts.ShardLabel
+	if label == "" {
+		label = "0"
 	}
+	db.wal = newWAL(dir, opts.Sync, opts.SyncInterval, tail, tailStart, db.gen, obs.Default.Shards.Intern(label))
 	if ckptEvery > 0 {
 		db.ckptStop = make(chan struct{})
 		db.ckptDone = make(chan struct{})

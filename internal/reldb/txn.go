@@ -271,9 +271,6 @@ func (tx *Tx) Commit() error {
 	tx.dirty, tx.written, tx.changes = nil, nil, nil
 	tx.db.writer.Unlock()
 	obs.Default.Commits.Inc()
-	if published == 0 {
-		obs.Default.EmptyCommits.Inc()
-	}
 	obs.Default.CommitNs.Observe(time.Since(tx.start).Nanoseconds())
 	if traced {
 		// Spans are emitted outside the catalog lock; the publish window
@@ -283,9 +280,6 @@ func (tx *Tx) Commit() error {
 				fmt.Sprintf("gen=%d deltas=%d", gen, deltas), pubStart, pubDur)
 		}
 		commitOp.Finish(fmt.Sprintf("gen=%d relations=%d ops=%d", gen, published, tx.ops))
-	} else if obs.Default.Tracing() {
-		obs.Default.EmitSpan("reldb.commit",
-			fmt.Sprintf("gen=%d relations=%d ops=%d", gen, published, tx.ops), tx.start)
 	}
 	// Group commit: wait for the background syncer to make the log
 	// durable through this commit's generation (SyncCommit mode). The
@@ -319,8 +313,6 @@ func (tx *Tx) Rollback() error {
 	obs.Default.Rollbacks.Inc()
 	if tx.op.Active() {
 		tx.op.Span("reldb.rollback", "", tx.start, time.Since(tx.start))
-	} else if obs.Default.Tracing() {
-		obs.Default.EmitSpan("reldb.rollback", "", tx.start)
 	}
 	return nil
 }

@@ -108,9 +108,8 @@ type wal struct {
 	dir      string
 	mode     SyncMode
 	interval time.Duration
-	// slot is the shard label slot the log's obs counters are additionally
-	// recorded under (obs.Default.Shards); -1 for unsharded databases,
-	// which report only into the unlabeled totals. Set once at open.
+	// slot is the shard label slot (obs.Default.Shards) the log's obs
+	// counters are recorded under. Set once at open.
 	slot int
 
 	// mu guards the active file handle and the append-side watermarks.
@@ -141,7 +140,7 @@ type wal struct {
 	done   chan struct{} // syncer exit
 }
 
-func newWAL(dir string, mode SyncMode, interval time.Duration, f *os.File, segStart, head uint64) *wal {
+func newWAL(dir string, mode SyncMode, interval time.Duration, f *os.File, segStart, head uint64, slot int) *wal {
 	w := &wal{
 		dir:      dir,
 		mode:     mode,
@@ -149,7 +148,7 @@ func newWAL(dir string, mode SyncMode, interval time.Duration, f *os.File, segSt
 		f:        f,
 		segStart: segStart,
 		appended: head,
-		slot:     -1,
+		slot:     slot,
 		done:     make(chan struct{}),
 	}
 	w.scond = sync.NewCond(&w.smu)
@@ -193,12 +192,8 @@ func (w *wal) append(gen uint64, payload []byte) (uint64, error) {
 	w.seq++
 	seq := w.seq
 	w.mu.Unlock()
-	obs.Default.WALAppends.Inc()
-	obs.Default.WALBytes.Add(int64(len(frame) + len(payload)))
-	if w.slot >= 0 {
-		obs.Default.WALAppendsByShard.At(w.slot).Inc()
-		obs.Default.WALBytesByShard.At(w.slot).Add(int64(len(frame) + len(payload)))
-	}
+	obs.Default.WALAppendsByShard.At(w.slot).Inc()
+	obs.Default.WALBytesByShard.At(w.slot).Add(int64(len(frame) + len(payload)))
 	if w.mode == SyncCommit {
 		w.smu.Lock()
 		if seq > w.want {
@@ -286,10 +281,7 @@ func (w *wal) syncPass() {
 		start := time.Now()
 		err = f.Sync()
 		obs.Default.WALFsyncNs.Observe(time.Since(start).Nanoseconds())
-		obs.Default.WALFsyncs.Inc()
-		if w.slot >= 0 {
-			obs.Default.WALFsyncsByShard.At(w.slot).Inc()
-		}
+		obs.Default.WALFsyncsByShard.At(w.slot).Inc()
 	}
 	w.fsyncMu.Unlock()
 	w.smu.Lock()
@@ -335,10 +327,7 @@ func (w *wal) roll() (uint64, error) {
 	// syncPasses fsync only the new file, so this fsync is what lets
 	// them advance the watermark past the old segment's records.
 	syncErr := old.Sync()
-	obs.Default.WALFsyncs.Inc()
-	if w.slot >= 0 {
-		obs.Default.WALFsyncsByShard.At(w.slot).Inc()
-	}
+	obs.Default.WALFsyncsByShard.At(w.slot).Inc()
 	closeErr := old.Close()
 	if syncErr != nil {
 		return 0, fmt.Errorf("reldb: wal roll: %w", syncErr)

@@ -141,22 +141,16 @@ func (s *Server) admit(endpoint string, sem chan struct{}, h http.HandlerFunc) h
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		h(sw, r)
 		ns := time.Since(start).Nanoseconds()
-		s.reg.HTTPRequests.Inc()
 		s.reg.HTTPRequestsByEndpoint.With(endpoint).Inc()
-		s.reg.HTTPNs.Observe(ns)
 		s.reg.HTTPNsByEndpoint.With(endpoint).Observe(ns)
-		cls := obs.StatusClass(sw.status)
-		s.reg.HTTPStatus[cls].Inc()
-		s.reg.HTTPStatusByEndpoint[cls].With(endpoint).Inc()
+		s.reg.HTTPStatusByEndpoint[obs.StatusClass(sw.status)].With(endpoint).Inc()
 	}
 }
 
 // shed answers an over-capacity arrival: fast 429, Retry-After hint,
 // shed + 4xx counters.
 func (s *Server) shed(endpoint string, w http.ResponseWriter) {
-	s.reg.HTTPShed.Inc()
 	s.reg.HTTPShedByEndpoint.With(endpoint).Inc()
-	s.reg.HTTPStatus[obs.Status4xx].Inc()
 	s.reg.HTTPStatusByEndpoint[obs.Status4xx].With(endpoint).Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Retry-After", "1")

@@ -492,24 +492,25 @@ func TestAdmissionControlSheds(t *testing.T) {
 			t.Fatalf("admitted write = %d, want 200", slowCode)
 		}
 
-		if got := reg.HTTPShed.Load(); got != 1 {
+		m := reg.Snapshot()
+		if got := m.Counter("penguin.http.shed"); got != 1 {
 			t.Errorf("penguin.http.shed = %d, want 1", got)
 		}
-		if got := reg.HTTPShedByEndpoint.With(epDelete).Load(); got != 1 {
+		if got := m.LabeledCounterValue("penguin.http.shed", epDelete); got != 1 {
 			t.Errorf("per-endpoint shed = %d, want 1", got)
 		}
 		// The shed request is not an admitted request: requests counts 1
 		// (the slow delete), not 2.
-		if got := reg.HTTPRequests.Load(); got != 1 {
+		if got := m.Counter("penguin.http.requests"); got != 1 {
 			t.Errorf("penguin.http.requests = %d, want 1 (admitted only)", got)
 		}
-		if got := reg.HTTPNs.Count(); got != 1 {
+		if got := m.Histogram("penguin.http.ns").Count; got != 1 {
 			t.Errorf("latency histogram holds %d observations, want 1 (admitted only)", got)
 		}
-		if got := reg.HTTPStatus[obs.Status4xx].Load(); got != 1 {
+		if got := m.Counter("penguin.http.status.4xx"); got != 1 {
 			t.Errorf("4xx = %d, want 1 (the shed)", got)
 		}
-		if got := reg.HTTPStatus[obs.Status2xx].Load(); got != 1 {
+		if got := m.Counter("penguin.http.status.2xx"); got != 1 {
 			t.Errorf("2xx = %d, want 1 (the admitted delete)", got)
 		}
 	})
@@ -534,7 +535,7 @@ func TestReadAdmissionIndependent(t *testing.T) {
 	}
 	release()
 	wg.Wait()
-	if got := reg.HTTPShed.Load(); got != 0 {
+	if got := reg.Snapshot().Counter("penguin.http.shed"); got != 0 {
 		t.Errorf("shed = %d, want 0", got)
 	}
 }
@@ -565,9 +566,10 @@ func TestMetricsMounted(t *testing.T) {
 	}
 }
 
-// TestEndpointMetricsPartition checks the labeled families sum to the
-// aggregate across a mixed request sequence.
-func TestEndpointMetricsPartition(t *testing.T) {
+// TestEndpointMetrics checks a mixed request sequence lands under the
+// right endpoint labels (that the labels sum to the aggregate is
+// obs.TestDerivedAggregates).
+func TestEndpointMetrics(t *testing.T) {
 	forEachN(t, func(t *testing.T, n int) {
 		s, _, reg := newTestServer(t, n, Config{})
 		for i := 0; i < 3; i++ {
@@ -578,17 +580,10 @@ func TestEndpointMetricsPartition(t *testing.T) {
 		do(t, s, "POST", "/objects/omega:replace", map[string]any{"key": []any{"CS345"}}) // 400: no instance
 
 		byEp := reg.HTTPRequestsByEndpoint.StatByLabel()
-		var sum int64
-		for _, n := range byEp {
-			sum += n
-		}
-		if total := reg.HTTPRequests.Load(); sum != total {
-			t.Errorf("per-endpoint requests sum to %d, aggregate says %d (%v)", sum, total, byEp)
-		}
 		if byEp[epList] != 3 || byEp[epQuery] != 1 || byEp[epGet] != 1 || byEp[epReplace] != 1 {
 			t.Errorf("per-endpoint counts = %v", byEp)
 		}
-		if got := reg.HTTPStatus[obs.Status4xx].Load(); got != 1 {
+		if got := reg.Snapshot().Counter("penguin.http.status.4xx"); got != 1 {
 			t.Errorf("4xx = %d, want 1 (the bodyless replace)", got)
 		}
 	})

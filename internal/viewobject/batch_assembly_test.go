@@ -21,9 +21,18 @@ func renderAll(t *testing.T, insts []*Instance) []string {
 	return out
 }
 
+// assembleAll assembles def's whole extent on the naive reference path
+// or the batched production one.
+func assembleAll(res structural.Resolver, def *Definition, naive bool) ([]*Instance, error) {
+	if naive {
+		return InstantiateNaive(res, def)
+	}
+	return Instantiate(res, def, Query{})
+}
+
 // dropAllIndexes removes every secondary index in the database, forcing
 // traversal onto the scan path.
-func dropAllIndexes(t *testing.T, db *reldb.Database) {
+func dropAllIndexes(t testing.TB, db *reldb.Database) {
 	t.Helper()
 	for _, name := range db.Names() {
 		rel := db.MustRelation(name)
@@ -43,16 +52,12 @@ func dropAllIndexes(t *testing.T, db *reldb.Database) {
 func TestBatchedAssemblyMatchesNaiveByteForByte(t *testing.T) {
 	spec := workload.TreeSpec{Depth: 2, Width: 2, Fanout: 3, Roots: 7, Peninsulas: 1}
 
-	// run assembles all instances with one configuration: naive selects
-	// the parent-at-a-time path, workers the parallelism budget (1 forces
-	// a sequential batched run, >1 fans out — the fixture's root counts
-	// clear minParallelPivots).
-	run := func(t *testing.T, res structural.Resolver, def *Definition, naive bool, workers int) []string {
+	// run assembles all instances on the batched path under a
+	// parallelism budget of workers (1 forces a sequential run, >1 fans
+	// out — the fixture's root counts clear minParallelPivots).
+	run := func(t *testing.T, res structural.Resolver, def *Definition, workers int) []string {
 		t.Helper()
-		prevNaive := SetNaiveAssembly(naive)
-		defer SetNaiveAssembly(prevNaive)
-		prevPar := SetParallelism(workers)
-		defer SetParallelism(prevPar)
+		defer SetParallelism(SetParallelism(workers))
 		insts, err := Instantiate(res, def, Query{})
 		if err != nil {
 			t.Fatal(err)
@@ -61,13 +66,17 @@ func TestBatchedAssemblyMatchesNaiveByteForByte(t *testing.T) {
 	}
 	compare := func(t *testing.T, res structural.Resolver, def *Definition) {
 		t.Helper()
-		naive := run(t, res, def, true, 1)
+		insts, err := InstantiateNaive(res, def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naive := renderAll(t, insts)
 		if len(naive) == 0 {
 			t.Fatal("fixture produced no instances")
 		}
 		for name, got := range map[string][]string{
-			"batched":          run(t, res, def, false, 1),
-			"parallel batched": run(t, res, def, false, 4),
+			"batched":          run(t, res, def, 1),
+			"parallel batched": run(t, res, def, 4),
 		} {
 			if len(naive) != len(got) {
 				t.Fatalf("naive assembled %d instances, %s %d", len(naive), name, len(got))
@@ -102,27 +111,27 @@ func TestBatchedAssemblyMatchesNaiveByteForByte(t *testing.T) {
 	t.Run("by key", func(t *testing.T) {
 		db, g := university.MustNewSeeded()
 		om := university.MustOmega(g)
-		byKey := func(naive bool) string {
-			prev := SetNaiveAssembly(naive)
-			defer SetNaiveAssembly(prev)
-			inst, ok, err := InstantiateByKey(db, om, cs345Key())
-			if err != nil || !ok {
-				t.Fatalf("InstantiateByKey: %v, %v", ok, err)
-			}
-			return inst.Render()
+		naive, ok, err := InstantiateByKeyNaive(db, om, cs345Key())
+		if err != nil || !ok {
+			t.Fatalf("InstantiateByKeyNaive: %v, %v", ok, err)
 		}
-		if byKey(true) != byKey(false) {
+		batched, ok, err := InstantiateByKey(db, om, cs345Key())
+		if err != nil || !ok {
+			t.Fatalf("InstantiateByKey: %v, %v", ok, err)
+		}
+		if naive.Render() != batched.Render() {
 			t.Fatal("InstantiateByKey differs between naive and batched assembly")
 		}
 	})
 }
 
-// instantiationRatio assembles every instance of the workload and returns
-// tuples_scanned / nodes over the run.
-func instantiationRatio(t *testing.T, w *workload.Workload) float64 {
+// instantiationRatio assembles every instance of the workload — on the
+// naive reference path or the batched one — and returns tuples_scanned /
+// nodes over the run.
+func instantiationRatio(t *testing.T, w *workload.Workload, naive bool) float64 {
 	t.Helper()
 	before := obs.Capture()
-	insts, err := Instantiate(w.DB, w.Def, Query{})
+	insts, err := assembleAll(w.DB, w.Def, naive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +168,8 @@ func TestBatchedAssemblyCollapsesScanRatio(t *testing.T) {
 		return w
 	}
 
-	prev := SetNaiveAssembly(true)
-	naiveRatio := instantiationRatio(t, build())
-	SetNaiveAssembly(false)
-	batchedRatio := instantiationRatio(t, build())
-	SetNaiveAssembly(prev)
+	naiveRatio := instantiationRatio(t, build(), true)
+	batchedRatio := instantiationRatio(t, build(), false)
 
 	if naiveRatio < 5*batchedRatio {
 		t.Fatalf("scan ratio did not collapse: naive %.2f, batched %.2f (want >= 5x drop)",
@@ -175,7 +181,7 @@ func TestBatchedAssemblyCollapsesScanRatio(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	indexedRatio := instantiationRatio(t, w)
+	indexedRatio := instantiationRatio(t, w, false)
 	if indexedRatio > batchedRatio+1 {
 		t.Fatalf("indexed ratio %.2f above index-less batched ratio %.2f", indexedRatio, batchedRatio)
 	}
@@ -284,9 +290,7 @@ func TestTraverseMultiEdgeDedupBatched(t *testing.T) {
 	}
 
 	for _, naive := range []bool{false, true} {
-		prev := SetNaiveAssembly(naive)
-		insts, err := Instantiate(db, def, Query{})
-		SetNaiveAssembly(prev)
+		insts, err := assembleAll(db, def, naive)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -303,5 +307,46 @@ func TestTraverseMultiEdgeDedupBatched(t *testing.T) {
 		if insts[0].Render() == insts[1].Render() {
 			t.Fatalf("naive=%v: distinct instances rendered identically", naive)
 		}
+	}
+}
+
+// E13 — level-at-a-time batched assembly versus the naive
+// parent-at-a-time oracle, on the workload tree. The index-less variants
+// expose the scan amplification (per-parent child fetches degrade to one
+// full scan per parent; the batched path shares one scan per level); the
+// scanned/node custom metric is the ratio the obs counters track.
+func BenchmarkBatchedInstantiation(b *testing.B) {
+	spec := workload.TreeSpec{Depth: 2, Width: 2, Fanout: 4, Roots: 30, Peninsulas: 1}
+	for _, mode := range []struct {
+		name    string
+		naive   bool
+		noIndex bool
+	}{
+		{"naive-noindex", true, true},
+		{"batched-noindex", false, true},
+		{"batched-indexed", false, false},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			w, err := workload.BuildTree(spec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if mode.noIndex {
+				dropAllIndexes(b, w.DB)
+			}
+			before := obs.Capture()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := assembleAll(w.DB, w.Def, mode.naive); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			d := obs.Capture().Sub(before)
+			if nodes := d.Counter("viewobject.instantiate.nodes"); nodes > 0 {
+				scanned := d.Counter("viewobject.instantiate.tuples_scanned")
+				b.ReportMetric(float64(scanned)/float64(nodes), "scanned/node")
+			}
+		})
 	}
 }

@@ -3,24 +3,12 @@ package viewobject
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"penguin/internal/obs"
 	"penguin/internal/reldb"
 	"penguin/internal/structural"
 )
-
-// naiveAssembly selects the parent-at-a-time assembly path instead of the
-// level-at-a-time batched one. It exists so differential tests can prove
-// the two paths produce identical instances; the batched path is the
-// default and the one production callers get.
-var naiveAssembly atomic.Bool
-
-// SetNaiveAssembly switches instance assembly to the naive
-// parent-at-a-time path (true) or the batched level-at-a-time path
-// (false, the default), returning the previous setting. Tests only.
-func SetNaiveAssembly(on bool) bool { return naiveAssembly.Swap(on) }
 
 // Query is a declarative request over a view object (the paper's query
 // model, §3). It combines a selection on the pivot relation, existential
@@ -72,12 +60,32 @@ func Instantiate(res structural.Resolver, def *Definition, q Query) ([]*Instance
 // InstantiateOp is Instantiate under a causal trace context: the
 // instantiation becomes a child span of parent when parent is active
 // (e.g. a materializer rebuild inside a traced serve) and a root span
-// of its own when tracing is on but parent is not. Parallel fan-out
-// reports each chunk as a child span, so the span tree shows where the
-// pool spent its time.
+// of its own when the flight recorder is on but parent is not. Parallel
+// fan-out reports each chunk as a child span, so the span tree shows
+// where the pool spent its time. A failed instantiation finishes its
+// span too (detail err=…): the failures are the traces one wants.
 func InstantiateOp(res structural.Resolver, def *Definition, q Query, parent obs.Op) ([]*Instance, error) {
 	start := time.Now()
 	op := obs.Default.OpUnder(parent, "viewobject.instantiate")
+	out, err := instantiate(res, def, q, op)
+	if err != nil {
+		if op.Active() {
+			op.Finish(fmt.Sprintf("object=%s err=%v", def.Name, err))
+		}
+		return nil, err
+	}
+	obs.Default.InstCallsByObject.At(def.obsSlot).Inc()
+	obs.Default.InstantiateNsByObject.At(def.obsSlot).Observe(time.Since(start).Nanoseconds())
+	if op.Active() {
+		op.Finish(fmt.Sprintf("object=%s instances=%d", def.Name, len(out)))
+	}
+	return out, nil
+}
+
+// instantiate selects the pivots, assembles their instances (fanning
+// out under op when the frontier is large enough) and keeps those
+// satisfying the query's node predicates and count conditions.
+func instantiate(res structural.Resolver, def *Definition, q Query, op obs.Op) ([]*Instance, error) {
 	pivotRel, err := res.Relation(def.Pivot())
 	if err != nil {
 		return nil, err
@@ -88,32 +96,17 @@ func InstantiateOp(res structural.Resolver, def *Definition, q Query, parent obs
 		return nil, fmt.Errorf("viewobject: %s: pivot selection: %w", def.Name, err)
 	}
 	// Counted only on success: an errored selection did not complete.
-	obs.Default.TuplesScanned.Add(scanned)
 	obs.Default.InstTuplesByObject.At(def.obsSlot).Add(scanned)
 	var instances []*Instance
-	switch {
-	case naiveAssembly.Load():
-		for _, pt := range pivots {
-			inst, err := assembleInstance(res, def, pt)
-			if err != nil {
-				return nil, err
-			}
-			instances = append(instances, inst)
-		}
-	case workers > 1 && len(pivots) >= minParallelPivots:
+	if workers > 1 && len(pivots) >= minParallelPivots {
 		pstart := time.Now()
 		instances, err = instantiateParallel(res, def, pivots, workers, op)
 		if err != nil {
 			return nil, err
 		}
-		pdur := time.Since(pstart).Nanoseconds()
-		obs.Default.InstantiateParallelNs.Observe(pdur)
-		obs.Default.InstantiateParallelNsByObject.At(def.obsSlot).Observe(pdur)
-	default:
-		instances, err = assembleBatch(res, def, pivots)
-		if err != nil {
-			return nil, err
-		}
+		obs.Default.InstantiateParallelNsByObject.At(def.obsSlot).Observe(time.Since(pstart).Nanoseconds())
+	} else if instances, err = assembleBatch(res, def, pivots); err != nil {
+		return nil, err
 	}
 	var out []*Instance
 	for _, inst := range instances {
@@ -124,14 +117,6 @@ func InstantiateOp(res structural.Resolver, def *Definition, q Query, parent obs
 		if keep {
 			out = append(out, inst)
 		}
-	}
-	obs.Default.Instantiations.Inc()
-	obs.Default.InstCallsByObject.At(def.obsSlot).Inc()
-	dur := time.Since(start).Nanoseconds()
-	obs.Default.InstantiateNs.Observe(dur)
-	obs.Default.InstantiateNsByObject.At(def.obsSlot).Observe(dur)
-	if op.Active() {
-		op.Finish(fmt.Sprintf("object=%s instances=%d", def.Name, len(out)))
 	}
 	return out, nil
 }
@@ -145,9 +130,9 @@ func InstantiateOp(res structural.Resolver, def *Definition, q Query, parent obs
 // relation version's cached ordered view, charging a full scan only the
 // first time the view is built; otherwise it scans — in parallel when
 // the relation and worker budget warrant it — charging the whole
-// relation, which is what a scan visits. Both the naive and batched
-// assembly paths share this selection, so their pivot sets (and scan
-// accounting) are identical by construction.
+// relation, which is what a scan visits. The naive reference assembler
+// the differential tests keep shares this selection, so its pivot set
+// (and scan accounting) is identical by construction.
 func pivotSelect(pivotRel *reldb.Relation, pred reldb.Expr, workers int) ([]reldb.Tuple, int64, error) {
 	if pred != nil {
 		if attrs, vals, ok := reldb.EqConjunction(pred); ok && pivotRel.ProbeableEqual(attrs, vals) {
@@ -190,8 +175,7 @@ func assembleBatch(res structural.Resolver, def *Definition, pivots []reldb.Tupl
 		if err != nil {
 			return nil, err
 		}
-		obs.Default.InstNodes.Inc() // the root component
-		obs.Default.InstNodesByObject.At(def.obsSlot).Inc()
+		obs.Default.InstNodesByObject.At(def.obsSlot).Inc() // the root component
 		instances = append(instances, inst)
 		roots = append(roots, inst.root)
 	}
@@ -212,51 +196,42 @@ func InstantiateByKey(res structural.Resolver, def *Definition, key reldb.Tuple)
 func InstantiateByKeyOp(res structural.Resolver, def *Definition, key reldb.Tuple, parent obs.Op) (*Instance, bool, error) {
 	start := time.Now()
 	op := obs.Default.OpUnder(parent, "viewobject.instantiate_by_key")
-	pivotRel, err := res.Relation(def.Pivot())
-	if err != nil {
-		return nil, false, err
-	}
-	pt, ok := pivotRel.Get(key)
-	obs.Default.TuplesScanned.Inc() // the keyed pivot lookup
-	obs.Default.InstTuplesByObject.At(def.obsSlot).Inc()
-	if !ok {
+	inst, err := instantiateByKey(res, def, key)
+	if err != nil || inst == nil {
 		if op.Active() {
-			op.Finish(fmt.Sprintf("object=%s key=%s absent", def.Name, key))
+			outcome := "absent"
+			if err != nil {
+				outcome = "err=" + err.Error()
+			}
+			op.Finish(fmt.Sprintf("object=%s key=%s %s", def.Name, key, outcome))
 		}
-		return nil, false, nil
-	}
-	inst, err := assembleInstance(res, def, pt)
-	if err != nil {
 		return nil, false, err
 	}
-	obs.Default.Instantiations.Inc()
 	obs.Default.InstCallsByObject.At(def.obsSlot).Inc()
-	dur := time.Since(start).Nanoseconds()
-	obs.Default.InstantiateNs.Observe(dur)
-	obs.Default.InstantiateNsByObject.At(def.obsSlot).Observe(dur)
+	obs.Default.InstantiateNsByObject.At(def.obsSlot).Observe(time.Since(start).Nanoseconds())
 	if op.Active() {
 		op.Finish(fmt.Sprintf("object=%s key=%s", def.Name, key))
 	}
 	return inst, true, nil
 }
 
-func assembleInstance(res structural.Resolver, def *Definition, pivotTuple reldb.Tuple) (*Instance, error) {
-	inst, err := NewInstance(def, pivotTuple)
+// instantiateByKey assembles the instance at key, or returns nil when
+// the pivot tuple does not exist.
+func instantiateByKey(res structural.Resolver, def *Definition, key reldb.Tuple) (*Instance, error) {
+	pivotRel, err := res.Relation(def.Pivot())
 	if err != nil {
 		return nil, err
 	}
-	obs.Default.InstNodes.Inc() // the root component
-	obs.Default.InstNodesByObject.At(def.obsSlot).Inc()
-	if naiveAssembly.Load() {
-		if err := fillChildren(res, def, inst.root); err != nil {
-			return nil, err
-		}
-		return inst, nil
+	pt, ok := pivotRel.Get(key)
+	obs.Default.InstTuplesByObject.At(def.obsSlot).Inc() // the keyed pivot lookup
+	if !ok {
+		return nil, nil
 	}
-	if err := fillLevel(res, def, []*InstNode{inst.root}); err != nil {
+	instances, err := assembleBatch(res, def, []reldb.Tuple{pt})
+	if err != nil {
 		return nil, err
 	}
-	return inst, nil
+	return instances[0], nil
 }
 
 // fillLevel assembles the components below parents level-at-a-time. All
@@ -347,18 +322,14 @@ func fillChildSegment(res structural.Resolver, def *Definition, parents []*InstN
 	if err != nil {
 		return nil, fmt.Errorf("viewobject: %s: node %s: %w", def.Name, child.ID, err)
 	}
-	obs.Default.TuplesScanned.Add(int64(st.Scanned))
 	obs.Default.InstTuplesByObject.At(def.obsSlot).Add(int64(st.Scanned))
 	var level []*InstNode
 	for i, p := range parents {
-		targets := perParent[i]
-		obs.Default.NodeFanOut.Observe(int64(len(targets)))
-		for _, tt := range targets {
+		for _, tt := range perParent[i] {
 			cn, err := p.AddChild(def, child.ID, tt)
 			if err != nil {
 				return nil, err
 			}
-			obs.Default.InstNodes.Inc()
 			obs.Default.InstNodesByObject.At(def.obsSlot).Inc()
 			level = append(level, cn)
 		}
@@ -416,31 +387,6 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, path []structur
 		}
 	}
 	return frontiers, nil
-}
-
-func fillChildren(res structural.Resolver, def *Definition, in *InstNode) error {
-	for _, child := range in.node.Children {
-		var st reldb.MatchStats
-		targets, err := traversePath(res, in.tuple, child.Path, &st)
-		if err != nil {
-			return fmt.Errorf("viewobject: %s: node %s: %w", def.Name, child.ID, err)
-		}
-		obs.Default.TuplesScanned.Add(int64(st.Scanned))
-		obs.Default.InstTuplesByObject.At(def.obsSlot).Add(int64(st.Scanned))
-		obs.Default.NodeFanOut.Observe(int64(len(targets)))
-		for _, tt := range targets {
-			cn, err := in.AddChild(def, child.ID, tt)
-			if err != nil {
-				return err
-			}
-			obs.Default.InstNodes.Inc()
-			obs.Default.InstNodesByObject.At(def.obsSlot).Inc()
-			if err := fillChildren(res, def, cn); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 // TraversePath follows a connection path starting from one source tuple

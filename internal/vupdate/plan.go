@@ -159,7 +159,8 @@ func SetStepProbe(p StepProbe) StepProbe {
 // committing on success and rolling back on error. Committed updates
 // record their emitted operations into the obs op counters (so the
 // counters always match the returned Result); rejections record their
-// reason.
+// reason. Every return finishes the root span, failures with an err=
+// detail: a rejected or failed update is exactly the trace one wants.
 func (u *Updater) run(fn func(*session) error) (*Result, error) {
 	def := u.T.Definition()
 	db := def.Graph().Database()
@@ -189,18 +190,21 @@ func (u *Updater) run(fn func(*session) error) (*Result, error) {
 		}
 		return nil, err
 	}
+	var err error
 	if u.Hooks != nil && u.Hooks.Finish != nil {
-		if err := u.Hooks.Finish(s.tx, s.ops); err != nil {
-			return nil, err
+		err = u.Hooks.Finish(s.tx, s.ops)
+	} else {
+		err = s.tx.Commit()
+	}
+	if err != nil {
+		if op.Active() {
+			op.Finish(fmt.Sprintf("object=%s err=%v", def.Name, err))
 		}
-	} else if err := s.tx.Commit(); err != nil {
 		return nil, err
 	}
-	obs.Default.UpdatesCommitted.Inc()
 	obs.Default.CommittedByObject.At(slot).Inc()
 	for _, dbop := range s.ops {
 		if int(dbop.Kind) < obs.NumOpKinds {
-			obs.Default.Ops[dbop.Kind].Inc()
 			obs.Default.OpsByObject[dbop.Kind].At(slot).Inc()
 		}
 	}
@@ -210,25 +214,22 @@ func (u *Updater) run(fn func(*session) error) (*Result, error) {
 	return &Result{Ops: s.ops}, nil
 }
 
-// countRejection records a failed translation in the rejection counters,
-// both aggregate and split by the object's label slot. Missing-tuple
-// errors count as no-instance rejections even though they do not wrap
-// ErrRejected (the addressed instance simply is not there);
-// infrastructure errors are not counted.
+// countRejection records a failed translation in the rejection counters
+// under the object's label slot. Missing-tuple errors count as
+// no-instance rejections even though they do not wrap ErrRejected (the
+// addressed instance simply is not there); infrastructure errors are
+// not counted.
 func countRejection(err error, slot int) {
 	if !errors.Is(err, ErrRejected) && !errors.Is(err, reldb.ErrNoSuchTuple) {
 		return
 	}
 	reason := ReasonOf(err)
-	obs.Default.UpdatesRejected.Inc()
-	obs.Default.Rejects[reason].Inc()
 	obs.Default.RejectedByObject.At(slot).Inc()
 	obs.Default.RejectsByObject[reason].At(slot).Inc()
 }
 
 // step times one §5 pipeline step into the per-step histogram and, when
-// traced, emits the step as a child span of the update's root op (or a
-// flat span when the update itself is untraced but a sink is on).
+// traced, emits the step as a child span of the update's root op.
 func (s *session) step(st obs.Step, fn func() error) error {
 	start := time.Now()
 	// The probe runs inside the timed interval so injected latency shows
@@ -238,12 +239,9 @@ func (s *session) step(st obs.Step, fn func() error) error {
 	}
 	err := fn()
 	dur := time.Since(start).Nanoseconds()
-	obs.Default.StepNs[st].Observe(dur)
 	obs.Default.StepNsByObject[st].At(s.def.MetricSlot()).Observe(dur)
 	if s.op.Active() {
 		s.op.ChildAt("vupdate.step."+st.String(), start).Finish(s.def.Name)
-	} else if obs.Default.Tracing() {
-		obs.Default.EmitSpan("vupdate.step."+st.String(), s.def.Name, start)
 	}
 	return err
 }

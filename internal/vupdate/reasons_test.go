@@ -34,7 +34,7 @@ func TestReasonNamesAlignWithObs(t *testing.T) {
 	}
 }
 
-// OpKind values index obs.Registry.Ops; snapshot keys must match the
+// OpKind values index obs.Registry.OpsByObject; snapshot keys must match the
 // kinds' own names.
 func TestOpKindsAlignWithObs(t *testing.T) {
 	if obs.NumOpKinds != 3 {
@@ -42,10 +42,10 @@ func TestOpKindsAlignWithObs(t *testing.T) {
 	}
 	r := obs.NewRegistry()
 	for _, k := range []OpKind{OpInsert, OpDelete, OpReplace} {
-		r.Ops[k].Inc()
+		r.OpsByObject[k].At(0).Inc()
 		key := "vupdate.ops." + k.String()
 		if got := r.Snapshot().Counter(key); got != 1 {
-			t.Errorf("after Ops[%s].Inc(): snapshot %s = %d, want 1", k, key, got)
+			t.Errorf("after OpsByObject[%s] increment: snapshot %s = %d, want 1", k, key, got)
 		}
 	}
 }

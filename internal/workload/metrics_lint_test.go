@@ -184,12 +184,18 @@ func TestMetricsLintWAL(t *testing.T) {
 	if !strings.Contains(text, "# TYPE reldb_wal_fsync_ns histogram") {
 		t.Error("reldb_wal_fsync_ns missing its # TYPE histogram header")
 	}
-	for _, family := range []string{
-		"reldb_wal_appends", "reldb_wal_fsyncs", "reldb_wal_replayed", "reldb_wal_checkpoints",
+	// The log's counters are one shard-labeled family each; a database
+	// opened without a shard label is shard "0". Replay is not split.
+	for _, series := range []string{
+		`reldb_wal_appends{shard="0"}`, `reldb_wal_bytes{shard="0"}`, `reldb_wal_fsyncs{shard="0"}`,
+		`reldb_wal_checkpoints{shard="0"}`, "reldb_wal_replayed",
 	} {
-		if !regexp.MustCompile(`(?m)^` + family + ` [1-9]\d*$`).MatchString(text) {
-			t.Errorf("%s is zero after durable traffic, checkpoint, and replay", family)
+		if !regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + ` [1-9]\d*$`).MatchString(text) {
+			t.Errorf("%s is zero after durable traffic, checkpoint, and replay", series)
 		}
+	}
+	if strings.Contains(text, "_by_shard") {
+		t.Error("a reldb_wal_*_by_shard twin is still exposed")
 	}
 	if !regexp.MustCompile(`(?m)^reldb_wal_fsync_ns_count [1-9]\d*$`).MatchString(text) {
 		t.Error("no reldb_wal_fsync_ns histogram samples after durable commits")

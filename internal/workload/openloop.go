@@ -178,9 +178,9 @@ func RunOpenLoop(spec OpenLoopSpec) (OpenLoopResult, error) {
 
 	reg.Endpoints.Intern(opRead)
 	reg.Endpoints.Intern(opUpdate)
-	before := reg.OpenLoopNs.Stat()
+	before := reg.OpenLoopNsByEndpoint.Total()
 
-	var sent, ok, shed, rejected, errs atomic.Int64
+	var ok, shed, rejected, errs atomic.Int64
 	// The deterministic read/update mix: tick i is a read iff adding
 	// ReadFraction advanced the integer part of i*ReadFraction — the
 	// Bresenham split, so mixes like 0.9 interleave evenly instead of
@@ -196,7 +196,6 @@ func RunOpenLoop(spec OpenLoopSpec) (OpenLoopResult, error) {
 		if isRead(i) {
 			op = opRead
 		}
-		sent.Add(1)
 		reg.OpenLoopSent.Inc()
 		opStart := time.Now()
 		var status int
@@ -207,18 +206,12 @@ func RunOpenLoop(spec OpenLoopSpec) (OpenLoopResult, error) {
 			status, err = doUpdate(client, base, spec.Object, key, mutate, i)
 		}
 		ns := time.Since(opStart).Nanoseconds()
-		reg.OpenLoopNs.Observe(ns)
 		reg.OpenLoopNsByEndpoint.With(op).Observe(ns)
 		switch {
-		case err != nil:
-			reg.OpenLoopErrors.Inc()
+		case err != nil || status >= 500:
 			errs.Add(1)
 		case status == http.StatusTooManyRequests:
-			reg.OpenLoopShed.Inc()
 			shed.Add(1)
-		case status >= 500:
-			reg.OpenLoopErrors.Inc()
-			errs.Add(1)
 		case status >= 400:
 			rejected.Add(1)
 		default:
@@ -234,7 +227,7 @@ func RunOpenLoop(spec OpenLoopSpec) (OpenLoopResult, error) {
 	if res.Elapsed > 0 {
 		res.AchievedRPS = float64(res.Sent) / res.Elapsed.Seconds()
 	}
-	stat := reg.OpenLoopNs.Stat().Sub(before)
+	stat := reg.OpenLoopNsByEndpoint.Total().Sub(before)
 	res.P50 = time.Duration(stat.Quantile(0.50))
 	res.P99 = time.Duration(stat.Quantile(0.99))
 	if spec.SLOp50 > 0 && res.P50 > spec.SLOp50 {

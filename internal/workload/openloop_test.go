@@ -141,7 +141,7 @@ func TestServeSmoke(t *testing.T) {
 
 	// The tier's own accounting: every admitted request 2xx or shed —
 	// no 5xx anywhere.
-	if got := reg.HTTPStatus[obs.Status5xx].Load(); got != 0 {
+	if got := reg.Snapshot().Counter("penguin.http.status.5xx"); got != 0 {
 		t.Errorf("server counted %d 5xx responses", got)
 	}
 

@@ -3,10 +3,13 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"penguin/internal/obs"
+	"penguin/internal/reldb"
 	"penguin/internal/viewobject"
 	"penguin/internal/vupdate"
 )
@@ -197,4 +200,54 @@ func TestMaterializerServeTraceNesting(t *testing.T) {
 	if err := patched.Validate(); err != nil {
 		t.Fatalf("patched serve trace: %v", err)
 	}
+}
+
+// TestFailedOperationsKeepTheirTrace pins the root span being finished
+// on every failure path: an update whose commit is refused after a clean
+// translation (a TxHooks.Finish error — the sharded fast-path abort, a
+// 2PC prepare failure; tx.Commit failing on a WAL error takes the same
+// return) and an instantiation that errors each leave exactly one
+// retained, well-formed trace with an err= detail. Unfinished, the root
+// never seals and the recorder silently drops the trace.
+func TestFailedOperationsKeepTheirTrace(t *testing.T) {
+	w, err := BuildTree(TreeSpec{Depth: 1, Width: 2, Fanout: 2, Roots: 3, Peninsulas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder(0, 8)
+	obs.Default.SetRecorder(rec)
+	t.Cleanup(func() { obs.Default.SetRecorder(nil) })
+
+	one := func(t *testing.T, root string) {
+		t.Helper()
+		traces := rec.Traces()
+		if len(traces) != 1 {
+			t.Fatalf("retained %d traces, want exactly the failed %s", len(traces), root)
+		}
+		if err := traces[0].Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if traces[0].Name != root || !strings.Contains(traces[0].Detail, "err=") {
+			t.Fatalf("trace root = %q detail %q, want %s with err=", traces[0].Name, traces[0].Detail, root)
+		}
+		rec.Clear()
+	}
+
+	refused := errors.New("commit refused")
+	u := &vupdate.Updater{T: vupdate.PermissiveTranslator(w.Def), Hooks: &vupdate.TxHooks{
+		Finish: func(tx *reldb.Tx, _ []vupdate.DBOp) error {
+			_ = tx.Rollback() // the coordinator owns the transaction's fate
+			return refused
+		},
+	}}
+	if _, err := u.DeleteByKey(reldb.Tuple{reldb.Int(0)}); !errors.Is(err, refused) {
+		t.Fatalf("DeleteByKey = %v, want the Finish hook's error", err)
+	}
+	one(t, "vupdate.update")
+
+	bad := viewobject.Query{PivotPred: reldb.Eq("NoSuchAttr", reldb.Int(1))}
+	if _, err := viewobject.Instantiate(w.DB, w.Def, bad); err == nil {
+		t.Fatal("bad pivot predicate accepted")
+	}
+	one(t, "viewobject.instantiate")
 }

@@ -15,14 +15,9 @@ type (
 	StatsSnapshot = obs.Snapshot
 	// HistogramStat is one histogram's snapshot (count, sum, buckets).
 	HistogramStat = obs.HistogramStat
-	// TraceEvent is one trace span emitted by an instrumented path. It
-	// carries causal identity (TraceID/SpanID/ParentID) when emitted
-	// under a TraceOp.
+	// TraceEvent is one span of an operation's tree, with its causal
+	// identity (TraceID/SpanID/ParentID).
 	TraceEvent = obs.Event
-	// TraceSink receives trace events; install one with SetTraceSink.
-	TraceSink = obs.Sink
-	// TraceRing is a fixed-size lock-free buffer of recent trace events.
-	TraceRing = obs.Ring
 	// TraceOp is a handle on one operation's span tree; the engine
 	// threads one through every update, instantiation, and serve.
 	TraceOp = obs.Op
@@ -74,15 +69,6 @@ type MetricsServer = obs.HTTPServer
 // the resolved port for ":0"; Shutdown it to drain, or Close to stop.
 func ServeMetrics(addr string) (*MetricsServer, error) { return obs.Serve(addr) }
 
-// NewTraceRing creates a ring buffer holding the last size trace events;
-// install it with SetTraceSink to start recording.
-func NewTraceRing(size int) *TraceRing { return obs.NewRing(size) }
-
-// SetTraceSink installs (or, with nil, removes) the engine trace sink.
-// With no sink installed — the default — the instrumented hot paths skip
-// event construction entirely and stay allocation-free.
-func SetTraceSink(s TraceSink) { obs.Default.SetSink(s) }
-
 // RejectReasonOf extracts the rejection reason from an update error
 // (ReasonUnknown when the error carries none).
 var RejectReasonOf = vupdate.ReasonOf
@@ -98,8 +84,9 @@ func NewFlightRecorder(threshold time.Duration, capacity int) *FlightRecorder {
 // recorder. While installed, every top-level operation (view-object
 // update, instantiation, materialized serve, Keller translation)
 // buffers its span tree; trees whose root exceeds the recorder's
-// threshold are retained and readable via SlowTraces. With neither a
-// recorder nor a trace sink installed the instrumented hot paths stay
+// threshold are retained and readable via SlowTraces (threshold 0
+// retains every operation). With no recorder installed — the default —
+// the instrumented hot paths skip span construction entirely and stay
 // allocation-free.
 func SetFlightRecorder(rec *FlightRecorder) { obs.Default.SetRecorder(rec) }
 
@@ -121,6 +108,6 @@ func WriteChromeTrace(w io.Writer, traces []SlowTrace) error {
 
 // StartTraceOp opens a root span for an application-level operation so
 // engine spans triggered underneath it join its trace; finish it with
-// Finish. It returns an inactive no-op handle unless a trace sink or
-// flight recorder is installed.
+// Finish. It returns an inactive no-op handle unless a flight recorder
+// is installed.
 func StartTraceOp(name string) TraceOp { return obs.Default.StartOp(name) }

@@ -127,24 +127,28 @@ func TestStatsRejectionReasons(t *testing.T) {
 	}
 }
 
-// TestTraceRingCapturesPipeline installs a ring sink, runs one update,
-// and checks the per-step spans were recorded in order.
-func TestTraceRingCapturesPipeline(t *testing.T) {
+// TestFlightRecorderCapturesPipeline installs a threshold-0 flight
+// recorder, runs one update, and checks its retained span tree carries
+// the per-step spans.
+func TestFlightRecorderCapturesPipeline(t *testing.T) {
 	_, g := university.MustNewSeeded()
 	om := university.MustOmega(g)
 	u := vupdate.NewUpdater(vupdate.PermissiveTranslator(om))
 
-	ring := penguin.NewTraceRing(128)
-	penguin.SetTraceSink(ring)
-	defer penguin.SetTraceSink(nil)
+	penguin.SetFlightRecorder(penguin.NewFlightRecorder(0, 8))
+	defer penguin.SetFlightRecorder(nil)
 
 	if _, err := u.DeleteByKey(reldb.Tuple{reldb.String("CS345")}); err != nil {
 		t.Fatalf("VO-CD: %v", err)
 	}
-	events := ring.Last(128)
-	if len(events) == 0 {
-		t.Fatal("ring recorded no events")
+	traces := penguin.SlowTraces()
+	if len(traces) != 1 {
+		t.Fatalf("recorder retained %d traces, want the one update", len(traces))
 	}
+	if err := traces[0].Validate(); err != nil {
+		t.Fatal(err)
+	}
+	events := traces[0].Spans
 	var names []string
 	for _, ev := range events {
 		names = append(names, ev.Name)
