@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_TOLERANCE ?= 0.30
 
-.PHONY: build test race vet bench bench-smoke bench-baseline bench-diff metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test verify
+.PHONY: build test race vet bench bench-smoke bench-baseline bench-diff metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test fuzz-smoke verify
 
 build:
 	$(GO) build ./...
@@ -91,6 +91,15 @@ cpu-sweep:
 benchmark-test:
 	$(GO) test -count=1 ./benchmark
 
+# fuzz-smoke runs every native fuzz target for ten seconds on top of its
+# committed seed corpus (testdata/fuzz/<target>), one target at a time:
+# go test takes one -fuzz pattern per package per run. Minimizing each
+# new interesting input is capped at a second — the default minute would
+# eat the whole smoke.
+fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzRelationOps$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
+	$(GO) test -run='^$$' -fuzz='^FuzzKeyCodecOrder$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
+
 # verify is the full gate: compile everything, vet, then run the whole
 # suite (including the concurrent stress tests) under the race detector.
-verify: build vet race metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test
+verify: build vet race metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test fuzz-smoke

@@ -82,16 +82,7 @@ func (t *Translator) Insert(viewTuple reldb.Tuple) (*Result, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		if op.Active() {
-			op.Finish("rejected")
-		}
-		return nil, err
-	}
-	if op.Active() {
-		op.Finish(fmt.Sprintf("ops=%d", res.Total()))
-	}
-	return res, nil
+	return finishOp(op, res, err)
 }
 
 func (t *Translator) insertIntoRelation(tx *reldb.Tx, res *Result, viewSchema *reldb.Schema,
@@ -146,6 +137,22 @@ func (t *Translator) insertIntoRelation(tx *reldb.Tx, res *Result, viewSchema *r
 	}
 }
 
+// finishOp closes a translation's root span and shapes its return: a
+// rejected translation finishes its span too (detail err=…) — the
+// failures are the traces one wants.
+func finishOp(op obs.Op, res *Result, err error) (*Result, error) {
+	if err != nil {
+		if op.Active() {
+			op.Finish(fmt.Sprintf("err=%v", err))
+		}
+		return nil, err
+	}
+	if op.Active() {
+		op.Finish(fmt.Sprintf("ops=%d", res.Total()))
+	}
+	return res, nil
+}
+
 // visibleEqual compares a constructed tuple with an existing one on the
 // attributes the view exposes.
 func visibleEqual(bt, existing reldb.Tuple, attrMap map[int]int) bool {
@@ -185,16 +192,7 @@ func (t *Translator) Delete(viewTuple reldb.Tuple) (*Result, error) {
 		res.Deletes++
 		return nil
 	})
-	if err != nil {
-		if op.Active() {
-			op.Finish("rejected")
-		}
-		return nil, err
-	}
-	if op.Active() {
-		op.Finish(fmt.Sprintf("ops=%d", res.Total()))
-	}
-	return res, nil
+	return finishOp(op, res, err)
 }
 
 // Replace translates a view replacement with the R/I two-state discipline
@@ -214,16 +212,7 @@ func (t *Translator) Replace(oldTuple, newTuple reldb.Tuple) (*Result, error) {
 		}
 		return nil
 	})
-	if err != nil {
-		if op.Active() {
-			op.Finish("rejected")
-		}
-		return nil, err
-	}
-	if op.Active() {
-		op.Finish(fmt.Sprintf("ops=%d", res.Total()))
-	}
-	return res, nil
+	return finishOp(op, res, err)
 }
 
 func (t *Translator) replaceInRelation(tx *reldb.Tx, res *Result, viewSchema *reldb.Schema,

@@ -172,11 +172,14 @@ func (v *View) Materialize() (*reldb.ResultSet, error) {
 func (v *View) MaterializeIn(res resolver) (*reldb.ResultSet, error) {
 	op := obs.Default.StartOp("keller.materialize")
 	p, err := v.plan(res)
-	if err != nil {
-		return nil, err
+	var rs *reldb.ResultSet
+	if err == nil {
+		rs, err = p.Run()
 	}
-	rs, err := p.Run()
 	if err != nil {
+		if op.Active() {
+			op.Finish(fmt.Sprintf("view=%s err=%v", v.Name, err))
+		}
 		return nil, err
 	}
 	if op.Active() {

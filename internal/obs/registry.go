@@ -138,7 +138,7 @@ type Registry struct {
 	Commits        Counter   // write transactions committed
 	Rollbacks      Counter   // write transactions rolled back
 	TxDoneHits     Counter   // operations attempted on a finished Tx/ReadTx
-	RelationClones Counter   // copy-on-write relation clones
+	TreeNodeCopies Counter   // storage-tree nodes copied on write (path copying)
 	ReadTxBegins   Counter   // read transactions opened
 	StaleCloses    Counter   // ReadTx closes at or past the lag-alert threshold
 	StaleForks     Counter   // ReadTx forks at or past the lag-alert threshold
@@ -177,20 +177,16 @@ type Registry struct {
 	RelProbes  *CounterVec // point lookups and index-bucket probes, by relation
 	RelScans   *CounterVec // full-relation scan fallbacks, by relation
 
-	// reldb: the per-generation lookup-plan cache. Every MatchEqual-family
+	// reldb: the per-relation lookup-plan cache. Every MatchEqual-family
 	// call resolves its index selection through the cache exactly once, so
 	// PlanCacheLookups == PlanCacheHits + PlanCacheMisses holds at every
-	// quiescent point (asserted by the stress suite). Discarded plans are
-	// split by cause so hit-rate dashboards can attribute churn: explicit
-	// index DDL purges count as invalidations, warm plans left behind when
-	// a write transaction clones a relation for the next generation (the
-	// clone starts cold — that *is* the invalidation mechanism) count as
-	// clone drops.
+	// quiescent point (asserted by the stress suite). A relation's versions
+	// share one cache across commits; only index DDL discards plans, and
+	// those count as invalidations.
 	PlanCacheLookups       Counter // MatchEqual-family calls that consulted the cache
 	PlanCacheHits          Counter // plans served from the cache
 	PlanCacheMisses        Counter // plans resolved and cached
 	PlanCacheInvalidations Counter // cached plans purged by index DDL
-	PlanCacheCloneDrops    Counter // warm plans left behind by a copy-on-write clone
 
 	// viewobject: instantiation, by view object. ParallelNs times only
 	// the calls that actually fanned out, so it covers a subset of the

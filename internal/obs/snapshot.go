@@ -90,7 +90,7 @@ func (r *Registry) Snapshot() Snapshot {
 	c("reldb.tx.commits", &r.Commits)
 	c("reldb.tx.rollbacks", &r.Rollbacks)
 	c("reldb.tx.txdone_hits", &r.TxDoneHits)
-	c("reldb.relation.clones", &r.RelationClones)
+	c("reldb.tree.node_copies", &r.TreeNodeCopies)
 	c("reldb.readtx.begins", &r.ReadTxBegins)
 	c("reldb.readtx.stale_closes", &r.StaleCloses)
 	c("reldb.readtx.stale_forks", &r.StaleForks)
@@ -114,7 +114,6 @@ func (r *Registry) Snapshot() Snapshot {
 	c("reldb.plancache.hits", &r.PlanCacheHits)
 	c("reldb.plancache.misses", &r.PlanCacheMisses)
 	c("reldb.plancache.invalidations", &r.PlanCacheInvalidations)
-	c("reldb.plancache.clone_drops", &r.PlanCacheCloneDrops)
 
 	lc("viewobject.instantiate.calls", r.InstCallsByObject)
 	lc("viewobject.instantiate.tuples_scanned", r.InstTuplesByObject)
@@ -360,11 +359,11 @@ func (s Snapshot) Summary() string {
 	commit := s.Histogram("reldb.tx.commit_ns")
 	inst := s.Histogram("viewobject.instantiate.ns")
 	return fmt.Sprintf(
-		"commits=%d (mean %s) rollbacks=%d instantiations=%d (mean %s) tuples_scanned=%d dbops=%d rejections=%d clones=%d",
+		"commits=%d (mean %s) rollbacks=%d instantiations=%d (mean %s) tuples_scanned=%d dbops=%d rejections=%d node_copies=%d",
 		s.Counter("reldb.tx.commits"), time.Duration(int64(commit.Mean())),
 		s.Counter("reldb.tx.rollbacks"),
 		s.Counter("viewobject.instantiate.calls"), time.Duration(int64(inst.Mean())),
 		s.Counter("viewobject.instantiate.tuples_scanned"),
 		ops, rejects,
-		s.Counter("reldb.relation.clones"))
+		s.Counter("reldb.tree.node_copies"))
 }

@@ -24,7 +24,7 @@ func snapshotDB(t *testing.T) *Database {
 		{Int(2), String("bob"), Null(), Bool(false)},
 		{Int(3), Null(), Float(math.Inf(1)), Null()},
 		{Int(-4), String("weird \x00 bytes"), Float(-0.0), Bool(true)},
-		{Int(math.MaxInt64), String(""), Float(math.SmallestNonzeroFloat64), Bool(false)},
+		{Int(maxExactInt), String(""), Float(math.SmallestNonzeroFloat64), Bool(false)},
 	}
 	for _, row := range rows {
 		if err := r.Insert(row); err != nil {

@@ -10,8 +10,9 @@ import (
 // Database is a catalog of named relations with copy-on-write concurrency:
 //
 //   - Committed *Relation values are immutable. A write transaction (Tx)
-//     mutates private clones of the relations it touches and publishes
-//     them by pointer swap at commit, under the catalog lock.
+//     mutates private clones of the relations it touches — versions that
+//     share the committed trees and copy only the paths they write — and
+//     publishes them by pointer swap at commit, under the catalog lock.
 //   - mu guards only the relations map and the generation counter; every
 //     critical section is short (pointer copies), so neither readers nor
 //     writers are ever blocked for the duration of a transaction.
@@ -214,9 +215,11 @@ func (db *Database) Generation() uint64 {
 	return db.gen
 }
 
-// Clone copies the database into an independent catalog: schemas and
-// stored tuples are shared (both immutable), row maps and indexes are
-// copied. Used for what-if planning and failure-injection tests.
+// Clone copies the database into an independent catalog: schemas, stored
+// tuples and the row and index trees are shared (Relation.clone), so the
+// copy costs O(relations × indexes) whatever they hold; either side
+// copies the paths it later writes. Used for what-if planning and
+// failure-injection tests.
 func (db *Database) Clone() *Database {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -55,10 +55,11 @@ func EqConjunction(pred Expr) (attrNames []string, vals Tuple, ok bool) {
 //   - no constant is null (x = null is three-valued null, which a scan
 //     treats as no-match but checkLookupVals may reject as an error);
 //   - every constant's kind exactly equals its attribute's declared
-//     type, and that type is not Float: index buckets and point lookups
-//     match on byte-exact key encodings, while scan equality is
-//     numeric — a Float attribute may store Int values (kindAssignable)
-//     that compare equal to a Float constant but encode differently;
+//     type, that type is not Float, and the constant lies in the key
+//     codec's exact domain: anything else is left to the scan, which
+//     gives it the predicate's semantics (numeric equality, no match
+//     for an int no key can hold) where checkLookupVals would report
+//     an error;
 //   - an access path better than a scan exists (primary-key set or a
 //     covering secondary index) — otherwise probing buys nothing.
 func (r *Relation) ProbeableEqual(attrNames []string, vals Tuple) bool {
@@ -72,7 +73,7 @@ func (r *Relation) ProbeableEqual(attrNames []string, vals Tuple) bool {
 	for i, j := range idx {
 		a := r.schema.Attr(j)
 		v := vals[i]
-		if v.IsNull() || a.Type == KindFloat || v.Kind() != a.Type {
+		if v.IsNull() || a.Type == KindFloat || v.Kind() != a.Type || !keyEncodable(v) {
 			return false
 		}
 	}

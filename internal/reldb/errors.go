@@ -15,6 +15,9 @@ var (
 	ErrRelationExists = errors.New("relation already exists")
 	// ErrNoSuchIndex reports access to an undefined secondary index.
 	ErrNoSuchIndex = errors.New("no such index")
+	// ErrKeyDomain reports a key or indexed value the key codec cannot
+	// encode exactly (keyEncodable): storing it would alias a neighbour.
+	ErrKeyDomain = errors.New("value outside the key codec's exact domain (|int| <= 2^53, no NaN)")
 	// ErrTxDone reports use of a committed or rolled-back transaction.
 	ErrTxDone = errors.New("transaction already finished")
 	// ErrSnapshotCorrupt reports a snapshot file whose CRC trailer does

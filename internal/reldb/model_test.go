@@ -1,0 +1,481 @@
+package reldb
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+)
+
+// modelRel is the oracle the tree storage is checked against: a map of
+// rows and a sort wherever order is needed — the storage the tree
+// replaced, kept as the reference implementation.
+type modelRel struct {
+	schema  *Schema
+	rows    map[string]Tuple    // encoded key → tuple
+	indexes map[string][]string // index name → attribute names
+}
+
+func modelSchema() *Schema {
+	return MustSchema("M", []Attribute{
+		{Name: "A", Type: KindInt},
+		{Name: "B", Type: KindInt},
+		{Name: "C", Type: KindInt, Nullable: true},
+		{Name: "S", Type: KindString, Nullable: true},
+		{Name: "F", Type: KindFloat, Nullable: true},
+	}, []string{"A", "B"})
+}
+
+// modelIndexes are the indexes the op stream may create and drop.
+var modelIndexes = []struct {
+	name  string
+	attrs []string
+}{
+	{"byC", []string{"C"}},
+	{"bySC", []string{"S", "C"}},
+	{"byF", []string{"F"}},
+	{"byCB", []string{"C", "B"}},
+}
+
+func (m *modelRel) copy() *modelRel {
+	c := &modelRel{schema: m.schema, rows: make(map[string]Tuple, len(m.rows)), indexes: make(map[string][]string, len(m.indexes))}
+	for k, t := range m.rows {
+		c.rows[k] = t
+	}
+	for k, a := range m.indexes {
+		c.indexes[k] = a
+	}
+	return c
+}
+
+// filter returns the rows keep accepts, in encoded-key order.
+func (m *modelRel) filter(keep func(Tuple) bool) []Tuple {
+	eks := make([]string, 0, len(m.rows))
+	for ek, t := range m.rows {
+		if keep == nil || keep(t) {
+			eks = append(eks, ek)
+		}
+	}
+	sort.Strings(eks)
+	out := make([]Tuple, len(eks))
+	for i, ek := range eks {
+		out[i] = m.rows[ek]
+	}
+	return out
+}
+
+func (m *modelRel) equalOn(attrs []string, vals Tuple) func(Tuple) bool {
+	idx, err := m.schema.Indices(attrs)
+	if err != nil {
+		panic(err)
+	}
+	return func(t Tuple) bool {
+		for i, j := range idx {
+			if !t[j].Equal(vals[i]) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+func (m *modelRel) inRange(attr string, lo, hi *RangeBound) func(Tuple) bool {
+	j, _ := m.schema.AttrIndex(attr)
+	return func(t Tuple) bool {
+		v := t[j]
+		if v.IsNull() {
+			return false
+		}
+		if lo != nil {
+			if c, _ := Compare(v, lo.V); c < 0 || (c == 0 && lo.Strict) {
+				return false
+			}
+		}
+		if hi != nil {
+			if c, _ := Compare(v, hi.V); c > 0 || (c == 0 && hi.Strict) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+func sameTuples(t testing.TB, what string, got, want []Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d tuples, oracle has %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s: tuple %d = %v, oracle has %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// Probe values: a few of each kind the generator stores, a null, an
+// absent one.
+var (
+	modelCs = []Value{Null(), Int(-3), Int(0), Int(2), Int(7), Int(99)}
+	modelSs = []Value{Null(), String("s0"), String("s3"), String("s5"), String("zz")}
+	modelFs = []Value{Null(), Float(-1), Float(0.5), Int(1), Float(1), Float(3)}
+)
+
+func bound(v Value, strict bool) *RangeBound { return &RangeBound{V: v, Strict: strict} }
+
+// checkRows compares r's rows, in scan order, against the oracle's, and
+// returns them.
+func checkRows(t testing.TB, r *Relation, m *modelRel) []Tuple {
+	t.Helper()
+	if r.Count() != len(m.rows) {
+		t.Fatalf("Count = %d, oracle has %d", r.Count(), len(m.rows))
+	}
+	all := m.filter(nil)
+	var scanned []Tuple
+	r.Scan(func(tu Tuple) bool { scanned = append(scanned, tu); return true })
+	sameTuples(t, "Scan", scanned, all)
+	return all
+}
+
+// checkModel compares every read path of r against the oracle.
+func checkModel(t testing.TB, r *Relation, m *modelRel) {
+	t.Helper()
+	// The oracle sorts once per check; every expected answer below is a
+	// filter of that one sorted list.
+	all := checkRows(t, r, m)
+	filter := func(keep func(Tuple) bool) []Tuple {
+		var out []Tuple
+		for _, tu := range all {
+			if keep(tu) {
+				out = append(out, tu)
+			}
+		}
+		return out
+	}
+	for a := int64(0); a < modelAs; a++ {
+		for b := int64(0); b < modelBs; b += 5 {
+			key := Tuple{Int(a), Int(b)}
+			want, ok := m.rows[EncodeValues(key...)]
+			got, gok := r.Get(key)
+			if ok != gok || (ok && !got.Equal(want)) {
+				t.Fatalf("Get %v = %v, %v; oracle has %v, %v", key, got, gok, want, ok)
+			}
+		}
+	}
+
+	type eq struct {
+		attrs []string
+		vals  Tuple
+	}
+	var eqs []eq
+	for _, c := range modelCs {
+		eqs = append(eqs, eq{[]string{"C"}, Tuple{c}})
+		for _, s := range modelSs[:3] {
+			eqs = append(eqs, eq{[]string{"S", "C"}, Tuple{s, c}}, eq{[]string{"C", "S"}, Tuple{c, s}})
+		}
+	}
+	for _, f := range modelFs {
+		eqs = append(eqs, eq{[]string{"F"}, Tuple{f}})
+	}
+	eqs = append(eqs, eq{[]string{"A"}, Tuple{Int(7)}}, eq{[]string{"A", "B"}, Tuple{Int(7), Int(5)}},
+		eq{[]string{"B", "A"}, Tuple{Int(5), Int(7)}}, eq{[]string{"C", "B"}, Tuple{Int(2), Int(5)}})
+	for _, e := range eqs {
+		got, err := r.MatchEqual(e.attrs, e.vals)
+		if err != nil {
+			t.Fatalf("MatchEqual %v %v: %v", e.attrs, e.vals, err)
+		}
+		sameTuples(t, fmt.Sprintf("MatchEqual %v %v", e.attrs, e.vals), got, filter(m.equalOn(e.attrs, e.vals)))
+	}
+	for _, batch := range []struct {
+		attrs []string
+		vals  []Value
+	}{{[]string{"C"}, modelCs}, {[]string{"F"}, modelFs}, {[]string{"S"}, modelSs}} {
+		sets := make([]Tuple, len(batch.vals))
+		for i, v := range batch.vals {
+			sets[i] = Tuple{v}
+		}
+		got, err := r.MatchEqualBatch(batch.attrs, append(sets, sets[0]))
+		if err != nil {
+			t.Fatalf("MatchEqualBatch %v: %v", batch.attrs, err)
+		}
+		// Int(1) and Float(1) are one value, one encoding and one bucket.
+		filled := map[string]bool{}
+		for _, vs := range sets {
+			want := filter(m.equalOn(batch.attrs, vs))
+			sameTuples(t, fmt.Sprintf("MatchEqualBatch %v %v", batch.attrs, vs), got[EncodeValues(vs...)], want)
+			if len(want) > 0 {
+				filled[EncodeValues(vs...)] = true
+			}
+		}
+		if len(got) != len(filled) {
+			t.Fatalf("MatchEqualBatch %v: %d buckets, oracle fills %d", batch.attrs, len(got), len(filled))
+		}
+	}
+	for name, attrs := range m.indexes {
+		for _, c := range modelCs[:4] {
+			vals := Tuple{c}
+			switch name {
+			case "bySC":
+				vals = Tuple{String("s3"), c}
+			case "byF":
+				vals = Tuple{Float(0.5)}
+			case "byCB":
+				vals = Tuple{c, Int(5)}
+			}
+			got, err := r.LookupIndex(name, vals)
+			if err != nil {
+				t.Fatalf("LookupIndex %s %v: %v", name, vals, err)
+			}
+			sameTuples(t, fmt.Sprintf("LookupIndex %s %v", name, vals), got, filter(m.equalOn(attrs, vals)))
+		}
+	}
+	for _, name := range r.IndexNames() {
+		if _, ok := m.indexes[name]; !ok {
+			t.Fatalf("index %s exists, oracle has none", name)
+		}
+	}
+
+	for _, rg := range []struct {
+		attr   string
+		lo, hi *RangeBound
+	}{
+		{"A", bound(Int(10), false), bound(Int(20), true)}, // leading key attribute
+		{"A", bound(Int(10), true), bound(Int(20), false)},
+		{"A", bound(Float(10.5), false), nil}, // float bound on an int attribute
+		{"A", nil, bound(Float(3.5), true)},
+		{"A", bound(Int(30), false), bound(Int(5), false)}, // empty
+		{"B", bound(Int(3), true), bound(Int(9), true)},    // key attribute that does not lead: scan
+		{"C", bound(Int(0), false), nil},                   // indexed or not, as the ops left it; nulls
+		{"C", bound(Int(-3), true), bound(Int(7), true)},
+		{"C", nil, bound(Float(2.5), false)},
+		{"C", bound(Int(maxExactInt+1), false), nil}, // no exact tree position: scan
+		{"S", bound(String("s1"), false), bound(String("s4"), false)},
+		{"S", bound(String("s3"), true), nil},
+		{"F", bound(Int(0), true), bound(Float(2), true)},
+		{"F", nil, bound(Float(math.Copysign(0, -1)), false)}, // -0.0 and 0 are one bound
+	} {
+		var st MatchStats
+		got, err := r.MatchRangeStats(rg.attr, rg.lo, rg.hi, &st)
+		what := fmt.Sprintf("MatchRange %s %v %v", rg.attr, rg.lo, rg.hi)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		sameTuples(t, what, got, filter(m.inRange(rg.attr, rg.lo, rg.hi)))
+		if walk := r.ProbeableRange(rg.attr, rg.lo, rg.hi); walk != (st.Probes == 1) || walk == (st.Scans == 1) {
+			t.Fatalf("%s: probeable=%v but charged %+v", what, walk, st)
+		}
+		if st.Probes == 1 && st.Scanned != len(got) {
+			t.Fatalf("%s: walk charged %d for a window of %d", what, st.Scanned, len(got))
+		}
+	}
+	if got, err := r.MatchRange("C", bound(Null(), false), nil); err != nil || len(got) != 0 {
+		t.Fatalf("MatchRange with a null bound = %v, %v", got, err)
+	}
+
+	pred := Cmp{Op: OpGt, L: Attr{Name: "C"}, R: Const{V: Int(2)}}
+	wantSel := filter(func(tu Tuple) bool { return !tu[2].IsNull() && tu[2].MustInt() > 2 })
+	for _, workers := range []int{1, 2, 3, 4, 8} {
+		got, err := r.SelectParallel(pred, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTuples(t, fmt.Sprintf("SelectParallel(C > 2, %d)", workers), got, wantSel)
+		if got, err = r.SelectParallel(nil, workers); err != nil {
+			t.Fatal(err)
+		}
+		sameTuples(t, fmt.Sprintf("SelectParallel(nil, %d)", workers), got, all)
+	}
+}
+
+const (
+	modelAs = 48 // A in [0,48), B in [0,16): 768 keys
+	modelBs = 16
+	// modelSeedRows rows are stored before the op stream runs, so that
+	// SelectParallel clears selectParallelMinRows and the tree has height.
+	modelSeedRows = 600
+)
+
+// modelTuple derives a row from three bytes: the key from a and b, the
+// rest from v — nulls, a negative int, a float attribute that sometimes
+// holds an int.
+func modelTuple(a, b, v byte) Tuple {
+	t := Tuple{Int(int64(a) % modelAs), Int(int64(b) % modelBs), Null(), Null(), Null()}
+	if v%7 != 0 {
+		t[2] = Int(int64(v%11) - 3)
+	}
+	if v%5 != 0 {
+		t[3] = String(fmt.Sprintf("s%d", v%6))
+	}
+	switch {
+	case v%4 == 1:
+		t[4] = Int(int64(v % 3))
+	case v%3 != 0:
+		t[4] = Float(float64(v%9)/2 - 1)
+	}
+	return t
+}
+
+// modelRun is one relation and its oracle driven in lockstep, plus every
+// version a clone op captured along the way with the oracle state it had.
+type modelRun struct {
+	r        *Relation
+	m        *modelRel
+	captured []modelRun
+}
+
+func newModelRun(t testing.TB) *modelRun {
+	s := modelSchema()
+	run := &modelRun{r: NewRelation(s), m: &modelRel{schema: s, rows: map[string]Tuple{}, indexes: map[string][]string{}}}
+	for i := 0; i < modelSeedRows; i++ {
+		tu := modelTuple(byte(i*7%modelAs), byte(i/modelAs), byte(i*13))
+		if err := run.r.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+		run.m.rows[s.EncodeKeyOf(tu)] = tu
+	}
+	return run
+}
+
+// step interprets four bytes as one operation, applies it to both sides
+// and checks that they agree on its outcome. It returns the key it
+// touched.
+func (run *modelRun) step(t testing.TB, op, a, b, v byte) Tuple {
+	t.Helper()
+	r, m, s := run.r, run.m, run.m.schema
+	tu := modelTuple(a, b, v)
+	key := s.KeyOf(tu)
+	ek := s.EncodeKeyOf(tu)
+	_, present := m.rows[ek]
+	expect := func(what string, err, want error) {
+		t.Helper()
+		if (want == nil) != (err == nil) || (want != nil && !errors.Is(err, want)) {
+			t.Fatalf("%s %v: error %v, oracle expects %v", what, key, err, want)
+		}
+	}
+	switch op % 9 {
+	case 0, 1:
+		var want error
+		if present {
+			want = ErrDuplicateKey
+		}
+		expect("Insert", r.Insert(tu), want)
+		if !present {
+			m.rows[ek] = tu
+		}
+	case 2, 3:
+		var want error
+		if !present {
+			want = ErrNoSuchTuple
+		}
+		_, err := r.Delete(key)
+		expect("Delete", err, want)
+		delete(m.rows, ek)
+	case 4:
+		var want error
+		if !present {
+			want = ErrNoSuchTuple
+		}
+		expect("Replace", r.Replace(key, tu), want)
+		if present {
+			m.rows[ek] = tu
+		}
+	case 5: // key-changing replace: (a, b) moves to (v, a)
+		nt := modelTuple(v, a, b)
+		nek := s.EncodeKeyOf(nt)
+		var want error
+		if _, clash := m.rows[nek]; !present {
+			want = ErrNoSuchTuple
+		} else if clash && nek != ek {
+			want = ErrDuplicateKey
+		}
+		expect("Replace (new key)", r.Replace(key, nt), want)
+		if want == nil {
+			delete(m.rows, ek)
+			m.rows[nek] = nt
+		}
+	case 6:
+		ix := modelIndexes[int(a)%len(modelIndexes)]
+		_, exists := m.indexes[ix.name]
+		if err := r.CreateIndex(ix.name, ix.attrs); (err != nil) != exists {
+			t.Fatalf("CreateIndex %s: %v, oracle has it: %v", ix.name, err, exists)
+		}
+		m.indexes[ix.name] = ix.attrs
+	case 7:
+		ix := modelIndexes[int(a)%len(modelIndexes)]
+		var want error
+		if _, exists := m.indexes[ix.name]; !exists {
+			want = ErrNoSuchIndex
+		}
+		expect("DropIndex "+ix.name, r.DropIndex(ix.name), want)
+		delete(m.indexes, ix.name)
+	case 8:
+		// Either side of a clone may be the one that goes on being written;
+		// the other must keep reading as it did.
+		c := r.clone()
+		if a%2 == 0 {
+			r, c = c, r
+		}
+		run.r = r
+		run.captured = append(run.captured, modelRun{r: c, m: m.copy()})
+	}
+	return key
+}
+
+// TestRelationMatchesModel drives seeded random operation sequences
+// against the tree-backed relation and the map-plus-sort oracle, comparing
+// every read path after every step; then every version captured by a
+// clone along the way must still read exactly as it did when captured.
+func TestRelationMatchesModel(t *testing.T) {
+	steps := 120
+	if testing.Short() {
+		steps = 40
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		run := newModelRun(t)
+		checkModel(t, run.r, run.m)
+		for i := 0; i < steps; i++ {
+			op := byte(rng.Intn(256))
+			if i == steps/3 {
+				op = 8 // at least one version is captured mid-run, whatever the seed deals
+			}
+			run.step(t, op, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+			checkModel(t, run.r, run.m)
+		}
+		for _, c := range run.captured {
+			checkModel(t, c.r, c.m)
+		}
+	}
+}
+
+// FuzzRelationOps feeds arbitrary bytes to the same interpreter and the
+// same oracle: a cheap check after every op, the full one at the end, and
+// the rows of every captured version (the full check on each would leave
+// the fuzzer a handful of inputs per second).
+func FuzzRelationOps(f *testing.F) {
+	f.Add([]byte{}) // the seed corpus is in testdata/fuzz
+	// Every input starts from a clone of one seeded relation: cheaper than
+	// seeding per input, and the base must come through all of them intact.
+	base := newModelRun(f)
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4*64 {
+			ops = ops[:4*64]
+		}
+		run := &modelRun{r: base.r.clone(), m: base.m.copy()}
+		for ; len(ops) >= 4; ops = ops[4:] {
+			key := run.step(t, ops[0], ops[1], ops[2], ops[3])
+			want, ok := run.m.rows[EncodeValues(key...)]
+			if got, gok := run.r.Get(key); ok != gok || (ok && !got.Equal(want)) || run.r.Count() != len(run.m.rows) {
+				t.Fatalf("after op %v: Get %v = %v, %v; oracle has %v, %v", ops[:4], key, got, gok, want, ok)
+			}
+		}
+		checkModel(t, run.r, run.m)
+		for _, c := range run.captured {
+			checkRows(t, c.r, c.m)
+		}
+		if base.r.Count() != modelSeedRows {
+			t.Fatalf("the shared base now holds %d rows", base.r.Count())
+		}
+	})
+}

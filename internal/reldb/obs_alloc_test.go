@@ -63,6 +63,9 @@ func TestTxObservability(t *testing.T) {
 	db.MustCreateRelation(MustSchema("R", []Attribute{
 		{Name: "K", Type: KindInt},
 	}, []string{"K"}))
+	if err := db.RunInTx(func(tx *Tx) error { return tx.Insert("R", Tuple{Int(0)}) }); err != nil {
+		t.Fatal(err)
+	}
 
 	before := obs.Default.Snapshot()
 	tx := db.Begin()
@@ -88,8 +91,8 @@ func TestTxObservability(t *testing.T) {
 	if got := delta.Counter("reldb.tx.txdone_hits"); got != 1 {
 		t.Errorf("txdone delta = %d, want 1", got)
 	}
-	if got := delta.Counter("reldb.relation.clones"); got != 1 {
-		t.Errorf("clones delta = %d, want 1 (one relation touched)", got)
+	if got := delta.Counter("reldb.tree.node_copies"); got != 1 {
+		t.Errorf("node copies delta = %d, want 1 (the one-leaf row tree's root)", got)
 	}
 	if st := delta.Histogram("reldb.tx.commit_ns"); st.Count != 1 {
 		t.Errorf("commit_ns count = %d, want 1 (only the successful commit observes)", st.Count)

@@ -3,7 +3,6 @@ package reldb
 import (
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"penguin/internal/obs"
 )
@@ -16,59 +15,42 @@ const (
 	// planScan: no covering index — fall back to a full-relation scan.
 	planScan planKind = iota
 	// planPoint: the attribute set is exactly the primary key — serve
-	// with a point Get.
+	// with a prefix probe of the row tree (at most one tuple).
 	planPoint
 	// planIndex: a secondary index covers the attribute set — serve with
-	// a bucket probe.
+	// a prefix probe of its tree.
 	planIndex
 )
 
-// lookupPlan is the resolved index selection for one (relation version,
-// attribute list) pair: which access path to use and how to permute the
-// caller's values into that path's attribute order. Plans are immutable
-// once published and shared by every lookup (and every parallel worker)
-// against the same relation version.
+// lookupPlan is the resolved index selection for one (relation, attribute
+// list) pair: which access path to use and how to permute the caller's
+// values into that path's attribute order. A plan names its index rather
+// than pointing into one version's tree, so it holds for every version
+// with the same index set. Plans are immutable once published and shared
+// by every lookup (and every parallel worker).
 type lookupPlan struct {
 	// idx are the attribute indices, in the caller's attrNames order
 	// (duplicate-free — lookupIndices rejected duplicates).
 	idx  []int
 	kind planKind
-	// ix is the serving secondary index (planIndex only).
-	ix *secondaryIndex
+	// ixName names the serving secondary index (planIndex only).
+	ixName string
 	// perm maps target positions to caller positions: target[i] =
 	// vals[perm[i]], where target is the primary key (planPoint) or the
 	// index's attribute order (planIndex). Nil for planScan.
 	perm []int
 }
 
-// permute arranges the caller's lookup values into the plan's target
-// attribute order.
-func (p *lookupPlan) permute(vals Tuple) Tuple {
-	out := make(Tuple, len(p.perm))
-	for i, j := range p.perm {
-		out[i] = vals[j]
-	}
-	return out
-}
-
-// planCache memoizes index selection per relation version. Committed
-// relation versions are immutable in every respect except this cache, so
-// it carries its own lock: concurrent readers of a shared snapshot race
-// only on the map, never on the plans themselves (published plans are
-// immutable). A write transaction's private clone starts cold — the
-// parent's plans are version-local (they pin *secondaryIndex pointers) —
-// which is what makes generation advance an automatic invalidation.
+// planCache memoizes index selection for a relation. Committed relation
+// versions are immutable in every respect except this cache, so it
+// carries its own lock: concurrent readers race only on the map, never on
+// the plans themselves (published plans are immutable). Versions share it
+// by pointer across commits; index DDL — the only thing that changes a
+// selection — installs a fresh cache on the version that ran it and
+// leaves the old one to the versions that still share it.
 type planCache struct {
 	mu    sync.RWMutex
 	plans map[string]*lookupPlan
-	// ranges caches ordered views (rangePlan) under "range"+sep+attr
-	// keys. Unlike lookupPlans — which read the live row map and index
-	// objects and so survive in-place mutation — a rangePlan materializes
-	// the row set, so mutators drop these (dropRanges). hasRanges lets
-	// that drop cost one atomic load on the mutation hot path when no
-	// range plan exists.
-	ranges    map[string]*rangePlan
-	hasRanges atomic.Bool
 }
 
 // get returns the cached plan for key, or nil.
@@ -94,67 +76,10 @@ func (pc *planCache) put(key string, p *lookupPlan) (*lookupPlan, bool) {
 	return p, true
 }
 
-// getRange returns the cached ordered view for key, or nil.
-func (pc *planCache) getRange(key string) *rangePlan {
-	if !pc.hasRanges.Load() {
-		return nil
-	}
-	pc.mu.RLock()
-	p := pc.ranges[key]
-	pc.mu.RUnlock()
-	return p
-}
-
-// putRange publishes an ordered view, unless a racing builder won; it
-// returns the view that ended up cached and whether this call stored it.
-func (pc *planCache) putRange(key string, p *rangePlan) (*rangePlan, bool) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	if prev, ok := pc.ranges[key]; ok {
-		return prev, false
-	}
-	if pc.ranges == nil {
-		pc.ranges = make(map[string]*rangePlan, 2)
-	}
-	pc.ranges[key] = p
-	pc.hasRanges.Store(true)
-	return p, true
-}
-
-// dropRanges discards the cached ordered views and returns how many
-// were dropped. Called on every row mutation: a rangePlan pins this
-// version's row set, which Insert/Delete/Replace change in place (only
-// a write transaction's private clone is ever mutated, so on committed
-// versions this is never reached past the atomic load).
-func (pc *planCache) dropRanges() int {
-	if !pc.hasRanges.Load() {
-		return 0
-	}
-	pc.mu.Lock()
-	n := len(pc.ranges)
-	pc.ranges = nil
-	pc.hasRanges.Store(false)
-	pc.mu.Unlock()
-	return n
-}
-
-// purge discards every cached plan and returns how many were dropped.
-// Called on index DDL: a cached plan pins the index selection (and a
-// *secondaryIndex), both of which CreateIndex/DropIndex change.
-func (pc *planCache) purge() int {
-	pc.mu.Lock()
-	n := len(pc.plans) + len(pc.ranges)
-	pc.plans = nil
-	pc.ranges = nil
-	pc.hasRanges.Store(false)
-	pc.mu.Unlock()
-	return n
-}
-
-// size returns the number of cached plans (lookup and range).
+// size returns the number of cached plans.
 func (pc *planCache) size() int {
 	pc.mu.RLock()
-	n := len(pc.plans) + len(pc.ranges)
+	n := len(pc.plans)
 	pc.mu.RUnlock()
 	return n
 }
@@ -174,8 +99,8 @@ func planKey(attrNames []string) string {
 	return strings.Join(attrNames, planKeySep)
 }
 
-// planFor resolves the lookup plan for attrNames on this relation
-// version, consulting the cache first. Exactly one of
+// planFor resolves the lookup plan for attrNames on this relation,
+// consulting the cache first. Exactly one of
 // reldb.plancache.{hits,misses} is counted per successful call (errors
 // count nothing), so lookups == hits + misses holds at every quiescent
 // point. The keys are order-sensitive ("a","b" and "b","a" cache
@@ -196,18 +121,10 @@ func (r *Relation) planFor(what string, attrNames []string) (*lookupPlan, error)
 	p := &lookupPlan{idx: idx, kind: planScan}
 	if sameIntSet(idx, r.schema.key) {
 		p.kind = planPoint
-		p.perm = make([]int, len(r.schema.key))
-		for i, k := range r.schema.key {
-			for j, a := range idx {
-				if a == k {
-					p.perm[i] = j
-					break
-				}
-			}
-		}
+		p.perm = permTo(r.schema.key, idx)
 	} else if ix, perm := r.findIndex(idx); ix != nil {
 		p.kind = planIndex
-		p.ix = ix
+		p.ixName = ix.name
 		p.perm = perm
 	}
 	p, stored := r.plans.put(key, p)
@@ -220,19 +137,12 @@ func (r *Relation) planFor(what string, attrNames []string) (*lookupPlan, error)
 	return p, nil
 }
 
-// invalidatePlans purges the plan cache after index DDL and records the
-// dropped plans in reldb.plancache.invalidations.
-func (r *Relation) invalidatePlans() {
-	if n := r.plans.purge(); n > 0 {
+// resetPlans gives this version a fresh plan cache after index DDL and
+// records the plans it no longer sees in reldb.plancache.invalidations.
+// The old cache is not purged: published versions may still share it.
+func (r *Relation) resetPlans() {
+	if n := r.plans.size(); n > 0 {
 		obs.Default.PlanCacheInvalidations.Add(int64(n))
 	}
-}
-
-// invalidateRangePlans drops the cached ordered views after a row
-// mutation (they materialize the row set; see planCache.dropRanges) and
-// records them in reldb.plancache.invalidations.
-func (r *Relation) invalidateRangePlans() {
-	if n := r.plans.dropRanges(); n > 0 {
-		obs.Default.PlanCacheInvalidations.Add(int64(n))
-	}
+	r.plans = &planCache{}
 }

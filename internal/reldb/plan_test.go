@@ -17,12 +17,6 @@ func planCounts() (lookups, hits, misses, invalidations int64) {
 		s.Counter("reldb.plancache.invalidations")
 }
 
-// cloneDrops reads the clone-side churn counter: warm plans left behind
-// when a write transaction cloned the relation for the next generation.
-func cloneDrops() int64 {
-	return obs.Capture().Counter("reldb.plancache.clone_drops")
-}
-
 func TestPlanCacheHitMissAccounting(t *testing.T) {
 	r := newGradesRel(t)
 	if err := r.Insert(grade("CS101", 1, "A")); err != nil {
@@ -124,58 +118,68 @@ func TestPlanCacheInvalidatedByIndexDDL(t *testing.T) {
 	}
 }
 
-func TestPlanCacheColdAfterClone(t *testing.T) {
+// TestPlanCacheSurvivesCommit: versions of a relation share one plan
+// cache, so a commit neither cools its readers' plans nor makes the next
+// version resolve them again; index DDL gives the version that ran it a
+// fresh cache and leaves the one a pinned reader still uses alone.
+func TestPlanCacheSurvivesCommit(t *testing.T) {
 	db := NewDatabase()
 	if _, err := db.CreateRelation(gradesSchema(t)); err != nil {
 		t.Fatal(err)
 	}
-	err := db.RunInTx(func(tx *Tx) error {
-		return tx.Insert("GRADES", grade("CS101", 1, "A"))
-	})
-	if err != nil {
-		t.Fatal(err)
+	insert := func(pid int64) {
+		t.Helper()
+		if err := db.RunInTx(func(tx *Tx) error { return tx.Insert("GRADES", grade("CS101", pid, "A")) }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rel, err := db.Relation("GRADES")
-	if err != nil {
-		t.Fatal(err)
+	lookup := func(rel *Relation, want int) {
+		t.Helper()
+		if out, err := rel.MatchEqual([]string{"Grade"}, Tuple{String("A")}); err != nil || len(out) != want {
+			t.Fatalf("lookup = %v, %v; want %d tuples", out, err, want)
+		}
 	}
-	// Warm the committed version's cache, then write: the clone must
-	// resolve afresh (miss), and the warm plans count as clone drops —
-	// not as DDL invalidations, so hit-rate dashboards can tell
-	// generational churn from explicit purges.
-	if _, err := rel.MatchEqual([]string{"Grade"}, Tuple{String("A")}); err != nil {
-		t.Fatal(err)
+	insert(1)
+	rel := db.MustRelation("GRADES")
+	lookup(rel, 1)
+	_, h0, m0, i0 := planCounts()
+	for pid := int64(2); pid <= 10; pid++ {
+		insert(pid)
 	}
-	_, _, m0, i0 := planCounts()
-	d0 := cloneDrops()
-	err = db.RunInTx(func(tx *Tx) error {
-		return tx.Insert("GRADES", grade("CS101", 2, "B"))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := cloneDrops(); d-d0 < 1 {
-		t.Fatalf("clone drops +%d, want >= 1", d-d0)
-	}
-	if _, _, _, i := planCounts(); i != i0 {
-		t.Fatalf("clone counted as DDL invalidation (+%d), want clone_drops only", i-i0)
-	}
-	rel2, err := db.Relation("GRADES")
-	if err != nil {
-		t.Fatal(err)
-	}
+	rel2 := db.MustRelation("GRADES")
 	if rel2 == rel {
 		t.Fatal("commit should have published a new relation version")
 	}
-	if _, err := rel2.MatchEqual([]string{"Grade"}, Tuple{String("A")}); err != nil {
+	lookup(rel2, 10)
+	lookup(rel, 1) // the pinned version reads its own rows through the shared plan
+	if _, h, m, i := planCounts(); h-h0 != 2 || m != m0 || i != i0 {
+		t.Fatalf("after 9 commits: hits+%d misses+%d invalidations+%d, want +2/+0/+0", h-h0, m-m0, i-i0)
+	}
+
+	// Index DDL in a transaction: the new version plans afresh (and now
+	// probes the index), the pinned one keeps its scan plan.
+	if err := db.RunInTx(func(tx *Tx) error {
+		r, err := tx.Relation("GRADES")
+		if err != nil {
+			return err
+		}
+		if err := r.CreateIndex("byGrade", []string{"Grade"}); err != nil {
+			return err
+		}
+		return tx.Insert("GRADES", grade("CS101", 11, "B")) // a write publishes the version
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, m, _ := planCounts(); m-m0 < 1 {
-		t.Fatalf("new version misses +%d, want >= 1 (cache should start cold)", m-m0)
+	var st MatchStats
+	if _, err := db.MustRelation("GRADES").MatchEqualStats([]string{"Grade"}, Tuple{String("A")}, &st); err != nil || st.Probes != 1 {
+		t.Fatalf("post-DDL version: stats %+v, %v; want an index probe", st, err)
 	}
-	// The old pinned version still answers from its own (warm) cache.
-	if out, err := rel.MatchEqual([]string{"Grade"}, Tuple{String("A")}); err != nil || len(out) != 1 {
-		t.Fatalf("old version lookup = %v, %v", out, err)
+	if _, _, m, i := planCounts(); m-m0 != 1 || i-i0 != 1 {
+		t.Fatalf("index DDL: misses+%d invalidations+%d, want +1/+1", m-m0, i-i0)
+	}
+	st = MatchStats{}
+	if _, err := rel.MatchEqualStats([]string{"Grade"}, Tuple{String("A")}, &st); err != nil || st.Scans != 1 {
+		t.Fatalf("pinned version: stats %+v, %v; want its old scan plan", st, err)
 	}
 }
 

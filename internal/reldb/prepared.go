@@ -137,12 +137,7 @@ func (p *PreparedTx) CommitDecided() error {
 		}
 	}
 	tx.db.mu.Lock()
-	tx.db.gen++
-	for name := range tx.written {
-		r := tx.dirty[name]
-		r.gen = tx.db.gen
-		tx.db.relations[name] = r
-	}
+	tx.install()
 	tx.db.publishLocked(p.batch)
 	tx.db.writing = false
 	tx.db.mu.Unlock()
@@ -286,6 +281,7 @@ func (db *Database) ResolveInDoubt(xid string, commit bool) error {
 			db.mu.Unlock()
 			return fmt.Errorf("reldb: resolve %s: %w", xid, err)
 		}
+		c.freeze()
 		c.gen = db.gen
 		db.relations[d.Relation] = c
 	}

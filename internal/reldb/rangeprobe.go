@@ -3,8 +3,6 @@ package reldb
 import (
 	"fmt"
 	"sort"
-
-	"penguin/internal/obs"
 )
 
 // RangeBound is one side of a decomposed range predicate: the constant
@@ -108,17 +106,41 @@ func rangeComparable(want, have Kind) bool {
 	return want == have || (numeric(want) && numeric(have))
 }
 
+// rangeTree resolves the tree a range over attribute ai can walk in
+// order: the row tree when ai leads the primary key, else the secondary
+// index (first by name) that ai leads. Want ranges on an attribute? Index
+// it.
+func (r *Relation) rangeTree(ai int) (t *ptree, pkOrder bool) {
+	if r.schema.key[0] == ai {
+		return &r.rows, true
+	}
+	var best *secondaryIndex
+	for _, ix := range r.indexes {
+		if ix.attrs[0] == ai && (best == nil || ix.name < best.name) {
+			best = ix
+		}
+	}
+	if best == nil {
+		return nil, false
+	}
+	return &best.tree, false
+}
+
+// walkableBound reports whether b (nil: no bound) turns into an exact
+// tree position for an attribute of kind want: non-null, of a kind
+// Compare orders against the attribute's values, and inside the key
+// codec's exact domain.
+func walkableBound(want Kind, b *RangeBound) bool {
+	return b == nil || (!b.V.IsNull() && rangeComparable(want, b.V.Kind()) && keyEncodable(b.V))
+}
+
 // ProbeableRange reports whether a MatchRange over attr with these
-// bounds is guaranteed to return exactly the tuples a predicate scan for
-// the same range conjunction would — so a caller holding a
-// RangeConjunction decomposition may substitute the probe for the scan.
-// The guarantee requires that the attribute resolves, that at least one
-// bound exists, and that no bound is null (three-valued: a null bound
-// matches nothing) or of a kind Compare cannot order against the
-// attribute's values. Unlike ProbeableEqual no index is required: the
-// probe's access path is an ordered view built once per relation
-// version and amortized across every range over the same attribute,
-// which a hash-bucket index cannot provide.
+// bounds is a bounded walk guaranteed to return exactly the tuples a
+// predicate scan for the same range conjunction would — so a caller
+// holding a RangeConjunction decomposition may substitute the probe for
+// the scan. That requires at least one bound, every bound walkable
+// (walkableBound; a null bound matches nothing, three-valued), and an
+// ordered access path: attr leads the primary key or a secondary index.
 func (r *Relation) ProbeableRange(attr string, lo, hi *RangeBound) bool {
 	if lo == nil && hi == nil {
 		return false
@@ -127,82 +149,46 @@ func (r *Relation) ProbeableRange(attr string, lo, hi *RangeBound) bool {
 	if err != nil {
 		return false
 	}
-	a := r.schema.Attr(idx[0])
-	for _, b := range []*RangeBound{lo, hi} {
-		if b == nil {
-			continue
-		}
-		if b.V.IsNull() || !rangeComparable(a.Type, b.V.Kind()) {
-			return false
-		}
-	}
-	return true
+	kind := r.schema.Attr(idx[0]).Type
+	t, _ := r.rangeTree(idx[0])
+	return t != nil && walkableBound(kind, lo) && walkableBound(kind, hi)
 }
 
-// rangeEntry pairs a stored tuple with its encoded primary key, so a
-// selected window can be put back into primary-key order.
-type rangeEntry struct {
-	ek string
-	t  Tuple
-}
-
-// rangePlan is the cached ordered view over one attribute of one
-// relation version: every tuple with a non-null value there (null never
-// satisfies a range), sorted by Compare on that value with ties broken
-// by primary key. Published plans are immutable; in-place mutation
-// (a write transaction's private clone) drops them — see dropRanges.
-type rangePlan struct {
-	ai      int
-	entries []rangeEntry
-}
-
-// buildRangePlan materializes the ordered view, costing one full scan
-// plus the sort.
-func (r *Relation) buildRangePlan(ai int) (*rangePlan, error) {
-	p := &rangePlan{ai: ai, entries: make([]rangeEntry, 0, len(r.rows))}
-	for ek, t := range r.rows {
-		if t[ai].IsNull() {
-			continue
-		}
-		p.entries = append(p.entries, rangeEntry{ek: ek, t: t})
+// prefixSuccessor returns the smallest string greater than every string
+// that has prefix p. Key encodings start with a tag byte below 0xFF, so
+// one always exists.
+func prefixSuccessor(p string) string {
+	b := []byte(p)
+	for b[len(b)-1] == 0xFF {
+		b = b[:len(b)-1]
 	}
-	var sortErr error
-	sort.Slice(p.entries, func(i, j int) bool {
-		c, err := Compare(p.entries[i].t[ai], p.entries[j].t[ai])
-		if err != nil && sortErr == nil {
-			sortErr = err
-		}
-		if c != 0 {
-			return c < 0
-		}
-		return p.entries[i].ek < p.entries[j].ek
-	})
-	if sortErr != nil {
-		return nil, fmt.Errorf("reldb: %s: MatchRange: %w", r.Name(), sortErr)
-	}
-	return p, nil
+	b[len(b)-1]++
+	return string(b)
 }
 
 // MatchRange returns the tuples whose attribute attr lies within the
 // given bounds (either may be nil for a half-open range), in
 // primary-key order — the same result a Select over the equivalent
-// range conjunction produces. The ordered view it binary-searches is
-// resolved once per relation version through the lookup-plan cache
-// (key "range"+sep+attr) and reused by every subsequent range over the
-// same attribute.
+// range conjunction produces. When attr leads the primary key or a
+// secondary index the bounds become encoded tree positions and the probe
+// walks only the window between them; any other attribute is scanned.
 func (r *Relation) MatchRange(attr string, lo, hi *RangeBound) ([]Tuple, error) {
 	return r.MatchRangeStats(attr, lo, hi, nil)
 }
 
 // MatchRangeStats is MatchRange that additionally accumulates lookup
-// cost into st (which may be nil): a view build charges a full scan,
-// a cache hit charges only the tuples in the selected window.
+// cost into st (which may be nil): a walk charges the tuples in its
+// window, a scan the whole relation.
 func (r *Relation) MatchRangeStats(attr string, lo, hi *RangeBound, st *MatchStats) ([]Tuple, error) {
 	idx, err := r.lookupIndices("MatchRange", []string{attr})
 	if err != nil {
 		return nil, err
 	}
-	a := r.schema.Attr(idx[0])
+	if lo == nil && hi == nil {
+		return nil, fmt.Errorf("reldb: %s: MatchRange: %s: no bound", r.Name(), attr)
+	}
+	ai := idx[0]
+	a := r.schema.Attr(ai)
 	for _, b := range []*RangeBound{lo, hi} {
 		if b == nil {
 			continue
@@ -218,58 +204,62 @@ func (r *Relation) MatchRangeStats(attr string, lo, hi *RangeBound, st *MatchSta
 		}
 	}
 
-	key := "range" + planKeySep + attr
-	p := r.plans.getRange(key)
-	built := false
-	if p == nil {
-		if p, err = r.buildRangePlan(idx[0]); err != nil {
-			return nil, err
+	t, pkOrder := r.rangeTree(ai)
+	if t == nil || !walkableBound(a.Type, lo) || !walkableBound(a.Type, hi) {
+		// No ordered path, or a bound with no exact position on it: scan
+		// under the equivalent predicate.
+		var terms []Expr
+		term := func(b *RangeBound, incl, excl CmpOp) {
+			if b == nil {
+				return
+			}
+			op := incl
+			if b.Strict {
+				op = excl
+			}
+			terms = append(terms, Cmp{Op: op, L: Attr{Name: attr}, R: Const{V: b.V}})
 		}
-		p, built = r.plans.putRange(key, p)
-	}
-	obs.Default.PlanCacheLookups.Inc()
-	if built {
-		obs.Default.PlanCacheMisses.Inc()
-	} else {
-		obs.Default.PlanCacheHits.Inc()
+		term(lo, OpGe, OpGt)
+		term(hi, OpLe, OpLt)
+		r.obsScan(st, r.Count())
+		return r.Select(And{Terms: terms})
 	}
 
-	// Binary-search the window. Bounds were vetted against the attribute
-	// kind above and nulls are excluded from the view, so Compare cannot
-	// fail here.
-	cmp := func(v Value, b *RangeBound) int {
-		c, _ := Compare(v, b.V)
-		return c
-	}
-	n := len(p.entries)
-	start, end := 0, n
+	// The window runs from the first position past null (null sorts first
+	// and satisfies no range) or the lower bound, to the upper bound; a
+	// bound that excludes (lower) or includes (upper) its own value sits
+	// just past every key that starts with that value's encoding.
+	from, to := string([]byte{tagNull + 1}), ""
 	if lo != nil {
-		start = sort.Search(n, func(i int) bool {
-			c := cmp(p.entries[i].t[p.ai], lo)
-			return c > 0 || (!lo.Strict && c == 0)
-		})
+		if from = EncodeValues(lo.V); lo.Strict {
+			from = prefixSuccessor(from)
+		}
 	}
 	if hi != nil {
-		end = sort.Search(n, func(i int) bool {
-			c := cmp(p.entries[i].t[p.ai], hi)
-			return c > 0 || (hi.Strict && c == 0)
+		if to = EncodeValues(hi.V); !hi.Strict {
+			to = prefixSuccessor(to)
+		}
+	}
+	var out []Tuple
+	t.ascend(from, func(k string, t Tuple) bool {
+		if hi != nil && k >= to {
+			return false
+		}
+		out = append(out, t.Clone())
+		return true
+	})
+	if !pkOrder {
+		// An index walk comes out in indexed-value order; put the window
+		// back in primary-key order (Compare order is codec order).
+		sort.Slice(out, func(i, j int) bool {
+			for _, k := range r.schema.key {
+				if c, _ := Compare(out[i][k], out[j][k]); c != 0 {
+					return c < 0
+				}
+			}
+			return false
 		})
 	}
-	if end < start {
-		end = start
-	}
-
-	window := make([]rangeEntry, end-start)
-	copy(window, p.entries[start:end])
-	sort.Slice(window, func(i, j int) bool { return window[i].ek < window[j].ek })
-	out := make([]Tuple, len(window))
-	for i, e := range window {
-		out[i] = e.t.Clone()
-	}
-	if built {
-		r.obsScan(st, r.Count())
-	} else {
-		r.obsProbe(st, len(out))
-	}
+	r.obsProbe(st, len(out))
 	return out, nil
 }

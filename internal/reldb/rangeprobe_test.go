@@ -51,11 +51,26 @@ func TestRangeConjunction(t *testing.T) {
 func TestProbeableRange(t *testing.T) {
 	r := newGradesRel(t)
 	lo := &RangeBound{V: Int(1)}
+	if r.ProbeableRange("PID", lo, nil) {
+		t.Fatal("PID neither leads the key nor an index: nothing ordered to walk")
+	}
+	if err := r.CreateIndex("byPID", []string{"PID", "Grade"}); err != nil {
+		t.Fatal(err)
+	}
 	if !r.ProbeableRange("PID", lo, nil) {
-		t.Fatal("half-open int range on int attribute should probe")
+		t.Fatal("half-open int range on the leading attribute of an index should probe")
+	}
+	if r.ProbeableRange("Grade", &RangeBound{V: String("B")}, nil) {
+		t.Fatal("Grade is indexed but does not lead its index")
+	}
+	if !r.ProbeableRange("CourseID", &RangeBound{V: String("CS1")}, nil) {
+		t.Fatal("range on the leading primary-key attribute should probe")
 	}
 	if !r.ProbeableRange("PID", &RangeBound{V: Float(1.5)}, nil) {
 		t.Fatal("float bound on int attribute orders numerically, should probe")
+	}
+	if r.ProbeableRange("PID", &RangeBound{V: Int(maxExactInt + 1)}, nil) {
+		t.Fatal("a bound the key codec rounds has no exact tree position")
 	}
 	if r.ProbeableRange("PID", nil, nil) {
 		t.Fatal("unbounded range has nothing to probe")
@@ -72,9 +87,10 @@ func TestProbeableRange(t *testing.T) {
 }
 
 // TestMatchRangeMatchesSelect pins the substitution guarantee: for every
-// probeable range, MatchRange returns exactly what a predicate scan
-// does — same tuples, same primary-key order — including rows holding
-// null in the ranged attribute (which no range matches).
+// range, walked (indexed, then probeable) or scanned (index dropped),
+// MatchRange returns exactly what a predicate scan does — same tuples,
+// same primary-key order — including rows holding null in the ranged
+// attribute (which no range matches).
 func TestMatchRangeMatchesSelect(t *testing.T) {
 	s := MustSchema("T", []Attribute{
 		{Name: "K", Type: KindInt},
@@ -119,9 +135,22 @@ func TestMatchRangeMatchesSelect(t *testing.T) {
 			Cmp{Op: OpLe, L: Attr{Name: "K"}, R: Const{V: Int(20)}},
 		}}},
 	}
-	for i, c := range cases {
-		if !r.ProbeableRange(c.attr, c.lo, c.hi) {
-			t.Fatalf("case %d: not probeable", i)
+	if err := r.CreateIndex("byN", []string{"N"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CreateIndex("bySK", []string{"S", "K"}); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range append(cases, cases...) {
+		if i == len(cases) {
+			for _, name := range r.IndexNames() {
+				if err := r.DropIndex(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if walked := i < len(cases) || c.attr == "K"; r.ProbeableRange(c.attr, c.lo, c.hi) != walked {
+			t.Fatalf("case %d: probeable = %v, want %v", i, !walked, walked)
 		}
 		want, err := r.Select(c.pred)
 		if err != nil {
@@ -153,71 +182,54 @@ func TestMatchRangeMatchesSelect(t *testing.T) {
 	}
 }
 
-// TestRangePlanCacheAccounting pins the cache lifecycle: first range
-// over an attribute builds the ordered view (miss, charged a scan),
-// repeats hit it (charged the window), row mutation drops it
-// (invalidation, next call is a miss again), and hits+misses always
-// reconcile with lookups.
-func TestRangePlanCacheAccounting(t *testing.T) {
+// TestRangeWalkAccounting pins what a range costs: over the leading key
+// attribute or the leading attribute of an index it charges one probe of
+// exactly its window — the first time and every time, however the
+// relation has been mutated in between, and without touching the plan
+// cache — while a range over any other attribute charges a full scan.
+func TestRangeWalkAccounting(t *testing.T) {
 	r := newGradesRel(t)
-	for i := 0; i < 10; i++ {
+	if err := r.CreateIndex("byPID", []string{"PID"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
 		if err := r.Insert(grade(fmt.Sprintf("CS%03d", i), int64(i), "A")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lo := &RangeBound{V: Int(3)}
-	l0, h0, m0, i0 := planCounts()
-
+	l0, _, _, i0 := planCounts()
+	for round, c := range []struct {
+		attr string
+		lo   Value
+		want int
+	}{
+		{"PID", Int(93), 7},
+		{"PID", Int(93), 7},
+		{"CourseID", String("CS090"), 10},
+		{"PID", Int(500), 1}, // after the insert below
+	} {
+		if round == 3 {
+			if err := r.Insert(grade("CS999", 999, "B")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var st MatchStats
+		out, err := r.MatchRangeStats(c.attr, &RangeBound{V: c.lo}, nil, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != c.want || st != (MatchStats{Probes: 1, Scanned: c.want}) {
+			t.Fatalf("round %d: %d tuples charged %+v, want one probe of a %d-tuple window", round, len(out), st, c.want)
+		}
+	}
 	var st MatchStats
-	if _, err := r.MatchRangeStats("PID", lo, nil, &st); err != nil {
+	if _, err := r.MatchRangeStats("Grade", &RangeBound{V: String("B")}, nil, &st); err != nil {
 		t.Fatal(err)
 	}
-	l, h, m, _ := planCounts()
-	if l-l0 != 1 || h-h0 != 0 || m-m0 != 1 {
-		t.Fatalf("first range: lookups+%d hits+%d misses+%d, want +1/+0/+1", l-l0, h-h0, m-m0)
+	if st != (MatchStats{Scans: 1, Scanned: r.Count()}) {
+		t.Fatalf("unindexed range charged %+v, want one full scan", st)
 	}
-	if st.Scans != 1 || st.Scanned != r.Count() {
-		t.Fatalf("view build charged %+v, want one full scan", st)
-	}
-
-	st = MatchStats{}
-	out, err := r.MatchRangeStats("PID", lo, nil, &st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, h, m, _ = planCounts()
-	if l-l0 != 2 || h-h0 != 1 || m-m0 != 1 {
-		t.Fatalf("second range: lookups+%d hits+%d misses+%d, want +2/+1/+1", l-l0, h-h0, m-m0)
-	}
-	if st.Probes != 1 || st.Scanned != len(out) {
-		t.Fatalf("cached range charged %+v for %d tuples, want one window probe", st, len(out))
-	}
-
-	// Another attribute's view caches independently.
-	if _, err := r.MatchRange("CourseID", &RangeBound{V: String("CS005")}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if r.plans.size() < 2 {
-		t.Fatalf("plan cache holds %d entries, want the two ordered views", r.plans.size())
-	}
-
-	// Mutation drops the views; the next range rebuilds.
-	if err := r.Insert(grade("CS999", 999, "B")); err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, inv := planCounts()
-	if inv-i0 != 2 {
-		t.Fatalf("invalidations +%d after mutation, want +2 (both views dropped)", inv-i0)
-	}
-	got, err := r.MatchRange("PID", &RangeBound{V: Int(500)}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || !got[0].Equal(grade("CS999", 999, "B")) {
-		t.Fatalf("rebuilt view missed the new row: %v", got)
-	}
-	l, h, m, _ = planCounts()
-	if (h-h0)+(m-m0) != l-l0 {
-		t.Fatalf("counters do not reconcile: lookups+%d hits+%d misses+%d", l-l0, h-h0, m-m0)
+	if l, _, _, i := planCounts(); l != l0 || i != i0 {
+		t.Fatalf("range walks touched the plan cache: lookups+%d invalidations+%d", l-l0, i-i0)
 	}
 }

@@ -2,29 +2,38 @@ package reldb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"penguin/internal/obs"
 )
 
-// Relation is an in-memory keyed table. Rows live in a map keyed by the
-// order-preserving encoding of the primary key; scans sort the encoded
-// keys to yield a deterministic, key-ordered iteration. Optional secondary
-// hash indexes accelerate equality lookups on non-key attribute sets
-// (the connection attributes of the structural model).
+// Relation is an in-memory keyed table. Rows live in a path-copying
+// ordered tree (ptree.go) keyed by the order-preserving encoding of the
+// primary key, so a scan is an in-order walk. Optional secondary indexes —
+// trees of the same kind, keyed by the indexed values followed by the
+// primary key — accelerate equality and range lookups on other attribute
+// sets (the connection attributes of the structural model).
 //
 // Relation is not internally synchronized. Under the database's copy-on-
 // write discipline, committed versions are immutable: write transactions
 // mutate a private clone and publish it at commit, so any *Relation
 // obtained from the catalog (directly or through a ReadTx snapshot) is
 // safe to read concurrently. Stored tuples are never mutated in place
-// (Insert and Replace store defensive copies), which lets clones share
-// them.
+// (Insert and Replace store defensive copies), which lets versions, and
+// the row tree and the index trees of one version, share them.
 type Relation struct {
 	schema  *Schema
-	rows    map[string]Tuple
+	rows    ptree
 	indexes map[string]*secondaryIndex
+	// edit is the token under which this version mutates tree nodes in
+	// place: nil on a frozen version, taken lazily by the first mutation.
+	// A version is frozen when it is published (Tx.install) and when it is
+	// cloned — the moment its nodes become shared; the latter is the one
+	// write a setup-phase relation ever sees from another goroutine, hence
+	// the atomic.
+	edit atomic.Pointer[treeOwner]
 	// gen is the commit generation that published this version (0 for a
 	// version never published by a transaction).
 	gen uint64
@@ -32,19 +41,19 @@ type Relation struct {
 	// interned at construction so the per-relation lookup-cost counters
 	// (reldb.relation.scanned and friends) stay allocation-free.
 	obsSlot int
-	// plans memoizes index selection per attribute list for this version
-	// of the relation. It is the one mutable piece of a committed
-	// (otherwise immutable) version, and carries its own lock; clones
-	// start with a cold cache, so advancing the generation invalidates
-	// plans automatically. See plan.go.
-	plans planCache
+	// plans memoizes index selection per attribute list. Plans name their
+	// index, not a version's tree, so every version of the relation shares
+	// one cache by pointer until index DDL gives the version that ran it a
+	// fresh one. It is the one mutable piece of a committed version, and
+	// carries its own lock. See plan.go.
+	plans *planCache
 }
 
 type secondaryIndex struct {
 	name  string
 	attrs []int // attribute indices, in the order given at creation
-	// buckets maps encoded attr values to the set of encoded primary keys.
-	buckets map[string]map[string]struct{}
+	// tree maps EncodeValues(attrs of t…)+EncodeKeyOf(t) to the stored t.
+	tree ptree
 }
 
 // NewRelation creates an empty relation with the given schema. The
@@ -53,9 +62,9 @@ type secondaryIndex struct {
 func NewRelation(schema *Schema) *Relation {
 	return &Relation{
 		schema:  schema,
-		rows:    make(map[string]Tuple),
 		indexes: make(map[string]*secondaryIndex),
 		obsSlot: obs.Default.Relations.Intern(schema.Name()),
+		plans:   &planCache{},
 	}
 }
 
@@ -66,30 +75,75 @@ func (r *Relation) Schema() *Schema { return r.schema }
 func (r *Relation) Name() string { return r.schema.Name() }
 
 // Count returns the number of tuples in the relation.
-func (r *Relation) Count() int { return len(r.rows) }
+func (r *Relation) Count() int { return r.rows.n }
 
 // Generation returns the commit generation that published this version of
 // the relation.
 func (r *Relation) Generation() uint64 { return r.gen }
 
+// owner returns the token this version mutates under, taking one if the
+// version is frozen (a fresh clone, or a catalog relation mutated in place
+// under the setup-phase exception).
+func (r *Relation) owner() *treeOwner {
+	o := r.edit.Load()
+	if o == nil {
+		o = new(treeOwner)
+		r.edit.Store(o)
+	}
+	return o
+}
+
+// freeze gives up the edit token: every node this version reaches is
+// immutable from here on, whoever shares it. It writes nothing on an
+// already frozen version, so concurrent cloners of a published version
+// only read.
+func (r *Relation) freeze() {
+	if r.edit.Load() != nil {
+		r.edit.Store(nil)
+	}
+}
+
+// checkStorable is CheckTuple plus the key-codec domain check on indexed
+// attributes (CheckTuple covers the key attributes).
+func (r *Relation) checkStorable(t Tuple) error {
+	if err := r.schema.CheckTuple(t); err != nil {
+		return err
+	}
+	for _, ix := range r.indexes {
+		if err := ix.check(r, t); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Insert adds a tuple. It fails with ErrDuplicateKey if a tuple with the
 // same primary key exists, and with a validation error if the tuple does
 // not satisfy the schema.
 func (r *Relation) Insert(t Tuple) error {
-	if err := r.schema.CheckTuple(t); err != nil {
-		return err
+	_, err := r.insert(t)
+	return err
+}
+
+// insert is Insert that also returns the stored copy (shared, immutable),
+// which a transaction's changelog keeps as the after image.
+func (r *Relation) insert(t Tuple) (Tuple, error) {
+	if err := r.checkStorable(t); err != nil {
+		return nil, err
 	}
 	ek := r.schema.EncodeKeyOf(t)
-	if _, exists := r.rows[ek]; exists {
-		return fmt.Errorf("reldb: %s: insert %s: %w", r.Name(), r.schema.KeyOf(t), ErrDuplicateKey)
+	if _, exists := r.rows.get(ek); exists {
+		return nil, fmt.Errorf("reldb: %s: insert %s: %w", r.Name(), r.schema.KeyOf(t), ErrDuplicateKey)
 	}
+	// One stored copy, filed under ek in the row tree and under its
+	// indexed values in every index tree.
 	t = t.Clone()
-	r.rows[ek] = t
+	o := r.owner()
+	r.rows.put(o, ek, t)
 	for _, ix := range r.indexes {
-		ix.add(t, ek)
+		ix.tree.put(o, ix.keyFor(t, ek), t)
 	}
-	r.invalidateRangePlans()
-	return nil
+	return t, nil
 }
 
 // Get fetches the tuple with the given key values (canonical key order).
@@ -98,16 +152,12 @@ func (r *Relation) Get(key Tuple) (Tuple, bool) {
 	if err != nil {
 		return nil, false
 	}
-	t, ok := r.rows[ek]
-	if !ok {
-		return nil, false
-	}
-	return t.Clone(), true
+	return r.GetEncoded(ek)
 }
 
 // GetEncoded fetches the tuple with the given encoded primary key.
 func (r *Relation) GetEncoded(ek string) (Tuple, bool) {
-	t, ok := r.rows[ek]
+	t, ok := r.rows.get(ek)
 	if !ok {
 		return nil, false
 	}
@@ -116,7 +166,11 @@ func (r *Relation) GetEncoded(ek string) (Tuple, bool) {
 
 // Has reports whether a tuple with the given key values exists.
 func (r *Relation) Has(key Tuple) bool {
-	_, ok := r.Get(key)
+	ek, err := r.schema.EncodeKey(key)
+	if err != nil {
+		return false
+	}
+	_, ok := r.rows.get(ek)
 	return ok
 }
 
@@ -127,15 +181,15 @@ func (r *Relation) Delete(key Tuple) (Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	t, ok := r.rows[ek]
+	t, ok := r.rows.get(ek)
 	if !ok {
 		return nil, fmt.Errorf("reldb: %s: delete %s: %w", r.Name(), key, ErrNoSuchTuple)
 	}
-	delete(r.rows, ek)
+	o := r.owner()
+	r.rows.delete(o, ek)
 	for _, ix := range r.indexes {
-		ix.remove(t, ek)
+		ix.tree.delete(o, ix.keyFor(t, ek))
 	}
-	r.invalidateRangePlans()
 	return t, nil
 }
 
@@ -144,53 +198,58 @@ func (r *Relation) Delete(key Tuple) (Tuple, error) {
 // ErrNoSuchTuple if oldKey is absent and with ErrDuplicateKey if the new
 // key collides with a different existing tuple.
 func (r *Relation) Replace(oldKey Tuple, newTuple Tuple) error {
-	if err := r.schema.CheckTuple(newTuple); err != nil {
-		return err
+	_, _, err := r.replace(oldKey, newTuple)
+	return err
+}
+
+// replace is Replace that also returns the stored images (shared,
+// immutable) it took out and put in.
+func (r *Relation) replace(oldKey Tuple, newTuple Tuple) (old, nt Tuple, err error) {
+	if err := r.checkStorable(newTuple); err != nil {
+		return nil, nil, err
 	}
 	oldEK, err := r.schema.EncodeKey(oldKey)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	old, ok := r.rows[oldEK]
+	old, ok := r.rows.get(oldEK)
 	if !ok {
-		return fmt.Errorf("reldb: %s: replace %s: %w", r.Name(), oldKey, ErrNoSuchTuple)
+		return nil, nil, fmt.Errorf("reldb: %s: replace %s: %w", r.Name(), oldKey, ErrNoSuchTuple)
 	}
 	newEK := r.schema.EncodeKeyOf(newTuple)
+	if _, clash := r.rows.get(newEK); clash && newEK != oldEK {
+		return nil, nil, fmt.Errorf("reldb: %s: replace %s -> %s: %w",
+			r.Name(), oldKey, r.schema.KeyOf(newTuple), ErrDuplicateKey)
+	}
+	// An entry whose key is unchanged — in the row tree or in an index — is
+	// overwritten rather than deleted and inserted: it still has to point
+	// at the new tuple.
+	nt = newTuple.Clone()
+	o := r.owner()
 	if newEK != oldEK {
-		if _, clash := r.rows[newEK]; clash {
-			return fmt.Errorf("reldb: %s: replace %s -> %s: %w",
-				r.Name(), oldKey, r.schema.KeyOf(newTuple), ErrDuplicateKey)
-		}
+		r.rows.delete(o, oldEK)
 	}
-	delete(r.rows, oldEK)
-	nt := newTuple.Clone()
-	r.rows[newEK] = nt
+	r.rows.put(o, newEK, nt)
 	for _, ix := range r.indexes {
-		ix.remove(old, oldEK)
-		ix.add(nt, newEK)
+		was, now := ix.keyFor(old, oldEK), ix.keyFor(nt, newEK)
+		if was != now {
+			ix.tree.delete(o, was)
+		}
+		ix.tree.put(o, now, nt)
 	}
-	r.invalidateRangePlans()
-	return nil
+	return old, nt, nil
 }
 
-// Scan calls fn for every tuple in primary-key order. If fn returns false
-// the scan stops early. The tuple passed to fn must not be mutated.
+// Scan calls fn for every tuple in primary-key order, walking the tree as
+// it stood when Scan was called. If fn returns false the scan stops early.
+// fn must not mutate the tuple it is passed, nor the relation.
 func (r *Relation) Scan(fn func(Tuple) bool) {
-	eks := make([]string, 0, len(r.rows))
-	for ek := range r.rows {
-		eks = append(eks, ek)
-	}
-	sort.Strings(eks)
-	for _, ek := range eks {
-		if !fn(r.rows[ek]) {
-			return
-		}
-	}
+	r.rows.ascend("", func(_ string, t Tuple) bool { return fn(t) })
 }
 
 // All returns every tuple in primary-key order, as copies.
 func (r *Relation) All() []Tuple {
-	out := make([]Tuple, 0, len(r.rows))
+	out := make([]Tuple, 0, r.rows.n)
 	r.Scan(func(t Tuple) bool {
 		out = append(out, t.Clone())
 		return true
@@ -203,9 +262,16 @@ func (r *Relation) All() []Tuple {
 // result slice is nil — never a truncated prefix a caller could silently
 // use.
 func (r *Relation) Select(pred Expr) ([]Tuple, error) {
-	var out []Tuple
+	if r.rows.root == nil {
+		return nil, nil
+	}
+	return r.selectUnder(r.rows.root, pred, nil)
+}
+
+// selectUnder appends to out the tuples under n that satisfy pred.
+func (r *Relation) selectUnder(n *treeNode, pred Expr, out []Tuple) ([]Tuple, error) {
 	var evalErr error
-	r.Scan(func(t Tuple) bool {
+	n.ascend("", func(_ string, t Tuple) bool {
 		if pred != nil {
 			ok, err := EvalBool(pred, Row{Schema: r.schema, Tuple: t})
 			if err != nil {
@@ -231,74 +297,44 @@ func (r *Relation) Select(pred Expr) ([]Tuple, error) {
 const selectParallelMinRows = 512
 
 // SelectParallel is Select evaluated on up to `workers` goroutines over
-// contiguous chunks of the key-sorted row set. The result is identical
-// to Select — tuples in primary-key order, nil slice on any predicate
+// contiguous runs of the row tree's subtrees. The result is identical to
+// Select — tuples in primary-key order, nil slice on any predicate
 // evaluation error (the error of the lowest-keyed chunk wins, so the
 // reported error is deterministic). Callers must honor the same
 // immutability contract as Scan: committed relation versions only.
 func (r *Relation) SelectParallel(pred Expr, workers int) ([]Tuple, error) {
-	if workers <= 1 || len(r.rows) < selectParallelMinRows {
+	if workers <= 1 || r.rows.n < selectParallelMinRows {
 		return r.Select(pred)
 	}
-	eks := make([]string, 0, len(r.rows))
-	for ek := range r.rows {
-		eks = append(eks, ek)
-	}
-	sort.Strings(eks)
-	if workers > len(eks) {
-		workers = len(eks)
+	parts := r.rows.subtrees(workers)
+	if workers > len(parts) {
+		workers = len(parts)
 	}
 	chunkResults := make([][]Tuple, workers)
 	chunkErrs := make([]error, workers)
 	var wg sync.WaitGroup
-	per := (len(eks) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > len(eks) {
-			hi = len(eks)
-		}
-		if lo >= hi {
-			break
-		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			var out []Tuple
-			for _, ek := range eks[lo:hi] {
-				t := r.rows[ek]
-				if pred != nil {
-					ok, err := EvalBool(pred, Row{Schema: r.schema, Tuple: t})
-					if err != nil {
-						chunkErrs[w] = err
-						return
-					}
-					if !ok {
-						continue
-					}
+			for _, n := range parts[w*len(parts)/workers : (w+1)*len(parts)/workers] {
+				if chunkResults[w], chunkErrs[w] = r.selectUnder(n, pred, chunkResults[w]); chunkErrs[w] != nil {
+					return
 				}
-				out = append(out, t.Clone())
 			}
-			chunkResults[w] = out
-		}(w, lo, hi)
+		}(w)
 	}
 	wg.Wait()
-	total := 0
-	for w := 0; w < workers; w++ {
-		if chunkErrs[w] != nil {
-			return nil, chunkErrs[w]
+	for _, err := range chunkErrs {
+		if err != nil {
+			return nil, err
 		}
-		total += len(chunkResults[w])
 	}
-	out := make([]Tuple, 0, total)
-	for _, chunk := range chunkResults {
-		out = append(out, chunk...)
-	}
-	return out, nil
+	return slices.Concat(chunkResults...), nil
 }
 
-// CreateIndex registers a secondary hash index over the named attributes
-// and backfills it. Index names are unique per relation.
+// CreateIndex registers a secondary index over the named attributes and
+// backfills it. Index names are unique per relation.
 func (r *Relation) CreateIndex(name string, attrNames []string) error {
 	if _, dup := r.indexes[name]; dup {
 		return fmt.Errorf("reldb: %s: index %s already exists", r.Name(), name)
@@ -307,16 +343,19 @@ func (r *Relation) CreateIndex(name string, attrNames []string) error {
 	if err != nil {
 		return err
 	}
-	ix := &secondaryIndex{
-		name:    name,
-		attrs:   idx,
-		buckets: make(map[string]map[string]struct{}),
-	}
-	for ek, t := range r.rows {
-		ix.add(t, ek)
+	ix := &secondaryIndex{name: name, attrs: idx}
+	o := r.owner()
+	r.rows.ascend("", func(ek string, t Tuple) bool {
+		if err = ix.check(r, t); err == nil {
+			ix.tree.put(o, ix.keyFor(t, ek), t)
+		}
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	r.indexes[name] = ix
-	r.invalidatePlans()
+	r.resetPlans()
 	return nil
 }
 
@@ -326,7 +365,7 @@ func (r *Relation) DropIndex(name string) error {
 		return fmt.Errorf("reldb: %s: index %s: %w", r.Name(), name, ErrNoSuchIndex)
 	}
 	delete(r.indexes, name)
-	r.invalidatePlans()
+	r.resetPlans()
 	return nil
 }
 
@@ -336,7 +375,7 @@ func (r *Relation) IndexNames() []string {
 	for n := range r.indexes {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	return names
 }
 
@@ -365,6 +404,9 @@ func (r *Relation) checkLookupVals(what string, idx []int, vals Tuple) error {
 			return fmt.Errorf("reldb: %s: %s: attribute %s has kind %s, want %s",
 				r.Name(), what, a.Name, v.Kind(), a.Type)
 		}
+		if !keyEncodable(v) {
+			return fmt.Errorf("reldb: %s: %s: attribute %s: %s: %w", r.Name(), what, a.Name, v, ErrKeyDomain)
+		}
 	}
 	return nil
 }
@@ -380,25 +422,7 @@ func (r *Relation) LookupIndex(name string, vals Tuple) ([]Tuple, error) {
 	if err := r.checkLookupVals("index "+name, ix.attrs, vals); err != nil {
 		return nil, err
 	}
-	return r.probeBucket(ix, EncodeValues(vals...)), nil
-}
-
-// probeBucket materializes one index bucket in primary-key order.
-func (r *Relation) probeBucket(ix *secondaryIndex, key string) []Tuple {
-	bucket := ix.buckets[key]
-	if len(bucket) == 0 {
-		return nil
-	}
-	eks := make([]string, 0, len(bucket))
-	for ek := range bucket {
-		eks = append(eks, ek)
-	}
-	sort.Strings(eks)
-	out := make([]Tuple, len(eks))
-	for i, ek := range eks {
-		out[i] = r.rows[ek].Clone()
-	}
-	return out
+	return ix.tree.prefixed(EncodeValues(vals...)), nil
 }
 
 // MatchStats accumulates the cost of MatchEqual-family lookups, so
@@ -486,16 +510,17 @@ func (r *Relation) findIndex(idx []int) (*secondaryIndex, []int) {
 	if best == nil {
 		return nil, nil
 	}
-	perm := make([]int, len(best.attrs))
-	for i, a := range best.attrs {
-		for j, b := range idx {
-			if a == b {
-				perm[i] = j
-				break
-			}
-		}
+	return best, permTo(best.attrs, idx)
+}
+
+// permTo returns perm with target[i] == idx[perm[i]]; target and idx hold
+// the same attributes.
+func permTo(target, idx []int) []int {
+	perm := make([]int, len(target))
+	for i, a := range target {
+		perm[i] = slices.Index(idx, a)
 	}
-	return best, perm
+	return perm
 }
 
 // HasIndexOn reports whether a secondary index exists over exactly the
@@ -530,22 +555,8 @@ func (r *Relation) MatchEqualStats(attrNames []string, vals Tuple, st *MatchStat
 	if err := r.checkLookupVals("MatchEqual", pl.idx, vals); err != nil {
 		return nil, err
 	}
-	switch pl.kind {
-	case planPoint:
-		// Equality on exactly the primary-key attributes is a point lookup.
-		if t, ok := r.Get(pl.permute(vals)); ok {
-			r.obsProbe(st, 1)
-			return []Tuple{t}, nil
-		}
-		r.obsProbe(st, 0)
-		return nil, nil
-	case planIndex:
-		// Permute vals into the index's attribute order, so an index built
-		// over the same attributes in a different order still serves the
-		// lookup.
-		out := r.probeBucket(pl.ix, EncodeValues(pl.permute(vals)...))
-		r.obsProbe(st, len(out))
-		return out, nil
+	if pl.kind != planScan {
+		return r.probe(pl, vals, st), nil
 	}
 	var out []Tuple
 	r.Scan(func(t Tuple) bool {
@@ -559,6 +570,26 @@ func (r *Relation) MatchEqualStats(attrNames []string, vals Tuple, st *MatchStat
 	})
 	r.obsScan(st, r.Count())
 	return out, nil
+}
+
+// probe serves one planned lookup that has an ordered access path: tuples
+// equal on the plan's attributes share a key prefix in its tree — the row
+// tree when they are the primary key, else the named index's — so the
+// answer is one seek and a walk of that prefix, already in primary-key
+// order. The values go into the tree's attribute order, so an index built
+// over the same attributes in a different order still serves the lookup.
+func (r *Relation) probe(pl *lookupPlan, vals Tuple, st *MatchStats) []Tuple {
+	t := &r.rows
+	if pl.kind == planIndex {
+		t = &r.indexes[pl.ixName].tree
+	}
+	var prefix []byte
+	for _, j := range pl.perm {
+		prefix = AppendKey(prefix, vals[j])
+	}
+	out := t.prefixed(string(prefix))
+	r.obsProbe(st, len(out))
+	return out
 }
 
 // MatchEqualBatch answers many MatchEqual probes over the same attribute
@@ -602,32 +633,10 @@ func (r *Relation) MatchEqualBatchStats(attrNames []string, valSets []Tuple, st 
 		distinct[k] = true
 		probes = append(probes, probe{key: k, vals: vs})
 	}
-	switch pl.kind {
-	case planPoint:
-		// Point lookups on the primary key: one Get per distinct value set.
-		key := make(Tuple, len(pl.perm))
+	if pl.kind != planScan {
+		// One probe per distinct value set.
 		for _, p := range probes {
-			for i, j := range pl.perm {
-				key[i] = p.vals[j]
-			}
-			if t, ok := r.Get(key); ok {
-				r.obsProbe(st, 1)
-				out[p.key] = []Tuple{t}
-			} else {
-				r.obsProbe(st, 0)
-			}
-		}
-		return out, nil
-	case planIndex:
-		// Indexed: one bucket probe per distinct value set.
-		pv := make(Tuple, len(pl.perm))
-		for _, p := range probes {
-			for i, j := range pl.perm {
-				pv[i] = p.vals[j]
-			}
-			matches := r.probeBucket(pl.ix, EncodeValues(pv...))
-			r.obsProbe(st, len(matches))
-			if len(matches) > 0 {
+			if matches := r.probe(pl, p.vals, st); len(matches) > 0 {
 				out[p.key] = matches
 			}
 		}
@@ -661,94 +670,52 @@ func sameIntSet(a, b []int) bool {
 		return false
 	}
 	for _, x := range a {
-		found := false
-		for _, y := range b {
-			if x == y {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(b, x) {
 			return false
 		}
 	}
 	return true
 }
 
-func equalIntSlices(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// keyFor builds the index-tree key of the stored tuple t, whose encoded
+// primary key is ek.
+func (ix *secondaryIndex) keyFor(t Tuple, ek string) string {
+	dst := make([]byte, 0, 16*len(ix.attrs)+len(ek))
+	for _, j := range ix.attrs {
+		dst = AppendKey(dst, t[j])
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return string(append(dst, ek...))
+}
+
+// check rejects a tuple whose indexed values the key codec cannot encode
+// exactly.
+func (ix *secondaryIndex) check(r *Relation, t Tuple) error {
+	for _, j := range ix.attrs {
+		if !keyEncodable(t[j]) {
+			return fmt.Errorf("reldb: %s: index %s: attribute %s: %s: %w",
+				r.Name(), ix.name, r.schema.attrs[j].Name, t[j], ErrKeyDomain)
 		}
 	}
-	return true
+	return nil
 }
 
-func (ix *secondaryIndex) keyFor(t Tuple) string {
-	vals := make(Tuple, len(ix.attrs))
-	for i, j := range ix.attrs {
-		vals[i] = t[j]
-	}
-	return EncodeValues(vals...)
-}
-
-func (ix *secondaryIndex) add(t Tuple, ek string) {
-	k := ix.keyFor(t)
-	b, ok := ix.buckets[k]
-	if !ok {
-		b = make(map[string]struct{})
-		ix.buckets[k] = b
-	}
-	b[ek] = struct{}{}
-}
-
-func (ix *secondaryIndex) remove(t Tuple, ek string) {
-	k := ix.keyFor(t)
-	if b, ok := ix.buckets[k]; ok {
-		delete(b, ek)
-		if len(b) == 0 {
-			delete(ix.buckets, k)
-		}
-	}
-}
-
-// clone copies the relation's structure — row map and index buckets — into
-// an independent version. Stored tuples are shared: they are never mutated
-// in place (Insert/Replace store copies), so sharing them is safe and
-// keeps the copy-on-write hot path (one clone per relation a transaction
-// touches) free of per-tuple allocation.
+// clone returns an independent version of the relation in O(#indexes):
+// the trees are shared by root, and so are the stored tuples. Both sides
+// are frozen — neither may touch a shared node in place again — and each
+// takes a new edit token if and when it next mutates.
 func (r *Relation) clone() *Relation {
-	obs.Default.RelationClones.Inc()
-	// The clone starts with a cold plan cache: cached plans pin this
-	// version's *secondaryIndex objects, which the clone rebuilds below.
-	// The parent's plans stay valid for readers still pinning it, but
-	// they are dead weight for the next generation — count them as
-	// clone drops, the generational-churn side of plan-cache turnover
-	// (explicit index DDL purges count as invalidations instead).
-	if n := r.plans.size(); n > 0 {
-		obs.Default.PlanCacheCloneDrops.Add(int64(n))
-	}
-	c := NewRelation(r.schema)
-	c.gen = r.gen
-	for ek, t := range r.rows {
-		c.rows[ek] = t
+	r.freeze()
+	c := &Relation{
+		schema:  r.schema,
+		rows:    r.rows,
+		indexes: make(map[string]*secondaryIndex, len(r.indexes)),
+		gen:     r.gen,
+		obsSlot: r.obsSlot,
+		plans:   r.plans,
 	}
 	for name, ix := range r.indexes {
-		c.indexes[name] = &secondaryIndex{
-			name:    ix.name,
-			attrs:   append([]int(nil), ix.attrs...),
-			buckets: make(map[string]map[string]struct{}, len(ix.buckets)),
-		}
-		for k, b := range ix.buckets {
-			nb := make(map[string]struct{}, len(b))
-			for ek := range b {
-				nb[ek] = struct{}{}
-			}
-			c.indexes[name].buckets[k] = nb
-		}
+		cp := *ix
+		c.indexes[name] = &cp
 	}
 	return c
 }

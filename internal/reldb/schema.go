@@ -157,7 +157,8 @@ func (s *Schema) HasAttrs(names []string) bool {
 }
 
 // CheckTuple validates t against the schema: arity, per-attribute kinds,
-// nullability, and non-null key attributes.
+// nullability, and non-null key attributes inside the key codec's exact
+// domain.
 func (s *Schema) CheckTuple(t Tuple) error {
 	if len(t) != len(s.attrs) {
 		return fmt.Errorf("reldb: %s: tuple arity %d, want %d", s.name, len(t), len(s.attrs))
@@ -176,6 +177,9 @@ func (s *Schema) CheckTuple(t Tuple) error {
 		if !kindAssignable(a.Type, v.Kind()) {
 			return fmt.Errorf("reldb: %s: attribute %s has kind %s, want %s",
 				s.name, a.Name, v.Kind(), a.Type)
+		}
+		if s.isKey[i] && !keyEncodable(v) {
+			return fmt.Errorf("reldb: %s: key attribute %s: %s: %w", s.name, a.Name, v, ErrKeyDomain)
 		}
 	}
 	return nil
@@ -212,6 +216,11 @@ func (s *Schema) EncodeKeyOf(t Tuple) string {
 func (s *Schema) EncodeKey(key Tuple) (string, error) {
 	if len(key) != len(s.key) {
 		return "", fmt.Errorf("reldb: %s: key arity %d, want %d", s.name, len(key), len(s.key))
+	}
+	for _, v := range key {
+		if !keyEncodable(v) {
+			return "", fmt.Errorf("reldb: %s: key %s: %w", s.name, key, ErrKeyDomain)
+		}
 	}
 	return EncodeValues(key...), nil
 }

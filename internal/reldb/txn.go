@@ -9,9 +9,11 @@ import (
 
 // Tx is a write transaction over a Database, implemented with copy-on-
 // write: the first access to a relation clones it into the transaction's
-// private working set, all reads and writes inside the transaction go to
-// the clone (read-your-writes), and Commit publishes the modified clones
-// back into the catalog by pointer swap. Committed relation versions are
+// private working set — a new version sharing the committed one's trees,
+// which copies only the root-to-leaf paths it writes — all reads and
+// writes inside the transaction go to the clone (read-your-writes), and
+// Commit publishes the modified clones back into the catalog by pointer
+// swap. Committed relation versions are
 // never mutated, so concurrent readers holding a snapshot are undisturbed
 // for as long as they like.
 //
@@ -91,14 +93,14 @@ func (tx *Tx) Insert(relName string, t Tuple) error {
 	if err != nil {
 		return err
 	}
-	if err := r.Insert(t); err != nil {
+	stored, err := r.insert(t)
+	if err != nil {
 		return err
 	}
 	// A successful insert proves the key was absent, so the before image
-	// is nil; the after image is the clone Insert just stored.
+	// is nil; the after image is the copy insert just stored.
 	if tx.capturing() {
-		ek := r.schema.EncodeKeyOf(t)
-		tx.note(relName, ek, nil, r.rows[ek])
+		tx.note(relName, r.schema.EncodeKeyOf(stored), nil, stored)
 	}
 	tx.written[relName] = true
 	tx.ops++
@@ -141,38 +143,28 @@ func (tx *Tx) Replace(relName string, oldKey Tuple, newTuple Tuple) (Tuple, erro
 	if err != nil {
 		return nil, err
 	}
-	old, ok := r.Get(oldKey)
-	if !ok {
-		return nil, fmt.Errorf("reldb: %s: replace %s: %w", relName, oldKey, ErrNoSuchTuple)
-	}
-	// Capture the raw stored before image ahead of the mutation: Replace
-	// removes the old key's stored tuple from the row map, after which the
-	// changelog's copy (note clones it) is the only surviving image.
-	capture := tx.capturing()
-	var oldEK string
-	var rawOld Tuple
-	if capture {
-		oldEK = r.schema.EncodeKeyOf(old)
-		rawOld = r.rows[oldEK]
-	}
-	if err := r.Replace(oldKey, newTuple); err != nil {
+	// replace hands back the stored images on both sides of the mutation;
+	// the old one has left the row tree, so the changelog's copy (note
+	// clones it) and the caller's are the only ones this version keeps.
+	rawOld, rawNew, err := r.replace(oldKey, newTuple)
+	if err != nil {
 		return nil, err
 	}
-	if capture {
-		newEK := r.schema.EncodeKeyOf(newTuple)
+	if tx.capturing() {
+		oldEK, newEK := r.schema.EncodeKeyOf(rawOld), r.schema.EncodeKeyOf(rawNew)
 		if newEK == oldEK {
-			tx.note(relName, oldEK, rawOld, r.rows[newEK])
+			tx.note(relName, oldEK, rawOld, rawNew)
 		} else {
 			// A key-changing replace is a delete of the old key plus an
-			// insert of the new one (Replace rejects clashes, so the new
+			// insert of the new one (replace rejects clashes, so the new
 			// key was absent before).
 			tx.note(relName, oldEK, rawOld, nil)
-			tx.note(relName, newEK, nil, r.rows[newEK])
+			tx.note(relName, newEK, nil, rawNew)
 		}
 	}
 	tx.written[relName] = true
 	tx.ops++
-	return old, nil
+	return rawOld.Clone(), nil
 }
 
 // OpCount returns the number of successful operations so far.
@@ -242,12 +234,7 @@ func (tx *Tx) Commit() error {
 	var pubDur time.Duration
 	tx.db.mu.Lock()
 	if published > 0 {
-		tx.db.gen++
-		for name := range tx.written {
-			r := tx.dirty[name]
-			r.gen = tx.db.gen
-			tx.db.relations[name] = r
-		}
+		tx.install()
 		// Publish inside the same critical section that made the new
 		// generation visible: subscribers see whole commits in generation
 		// order, and a ReadTx pinning gen G is guaranteed every batch
@@ -294,6 +281,20 @@ func (tx *Tx) Commit() error {
 		}
 	}
 	return nil
+}
+
+// install advances the generation and swaps the written relations into
+// the catalog, frozen: a published version never mutates a node in place
+// again, and nothing about it — its edit token included — is written
+// after this. Caller holds db.mu.
+func (tx *Tx) install() {
+	tx.db.gen++
+	for name := range tx.written {
+		r := tx.dirty[name]
+		r.freeze()
+		r.gen = tx.db.gen
+		tx.db.relations[name] = r
+	}
 }
 
 // Rollback discards the transaction's working set and releases the writer

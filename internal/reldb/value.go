@@ -270,12 +270,19 @@ func ParseValue(kind Kind, text string) (Value, error) {
 
 // Key encoding
 //
-// appendKey produces an order-preserving, self-delimiting byte encoding:
-// for values a, b of the same kind, bytes(a) < bytes(b) iff a < b. This
-// lets relations keep a single map keyed by the encoded primary key while
-// still being able to produce deterministic, key-ordered scans by sorting
-// the encoded forms. Each value starts with a kind tag byte that also
-// orders null before everything else.
+// AppendKey produces an order-preserving, self-delimiting byte encoding:
+// for values a, b that Compare orders, bytes(a) < bytes(b) iff a < b and
+// bytes(a) == bytes(b) iff a equals b. Relations keep their rows and
+// indexes in trees ordered by these bytes, so codec order is storage
+// order, scan order and range order. Each value starts with a kind tag
+// byte that also orders null before everything else.
+//
+// Numbers of both kinds share one encoding, that of the float64 value, so
+// the property holds only on the codec's exact domain: integers within
+// ±2^53 (beyond it distinct ints round to one float64) and floats other
+// than NaN (which Compare cannot order). keyEncodable is that domain;
+// everything that stores or looks up a key or indexed value checks it and
+// fails with ErrKeyDomain outside.
 
 const (
 	tagNull   byte = 0x01
@@ -284,6 +291,21 @@ const (
 	tagNumber byte = 0x04
 	tagString byte = 0x05
 )
+
+// maxExactInt is the largest magnitude up to which every int64 has its own
+// float64.
+const maxExactInt = 1 << 53
+
+// keyEncodable reports whether v lies in the key codec's exact domain.
+func keyEncodable(v Value) bool {
+	switch v.kind {
+	case KindInt:
+		return -maxExactInt <= v.i && v.i <= maxExactInt
+	case KindFloat:
+		return v.f == v.f
+	}
+	return true
+}
 
 // AppendKey appends the order-preserving encoding of v to dst.
 func AppendKey(dst []byte, v Value) []byte {
@@ -318,9 +340,12 @@ func AppendKey(dst []byte, v Value) []byte {
 
 // appendOrderedFloat encodes f such that byte-wise comparison matches
 // numeric comparison: flip the sign bit for positives, flip all bits for
-// negatives.
+// negatives. Negative zero is encoded as zero: Compare holds them equal.
 func appendOrderedFloat(dst []byte, f float64) []byte {
 	bits := math.Float64bits(f)
+	if f == 0 {
+		bits = 0
+	}
 	if bits&(1<<63) != 0 {
 		bits = ^bits
 	} else {
@@ -332,7 +357,7 @@ func appendOrderedFloat(dst []byte, f float64) []byte {
 }
 
 // EncodeValues encodes a sequence of values into one order-preserving key
-// string. It is the canonical form used by relation row maps and indexes.
+// string. It is the canonical form used by relation row and index trees.
 func EncodeValues(vs ...Value) string {
 	var dst []byte
 	for _, v := range vs {

@@ -151,11 +151,24 @@ func (m *Materializer) Close() {
 
 // Instantiate serves the object query from the materialized cache,
 // patching it fresh first. Results — contents and order — are identical
-// to Instantiate over a snapshot of the same generation.
+// to Instantiate over a snapshot of the same generation. A failed serve
+// finishes its span too (detail err=…), like every other root span.
 func (m *Materializer) Instantiate(q Query) ([]*Instance, error) {
 	op := obs.Default.StartOp("viewobject.materialize.serve")
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	out, err := m.instantiateLocked(q, op)
+	if op.Active() {
+		if err != nil {
+			op.Finish(fmt.Sprintf("object=%s gen=%d err=%v", m.def.Name, m.gen, err))
+		} else {
+			op.Finish(fmt.Sprintf("object=%s gen=%d instances=%d", m.def.Name, m.gen, len(out)))
+		}
+	}
+	return out, err
+}
+
+func (m *Materializer) instantiateLocked(q Query, op obs.Op) ([]*Instance, error) {
 	rtx, err := m.syncLocked(op)
 	if err != nil {
 		return nil, err
@@ -183,9 +196,6 @@ func (m *Materializer) Instantiate(q Query) ([]*Instance, error) {
 			out = append(out, inst.Clone())
 		}
 	}
-	if op.Active() {
-		op.Finish(fmt.Sprintf("object=%s gen=%d instances=%d", m.def.Name, m.gen, len(out)))
-	}
 	return out, nil
 }
 
@@ -197,6 +207,9 @@ func (m *Materializer) InstantiateByKey(key reldb.Tuple) (*Instance, bool, error
 	defer m.mu.Unlock()
 	rtx, err := m.syncLocked(op)
 	if err != nil {
+		if op.Active() {
+			op.Finish(fmt.Sprintf("object=%s gen=%d key=%s err=%v", m.def.Name, m.gen, key, err))
+		}
 		return nil, false, err
 	}
 	if rtx != nil {

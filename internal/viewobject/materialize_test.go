@@ -274,6 +274,7 @@ func TestMaterializerOverflowResyncs(t *testing.T) {
 
 	mustMatchFresh(t, db, om, m, Query{})
 	c0 := captureMat()
+	overflows0 := obs.Capture().Counter("reldb.delta.overflows")
 	// Five commits against a two-slot queue: the subscription drops its
 	// history and the next serve must rebuild, not patch a torn suffix.
 	for n := 0; n < 5; n++ {
@@ -287,6 +288,11 @@ func TestMaterializerOverflowResyncs(t *testing.T) {
 	c1 := captureMat()
 	if c1.resyncs-c0.resyncs != 1 {
 		t.Fatalf("overflow: resyncs +%d, want +1", c1.resyncs-c0.resyncs)
+	}
+	// The resync has a recorded cause: the third commit found the queue
+	// full and dropped it (the two after it queue up behind the loss).
+	if n := obs.Capture().Counter("reldb.delta.overflows") - overflows0; n != 1 {
+		t.Fatalf("reldb.delta.overflows +%d, want +1", n)
 	}
 	if m.Generation() != db.Generation() {
 		t.Fatalf("resynced cache at gen %d, head %d", m.Generation(), db.Generation())

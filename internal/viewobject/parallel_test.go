@@ -201,10 +201,9 @@ func TestParallelErrorPropagation(t *testing.T) {
 	}
 }
 
-// The range probe: an ordering predicate over the pivot key must serve
-// from the cached ordered view — full scan charged once on the build,
-// only the window afterward — and must select exactly the pivots the
-// scan would, in the same order.
+// The range probe: an ordering predicate over the pivot key must walk
+// only its window of the row tree — the first time as every time — and
+// must select exactly the pivots the scan would, in the same order.
 func TestPivotRangeProbe(t *testing.T) {
 	w, err := workload.BuildTree(workload.TreeSpec{Depth: 1, Width: 1, Fanout: 1, Roots: 40})
 	if err != nil {
@@ -229,21 +228,11 @@ func TestPivotRangeProbe(t *testing.T) {
 		reldb.Cmp{Op: reldb.OpLt, L: reldb.Attr{Name: "K0"}, R: reldb.Const{V: reldb.Int(20)}},
 	}}
 
-	// First range on this relation version builds the ordered view: the
-	// whole relation is charged, exactly like a scan.
-	buildScanned, built := scannedBy(Query{PivotPred: rangePred})
-	if len(built) != 10 {
-		t.Fatalf("range selected %d instances, want 10", len(built))
-	}
-	if buildScanned != 40 {
-		t.Fatalf("view build charged %d tuples, want the whole relation (40)", buildScanned)
-	}
-
-	// Repeats (even with different bounds) binary-search the cached view,
-	// charging only the selected window.
+	// There is nothing to build: the first range on this relation version
+	// already charges only the selected window.
 	hitScanned, hit := scannedBy(Query{PivotPred: rangePred})
 	if len(hit) != 10 || hitScanned != 10 {
-		t.Fatalf("cached range: %d instances, %d scanned; want 10, 10", len(hit), hitScanned)
+		t.Fatalf("first range: %d instances, %d scanned; want 10, 10", len(hit), hitScanned)
 	}
 	narrowScanned, narrow := scannedBy(Query{PivotPred: reldb.Cmp{
 		Op: reldb.OpGt, L: reldb.Attr{Name: "K0"}, R: reldb.Const{V: reldb.Int(36)},

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"penguin/internal/keller"
 	"penguin/internal/obs"
 	"penguin/internal/reldb"
 	"penguin/internal/viewobject"
@@ -250,4 +251,24 @@ func TestFailedOperationsKeepTheirTrace(t *testing.T) {
 		t.Fatal("bad pivot predicate accepted")
 	}
 	one(t, "viewobject.instantiate")
+
+	// The materializer's serve span: the rebuild inside it succeeds, the
+	// query's pivot predicate then fails.
+	mat := viewobject.NewMaterializer(w.DB, w.Def)
+	defer mat.Close()
+	if _, err := mat.Instantiate(bad); err == nil {
+		t.Fatal("materializer accepted the bad pivot predicate")
+	}
+	one(t, "viewobject.materialize.serve")
+
+	// The Keller baseline: a flat view over the pivot relation, an insert
+	// of the wrong arity.
+	flat, err := keller.NewView(w.DB, "flat", []keller.Join{{Relation: w.Def.Pivot()}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := keller.PermissiveTranslator(flat).Insert(reldb.Tuple{reldb.Int(1)}); err == nil {
+		t.Fatal("Keller translator accepted a one-value tuple")
+	}
+	one(t, "keller.insert")
 }
