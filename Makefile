@@ -99,6 +99,7 @@ benchmark-test:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRelationOps$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyCodecOrder$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
+	$(GO) test -run='^$$' -fuzz='^FuzzAppendValue$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 
 # verify is the full gate: compile everything, vet, then run the whole
 # suite (including the concurrent stress tests) under the race detector.

@@ -52,19 +52,34 @@ func (c *Cluster) Instantiate(objName string, q viewobject.Query) ([]*viewobject
 	for range c.dbs {
 		<-done
 	}
-	var out []*viewobject.Instance
+	total := 0
 	for i := range chunks {
 		if chunks[i].err != nil {
 			return nil, chunks[i].err
 		}
-		out = append(out, chunks[i].insts...)
+		total += len(chunks[i].insts)
+	}
+	if len(chunks) == 1 {
+		return chunks[0].insts, nil // one shard: already in pivot-key order
 	}
 	// Per-shard results are already pivot-key ordered; a stable sort on
-	// the encoded key merges them deterministically.
-	sort.SliceStable(out, func(a, b int) bool {
-		return o.pivotSchema.EncodeKeyOf(out[a].Root().Tuple()) <
-			o.pivotSchema.EncodeKeyOf(out[b].Root().Tuple())
-	})
+	// the encoded key, computed once per instance, merges them
+	// deterministically.
+	type keyed struct {
+		key  string
+		inst *viewobject.Instance
+	}
+	merged := make([]keyed, 0, total)
+	for i := range chunks {
+		for _, inst := range chunks[i].insts {
+			merged = append(merged, keyed{key: inst.EncodedKey(), inst: inst})
+		}
+	}
+	sort.SliceStable(merged, func(a, b int) bool { return merged[a].key < merged[b].key })
+	out := make([]*viewobject.Instance, len(merged))
+	for i := range merged {
+		out[i] = merged[i].inst
+	}
 	return out, nil
 }
 

@@ -1,7 +1,8 @@
 // Package reldb implements an in-memory relational database engine:
 // typed values, schemas, keyed relations with secondary indexes,
 // predicate expressions, query plans (select, project, join, aggregate),
-// and transactions with an undo log.
+// and copy-on-write transactions (a writer edits private versions of the
+// relations it touches; commit publishes them, rollback drops them).
 //
 // The engine is the storage substrate for the PENGUIN view-object model.
 // It deliberately keeps the relational semantics of the paper's setting:

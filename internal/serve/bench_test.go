@@ -1,0 +1,84 @@
+package serve
+
+import (
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+
+	"penguin/internal/reldb"
+	"penguin/internal/workload"
+)
+
+// The read-path sizing set-up of EXPERIMENTS.md E14: the benchmark's
+// object (TreeSpec{2,2,3,1}, 46 tuples per instance) over 2000 roots on
+// one shard, the handlers driven in-process.
+const benchRoots = 2000
+
+func benchTree(tb testing.TB, roots int) (*Server, *workload.ShardedWorkload) {
+	tb.Helper()
+	sw, err := workload.NewShardedTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 3, Peninsulas: 1, Roots: roots}, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { sw.Close() })
+	return New(Config{Cluster: sw.C, MaxReadInFlight: -1}), sw
+}
+
+// discard is a ResponseWriter that keeps nothing, so the handler's own
+// cost is what a benchmark sees.
+type discard struct{ h http.Header }
+
+func (d *discard) Header() http.Header         { return d.h }
+func (d *discard) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discard) WriteHeader(int)             {}
+
+func BenchmarkGetHandler(b *testing.B) {
+	s, _ := benchTree(b, benchRoots)
+	reqs := make([]*http.Request, benchRoots)
+	for i := range reqs {
+		reqs[i] = httptest.NewRequest("GET", fmt.Sprintf("/objects/%s/%d", workload.ShardedObject, i), nil)
+	}
+	w := &discard{h: make(http.Header)}
+	h := s.Handler()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, reqs[i%benchRoots])
+	}
+}
+
+func BenchmarkQueryHandler96(b *testing.B) {
+	s, _ := benchTree(b, benchRoots)
+	reqs := make([]*http.Request, 16)
+	for i := range reqs {
+		lo := i * 100
+		reqs[i] = httptest.NewRequest("GET", fmt.Sprintf("/objects/%s?q=K0+%%3E%%3D+%d+and+K0+%%3C+%d", workload.ShardedObject, lo, lo+96), nil)
+	}
+	w := &discard{h: make(http.Header)}
+	h := s.Handler()
+	// One checked response: the query must select the 96 pivots.
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, reqs[0])
+	if body, _ := io.ReadAll(rec.Body); rec.Code != http.StatusOK || len(body) < 96*1000 {
+		b.Fatalf("query = %d, %d bytes", rec.Code, len(body))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, reqs[i%len(reqs)])
+	}
+}
+
+func BenchmarkClusterInstantiateByKey(b *testing.B) {
+	_, sw := benchTree(b, benchRoots)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, ok, err := sw.C.InstantiateByKey(workload.ShardedObject, reldb.Tuple{reldb.Int(int64(i % benchRoots))})
+		if err != nil || !ok {
+			b.Fatal(ok, err)
+		}
+	}
+}

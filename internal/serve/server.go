@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"penguin/internal/obs"
@@ -169,7 +171,32 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// writeJSON sends v with the given status.
+// maxPooledBuf caps the response buffers the pool keeps: one large query
+// must not pin its megabytes for the life of the process.
+const maxPooledBuf = 1 << 20
+
+// bufPool holds the buffers GET and query responses are encoded into.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// sendBody encodes a whole 200 response into a pooled buffer and writes
+// it in one Write, with its Content-Length.
+func sendBody(w http.ResponseWriter, encode func(dst []byte) []byte) {
+	bp := bufPool.Get().(*[]byte)
+	body := encode((*bp)[:0])
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body) // a client that went away is not the server's error
+	if cap(body) <= maxPooledBuf {
+		*bp = body[:0]
+		bufPool.Put(bp)
+	}
+}
+
+// writeJSON sends v with the given status: the cold, small bodies
+// (errors, the object listing, update acknowledgements). Instances go
+// out through AppendInstance and sendBody.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -212,16 +239,6 @@ func (s *Server) object(w http.ResponseWriter, name string) *viewobject.Definiti
 		return nil
 	}
 	return def
-}
-
-// pivotSchema returns the pivot relation's schema for key parsing.
-// Shard schemas are identical, so shard 0's copy answers for them all.
-func (s *Server) pivotSchema(def *viewobject.Definition) (*reldb.Schema, error) {
-	rel, err := s.cfg.Cluster.DB(0).Relation(def.Pivot())
-	if err != nil {
-		return nil, err
-	}
-	return rel.Schema(), nil
 }
 
 // handleList answers GET /objects: every object's shape in name order.
@@ -272,15 +289,26 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "instantiate: %v", err)
 		return
 	}
-	docs := make([]any, len(insts))
+	generation := s.cfg.Cluster.Generation()
+	sendBody(w, func(dst []byte) []byte { return appendQuery(dst, insts, generation) })
+}
+
+// appendQuery appends a query response: the envelope's fields in the
+// sorted order encoding/json gave the map it used to be, the instances'
+// documents between them, and the encoder's closing newline.
+func appendQuery(dst []byte, insts []*viewobject.Instance, generation uint64) []byte {
+	dst = append(dst, `{"count":`...)
+	dst = strconv.AppendInt(dst, int64(len(insts)), 10)
+	dst = append(dst, `,"generation":`...)
+	dst = strconv.AppendUint(dst, generation, 10)
+	dst = append(dst, `,"instances":[`...)
 	for i, inst := range insts {
-		docs[i] = InstanceDoc(inst)
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = AppendInstance(dst, inst)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"count":      len(docs),
-		"generation": s.cfg.Cluster.Generation(),
-		"instances":  docs,
-	})
+	return append(dst, "]}\n"...)
 }
 
 // handleGet answers GET /objects/{name}/{key...}: one instance by pivot
@@ -292,7 +320,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	if def == nil {
 		return
 	}
-	key, err := s.pathKey(def, r.PathValue("key"))
+	key, err := pathKey(def, r.PathValue("key"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad key: %v", err)
 		return
@@ -306,15 +334,13 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no %s instance with that key", name)
 		return
 	}
-	writeJSON(w, http.StatusOK, InstanceDoc(inst))
+	sendBody(w, func(dst []byte) []byte { return append(AppendInstance(dst, inst), '\n') })
 }
 
-// pathKey parses slash-separated path segments into a typed pivot key.
-func (s *Server) pathKey(def *viewobject.Definition, raw string) (reldb.Tuple, error) {
-	schema, err := s.pivotSchema(def)
-	if err != nil {
-		return nil, err
-	}
+// pathKey parses slash-separated path segments into a typed pivot key,
+// against the pivot schema the definition caches (no database lock).
+func pathKey(def *viewobject.Definition, raw string) (reldb.Tuple, error) {
+	schema := def.NodeSchema(def.Root())
 	keyIdx := schema.Key()
 	segs := strings.Split(raw, "/")
 	if raw == "" || len(segs) != len(keyIdx) {
@@ -333,14 +359,9 @@ func (s *Server) pathKey(def *viewobject.Definition, raw string) (reldb.Tuple, e
 
 // bodyKey decodes a JSON key array into a typed pivot key, checking
 // arity against the pivot relation's key.
-func (s *Server) bodyKey(def *viewobject.Definition, raw []any) (reldb.Tuple, error) {
-	schema, err := s.pivotSchema(def)
-	if err != nil {
-		return nil, err
-	}
-	keyIdx := schema.Key()
-	if len(raw) != len(keyIdx) {
-		return nil, fmt.Errorf("key of %s has %d attribute(s), got %d", def.Pivot(), len(keyIdx), len(raw))
+func bodyKey(def *viewobject.Definition, raw []any) (reldb.Tuple, error) {
+	if want := len(def.NodeSchema(def.Root()).Key()); len(raw) != want {
+		return nil, fmt.Errorf("key of %s has %d attribute(s), got %d", def.Pivot(), want, len(raw))
 	}
 	return DecodeTuple(raw)
 }
@@ -415,7 +436,7 @@ func (s *Server) updateResponse(w http.ResponseWriter, res *vupdate.Result) {
 
 // handleDelete performs complete deletion (VO-CD) by pivot key.
 func (s *Server) handleDelete(w http.ResponseWriter, name string, def *viewobject.Definition, req updateRequest) {
-	key, err := s.bodyKey(def, req.Key)
+	key, err := bodyKey(def, req.Key)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad key: %v", err)
 		return
@@ -457,7 +478,7 @@ func (s *Server) handleReplace(w http.ResponseWriter, name string, def *viewobje
 		writeError(w, http.StatusBadRequest, "replace needs an \"instance\" document")
 		return
 	}
-	key, err := s.bodyKey(def, req.Key)
+	key, err := bodyKey(def, req.Key)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad key: %v", err)
 		return

@@ -36,10 +36,21 @@ func ConnectedViaBatchStats(res Resolver, e Edge, tuples []reldb.Tuple, st *reld
 	// a null connecting value ("" is unambiguous: EncodeValues of one or
 	// more values is never empty, and Validate rejects empty attr lists).
 	keys := make([]string, len(tuples))
-	var valSets []reldb.Tuple
-	seen := make(map[string]bool, len(tuples))
+	valSets := make([]reldb.Tuple, 0, len(tuples))
+	// One backing array holds every value set; each is sliced out of it
+	// at full capacity, so no set can grow into its neighbour.
+	w := len(srcIdx)
+	backing := make(reldb.Tuple, len(tuples)*w)
+	// seen maps an encoded value set to the key string already built for
+	// it, so duplicates share that string. A batch of one has none.
+	var seen map[string]string
+	if len(tuples) > 1 {
+		seen = make(map[string]string, len(tuples))
+	}
+	var enc []byte
 	for i, t := range tuples {
-		vals := make(reldb.Tuple, len(srcIdx))
+		vals := backing[i*w : (i+1)*w : (i+1)*w]
+		enc = enc[:0]
 		null := false
 		for vi, j := range srcIdx {
 			if t[j].IsNull() {
@@ -47,16 +58,21 @@ func ConnectedViaBatchStats(res Resolver, e Edge, tuples []reldb.Tuple, st *reld
 				break
 			}
 			vals[vi] = t[j]
+			enc = reldb.AppendKey(enc, t[j])
 		}
 		if null {
 			continue
 		}
-		k := reldb.EncodeValues(vals...)
-		keys[i] = k
-		if !seen[k] {
-			seen[k] = true
-			valSets = append(valSets, vals)
+		if k, dup := seen[string(enc)]; dup {
+			keys[i] = k
+			continue
 		}
+		k := string(enc) // EncodeValues(vals...), built in place
+		keys[i] = k
+		if seen != nil {
+			seen[k] = k
+		}
+		valSets = append(valSets, vals)
 	}
 	tgtRel, err := res.Relation(e.Target())
 	if err != nil {

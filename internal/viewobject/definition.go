@@ -16,6 +16,7 @@
 package viewobject
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -115,6 +116,14 @@ func (d *Definition) Key() []string {
 	return d.schemaOf(d.root).KeyNames()
 }
 
+// ErrFieldCollision is wrapped by NewDefinition's error for a node one
+// of whose projected attributes has the name of one of its child nodes'
+// IDs. An instance document (ToMap, serve.InstanceDoc) keys a component's
+// attributes and its child lists in one object, so the two would be one
+// field: the attribute would vanish from the document and come back
+// null from a client that returned the document unchanged.
+var ErrFieldCollision = errors.New("attribute and child node share a document field name")
+
 // NewDefinition validates and assembles a definition from a hand-built
 // node tree. Most callers construct definitions through Tree.Configure
 // (the Figure 2 pipeline); this constructor serves tests and programmatic
@@ -126,7 +135,9 @@ func (d *Definition) Key() []string {
 //   - every node's attributes exist in its relation;
 //   - every non-root node's path is nonempty, connects its parent's
 //     relation to its own, and uses connections of the structural schema;
-//   - node IDs are unique.
+//   - node IDs are unique;
+//   - no node projects an attribute named like one of its children's IDs
+//     (ErrFieldCollision).
 func NewDefinition(name string, g *structural.Graph, root *Node) (*Definition, error) {
 	if root == nil {
 		return nil, fmt.Errorf("viewobject: %s: nil root", name)
@@ -195,6 +206,13 @@ func NewDefinition(name string, g *structural.Graph, root *Node) (*Definition, e
 			c.parent = n
 			if err := walk(c); err != nil {
 				return err
+			}
+			// c.ID is settled now (walk defaults it to the relation name).
+			for _, a := range n.Attrs {
+				if a == c.ID {
+					return fmt.Errorf("viewobject: %s: node %s: projected attribute %s and child node %s (on %s): %w",
+						name, n.ID, a, c.ID, c.Relation, ErrFieldCollision)
+				}
 			}
 		}
 		return nil

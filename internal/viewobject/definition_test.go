@@ -1,6 +1,7 @@
 package viewobject_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -209,5 +210,39 @@ func TestMultipleObjectsSamePivot(t *testing.T) {
 	}
 	if om.Complexity() == op.Complexity() {
 		t.Fatal("distinct configurations expected")
+	}
+}
+
+// TestNewDefinitionRejectsFieldCollision: a document keys a component's
+// attributes and its child lists in one object, so a projected attribute
+// named like a child node would be dropped from the document and come
+// back null from a client that edited nothing (GetPut broken without an
+// error). The definition is refused instead; the same tree without the
+// attribute in the projection is fine.
+func TestNewDefinitionRejectsFieldCollision(t *testing.T) {
+	_, g := university.New()
+	courseGrades, _ := g.Connection(university.ConnCourseGrades)
+	tree := func(attrs ...string) *Node {
+		return &Node{
+			Relation: university.Courses,
+			Attrs:    attrs,
+			Children: []*Node{{
+				ID:       "Title",
+				Relation: university.Grades,
+				Path:     []structural.Edge{{Conn: courseGrades, Forward: true}},
+			}},
+		}
+	}
+	_, err := NewDefinition("clash", g, tree()) // no projection: every attribute, Title among them
+	if !errors.Is(err, ErrFieldCollision) {
+		t.Fatalf("err = %v, want ErrFieldCollision", err)
+	}
+	for _, want := range []string{"clash", "node " + university.Courses, "attribute Title", "child node Title", university.Grades} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if _, err := NewDefinition("no-clash", g, tree("CourseID", "Units")); err != nil {
+		t.Fatalf("child ID equal to an attribute outside the projection rejected: %v", err)
 	}
 }

@@ -86,3 +86,11 @@ func fillChildren(res structural.Resolver, def *Definition, in *InstNode) error 
 	}
 	return nil
 }
+
+// SharesTuple reports whether two components hold the very same tuple
+// slice — what adopting one batched probe's result for two parents, and
+// Clone, both produce. The sharing tests use it to prove they test the
+// shared case.
+func SharesTuple(a, b *InstNode) bool {
+	return len(a.tuple) > 0 && len(b.tuple) > 0 && &a.tuple[0] == &b.tuple[0]
+}

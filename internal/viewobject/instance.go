@@ -19,6 +19,12 @@ import (
 // projection. Hand-built instances (update requests) may leave
 // non-projected attributes null — the translation algorithms treat that as
 // the paper's "extension with values for the attributes projected out".
+//
+// A component's tuple slice is never written in place: every mutator
+// (SetTuple, and SetAttr through it) installs a freshly allocated slice.
+// Clone shares tuples between the copy and the original on the strength
+// of that, and so does assembly from storage (adoptNode), where two
+// instances reaching one stored tuple may hold the same slice.
 type Instance struct {
 	def  *Definition
 	root *InstNode
@@ -61,6 +67,32 @@ func newInstNode(def *Definition, n *Node, tuple reldb.Tuple) (*InstNode, error)
 	return &InstNode{node: n, tuple: tuple.Clone()}, nil
 }
 
+// adoptNode wraps a tuple a relation just handed out. Unlike newInstNode
+// it neither checks the tuple (it was checked when it was stored) nor
+// copies it (reldb copies at its boundary); NewInstance, AddChild and
+// SetTuple keep doing both, because their tuples come from clients.
+func adoptNode(n *Node, tuple reldb.Tuple) *InstNode {
+	return &InstNode{node: n, tuple: tuple}
+}
+
+// adoptChildren attaches one adopted component per tuple under the
+// child node, which must be one of n's children with no components
+// attached yet, and returns them in order.
+func (n *InstNode) adoptChildren(child *Node, tuples []reldb.Tuple) []*InstNode {
+	if len(tuples) == 0 {
+		return nil
+	}
+	kids := make([]*InstNode, len(tuples))
+	for i, t := range tuples {
+		kids[i] = adoptNode(child, t)
+	}
+	if n.children == nil {
+		n.children = make(map[string][]*InstNode, len(n.node.Children))
+	}
+	n.children[child.ID] = kids
+	return kids
+}
+
 // Definition returns the object this instance belongs to.
 func (i *Instance) Definition() *Definition { return i.def }
 
@@ -73,17 +105,46 @@ func (i *Instance) Key() reldb.Tuple {
 	return i.def.schemaOf(i.def.root).KeyOf(i.root.tuple)
 }
 
+// EncodedKey returns the object key in the order-preserving key
+// encoding (Schema.EncodeKeyOf of the pivot tuple): comparing two
+// instances' encoded keys compares their keys.
+func (i *Instance) EncodedKey() string {
+	return i.def.schemaOf(i.def.root).EncodeKeyOf(i.root.tuple)
+}
+
 // Node returns the definition node this component instantiates.
 func (n *InstNode) Node() *Node { return n.node }
 
 // Tuple returns a copy of the component's full-width tuple.
 func (n *InstNode) Tuple() reldb.Tuple { return n.tuple.Clone() }
 
+// Value returns the i-th value of the component's full-width tuple, in
+// the base schema's attribute order: the read that does not copy the
+// tuple (values are immutable, so nothing internal can leak).
+func (n *InstNode) Value(i int) reldb.Value { return n.tuple[i] }
+
 // Children returns the sub-instances under the given child node ID, in
 // insertion order.
 func (n *InstNode) Children(childID string) []*InstNode {
 	return append([]*InstNode(nil), n.children[childID]...)
 }
+
+// ChildList returns a read-only view of the sub-instances under the
+// given child node ID, in insertion order: Children without the copy.
+func (n *InstNode) ChildList(childID string) ChildList {
+	return ChildList{kids: n.children[childID]}
+}
+
+// ChildList is a read-only view of one child node's sub-instances. It
+// exposes length and element access only, so the slice behind it cannot
+// be reordered or grown by a reader.
+type ChildList struct{ kids []*InstNode }
+
+// Len returns the number of sub-instances.
+func (l ChildList) Len() int { return len(l.kids) }
+
+// At returns the i-th sub-instance.
+func (l ChildList) At(i int) *InstNode { return l.kids[i] }
 
 // AddChild attaches a sub-instance for the named child node and returns
 // it. The child ID must be one of the node's children in the definition;

@@ -347,3 +347,61 @@ func TestMustHelpersPanic(t *testing.T) {
 	}()
 	MustNewInstance(om, reldb.Tuple{reldb.Null()})
 }
+
+// TestSharedTuplesAreInvisible: assembly adopts the tuples storage hands
+// out, so two courses of one department — fetched by one batched probe —
+// hold the same DEPARTMENT tuple, and Clone shares every tuple with its
+// original. Neither sharing may show: an edit through one holder changes
+// that holder alone.
+func TestSharedTuplesAreInvisible(t *testing.T) {
+	db, def := seededOmega(t)
+	// One worker, so one batch: parallel chunks each probe for themselves.
+	defer SetParallelism(SetParallelism(1))
+	all, err := Instantiate(db, def, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := make(map[string]*Instance)
+	for _, inst := range all {
+		byID[inst.Key()[0].MustString()] = inst
+	}
+	dept := func(inst *Instance) *InstNode { return inst.NodesAt(university.Department)[0] }
+	a, b := byID["CS345"], byID["CS445"] // both Computer Science
+	if !SharesTuple(dept(a), dept(b)) {
+		t.Fatal("the two courses' DEPARTMENT components do not share a tuple: the test no longer covers adoption")
+	}
+	before := b.Render()
+	if err := dept(a).SetAttr(def, "Building", reldb.String("Moved")); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := dept(a).Get(def, "Building"); v.MustString() != "Moved" {
+		t.Fatalf("SetAttr did not take: Building = %s", v)
+	}
+	if b.Render() != before {
+		t.Errorf("editing CS345's department changed CS445's:\n%s", b.Render())
+	}
+	fresh, ok, err := InstantiateByKey(db, def, reldb.Tuple{reldb.String("CS445")})
+	if err != nil || !ok {
+		t.Fatal(ok, err)
+	}
+	if fresh.Render() != before {
+		t.Errorf("editing an instance reached storage: a fresh read gives\n%s", fresh.Render())
+	}
+
+	c := b.Clone()
+	if !SharesTuple(c.Root(), b.Root()) {
+		t.Fatal("Clone no longer shares tuples: the test no longer covers it")
+	}
+	if err := c.Root().SetAttr(def, "Title", reldb.String("Edited")); err != nil {
+		t.Fatal(err)
+	}
+	if err := dept(c).SetTuple(def, dept(a).Tuple()); err != nil {
+		t.Fatal(err)
+	}
+	if b.Render() != before {
+		t.Errorf("editing a clone changed its original:\n%s", b.Render())
+	}
+	if c.Render() == before {
+		t.Error("the clone's edits did not take")
+	}
+}

@@ -126,9 +126,9 @@ func instantiate(res structural.Resolver, def *Definition, q Query, op obs.Op) (
 // When pred is an indexable equality conjunction (EqConjunction +
 // ProbeableEqual) it runs as a MatchEqual probe charging only the
 // tuples actually visited; when it is a range conjunction over one
-// attribute (RangeConjunction + ProbeableRange) it binary-searches the
-// relation version's cached ordered view, charging a full scan only the
-// first time the view is built; otherwise it scans — in parallel when
+// attribute (RangeConjunction + ProbeableRange) it runs as a MatchRange
+// probe — one seek and an in-order walk of the key or index range,
+// charging the tuples walked; otherwise it scans — in parallel when
 // the relation and worker budget warrant it — charging the whole
 // relation, which is what a scan visits. The naive reference assembler
 // the differential tests keep shares this selection, so its pivot set
@@ -163,22 +163,20 @@ func pivotSelect(pivotRel *reldb.Relation, pred reldb.Expr, workers int) ([]reld
 // of pivot tuples: create every root first, then fill the whole forest
 // level-at-a-time so all pivots' children at the same definition node
 // come from one batched fetch. It is the sequential unit of work — the
-// parallel path calls it once per pivot chunk.
+// parallel path calls it once per pivot chunk. The pivots, like every
+// tuple the traversal fetches below them, come straight from a relation
+// and are adopted, not re-checked and re-copied (see adoptNode).
 func assembleBatch(res structural.Resolver, def *Definition, pivots []reldb.Tuple) ([]*Instance, error) {
 	if len(pivots) == 0 {
 		return nil, nil
 	}
-	instances := make([]*Instance, 0, len(pivots))
-	roots := make([]*InstNode, 0, len(pivots))
-	for _, pt := range pivots {
-		inst, err := NewInstance(def, pt)
-		if err != nil {
-			return nil, err
-		}
-		obs.Default.InstNodesByObject.At(def.obsSlot).Inc() // the root component
-		instances = append(instances, inst)
-		roots = append(roots, inst.root)
+	instances := make([]*Instance, len(pivots))
+	roots := make([]*InstNode, len(pivots))
+	for i, pt := range pivots {
+		roots[i] = adoptNode(def.root, pt)
+		instances[i] = &Instance{def: def, root: roots[i]}
 	}
+	obs.Default.InstNodesByObject.At(def.obsSlot).Add(int64(len(roots))) // the root components
 	if err := fillLevel(res, def, roots); err != nil {
 		return nil, err
 	}
@@ -266,8 +264,8 @@ func fillLevel(res structural.Resolver, def *Definition, parents []*InstNode) er
 // fillChildLevel builds every parent's children at one definition node,
 // splitting the parent set across stolen worker tokens when the level is
 // wide and spare parallelism exists. Each segment touches only its own
-// parents (AddChild mutates nothing outside the parent node), so the
-// helpers need no locks; segment results concatenate in parent order.
+// parents (adoptChildren mutates nothing outside the parent node), so
+// the helpers need no locks; segment results concatenate in parent order.
 func fillChildLevel(res structural.Resolver, def *Definition, parents []*InstNode, child *Node) ([]*InstNode, error) {
 	helpers := 0
 	if len(parents) >= 2*minStealParents && workersFor(res) > 1 {
@@ -323,17 +321,18 @@ func fillChildSegment(res structural.Resolver, def *Definition, parents []*InstN
 		return nil, fmt.Errorf("viewobject: %s: node %s: %w", def.Name, child.ID, err)
 	}
 	obs.Default.InstTuplesByObject.At(def.obsSlot).Add(int64(st.Scanned))
-	var level []*InstNode
-	for i, p := range parents {
-		for _, tt := range perParent[i] {
-			cn, err := p.AddChild(def, child.ID, tt)
-			if err != nil {
-				return nil, err
-			}
-			obs.Default.InstNodesByObject.At(def.obsSlot).Inc()
-			level = append(level, cn)
-		}
+	total := 0
+	for _, tuples := range perParent {
+		total += len(tuples)
 	}
+	if total == 0 {
+		return nil, nil
+	}
+	level := make([]*InstNode, 0, total)
+	for i, p := range parents {
+		level = append(level, p.adoptChildren(child, perParent[i])...)
+	}
+	obs.Default.InstNodesByObject.At(def.obsSlot).Add(int64(total))
 	return level, nil
 }
 
@@ -341,17 +340,31 @@ func fillChildSegment(res structural.Resolver, def *Definition, parents []*InstN
 // once. The result is aligned with parents: out[i] holds the distinct
 // tuples parents[i] reaches at the far end, in the same order the naive
 // TraversePath would produce (per-step key order, first-seen dedup).
-// Each edge costs one batched lookup for the whole level.
+// Each edge costs one batched lookup for the whole level. The result
+// slices may be shared between parents with equal connecting values
+// (see structural.ConnectedViaBatch); callers only read them.
 func traverseLevel(res structural.Resolver, parents []*InstNode, path []structural.Edge, st *reldb.MatchStats) ([][]reldb.Tuple, error) {
-	frontiers := make([][]reldb.Tuple, len(parents))
+	// First edge: each parent's frontier is its own tuple, so the batch
+	// is the parents' tuples and its results align with parents as they
+	// stand — one probe of one relation cannot return a key twice, so
+	// there is nothing to deduplicate either.
+	flat := make([]reldb.Tuple, len(parents))
 	for i, p := range parents {
-		frontiers[i] = []reldb.Tuple{p.tuple}
+		flat[i] = p.tuple
 	}
-	for _, e := range path {
+	frontiers, err := structural.ConnectedViaBatchStats(res, path[0], flat, st)
+	if err != nil {
+		return nil, err
+	}
+	obs.Default.BatchedLookups.Inc()
+	if len(path) == 1 {
+		return frontiers, nil
+	}
+	offs := make([]int, len(parents)+1)
+	for _, e := range path[1:] {
 		// Flatten the per-parent frontiers, remembering each parent's
 		// segment so results can be distributed back.
-		var flat []reldb.Tuple
-		offs := make([]int, len(parents)+1)
+		flat = flat[:0]
 		for i, fr := range frontiers {
 			offs[i] = len(flat)
 			flat = append(flat, fr...)
@@ -371,6 +384,11 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, path []structur
 		}
 		tgtSchema := tgtRel.Schema()
 		for i := range parents {
+			if offs[i+1]-offs[i] == 1 {
+				// A single-tuple frontier is again one probe.
+				frontiers[i] = results[offs[i]]
+				continue
+			}
 			seen := make(map[string]bool)
 			var next []reldb.Tuple
 			for _, matches := range results[offs[i]:offs[i+1]] {
