@@ -1,7 +1,6 @@
 GO ?= go
-BENCH_TOLERANCE ?= 0.30
 
-.PHONY: build test race vet bench bench-smoke bench-baseline bench-diff metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test fuzz-smoke verify
+.PHONY: build test race vet bench bench-smoke metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test fuzz-smoke verify
 
 build:
 	$(GO) build ./...
@@ -30,19 +29,6 @@ bench-smoke:
 	$(GO) test -bench=BenchmarkMaterializedRead -benchtime=1x -run='^$$' .
 	$(GO) test -bench='BenchmarkCommit(WAL|InMemory)' -benchtime=1x -run='^$$' .
 	$(GO) test -bench=BenchmarkShardedCommit -benchtime=1x -cpu=1,4 -run='^$$' .
-
-# bench-baseline records a full benchmark run as JSON for diffing
-# against future runs.
-bench-baseline:
-	$(GO) test -bench=. -benchmem -run='^$$' ./... | $(GO) run ./cmd/bench2json > BENCH_baseline.json
-
-# bench-diff reruns the benchmarks and fails when any ns/op regressed
-# beyond BENCH_TOLERANCE versus BENCH_baseline.json. Cross-hardware runs
-# are skipped with a warning (ns/op is not comparable across machines).
-# Time-based benchtime (not -benchtime=Nx): fixed iteration counts put
-# warm-up cost inside the measurement and false-flag sub-µs benchmarks.
-bench-diff:
-	$(GO) test -bench=. -benchtime=0.3s -run='^$$' ./... | $(GO) run ./cmd/bench2json | $(GO) run ./cmd/benchdiff -baseline BENCH_baseline.json -tolerance $(BENCH_TOLERANCE)
 
 # metrics-lint drives real concurrent workloads — including the
 # materialized-reader stress mode — and validates that the live registry

@@ -10,7 +10,7 @@
 //	penguin -empty            # start with an empty database (RQL only)
 //	penguin -load snapshot.db # load a snapshot written by .save (RQL only)
 //	penguin -data-dir DIR     # open a durable database (WAL + checkpoints)
-//	                          # in DIR itself; recovers committed state
+//	                          # in DIR/shard-0; recovers committed state
 //	                          # after a crash (RQL only)
 //	penguin -metrics-addr :9090 # additionally serve Prometheus metrics at /metrics
 //	                            # (plus /debug/traces and /debug/pprof/)
@@ -27,10 +27,10 @@
 //	                          # quantiles against -slo-p50/-slo-p99, exit
 //
 // The university is always a cluster of -shards databases, one by default.
-// Given -data-dir DIR, -serve (at any -shards) and -shards N > 1 keep
-// shard i in DIR/shard-<i>, each with its own WAL; a DIR that a plain
-// -data-dir session wrote (wal-*.log at its top level) is refused, not
-// migrated.
+// Every durable session has one layout: given -data-dir DIR, shard i lives
+// in DIR/shard-<i> with its own WAL, so a shell session and -serve open the
+// same directory. A DIR an older build wrote as one database (wal-*.log at
+// its top level) is refused, not migrated.
 //
 // Commands:
 //
@@ -120,7 +120,7 @@ func (sh *shell) db() *reldb.Database { return sh.cluster.DB(0) }
 
 // single reports whether the session is one database; over several
 // shards it refuses the command, which needs one database's snapshot,
-// delta stream, or translator.
+// relation versions, or translator.
 func (sh *shell) single(why string) bool {
 	if sh.cluster.N() > 1 {
 		sh.errorf("%s - not supported over %d shards", why, sh.cluster.N())
@@ -274,12 +274,14 @@ func main() {
 		fatal(errors.New("-shards cannot be combined with -empty or -load"))
 	case *shards > 1: // the university, below
 	case *dataDir != "":
-		var err error
-		if db, err = reldb.OpenDatabase(*dataDir); err != nil {
+		// The layout serve mode opens: a 1-shard cluster in DIR/shard-0.
+		c, err := shard.Open(*dataDir, 1, reldb.OpenOptions{})
+		if err != nil {
 			fatal(err)
 		}
+		sh.cluster, sh.g = c, structural.NewGraph(c.DB(0))
 		fmt.Printf("opened %s (%d relations, %d rows, generation %d)\n",
-			*dataDir, len(db.Names()), db.TotalRows(), db.Generation())
+			*dataDir, len(c.DB(0).Names()), c.TotalRows(), c.Generation())
 	case *load != "":
 		f, err := os.Open(*load)
 		if err != nil {
@@ -296,7 +298,7 @@ func main() {
 	}
 	if db != nil {
 		sh.adopt(db)
-	} else {
+	} else if sh.cluster == nil {
 		sh.cluster = openUniversity(*dataDir, *shards)
 		om, err := sh.cluster.Object(university.ObjOmega, 0)
 		if err != nil {
@@ -597,7 +599,7 @@ func (sh *shell) command(line string) bool {
 		}
 		fmt.Fprint(sh.out, report)
 	case ".materialize":
-		if !sh.single("materialized caches follow one database's delta stream") {
+		if !sh.single("materialized caches follow one database's relation versions") {
 			break
 		}
 		if len(args) == 0 {
@@ -933,7 +935,7 @@ Dot-commands:
   .save FILE .load FILE .quit
 The university is a cluster of -shards databases (default 1). .dialog, .materialize,
 .save and .load work on one database: over several shards they are refused. With
--data-dir DIR a cluster keeps shard i in DIR/shard-<i>; a DIR written by a plain
--data-dir session (wal-*.log at its top level) is refused, not migrated.
+-data-dir DIR shard i lives in DIR/shard-<i>, in shell and serve mode alike; a DIR
+an older build wrote as one database (wal-*.log at its top level) is refused.
 `)
 }

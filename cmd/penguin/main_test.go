@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"os/exec"
 	"strconv"
 	"strings"
 	"testing"
 
 	"penguin/internal/obs"
 	"penguin/internal/reldb"
+	"penguin/internal/reldb/shard"
 	"penguin/internal/university"
 	"penguin/internal/viewobject"
 )
@@ -502,6 +504,40 @@ func TestShellCheckpoint(t *testing.T) {
 	rel, err := re.Relation("T")
 	if err != nil || rel.Count() != 1 {
 		t.Fatalf("reopened T: %v, count %d", err, rel.Count())
+	}
+}
+
+// shellChildEnv carries the data directory to a re-executed child that
+// runs the real `penguin -data-dir DIR` shell over its stdin.
+const shellChildEnv = "PENGUIN_SHELL_CHILD_DIR"
+
+// TestShellDataDirLayout: a -data-dir shell session writes the one
+// durable layout, a 1-shard cluster in DIR/shard-0, so shard.Open — and
+// with it `penguin -serve -data-dir DIR` — sees what the session wrote.
+func TestShellDataDirLayout(t *testing.T) {
+	if dir := os.Getenv(shellChildEnv); dir != "" {
+		os.Args = []string{"penguin", "-data-dir", dir}
+		main()
+		return
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(os.Args[0], "-test.run=^TestShellDataDirLayout$")
+	cmd.Env = append(os.Environ(), shellChildEnv+"="+dir)
+	cmd.Stdin = strings.NewReader("CREATE TABLE T (K int) KEY (K)\nINSERT INTO T VALUES (7)\n.quit\n")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("shell session: %v\n%s", err, out)
+	}
+	c, err := shard.Open(dir, 1, reldb.OpenOptions{CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rel, err := c.DB(0).Relation("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := rel.Get(reldb.Tuple{reldb.Int(7)}); !ok || rel.Count() != 1 {
+		t.Fatalf("T after the shell session holds %d rows, want the one it inserted", rel.Count())
 	}
 }
 

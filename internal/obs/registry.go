@@ -145,10 +145,6 @@ type Registry struct {
 	CommitNs       Histogram // write-transaction latency, Begin→Commit
 	ReadTxLag      Histogram // ReadTx generation lag observed at Close and Fork
 
-	// reldb: the per-commit delta stream (Database.Subscribe).
-	DeltaPublishes Counter // delta batches published to at least one subscriber
-	DeltaOverflows Counter // subscriber queues overflowed (drop-to-resync)
-
 	// reldb: the write-ahead log, by shard (a database opened without a
 	// shard label is shard "0": a database is a 1-shard cluster).
 	// Appends count generation advances logged (commits and DDL); the
@@ -207,14 +203,13 @@ type Registry struct {
 
 	// viewobject: the materialized view-object cache (Materializer).
 	// Every MaterializedInstantiate serve increments exactly one of
-	// hits/misses/fallbacks/resyncs; patches counts per-instance patch
-	// operations (rebuilds and drops) applied while serving hits.
+	// hits/misses/fallbacks; patches counts per-instance patch operations
+	// (rebuilds and drops) applied while serving hits.
 	MatHits      Counter   // serves answered from the patched cache
 	MatMisses    Counter   // serves that built the cache cold
-	MatPatches   Counter   // instances patched (rebuilt or dropped) from deltas
-	MatFallbacks Counter   // serves that re-instantiated (structural/unlocalizable delta)
-	MatResyncs   Counter   // serves that re-instantiated after a delta-stream overflow
-	MatPatchNs   Histogram // latency of applying pending deltas to the cache
+	MatPatches   Counter   // instances patched (rebuilt or dropped) from version diffs
+	MatFallbacks Counter   // serves that re-instantiated (structural/unlocalizable change)
+	MatPatchNs   Histogram // latency of diffing and patching the cache
 
 	// vupdate: the §5 update pipeline, by view object.
 	CommittedByObject *CounterVec                   // translations that committed

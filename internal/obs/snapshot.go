@@ -94,8 +94,6 @@ func (r *Registry) Snapshot() Snapshot {
 	c("reldb.readtx.begins", &r.ReadTxBegins)
 	c("reldb.readtx.stale_closes", &r.StaleCloses)
 	c("reldb.readtx.stale_forks", &r.StaleForks)
-	c("reldb.delta.publishes", &r.DeltaPublishes)
-	c("reldb.delta.overflows", &r.DeltaOverflows)
 	lc("reldb.wal.appends", r.WALAppendsByShard)
 	lc("reldb.wal.bytes", r.WALBytesByShard)
 	lc("reldb.wal.fsyncs", r.WALFsyncsByShard)
@@ -129,7 +127,6 @@ func (r *Registry) Snapshot() Snapshot {
 	c("viewobject.materialize.misses", &r.MatMisses)
 	c("viewobject.materialize.patches", &r.MatPatches)
 	c("viewobject.materialize.falls_back", &r.MatFallbacks)
-	c("viewobject.materialize.resyncs", &r.MatResyncs)
 	h("viewobject.materialize.patch_ns", &r.MatPatchNs)
 
 	lc("vupdate.updates.committed", r.CommittedByObject)

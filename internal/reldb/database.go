@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Database is a catalog of named relations with copy-on-write concurrency:
@@ -40,13 +39,6 @@ type Database struct {
 	// Guarded by mu: registration and publish share the critical section
 	// that advances gen, which pins both to generation boundaries.
 	subs []*Subscription
-	// nsubs mirrors len(subs) atomically so the write-op hot path can
-	// skip changelog capture without taking mu when nobody subscribes.
-	nsubs atomic.Int32
-	// writing, guarded by mu, is true while a write transaction is open.
-	// Subscribe uses it to pin late registrations past the in-flight
-	// commit, whose changelog may predate the subscription (delta.go).
-	writing bool
 
 	// wal, set once by OpenDatabase before the database is shared, makes
 	// every generation advance durable before it becomes visible. nil

@@ -3,6 +3,13 @@
 // Subscribers are queue-buffered with drop-to-resync semantics — a slow
 // consumer loses history and is told so, it never blocks the writer.
 //
+// A commit's batch is the diff of two versions (Diff): for every relation
+// the transaction wrote, the committed version it cloned against the one
+// it leaves behind. The path-copying trees already record what changed, so
+// nothing is logged while the transaction runs, and the batch is built
+// only when something reads it — the write-ahead log of a durable
+// database, or a subscriber.
+//
 // Ordering and atomicity guarantees:
 //
 //   - One DeltaBatch per generation advance, published inside the same
@@ -14,25 +21,22 @@
 //     generation boundary: a subscriber sees a commit entirely or not at
 //     all, never a torn prefix, and the batches it receives are exactly
 //     the consecutive generations StartGen+1, StartGen+2, ... (until an
-//     overflow drops history). Registration during an in-flight write
-//     transaction pins StartGen past its commit — ops capture no
-//     changelog while nobody subscribes, so that commit's batch may be
-//     partial and is withheld rather than delivered torn.
+//     overflow drops history). A batch computed from two versions is
+//     complete whenever it is built, so a subscriber that registers while
+//     a write transaction is open receives that transaction's commit too.
 //   - Within a batch, deltas are ordered by relation name and tuples by
 //     encoded primary key, so equal states produce equal streams.
 //
-// The changelog is net-effect per primary key: an insert followed by a
-// delete of the same key inside one transaction cancels out, an insert
-// followed by replaces collapses into one insert of the final image, and
-// a key-changing replace appears as a delete of the old key plus an
-// insert of the new one.
+// A delta is net effect per primary key: an insert followed by a delete
+// of the same key inside one transaction cancels out, an insert followed
+// by replaces is one insert of the final image, a replace by an equal
+// tuple is nothing, and a key-changing replace is a delete of the old key
+// plus an insert of the new one.
 package reldb
 
 import (
 	"sort"
 	"sync"
-
-	"penguin/internal/obs"
 )
 
 // TupleChange is one same-key replacement: the stored image before and
@@ -67,6 +71,85 @@ type DeltaBatch struct {
 	Deltas []Delta
 }
 
+// stamp sets the generation the batch publishes as, on it and its deltas.
+func (b *DeltaBatch) stamp(gen uint64) {
+	b.Gen = gen
+	for i := range b.Deltas {
+		b.Deltas[i].Gen = gen
+	}
+}
+
+// Diff returns the net change from one version of a relation to another:
+// rows only old holds as Deletes, rows only new holds as Inserts, and rows
+// both hold under one key with unequal values as Replaces, each in encoded
+// primary-key order. It descends the two row trees together and never
+// enters a subtree both versions share by pointer, so it costs what the
+// versions do not share — about one root-to-leaf path per side for a
+// one-row commit, splits and merges included — not what they hold. If new
+// is not a later version of old (the relation was dropped and created
+// again in between) the delta is Structural and carries no tuples. The
+// images are the versions' stored tuples and must not be mutated; Gen is
+// left zero.
+func Diff(old, new *Relation) Delta {
+	d, _ := diff(old, new)
+	return d
+}
+
+// diff is Diff that also counts the tree nodes it read.
+func diff(old, new *Relation) (d Delta, read int) {
+	d.Relation = new.Name()
+	if old.origin != new.origin {
+		d.Structural = true
+		return d, 0
+	}
+	la, lb, read := unsharedLeaves(&old.rows, &new.rows)
+	ka, va := entries(la)
+	kb, vb := entries(lb)
+	for i, j := 0, 0; i < len(ka) || j < len(kb); {
+		switch {
+		case j == len(kb) || i < len(ka) && ka[i] < kb[j]:
+			d.Deletes = append(d.Deletes, va[i])
+			i++
+		case i == len(ka) || kb[j] < ka[i]:
+			d.Inserts = append(d.Inserts, vb[j])
+			j++
+		default:
+			if !sameStored(va[i], vb[j]) && !va[i].Equal(vb[j]) {
+				d.Replaces = append(d.Replaces, TupleChange{Old: va[i], New: vb[j]})
+			}
+			i, j = i+1, j+1
+		}
+	}
+	return d, read
+}
+
+// sameStored reports whether two stored tuples are one stored copy.
+func sameStored(x, y Tuple) bool {
+	return len(x) == len(y) && len(x) > 0 && &x[0] == &y[0]
+}
+
+// batchLocked is the transaction's commit batch: for every relation it
+// wrote, in name order, the diff from the committed version it cloned to
+// the version it leaves; relations whose net change is empty are left
+// out. The caller stamps Gen. It holds db.mu (either
+// side); the writer lock it also holds keeps the cloned versions in the
+// catalog.
+func (tx *Tx) batchLocked() DeltaBatch {
+	names := make([]string, 0, len(tx.written))
+	for n := range tx.written {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var b DeltaBatch
+	for _, name := range names {
+		d := Diff(tx.db.relations[name], tx.dirty[name])
+		if len(d.Inserts)+len(d.Deletes)+len(d.Replaces) > 0 {
+			b.Deltas = append(b.Deltas, d)
+		}
+	}
+	return b
+}
+
 // DefaultDeltaBuffer is the subscription queue capacity used when
 // Subscribe is called with a non-positive buffer size.
 const DefaultDeltaBuffer = 256
@@ -91,25 +174,16 @@ type Subscription struct {
 // generation boundary: it cannot interleave with a commit's publish, so
 // the subscription's StartGen is a state the consumer can load with a
 // ReadTx, after which the stream delivers exactly the generations
-// StartGen+1, StartGen+2, ... in order. Registering while a write
-// transaction is in flight pins StartGen past that transaction's commit:
-// its changelog may predate the subscription (ops skip capture while
-// nobody subscribes), so its batch is withheld and the stream starts at
-// the next commit. A consumer whose loaded snapshot is older than
-// StartGen must resynchronize once the generation moves.
+// StartGen+1, StartGen+2, ... in order — including the commit of a write
+// transaction that was already open at registration.
 func (db *Database) Subscribe(buffer int) *Subscription {
 	if buffer <= 0 {
 		buffer = DefaultDeltaBuffer
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	startGen := db.gen
-	if db.writing {
-		startGen++
-	}
-	s := &Subscription{db: db, cap: buffer, startGen: startGen}
+	s := &Subscription{db: db, cap: buffer, startGen: db.gen}
 	db.subs = append(db.subs, s)
-	db.nsubs.Add(1)
 	return s
 }
 
@@ -137,7 +211,6 @@ func (s *Subscription) Close() {
 	for i, x := range s.db.subs {
 		if x == s {
 			s.db.subs = append(s.db.subs[:i], s.db.subs[i+1:]...)
-			s.db.nsubs.Add(-1)
 			break
 		}
 	}
@@ -159,28 +232,16 @@ func (s *Subscription) push(b DeltaBatch) {
 	if len(s.queue) >= s.cap {
 		s.queue = s.queue[:0]
 		s.lost = true
-		obs.Default.DeltaOverflows.Inc()
 		return
 	}
 	s.queue = append(s.queue, b)
 }
 
-// publishLocked pushes a batch to every subscription registered before
-// the batch's generation. The caller holds db.mu exclusively, in the same
-// critical section that advanced db.gen — that pairing is what makes the
-// stream gap-free and untearable. Subscriptions whose StartGen is at or
-// past the batch (registered mid-transaction, so the changelog may be
-// missing ops that ran before anyone subscribed) are skipped: they are
-// promised exactly the generations after StartGen, never a torn batch.
+// publishLocked pushes a batch to every subscription. The caller holds
+// db.mu exclusively, in the same critical section that advanced db.gen —
+// that pairing is what makes the stream gap-free and untearable.
 func (db *Database) publishLocked(b DeltaBatch) {
-	if len(db.subs) == 0 {
-		return
-	}
-	obs.Default.DeltaPublishes.Inc()
 	for _, s := range db.subs {
-		if b.Gen <= s.startGen {
-			continue
-		}
 		s.push(b)
 	}
 }
@@ -195,83 +256,4 @@ func (db *Database) structuralBatchLocked(relName string) {
 		Gen:    db.gen,
 		Deltas: []Delta{{Gen: db.gen, Relation: relName, Structural: true}},
 	})
-}
-
-// txChange is the per-key changelog entry a transaction accumulates:
-// the stored image before the transaction first touched the key and the
-// image it left behind (nil on either side for absent).
-type txChange struct {
-	before, after Tuple
-}
-
-// capturing reports whether write ops must feed the changelog: some
-// delta subscriber is registered, or the database is durable and every
-// commit's net effect must reach the write-ahead log. With neither, the
-// hot path skips capture entirely — key encoding, cloning, and the
-// changelog maps all cost nothing. A subscriber that registers after an
-// op skipped capture cannot be torn by the gap: Subscribe pins its
-// StartGen past the in-flight commit, whose batch is then withheld from
-// it (publishLocked).
-func (tx *Tx) capturing() bool { return tx.db.nsubs.Load() > 0 || tx.db.wal != nil }
-
-// note records that a transaction op left the stored image of (relName,
-// ek) as after. The before image is captured only on the first touch of
-// the key — later ops only move the after side, so the entry always spans
-// from the committed state to the transaction's final state. The before
-// image is cloned: Delete hands the stored tuple to its caller and
-// Replace leaves the changelog as its only holder, so the entry must own
-// a private copy.
-func (tx *Tx) note(relName, ek string, before, after Tuple) {
-	if tx.changes == nil {
-		tx.changes = make(map[string]map[string]*txChange)
-	}
-	m := tx.changes[relName]
-	if m == nil {
-		m = make(map[string]*txChange)
-		tx.changes[relName] = m
-	}
-	if e, ok := m[ek]; ok {
-		e.after = after
-		return
-	}
-	if before != nil {
-		before = before.Clone()
-	}
-	m[ek] = &txChange{before: before, after: after}
-}
-
-// buildBatch classifies the transaction's changelog into the net-effect
-// DeltaBatch to publish. Gen fields are stamped at publish time, when the
-// new generation number is known.
-func (tx *Tx) buildBatch() DeltaBatch {
-	names := make([]string, 0, len(tx.written))
-	for n := range tx.written {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var b DeltaBatch
-	for _, name := range names {
-		m := tx.changes[name]
-		eks := make([]string, 0, len(m))
-		for ek := range m {
-			eks = append(eks, ek)
-		}
-		sort.Strings(eks)
-		d := Delta{Relation: name}
-		for _, ek := range eks {
-			e := m[ek]
-			switch {
-			case e.before == nil && e.after != nil:
-				d.Inserts = append(d.Inserts, e.after)
-			case e.before != nil && e.after == nil:
-				d.Deletes = append(d.Deletes, e.before)
-			case e.before != nil && e.after != nil && !e.before.Equal(e.after):
-				d.Replaces = append(d.Replaces, TupleChange{Old: e.before, New: e.after})
-			}
-		}
-		if len(d.Inserts)+len(d.Deletes)+len(d.Replaces) > 0 {
-			b.Deltas = append(b.Deltas, d)
-		}
-	}
-	return b
 }

@@ -138,6 +138,50 @@ func checkRows(t testing.TB, r *Relation, m *modelRel) []Tuple {
 	return all
 }
 
+// checkDiff compares Diff from a captured version to the current one with
+// the oracle's net difference between the two states, and checks that
+// applying it to the captured version reproduces the current rows.
+func checkDiff(t testing.TB, was *modelRun, r *Relation, m *modelRel) {
+	t.Helper()
+	eks := make([]string, 0, len(was.m.rows)+len(m.rows))
+	for ek := range was.m.rows {
+		eks = append(eks, ek)
+	}
+	for ek := range m.rows {
+		if _, ok := was.m.rows[ek]; !ok {
+			eks = append(eks, ek)
+		}
+	}
+	sort.Strings(eks)
+	var ins, del, repOld, repNew []Tuple
+	for _, ek := range eks {
+		old, inOld := was.m.rows[ek]
+		now, inNew := m.rows[ek]
+		switch {
+		case !inOld:
+			ins = append(ins, now)
+		case !inNew:
+			del = append(del, old)
+		case !old.Equal(now):
+			repOld, repNew = append(repOld, old), append(repNew, now)
+		}
+	}
+	d := Diff(was.r, r)
+	sameTuples(t, "Diff inserts", d.Inserts, ins)
+	sameTuples(t, "Diff deletes", d.Deletes, del)
+	var gotOld, gotNew []Tuple
+	for _, rc := range d.Replaces {
+		gotOld, gotNew = append(gotOld, rc.Old), append(gotNew, rc.New)
+	}
+	sameTuples(t, "Diff replaces (old)", gotOld, repOld)
+	sameTuples(t, "Diff replaces (new)", gotNew, repNew)
+	c := was.r.clone()
+	if err := applyDelta(c, d); err != nil {
+		t.Fatalf("applying Diff to the captured version: %v", err)
+	}
+	checkRows(t, c, m)
+}
+
 // checkModel compares every read path of r against the oracle.
 func checkModel(t testing.TB, r *Relation, m *modelRel) {
 	t.Helper()
@@ -422,10 +466,23 @@ func (run *modelRun) step(t testing.TB, op, a, b, v byte) Tuple {
 	return key
 }
 
+// rewriteEqual replaces the first n rows with equal values: new stored
+// copies that a diff from any captured version must see through.
+func (run *modelRun) rewriteEqual(t testing.TB, n int) {
+	t.Helper()
+	rows := run.m.filter(nil)
+	for _, tu := range rows[:min(n, len(rows))] {
+		if err := run.r.Replace(run.m.schema.KeyOf(tu), tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestRelationMatchesModel drives seeded random operation sequences
 // against the tree-backed relation and the map-plus-sort oracle, comparing
 // every read path after every step; then every version captured by a
-// clone along the way must still read exactly as it did when captured.
+// clone along the way must still read exactly as it did when captured, and
+// diff to the final version as the oracle's states do.
 func TestRelationMatchesModel(t *testing.T) {
 	steps := 120
 	if testing.Short() {
@@ -443,16 +500,19 @@ func TestRelationMatchesModel(t *testing.T) {
 			run.step(t, op, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
 			checkModel(t, run.r, run.m)
 		}
-		for _, c := range run.captured {
-			checkModel(t, c.r, c.m)
+		run.rewriteEqual(t, 8)
+		for i := range run.captured {
+			checkModel(t, run.captured[i].r, run.captured[i].m)
+			checkDiff(t, &run.captured[i], run.r, run.m)
 		}
 	}
 }
 
 // FuzzRelationOps feeds arbitrary bytes to the same interpreter and the
 // same oracle: a cheap check after every op, the full one at the end, and
-// the rows of every captured version (the full check on each would leave
-// the fuzzer a handful of inputs per second).
+// the rows of every captured version and its diff to the final one (the
+// full check on each would leave the fuzzer a handful of inputs per
+// second).
 func FuzzRelationOps(f *testing.F) {
 	f.Add([]byte{}) // the seed corpus is in testdata/fuzz
 	// Every input starts from a clone of one seeded relation: cheaper than
@@ -471,8 +531,10 @@ func FuzzRelationOps(f *testing.F) {
 			}
 		}
 		checkModel(t, run.r, run.m)
-		for _, c := range run.captured {
-			checkRows(t, c.r, c.m)
+		run.rewriteEqual(t, 8)
+		for i := range run.captured {
+			checkRows(t, run.captured[i].r, run.captured[i].m)
+			checkDiff(t, &run.captured[i], run.r, run.m)
 		}
 		if base.r.Count() != modelSeedRows {
 			t.Fatalf("the shared base now holds %d rows", base.r.Count())

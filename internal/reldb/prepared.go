@@ -71,25 +71,25 @@ func (tx *Tx) Prepare(xid string, parts []int) (*PreparedTx, error) {
 		return nil, ErrTxDone
 	}
 	tx.done = true
-	batch := tx.buildBatch()
 	// Block checkpoints for the duration of the protocol: a checkpoint's
 	// segment prune must never drop a prepare record whose decision is
 	// still unresolved. Safe against deadlock — Checkpoint holds ckptMu
 	// while taking only db.mu.RLock, never the writer lock we hold.
 	tx.db.ckptMu.Lock()
-	p := &PreparedTx{tx: tx, xid: xid, batch: batch}
+	p := &PreparedTx{tx: tx, xid: xid}
 	if tx.db.wal != nil {
-		payload, err := encodeCrossPrepareRecord(xid, parts, batch)
+		// The prepare record logs the batch the decision publishes. An
+		// in-memory database builds it at the decision, for subscribers.
+		tx.db.mu.RLock()
+		p.batch = tx.batchLocked()
+		tx.db.mu.RUnlock()
+		payload, err := encodeCrossPrepareRecord(xid, parts, p.batch)
 		if err == nil {
 			p.prepSeq, err = tx.db.wal.append(0, payload)
 		}
 		if err != nil {
 			tx.db.ckptMu.Unlock()
-			tx.db.mu.Lock()
-			tx.db.writing = false
-			tx.db.mu.Unlock()
-			tx.dirty, tx.written, tx.changes = nil, nil, nil
-			tx.db.writer.Unlock()
+			tx.end()
 			obs.Default.Rollbacks.Inc()
 			return nil, fmt.Errorf("reldb: prepare %s aborted: %w", xid, err)
 		}
@@ -124,10 +124,6 @@ func (p *PreparedTx) CommitDecided() error {
 	tx.db.mu.RLock()
 	gen := tx.db.gen + 1
 	tx.db.mu.RUnlock()
-	p.batch.Gen = gen
-	for i := range p.batch.Deltas {
-		p.batch.Deltas[i].Gen = gen
-	}
 	if tx.db.wal != nil {
 		payload, err := encodeCrossDecideRecord(p.xid, true, gen)
 		if err == nil {
@@ -137,11 +133,14 @@ func (p *PreparedTx) CommitDecided() error {
 		}
 	}
 	tx.db.mu.Lock()
+	if tx.db.wal == nil && len(tx.db.subs) > 0 {
+		p.batch = tx.batchLocked()
+	}
 	tx.install()
+	p.batch.stamp(gen)
 	tx.db.publishLocked(p.batch)
-	tx.db.writing = false
 	tx.db.mu.Unlock()
-	tx.dirty, tx.written, tx.changes = nil, nil, nil
+	tx.dirty, tx.written = nil, nil
 	obs.Default.Commits.Inc()
 	obs.Default.CrossCommits.Inc()
 	if appendErr != nil {
@@ -183,12 +182,8 @@ func (p *PreparedTx) Abort() error {
 			_, _ = tx.db.wal.append(0, payload)
 		}
 	}
-	tx.db.mu.Lock()
-	tx.db.writing = false
-	tx.db.mu.Unlock()
-	tx.dirty, tx.written, tx.changes = nil, nil, nil
 	tx.db.ckptMu.Unlock()
-	tx.db.writer.Unlock()
+	tx.end()
 	obs.Default.Rollbacks.Inc()
 	obs.Default.CrossAborts.Inc()
 	return nil
@@ -255,10 +250,7 @@ func (db *Database) ResolveInDoubt(xid string, commit bool) error {
 	db.mu.RLock()
 	gen := db.gen + 1
 	db.mu.RUnlock()
-	p.batch.Gen = gen
-	for i := range p.batch.Deltas {
-		p.batch.Deltas[i].Gen = gen
-	}
+	p.batch.stamp(gen)
 	if db.wal != nil {
 		payload, err := encodeCrossDecideRecord(xid, true, gen)
 		if err != nil {

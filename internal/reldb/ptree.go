@@ -278,6 +278,76 @@ func (n *treeNode) ascend(from string, fn func(string, Tuple) bool) bool {
 	return true
 }
 
+// unsharedLeaves returns, in key order, the leaves of a and of b that the
+// two trees do not share, and how many nodes it read to find them. It
+// walks both trees down a level at a time — the taller one alone until the
+// two stand level — and on every level drops the nodes both sides reach: a
+// node's height never changes, so a shared node is met on one level on
+// both sides, and everything under it is shared too.
+func unsharedLeaves(a, b *ptree) (la, lb []*treeNode, read int) {
+	la, ha := a.rootLevel()
+	lb, hb := b.rootLevel()
+	for {
+		if ha == hb {
+			la, lb = dropShared(la, lb)
+			if ha == 0 || len(la)+len(lb) == 0 {
+				return la, lb, read
+			}
+		}
+		downA, downB := ha >= hb, hb >= ha
+		if downA {
+			read += len(la)
+			la, ha = children(la), ha-1
+		}
+		if downB {
+			read += len(lb)
+			lb, hb = children(lb), hb-1
+		}
+	}
+}
+
+// rootLevel returns the tree's top level (its root, if any) and height.
+func (t *ptree) rootLevel() ([]*treeNode, int) {
+	if t.root == nil {
+		return nil, 0
+	}
+	h := 0
+	for n := t.root; n.kids != nil; n = n.kids[0] {
+		h++
+	}
+	return []*treeNode{t.root}, h
+}
+
+// children returns the level below a level of branches, in key order.
+func children(level []*treeNode) []*treeNode {
+	out := make([]*treeNode, 0, len(level)*treeFanout)
+	for _, n := range level {
+		out = append(out, n.kids...)
+	}
+	return out
+}
+
+// dropShared removes from two levels the nodes both hold.
+func dropShared(a, b []*treeNode) ([]*treeNode, []*treeNode) {
+	seen := make(map[*treeNode]int, len(a)+len(b))
+	for _, n := range a {
+		seen[n]++
+	}
+	for _, n := range b {
+		seen[n]++
+	}
+	shared := func(n *treeNode) bool { return seen[n] == 2 }
+	return slices.DeleteFunc(a, shared), slices.DeleteFunc(b, shared)
+}
+
+// entries lists the keys and values of leaves, in order.
+func entries(leaves []*treeNode) (keys []string, vals []Tuple) {
+	for _, l := range leaves {
+		keys, vals = append(keys, l.keys...), append(vals, l.vals...)
+	}
+	return keys, vals
+}
+
 // prefixed returns copies of the tuples whose keys start with prefix, in
 // key order: one seek, then a walk of that run.
 func (t *ptree) prefixed(prefix string) []Tuple {

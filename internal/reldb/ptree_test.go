@@ -362,6 +362,28 @@ func TestCommitCostFlatAcrossSizes(t *testing.T) {
 			t.Errorf("%d rows: %.1f nodes copied per commit, want at most %v (heights %d, %d)", n, copies, limit, rowsHeight, ixHeight)
 		}
 		t.Logf("%d rows: %.0f B and %.1f node copies per commit (heights %d, %d)", n, bytesPer, copies, rowsHeight, ixHeight)
+
+		// The diff of one such commit — what its WAL record and its
+		// subscribers get — reads one node per level on each side, and
+		// allocates per level, not per row.
+		was := db.MustRelation("R")
+		k := int64(rng.Intn(n))
+		if err := db.RunInTx(func(tx *Tx) error {
+			_, err := tx.Replace("R", Tuple{Int(k)}, Tuple{Int(k), Int(-1)})
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		now := db.MustRelation("R")
+		d, read := diff(was, now)
+		if len(d.Replaces) != 1 || len(d.Inserts)+len(d.Deletes) != 0 || !d.Replaces[0].New.Equal(Tuple{Int(k), Int(-1)}) {
+			t.Fatalf("%d rows: diff of a one-row replace = %+v", n, d)
+		}
+		allocs := testing.AllocsPerRun(20, func() { Diff(was, now) })
+		if levels := float64(rowsHeight + 1); float64(read) > 2*levels || allocs > 4*levels+6 {
+			t.Errorf("%d rows: diff read %d nodes and made %.0f allocations for one row (height %d)", n, read, allocs, rowsHeight)
+		}
+		t.Logf("%d rows: diff of a one-row commit reads %d nodes, %.0f allocations", n, read, allocs)
 	}
 	for i, b := range perCommit {
 		if b > 2*perCommit[0] || perCommit[0] > 2*b {

@@ -37,6 +37,10 @@ type Relation struct {
 	// gen is the commit generation that published this version (0 for a
 	// version never published by a transaction).
 	gen uint64
+	// origin is the relation's identity across its versions: NewRelation
+	// makes it, clone keeps it. Diff tells a later version from a relation
+	// dropped and created again under the same name by it.
+	origin *treeOwner
 	// obsSlot is the relation name's slot in obs.Default.Relations,
 	// interned at construction so the per-relation lookup-cost counters
 	// (reldb.relation.scanned and friends) stay allocation-free.
@@ -63,6 +67,7 @@ func NewRelation(schema *Schema) *Relation {
 	return &Relation{
 		schema:  schema,
 		indexes: make(map[string]*secondaryIndex),
+		origin:  new(treeOwner),
 		obsSlot: obs.Default.Relations.Intern(schema.Name()),
 		plans:   &planCache{},
 	}
@@ -121,19 +126,12 @@ func (r *Relation) checkStorable(t Tuple) error {
 // same primary key exists, and with a validation error if the tuple does
 // not satisfy the schema.
 func (r *Relation) Insert(t Tuple) error {
-	_, err := r.insert(t)
-	return err
-}
-
-// insert is Insert that also returns the stored copy (shared, immutable),
-// which a transaction's changelog keeps as the after image.
-func (r *Relation) insert(t Tuple) (Tuple, error) {
 	if err := r.checkStorable(t); err != nil {
-		return nil, err
+		return err
 	}
 	ek := r.schema.EncodeKeyOf(t)
 	if _, exists := r.rows.get(ek); exists {
-		return nil, fmt.Errorf("reldb: %s: insert %s: %w", r.Name(), r.schema.KeyOf(t), ErrDuplicateKey)
+		return fmt.Errorf("reldb: %s: insert %s: %w", r.Name(), r.schema.KeyOf(t), ErrDuplicateKey)
 	}
 	// One stored copy, filed under ek in the row tree and under its
 	// indexed values in every index tree.
@@ -143,7 +141,7 @@ func (r *Relation) insert(t Tuple) (Tuple, error) {
 	for _, ix := range r.indexes {
 		ix.tree.put(o, ix.keyFor(t, ek), t)
 	}
-	return t, nil
+	return nil
 }
 
 // Get fetches the tuple with the given key values (canonical key order).
@@ -174,8 +172,9 @@ func (r *Relation) Has(key Tuple) bool {
 	return ok
 }
 
-// Delete removes the tuple with the given key values and returns it.
-// It fails with ErrNoSuchTuple if absent.
+// Delete removes the tuple with the given key values and returns a copy
+// of it: the stored one lives on in every version that shares it. It fails
+// with ErrNoSuchTuple if absent.
 func (r *Relation) Delete(key Tuple) (Tuple, error) {
 	ek, err := r.schema.EncodeKey(key)
 	if err != nil {
@@ -190,7 +189,7 @@ func (r *Relation) Delete(key Tuple) (Tuple, error) {
 	for _, ix := range r.indexes {
 		ix.tree.delete(o, ix.keyFor(t, ek))
 	}
-	return t, nil
+	return t.Clone(), nil
 }
 
 // Replace substitutes the tuple identified by oldKey with newTuple, which
@@ -198,33 +197,33 @@ func (r *Relation) Delete(key Tuple) (Tuple, error) {
 // ErrNoSuchTuple if oldKey is absent and with ErrDuplicateKey if the new
 // key collides with a different existing tuple.
 func (r *Relation) Replace(oldKey Tuple, newTuple Tuple) error {
-	_, _, err := r.replace(oldKey, newTuple)
+	_, err := r.replace(oldKey, newTuple)
 	return err
 }
 
-// replace is Replace that also returns the stored images (shared,
-// immutable) it took out and put in.
-func (r *Relation) replace(oldKey Tuple, newTuple Tuple) (old, nt Tuple, err error) {
+// replace is Replace that also returns the stored tuple (shared,
+// immutable) it took out.
+func (r *Relation) replace(oldKey Tuple, newTuple Tuple) (Tuple, error) {
 	if err := r.checkStorable(newTuple); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	oldEK, err := r.schema.EncodeKey(oldKey)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	old, ok := r.rows.get(oldEK)
 	if !ok {
-		return nil, nil, fmt.Errorf("reldb: %s: replace %s: %w", r.Name(), oldKey, ErrNoSuchTuple)
+		return nil, fmt.Errorf("reldb: %s: replace %s: %w", r.Name(), oldKey, ErrNoSuchTuple)
 	}
 	newEK := r.schema.EncodeKeyOf(newTuple)
 	if _, clash := r.rows.get(newEK); clash && newEK != oldEK {
-		return nil, nil, fmt.Errorf("reldb: %s: replace %s -> %s: %w",
+		return nil, fmt.Errorf("reldb: %s: replace %s -> %s: %w",
 			r.Name(), oldKey, r.schema.KeyOf(newTuple), ErrDuplicateKey)
 	}
 	// An entry whose key is unchanged — in the row tree or in an index — is
 	// overwritten rather than deleted and inserted: it still has to point
 	// at the new tuple.
-	nt = newTuple.Clone()
+	nt := newTuple.Clone()
 	o := r.owner()
 	if newEK != oldEK {
 		r.rows.delete(o, oldEK)
@@ -237,7 +236,7 @@ func (r *Relation) replace(oldKey Tuple, newTuple Tuple) (old, nt Tuple, err err
 		}
 		ix.tree.put(o, now, nt)
 	}
-	return old, nt, nil
+	return old, nil
 }
 
 // Scan calls fn for every tuple in primary-key order, walking the tree as
@@ -710,6 +709,7 @@ func (r *Relation) clone() *Relation {
 		rows:    r.rows,
 		indexes: make(map[string]*secondaryIndex, len(r.indexes)),
 		gen:     r.gen,
+		origin:  r.origin,
 		obsSlot: r.obsSlot,
 		plans:   r.plans,
 	}

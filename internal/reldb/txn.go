@@ -28,11 +28,6 @@ type Tx struct {
 	db      *Database
 	dirty   map[string]*Relation // private clones, by relation name
 	written map[string]bool      // clones with at least one successful op
-	// changes is the per-key changelog feeding the delta stream: relation
-	// name → encoded primary key → before/after stored images. Allocated
-	// lazily on the first successful write so a read-only transaction
-	// stays on the allocation-free commit path.
-	changes map[string]map[string]*txChange
 	ops     int
 	start   time.Time
 	done    bool
@@ -46,12 +41,6 @@ type Tx struct {
 // Begin starts a write transaction, acquiring the database writer lock.
 func (db *Database) Begin() *Tx {
 	db.writer.Lock()
-	// Mark the writer in flight before any op can run: a Subscribe that
-	// does not observe the mark is ordered before this point, so every op
-	// of this transaction sees its subscription and captures for it.
-	db.mu.Lock()
-	db.writing = true
-	db.mu.Unlock()
 	return &Tx{
 		db:      db,
 		dirty:   make(map[string]*Relation),
@@ -93,14 +82,8 @@ func (tx *Tx) Insert(relName string, t Tuple) error {
 	if err != nil {
 		return err
 	}
-	stored, err := r.insert(t)
-	if err != nil {
+	if err := r.Insert(t); err != nil {
 		return err
-	}
-	// A successful insert proves the key was absent, so the before image
-	// is nil; the after image is the copy insert just stored.
-	if tx.capturing() {
-		tx.note(relName, r.schema.EncodeKeyOf(stored), nil, stored)
 	}
 	tx.written[relName] = true
 	tx.ops++
@@ -122,11 +105,6 @@ func (tx *Tx) Delete(relName string, key Tuple) (Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Delete hands its return value to the caller, so the changelog keeps
-	// its own copy of the before image (note clones it).
-	if tx.capturing() {
-		tx.note(relName, r.schema.EncodeKeyOf(old), old, nil)
-	}
 	tx.written[relName] = true
 	tx.ops++
 	return old, nil
@@ -143,28 +121,15 @@ func (tx *Tx) Replace(relName string, oldKey Tuple, newTuple Tuple) (Tuple, erro
 	if err != nil {
 		return nil, err
 	}
-	// replace hands back the stored images on both sides of the mutation;
-	// the old one has left the row tree, so the changelog's copy (note
-	// clones it) and the caller's are the only ones this version keeps.
-	rawOld, rawNew, err := r.replace(oldKey, newTuple)
+	// The replaced tuple is still stored in the committed version: the
+	// caller gets a copy.
+	old, err := r.replace(oldKey, newTuple)
 	if err != nil {
 		return nil, err
 	}
-	if tx.capturing() {
-		oldEK, newEK := r.schema.EncodeKeyOf(rawOld), r.schema.EncodeKeyOf(rawNew)
-		if newEK == oldEK {
-			tx.note(relName, oldEK, rawOld, rawNew)
-		} else {
-			// A key-changing replace is a delete of the old key plus an
-			// insert of the new one (replace rejects clashes, so the new
-			// key was absent before).
-			tx.note(relName, oldEK, rawOld, nil)
-			tx.note(relName, newEK, nil, rawNew)
-		}
-	}
 	tx.written[relName] = true
 	tx.ops++
-	return rawOld.Clone(), nil
+	return old.Clone(), nil
 }
 
 // OpCount returns the number of successful operations so far.
@@ -194,38 +159,27 @@ func (tx *Tx) Commit() error {
 	if traced {
 		commitOp = tx.op.ChildAt("reldb.commit", tx.start)
 	}
-	// Build the delta batch outside the catalog lock (proportional to the
-	// transaction's own write set); skipped entirely on the read-only
-	// path, which must stay allocation-free.
+	// The delta batch is the diff of the versions the transaction cloned
+	// and the ones it leaves, built only when something reads it. On a
+	// durable database the log does: the batch is built outside the
+	// exclusive catalog lock and appended before the commit becomes
+	// visible (write-ahead), under the generation it will get — stable
+	// under the writer lock. An append failure aborts the commit cleanly:
+	// nothing was published, the committed state is untouched.
 	var batch DeltaBatch
-	if published > 0 {
-		batch = tx.buildBatch()
-	}
-	// Write-ahead: on a durable database the batch is appended to the
-	// log before the commit becomes visible. The generation it will get
-	// is stable under the writer lock. An append failure aborts the
-	// commit cleanly — nothing was published, the committed state is
-	// untouched.
 	var walSeq uint64
 	durable := published > 0 && tx.db.wal != nil
 	if durable {
 		tx.db.mu.RLock()
-		walGen := tx.db.gen + 1
+		batch = tx.batchLocked()
+		batch.stamp(tx.db.gen + 1)
 		tx.db.mu.RUnlock()
-		batch.Gen = walGen
-		for i := range batch.Deltas {
-			batch.Deltas[i].Gen = walGen
-		}
 		payload, err := encodeCommitRecord(batch)
 		if err == nil {
-			walSeq, err = tx.db.wal.append(walGen, payload)
+			walSeq, err = tx.db.wal.append(batch.Gen, payload)
 		}
 		if err != nil {
-			tx.db.mu.Lock()
-			tx.db.writing = false
-			tx.db.mu.Unlock()
-			tx.dirty, tx.written, tx.changes = nil, nil, nil
-			tx.db.writer.Unlock()
+			tx.end()
 			obs.Default.Rollbacks.Inc()
 			return fmt.Errorf("reldb: commit aborted: %w", err)
 		}
@@ -234,15 +188,18 @@ func (tx *Tx) Commit() error {
 	var pubDur time.Duration
 	tx.db.mu.Lock()
 	if published > 0 {
+		if !durable && len(tx.db.subs) > 0 {
+			// Only subscribers read the batch: build it here, while the
+			// catalog still holds the cloned versions. The read-only path
+			// builds nothing and stays allocation-free.
+			batch = tx.batchLocked()
+		}
 		tx.install()
 		// Publish inside the same critical section that made the new
 		// generation visible: subscribers see whole commits in generation
 		// order, and a ReadTx pinning gen G is guaranteed every batch
 		// with Gen <= G has already been pushed.
-		batch.Gen = tx.db.gen
-		for i := range batch.Deltas {
-			batch.Deltas[i].Gen = batch.Gen
-		}
+		batch.stamp(tx.db.gen)
 		if traced {
 			pubStart = time.Now()
 		}
@@ -251,12 +208,10 @@ func (tx *Tx) Commit() error {
 			pubDur = time.Since(pubStart)
 		}
 	}
-	tx.db.writing = false
 	gen := tx.db.gen
 	tx.db.mu.Unlock()
 	deltas := len(batch.Deltas)
-	tx.dirty, tx.written, tx.changes = nil, nil, nil
-	tx.db.writer.Unlock()
+	tx.end()
 	obs.Default.Commits.Inc()
 	obs.Default.CommitNs.Observe(time.Since(tx.start).Nanoseconds())
 	if traced {
@@ -297,6 +252,12 @@ func (tx *Tx) install() {
 	}
 }
 
+// end drops the working set and releases the writer lock.
+func (tx *Tx) end() {
+	tx.dirty, tx.written = nil, nil
+	tx.db.writer.Unlock()
+}
+
 // Rollback discards the transaction's working set and releases the writer
 // lock; the committed state was never touched. Rolling back a finished
 // transaction is a no-op returning ErrTxDone.
@@ -306,11 +267,7 @@ func (tx *Tx) Rollback() error {
 		return ErrTxDone
 	}
 	tx.done = true
-	tx.dirty, tx.written, tx.changes = nil, nil, nil
-	tx.db.mu.Lock()
-	tx.db.writing = false
-	tx.db.mu.Unlock()
-	tx.db.writer.Unlock()
+	tx.end()
 	obs.Default.Rollbacks.Inc()
 	if tx.op.Active() {
 		tx.op.Span("reldb.rollback", "", tx.start, time.Since(tx.start))

@@ -303,6 +303,66 @@ func TestTxIsolationUntilCommit(t *testing.T) {
 	}
 }
 
+// TestTxDeleteReturnsCopy: the tuple a delete hands back is the caller's
+// to keep. Writing through it must reach neither a snapshot that still
+// holds the row nor the delete image a subscriber receives.
+func TestTxDeleteReturnsCopy(t *testing.T) {
+	db := txDB(t)
+	if err := db.RunInTx(func(tx *Tx) error { return tx.Insert("R", Tuple{Int(1), String("a")}) }); err != nil {
+		t.Fatal(err)
+	}
+	sub := db.Subscribe(0)
+	defer sub.Close()
+	rtx := db.BeginRead()
+	defer rtx.Close()
+	if err := db.RunInTx(func(tx *Tx) error {
+		old, err := tx.Delete("R", Tuple{Int(1)})
+		if err == nil {
+			old[1] = String("clobbered")
+		}
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := rtx.MustRelation("R").Get(Tuple{Int(1)}); !ok || !got.Equal(Tuple{Int(1), String("a")}) {
+		t.Fatalf("pinned snapshot reads %v, %v after the caller wrote through a deleted tuple", got, ok)
+	}
+	batches, _ := sub.Poll()
+	if len(batches) != 1 || len(batches[0].Deltas) != 1 || len(batches[0].Deltas[0].Deletes) != 1 ||
+		!batches[0].Deltas[0].Deletes[0].Equal(Tuple{Int(1), String("a")}) {
+		t.Fatalf("subscriber received %+v, want the delete of (1, a)", batches)
+	}
+}
+
+// TestSubscribeMidTransaction: a subscriber that registers after a
+// transaction's first write still receives that commit whole — its batch
+// is the diff of two versions, complete whenever it is built.
+func TestSubscribeMidTransaction(t *testing.T) {
+	db := txDB(t)
+	tx := db.Begin()
+	if err := tx.Insert("R", Tuple{Int(1), String("a")}); err != nil {
+		t.Fatal(err)
+	}
+	sub := db.Subscribe(0)
+	defer sub.Close()
+	if sub.StartGen() != db.Generation() {
+		t.Fatalf("StartGen %d, generation at registration %d", sub.StartGen(), db.Generation())
+	}
+	if err := tx.Insert("R", Tuple{Int(2), String("b")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	batches, lost := sub.Poll()
+	if lost || len(batches) != 1 || batches[0].Gen != sub.StartGen()+1 {
+		t.Fatalf("poll = %+v lost=%v, want the batch of gen %d", batches, lost, sub.StartGen()+1)
+	}
+	if d := batches[0].Deltas; len(d) != 1 || len(d[0].Inserts) != 2 {
+		t.Fatalf("batch %+v, want both inserts of the commit", d)
+	}
+}
+
 func TestDatabaseCatalog(t *testing.T) {
 	db := NewDatabase()
 	s := MustSchema("A", []Attribute{{Name: "X", Type: KindInt}}, []string{"X"})

@@ -1,10 +1,11 @@
 // Materialized view-object cache: a Materializer keeps the full extent
-// of a view object's instances pinned to the generation they were built
-// at and consumes the reldb delta stream to keep them fresh, mapping
-// each committed delta through the definition tree instead of paying
-// full re-instantiation on every read.
+// of a view object's instances at the generation they were built at,
+// together with the committed versions of the definition's relations at
+// that generation. Each sync diffs those versions against a fresh
+// snapshot's (reldb.Diff) and maps the net change through the definition
+// tree instead of paying full re-instantiation on every read.
 //
-// Patch-versus-fallback decision per delta:
+// Patch-versus-fallback decision per changed relation:
 //
 //   - pivot-relation tuples → membership: an insert builds the new
 //     instance, a delete drops it, a same-key replace rebuilds it;
@@ -12,12 +13,13 @@
 //     the affected pivot keys are found by traversing the reversed
 //     connection path(s) from the changed tuple images back to the
 //     pivot, and exactly those instances are rebuilt from the snapshot;
-//   - structural deltas (relation-level DDL) touching a definition
-//     relation, pivot deltas when the pivot also appears mid-path, or a
-//     generation gap → the plan cannot localize: invalidate and lazily
-//     re-instantiate through the existing (parallel) path;
-//   - a delta-stream overflow → resync: the cache lost history and
-//     rebuilds from a fresh snapshot.
+//   - a definition relation missing, new, or dropped and created again
+//     (Diff reports it Structural), or a pivot change when the pivot also
+//     appears mid-path → the plan cannot localize: re-instantiate through
+//     the existing (parallel) path.
+//
+// The window between two syncs may span any number of commits; the diff
+// is their net effect, and that is all localization needs (DESIGN §11).
 //
 // The differential guarantee — a patched instance is byte-identical to
 // a fresh instantiation at the same generation — holds by construction:
@@ -39,21 +41,21 @@ import (
 )
 
 // Materializer caches the instances of one view object over one
-// database and keeps them fresh from the per-commit delta stream. All
-// methods are safe for concurrent use; reads serialize on the cache
-// (the win is amortized patching, not read fan-out).
+// database and keeps them fresh by diffing relation versions. All methods
+// are safe for concurrent use; reads serialize on the cache (the win is
+// amortized patching, not read fan-out).
 type Materializer struct {
 	db  *reldb.Database
 	def *Definition
 
-	mu      sync.Mutex
-	sub     *reldb.Subscription
-	buffer  int
-	insts   map[string]*Instance // full extent, by encoded pivot key
-	keys    []string             // encoded pivot keys, sorted
-	gen     uint64               // generation the cache reflects
-	valid   bool
-	pending []reldb.DeltaBatch // polled but not yet applied (Gen > gen)
+	mu    sync.Mutex
+	insts map[string]*Instance // full extent, by encoded pivot key; nil until built
+	keys  []string             // encoded pivot keys, sorted
+	gen   uint64               // generation the cache reflects
+	// vers are the committed versions of the definition's relations at
+	// gen, by name. They are versions, not a ReadTx: holding them pins
+	// what the next diff needs without counting as a stale reader.
+	vers map[string]*reldb.Relation
 
 	pivotRel    string
 	pivotSchema *reldb.Schema
@@ -63,12 +65,11 @@ type Materializer struct {
 	// pivots.
 	revPaths map[string][][]structural.Edge
 	// defRels is every relation the definition touches (pivot, node
-	// relations, and path intermediates); structural DDL on any of them
-	// invalidates the cache.
+	// relations, and path intermediates): the relations each sync diffs.
 	defRels map[string]bool
 	// pivotOnPath marks definitions whose paths route through the pivot
-	// relation mid-way: pivot deltas then affect more than membership,
-	// so they invalidate instead of patching.
+	// relation mid-way: pivot changes then affect more than membership,
+	// so they fall back instead of patching.
 	pivotOnPath bool
 }
 
@@ -112,15 +113,6 @@ func NewMaterializer(db *reldb.Database, def *Definition) *Materializer {
 	return m
 }
 
-// SetDeltaBuffer sets the delta-subscription queue capacity used when
-// the cache first syncs (reldb.DefaultDeltaBuffer when unset). Only
-// effective before the first read; tests use it to force overflows.
-func (m *Materializer) SetDeltaBuffer(n int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.buffer = n
-}
-
 // Generation returns the commit generation the cache currently
 // reflects (0 before the first read).
 func (m *Materializer) Generation() uint64 {
@@ -136,17 +128,12 @@ func (m *Materializer) Len() int {
 	return len(m.insts)
 }
 
-// Close unsubscribes from the delta stream and drops the cache. The
-// materializer resubscribes and rebuilds if read again.
+// Close drops the cache and the relation versions it pins. The
+// materializer rebuilds if read again.
 func (m *Materializer) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.sub != nil {
-		m.sub.Close()
-		m.sub = nil
-	}
-	m.insts, m.keys, m.pending = nil, nil, nil
-	m.valid = false
+	m.insts, m.keys, m.vers = nil, nil, nil
 }
 
 // Instantiate serves the object query from the materialized cache,
@@ -169,12 +156,8 @@ func (m *Materializer) Instantiate(q Query) ([]*Instance, error) {
 }
 
 func (m *Materializer) instantiateLocked(q Query, op obs.Op) ([]*Instance, error) {
-	rtx, err := m.syncLocked(op)
-	if err != nil {
+	if err := m.syncLocked(op); err != nil {
 		return nil, err
-	}
-	if rtx != nil {
-		rtx.Close()
 	}
 	var out []*Instance
 	for _, ek := range m.keys {
@@ -205,15 +188,11 @@ func (m *Materializer) InstantiateByKey(key reldb.Tuple) (*Instance, bool, error
 	op := obs.Default.StartOp("viewobject.materialize.serve")
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	rtx, err := m.syncLocked(op)
-	if err != nil {
+	if err := m.syncLocked(op); err != nil {
 		if op.Active() {
 			op.Finish(fmt.Sprintf("object=%s gen=%d key=%s err=%v", m.def.Name, m.gen, key, err))
 		}
 		return nil, false, err
-	}
-	if rtx != nil {
-		rtx.Close()
 	}
 	finish := func(found bool) {
 		if op.Active() {
@@ -234,185 +213,100 @@ func (m *Materializer) InstantiateByKey(key reldb.Tuple) (*Instance, bool, error
 	return inst.Clone(), true, nil
 }
 
-// applyVerdict classifies one patch attempt.
-type applyVerdict int
-
-const (
-	applyOK applyVerdict = iota
-	applyFallback
-	applyResync
-)
-
 // syncLocked brings the cache up to the current committed generation:
-// subscribe (first use), pin a snapshot, drain the stream, and either
-// patch the affected instances or rebuild wholesale. It returns the
-// snapshot the cache is now synced to (callers close it), or nil when
-// the fast path proved the cache already fresh without pinning one.
-// When op is active, the serve's outcome shows up as child spans:
-// "…materialize.patch" for applied deltas and a "…materialize.{miss,
-// fallback,resync}" span wrapping a rebuild (the rebuild's own
-// instantiate span nests inside it).
-func (m *Materializer) syncLocked(op obs.Op) (*reldb.ReadTx, error) {
-	if m.sub == nil {
-		// Subscribe before pinning the snapshot: the snapshot generation
-		// is then >= StartGen, so every later commit reaches the queue.
-		m.sub = m.db.Subscribe(m.buffer)
-	} else if m.valid && len(m.pending) == 0 && m.db.Generation() == m.gen {
-		// Nothing committed since the last sync: the queue is necessarily
-		// empty (every publish advances the generation), so serve without
-		// pinning a snapshot. A commit racing this check linearizes after
-		// the serve. Callers handle the nil snapshot.
+// build it (first use), or pin a snapshot and either patch the instances
+// the diff of the relation versions affects or rebuild wholesale. When
+// op is active, the serve's outcome shows up as child spans:
+// "…materialize.patch" for applied changes and a "…materialize.{miss,
+// fallback}" span wrapping a rebuild (the rebuild's own instantiate span
+// nests inside it).
+func (m *Materializer) syncLocked(op obs.Op) error {
+	if m.insts != nil && m.db.Generation() == m.gen {
+		// Nothing committed since the last sync: serve without pinning a
+		// snapshot. A commit racing this check linearizes after the serve.
 		obs.Default.MatHits.Inc()
-		return nil, nil
+		return nil
 	}
 	rtx := m.db.BeginRead()
-	batches, lost := m.sub.Poll()
-	m.pending = append(m.pending, batches...)
-
-	var cause *obs.Counter
-	var causeName string
-	switch {
-	case m.insts == nil:
-		m.valid, cause, causeName = false, &obs.Default.MatMisses, "miss"
-	case lost:
-		m.valid, cause, causeName = false, &obs.Default.MatResyncs, "resync"
-	}
-	if m.valid {
-		verdict, err := m.applyLocked(rtx, op)
+	defer rtx.Close()
+	cause, causeName := &obs.Default.MatMisses, "miss"
+	if m.insts != nil {
+		patched, err := m.patchLocked(rtx, op)
 		if err != nil {
-			rtx.Close()
-			return nil, err
+			return err
 		}
-		switch verdict {
-		case applyOK:
-			cause = &obs.Default.MatHits
-		case applyFallback:
-			m.valid, cause, causeName = false, &obs.Default.MatFallbacks, "fallback"
-		case applyResync:
-			m.valid, cause, causeName = false, &obs.Default.MatResyncs, "resync"
+		if patched {
+			obs.Default.MatHits.Inc()
+			return nil
 		}
+		cause, causeName = &obs.Default.MatFallbacks, "fallback"
 	}
-	if !m.valid {
-		var rop obs.Op
-		if op.Active() {
-			rop = op.Child("viewobject.materialize." + causeName)
-		}
-		if err := m.rebuildLocked(rtx, rop); err != nil {
-			rtx.Close()
-			return nil, err
-		}
-		if rop.Active() {
-			rop.Finish(fmt.Sprintf("object=%s gen=%d instances=%d", m.def.Name, m.gen, len(m.insts)))
-		}
+	var rop obs.Op
+	if op.Active() {
+		rop = op.Child("viewobject.materialize." + causeName)
+	}
+	if err := m.rebuildLocked(rtx, rop); err != nil {
+		return err
+	}
+	if rop.Active() {
+		rop.Finish(fmt.Sprintf("object=%s gen=%d instances=%d", m.def.Name, m.gen, len(m.insts)))
 	}
 	cause.Inc()
-	return rtx, nil
+	return nil
 }
 
-// applyLocked patches the cache with every pending batch up to the
-// snapshot's generation. It scans the batches first — any condition the
-// plan cannot localize returns a fallback/resync verdict before a
-// single instance is touched — then traverses reverse paths to find the
-// affected pivot keys and rebuilds exactly those instances from the
-// snapshot.
-func (m *Materializer) applyLocked(rtx *reldb.ReadTx, op obs.Op) (applyVerdict, error) {
-	target := rtx.Generation()
-	cut := 0
-	for cut < len(m.pending) && m.pending[cut].Gen <= target {
-		cut++
-	}
-	batches := m.pending[:cut]
-	m.pending = m.pending[cut:]
-	if len(batches) == 0 {
-		if m.gen != target {
-			// No batches yet the snapshot moved: the subscription was
-			// pinned past an in-flight commit whose batch it never got.
-			return applyResync, nil
-		}
-		return applyOK, nil // already fresh
-	}
+// patchLocked brings the cache to the snapshot's generation by diffing
+// every definition relation's cached version against the snapshot's. It
+// checks every diff first — a change the plan cannot localize returns
+// false before a single instance is touched — then traverses reverse
+// paths to find the affected pivot keys and rebuilds exactly those
+// instances from the snapshot.
+func (m *Materializer) patchLocked(rtx *reldb.ReadTx, op obs.Op) (bool, error) {
 	start := time.Now()
-
-	// Scan: membership changes key the pivot directly; other on-path
-	// relations contribute changed images for reverse traversal.
-	touched := make(map[string]bool)
-	var traverse []struct {
-		rel string
-		img reldb.Tuple
-	}
-	gen := m.gen
-	for _, b := range batches {
-		if b.Gen != gen+1 {
-			return applyResync, nil // gap: the stream skipped a generation
+	target := rtx.Generation()
+	vers := m.versionsIn(rtx)
+	var diffs []reldb.Delta
+	for name := range m.defRels {
+		was, now := m.vers[name], vers[name]
+		if was == now {
+			continue
 		}
-		gen = b.Gen
-		for _, d := range b.Deltas {
-			switch {
-			case d.Structural:
-				if m.defRels[d.Relation] {
-					return applyFallback, nil
-				}
-			case d.Relation == m.pivotRel:
-				if m.pivotOnPath {
-					return applyFallback, nil
-				}
-				for _, t := range d.Inserts {
-					touched[m.pivotSchema.EncodeKeyOf(t)] = true
-				}
-				for _, t := range d.Deletes {
-					touched[m.pivotSchema.EncodeKeyOf(t)] = true
-				}
-				for _, rc := range d.Replaces {
-					touched[m.pivotSchema.EncodeKeyOf(rc.Old)] = true
-					touched[m.pivotSchema.EncodeKeyOf(rc.New)] = true
-				}
-			default:
-				paths := m.revPaths[d.Relation]
-				if len(paths) == 0 {
-					continue // not part of this object
-				}
-				for _, t := range d.Inserts {
-					traverse = append(traverse, struct {
-						rel string
-						img reldb.Tuple
-					}{d.Relation, t})
-				}
-				for _, t := range d.Deletes {
-					traverse = append(traverse, struct {
-						rel string
-						img reldb.Tuple
-					}{d.Relation, t})
-				}
-				for _, rc := range d.Replaces {
-					traverse = append(traverse, struct {
-						rel string
-						img reldb.Tuple
-					}{d.Relation, rc.Old}, struct {
-						rel string
-						img reldb.Tuple
-					}{d.Relation, rc.New})
-				}
-			}
+		if was == nil || now == nil {
+			return false, nil // a definition relation appeared or vanished
 		}
-	}
-	if gen != target {
-		// The stream publishes every generation advance while subscribed,
-		// so falling short of the snapshot means lost history.
-		return applyResync, nil
+		d := reldb.Diff(was, now)
+		changed := len(d.Inserts)+len(d.Deletes)+len(d.Replaces) > 0
+		if d.Structural || (changed && name == m.pivotRel && m.pivotOnPath) {
+			return false, nil
+		}
+		diffs = append(diffs, d)
 	}
 
-	// Localize: both the old and new image of every change reach every
+	// Localize: membership changes key the pivot directly; for any other
+	// relation, both the old and new image of every change reach every
 	// pivot whose instance content they entered or left — the reversed
-	// path from the earliest-changed link runs through steps that did not
-	// change in this window, so evaluating at the final state is exact.
-	for _, c := range traverse {
-		for _, rp := range m.revPaths[c.rel] {
-			pivots, err := TraversePath(rtx, c.img, rp)
-			if err != nil {
-				return applyFallback, err
+	// path from the earliest-changed link runs through tuples that are
+	// the same at both ends of the window, so evaluating at the final
+	// state is exact.
+	touched := make(map[string]bool)
+	for _, d := range diffs {
+		images := append(append([]reldb.Tuple(nil), d.Inserts...), d.Deletes...)
+		for _, rc := range d.Replaces {
+			images = append(images, rc.Old, rc.New)
+		}
+		for _, img := range images {
+			if d.Relation == m.pivotRel {
+				touched[m.pivotSchema.EncodeKeyOf(img)] = true
+				continue
 			}
-			for _, p := range pivots {
-				touched[m.pivotSchema.EncodeKeyOf(p)] = true
+			for _, rp := range m.revPaths[d.Relation] {
+				pivots, err := TraversePath(rtx, img, rp)
+				if err != nil {
+					return false, err
+				}
+				for _, p := range pivots {
+					touched[m.pivotSchema.EncodeKeyOf(p)] = true
+				}
 			}
 		}
 	}
@@ -423,7 +317,7 @@ func (m *Materializer) applyLocked(rtx *reldb.ReadTx, op obs.Op) (applyVerdict, 
 	// one drops.
 	pivotRel, err := rtx.Relation(m.pivotRel)
 	if err != nil {
-		return applyFallback, err
+		return false, err
 	}
 	eks := make([]string, 0, len(touched))
 	for ek := range touched {
@@ -449,7 +343,7 @@ func (m *Materializer) applyLocked(rtx *reldb.ReadTx, op obs.Op) (applyVerdict, 
 	if len(rebuildPts) > 0 {
 		insts, err := assembleBatch(rtx, m.def, rebuildPts)
 		if err != nil {
-			return applyFallback, err
+			return false, err
 		}
 		for i, ek := range rebuildEKs {
 			if _, had := m.insts[ek]; !had {
@@ -459,7 +353,7 @@ func (m *Materializer) applyLocked(rtx *reldb.ReadTx, op obs.Op) (applyVerdict, 
 			patches++
 		}
 	}
-	m.gen = target
+	m.gen, m.vers = target, vers
 	if patches > 0 {
 		obs.Default.MatPatches.Add(int64(patches))
 		obs.Default.MatPatchNs.Observe(time.Since(start).Nanoseconds())
@@ -469,7 +363,19 @@ func (m *Materializer) applyLocked(rtx *reldb.ReadTx, op obs.Op) (applyVerdict, 
 				start, time.Since(start))
 		}
 	}
-	return applyOK, nil
+	return true, nil
+}
+
+// versionsIn returns the snapshot's versions of the definition's
+// relations, by name; a relation the snapshot lacks is absent.
+func (m *Materializer) versionsIn(rtx *reldb.ReadTx) map[string]*reldb.Relation {
+	vers := make(map[string]*reldb.Relation, len(m.defRels))
+	for name := range m.defRels {
+		if r, err := rtx.Relation(name); err == nil {
+			vers[name] = r
+		}
+	}
+	return vers
 }
 
 // rebuildLocked re-instantiates the full extent through the existing
@@ -488,13 +394,7 @@ func (m *Materializer) rebuildLocked(rtx *reldb.ReadTx, op obs.Op) error {
 		m.keys = append(m.keys, ek)
 	}
 	sort.Strings(m.keys)
-	m.gen = rtx.Generation()
-	cut := 0
-	for cut < len(m.pending) && m.pending[cut].Gen <= m.gen {
-		cut++
-	}
-	m.pending = m.pending[cut:]
-	m.valid = true
+	m.gen, m.vers = rtx.Generation(), m.versionsIn(rtx)
 	return nil
 }
 

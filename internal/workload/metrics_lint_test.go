@@ -100,7 +100,6 @@ func TestMetricsLintMaterialize(t *testing.T) {
 		"viewobject_materialize_misses",
 		"viewobject_materialize_patches",
 		"viewobject_materialize_falls_back",
-		"viewobject_materialize_resyncs",
 	} {
 		if !strings.Contains(text, "# TYPE "+family+" counter") {
 			t.Errorf("%s missing its # TYPE counter header", family)
@@ -116,8 +115,8 @@ func TestMetricsLintMaterialize(t *testing.T) {
 	if !regexp.MustCompile(`(?m)^viewobject_materialize_patch_ns_count \d+$`).MatchString(text) {
 		t.Error("no viewobject_materialize_patch_ns histogram series in exposition")
 	}
-	if !regexp.MustCompile(`(?m)^reldb_delta_publishes [1-9]\d*$`).MatchString(text) {
-		t.Error("delta stream published nothing during a materialized stress run")
+	if !regexp.MustCompile(`(?m)^viewobject_materialize_patches [1-9]\d*$`).MatchString(text) {
+		t.Error("materializer patched nothing during a materialized stress run")
 	}
 }
 

@@ -7,7 +7,8 @@
 // across a half-committed cross-shard update would fail the uniform-
 // stamp check, and a replica divergence shows up as a reader error.
 // Materialized readers are not part of the sharded mix (the
-// materializer caches one database's delta stream, not a cluster's).
+// materializer follows one database's relation versions, not a
+// cluster's).
 package workload
 
 import (

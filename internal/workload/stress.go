@@ -231,27 +231,18 @@ func runStress(w *Workload, spec StressSpec, before obs.Snapshot) (*StressResult
 		}(r)
 	}
 
-	// Materialized readers share one delta-stream cache: every serve
-	// syncs it to the committed head and patches exactly the instances
-	// the writers touched. The same torn-instance invariants apply — a
-	// patched instance must be consistent with a committed state.
+	// Materialized readers share one cache: every serve syncs it to the
+	// committed head and patches exactly the instances the writers
+	// touched. The same torn-instance invariants apply — a patched
+	// instance must be consistent with a committed state.
 	var mat *viewobject.Materializer
 	if spec.MaterializedReaders > 0 {
 		mat = viewobject.NewMaterializer(w.DB, w.Def)
-		// The run is bounded — at most four commits per (root, cycle)
-		// pair plus slack — so a buffer covering the whole run means the
-		// subscription never reports lost history. Without this, a
-		// scheduling burst that lands every writer commit between two
-		// reader serves overflows the default ring and the sole sync
-		// after it resyncs instead of patching, leaving the run with
-		// zero patches to assert on.
-		mat.SetDeltaBuffer(4*spec.Tree.Roots*spec.Cycles + 64)
 		defer mat.Close()
-		// Prime the cache before any writer starts: the first serve is
-		// what subscribes to the delta stream, and on a small-GOMAXPROCS
+		// Prime the cache before any writer starts: on a small-GOMAXPROCS
 		// box the scheduler can run every writer to completion before the
-		// materialized readers' first slice — a subscription born after
-		// the last commit sees no deltas and can never patch.
+		// materialized readers' first slice, and a cache first built after
+		// the last commit has nothing left to patch.
 		if _, _, err := mat.InstantiateByKey(reldb.Tuple{reldb.Int(0)}); err != nil {
 			return nil, fmt.Errorf("workload: priming materializer: %w", err)
 		}
@@ -317,12 +308,10 @@ func runStress(w *Workload, spec StressSpec, before obs.Snapshot) (*StressResult
 		}(wr)
 	}
 	writers.Wait()
-	// One serve after the last commit drains the primed subscription —
-	// the buffer above lost nothing, so whatever window the concurrent
-	// readers did not consume patches here. Without this, a scheduling
+	// One serve after the last commit patches whatever window the
+	// concurrent readers did not consume. Without this, a scheduling
 	// order that parks every materialized reader across the whole writer
-	// phase ends the run with the deltas still queued and no patch to
-	// assert on.
+	// phase ends the run with no patch to assert on.
 	if mat != nil {
 		if _, _, err := mat.InstantiateByKey(reldb.Tuple{reldb.Int(0)}); err != nil {
 			violate("materialized drain: %v", err)

@@ -178,7 +178,7 @@ type (
 	// CountCond is a component cardinality condition.
 	CountCond = viewobject.CountCond
 	// Materializer keeps a view object's instances materialized and
-	// patched from the commit delta stream.
+	// patched from the diff of relation versions.
 	Materializer = viewobject.Materializer
 )
 
@@ -200,8 +200,8 @@ var (
 	InstanceFromMap   = viewobject.InstanceFromMap
 	UnmarshalInstance = viewobject.UnmarshalInstance
 	// Materialized view objects: cached instances kept fresh from the
-	// commit delta stream, falling back to full instantiation when a
-	// change cannot be localized.
+	// diff of relation versions, falling back to full instantiation when
+	// a change cannot be localized.
 	NewMaterializer         = viewobject.NewMaterializer
 	MaterializerFor         = viewobject.MaterializerFor
 	MaterializedInstantiate = viewobject.MaterializedInstantiate
