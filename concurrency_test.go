@@ -303,7 +303,7 @@ func TestStressMetricsCoherent(t *testing.T) {
 		Readers: 3,
 		Writers: 2,
 		Cycles:  4,
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,6 @@ func TestDerivedAggregates(t *testing.T) {
 		{name: "penguin.http.requests", set: endpoints, ctr: func(r *Registry) *CounterVec { return r.HTTPRequestsByEndpoint }},
 		{name: "penguin.http.shed", set: endpoints, ctr: func(r *Registry) *CounterVec { return r.HTTPShedByEndpoint }},
 		{name: "penguin.http.ns", set: endpoints, hist: func(r *Registry) *HistogramVec { return r.HTTPNsByEndpoint }},
-		{name: "workload.openloop.latency_ns", set: endpoints, hist: func(r *Registry) *HistogramVec { return r.OpenLoopNsByEndpoint }},
 	}
 	for i := Step(0); i < NumSteps; i++ {
 		table = append(table, family{name: "vupdate.step." + stepNames[i] + "_ns", set: objects,

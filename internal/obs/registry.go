@@ -230,14 +230,6 @@ type Registry struct {
 	HTTPNsByEndpoint       *HistogramVec
 	HTTPStatusByEndpoint   [NumStatusClasses]*CounterVec
 
-	// workload: the open-loop load generator (client side of the serving
-	// tier). Sent counts requests issued on the arrival schedule; the
-	// latency histogram records client-observed request latency (send →
-	// last body byte), by endpoint. Sheds and errors are reported by
-	// OpenLoopResult.
-	OpenLoopSent         Counter
-	OpenLoopNsByEndpoint *HistogramVec
-
 	// obs: the flight recorder's own accounting. Captured counts ops
 	// retained as slow traces; dropped counts retained traces later
 	// evicted by the recorder ring's capacity.
@@ -270,7 +262,6 @@ func NewRegistry() *Registry {
 	for i := range r.HTTPStatusByEndpoint {
 		r.HTTPStatusByEndpoint[i] = NewCounterVec(r.Endpoints)
 	}
-	r.OpenLoopNsByEndpoint = NewHistogramVec(r.Endpoints, HTTPDurationBounds)
 
 	r.RelScanned = NewCounterVec(r.Relations)
 	r.RelProbes = NewCounterVec(r.Relations)

@@ -147,8 +147,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for i := 0; i < NumStatusClasses; i++ {
 		lc("penguin.http.status."+statusClassNames[i], r.HTTPStatusByEndpoint[i])
 	}
-	c("workload.openloop.sent", &r.OpenLoopSent)
-	lh("workload.openloop.latency_ns", r.OpenLoopNsByEndpoint)
 
 	c("obs.slowtrace.captured", &r.SlowTraceCaptured)
 	c("obs.slowtrace.dropped", &r.SlowTraceDropped)

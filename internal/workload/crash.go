@@ -1,12 +1,12 @@
 // Crash-injection harness: machinery for proving that recovery restores
 // exactly the last committed state at any kill point.
 //
-// The harness drives real stress traffic (BuildTreeIn + RunStressOn)
-// over a durable database while a delta subscription shadows every
-// committed generation into an in-memory model. Each generation's model
-// state is digested, giving an oracle: after truncating the WAL at any
-// byte offset and reopening, the recovered database must digest equal to
-// the oracle at the generation the surviving log prefix reaches — full
+// The harness drives real stress traffic (RunStressOn) over a durable
+// 1-shard cluster while a delta subscription on its database shadows
+// every committed generation into an in-memory model. Each generation's
+// model state is digested, giving an oracle: after truncating the WAL at
+// any byte offset and reopening, the recovered database must digest equal
+// to the oracle at the generation the surviving log prefix reaches — full
 // replay or reported corruption, never a state between generations.
 package workload
 

@@ -7,6 +7,7 @@ import (
 
 	"penguin/internal/obs"
 	"penguin/internal/reldb"
+	"penguin/internal/reldb/shard"
 )
 
 // TestMetricsLint is the exposition-format gate behind `make
@@ -20,7 +21,7 @@ func TestMetricsLint(t *testing.T) {
 		Readers: 2,
 		Writers: 2,
 		Cycles:  3,
-	}); err != nil {
+	}, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,7 +83,7 @@ func TestMetricsLintMaterialize(t *testing.T) {
 		Writers:             2,
 		Cycles:              3,
 		ReadTxLagAlert:      4,
-	}); err != nil {
+	}, 1); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,22 +127,15 @@ func TestMetricsLintMaterialize(t *testing.T) {
 // nonzero where the run guarantees activity.
 func TestMetricsLintWAL(t *testing.T) {
 	dir := t.TempDir()
-	db, err := reldb.OpenDatabaseWith(dir, reldb.OpenOptions{CheckpointInterval: -1})
+	tree := TreeSpec{Depth: 1, Width: 1, Fanout: 1, Roots: 2, Peninsulas: 1}
+	sw, err := OpenShardedTree(dir, 1, tree, reldb.OpenOptions{CheckpointInterval: -1}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := BuildTreeIn(db, TreeSpec{Depth: 1, Width: 1, Fanout: 1, Roots: 2, Peninsulas: 1})
-	if err != nil {
+	if _, err := RunStressOn(sw, StressSpec{Tree: tree, Readers: 1, Writers: 2, Cycles: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunStressOn(w, StressSpec{
-		Tree:    TreeSpec{Depth: 1, Width: 1, Fanout: 1, Roots: 2, Peninsulas: 1},
-		Readers: 1,
-		Writers: 2,
-		Cycles:  2,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	db := sw.C.DB(0)
 	if _, err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +145,10 @@ func TestMetricsLintWAL(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Close(); err != nil {
+	if err := sw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	re, err := reldb.OpenDatabaseWith(dir, reldb.OpenOptions{CheckpointInterval: -1})
+	re, err := shard.Open(dir, 1, reldb.OpenOptions{CheckpointInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +177,8 @@ func TestMetricsLintWAL(t *testing.T) {
 	if !strings.Contains(text, "# TYPE reldb_wal_fsync_ns histogram") {
 		t.Error("reldb_wal_fsync_ns missing its # TYPE histogram header")
 	}
-	// The log's counters are one shard-labeled family each; a database
-	// opened without a shard label is shard "0". Replay is not split.
+	// The log's counters are one shard-labeled family each; a 1-shard
+	// cluster's database is shard "0". Replay is not split.
 	for _, series := range []string{
 		`reldb_wal_appends{shard="0"}`, `reldb_wal_bytes{shard="0"}`, `reldb_wal_fsyncs{shard="0"}`,
 		`reldb_wal_checkpoints{shard="0"}`, "reldb_wal_replayed",

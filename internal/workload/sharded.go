@@ -38,9 +38,10 @@ func NewShardedTree(spec TreeSpec, n int) (*ShardedWorkload, error) {
 }
 
 // OpenShardedTree opens (or creates) a durable sharded workload under
-// dir. create builds schema and seed data; with create false the tree
-// is re-attached to whatever the shards recovered — the sharded crash
-// harness drives both modes.
+// dir. create builds schema and seed data, and fails — closing the
+// shards — if dir already holds the tree; with create false the tree is
+// re-attached to whatever the shards recovered. The crash matrix drives
+// both modes.
 func OpenShardedTree(dir string, n int, spec TreeSpec, opts reldb.OpenOptions, create bool) (*ShardedWorkload, error) {
 	c, err := shard.Open(dir, n, opts)
 	if err != nil {
@@ -57,13 +58,7 @@ func OpenShardedTree(dir string, n int, spec TreeSpec, opts reldb.OpenOptions, c
 func buildSharded(c *shard.Cluster, spec TreeSpec, create bool) (*ShardedWorkload, error) {
 	sw := &ShardedWorkload{C: c, Spec: spec, Shards: make([]*Workload, c.N())}
 	err := c.AddObject(ShardedObject, func(i int, db *reldb.Database) (*vupdate.Translator, error) {
-		var w *Workload
-		var err error
-		if create {
-			w, err = BuildTreeSchemaIn(db, spec)
-		} else {
-			w, err = AttachTree(db, spec)
-		}
+		w, err := buildTree(db, spec, create)
 		if err != nil {
 			return nil, err
 		}

@@ -52,7 +52,7 @@ func TestStressCapturesSlowUpdateTrace(t *testing.T) {
 		MaterializedReaders: 1,
 		Writers:             2,
 		Cycles:              2,
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,11 +148,11 @@ func TestStressCapturesSlowUpdateTrace(t *testing.T) {
 // under a "miss" span (the instantiate nested inside it), and a serve
 // after a commit patches under a "patch" span.
 func TestMaterializerServeTraceNesting(t *testing.T) {
-	w, err := BuildTree(TreeSpec{Depth: 1, Width: 2, Fanout: 2, Roots: 3, Peninsulas: 1})
+	sw, err := NewShardedTree(TreeSpec{Depth: 1, Width: 2, Fanout: 2, Roots: 3, Peninsulas: 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat := viewobject.NewMaterializer(w.DB, w.Def)
+	mat := viewobject.NewMaterializer(sw.C.DB(0), sw.Shards[0].Def)
 	defer mat.Close()
 
 	rec := obs.NewRecorder(0, 8)
@@ -180,8 +180,7 @@ func TestMaterializerServeTraceNesting(t *testing.T) {
 	}
 
 	// Commit one delta, then serve again: the trace carries a patch span.
-	u := vupdate.NewUpdater(vupdate.PermissiveTranslator(w.Def))
-	if _, err := replaceStamped(w, u, 0, "patched"); err != nil {
+	if _, err := replaceStamped(sw, 0, "patched"); err != nil {
 		t.Fatal(err)
 	}
 	rec.Clear()

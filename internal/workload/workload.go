@@ -49,40 +49,31 @@ type Workload struct {
 	PeninsulaRels []string
 }
 
-// BuildTree generates the workload: relations N0 (pivot), N0_c for its
-// children, N0_c_c for grandchildren, and so on; ownership connections
-// between each parent and child; peninsula relations P0..Pn referencing
-// the pivot; seeded data; and a view object spanning every generated
-// relation with the pivot at the root.
+// BuildTree generates the workload in one fresh in-memory database:
+// relations N0 (pivot), N0_c for its children, N0_c_c for grandchildren,
+// and so on; ownership connections between each parent and child;
+// peninsula relations P0..Pn referencing the pivot; seeded data; and a
+// view object spanning every generated relation with the pivot at the
+// root. It is the single-database fixture; the stress harness runs over
+// NewShardedTree / OpenShardedTree.
 func BuildTree(spec TreeSpec) (*Workload, error) {
-	return BuildTreeIn(reldb.NewDatabase(), spec)
+	w, err := buildTree(reldb.NewDatabase(), spec, true)
+	if err != nil {
+		return nil, err
+	}
+	if err := seedTree(w, spec); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
-// BuildTreeIn generates the same workload into an existing (empty)
-// database — typically one opened with reldb.OpenDatabase, so the
-// generated schema, seed data, and all subsequent stress traffic flow
-// through the write-ahead log (the crash-matrix harness drives this).
-func BuildTreeIn(db *reldb.Database, spec TreeSpec) (*Workload, error) {
-	return buildTree(db, spec, true, true)
-}
-
-// BuildTreeSchemaIn creates the relations, connections, and definition
-// but seeds no data — the sharded build uses it to broadcast identical
-// DDL to every shard and then seeds each shard with its own partition.
-func BuildTreeSchemaIn(db *reldb.Database, spec TreeSpec) (*Workload, error) {
-	return buildTree(db, spec, true, false)
-}
-
-// AttachTree rebuilds the structural graph and view-object definition
-// for a spec over a database that already holds the generated relations
-// — a database recovered from disk. No relations are created and no
-// data is seeded; only the connection graph (and its edge indexes,
-// derived state the WAL does not carry) is re-registered.
-func AttachTree(db *reldb.Database, spec TreeSpec) (*Workload, error) {
-	return buildTree(db, spec, false, false)
-}
-
-func buildTree(db *reldb.Database, spec TreeSpec, create, seed bool) (*Workload, error) {
+// buildTree registers the generated schema over db: with create it also
+// creates the relations (an existing one is an error wrapping
+// reldb.ErrRelationExists); without it the relations are taken as
+// recovered from disk and only the connection graph — and its edge
+// indexes, derived state the WAL does not carry — is re-registered. No
+// data is seeded either way.
+func buildTree(db *reldb.Database, spec TreeSpec, create bool) (*Workload, error) {
 	if spec.Width < 0 || spec.Depth < 0 || spec.Roots < 1 {
 		return nil, fmt.Errorf("workload: invalid spec %+v", spec)
 	}
@@ -96,7 +87,9 @@ func buildTree(db *reldb.Database, spec TreeSpec, create, seed bool) (*Workload,
 		{Name: "V", Type: reldb.KindString, Nullable: true},
 	}
 	if create {
-		db.MustCreateRelation(reldb.MustSchema(pivotName, pivotAttrs, []string{"K0"}))
+		if _, err := db.CreateRelation(reldb.MustSchema(pivotName, pivotAttrs, []string{"K0"})); err != nil {
+			return nil, err
+		}
 	}
 	w.IslandRels = append(w.IslandRels, pivotName)
 
@@ -125,7 +118,9 @@ func buildTree(db *reldb.Database, spec TreeSpec, create, seed bool) (*Workload,
 			}
 			attrs = append(attrs, reldb.Attribute{Name: "V", Type: reldb.KindString, Nullable: true})
 			if create {
-				db.MustCreateRelation(reldb.MustSchema(childName, attrs, childKey))
+				if _, err := db.CreateRelation(reldb.MustSchema(childName, attrs, childKey)); err != nil {
+					return nil, err
+				}
 			}
 			conn := &structural.Connection{
 				Name: f.name + ">" + childName, Type: structural.Ownership,
@@ -151,11 +146,13 @@ func buildTree(db *reldb.Database, spec TreeSpec, create, seed bool) (*Workload,
 	for pIdx := 0; pIdx < spec.Peninsulas; pIdx++ {
 		name := fmt.Sprintf("P%d", pIdx)
 		if create {
-			db.MustCreateRelation(reldb.MustSchema(name, []reldb.Attribute{
+			if _, err := db.CreateRelation(reldb.MustSchema(name, []reldb.Attribute{
 				{Name: "PK", Type: reldb.KindInt},
 				{Name: "K0", Type: reldb.KindInt},
 				{Name: "V", Type: reldb.KindString, Nullable: true},
-			}, []string{"PK", "K0"}))
+			}, []string{"PK", "K0"})); err != nil {
+				return nil, err
+			}
 		}
 		conn := &structural.Connection{
 			Name: name + ">" + pivotName, Type: structural.Reference,
@@ -177,11 +174,6 @@ func buildTree(db *reldb.Database, spec TreeSpec, create, seed bool) (*Workload,
 		return nil, err
 	}
 	w.Def = def
-	if seed {
-		if err := seedTree(w, spec); err != nil {
-			return nil, err
-		}
-	}
 	return w, nil
 }
 

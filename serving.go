@@ -1,9 +1,6 @@
 package penguin
 
-import (
-	"penguin/internal/serve"
-	"penguin/internal/workload"
-)
+import "penguin/internal/serve"
 
 // HTTP serving tier (internal/serve): the view-object API over HTTP
 // with JSON documents and admission control.
@@ -33,18 +30,3 @@ var (
 	// InstanceFromDoc rebuilds an instance from a JSON document.
 	InstanceFromDoc = serve.InstanceFromDoc
 )
-
-// Open-loop load harness (internal/workload): drives the HTTP tier at
-// a fixed arrival rate regardless of response latency, so the measured
-// quantiles include queueing delay (no coordinated omission).
-type (
-	// OpenLoopSpec is a load run: target URL, object, arrival rate,
-	// duration, read/update mix, and optional latency objectives.
-	OpenLoopSpec = workload.OpenLoopSpec
-	// OpenLoopResult reports achieved rate, outcome counts, latency
-	// quantiles, and any violated objectives.
-	OpenLoopResult = workload.OpenLoopResult
-)
-
-// RunOpenLoop executes one open-loop run against a serving tier.
-var RunOpenLoop = workload.RunOpenLoop
