@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test fuzz-smoke verify
+.PHONY: build test race vet bench bench-smoke metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test fuzz-smoke examples verify
 
 build:
 	$(GO) build ./...
@@ -86,7 +86,14 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRelationOps$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyCodecOrder$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendValue$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzInstanceFromDoc$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
+
+# examples runs every program under examples/ end to end; each exits
+# non-zero (log.Fatal) when a step it demonstrates fails. Their output
+# is discarded, their errors are not.
+examples:
+	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done
 
 # verify is the full gate: compile everything, vet, then run the whole
 # suite (including the concurrent stress tests) under the race detector.
-verify: build vet race metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test fuzz-smoke
+verify: build vet race metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test fuzz-smoke examples

@@ -585,8 +585,6 @@ func BenchmarkParallelInstantiation(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	prev := viewobject.SetParallelism(0) // track GOMAXPROCS (the -cpu value)
-	defer viewobject.SetParallelism(prev)
 	before := obs.Capture()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -44,7 +44,6 @@
 //	.dialog NAME              run the translator-selection dialog
 //	.figures                  regenerate the paper's figures
 //	.materialize [NAME [on|off]]  serve NAME's queries from the delta-patched cache
-//	.parallel [N]             show or set the instantiation worker budget
 //	.shards                   show per-shard generations, rows, and WAL activity
 //	.stats                    dump engine metrics (counters and histograms)
 //	.prom                     dump engine metrics in Prometheus exposition format

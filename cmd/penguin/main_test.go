@@ -235,34 +235,6 @@ func TestShellFiguresAndHelp(t *testing.T) {
 	}
 }
 
-func TestShellParallel(t *testing.T) {
-	sh, out := testShell(t)
-	prev := viewobject.SetParallelism(0)
-	t.Cleanup(func() { viewobject.SetParallelism(prev) })
-
-	text := run(t, sh, out, ".parallel 3")
-	if !strings.Contains(text, "parallelism: 3 workers") {
-		t.Errorf(".parallel 3 output:\n%s", text)
-	}
-	if got := viewobject.Parallelism(); got != 3 {
-		t.Errorf("Parallelism = %d after .parallel 3", got)
-	}
-	text = run(t, sh, out, ".parallel")
-	if !strings.Contains(text, "parallelism: 3 workers") {
-		t.Errorf(".parallel output:\n%s", text)
-	}
-	// 0 restores GOMAXPROCS tracking; the reported value is the effective
-	// budget, not the raw setting.
-	text = run(t, sh, out, ".parallel 0")
-	if !strings.Contains(text, "parallelism: ") {
-		t.Errorf(".parallel 0 output:\n%s", text)
-	}
-	text = run(t, sh, out, ".parallel nope")
-	if !strings.Contains(text, "usage: .parallel") {
-		t.Errorf(".parallel nope output:\n%s", text)
-	}
-}
-
 func TestShellSaveLoad(t *testing.T) {
 	sh, out := testShell(t)
 	dir := t.TempDir()

@@ -326,18 +326,6 @@ func (sh *shell) command(line string) bool {
 			break
 		}
 		fmt.Fprintf(sh.out, "%s: materialized, %d instance(s) at gen %d\n", args[0], len(insts), m.Generation())
-	case ".parallel":
-		if len(args) == 0 {
-			fmt.Fprintf(sh.out, "parallelism: %d workers\n", viewobject.Parallelism())
-			break
-		}
-		n, err := strconv.Atoi(args[0])
-		if err != nil || n < 0 {
-			sh.errorf("usage: .parallel [N]   (N >= 1 fixes the worker budget, 0 tracks GOMAXPROCS)")
-			break
-		}
-		viewobject.SetParallelism(n)
-		fmt.Fprintf(sh.out, "parallelism: %d workers\n", viewobject.Parallelism())
 	case ".stats":
 		if err := obs.WriteText(sh.out, obs.Capture()); err != nil {
 			sh.errorf("error: %v", err)
@@ -597,7 +585,6 @@ Dot-commands:
   .dialog NAME          choose a translator interactively
   .figures              regenerate the paper's figures
   .materialize [NAME [on|off]]  keep NAME's instances materialized (patched from commit deltas)
-  .parallel [N]         show or set the instantiation worker budget (0 tracks GOMAXPROCS)
   .shards               show per-shard generations, rows, and WAL activity
   .stats                dump engine metrics (counters and histograms)
   .prom                 dump engine metrics in Prometheus exposition format

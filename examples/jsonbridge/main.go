@@ -2,19 +2,22 @@
 // application exchanges nested JSON documents; the view-object machinery
 // turns documents into instances, translates updates into relational
 // operations, and serializes query results back to JSON — while the data
-// stays in the fully normalized Figure 1 database.
+// stays in the fully normalized Figure 1 database. Documents go through
+// the serving tier's wire codec (penguin.InstanceDoc / InstanceFromDoc):
+// values print in tagged form ({"int":"3"}), and bare JSON numbers in an
+// incoming document still decode.
 //
 //	go run ./examples/jsonbridge
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log"
 
 	"penguin"
 	"penguin/internal/university"
-	"penguin/internal/viewobject"
 )
 
 func main() {
@@ -38,7 +41,14 @@ func main() {
 			 "STUDENT": [{"PID": 5, "Degree": "PhD", "Year": 5}]}
 		]
 	}`)
-	inst, err := viewobject.UnmarshalInstance(omega, incoming)
+	// UseNumber keeps every number exact on its way to the codec.
+	dec := json.NewDecoder(bytes.NewReader(incoming))
+	dec.UseNumber()
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		log.Fatal(err)
+	}
+	inst, err := penguin.InstanceFromDoc(omega, doc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +70,7 @@ func main() {
 	}
 	fmt.Printf("graduate courses with fewer than 5 students: %d\n\n", len(insts))
 	for _, i := range insts {
-		data, err := json.MarshalIndent(i, "", "  ")
+		data, err := json.MarshalIndent(penguin.InstanceDoc(i), "", "  ")
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -74,9 +84,9 @@ func main() {
 	if err != nil || !ok {
 		log.Fatal("CS520 missing")
 	}
-	doc := current.ToMap()
+	doc = penguin.InstanceDoc(current)
 	doc["Title"] = "Knowledge-Based Systems"
-	edited, err := viewobject.InstanceFromMap(omega, doc)
+	edited, err := penguin.InstanceFromDoc(omega, doc)
 	if err != nil {
 		log.Fatal(err)
 	}

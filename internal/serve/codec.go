@@ -188,15 +188,6 @@ func decodeTagged(m map[string]any) (reldb.Value, error) {
 	return reldb.Null(), fmt.Errorf("serve: object value carries no int/float/bytes tag")
 }
 
-// EncodeTuple converts a tuple to a JSON-ready array of wire forms.
-func EncodeTuple(t reldb.Tuple) []any {
-	out := make([]any, len(t))
-	for i, v := range t {
-		out[i] = EncodeValue(v)
-	}
-	return out
-}
-
 // DecodeTuple parses an array of decoded-JSON values into a tuple.
 func DecodeTuple(raw []any) (reldb.Tuple, error) {
 	t := make(reldb.Tuple, len(raw))

@@ -7,12 +7,12 @@ import (
 	"penguin/internal/viewobject"
 )
 
-// Instance documents: the nested-object shape of viewobject.ToMap —
-// projected attribute name → value, child node ID → array of child
-// documents — but with every value in the codec's wire form, so a
-// document fetched from GET /objects/{name}/{key} can be edited and sent
-// back through POST /objects/{name}:replace without any value changing
-// identity along the way.
+// Instance documents: projected attribute name → value, child node ID →
+// array of child documents, with every value in the codec's wire form,
+// so a document fetched from GET /objects/{name}/{key} can be edited and
+// sent back through POST /objects/{name}:replace without any value
+// changing identity along the way. This is the only instance ↔ document
+// codec: the facade's InstanceDoc / InstanceFromDoc are these functions.
 
 // InstanceDoc converts an instance to its JSON-ready document.
 func InstanceDoc(inst *viewobject.Instance) map[string]any {

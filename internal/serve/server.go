@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -406,11 +407,18 @@ func (s *Server) dispatchUpdate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusMethodNotAllowed, "object %q is read-only (no translator configured)", name)
 			return
 		}
+		// The body is exactly one envelope: an unknown field or anything
+		// but whitespace after the object is refused, not ignored.
 		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		dec.UseNumber()
+		dec.DisallowUnknownFields()
 		var req updateRequest
 		if err := dec.Decode(&req); err != nil {
 			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+			return
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			writeError(w, http.StatusBadRequest, "bad request body: data after the request object")
 			return
 		}
 		h(w, name, def, req)

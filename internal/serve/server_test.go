@@ -45,20 +45,18 @@ func forEachN(t *testing.T, body func(t *testing.T, n int)) {
 }
 
 // do runs one request through the handler tree and decodes the JSON
-// response body (UseNumber, like a careful client).
+// response body (UseNumber, like a careful client). A []byte body is
+// sent as is; any other non-nil body is marshaled.
 func do(t *testing.T, s *Server, method, path string, body any) (int, map[string]any) {
 	t.Helper()
-	var rd *bytes.Reader
-	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
+	data, raw := body.([]byte)
+	if !raw && body != nil {
+		var err error
+		if data, err = json.Marshal(body); err != nil {
 			t.Fatal(err)
 		}
-		rd = bytes.NewReader(data)
-	} else {
-		rd = bytes.NewReader(nil)
 	}
-	req := httptest.NewRequest(method, path, rd)
+	req := httptest.NewRequest(method, path, bytes.NewReader(data))
 	w := httptest.NewRecorder()
 	s.Handler().ServeHTTP(w, req)
 	var doc map[string]any
@@ -438,6 +436,36 @@ func TestUpdateErrors(t *testing.T) {
 			map[string]any{"key": []any{"CS345"}, "instance": orig})
 		if code != http.StatusConflict {
 			t.Errorf("cross-shard move = %d (%v), want 409", code, doc)
+		}
+	})
+}
+
+// TestUpdateBodyIsOneEnvelope: an update body is exactly one
+// {"key":…,"instance":…} object. A second object, trailing bytes or an
+// unknown envelope field (a client's "preview" the server would not
+// honour) is a 400 that changes nothing, not an update of whatever the
+// first value named.
+func TestUpdateBodyIsOneEnvelope(t *testing.T) {
+	forEachN(t, func(t *testing.T, n int) {
+		s, _, _ := newTestServer(t, n, Config{})
+		cases := []struct{ body, intact string }{
+			{`{"key":["CS445"]}{"key":["CS345"]}`, "CS445"},
+			{`{"key":["CS101"]} trailing garbage`, "CS101"},
+			{`{"key":["CS445"],"preview":true}`, "CS445"},
+			{`{"kee":["CS445"]}`, "CS445"},
+			{`{"key":["CS345"]}}`, "CS345"},
+		}
+		for _, c := range cases {
+			if code, doc := do(t, s, "POST", "/objects/omega:delete", []byte(c.body)); code != http.StatusBadRequest {
+				t.Errorf("delete with body %s = %d (%v), want 400", c.body, code, doc)
+			}
+			if code, _ := do(t, s, "GET", "/objects/omega/"+c.intact, nil); code != http.StatusOK {
+				t.Errorf("%s not readable after the rejected body %s (%d)", c.intact, c.body, code)
+			}
+		}
+		// Whitespace after the object is not trailing data.
+		if code, doc := do(t, s, "POST", "/objects/omega:delete", []byte("{\"key\":[\"CS445\"]}\n\t ")); code != http.StatusOK {
+			t.Errorf("delete with trailing whitespace = %d (%v), want 200", code, doc)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package viewobject_test
 
 import (
+	"runtime"
 	"testing"
 
 	"penguin/internal/obs"
@@ -57,7 +58,7 @@ func TestBatchedAssemblyMatchesNaiveByteForByte(t *testing.T) {
 	// out — the fixture's root counts clear minParallelPivots).
 	run := func(t *testing.T, res structural.Resolver, def *Definition, workers int) []string {
 		t.Helper()
-		defer SetParallelism(SetParallelism(workers))
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		insts, err := Instantiate(res, def, Query{})
 		if err != nil {
 			t.Fatal(err)
@@ -157,7 +158,7 @@ func instantiationRatio(t *testing.T, w *workload.Workload, naive bool) float64 
 // index-less data the ratio would otherwise grow with the host's core
 // count (30 one-pivot chunks at 8 cores) and measure that, not batching.
 func TestBatchedAssemblyCollapsesScanRatio(t *testing.T) {
-	defer SetParallelism(SetParallelism(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec := workload.TreeSpec{Depth: 2, Width: 2, Fanout: 4, Roots: 30, Peninsulas: 1}
 	build := func() *workload.Workload {
 		w, err := workload.BuildTree(spec)

@@ -118,7 +118,7 @@ func (d *Definition) Key() []string {
 
 // ErrFieldCollision is wrapped by NewDefinition's error for a node one
 // of whose projected attributes has the name of one of its child nodes'
-// IDs. An instance document (ToMap, serve.InstanceDoc) keys a component's
+// IDs. An instance document (serve.InstanceDoc) keys a component's
 // attributes and its child lists in one object, so the two would be one
 // field: the attribute would vanish from the document and come back
 // null from a client that returned the document unchanged.

@@ -1,6 +1,7 @@
 package viewobject_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -356,7 +357,7 @@ func TestMustHelpersPanic(t *testing.T) {
 func TestSharedTuplesAreInvisible(t *testing.T) {
 	db, def := seededOmega(t)
 	// One worker, so one batch: parallel chunks each probe for themselves.
-	defer SetParallelism(SetParallelism(1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	all, err := Instantiate(db, def, Query{})
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ type CountCond struct {
 // against the database reachable through res, and assembles the matching
 // hierarchical instances (Figure 4). Results are in pivot-key order.
 //
-// When the effective Parallelism is above 1 and the pivot frontier is
+// When GOMAXPROCS is above 1 and the pivot frontier is
 // large enough, assembly fans out across a bounded worker pool (see
 // parallel.go); the output — contents and order — is identical to a
 // sequential run.

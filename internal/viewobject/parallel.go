@@ -2,9 +2,7 @@ package viewobject
 
 import (
 	"fmt"
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -12,11 +10,6 @@ import (
 	"penguin/internal/reldb"
 	"penguin/internal/structural"
 )
-
-// parallelismSetting holds the configured worker budget for parallel
-// instantiation: 0 means "track GOMAXPROCS" (the default), any positive
-// value is an explicit override.
-var parallelismSetting atomic.Int32
 
 // minParallelPivots is the pivot-frontier size below which Instantiate
 // stays sequential: worker startup and result merging cost more than
@@ -28,45 +21,16 @@ const minParallelPivots = 4
 // the other workers idle at the tail.
 const chunksPerWorker = 4
 
-func init() {
-	if s := os.Getenv("PENGUIN_PARALLELISM"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			parallelismSetting.Store(int32(n))
-		}
-	}
-}
-
-// SetParallelism sets the worker budget for parallel instantiation and
-// returns the previous setting. n > 0 fixes the budget; n <= 0 restores
-// the default of tracking GOMAXPROCS (reported as 0). A budget of 1
-// disables parallel fan-out entirely.
-func SetParallelism(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(parallelismSetting.Swap(int32(n)))
-}
-
-// Parallelism returns the effective worker budget: the explicit setting
-// if one is in force (SetParallelism or PENGUIN_PARALLELISM), otherwise
-// GOMAXPROCS.
-func Parallelism() int {
-	if n := parallelismSetting.Load(); n > 0 {
-		return int(n)
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // workersFor is the worker budget an assembly resolving through res may
-// use. A write transaction clones relations lazily into an unguarded
-// map, so only the goroutine that owns it may resolve through it (the
-// update translators instantiate through theirs); snapshots and the
-// database itself are safe to share.
+// use: GOMAXPROCS, read at each call. A write transaction clones
+// relations lazily into an unguarded map, so only the goroutine that
+// owns it may resolve through it (the update translators instantiate
+// through theirs); snapshots and the database itself are safe to share.
 func workersFor(res structural.Resolver) int {
 	if _, ok := res.(*reldb.Tx); ok {
 		return 1
 	}
-	return Parallelism()
+	return runtime.GOMAXPROCS(0)
 }
 
 // minStealParents is the smallest parent-segment size worth handing to a
@@ -76,7 +40,7 @@ const minStealParents = 8
 
 // stealActive counts helper goroutines currently running stolen level
 // segments, across every instantiation in the process. The budget is
-// Parallelism()-1 — the caller's own goroutine is the "+1" — so a lone
+// GOMAXPROCS-1 — the caller's own goroutine is the "+1" — so a lone
 // deep instantiation can fan a wide level across otherwise-idle CPUs,
 // while saturated pools (every worker busy) steal nothing and pay
 // nothing beyond one atomic load per level.
@@ -90,7 +54,7 @@ func grabStealTokens(max int) int {
 	}
 	for {
 		cur := stealActive.Load()
-		budget := int32(Parallelism() - 1)
+		budget := int32(runtime.GOMAXPROCS(0) - 1)
 		if cur >= budget {
 			return 0
 		}

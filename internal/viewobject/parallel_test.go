@@ -3,6 +3,7 @@ package viewobject_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"penguin/internal/obs"
@@ -12,25 +13,6 @@ import (
 	. "penguin/internal/viewobject"
 	"penguin/internal/workload"
 )
-
-func TestSetParallelism(t *testing.T) {
-	prev := SetParallelism(3)
-	defer SetParallelism(prev)
-	if got := Parallelism(); got != 3 {
-		t.Fatalf("Parallelism = %d after SetParallelism(3)", got)
-	}
-	if old := SetParallelism(0); old != 3 {
-		t.Fatalf("SetParallelism returned %d, want previous 3", old)
-	}
-	// 0 restores GOMAXPROCS tracking: the effective value is whatever the
-	// runtime says, but always at least 1.
-	if got := Parallelism(); got < 1 {
-		t.Fatalf("default Parallelism = %d, want >= 1", got)
-	}
-	if old := SetParallelism(-5); old != 0 {
-		t.Fatalf("SetParallelism(-5) returned %d, want 0 (tracking)", old)
-	}
-}
 
 // The pivot probe: an indexable equality predicate must run as a point
 // or index probe charging only the tuples it visits, not a whole-
@@ -116,8 +98,8 @@ func TestParallelInstantiationMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := SetParallelism(4)
-	defer SetParallelism(prev)
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
 
 	before := obs.Capture()
 	insts, err := Instantiate(w.DB, w.Def, Query{})
@@ -144,7 +126,7 @@ func TestParallelInstantiationMetrics(t *testing.T) {
 	}
 
 	// With a budget of 1 the fan-out (and its metrics) must not engage.
-	SetParallelism(1)
+	runtime.GOMAXPROCS(1)
 	before = obs.Capture()
 	if _, err := Instantiate(w.DB, w.Def, Query{}); err != nil {
 		t.Fatal(err)
@@ -180,8 +162,8 @@ func TestParallelErrorPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := SetParallelism(4)
-	defer SetParallelism(prev)
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
 
 	// Every worker hits the failure when it descends to the failing child
 	// relation; the fan-out must drain cleanly and surface the error.
@@ -195,7 +177,7 @@ func TestParallelErrorPropagation(t *testing.T) {
 	}
 
 	// The sequential path reports the same error.
-	SetParallelism(1)
+	runtime.GOMAXPROCS(1)
 	if _, err := Instantiate(res, w.Def, Query{}); !errors.Is(err, errResolveBoom) {
 		t.Fatalf("sequential err = %v, want errResolveBoom", err)
 	}
@@ -263,8 +245,8 @@ func TestLevelWorkStealingMatchesSequential(t *testing.T) {
 	}
 	// Two pivots keep the chunked fan-out off (below minParallelPivots),
 	// so any parallelism below comes from level stealing alone.
-	prev := SetParallelism(4)
-	defer SetParallelism(prev)
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
 	before := obs.Capture()
 	stolen, err := Instantiate(w.DB, w.Def, Query{})
 	if err != nil {
@@ -274,7 +256,7 @@ func TestLevelWorkStealingMatchesSequential(t *testing.T) {
 		t.Fatal("wide levels with spare workers recorded no steals")
 	}
 
-	SetParallelism(1)
+	runtime.GOMAXPROCS(1)
 	before = obs.Capture()
 	sequential, err := Instantiate(w.DB, w.Def, Query{})
 	if err != nil {
@@ -303,8 +285,8 @@ var chunkShapeWorkers = []int{1, 2, 3, 4, 8}
 // renderWith instantiates the whole object under the given worker budget.
 func renderWith(t *testing.T, w *workload.Workload, workers int) []string {
 	t.Helper()
-	prev := SetParallelism(workers)
-	defer SetParallelism(prev)
+	prev := runtime.GOMAXPROCS(workers)
+	defer runtime.GOMAXPROCS(prev)
 	insts, err := Instantiate(w.DB, w.Def, Query{})
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
@@ -352,7 +334,7 @@ func TestWriteTxResolverStaysSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetParallelism(SetParallelism(4))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	want := renderWith(t, w, 1)
 
 	tx := w.DB.Begin()

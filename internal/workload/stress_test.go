@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"penguin/internal/reldb"
@@ -71,10 +72,10 @@ func TestRunStress(t *testing.T) {
 // torn instances; and the plan-cache counters must reconcile exactly —
 // every lookup that consulted the cache was either a hit or a miss.
 func TestRunStressParallelReaders(t *testing.T) {
-	// Force a 4-worker budget regardless of GOMAXPROCS so the parallel
-	// path engages even in a GOMAXPROCS=1 CI job.
-	prev := viewobject.SetParallelism(4)
-	defer viewobject.SetParallelism(prev)
+	// Run at GOMAXPROCS 4 so the parallel path engages even in a
+	// GOMAXPROCS=1 CI job.
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
 
 	spec := StressSpec{
 		Tree:            TreeSpec{Depth: 2, Width: 2, Fanout: 2, Roots: 8, Peninsulas: 1},

@@ -192,13 +192,6 @@ var (
 	NewInstance      = viewobject.NewInstance
 	Instantiate      = viewobject.Instantiate
 	InstantiateByKey = viewobject.InstantiateByKey
-	// Parallel instantiation worker budget (also settable with the
-	// PENGUIN_PARALLELISM environment variable and the shell's .parallel).
-	Parallelism    = viewobject.Parallelism
-	SetParallelism = viewobject.SetParallelism
-	// JSON document bridge: instances ↔ nested documents.
-	InstanceFromMap   = viewobject.InstanceFromMap
-	UnmarshalInstance = viewobject.UnmarshalInstance
 	// Materialized view objects: cached instances kept fresh from the
 	// diff of relation versions, falling back to full instantiation when
 	// a change cannot be localized.

@@ -133,8 +133,8 @@ func TestParallelInstantiationSpeedup(t *testing.T) {
 	// populates plan caches and the page allocator so both budgets
 	// measure steady state.
 	measure := func(workers int) time.Duration {
-		prev := viewobject.SetParallelism(workers)
-		defer viewobject.SetParallelism(prev)
+		prev := runtime.GOMAXPROCS(workers)
+		defer runtime.GOMAXPROCS(prev)
 		best := time.Duration(1<<63 - 1)
 		for i := 0; i < 4; i++ {
 			start := time.Now()
