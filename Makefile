@@ -85,6 +85,7 @@ benchmark-test:
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRelationOps$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyCodecOrder$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
+	$(GO) test -run='^$$' -fuzz='^FuzzBinaryValue$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendValue$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzInstanceFromDoc$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 

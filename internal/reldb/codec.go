@@ -417,16 +417,16 @@ func writeValue(w byteWriter, v Value) error {
 	case KindNull:
 	case KindInt:
 		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutVarint(buf[:], v.i)
+		n := binary.PutVarint(buf[:], v.i())
 		w.Write(buf[:n])
 	case KindFloat:
 		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], math.Float64bits(v.f))
+		binary.BigEndian.PutUint64(buf[:], v.bits)
 		w.Write(buf[:])
 	case KindString:
 		writeString(w, v.s)
 	case KindBool:
-		if v.b {
+		if v.b() {
 			w.WriteByte(1)
 		} else {
 			w.WriteByte(0)

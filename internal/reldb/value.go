@@ -70,28 +70,44 @@ func ParseKind(name string) (Kind, error) {
 
 // Value is an immutable typed database value. Values are compared and key
 // encoded by the relation machinery; the zero Value is null.
+//
+// A Value is 32 bytes: the string payload, one 64-bit payload and the
+// kind. bits holds an int's two's-complement bits, a float's IEEE 754
+// bits (math.Float64bits, so -0 and every NaN payload survive) or 1 for
+// true; it is 0 for null, false and strings, and s is "" for every kind
+// but string.
+//
+// Values are not comparable with == and cannot be map keys: == would
+// compare payload bits, which calls Float(-0) and Float(0) different where
+// Compare holds them equal. Compare with Equal, key a map by EncodeValues.
+// The zero-size func array forbids == at compile time; it comes first
+// because a zero-size last field would be padded.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
+	_    [0]func()
 	s    string
-	b    bool
+	bits uint64
+	kind Kind
 }
 
 // Null returns the null value.
 func Null() Value { return Value{} }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, bits: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, bits: math.Float64bits(v)} }
 
 // String returns a string value.
 func String(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, bits: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -100,16 +116,16 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsInt returns the integer payload; ok is false if the kind differs.
-func (v Value) AsInt() (int64, bool) { return v.i, v.kind == KindInt }
+func (v Value) AsInt() (int64, bool) { return v.i(), v.kind == KindInt }
 
 // AsFloat returns the float payload; ok is false if the kind differs.
 // An integer value is promoted to float64.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindFloat:
-		return v.f, true
+		return v.f(), true
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.i()), true
 	default:
 		return 0, false
 	}
@@ -119,7 +135,12 @@ func (v Value) AsFloat() (float64, bool) {
 func (v Value) AsString() (string, bool) { return v.s, v.kind == KindString }
 
 // AsBool returns the boolean payload; ok is false if the kind differs.
-func (v Value) AsBool() (bool, bool) { return v.b, v.kind == KindBool }
+func (v Value) AsBool() (bool, bool) { return v.b(), v.kind == KindBool }
+
+// i, f and b read the 64-bit payload as the int, float or bool it holds.
+func (v Value) i() int64   { return int64(v.bits) }
+func (v Value) f() float64 { return math.Float64frombits(v.bits) }
+func (v Value) b() bool    { return v.bits != 0 }
 
 // MustInt returns the integer payload and panics on kind mismatch.
 // Intended for tests and fixtures where the schema is statically known.
@@ -127,7 +148,7 @@ func (v Value) MustInt() int64 {
 	if v.kind != KindInt {
 		panic(fmt.Sprintf("reldb: MustInt on %s value", v.kind))
 	}
-	return v.i
+	return v.i()
 }
 
 // MustString returns the string payload and panics on kind mismatch.
@@ -170,23 +191,23 @@ func Compare(a, b Value) (int, error) {
 	}
 	switch a.kind {
 	case KindInt:
-		switch {
-		case a.i < b.i:
+		switch ai, bi := a.i(), b.i(); {
+		case ai < bi:
 			return -1, nil
-		case a.i > b.i:
+		case ai > bi:
 			return 1, nil
 		default:
 			return 0, nil
 		}
 	case KindFloat:
-		return cmpFloat(a.f, b.f), nil
+		return cmpFloat(a.f(), b.f()), nil
 	case KindString:
 		return strings.Compare(a.s, b.s), nil
 	case KindBool:
-		switch {
-		case !a.b && b.b:
+		switch ab, bb := a.b(), b.b(); {
+		case !ab && bb:
 			return -1, nil
-		case a.b && !b.b:
+		case ab && !bb:
 			return 1, nil
 		default:
 			return 0, nil
@@ -214,13 +235,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case KindString:
 		return v.s
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return "true"
 		}
 		return "false"
@@ -301,9 +322,9 @@ const maxExactInt = 1 << 53
 func keyEncodable(v Value) bool {
 	switch v.kind {
 	case KindInt:
-		return -maxExactInt <= v.i && v.i <= maxExactInt
+		return -maxExactInt <= v.i() && v.i() <= maxExactInt
 	case KindFloat:
-		return v.f == v.f
+		return !math.IsNaN(v.f())
 	}
 	return true
 }
@@ -314,14 +335,14 @@ func AppendKey(dst []byte, v Value) []byte {
 	case KindNull:
 		return append(dst, tagNull)
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return append(dst, tagTrue)
 		}
 		return append(dst, tagFalse)
 	case KindInt:
-		return appendOrderedFloat(append(dst, tagNumber), float64(v.i))
+		return appendOrderedFloat(append(dst, tagNumber), float64(v.i()))
 	case KindFloat:
-		return appendOrderedFloat(append(dst, tagNumber), v.f)
+		return appendOrderedFloat(append(dst, tagNumber), v.f())
 	case KindString:
 		dst = append(dst, tagString)
 		// Escape 0x00 as 0x00 0xFF so the 0x00 0x00 terminator is

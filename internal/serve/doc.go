@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"penguin/internal/reldb"
 	"penguin/internal/viewobject"
@@ -73,9 +74,11 @@ func docTuple(def *viewobject.Definition, n *viewobject.Node, doc map[string]any
 		if childIDs[field] {
 			continue
 		}
+		// A document writes only what the view shows: an attribute of
+		// the relation that the node does not project is no field.
 		idx, ok := schema.AttrIndex(field)
-		if !ok {
-			return nil, fmt.Errorf("node %s: field %q is neither an attribute of %s nor a child node",
+		if !ok || !slices.Contains(n.Attrs, field) {
+			return nil, fmt.Errorf("node %s: field %q is neither a projected attribute of %s nor a child node",
 				n.ID, field, n.Relation)
 		}
 		v, err := DecodeValue(raw)

@@ -33,6 +33,7 @@ func TestInstanceFromDocRejects(t *testing.T) {
 		"unknown nested field":       `{"CourseID": "X", "GRADES": [{"Ghost": 1}]}`,
 		"null key":                   `{"CourseID": null}`,
 		"bool into string attribute": `{"CourseID": "X", "GRADES": [{"CourseID": true}]}`,
+		"attribute the view hides":   `{"CourseID": "X", "DEPARTMENT": [{"DeptName": "D", "Budget": {"float": "1"}}]}`,
 	}
 	for name, body := range cases {
 		doc, err := decodeDoc([]byte(body))

@@ -440,6 +440,40 @@ func TestUpdateErrors(t *testing.T) {
 	})
 }
 
+// TestHiddenAttributeRejected: a document may write only what its view
+// projects. omega's DEPARTMENT node hides Budget, so an insert or a
+// replace whose DEPARTMENT element sets it is a 400 that writes nothing,
+// on every shard.
+func TestHiddenAttributeRejected(t *testing.T) {
+	dept := map[string]any{"DeptName": "Newdept", "Building": "B", "Budget": map[string]any{"float": "12345"}}
+	forEachN(t, func(t *testing.T, n int) {
+		for _, verb := range []string{"insert", "replace"} {
+			s, c, _ := newTestServer(t, n, Config{})
+			body := map[string]any{"instance": map[string]any{
+				"CourseID": "CS999", "Title": "Hidden", "DeptName": "Newdept", "Units": 3, "Level": "graduate",
+				"DEPARTMENT": []any{dept},
+			}}
+			if verb == "replace" {
+				_, orig := do(t, s, "GET", "/objects/omega/CS345", nil)
+				orig["DeptName"] = "Newdept"
+				orig["DEPARTMENT"] = []any{dept}
+				body = map[string]any{"key": []any{"CS345"}, "instance": orig}
+			}
+			if code, doc := do(t, s, "POST", "/objects/omega:"+verb, body); code != http.StatusBadRequest {
+				t.Errorf("%s setting the hidden DEPARTMENT.Budget = %d (%v), want 400", verb, code, doc)
+			}
+			for i := 0; i < c.N(); i++ {
+				rtx := c.DB(i).BeginRead()
+				_, found := rtx.MustRelation(university.Department).Get(reldb.Tuple{reldb.String("Newdept")})
+				rtx.Close()
+				if found {
+					t.Errorf("after the %s, shard %d holds a Newdept row", verb, i)
+				}
+			}
+		}
+	})
+}
+
 // TestUpdateBodyIsOneEnvelope: an update body is exactly one
 // {"key":…,"instance":…} object. A second object, trailing bytes or an
 // unknown envelope field (a client's "preview" the server would not
