@@ -88,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryValue$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendValue$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzInstanceFromDoc$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzOQLQuery$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/oql
 
 # examples runs every program under examples/ end to end; each exits
 # non-zero (log.Fatal) when a step it demonstrates fails. Their output

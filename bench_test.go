@@ -599,7 +599,6 @@ func BenchmarkParallelInstantiation(b *testing.B) {
 	b.StopTimer()
 	d := obs.Capture().Sub(before)
 	b.ReportMetric(float64(d.Counter("viewobject.parallel.chunks"))/float64(b.N), "chunks/op")
-	b.ReportMetric(float64(d.Counter("reldb.plancache.hits"))/float64(b.N), "planhits/op")
 }
 
 // E15 — materialized view-object reads: serving the university ω from
@@ -705,8 +704,8 @@ func commitBench(b *testing.B, open func(b *testing.B) *penguin.Database) {
 // E16 — sharded write scaling: VO-CI commits through the shard
 // coordinator with 1, 2, and 4 shards. Every insert routes to its pivot
 // key's home shard and commits on that shard's fast path, so with N
-// shards there are N independent writer locks, WAL-free in-memory
-// commit paths, and plan caches; throughput should scale near-linearly
+// shards there are N independent writer locks and WAL-free in-memory
+// commit paths; throughput should scale near-linearly
 // in the shard count under parallel load (run with -cpu 1,4). The
 // cross-shard counters must stay zero — island-only traffic never pays
 // for coordination.

@@ -69,7 +69,7 @@ func TestDerivedAggregates(t *testing.T) {
 					f.hist(r).At(slot).Observe(n)
 				}
 				want += n
-				if slot == set.Other() {
+				if slot == set.Slots()-1 { // the overflow slot
 					wantOther += n
 				}
 			}
@@ -80,7 +80,7 @@ func TestDerivedAggregates(t *testing.T) {
 				for _, n := range s.LabeledCounters[f.name].Values {
 					sum += n
 				}
-				other = s.LabeledCounterValue(f.name, OtherLabel)
+				other = s.LabeledCounters[f.name].Values[OtherLabel]
 			} else {
 				agg := s.Histogram(f.name)
 				if agg.Count != int64(set.Slots()-1+overflow) {
@@ -97,7 +97,7 @@ func TestDerivedAggregates(t *testing.T) {
 				for _, st := range s.LabeledHistograms[f.name].Values {
 					sum += st.Sum
 				}
-				other = s.LabeledHistogramValue(f.name, OtherLabel).Sum
+				other = s.LabeledHistograms[f.name].Values[OtherLabel].Sum
 			}
 			if got != want {
 				t.Errorf("aggregate = %d, want %d", got, want)

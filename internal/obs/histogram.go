@@ -14,7 +14,7 @@ var (
 	CountBounds = []int64{0, 1, 2, 4, 8, 16, 64, 256, 1024}
 	// HTTPDurationBounds buckets request latencies in nanoseconds with
 	// finer steps than the decade-wide DurationBounds, so the serving
-	// tier's p99 (interpolated by HistogramStat.Quantile) is honest in
+	// tier's p99 (interpolated from the buckets) is honest in
 	// the sub-100ms range where HTTP SLOs live: 50µs, 100µs, 250µs,
 	// 500µs, 1ms, 2.5ms, 5ms, 10ms, 25ms, 50ms, 100ms, 250ms, 1s, 10s,
 	// +Inf.
@@ -45,8 +45,8 @@ const (
 // guaranteed to see the matching bucket increment too. After writers
 // quiesce, count == Σbuckets exactly. The stress suite asserts both.
 //
-// Use NewHistogram (or Registry, which initializes its histograms);
-// the zero value drops every observation into the first bucket.
+// Registry initializes its histograms; the zero value drops every
+// observation into the first bucket.
 type Histogram struct {
 	bounds  []int64
 	stripes [nStripes]stripe
@@ -60,14 +60,8 @@ type stripe struct {
 	_      [64]byte
 }
 
-// NewHistogram creates a histogram over the given inclusive upper
-// bounds (ascending; at most maxBuckets-1 entries).
-func NewHistogram(bounds []int64) *Histogram {
-	h := &Histogram{}
-	h.init(bounds)
-	return h
-}
-
+// init sets the histogram's inclusive upper bounds (ascending; at most
+// maxBuckets-1 entries).
 func (h *Histogram) init(bounds []int64) {
 	if len(bounds) >= maxBuckets {
 		panic("obs: too many histogram bounds")
@@ -139,54 +133,6 @@ func (st HistogramStat) Mean() float64 {
 		return 0
 	}
 	return float64(st.Sum) / float64(st.Count)
-}
-
-// Quantile estimates the q-th quantile (0 < q <= 1) of the observed
-// values from the bucket counts, interpolating linearly inside the
-// bucket that contains the target rank. The estimate is bounded by the
-// bucket edges, so it can never invent a value outside the bucket the
-// rank landed in; within a bucket the error is at most the bucket's
-// width. Ranks that land in the +Inf bucket report the last finite
-// bound — the histogram cannot say more than "past the last edge". An
-// empty stat reports 0.
-func (st HistogramStat) Quantile(q float64) int64 {
-	var total int64
-	for _, n := range st.Buckets {
-		total += n
-	}
-	if total == 0 || q <= 0 {
-		return 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	target := int64(q * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, n := range st.Buckets {
-		if cum+n < target {
-			cum += n
-			continue
-		}
-		if i >= len(st.Bounds) {
-			// +Inf bucket: clamp to the last finite edge.
-			if len(st.Bounds) == 0 {
-				return 0
-			}
-			return st.Bounds[len(st.Bounds)-1]
-		}
-		var lo int64
-		if i > 0 {
-			lo = st.Bounds[i-1]
-		}
-		hi := st.Bounds[i]
-		// Position of the target rank inside this bucket, in (0, 1].
-		frac := float64(target-cum) / float64(n)
-		return lo + int64(frac*float64(hi-lo))
-	}
-	return st.Bounds[len(st.Bounds)-1]
 }
 
 // Sub returns the difference of two stats of the same histogram

@@ -49,9 +49,6 @@ func (ls *LabelSet) Key() string { return ls.key }
 // Capacity interned values plus the overflow slot.
 func (ls *LabelSet) Slots() int { return ls.cap + 1 }
 
-// Other returns the overflow slot's index.
-func (ls *LabelSet) Other() int { return ls.cap }
-
 // Len returns the number of values interned so far (overflow excluded).
 func (ls *LabelSet) Len() int {
 	ls.mu.RLock()

@@ -18,20 +18,20 @@ func TestLabelSetInternLookupOverflow(t *testing.T) {
 		t.Fatalf("re-Intern(a) = %d, want 0", got)
 	}
 	// Table full: every new value collapses into the overflow slot.
-	if got := ls.Intern("c"); got != ls.Other() {
-		t.Fatalf("Intern(c) = %d, want overflow %d", got, ls.Other())
+	if got := ls.Intern("c"); got != ls.Slots()-1 {
+		t.Fatalf("Intern(c) = %d, want overflow %d", got, ls.Slots()-1)
 	}
-	if got := ls.Intern("d"); got != ls.Other() {
-		t.Fatalf("Intern(d) = %d, want overflow %d", got, ls.Other())
+	if got := ls.Intern("d"); got != ls.Slots()-1 {
+		t.Fatalf("Intern(d) = %d, want overflow %d", got, ls.Slots()-1)
 	}
-	if got := ls.Lookup("never-interned"); got != ls.Other() {
+	if got := ls.Lookup("never-interned"); got != ls.Slots()-1 {
 		t.Fatalf("Lookup(unknown) = %d, want overflow", got)
 	}
 	if ls.Len() != 2 || ls.Slots() != 3 {
 		t.Fatalf("Len=%d Slots=%d, want 2/3", ls.Len(), ls.Slots())
 	}
-	if ls.Name(0) != "a" || ls.Name(ls.Other()) != OtherLabel || ls.Name(99) != OtherLabel {
-		t.Fatalf("Name mapping wrong: %q %q %q", ls.Name(0), ls.Name(ls.Other()), ls.Name(99))
+	if ls.Name(0) != "a" || ls.Name(ls.Slots()-1) != OtherLabel || ls.Name(99) != OtherLabel {
+		t.Fatalf("Name mapping wrong: %q %q %q", ls.Name(0), ls.Name(ls.Slots()-1), ls.Name(99))
 	}
 	if names := ls.Names(); len(names) != 2 || names[0] != "a" || names[1] != "b" {
 		t.Fatalf("Names() = %v", names)
@@ -69,7 +69,7 @@ func TestCounterVecSlotClamping(t *testing.T) {
 	vec := NewCounterVec(ls)
 	vec.At(-5).Inc()
 	vec.At(999).Inc()
-	if got := vec.At(ls.Other()).Load(); got != 2 {
+	if got := vec.At(ls.Slots() - 1).Load(); got != 2 {
 		t.Fatalf("out-of-range slots should land in overflow; got %d", got)
 	}
 }
@@ -123,10 +123,10 @@ func TestSnapshotLabeledFamilies(t *testing.T) {
 	r.CommittedByObject.At(slot).Inc()
 	r.StepNsByObject[0].At(slot).Observe(777)
 	delta := r.Snapshot().Sub(before)
-	if got := delta.LabeledCounterValue("vupdate.updates.committed", "ω"); got != 2 {
+	if got := delta.LabeledCounters["vupdate.updates.committed"].Values["ω"]; got != 2 {
 		t.Fatalf("labeled committed delta = %d, want 2", got)
 	}
-	st := delta.LabeledHistogramValue("vupdate.step."+stepNames[0]+"_ns", "ω")
+	st := delta.LabeledHistograms["vupdate.step."+stepNames[0]+"_ns"].Values["ω"]
 	if st.Count != 1 || st.Sum != 777 {
 		t.Fatalf("labeled step delta = %+v", st)
 	}

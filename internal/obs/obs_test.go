@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// newHistogram returns a histogram over bounds, as Registry sets one up.
+func newHistogram(bounds []int64) *Histogram {
+	h := &Histogram{}
+	h.init(bounds)
+	return h
+}
+
 func TestCounter(t *testing.T) {
 	var c Counter
 	c.Inc()
@@ -16,7 +23,7 @@ func TestCounter(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram(DurationBounds)
+	h := newHistogram(DurationBounds)
 	h.Observe(500)           // ≤ 1µs
 	h.Observe(5_000)         // ≤ 10µs
 	h.Observe(2_000_000_000) // +Inf
@@ -43,7 +50,7 @@ func TestHistogramBuckets(t *testing.T) {
 // (the documented write/read ordering), and after quiescing the two are
 // exactly equal.
 func TestHistogramConcurrentCoherence(t *testing.T) {
-	h := NewHistogram(CountBounds)
+	h := newHistogram(CountBounds)
 	const workers, perWorker = 8, 5000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -217,7 +224,7 @@ func TestWriteTextBucketOrdering(t *testing.T) {
 // HistogramStat.Sub handles a zero-value prev (metric absent from the
 // older snapshot) and a bucket-shape mismatch explicitly.
 func TestHistogramStatSubShapes(t *testing.T) {
-	h := NewHistogram(CountBounds)
+	h := newHistogram(CountBounds)
 	h.Observe(1)
 	h.Observe(100)
 	cur := h.Stat()

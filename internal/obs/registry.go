@@ -173,17 +173,6 @@ type Registry struct {
 	RelProbes  *CounterVec // point lookups and index-bucket probes, by relation
 	RelScans   *CounterVec // full-relation scan fallbacks, by relation
 
-	// reldb: the per-relation lookup-plan cache. Every MatchEqual-family
-	// call resolves its index selection through the cache exactly once, so
-	// PlanCacheLookups == PlanCacheHits + PlanCacheMisses holds at every
-	// quiescent point (asserted by the stress suite). A relation's versions
-	// share one cache across commits; only index DDL discards plans, and
-	// those count as invalidations.
-	PlanCacheLookups       Counter // MatchEqual-family calls that consulted the cache
-	PlanCacheHits          Counter // plans served from the cache
-	PlanCacheMisses        Counter // plans resolved and cached
-	PlanCacheInvalidations Counter // cached plans purged by index DDL
-
 	// viewobject: instantiation, by view object. ParallelNs times only
 	// the calls that actually fanned out, so it covers a subset of the
 	// InstantiateNs observations.

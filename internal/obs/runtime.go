@@ -21,19 +21,6 @@ const (
 	GaugeGCCycles = "runtime.gc.cycles"
 )
 
-// runtimeGaugeNames lists every runtime gauge a snapshot carries, for
-// validators that assert the families are present.
-var runtimeGaugeNames = []string{
-	GaugeGoroutines, GaugeHeapInuse, GaugeGCPauseTotal, GaugeGCCycles,
-}
-
-// RuntimeGaugeNames returns the gauge names every snapshot carries.
-func RuntimeGaugeNames() []string {
-	out := make([]string, len(runtimeGaugeNames))
-	copy(out, runtimeGaugeNames)
-	return out
-}
-
 // sampleRuntimeGauges reads the runtime once. ReadMemStats briefly
 // stops the world, which is acceptable at scrape/snapshot frequency.
 func sampleRuntimeGauges() map[string]int64 {

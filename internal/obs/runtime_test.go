@@ -6,19 +6,24 @@ import (
 	"testing"
 )
 
+// runtimeGaugeNames lists every runtime gauge a snapshot carries.
+var runtimeGaugeNames = []string{
+	GaugeGoroutines, GaugeHeapInuse, GaugeGCPauseTotal, GaugeGCCycles,
+}
+
 func TestSnapshotCarriesRuntimeGauges(t *testing.T) {
 	r := NewRegistry()
 	s := r.Snapshot()
-	for _, name := range RuntimeGaugeNames() {
+	for _, name := range runtimeGaugeNames {
 		if _, ok := s.Gauges[name]; !ok {
 			t.Errorf("snapshot missing gauge %s", name)
 		}
 	}
-	if s.Gauge(GaugeGoroutines) < 1 {
-		t.Errorf("goroutines = %d, want >= 1", s.Gauge(GaugeGoroutines))
+	if s.Gauges[GaugeGoroutines] < 1 {
+		t.Errorf("goroutines = %d, want >= 1", s.Gauges[GaugeGoroutines])
 	}
-	if s.Gauge(GaugeHeapInuse) <= 0 {
-		t.Errorf("heap in use = %d, want > 0", s.Gauge(GaugeHeapInuse))
+	if s.Gauges[GaugeHeapInuse] <= 0 {
+		t.Errorf("heap in use = %d, want > 0", s.Gauges[GaugeHeapInuse])
 	}
 }
 
@@ -29,8 +34,8 @@ func TestSnapshotSubKeepsGaugeLevels(t *testing.T) {
 	d := newer.Sub(older)
 	// Gauges are levels, not counts: Sub must carry the newer snapshot's
 	// values unchanged rather than subtracting.
-	for _, name := range RuntimeGaugeNames() {
-		if got, want := d.Gauge(name), newer.Gauge(name); got != want {
+	for _, name := range runtimeGaugeNames {
+		if got, want := d.Gauges[name], newer.Gauges[name]; got != want {
 			t.Errorf("Sub gauge %s = %d, want the newer level %d", name, got, want)
 		}
 	}
@@ -44,7 +49,7 @@ func TestRuntimeGaugesInTextAndProm(t *testing.T) {
 	if err := WriteText(&text, s); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range RuntimeGaugeNames() {
+	for _, name := range runtimeGaugeNames {
 		if !strings.Contains(text.String(), name+" ") {
 			t.Errorf("WriteText missing %s:\n%s", name, text.String())
 		}

@@ -108,10 +108,6 @@ func (r *Registry) Snapshot() Snapshot {
 	split("reldb.relation.scanned", r.RelScanned)
 	split("reldb.relation.probes", r.RelProbes)
 	split("reldb.relation.scans", r.RelScans)
-	c("reldb.plancache.lookups", &r.PlanCacheLookups)
-	c("reldb.plancache.hits", &r.PlanCacheHits)
-	c("reldb.plancache.misses", &r.PlanCacheMisses)
-	c("reldb.plancache.invalidations", &r.PlanCacheInvalidations)
 
 	lc("viewobject.instantiate.calls", r.InstCallsByObject)
 	lc("viewobject.instantiate.tuples_scanned", r.InstTuplesByObject)
@@ -160,23 +156,8 @@ func Capture() Snapshot { return Default.Snapshot() }
 // Counter returns a counter by name (0 when absent).
 func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 
-// Gauge returns a gauge by name (0 when absent).
-func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
-
 // Histogram returns a histogram stat by name (zero stat when absent).
 func (s Snapshot) Histogram(name string) HistogramStat { return s.Histograms[name] }
-
-// LabeledCounterValue returns one series of a labeled counter family
-// (0 when the family or the label value is absent).
-func (s Snapshot) LabeledCounterValue(name, labelValue string) int64 {
-	return s.LabeledCounters[name].Values[labelValue]
-}
-
-// LabeledHistogramValue returns one series of a labeled histogram
-// family (zero stat when absent).
-func (s Snapshot) LabeledHistogramValue(name, labelValue string) HistogramStat {
-	return s.LabeledHistograms[name].Values[labelValue]
-}
 
 // Sub returns the metric-wise difference s − prev: the activity between
 // two snapshots of the same registry.

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -147,11 +146,6 @@ func (o Op) Span(name, detail string, start time.Time, dur time.Duration) {
 	})
 }
 
-// Point records an instantaneous child event of this op.
-func (o Op) Point(name, detail string) {
-	o.Span(name, detail, time.Now(), 0)
-}
-
 // StartOp begins a root span for a new operation. It returns the
 // inactive zero Op — without touching the ID allocator — unless the
 // flight recorder is installed, so the disabled path costs one atomic
@@ -222,7 +216,7 @@ func (c *opCollector) seal(root Event) {
 	spans, extra := c.spans, c.extra
 	c.spans, c.sealed = nil, true
 	c.mu.Unlock()
-	if root.Dur < time.Duration(c.rec.threshold.Load()) {
+	if root.Dur < c.rec.threshold {
 		return // fast op: discard the buffer
 	}
 	c.reg.SlowTraceCaptured.Inc()
@@ -352,7 +346,7 @@ func (t SlowTrace) Render() string {
 // are always captured without tracing everything. Install one with
 // Registry.SetRecorder.
 type Recorder struct {
-	threshold atomic.Int64 // ns; <= 0 retains every completed op
+	threshold time.Duration // <= 0 retains every completed op
 	capacity  int
 	mu        sync.Mutex
 	traces    []SlowTrace // oldest first
@@ -365,21 +359,11 @@ func NewRecorder(threshold time.Duration, capacity int) *Recorder {
 	if capacity < 1 {
 		capacity = 1
 	}
-	r := &Recorder{capacity: capacity}
-	r.threshold.Store(int64(threshold))
-	return r
+	return &Recorder{threshold: threshold, capacity: capacity}
 }
 
-// SetThreshold changes the retention threshold and returns the previous
-// one. Safe while ops are in flight; each op is judged at completion.
-func (r *Recorder) SetThreshold(d time.Duration) time.Duration {
-	return time.Duration(r.threshold.Swap(int64(d)))
-}
-
-// Threshold returns the current retention threshold.
-func (r *Recorder) Threshold() time.Duration {
-	return time.Duration(r.threshold.Load())
-}
+// Threshold returns the retention threshold.
+func (r *Recorder) Threshold() time.Duration { return r.threshold }
 
 // keep retains one trace, reporting whether an older trace was evicted.
 func (r *Recorder) keep(t SlowTrace) (evicted bool) {
@@ -414,13 +398,6 @@ func (r *Recorder) Trace(id uint64) (SlowTrace, bool) {
 		}
 	}
 	return SlowTrace{}, false
-}
-
-// Clear discards every retained trace.
-func (r *Recorder) Clear() {
-	r.mu.Lock()
-	r.traces = nil
-	r.mu.Unlock()
 }
 
 // SetRecorder installs (or, with nil, removes) the flight recorder.

@@ -105,7 +105,6 @@ func TestOpInactiveWithoutRecorder(t *testing.T) {
 	child := op.Child("x")
 	child.Finish("")
 	op.Span("y", "", time.Now(), time.Second)
-	op.Point("z", "")
 	op.Finish("")
 	if r.opSeq.Load() != 0 {
 		t.Errorf("inactive ops consumed %d span ids", r.opSeq.Load())
@@ -151,15 +150,6 @@ func TestRecorderThresholdDiscardsFastOps(t *testing.T) {
 	if got := r.SlowTraceCaptured.Load(); got != 1 {
 		t.Errorf("SlowTraceCaptured = %d, want 1", got)
 	}
-
-	// Raising the threshold applies to ops judged afterwards.
-	if prev := rec.SetThreshold(time.Hour); prev != 10*time.Millisecond {
-		t.Errorf("SetThreshold returned %s", prev)
-	}
-	r.StartOpAt("now-fast", time.Now().Add(-20*time.Millisecond)).Finish("")
-	if got := rec.Traces(); len(got) != 1 {
-		t.Errorf("op retained despite raised threshold: %v", got)
-	}
 }
 
 func TestRecorderRingEvictionCountsDropped(t *testing.T) {
@@ -183,10 +173,6 @@ func TestRecorderRingEvictionCountsDropped(t *testing.T) {
 
 	if _, ok := rec.Trace(traces[1].TraceID); !ok {
 		t.Error("Trace(id) did not find a retained trace")
-	}
-	rec.Clear()
-	if got := rec.Traces(); len(got) != 0 {
-		t.Errorf("Clear left %d traces", len(got))
 	}
 }
 

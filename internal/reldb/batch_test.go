@@ -71,8 +71,8 @@ func TestMatchEqualUsesOrderPermutedIndex(t *testing.T) {
 	}
 }
 
-// LookupIndex must reject values that cannot match the indexed
-// attributes instead of silently encoding to a miss.
+// A lookup through an index must reject values that cannot match the
+// indexed attributes instead of silently encoding to a miss.
 func TestLookupIndexValidatesValues(t *testing.T) {
 	r := newGradesRel(t)
 	if err := r.Insert(grade("CS101", 1, "A")); err != nil {
@@ -85,23 +85,23 @@ func TestLookupIndexValidatesValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wrong kind: CourseID is a string.
-	if _, err := r.LookupIndex("byCourse", Tuple{Int(7)}); err == nil {
+	if _, err := r.MatchEqual([]string{"CourseID"}, Tuple{Int(7)}); err == nil {
 		t.Fatal("wrong-typed lookup value accepted")
 	}
 	// Null probing a key attribute.
-	if _, err := r.LookupIndex("byCourse", Tuple{Null()}); err == nil {
+	if _, err := r.MatchEqual([]string{"CourseID"}, Tuple{Null()}); err == nil {
 		t.Fatal("null lookup on key attribute accepted")
 	}
 	// Null probing a nullable non-key attribute is a legitimate probe.
-	if _, err := r.LookupIndex("byGrade", Tuple{Null()}); err != nil {
+	if _, err := indexLookup(t, r, []string{"Grade"}, Tuple{Null()}); err != nil {
 		t.Fatalf("null lookup on nullable attribute rejected: %v", err)
 	}
 	// Valid lookups still work.
-	got, err := r.LookupIndex("byCourse", Tuple{String("CS101")})
+	got, err := indexLookup(t, r, []string{"CourseID"}, Tuple{String("CS101")})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("valid lookup = %d rows, %v", len(got), err)
 	}
-	// MatchEqual applies the same discipline.
+	// So do the other attribute sets and the batch form.
 	if _, err := r.MatchEqual([]string{"Grade"}, Tuple{Int(3)}); err == nil {
 		t.Fatal("MatchEqual wrong-typed value accepted")
 	}
@@ -252,7 +252,7 @@ func TestReplaceKeyChangeMaintainsNonKeyIndex(t *testing.T) {
 	if err := r.Replace(Tuple{String("CS101"), Int(1)}, grade("EE201", 7, "A")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.LookupIndex("byGrade", Tuple{String("A")})
+	got, err := indexLookup(t, r, []string{"Grade"}, Tuple{String("A")})
 	if err != nil || len(got) != 2 {
 		t.Fatalf("bucket A = %d rows, %v", len(got), err)
 	}
@@ -263,8 +263,8 @@ func TestReplaceKeyChangeMaintainsNonKeyIndex(t *testing.T) {
 	if err := r.Replace(Tuple{String("EE201"), Int(7)}, grade("ME301", 9, "B")); err != nil {
 		t.Fatal(err)
 	}
-	a, _ := r.LookupIndex("byGrade", Tuple{String("A")})
-	b, _ := r.LookupIndex("byGrade", Tuple{String("B")})
+	a, _ := indexLookup(t, r, []string{"Grade"}, Tuple{String("A")})
+	b, _ := indexLookup(t, r, []string{"Grade"}, Tuple{String("B")})
 	if len(a) != 1 || len(b) != 1 || !b[0].Equal(grade("ME301", 9, "B")) {
 		t.Fatalf("buckets after move: A=%v B=%v", a, b)
 	}
@@ -291,7 +291,7 @@ func TestTxCloneIndexIndependence(t *testing.T) {
 	}
 	// The committed snapshot's bucket is untouched while the Tx clone has
 	// the extra row.
-	got, err := snapshot.LookupIndex("byGrade", Tuple{String("A")})
+	got, err := indexLookup(t, snapshot, []string{"Grade"}, Tuple{String("A")})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("committed bucket = %d rows, %v (clone mutation leaked)", len(got), err)
 	}
@@ -299,7 +299,7 @@ func TestTxCloneIndexIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inTx, err := txRel.LookupIndex("byGrade", Tuple{String("A")})
+	inTx, err := indexLookup(t, txRel, []string{"Grade"}, Tuple{String("A")})
 	if err != nil || len(inTx) != 2 {
 		t.Fatalf("tx bucket = %d rows, %v", len(inTx), err)
 	}
@@ -307,12 +307,12 @@ func TestTxCloneIndexIndependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The pre-commit snapshot still answers from its own buckets.
-	got, err = snapshot.LookupIndex("byGrade", Tuple{String("A")})
+	got, err = indexLookup(t, snapshot, []string{"Grade"}, Tuple{String("A")})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("snapshot bucket after commit = %d rows, %v", len(got), err)
 	}
 	// The new head sees both.
-	head, _ := db.MustRelation("GRADES").LookupIndex("byGrade", Tuple{String("A")})
+	head, _ := indexLookup(t, db.MustRelation("GRADES"), []string{"Grade"}, Tuple{String("A")})
 	if len(head) != 2 {
 		t.Fatalf("head bucket = %d rows", len(head))
 	}

@@ -29,7 +29,7 @@ import (
 //
 // headGen is the database's commit generation at serialization time.
 // Restoring it on load is what keeps every generation-keyed subsystem
-// (plan caches, delta subscriptions, materializer build generations)
+// (delta subscriptions, materializer build generations)
 // monotone across a restart: without it a post-restore commit would
 // publish generation 1 and every consumer's clock would run backwards.
 const (

@@ -70,7 +70,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	// The rebuilt index works.
-	rows, err := got.MustRelation("MIXED").LookupIndex("byName", Tuple{String("alice")})
+	rows, err := indexLookup(t, got.MustRelation("MIXED"), []string{"Name"}, Tuple{String("alice")})
 	if err != nil || len(rows) != 1 {
 		t.Fatalf("rebuilt index lookup = %d rows, %v", len(rows), err)
 	}

@@ -12,8 +12,8 @@ import (
 // TestSnapshotRestoresGeneration is the regression test for the restart
 // bug: ReadSnapshot used to return a database with the generation
 // counter reset to 0, so the first post-restore commit published
-// generation 1 and every generation-keyed consumer (plan cache,
-// Subscription.StartGen, materializer build gens) silently restarted
+// generation 1 and every generation-keyed consumer
+// (Subscription.StartGen, materializer build gens) silently restarted
 // its clock.
 func TestSnapshotRestoresGeneration(t *testing.T) {
 	db := snapshotDB(t)

@@ -52,8 +52,8 @@ type Delta struct {
 	// Relation names the changed relation.
 	Relation string
 	// Structural marks relation-level DDL (CreateRelation/DropRelation):
-	// the tuple slices are empty and consumers that cached plans or
-	// instances over the relation must re-derive them.
+	// the tuple slices are empty and consumers that cached instances
+	// over the relation must re-derive them.
 	Structural bool
 	// Inserts, Deletes, Replaces carry the net tuple changes in encoded
 	// primary-key order. Stored images are shared with the committed

@@ -66,20 +66,16 @@ func (r *Relation) ProbeableEqual(attrNames []string, vals Tuple) bool {
 	if len(attrNames) == 0 || len(attrNames) != len(vals) {
 		return false
 	}
-	idx, err := r.lookupIndices("ProbeableEqual", attrNames)
+	pl, err := r.planFor("ProbeableEqual", attrNames)
 	if err != nil {
 		return false
 	}
-	for i, j := range idx {
+	for i, j := range pl.idx {
 		a := r.schema.Attr(j)
 		v := vals[i]
 		if v.IsNull() || a.Type == KindFloat || v.Kind() != a.Type || !keyEncodable(v) {
 			return false
 		}
 	}
-	if sameIntSet(idx, r.schema.key) {
-		return true
-	}
-	ix, _ := r.findIndex(idx)
-	return ix != nil
+	return pl.kind != planScan
 }

@@ -13,8 +13,6 @@ var (
 	ErrNoSuchRelation = errors.New("no such relation")
 	// ErrRelationExists reports creation of an already-defined relation.
 	ErrRelationExists = errors.New("relation already exists")
-	// ErrNoSuchIndex reports access to an undefined secondary index.
-	ErrNoSuchIndex = errors.New("no such index")
 	// ErrKeyDomain reports a key or indexed value the key codec cannot
 	// encode exactly (keyEncodable): storing it would alias a neighbour.
 	ErrKeyDomain = errors.New("value outside the key codec's exact domain (|int| <= 2^53, no NaN)")

@@ -116,7 +116,7 @@ func TestReadTxLagObserved(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !rtx.Stale() {
+	if rtx.Generation() == db.Generation() {
 		t.Fatal("snapshot should be stale")
 	}
 	rtx.Close()
@@ -161,11 +161,11 @@ func TestPerRelationAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta := obs.Default.Snapshot().Sub(before)
-	if got := delta.LabeledCounterValue("reldb.relation.scanned", "ATTRIB"); got != int64(st.Scanned) {
+	if got := delta.LabeledCounters["reldb.relation.scanned"].Values["ATTRIB"]; got != int64(st.Scanned) {
 		t.Errorf("labeled scanned = %d, MatchStats says %d", got, st.Scanned)
 	}
-	probes := delta.LabeledCounterValue("reldb.relation.probes", "ATTRIB")
-	scans := delta.LabeledCounterValue("reldb.relation.scans", "ATTRIB")
+	probes := delta.LabeledCounters["reldb.relation.probes"].Values["ATTRIB"]
+	scans := delta.LabeledCounters["reldb.relation.scans"].Values["ATTRIB"]
 	if probes != int64(st.Probes) || scans != int64(st.Scans) {
 		t.Errorf("labeled probes/scans = %d/%d, MatchStats says %d/%d",
 			probes, scans, st.Probes, st.Scans)

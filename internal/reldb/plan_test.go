@@ -4,160 +4,38 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-
-	"penguin/internal/obs"
 )
 
-// planCounts reads the plan-cache counters from the Default registry.
-func planCounts() (lookups, hits, misses, invalidations int64) {
-	s := obs.Capture()
-	return s.Counter("reldb.plancache.lookups"),
-		s.Counter("reldb.plancache.hits"),
-		s.Counter("reldb.plancache.misses"),
-		s.Counter("reldb.plancache.invalidations")
-}
-
-func TestPlanCacheHitMissAccounting(t *testing.T) {
-	r := newGradesRel(t)
-	if err := r.Insert(grade("CS101", 1, "A")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.CreateIndex("byGrade", []string{"Grade"}); err != nil {
-		t.Fatal(err)
-	}
-	l0, h0, m0, _ := planCounts()
-
-	// First lookup on a fresh attr set: one lookup, one miss.
-	if _, err := r.MatchEqual([]string{"Grade"}, Tuple{String("A")}); err != nil {
-		t.Fatal(err)
-	}
-	l, h, m, _ := planCounts()
-	if l-l0 != 1 || h-h0 != 0 || m-m0 != 1 {
-		t.Fatalf("after first lookup: lookups+%d hits+%d misses+%d, want +1/+0/+1", l-l0, h-h0, m-m0)
-	}
-
-	// Repeats hit: every access path kind caches (index, point, scan).
-	for i := 0; i < 3; i++ {
-		if _, err := r.MatchEqual([]string{"Grade"}, Tuple{String("A")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l, h, m, _ = planCounts()
-	if l-l0 != 4 || h-h0 != 3 || m-m0 != 1 {
-		t.Fatalf("after repeats: lookups+%d hits+%d misses+%d, want +4/+3/+1", l-l0, h-h0, m-m0)
-	}
-
-	// A different attr set is its own entry; the batch family shares the
-	// cache but keys by its own call site attr list.
-	if _, err := r.MatchEqual([]string{"CourseID", "PID"}, Tuple{String("CS101"), Int(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.MatchEqualBatch([]string{"Grade"}, []Tuple{{String("A")}}); err != nil {
-		t.Fatal(err)
-	}
-	l, h, m, _ = planCounts()
-	if l-l0 != 6 || h-h0 != 4 || m-m0 != 2 {
-		t.Fatalf("after point+batch: lookups+%d hits+%d misses+%d, want +6/+4/+2", l-l0, h-h0, m-m0)
-	}
-	if l-l0 != (h-h0)+(m-m0) {
-		t.Fatalf("lookups %d != hits %d + misses %d", l-l0, h-h0, m-m0)
-	}
-
-	// Errors count nothing.
-	if _, err := r.MatchEqual([]string{"NoSuchAttr"}, Tuple{Int(1)}); err == nil {
-		t.Fatal("expected error for unknown attribute")
-	}
-	if l2, h2, m2, _ := planCounts(); l2 != l || h2 != h || m2 != m {
-		t.Fatalf("error changed counters: lookups %d->%d hits %d->%d misses %d->%d", l, l2, h, h2, m, m2)
-	}
-}
-
-func TestPlanCacheInvalidatedByIndexDDL(t *testing.T) {
-	r := newGradesRel(t)
-	if err := r.Insert(grade("CS101", 1, "A")); err != nil {
-		t.Fatal(err)
-	}
-	// Cache a scan plan for Grade, then create a covering index: the old
-	// plan must not survive, or the lookup would keep scanning forever.
-	var st MatchStats
-	if _, err := r.MatchEqualStats([]string{"Grade"}, Tuple{String("A")}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Scans != 1 {
-		t.Fatalf("pre-index lookup should scan, stats = %+v", st)
-	}
-	_, _, _, i0 := planCounts()
-	if err := r.CreateIndex("byGrade", []string{"Grade"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, i := planCounts(); i-i0 != 1 {
-		t.Fatalf("CreateIndex invalidations +%d, want +1", i-i0)
-	}
-	st = MatchStats{}
-	if _, err := r.MatchEqualStats([]string{"Grade"}, Tuple{String("A")}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Probes != 1 || st.Scans != 0 {
-		t.Fatalf("post-index lookup should probe, stats = %+v", st)
-	}
-
-	// DropIndex likewise purges; the next lookup replans to a scan.
-	_, _, _, i0 = planCounts()
-	if err := r.DropIndex("byGrade"); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, i := planCounts(); i-i0 != 1 {
-		t.Fatalf("DropIndex invalidations +%d, want +1", i-i0)
-	}
-	st = MatchStats{}
-	if _, err := r.MatchEqualStats([]string{"Grade"}, Tuple{String("A")}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Scans != 1 {
-		t.Fatalf("post-drop lookup should scan, stats = %+v", st)
-	}
-}
-
-// TestPlanCacheSurvivesCommit: versions of a relation share one plan
-// cache, so a commit neither cools its readers' plans nor makes the next
-// version resolve them again; index DDL gives the version that ran it a
-// fresh cache and leaves the one a pinned reader still uses alone.
-func TestPlanCacheSurvivesCommit(t *testing.T) {
+func TestCreateIndexServesNextLookup(t *testing.T) {
 	db := NewDatabase()
 	if _, err := db.CreateRelation(gradesSchema(t)); err != nil {
 		t.Fatal(err)
 	}
-	insert := func(pid int64) {
-		t.Helper()
+	for pid := int64(1); pid <= 3; pid++ {
 		if err := db.RunInTx(func(tx *Tx) error { return tx.Insert("GRADES", grade("CS101", pid, "A")) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lookup := func(rel *Relation, want int) {
+	lookup := func(rel *Relation, want string) []Tuple {
 		t.Helper()
-		if out, err := rel.MatchEqual([]string{"Grade"}, Tuple{String("A")}); err != nil || len(out) != want {
-			t.Fatalf("lookup = %v, %v; want %d tuples", out, err, want)
+		var st MatchStats
+		out, err := rel.MatchEqualStats([]string{"Grade"}, Tuple{String("A")}, &st)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if got := map[bool]string{true: "scan", false: "probe"}[st.Scans == 1]; got != want || st.Scans+st.Probes != 1 {
+			t.Fatalf("lookup stats %+v, want one %s", st, want)
+		}
+		return out
 	}
-	insert(1)
-	rel := db.MustRelation("GRADES")
-	lookup(rel, 1)
-	_, h0, m0, i0 := planCounts()
-	for pid := int64(2); pid <= 10; pid++ {
-		insert(pid)
+	before := lookup(db.MustRelation("GRADES"), "scan")
+	if len(before) != 3 {
+		t.Fatalf("pre-index lookup = %d rows, want 3", len(before))
 	}
-	rel2 := db.MustRelation("GRADES")
-	if rel2 == rel {
-		t.Fatal("commit should have published a new relation version")
-	}
-	lookup(rel2, 10)
-	lookup(rel, 1) // the pinned version reads its own rows through the shared plan
-	if _, h, m, i := planCounts(); h-h0 != 2 || m != m0 || i != i0 {
-		t.Fatalf("after 9 commits: hits+%d misses+%d invalidations+%d, want +2/+0/+0", h-h0, m-m0, i-i0)
-	}
+	pinned := db.BeginRead()
+	defer pinned.Close()
 
-	// Index DDL in a transaction: the new version plans afresh (and now
-	// probes the index), the pinned one keeps its scan plan.
+	// Index DDL in a transaction; the insert publishes the version.
 	if err := db.RunInTx(func(tx *Tx) error {
 		r, err := tx.Relation("GRADES")
 		if err != nil {
@@ -166,20 +44,66 @@ func TestPlanCacheSurvivesCommit(t *testing.T) {
 		if err := r.CreateIndex("byGrade", []string{"Grade"}); err != nil {
 			return err
 		}
-		return tx.Insert("GRADES", grade("CS101", 11, "B")) // a write publishes the version
+		return tx.Insert("GRADES", grade("CS101", 4, "B"))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	var st MatchStats
-	if _, err := db.MustRelation("GRADES").MatchEqualStats([]string{"Grade"}, Tuple{String("A")}, &st); err != nil || st.Probes != 1 {
-		t.Fatalf("post-DDL version: stats %+v, %v; want an index probe", st, err)
+	sameTuples(t, "post-index lookup", lookup(db.MustRelation("GRADES"), "probe"), before)
+	// The version pinned before the DDL has no index: it still scans, and
+	// answers as it did.
+	sameTuples(t, "pinned lookup", lookup(pinned.MustRelation("GRADES"), "scan"), before)
+}
+
+// TestMatchEqualAttributeListsDoNotCollide: two attribute lists whose
+// names, joined with a separator that may occur inside a name, spell the
+// same string must still resolve to their own attributes.
+func TestMatchEqualAttributeListsDoNotCollide(t *testing.T) {
+	s, err := NewSchema("R", []Attribute{
+		{Name: "id", Type: KindInt},
+		{Name: "a", Type: KindInt},
+		{Name: "b\x1fc", Type: KindInt},
+		{Name: "a\x1fb", Type: KindInt},
+		{Name: "c", Type: KindInt},
+	}, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, m, i := planCounts(); m-m0 != 1 || i-i0 != 1 {
-		t.Fatalf("index DDL: misses+%d invalidations+%d, want +1/+1", m-m0, i-i0)
+	first, second := []string{"a", "b\x1fc"}, []string{"a\x1fb", "c"}
+	row1 := Tuple{Int(1), Int(1), Int(2), Int(0), Int(0)}
+	row2 := Tuple{Int(2), Int(0), Int(0), Int(1), Int(2)}
+	vals := Tuple{Int(1), Int(2)}
+	fresh := func() *Relation {
+		r := NewRelation(s)
+		for _, tu := range []Tuple{row1, row2} {
+			if err := r.Insert(tu); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
 	}
-	st = MatchStats{}
-	if _, err := rel.MatchEqualStats([]string{"Grade"}, Tuple{String("A")}, &st); err != nil || st.Scans != 1 {
-		t.Fatalf("pinned version: stats %+v, %v; want its old scan plan", st, err)
+
+	r := fresh()
+	for _, c := range []struct {
+		attrs []string
+		want  Tuple
+	}{{first, row1}, {second, row2}} {
+		got, err := r.MatchEqual(c.attrs, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTuples(t, fmt.Sprintf("MatchEqual %q", c.attrs), got, []Tuple{c.want})
+	}
+
+	r = fresh()
+	for _, c := range []struct {
+		attrs []string
+		want  Tuple
+	}{{first, row1}, {second, row2}} {
+		got, err := r.MatchEqualBatch(c.attrs, []Tuple{vals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTuples(t, fmt.Sprintf("MatchEqualBatch %q", c.attrs), got[EncodeValues(vals...)], []Tuple{c.want})
 	}
 }
 
@@ -370,7 +294,10 @@ func TestFloatProbeSemantics(t *testing.T) {
 	}
 }
 
-func TestMatchEqualErrorsUnchangedByPlanCache(t *testing.T) {
+// TestMatchEqualErrorsLeaveLookupsWorking: a rejected lookup leaves
+// nothing behind — a valid one after it works, and the same invalid one
+// is rejected again.
+func TestMatchEqualErrorsLeaveLookupsWorking(t *testing.T) {
 	r := newGradesRel(t)
 	if _, err := r.MatchEqual([]string{"CourseID", "CourseID"}, Tuple{String("a"), String("a")}); err == nil {
 		t.Fatal("duplicate attribute should error")
@@ -378,8 +305,6 @@ func TestMatchEqualErrorsUnchangedByPlanCache(t *testing.T) {
 	if _, err := r.MatchEqual([]string{"Grade"}, Tuple{Int(5)}); err == nil {
 		t.Fatal("kind mismatch should error")
 	}
-	// The error paths must not poison the cache: a valid lookup after an
-	// invalid one still works.
 	if err := r.Insert(grade("CS101", 1, "A")); err != nil {
 		t.Fatal(err)
 	}
@@ -388,6 +313,6 @@ func TestMatchEqualErrorsUnchangedByPlanCache(t *testing.T) {
 		t.Fatalf("valid lookup after errors = %v, %v", out, err)
 	}
 	if _, err := r.MatchEqual([]string{"Grade"}, Tuple{Int(5)}); err == nil {
-		t.Fatal("kind mismatch should still error on a cached plan")
+		t.Fatal("kind mismatch should still error after a valid lookup")
 	}
 }

@@ -90,9 +90,6 @@ func (rtx *ReadTx) TotalRows() int {
 	return total
 }
 
-// Stale reports whether the database has committed past the snapshot.
-func (rtx *ReadTx) Stale() bool { return rtx.db.Generation() != rtx.gen }
-
 // Lag returns how many commits the database has advanced past the
 // snapshot — the ReadTx's age in generations. Workloads can poll it to
 // catch long-lived readers before they pin excessive history.

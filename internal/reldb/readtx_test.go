@@ -67,8 +67,9 @@ func TestReadTxSeesPinnedState(t *testing.T) {
 	if rel2.Has(Tuple{Int(0)}) || !rel2.Has(Tuple{Int(99)}) {
 		t.Fatal("fresh snapshot does not see the committed transaction")
 	}
-	if !rtx.Stale() || rtx2.Stale() {
-		t.Fatalf("staleness wrong: old=%v new=%v", rtx.Stale(), rtx2.Stale())
+	if rtx.Generation() == db.Generation() || rtx2.Generation() != db.Generation() {
+		t.Fatalf("staleness wrong: old gen %d, new gen %d, database at %d",
+			rtx.Generation(), rtx2.Generation(), db.Generation())
 	}
 }
 

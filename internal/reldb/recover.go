@@ -19,7 +19,7 @@ import (
 // Recovery: OpenDatabase loads the newest snapshot, replays the WAL tail
 // on top of it, and resumes the generation counter exactly where the
 // crashed process left it, so every generation-keyed consumer — delta
-// subscribers, plan caches, materializer build generations — stays
+// subscribers, materializer build generations — stays
 // monotone across the restart.
 //
 // Invariants recovery enforces:

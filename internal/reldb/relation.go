@@ -45,12 +45,6 @@ type Relation struct {
 	// interned at construction so the per-relation lookup-cost counters
 	// (reldb.relation.scanned and friends) stay allocation-free.
 	obsSlot int
-	// plans memoizes index selection per attribute list. Plans name their
-	// index, not a version's tree, so every version of the relation shares
-	// one cache by pointer until index DDL gives the version that ran it a
-	// fresh one. It is the one mutable piece of a committed version, and
-	// carries its own lock. See plan.go.
-	plans *planCache
 }
 
 type secondaryIndex struct {
@@ -69,7 +63,6 @@ func NewRelation(schema *Schema) *Relation {
 		indexes: make(map[string]*secondaryIndex),
 		origin:  new(treeOwner),
 		obsSlot: obs.Default.Relations.Intern(schema.Name()),
-		plans:   &planCache{},
 	}
 }
 
@@ -354,17 +347,6 @@ func (r *Relation) CreateIndex(name string, attrNames []string) error {
 		return err
 	}
 	r.indexes[name] = ix
-	r.resetPlans()
-	return nil
-}
-
-// DropIndex removes a secondary index.
-func (r *Relation) DropIndex(name string) error {
-	if _, ok := r.indexes[name]; !ok {
-		return fmt.Errorf("reldb: %s: index %s: %w", r.Name(), name, ErrNoSuchIndex)
-	}
-	delete(r.indexes, name)
-	r.resetPlans()
 	return nil
 }
 
@@ -408,20 +390,6 @@ func (r *Relation) checkLookupVals(what string, idx []int, vals Tuple) error {
 		}
 	}
 	return nil
-}
-
-// LookupIndex returns the tuples whose indexed attributes equal vals, in
-// primary-key order. It fails with ErrNoSuchIndex for unknown indexes and
-// with a validation error when vals do not fit the indexed attributes.
-func (r *Relation) LookupIndex(name string, vals Tuple) ([]Tuple, error) {
-	ix, ok := r.indexes[name]
-	if !ok {
-		return nil, fmt.Errorf("reldb: %s: index %s: %w", r.Name(), name, ErrNoSuchIndex)
-	}
-	if err := r.checkLookupVals("index "+name, ix.attrs, vals); err != nil {
-		return nil, err
-	}
-	return ix.tree.prefixed(EncodeValues(vals...)), nil
 }
 
 // MatchStats accumulates the cost of MatchEqual-family lookups, so
@@ -479,58 +447,21 @@ func (r *Relation) lookupIndices(what string, attrNames []string) ([]int, error)
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[int]struct{}, len(idx))
-	for _, j := range idx {
-		if _, dup := seen[j]; dup {
+	for i, j := range idx {
+		if slices.Contains(idx[:i], j) {
 			return nil, fmt.Errorf("reldb: %s: %s: duplicate attribute %s",
 				r.Name(), what, r.schema.Attr(j).Name)
 		}
-		seen[j] = struct{}{}
 	}
 	return idx, nil
 }
 
-// findIndex returns a secondary index covering exactly the attribute set
-// idx — in any order — together with the permutation perm such that the
-// index's i-th attribute corresponds to the caller's perm[i]-th value.
-// When several indexes cover the set, the lexicographically first name
-// wins (deterministic selection).
-func (r *Relation) findIndex(idx []int) (*secondaryIndex, []int) {
-	var best *secondaryIndex
-	var bestName string
-	for name, ix := range r.indexes {
-		if !sameIntSet(ix.attrs, idx) {
-			continue
-		}
-		if best == nil || name < bestName {
-			best, bestName = ix, name
-		}
-	}
-	if best == nil {
-		return nil, nil
-	}
-	return best, permTo(best.attrs, idx)
-}
-
-// permTo returns perm with target[i] == idx[perm[i]]; target and idx hold
-// the same attributes.
-func permTo(target, idx []int) []int {
-	perm := make([]int, len(target))
-	for i, a := range target {
-		perm[i] = slices.Index(idx, a)
-	}
-	return perm
-}
-
-// HasIndexOn reports whether a secondary index exists over exactly the
-// named attribute set, in any order.
+// HasIndexOn reports whether a secondary index serves lookups over
+// exactly the named attribute set, in any order. The primary key's own
+// set is served by the row tree and reports false.
 func (r *Relation) HasIndexOn(attrNames []string) bool {
-	idx, err := r.lookupIndices("HasIndexOn", attrNames)
-	if err != nil {
-		return false
-	}
-	ix, _ := r.findIndex(idx)
-	return ix != nil
+	pl, err := r.planFor("HasIndexOn", attrNames)
+	return err == nil && pl.kind == planIndex
 }
 
 // MatchEqual returns the tuples whose attributes attrNames equal vals,
@@ -542,10 +473,8 @@ func (r *Relation) MatchEqual(attrNames []string, vals Tuple) ([]Tuple, error) {
 }
 
 // MatchEqualStats is MatchEqual that additionally accumulates lookup
-// cost into st (which may be nil). Index selection — point lookup vs.
-// secondary index vs. scan, plus the value permutation — is resolved
-// once per relation version through the lookup-plan cache and reused by
-// every subsequent call (and every parallel worker) on that version.
+// cost into st (which may be nil). The access path — point lookup,
+// secondary index or scan — is resolved by planFor on every call.
 func (r *Relation) MatchEqualStats(attrNames []string, vals Tuple, st *MatchStats) ([]Tuple, error) {
 	pl, err := r.planFor("MatchEqual", attrNames)
 	if err != nil {
@@ -573,18 +502,18 @@ func (r *Relation) MatchEqualStats(attrNames []string, vals Tuple, st *MatchStat
 
 // probe serves one planned lookup that has an ordered access path: tuples
 // equal on the plan's attributes share a key prefix in its tree — the row
-// tree when they are the primary key, else the named index's — so the
+// tree when they are the primary key, else the plan's index's — so the
 // answer is one seek and a walk of that prefix, already in primary-key
 // order. The values go into the tree's attribute order, so an index built
 // over the same attributes in a different order still serves the lookup.
-func (r *Relation) probe(pl *lookupPlan, vals Tuple, st *MatchStats) []Tuple {
+func (r *Relation) probe(pl lookupPlan, vals Tuple, st *MatchStats) []Tuple {
 	t := &r.rows
 	if pl.kind == planIndex {
-		t = &r.indexes[pl.ixName].tree
+		t = &pl.ix.tree
 	}
 	var prefix []byte
-	for _, j := range pl.perm {
-		prefix = AppendKey(prefix, vals[j])
+	for _, a := range pl.order {
+		prefix = AppendKey(prefix, vals[slices.Index(pl.idx, a)])
 	}
 	out := t.prefixed(string(prefix))
 	r.obsProbe(st, len(out))
@@ -711,7 +640,6 @@ func (r *Relation) clone() *Relation {
 		gen:     r.gen,
 		origin:  r.origin,
 		obsSlot: r.obsSlot,
-		plans:   r.plans,
 	}
 	for name, ix := range r.indexes {
 		cp := *ix

@@ -221,7 +221,7 @@ func TestSecondaryIndex(t *testing.T) {
 	if err := r.CreateIndex("bad", []string{"Nope"}); err == nil {
 		t.Fatal("index on unknown attr accepted")
 	}
-	got, err := r.LookupIndex("byCourse", Tuple{String("C3")})
+	got, err := indexLookup(t, r, []string{"CourseID"}, Tuple{String("C3")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +233,7 @@ func TestSecondaryIndex(t *testing.T) {
 			t.Fatalf("wrong row from index: %v", tu)
 		}
 	}
-	if _, err := r.LookupIndex("nope", Tuple{String("x")}); !errors.Is(err, ErrNoSuchIndex) {
-		t.Fatalf("err = %v, want ErrNoSuchIndex", err)
-	}
-	if _, err := r.LookupIndex("byCourse", Tuple{String("x"), Int(1)}); err == nil {
+	if _, err := r.MatchEqual([]string{"CourseID"}, Tuple{String("x"), Int(1)}); err == nil {
 		t.Fatal("wrong arity lookup accepted")
 	}
 }
@@ -252,7 +249,7 @@ func TestIndexMaintainedByMutations(t *testing.T) {
 
 	check := func(course string, want int) {
 		t.Helper()
-		got, err := r.LookupIndex("byCourse", Tuple{String(course)})
+		got, err := indexLookup(t, r, []string{"CourseID"}, Tuple{String(course)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,18 +274,17 @@ func TestIndexMaintainedByMutations(t *testing.T) {
 	check("EE201", 2)
 }
 
-func TestDropIndex(t *testing.T) {
-	r := newGradesRel(t)
-	_ = r.CreateIndex("ix", []string{"Grade"})
-	if got := r.IndexNames(); len(got) != 1 || got[0] != "ix" {
-		t.Fatalf("IndexNames = %v", got)
+// indexLookup is MatchEqual that also fails the test unless one index or
+// point probe, not a scan, served the lookup: the tests that read what an
+// index holds go through the one lookup path.
+func indexLookup(t testing.TB, r *Relation, attrs []string, vals Tuple) ([]Tuple, error) {
+	t.Helper()
+	var st MatchStats
+	out, err := r.MatchEqualStats(attrs, vals, &st)
+	if err == nil && (st.Probes != 1 || st.Scans != 0) {
+		t.Fatalf("MatchEqual %v on %s: stats %+v, want one probe", attrs, r.Name(), st)
 	}
-	if err := r.DropIndex("ix"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.DropIndex("ix"); !errors.Is(err, ErrNoSuchIndex) {
-		t.Fatalf("err = %v", err)
-	}
+	return out, err
 }
 
 func TestIndexBackfill(t *testing.T) {
@@ -298,7 +294,7 @@ func TestIndexBackfill(t *testing.T) {
 	if err := r.CreateIndex("byGrade", []string{"Grade"}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.LookupIndex("byGrade", Tuple{String("A")})
+	got, err := indexLookup(t, r, []string{"Grade"}, Tuple{String("A")})
 	if err != nil || len(got) != 2 {
 		t.Fatalf("backfilled lookup = %d rows, %v", len(got), err)
 	}
@@ -387,11 +383,11 @@ func TestRelationCloneIsDeep(t *testing.T) {
 	if r.Count() != 1 || c.Count() != 2 {
 		t.Fatalf("clone not independent: %d/%d", r.Count(), c.Count())
 	}
-	got, err := c.LookupIndex("byCourse", Tuple{String("CS101")})
+	got, err := indexLookup(t, c, []string{"CourseID"}, Tuple{String("CS101")})
 	if err != nil || len(got) != 2 {
 		t.Fatalf("cloned index = %d rows, %v", len(got), err)
 	}
-	got, err = r.LookupIndex("byCourse", Tuple{String("CS101")})
+	got, err = indexLookup(t, r, []string{"CourseID"}, Tuple{String("CS101")})
 	if err != nil || len(got) != 1 {
 		t.Fatalf("original index = %d rows, %v", len(got), err)
 	}
@@ -457,7 +453,7 @@ func TestIndexConsistencyUnderRandomOps(t *testing.T) {
 				want++
 			}
 		}
-		got, err := r.LookupIndex("byCourse", Tuple{String(c)})
+		got, err := indexLookup(t, r, []string{"CourseID"}, Tuple{String(c)})
 		if err != nil || len(got) != want {
 			t.Fatalf("course %s: index %d, want %d (%v)", c, len(got), want, err)
 		}

@@ -135,27 +135,6 @@ func (s *Schema) IsKeyName(name string) bool {
 	return ok && s.isKey[i]
 }
 
-// NonKeyNames returns the names of the non-key attributes in order.
-func (s *Schema) NonKeyNames() []string {
-	var names []string
-	for i, a := range s.attrs {
-		if !s.isKey[i] {
-			names = append(names, a.Name)
-		}
-	}
-	return names
-}
-
-// HasAttrs reports whether every name in names is an attribute of s.
-func (s *Schema) HasAttrs(names []string) bool {
-	for _, n := range names {
-		if _, ok := s.byName[n]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // CheckTuple validates t against the schema: arity, per-attribute kinds,
 // nullability, and non-null key attributes inside the key codec's exact
 // domain.

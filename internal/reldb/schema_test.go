@@ -74,9 +74,6 @@ func TestSchemaAccessors(t *testing.T) {
 	if got := s.KeyNames(); strings.Join(got, ",") != "CourseID,PID" {
 		t.Fatalf("KeyNames = %v", got)
 	}
-	if got := s.NonKeyNames(); strings.Join(got, ",") != "Grade" {
-		t.Fatalf("NonKeyNames = %v", got)
-	}
 	if i, ok := s.AttrIndex("PID"); !ok || i != 1 {
 		t.Fatalf("AttrIndex(PID) = %d,%v", i, ok)
 	}
@@ -91,9 +88,6 @@ func TestSchemaAccessors(t *testing.T) {
 	}
 	if !s.IsKeyName("CourseID") || s.IsKeyName("Grade") || s.IsKeyName("Nope") {
 		t.Fatal("IsKeyName wrong")
-	}
-	if !s.HasAttrs([]string{"CourseID", "Grade"}) || s.HasAttrs([]string{"CourseID", "X"}) {
-		t.Fatal("HasAttrs wrong")
 	}
 }
 

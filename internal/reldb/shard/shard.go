@@ -1,6 +1,6 @@
 // Package shard partitions a database by pivot-key hash into N shards —
 // independent reldb.Databases, each with its own writer lock, WAL
-// directory, plan cache, delta stream, and labeled metrics slot — and
+// directory, delta stream, and labeled metrics slot — and
 // coordinates view-object updates across them.
 //
 // Placement follows the paper's §5 topology: the relations of a view

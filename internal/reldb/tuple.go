@@ -99,17 +99,3 @@ func (r Row) MustGet(name string) Value {
 	}
 	return v
 }
-
-// TupleOf builds a tuple for schema s from a name→value map. Attributes
-// absent from the map are null. Unknown names are an error surfaced via
-// CheckTuple by the caller; here they are ignored to keep construction
-// composable.
-func TupleOf(s *Schema, vals map[string]Value) Tuple {
-	t := make(Tuple, s.Arity())
-	for name, v := range vals {
-		if i, ok := s.AttrIndex(name); ok {
-			t[i] = v
-		}
-	}
-	return t
-}

@@ -50,14 +50,3 @@ func TestTupleString(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
-
-func TestTupleOf(t *testing.T) {
-	s := MustSchema("R", []Attribute{
-		{Name: "A", Type: KindInt},
-		{Name: "B", Type: KindString, Nullable: true},
-	}, []string{"A"})
-	tup := TupleOf(s, map[string]Value{"A": Int(1), "Unknown": Int(9)})
-	if !tup[0].Equal(Int(1)) || !tup[1].IsNull() {
-		t.Fatalf("TupleOf = %v", tup)
-	}
-}

@@ -558,7 +558,7 @@ func TestAdmissionControlSheds(t *testing.T) {
 		if got := m.Counter("penguin.http.shed"); got != 1 {
 			t.Errorf("penguin.http.shed = %d, want 1", got)
 		}
-		if got := m.LabeledCounterValue("penguin.http.shed", epDelete); got != 1 {
+		if got := m.LabeledCounters["penguin.http.shed"].Values[epDelete]; got != 1 {
 			t.Errorf("per-endpoint shed = %d, want 1", got)
 		}
 		// The shed request is not an admitted request: requests counts 1

@@ -4,21 +4,16 @@ import (
 	"penguin/internal/reldb"
 )
 
-// ConnectedViaBatch crosses one edge for many source tuples at once. The
-// result is aligned with tuples: out[i] holds the target tuples connected
-// to tuples[i], in primary-key order, with the same per-tuple semantics
-// as ConnectedVia (nil for a null connecting value, non-nil empty for no
+// ConnectedViaBatchStats crosses one edge for many source tuples at
+// once, accumulating lookup cost into st (which may be nil). The result
+// is aligned with tuples: out[i] holds the target tuples connected to
+// tuples[i], in primary-key order, with the same per-tuple semantics as
+// ConnectedVia (nil for a null connecting value, non-nil empty for no
 // matches). The whole batch costs one MatchEqualBatch call on the target
 // relation — one index probe per distinct connecting-value set, or one
 // shared scan — instead of one lookup per source tuple. Source tuples
 // sharing a connecting-value set share the same result slice (and its
 // tuples); callers must not mutate the returned tuples.
-func ConnectedViaBatch(res Resolver, e Edge, tuples []reldb.Tuple) ([][]reldb.Tuple, error) {
-	return ConnectedViaBatchStats(res, e, tuples, nil)
-}
-
-// ConnectedViaBatchStats is ConnectedViaBatch that additionally
-// accumulates lookup cost into st (which may be nil).
 func ConnectedViaBatchStats(res Resolver, e Edge, tuples []reldb.Tuple, st *reldb.MatchStats) ([][]reldb.Tuple, error) {
 	out := make([][]reldb.Tuple, len(tuples))
 	if len(tuples) == 0 {

@@ -59,7 +59,7 @@ func TestConnectedViaBatchMatchesSingle(t *testing.T) {
 		{"reference with null and dangling", Edge{Conn: ref, Forward: true}, refer.All()},
 	}
 	for _, tc := range cases {
-		batch, err := ConnectedViaBatch(db, tc.edge, tc.tuples)
+		batch, err := ConnectedViaBatchStats(db, tc.edge, tc.tuples, nil)
 		if err != nil {
 			t.Fatalf("%s: batch: %v", tc.name, err)
 		}
@@ -102,7 +102,7 @@ func TestConnectedViaBatchEmpty(t *testing.T) {
 	g := NewGraph(db)
 	g.MustAddConnection(ownershipConn())
 	own, _ := g.Connection("own")
-	out, err := ConnectedViaBatch(db, Edge{Conn: own, Forward: true}, nil)
+	out, err := ConnectedViaBatchStats(db, Edge{Conn: own, Forward: true}, nil, nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch = %v, %v", out, err)
 	}

@@ -209,43 +209,6 @@ func (g *Graph) Relations() []string {
 	return names
 }
 
-// ConnectedTuples returns the tuples of e.Target() connected to tuple
-// (a tuple of e.Source()) across the edge: target tuples whose
-// TargetAttrs values equal the tuple's SourceAttrs values. If any source
-// attribute is null the result is empty (null never connects, per
-// Definition 2.3 criterion 1).
-func (g *Graph) ConnectedTuples(e Edge, tuple reldb.Tuple) ([]reldb.Tuple, error) {
-	srcRel, err := g.db.Relation(e.Source())
-	if err != nil {
-		return nil, err
-	}
-	srcIdx, err := srcRel.Schema().Indices(e.SourceAttrs())
-	if err != nil {
-		return nil, err
-	}
-	vals := make(reldb.Tuple, len(srcIdx))
-	for i, j := range srcIdx {
-		if tuple[j].IsNull() {
-			return nil, nil
-		}
-		vals[i] = tuple[j]
-	}
-	tgtRel, err := g.db.Relation(e.Target())
-	if err != nil {
-		return nil, err
-	}
-	matches, err := tgtRel.MatchEqual(e.TargetAttrs(), vals)
-	if err != nil {
-		return nil, err
-	}
-	if matches == nil {
-		// Non-nil even when empty: nil is reserved for the null
-		// connecting-value case above.
-		matches = []reldb.Tuple{}
-	}
-	return matches, nil
-}
-
 // Validate re-validates every connection (used after schema evolution).
 func (g *Graph) Validate() error {
 	for _, c := range g.conns {

@@ -146,19 +146,19 @@ func TestConnectedTuples(t *testing.T) {
 	}
 	own, _ := g.Connection("own")
 	owner, _ := db.MustRelation("OWNER").Get(reldb.Tuple{reldb.Int(1)})
-	owned, err := g.ConnectedTuples(Edge{Conn: own, Forward: true}, owner)
+	owned, err := ConnectedVia(db, Edge{Conn: own, Forward: true}, owner)
 	if err != nil || len(owned) != 2 {
 		t.Fatalf("owned = %d, %v", len(owned), err)
 	}
 	// Inverse: owned tuple -> owner.
-	owners, err := g.ConnectedTuples(Edge{Conn: own, Forward: false}, owned[0])
+	owners, err := ConnectedVia(db, Edge{Conn: own, Forward: false}, owned[0])
 	if err != nil || len(owners) != 1 {
 		t.Fatalf("owners = %d, %v", len(owners), err)
 	}
 	// Null FK connects to nothing.
 	ref, _ := g.Connection("ref")
 	nullRef, _ := db.MustRelation("REFER").Get(reldb.Tuple{reldb.Int(6)})
-	targets, err := g.ConnectedTuples(Edge{Conn: ref, Forward: true}, nullRef)
+	targets, err := ConnectedVia(db, Edge{Conn: ref, Forward: true}, nullRef)
 	if err != nil || targets != nil {
 		t.Fatalf("null FK should connect to nothing, got %v, %v", targets, err)
 	}

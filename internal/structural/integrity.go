@@ -85,47 +85,12 @@ func (a DeleteAction) String() string {
 	}
 }
 
-// KeyModAction selects how a key modification propagates across a
-// connection (criterion 3 of Definitions 2.2-2.4).
-type KeyModAction uint8
-
-// Key-modification actions.
-const (
-	// KeyModPropagate rewrites the connecting attributes of the dependent
-	// tuples to the new key values.
-	KeyModPropagate KeyModAction = iota
-	// KeyModDelete deletes the dependent tuples.
-	KeyModDelete
-	// KeyModSetNull nulls the referencing attributes (reference
-	// connections only).
-	KeyModSetNull
-)
-
-// String implements fmt.Stringer.
-func (a KeyModAction) String() string {
-	switch a {
-	case KeyModPropagate:
-		return "propagate"
-	case KeyModDelete:
-		return "delete"
-	case KeyModSetNull:
-		return "set-null"
-	default:
-		return fmt.Sprintf("keymodaction(%d)", uint8(a))
-	}
-}
-
-// Policy configures, per connection name, the chosen alternative wherever
-// the structural model's integrity rules admit more than one. Connections
-// absent from the maps use the defaults: DeleteRestrict and
-// KeyModPropagate.
+// Policy configures, per reference connection name, how Delete treats
+// referencing tuples. Connections absent from the map use DeleteRestrict.
 type Policy struct {
 	// OnRefDelete applies when a referenced tuple is deleted, keyed by
 	// the reference connection's name.
 	OnRefDelete map[string]DeleteAction
-	// OnKeyMod applies when a tuple's key is modified, keyed by the
-	// ownership, subset, or reference connection's name.
-	OnKeyMod map[string]KeyModAction
 }
 
 // refDelete returns the configured delete action for connection name.
@@ -136,63 +101,10 @@ func (p *Policy) refDelete(name string) DeleteAction {
 	return p.OnRefDelete[name]
 }
 
-// keyMod returns the configured key-modification action for connection name.
-func (p *Policy) keyMod(name string) KeyModAction {
-	if p == nil || p.OnKeyMod == nil {
-		return KeyModPropagate
-	}
-	return p.OnKeyMod[name]
-}
-
 // Integrity enforces the structural model's rules over a graph.
 type Integrity struct {
 	G      *Graph
 	Policy *Policy
-}
-
-// CheckInsert verifies that inserting tuple into rel would satisfy every
-// connection's existence criterion:
-//
-//   - rel references R2 (Definition 2.3 criterion 1): the referenced tuple
-//     must exist unless the referencing attributes are null;
-//   - rel is owned by R1 (Definition 2.2 criterion 1): an owning tuple
-//     must exist;
-//   - rel is a subset of R1 (Definition 2.4 criterion 1): the parent
-//     tuple must exist.
-//
-// The tuple itself is not inserted.
-func (in *Integrity) CheckInsert(res Resolver, rel string, tuple reldb.Tuple) error {
-	for _, c := range in.G.Outgoing(rel) {
-		if c.Type != Reference {
-			continue
-		}
-		matches, err := ConnectedVia(res, Edge{Conn: c, Forward: true}, tuple)
-		if err != nil {
-			return err
-		}
-		if matches == nil {
-			// Null referencing attributes: permitted by criterion 1.
-			continue
-		}
-		if len(matches) == 0 {
-			return fmt.Errorf("structural: insert into %s violates %s: referenced tuple missing",
-				rel, c)
-		}
-	}
-	for _, c := range in.G.Incoming(rel) {
-		switch c.Type {
-		case Ownership, Subset:
-			owners, err := ConnectedVia(res, Edge{Conn: c, Forward: false}, tuple)
-			if err != nil {
-				return err
-			}
-			if len(owners) == 0 {
-				return fmt.Errorf("structural: insert into %s violates %s: %s tuple missing in %s",
-					rel, c, c.Type, c.From)
-			}
-		}
-	}
-	return nil
 }
 
 // Delete removes the tuple with the given key from rel inside tx,
@@ -290,170 +202,6 @@ func (in *Integrity) deleteTuple(tx *reldb.Tx, rel string, tuple reldb.Tuple) er
 	}
 	if _, err := tx.Delete(rel, key); err != nil {
 		return err
-	}
-	return nil
-}
-
-// ReplaceKey replaces the tuple at oldKey in rel with newTuple inside tx,
-// propagating key modifications across connections per criterion 3 of
-// Definitions 2.2-2.4 and the policy's key-modification actions. Non-key
-// modifications propagate across no connection (connecting attributes of
-// outgoing ownership/subset edges and incoming reference edges are keys).
-// It returns the total number of database operations performed.
-func (in *Integrity) ReplaceKey(tx *reldb.Tx, rel string, oldKey reldb.Tuple, newTuple reldb.Tuple) (int, error) {
-	before := tx.OpCount()
-	if err := in.replaceTuple(tx, rel, oldKey, newTuple); err != nil {
-		return tx.OpCount() - before, err
-	}
-	return tx.OpCount() - before, nil
-}
-
-func (in *Integrity) replaceTuple(tx *reldb.Tx, rel string, oldKey reldb.Tuple, newTuple reldb.Tuple) error {
-	r, err := tx.Relation(rel)
-	if err != nil {
-		return err
-	}
-	schema := r.Schema()
-	oldTuple, ok := r.Get(oldKey)
-	if !ok {
-		return fmt.Errorf("structural: replace in %s: %w", rel, reldb.ErrNoSuchTuple)
-	}
-	newKey := schema.KeyOf(newTuple)
-	keyChanged := !oldKey.Equal(newKey)
-
-	// Collect dependents before the replacement changes match values.
-	type depWork struct {
-		conn    *Connection
-		tuples  []reldb.Tuple
-		forward bool
-	}
-	var work []depWork
-	if keyChanged {
-		for _, c := range in.G.Outgoing(rel) {
-			if c.Type == Ownership || c.Type == Subset {
-				deps, err := ConnectedVia(tx, Edge{Conn: c, Forward: true}, oldTuple)
-				if err != nil {
-					return err
-				}
-				if len(deps) > 0 {
-					work = append(work, depWork{conn: c, tuples: deps, forward: true})
-				}
-			}
-		}
-		for _, c := range in.G.Incoming(rel) {
-			if c.Type == Reference {
-				refs, err := ConnectedVia(tx, Edge{Conn: c, Forward: false}, oldTuple)
-				if err != nil {
-					return err
-				}
-				if len(refs) > 0 {
-					work = append(work, depWork{conn: c, tuples: refs, forward: false})
-				}
-			}
-		}
-	}
-
-	if _, err := tx.Replace(rel, oldKey, newTuple); err != nil {
-		return err
-	}
-
-	for _, w := range work {
-		c := w.conn
-		action := in.Policy.keyMod(c.Name)
-		switch {
-		case w.forward:
-			// Owned/subset tuples: propagate new connecting values or
-			// delete (Definitions 2.2/2.4 criterion 3).
-			switch action {
-			case KeyModPropagate:
-				if err := in.rewriteConnected(tx, c.To, c.ToAttrs, w.tuples, newTuple, schema, c.FromAttrs); err != nil {
-					return err
-				}
-			case KeyModDelete:
-				for _, dt := range w.tuples {
-					if err := in.deleteTuple(tx, c.To, dt); err != nil {
-						return err
-					}
-				}
-			default:
-				return fmt.Errorf("structural: %s: set-null is not a valid key-mod action for %s connections",
-					c, c.Type)
-			}
-		default:
-			// Referencing tuples (Definition 2.3 criterion 3):
-			// propagate, set null, or delete.
-			switch action {
-			case KeyModPropagate:
-				if err := in.rewriteConnected(tx, c.From, c.FromAttrs, w.tuples, newTuple, schema, c.ToAttrs); err != nil {
-					return err
-				}
-			case KeyModSetNull:
-				fromRel, err := tx.Relation(c.From)
-				if err != nil {
-					return err
-				}
-				idx, err := fromRel.Schema().Indices(c.FromAttrs)
-				if err != nil {
-					return err
-				}
-				for _, rt := range w.tuples {
-					nt := rt.Clone()
-					for _, j := range idx {
-						nt[j] = reldb.Null()
-					}
-					if _, err := tx.Replace(c.From, fromRel.Schema().KeyOf(rt), nt); err != nil {
-						return err
-					}
-				}
-			case KeyModDelete:
-				for _, rt := range w.tuples {
-					if err := in.deleteTuple(tx, c.From, rt); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// rewriteConnected rewrites the connecting attributes destAttrs of each
-// tuple in deps (tuples of relation destRel) to the values the new source
-// tuple carries in srcAttrs. Key rewrites recurse so that grandchildren
-// inherit the change.
-func (in *Integrity) rewriteConnected(tx *reldb.Tx, destRel string, destAttrs []string,
-	deps []reldb.Tuple, newSrc reldb.Tuple, srcSchema *reldb.Schema, srcAttrs []string) error {
-
-	dRel, err := tx.Relation(destRel)
-	if err != nil {
-		return err
-	}
-	dIdx, err := dRel.Schema().Indices(destAttrs)
-	if err != nil {
-		return err
-	}
-	sIdx, err := srcSchema.Indices(srcAttrs)
-	if err != nil {
-		return err
-	}
-	for _, dep := range deps {
-		nt := dep.Clone()
-		for i, j := range dIdx {
-			nt[j] = newSrc[sIdx[i]]
-		}
-		oldKey := dRel.Schema().KeyOf(dep)
-		newKey := dRel.Schema().KeyOf(nt)
-		if oldKey.Equal(newKey) {
-			if _, err := tx.Replace(destRel, oldKey, nt); err != nil {
-				return err
-			}
-			continue
-		}
-		// The dependent's own key changed: recurse so its dependents
-		// follow (repeatedly, as §5.1 notes, "if necessary").
-		if err := in.replaceTuple(tx, destRel, oldKey, nt); err != nil {
-			return err
-		}
 	}
 	return nil
 }

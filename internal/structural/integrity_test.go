@@ -47,47 +47,6 @@ func seededMini(t *testing.T) (*reldb.Database, *Graph) {
 	return db, g
 }
 
-func TestCheckInsertReference(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g}
-	// Valid: references existing target.
-	if err := in.CheckInsert(db, "REFER", reldb.Tuple{reldb.Int(10), reldb.String("t2")}); err != nil {
-		t.Fatalf("valid reference rejected: %v", err)
-	}
-	// Valid: null FK.
-	if err := in.CheckInsert(db, "REFER", reldb.Tuple{reldb.Int(11), reldb.Null()}); err != nil {
-		t.Fatalf("null FK rejected: %v", err)
-	}
-	// Invalid: dangling.
-	err := in.CheckInsert(db, "REFER", reldb.Tuple{reldb.Int(12), reldb.String("ghost")})
-	if err == nil || !strings.Contains(err.Error(), "referenced tuple missing") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestCheckInsertOwnershipAndSubset(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g}
-	// Valid owned tuple under existing owner.
-	if err := in.CheckInsert(db, "OWNED", reldb.Tuple{reldb.Int(2), reldb.Int(9), reldb.Null()}); err != nil {
-		t.Fatalf("valid owned rejected: %v", err)
-	}
-	// Orphan owned tuple.
-	err := in.CheckInsert(db, "OWNED", reldb.Tuple{reldb.Int(99), reldb.Int(1), reldb.Null()})
-	if err == nil || !strings.Contains(err.Error(), "ownership tuple missing") {
-		t.Fatalf("err = %v", err)
-	}
-	// Valid subset tuple.
-	if err := in.CheckInsert(db, "SPECIAL", reldb.Tuple{reldb.String("g1"), reldb.Null()}); err != nil {
-		t.Fatalf("valid subset rejected: %v", err)
-	}
-	// Subset without parent.
-	err = in.CheckInsert(db, "SPECIAL", reldb.Tuple{reldb.String("ghost"), reldb.Null()})
-	if err == nil || !strings.Contains(err.Error(), "subset tuple missing") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestDeleteCascadesOwnershipAndSubset(t *testing.T) {
 	db, g := seededMini(t)
 	in := &Integrity{G: g}
@@ -187,190 +146,6 @@ func TestDeleteMissingTuple(t *testing.T) {
 	}
 }
 
-func TestReplaceNonKeyNoPropagation(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g}
-	tx := db.Begin()
-	n, err := in.ReplaceKey(tx, "OWNER", reldb.Tuple{reldb.Int(1)},
-		reldb.Tuple{reldb.Int(1), reldb.String("renamed")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tx.Commit()
-	if n != 1 {
-		t.Fatalf("non-key replace ops = %d, want 1", n)
-	}
-}
-
-func TestReplaceKeyPropagatesToOwned(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g} // default key-mod: propagate
-	tx := db.Begin()
-	_, err := in.ReplaceKey(tx, "OWNER", reldb.Tuple{reldb.Int(1)},
-		reldb.Tuple{reldb.Int(10), reldb.String("moved")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tx.Commit()
-	owned := db.MustRelation("OWNED")
-	got, err := owned.MatchEqual([]string{"ID"}, reldb.Tuple{reldb.Int(10)})
-	if err != nil || len(got) != 2 {
-		t.Fatalf("owned under new key = %d, %v", len(got), err)
-	}
-	got, _ = owned.MatchEqual([]string{"ID"}, reldb.Tuple{reldb.Int(1)})
-	if len(got) != 0 {
-		t.Fatal("owned tuples left under old key")
-	}
-}
-
-func TestReplaceKeyDeleteOwnedPolicy(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g, Policy: &Policy{
-		OnKeyMod: map[string]KeyModAction{"own": KeyModDelete},
-	}}
-	tx := db.Begin()
-	_, err := in.ReplaceKey(tx, "OWNER", reldb.Tuple{reldb.Int(1)},
-		reldb.Tuple{reldb.Int(10), reldb.Null()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tx.Commit()
-	if db.MustRelation("OWNED").Count() != 1 {
-		t.Fatalf("OWNED count = %d, want 1", db.MustRelation("OWNED").Count())
-	}
-}
-
-func TestReplaceKeySetNullInvalidForOwnership(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g, Policy: &Policy{
-		OnKeyMod: map[string]KeyModAction{"own": KeyModSetNull},
-	}}
-	tx := db.Begin()
-	defer func() { _ = tx.Rollback() }()
-	_, err := in.ReplaceKey(tx, "OWNER", reldb.Tuple{reldb.Int(1)},
-		reldb.Tuple{reldb.Int(10), reldb.Null()})
-	if err == nil || !strings.Contains(err.Error(), "not a valid key-mod action") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestReplaceKeyPropagatesToReferencing(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g}
-	tx := db.Begin()
-	_, err := in.ReplaceKey(tx, "TARGET", reldb.Tuple{reldb.String("t1")},
-		reldb.Tuple{reldb.String("t1-new"), reldb.String("info1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tx.Commit()
-	for _, id := range []int64{5, 7} {
-		got, _ := db.MustRelation("REFER").Get(reldb.Tuple{reldb.Int(id)})
-		if got[1].MustString() != "t1-new" {
-			t.Fatalf("REFER(%d) FK = %v", id, got[1])
-		}
-	}
-}
-
-func TestReplaceKeySetNullReferencing(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g, Policy: &Policy{
-		OnKeyMod: map[string]KeyModAction{"ref": KeyModSetNull},
-	}}
-	tx := db.Begin()
-	_, err := in.ReplaceKey(tx, "TARGET", reldb.Tuple{reldb.String("t1")},
-		reldb.Tuple{reldb.String("t1-new"), reldb.Null()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tx.Commit()
-	got, _ := db.MustRelation("REFER").Get(reldb.Tuple{reldb.Int(5)})
-	if !got[1].IsNull() {
-		t.Fatalf("FK = %v, want null", got[1])
-	}
-}
-
-func TestReplaceKeyDeleteReferencing(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g, Policy: &Policy{
-		OnKeyMod: map[string]KeyModAction{"ref": KeyModDelete},
-	}}
-	tx := db.Begin()
-	_, err := in.ReplaceKey(tx, "TARGET", reldb.Tuple{reldb.String("t1")},
-		reldb.Tuple{reldb.String("t1-new"), reldb.Null()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tx.Commit()
-	if db.MustRelation("REFER").Count() != 1 {
-		t.Fatalf("REFER count = %d, want 1", db.MustRelation("REFER").Count())
-	}
-}
-
-func TestReplaceKeySubsetPropagates(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g}
-	tx := db.Begin()
-	_, err := in.ReplaceKey(tx, "GENERAL", reldb.Tuple{reldb.String("g1")},
-		reldb.Tuple{reldb.String("g2"), reldb.String("c")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tx.Commit()
-	if !db.MustRelation("SPECIAL").Has(reldb.Tuple{reldb.String("g2")}) {
-		t.Fatal("subset key not propagated")
-	}
-}
-
-func TestReplaceKeyMissingTuple(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g}
-	tx := db.Begin()
-	defer func() { _ = tx.Rollback() }()
-	_, err := in.ReplaceKey(tx, "OWNER", reldb.Tuple{reldb.Int(99)},
-		reldb.Tuple{reldb.Int(100), reldb.Null()})
-	if !errors.Is(err, reldb.ErrNoSuchTuple) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-// Chained ownership: OWNER —* OWNED, and OWNED —* SUBOWNED. A key change at
-// the root must reach grandchildren through the recursive propagation.
-func TestReplaceKeyPropagatesTransitively(t *testing.T) {
-	db := miniDB(t)
-	db.MustCreateRelation(reldb.MustSchema("SUBOWNED", []reldb.Attribute{
-		{Name: "ID", Type: reldb.KindInt},
-		{Name: "Seq", Type: reldb.KindInt},
-		{Name: "Part", Type: reldb.KindInt},
-	}, []string{"ID", "Seq", "Part"}))
-	g := NewGraph(db)
-	g.MustAddConnection(ownershipConn())
-	g.MustAddConnection(&Connection{
-		Name: "own2", Type: Ownership,
-		From: "OWNED", To: "SUBOWNED",
-		FromAttrs: []string{"ID", "Seq"}, ToAttrs: []string{"ID", "Seq"},
-	})
-	err := db.RunInTx(func(tx *reldb.Tx) error {
-		i := reldb.Int
-		_ = tx.Insert("OWNER", reldb.Tuple{i(1), reldb.Null()})
-		_ = tx.Insert("OWNED", reldb.Tuple{i(1), i(1), reldb.Null()})
-		return tx.Insert("SUBOWNED", reldb.Tuple{i(1), i(1), i(1)})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := &Integrity{G: g}
-	tx := db.Begin()
-	if _, err := in.ReplaceKey(tx, "OWNER", reldb.Tuple{reldb.Int(1)},
-		reldb.Tuple{reldb.Int(7), reldb.Null()}); err != nil {
-		t.Fatal(err)
-	}
-	_ = tx.Commit()
-	if !db.MustRelation("SUBOWNED").Has(reldb.Tuple{reldb.Int(7), reldb.Int(1), reldb.Int(1)}) {
-		t.Fatal("grandchild key not propagated")
-	}
-}
-
 func TestAuditCleanDatabase(t *testing.T) {
 	db, g := seededMini(t)
 	in := &Integrity{G: g}
@@ -424,11 +199,7 @@ func TestActionStrings(t *testing.T) {
 	if DeleteRestrict.String() != "restrict" || DeleteCascade.String() != "cascade" || DeleteSetNull.String() != "set-null" {
 		t.Fatal("DeleteAction strings")
 	}
-	if KeyModPropagate.String() != "propagate" || KeyModDelete.String() != "delete" || KeyModSetNull.String() != "set-null" {
-		t.Fatal("KeyModAction strings")
-	}
-	if !strings.Contains(DeleteAction(9).String(), "deleteaction") ||
-		!strings.Contains(KeyModAction(9).String(), "keymodaction") {
+	if !strings.Contains(DeleteAction(9).String(), "deleteaction") {
 		t.Fatal("unknown action strings")
 	}
 }
@@ -438,11 +209,8 @@ func TestPolicyDefaults(t *testing.T) {
 	if p.refDelete("x") != DeleteRestrict {
 		t.Fatal("nil policy should restrict")
 	}
-	if p.keyMod("x") != KeyModPropagate {
-		t.Fatal("nil policy should propagate")
-	}
 	p = &Policy{}
-	if p.refDelete("x") != DeleteRestrict || p.keyMod("x") != KeyModPropagate {
+	if p.refDelete("x") != DeleteRestrict {
 		t.Fatal("empty policy defaults wrong")
 	}
 }

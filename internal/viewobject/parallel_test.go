@@ -121,7 +121,7 @@ func TestParallelInstantiationMetrics(t *testing.T) {
 	if n := d.Histogram("viewobject.instantiate.parallel_ns").Count; n != 1 {
 		t.Fatalf("parallel_ns observed %d times, want 1", n)
 	}
-	if n := d.LabeledHistogramValue("viewobject.instantiate.parallel_ns", w.Def.Name).Count; n != 1 {
+	if n := d.LabeledHistograms["viewobject.instantiate.parallel_ns"].Values[w.Def.Name].Count; n != 1 {
 		t.Fatalf("labeled parallel_ns observed %d times, want 1", n)
 	}
 

@@ -35,17 +35,6 @@ func (u *Updater) DeleteByKey(key reldb.Tuple) (*Result, error) {
 	})
 }
 
-// DeleteInstance translates and executes a complete deletion (VO-CD) of a
-// fully specified instance. The instance's pivot tuple must still exist.
-func (u *Updater) DeleteInstance(inst *viewobject.Instance) (*Result, error) {
-	if err := u.checkInstance(inst); err != nil {
-		return nil, err
-	}
-	return u.run(func(s *session) error {
-		return s.deleteInstance(inst)
-	})
-}
-
 // deleteInstance implements VO-CD:
 //
 //   - isolate the dependency island;

@@ -137,31 +137,27 @@ func TestVOCDMissingInstance(t *testing.T) {
 	}
 }
 
+// TestVOCDDeleteInstanceAPI: DeleteByKey is the one VO-CD entry point.
+// It deletes the instance it assembles, and a second call finds the
+// pivot gone.
 func TestVOCDDeleteInstanceAPI(t *testing.T) {
 	db, g, om, u := fixture(t)
-	inst, ok, err := viewobject.InstantiateByKey(db, om, reldb.Tuple{s("EE201")})
-	if err != nil || !ok {
+	key := reldb.Tuple{s("EE201")}
+	if _, ok, err := viewobject.InstantiateByKey(db, om, key); err != nil || !ok {
+		t.Fatalf("EE201 before the delete: %v, %v", ok, err)
+	}
+	if _, err := u.DeleteByKey(key); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := u.DeleteInstance(inst); err != nil {
-		t.Fatal(err)
-	}
-	if db.MustRelation(university.Courses).Has(reldb.Tuple{s("EE201")}) {
+	if db.MustRelation(university.Courses).Has(key) {
 		t.Fatal("EE201 survived")
 	}
+	if _, ok, err := viewobject.InstantiateByKey(db, om, key); err != nil || ok {
+		t.Fatalf("EE201 after the delete: %v, %v", ok, err)
+	}
 	auditClean(t, db, g)
-	// Deleting the same instance again: pivot is gone.
-	if _, err := u.DeleteInstance(inst); !errors.Is(err, reldb.ErrNoSuchTuple) {
+	if _, err := u.DeleteByKey(key); !errors.Is(err, reldb.ErrNoSuchTuple) {
 		t.Fatalf("second delete err = %v", err)
-	}
-	// Instance of the wrong object.
-	op := university.MustOmegaPrime(g)
-	other, ok, err := viewobject.InstantiateByKey(db, op, reldb.Tuple{s("CS101")})
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
-	if _, err := u.DeleteInstance(other); err == nil {
-		t.Fatal("foreign instance accepted")
 	}
 }
 

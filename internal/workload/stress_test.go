@@ -67,10 +67,8 @@ func TestRunStress(t *testing.T) {
 
 // TestRunStressParallelReaders adds full-object parallel-instantiation
 // readers to the mix: multi-worker snapshot reads racing VO writers.
-// Under `go test -race` this is the proof that the parallel fan-out and
-// the lookup-plan cache are race-clean; the invariant checks prove no
-// torn instances; and the plan-cache counters must reconcile exactly —
-// every lookup that consulted the cache was either a hit or a miss.
+// Under `go test -race` this is the proof that the parallel fan-out is
+// race-clean; the invariant checks prove no torn instances.
 func TestRunStressParallelReaders(t *testing.T) {
 	// Run at GOMAXPROCS 4 so the parallel path engages even in a
 	// GOMAXPROCS=1 CI job.
@@ -90,36 +88,6 @@ func TestRunStressParallelReaders(t *testing.T) {
 	}
 	if n := res.Metrics.Counter("viewobject.parallel.workers"); n == 0 {
 		t.Fatal("parallel fan-out never engaged")
-	}
-
-	// Plan-cache coherence over the whole run: lookups == hits + misses,
-	// with actual reuse (hits), and no generational churn: versions of a
-	// relation share one cache, so misses are bounded by what there is to
-	// plan, however many commits ran.
-	lookups := res.Metrics.Counter("reldb.plancache.lookups")
-	hits := res.Metrics.Counter("reldb.plancache.hits")
-	misses := res.Metrics.Counter("reldb.plancache.misses")
-	if lookups == 0 {
-		t.Fatal("plan cache never consulted")
-	}
-	if lookups != hits+misses {
-		t.Fatalf("plancache.lookups %d != hits %d + misses %d", lookups, hits, misses)
-	}
-	if hits == 0 {
-		t.Fatal("plan cache never hit: plans are not being reused")
-	}
-	// 8 relations (7 island + 1 peninsula), each probed over at most its
-	// key, its parent's connection attributes and a child's.
-	const relations, attrLists = 8, 3
-	if commits := res.Metrics.Counter("reldb.tx.commits"); commits < 4*relations*attrLists {
-		t.Fatalf("only %d commits: too few to tell a shared cache from a per-commit one", commits)
-	} else if misses > relations*attrLists {
-		t.Fatalf("%d plan-cache misses over %d commits, want at most %d (relations x attribute lists)",
-			misses, commits, relations*attrLists)
-	}
-	// The run performs no index DDL, so nothing may discard a plan.
-	if n := res.Metrics.Counter("reldb.plancache.invalidations"); n != 0 {
-		t.Fatalf("%d plan-cache invalidations counted without any index DDL", n)
 	}
 }
 

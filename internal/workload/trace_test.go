@@ -183,7 +183,8 @@ func TestMaterializerServeTraceNesting(t *testing.T) {
 	if _, err := replaceStamped(sw, 0, "patched"); err != nil {
 		t.Fatal(err)
 	}
-	rec.Clear()
+	rec = obs.NewRecorder(0, 8) // an empty ring
+	obs.Default.SetRecorder(rec)
 	if _, err := mat.Instantiate(viewobject.Query{}); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,8 @@ func TestFailedOperationsKeepTheirTrace(t *testing.T) {
 		if traces[0].Name != root || !strings.Contains(traces[0].Detail, "err=") {
 			t.Fatalf("trace root = %q detail %q, want %s with err=", traces[0].Name, traces[0].Detail, root)
 		}
-		rec.Clear()
+		rec = obs.NewRecorder(0, 8) // an empty ring for the next case
+		obs.Default.SetRecorder(rec)
 	}
 
 	refused := errors.New("commit refused")

@@ -130,7 +130,7 @@ func TestParallelInstantiationSpeedup(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Best-of-N wall time at a fixed worker budget; one warm-up pass
-	// populates plan caches and the page allocator so both budgets
+	// warms the page allocator so both budgets
 	// measure steady state.
 	measure := func(workers int) time.Duration {
 		prev := runtime.GOMAXPROCS(workers)
@@ -195,7 +195,7 @@ func TestMaterializedReadSpeedup(t *testing.T) {
 	}
 	// Interleaved best-of-N: the two modes alternate within each round so
 	// host-load bursts hit both alike, and best-of discards the bursts.
-	// Round 0 is warm-up for plan caches and the allocator.
+	// Round 0 is warm-up for the allocator.
 	const reads = 50
 	batch := func(read func() error) time.Duration {
 		start := time.Now()
