@@ -86,8 +86,10 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRelationOps$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyCodecOrder$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryValue$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
+	$(GO) test -run='^$$' -fuzz='^FuzzWALRecord$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendValue$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzInstanceFromDoc$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInstance$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzOQLQuery$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/oql
 
 # examples runs every program under examples/ end to end; each exits

@@ -58,6 +58,16 @@ type byteReader interface {
 	io.ByteReader
 }
 
+// overruns reports whether n elements of at least one byte each cannot
+// fit in what r has left, so a corrupt count fails before it sizes an
+// allocation. Only a reader that knows its length can tell: the
+// *bytes.Reader over a WAL payload does, the streaming snapshot reader
+// does not and relies on the maxSnapshotCount caps alone.
+func overruns(r byteReader, n uint32) bool {
+	lr, ok := r.(interface{ Len() int })
+	return ok && int64(n) > int64(lr.Len())
+}
+
 // crcWriter forwards to an underlying byteWriter while accumulating a
 // CRC-32C of every byte written, so the snapshot trailer can guard the
 // whole stream without buffering it.
@@ -281,7 +291,7 @@ func readSchema(r byteReader) (*Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nAttrs > maxSnapshotCount {
+	if nAttrs > maxSnapshotCount || overruns(r, nAttrs) {
 		return nil, fmt.Errorf("reldb: snapshot %s: attribute count %d too large", name, nAttrs)
 	}
 	attrs := make([]Attribute, nAttrs)
@@ -493,7 +503,7 @@ func readTuple(r byteReader) (Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n > maxSnapshotCount {
+	if n > maxSnapshotCount || overruns(r, n) {
 		return nil, fmt.Errorf("reldb: tuple arity %d too large", n)
 	}
 	t := make(Tuple, n)
@@ -517,7 +527,7 @@ func readString(r byteReader) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > maxSnapshotString {
+	if n > maxSnapshotString || overruns(r, n) {
 		return "", fmt.Errorf("reldb: snapshot string length %d too large", n)
 	}
 	buf := make([]byte, n)

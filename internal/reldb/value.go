@@ -167,6 +167,14 @@ func (v Value) Equal(w Value) bool {
 	return err == nil && c == 0
 }
 
+// Identical reports whether v and w are the same value: the same kind,
+// the same payload bits and the same string. It is stricter than Equal,
+// which holds Int(1) equal to Float(1) and Float(-0) equal to Float(0);
+// Identical tells each pair apart, and holds a NaN identical to itself.
+func (v Value) Identical(w Value) bool {
+	return v.kind == w.kind && v.bits == w.bits && v.s == w.s
+}
+
 // Compare orders two values. Null sorts before every non-null value and
 // equals null. Numeric kinds (int, float) are mutually comparable; any
 // other cross-kind comparison is an error.

@@ -126,6 +126,31 @@ func TestValueEqual(t *testing.T) {
 	}
 }
 
+// TestValueIdentical: Identical is Equal without the cross-kind and
+// signed-zero coincidences, and it holds every value identical to itself.
+func TestValueIdentical(t *testing.T) {
+	nan := Float(math.Float64frombits(0x7ff8_0000_0000_0001))
+	same := []Value{Null(), Bool(false), Bool(true), Int(0), Int(-7), Float(0), Float(math.Copysign(0, -1)),
+		Float(1.5), nan, String(""), String("a\x00b")}
+	for i, v := range same {
+		for j, w := range same {
+			if got := v.Identical(w); got != (i == j) {
+				t.Errorf("%s (kind %s).Identical(%s (kind %s)) = %v", v, v.Kind(), w, w.Kind(), got)
+			}
+		}
+	}
+	// Values built apart are identical when kind and payload match.
+	if !String("ab").Identical(String(string([]byte{'a', 'b'}))) || !Int(3).Identical(Int(3)) {
+		t.Error("equal payloads built apart are not identical")
+	}
+	// The pairs Equal joins and Identical keeps apart.
+	for _, p := range [][2]Value{{Int(1), Float(1)}, {Float(0), Float(math.Copysign(0, -1))}, {Null(), Bool(false)}} {
+		if p[0].Identical(p[1]) {
+			t.Errorf("%s (kind %s) identical to %s (kind %s)", p[0], p[0].Kind(), p[1], p[1].Kind())
+		}
+	}
+}
+
 func TestValueStringAndLiteral(t *testing.T) {
 	cases := []struct {
 		v        Value

@@ -517,6 +517,10 @@ func decodeWALRecord(payload []byte) (*walRecord, error) {
 			return nil, err
 		}
 	case recCrossPrepare:
+		if gen != 0 {
+			// A prepare has no generation yet; its decide assigns one.
+			return nil, fmt.Errorf("prepare record carries gen %d", gen)
+		}
 		if rec.xid, err = readString(r); err != nil {
 			return nil, err
 		}
@@ -524,7 +528,7 @@ func decodeWALRecord(payload []byte) (*walRecord, error) {
 		if err != nil {
 			return nil, err
 		}
-		if nParts > maxSnapshotCount {
+		if nParts > maxSnapshotCount || overruns(r, nParts) {
 			return nil, fmt.Errorf("participant count %d too large", nParts)
 		}
 		rec.parts = make([]int, nParts)
@@ -572,7 +576,7 @@ func readBatchBody(r *bytes.Reader, gen uint64) (DeltaBatch, error) {
 	if err != nil {
 		return batch, err
 	}
-	if nDeltas > maxSnapshotCount {
+	if nDeltas > maxSnapshotCount || overruns(r, nDeltas) {
 		return batch, fmt.Errorf("delta count %d too large", nDeltas)
 	}
 	batch.Gen = gen

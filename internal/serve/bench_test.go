@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -80,5 +82,42 @@ func BenchmarkClusterInstantiateByKey(b *testing.B) {
 		if err != nil || !ok {
 			b.Fatal(ok, err)
 		}
+	}
+}
+
+// BenchmarkReplaceHandler drives VO-R through the handler tree over the
+// benchmark object at 100 roots: every iteration rewrites one pivot's V
+// (the write mix's 60 % slot), alternating between two stamps per key so
+// each replace changes the stored instance.
+func BenchmarkReplaceHandler(b *testing.B) {
+	const roots = 100
+	s, _ := benchTree(b, roots)
+	h := s.Handler()
+	bodies := make([][2][]byte, roots)
+	for k := range bodies {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/objects/%s/%d", workload.ShardedObject, k), nil))
+		dec := json.NewDecoder(rec.Body)
+		dec.UseNumber()
+		var doc map[string]any
+		if err := dec.Decode(&doc); err != nil {
+			b.Fatal(err)
+		}
+		for j, stamp := range []string{"even", "odd"} {
+			doc["V"] = stamp
+			body, err := json.Marshal(map[string]any{"key": []any{k}, "instance": doc})
+			if err != nil {
+				b.Fatal(err)
+			}
+			bodies[k][j] = body
+		}
+	}
+	w := &discard{h: make(http.Header)}
+	path := "/objects/" + workload.ShardedObject + ":replace"
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body := bodies[i%roots][(i/roots)%2]
+		h.ServeHTTP(w, httptest.NewRequest("POST", path, bytes.NewReader(body)))
 	}
 }

@@ -15,12 +15,12 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 
 	"penguin/internal/reldb"
@@ -78,7 +78,9 @@ func EncodeValue(v reldb.Value) any {
 
 // DecodeValue parses one decoded-JSON value (an element of the tree
 // json.Unmarshal produces — prefer a json.Decoder with UseNumber so
-// large integers reach us undamaged) back into a reldb.Value.
+// large integers reach us undamaged) back into a reldb.Value. The update
+// handlers do not build that tree: their scanner (decode.go) applies the
+// same value rules, decodeNumber and tagForm, to the body's bytes.
 func DecodeValue(raw any) (reldb.Value, error) {
 	switch x := raw.(type) {
 	case nil:
@@ -88,7 +90,7 @@ func DecodeValue(raw any) (reldb.Value, error) {
 	case string:
 		return reldb.String(x), nil
 	case json.Number:
-		return decodeNumber(string(x))
+		return decodeNumber([]byte(x))
 	case float64:
 		// json.Unmarshal without UseNumber: precision past 2^53 is
 		// already gone; preserve the integral/fractional split.
@@ -97,106 +99,181 @@ func DecodeValue(raw any) (reldb.Value, error) {
 		}
 		return reldb.Float(x), nil
 	case map[string]any:
-		return decodeTagged(x)
+		var f tagForm[string]
+		for name, v := range x {
+			m := f.member(name)
+			if m == nil {
+				continue
+			}
+			if s, ok := v.(string); ok {
+				*m = tagMember[string]{set: true, s: s}
+			} else {
+				*m = tagMember[string]{set: true, kind: kindOf(v)}
+			}
+		}
+		return f.value()
 	default:
 		return reldb.Null(), fmt.Errorf("serve: cannot decode %T as a value", raw)
 	}
 }
 
+// jsonKind is the kind of a JSON value, named in messages.
+type jsonKind uint8
+
+const (
+	kindString jsonKind = iota
+	kindNull
+	kindBool
+	kindNumber
+	kindObject
+	kindArray
+	kindOther // a Go value no JSON decoder produces
+)
+
+func (k jsonKind) String() string {
+	return [...]string{"string", "null", "bool", "number", "object", "array", "non-JSON value"}[k]
+}
+
+// kindOf returns the kind of a decoded-JSON value.
+func kindOf(raw any) jsonKind {
+	switch raw.(type) {
+	case nil:
+		return kindNull
+	case bool:
+		return kindBool
+	case string:
+		return kindString
+	case json.Number, float64:
+		return kindNumber
+	case map[string]any:
+		return kindObject
+	case []any:
+		return kindArray
+	}
+	return kindOther
+}
+
 // decodeNumber maps a bare JSON number to Int when it is written as an
 // integer, Float otherwise.
-func decodeNumber(s string) (reldb.Value, error) {
-	if !strings.ContainsAny(s, ".eE") {
-		n, err := strconv.ParseInt(s, 10, 64)
+func decodeNumber(b []byte) (reldb.Value, error) {
+	if !bytes.ContainsAny(b, ".eE") {
+		n, err := strconv.ParseInt(string(b), 10, 64)
 		if err == nil {
 			return reldb.Int(n), nil
 		}
 	}
-	f, err := strconv.ParseFloat(s, 64)
+	f, err := strconv.ParseFloat(string(b), 64)
 	if err != nil {
-		return reldb.Null(), fmt.Errorf("serve: bad number %q", s)
+		return reldb.Null(), fmt.Errorf("serve: bad number %q", string(b))
 	}
 	return reldb.Float(f), nil
 }
 
-// decodeTagged handles the {"int":...}, {"float":...}, {"bytes":...}
-// wire forms.
-func decodeTagged(m map[string]any) (reldb.Value, error) {
-	if raw, ok := m["int"]; ok {
-		if len(m) != 1 {
+// tagForm is an object-form value — {"int":…}, {"float":…[,"bits":…]},
+// {"bytes":…} — as its members: the four tags, and whether any other
+// member was present. A repeated tag keeps its last value, as a decoded
+// map does. S is how the tags' strings arrive: strings from a decoded
+// map, bytes from the update scanner, neither copied to be read.
+type tagForm[S string | []byte] struct {
+	int, float, bits, bytes tagMember[S]
+	extra                   bool
+}
+
+// tagMember is one tag of a tagForm: set when present, with the kind of
+// value it holds and, when that is a string, the string.
+type tagMember[S string | []byte] struct {
+	set  bool
+	kind jsonKind
+	s    S
+}
+
+// member returns the tag named name, or nil (noting the extra member)
+// when name is no tag.
+func (f *tagForm[S]) member(name string) *tagMember[S] {
+	switch name {
+	case "int":
+		return &f.int
+	case "float":
+		return &f.float
+	case "bits":
+		return &f.bits
+	case "bytes":
+		return &f.bytes
+	}
+	f.extra = true
+	return nil
+}
+
+// str returns the member's string, or an error naming what it holds.
+func (m *tagMember[S]) str(form string) (S, error) {
+	if m.kind != kindString {
+		return m.s, fmt.Errorf("serve: %s must hold a string, got %s", form, m.kind)
+	}
+	return m.s, nil
+}
+
+// value applies the wire table's rules to the form: exactly one tag
+// (bits only beside a NaN float) holding a string that parses.
+func (f *tagForm[S]) value() (reldb.Value, error) {
+	switch {
+	case f.int.set:
+		if f.extra || f.float.set || f.bits.set || f.bytes.set {
 			return reldb.Null(), fmt.Errorf("serve: int form carries extra fields")
 		}
-		s, ok := raw.(string)
-		if !ok {
-			return reldb.Null(), fmt.Errorf("serve: int form must hold a string, got %T", raw)
-		}
-		n, err := strconv.ParseInt(s, 10, 64)
+		s, err := f.int.str("int form")
 		if err != nil {
-			return reldb.Null(), fmt.Errorf("serve: bad int %q", s)
+			return reldb.Null(), err
+		}
+		n, err := strconv.ParseInt(string(s), 10, 64)
+		if err != nil {
+			return reldb.Null(), fmt.Errorf("serve: bad int %q", string(s))
 		}
 		return reldb.Int(n), nil
-	}
-	if raw, ok := m["float"]; ok {
-		s, ok := raw.(string)
-		if !ok {
-			return reldb.Null(), fmt.Errorf("serve: float form must hold a string, got %T", raw)
+	case f.float.set:
+		s, err := f.float.str("float form")
+		if err != nil {
+			return reldb.Null(), err
 		}
-		if bitsRaw, ok := m["bits"]; ok {
-			if len(m) != 2 {
-				return reldb.Null(), fmt.Errorf("serve: float form carries extra fields")
-			}
-			bs, ok := bitsRaw.(string)
-			if !ok {
-				return reldb.Null(), fmt.Errorf("serve: bits must hold a string, got %T", bitsRaw)
-			}
-			bits, err := strconv.ParseUint(bs, 16, 64)
+		if f.extra || f.bytes.set {
+			return reldb.Null(), fmt.Errorf("serve: float form carries extra fields")
+		}
+		if f.bits.set {
+			bs, err := f.bits.str("bits")
 			if err != nil {
-				return reldb.Null(), fmt.Errorf("serve: bad float bits %q", bs)
+				return reldb.Null(), err
 			}
-			f := math.Float64frombits(bits)
-			if !math.IsNaN(f) {
+			bits, err := strconv.ParseUint(string(bs), 16, 64)
+			if err != nil {
+				return reldb.Null(), fmt.Errorf("serve: bad float bits %q", string(bs))
+			}
+			v := math.Float64frombits(bits)
+			if !math.IsNaN(v) {
 				// bits are the NaN escape hatch only; finite floats
 				// must use the decimal form, keeping one canonical
 				// encoding per value.
-				return reldb.Null(), fmt.Errorf("serve: bits %q is not a NaN", bs)
+				return reldb.Null(), fmt.Errorf("serve: bits %q is not a NaN", string(bs))
 			}
-			return reldb.Float(f), nil
+			return reldb.Float(v), nil
 		}
-		if len(m) != 1 {
-			return reldb.Null(), fmt.Errorf("serve: float form carries extra fields")
-		}
-		f, err := strconv.ParseFloat(s, 64)
+		v, err := strconv.ParseFloat(string(s), 64)
 		if err != nil {
-			return reldb.Null(), fmt.Errorf("serve: bad float %q", s)
+			return reldb.Null(), fmt.Errorf("serve: bad float %q", string(s))
 		}
-		return reldb.Float(f), nil
-	}
-	if raw, ok := m["bytes"]; ok {
-		if len(m) != 1 {
+		return reldb.Float(v), nil
+	case f.bytes.set:
+		if f.extra || f.bits.set {
 			return reldb.Null(), fmt.Errorf("serve: bytes form carries extra fields")
 		}
-		s, ok := raw.(string)
-		if !ok {
-			return reldb.Null(), fmt.Errorf("serve: bytes form must hold a string, got %T", raw)
+		s, err := f.bytes.str("bytes form")
+		if err != nil {
+			return reldb.Null(), err
 		}
-		b, err := base64.StdEncoding.DecodeString(s)
+		b := make([]byte, base64.StdEncoding.DecodedLen(len(s)))
+		n, err := base64.StdEncoding.Decode(b, []byte(s))
 		if err != nil {
 			return reldb.Null(), fmt.Errorf("serve: bad base64: %v", err)
 		}
-		return reldb.String(string(b)), nil
+		return reldb.String(string(b[:n])), nil
 	}
 	return reldb.Null(), fmt.Errorf("serve: object value carries no int/float/bytes tag")
-}
-
-// DecodeTuple parses an array of decoded-JSON values into a tuple.
-func DecodeTuple(raw []any) (reldb.Tuple, error) {
-	t := make(reldb.Tuple, len(raw))
-	for i, rv := range raw {
-		v, err := DecodeValue(rv)
-		if err != nil {
-			return nil, fmt.Errorf("element %d: %w", i, err)
-		}
-		t[i] = v
-	}
-	return t, nil
 }

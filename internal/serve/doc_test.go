@@ -71,22 +71,26 @@ func TestInstanceFromDocNulls(t *testing.T) {
 	}
 }
 
+// docSeeds are documents over encodeFixture's definition that the fuzz
+// targets start from, besides their committed corpora.
+var docSeeds = []string{
+	`{"id": 1}`,
+	`{"id": {"int": "-42"}, "s": "x", "f": 2.5, "i": 9007199254740993, "b": true}`,
+	`{"id": 1, "M": [{"id": 1, "mid": 2, "L\"eaf": [{"id": 1, "mid": 2, "lid": 3, "<&>": null}]}], "E": [{"id": 1, "eid": 7, "s": {"bytes": "/w=="}}]}`,
+	`{"id": 1, "f": {"float": "NaN", "bits": "7ff8000000000001"}, "é\u2028": {"float": "-Inf"}}`,
+	`{"id": 1, "M": null, "E": []}`,
+	`{"id": 1, "Nope": 1}`,
+	`{"id": 1.5}`,
+	`[1, 2]`,
+}
+
 // FuzzInstanceFromDoc feeds arbitrary bytes through the handlers' decode
 // path over encodeFixture's definition. No input may panic it, and every
 // instance it accepts must survive the wire: AppendInstance's bytes
 // decode back to the same instance.
 func FuzzInstanceFromDoc(f *testing.F) {
 	def := encodeFixture(f)
-	for _, seed := range []string{
-		`{"id": 1}`,
-		`{"id": {"int": "-42"}, "s": "x", "f": 2.5, "i": 9007199254740993, "b": true}`,
-		`{"id": 1, "M": [{"id": 1, "mid": 2, "L\"eaf": [{"id": 1, "mid": 2, "lid": 3, "<&>": null}]}], "E": [{"id": 1, "eid": 7, "s": {"bytes": "/w=="}}]}`,
-		`{"id": 1, "f": {"float": "NaN", "bits": "7ff8000000000001"}, "é\u2028": {"float": "-Inf"}}`,
-		`{"id": 1, "M": null, "E": []}`,
-		`{"id": 1, "Nope": 1}`,
-		`{"id": 1.5}`,
-		`[1, 2]`,
-	} {
+	for _, seed := range docSeeds {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -21,10 +21,15 @@ import (
 // the tests hold it to that — so InstanceDoc stays the definition of the
 // document and this file is only a faster way to write it down.
 
-// nodePlan is the encode plan of one definition node: its document
-// fields in the order encoding/json gives a map's keys (sorted by name).
+// nodePlan is the plan of one definition node, for both directions: its
+// document fields in the order encoding/json gives a map's keys (sorted
+// by name), which the encoder writes and the decoder (decode.go) matches
+// names against, plus the width of the tuple the decoder fills and the
+// node its messages name.
 type nodePlan struct {
 	fields []fieldPlan
+	arity  int
+	node   *viewobject.Node
 }
 
 // fieldPlan is one document field: a projected attribute (child == nil;
@@ -37,8 +42,8 @@ type fieldPlan struct {
 	child *nodePlan
 }
 
-// plans caches one encode plan per definition, built on the first
-// instance of it to be encoded: O(nodes), and a definition never changes
+// plans caches one plan per definition, built on the first
+// instance of it to be encoded or decoded: O(nodes), and a definition never changes
 // once built. An entry lives as long as the process, like the object
 // registrations the served definitions belong to. NewDefinition
 // guarantees a node's attribute names and child IDs are distinct, so a
@@ -55,7 +60,7 @@ func planFor(def *viewobject.Definition) *nodePlan {
 
 func buildPlan(def *viewobject.Definition, n *viewobject.Node) *nodePlan {
 	schema := def.NodeSchema(n)
-	p := &nodePlan{fields: make([]fieldPlan, 0, len(n.Attrs)+len(n.Children))}
+	p := &nodePlan{fields: make([]fieldPlan, 0, len(n.Attrs)+len(n.Children)), arity: schema.Arity(), node: n}
 	for _, attr := range n.Attrs {
 		if idx, ok := schema.AttrIndex(attr); ok {
 			p.fields = append(p.fields, fieldPlan{name: attr, attr: idx})

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -172,11 +171,12 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// maxPooledBuf caps the response buffers the pool keeps: one large query
-// must not pin its megabytes for the life of the process.
+// maxPooledBuf caps the buffers the pool keeps: one large query or
+// update must not pin its megabytes for the life of the process.
 const maxPooledBuf = 1 << 20
 
-// bufPool holds the buffers GET and query responses are encoded into.
+// bufPool holds the buffers GET and query responses are encoded into
+// and update bodies are read into.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // sendBody encodes a whole 200 response into a pooled buffer and writes
@@ -358,24 +358,6 @@ func pathKey(def *viewobject.Definition, raw string) (reldb.Tuple, error) {
 	return key, nil
 }
 
-// bodyKey decodes a JSON key array into a typed pivot key, checking
-// arity against the pivot relation's key.
-func bodyKey(def *viewobject.Definition, raw []any) (reldb.Tuple, error) {
-	if want := len(def.NodeSchema(def.Root()).Key()); len(raw) != want {
-		return nil, fmt.Errorf("key of %s has %d attribute(s), got %d", def.Pivot(), want, len(raw))
-	}
-	return DecodeTuple(raw)
-}
-
-// updateRequest is the body of every POST /objects/{name}:verb.
-type updateRequest struct {
-	// Key names the existing instance (delete, replace).
-	Key []any `json:"key"`
-	// Instance is the desired document (insert: the new instance;
-	// replace: the replacement).
-	Instance map[string]any `json:"instance"`
-}
-
 // dispatchUpdate routes POST /objects/{name}:{verb}. The verb picks the
 // §5 translation: delete → VO-CD, insert → VO-CI, replace → VO-R.
 func (s *Server) dispatchUpdate(w http.ResponseWriter, r *http.Request) {
@@ -385,14 +367,18 @@ func (s *Server) dispatchUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST needs a verb: /objects/%s:delete|insert|replace", target)
 		return
 	}
-	var h func(http.ResponseWriter, string, *viewobject.Definition, updateRequest)
+	// needKey and needInst name the envelope fields the verb reads.
+	var (
+		h                 func(http.ResponseWriter, string, updateRequest)
+		needKey, needInst bool
+	)
 	switch verb {
 	case "delete":
-		h = s.handleDelete
+		h, needKey = s.handleDelete, true
 	case "insert":
-		h = s.handleInsert
+		h, needInst = s.handleInsert, true
 	case "replace":
-		h = s.handleReplace
+		h, needKey, needInst = s.handleReplace, true, true
 	default:
 		writeError(w, http.StatusNotFound, "unknown update verb %q (want delete, insert, or replace)", verb)
 		return
@@ -407,21 +393,26 @@ func (s *Server) dispatchUpdate(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusMethodNotAllowed, "object %q is read-only (no translator configured)", name)
 			return
 		}
-		// The body is exactly one envelope: an unknown field or anything
-		// but whitespace after the object is refused, not ignored.
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-		dec.UseNumber()
-		dec.DisallowUnknownFields()
+		// The body is read whole into a pooled buffer and decoded in one
+		// scan (decode.go); every string the request keeps is copied out,
+		// so the buffer goes back to the pool before the update runs.
+		bp := bufPool.Get().(*[]byte)
+		body, err := readBody((*bp)[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		var req updateRequest
-		if err := dec.Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		if err != nil {
+			err = fmt.Errorf("bad request body: %w", err)
+		} else {
+			req, err = decodeUpdate(def, body, verb, needKey, needInst)
+		}
+		if cap(body) <= maxPooledBuf {
+			*bp = body[:0]
+			bufPool.Put(bp)
+		}
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		if _, err := dec.Token(); err != io.EOF {
-			writeError(w, http.StatusBadRequest, "bad request body: data after the request object")
-			return
-		}
-		h(w, name, def, req)
+		h(w, name, req)
 	})(w, r)
 }
 
@@ -443,13 +434,8 @@ func (s *Server) updateResponse(w http.ResponseWriter, res *vupdate.Result) {
 }
 
 // handleDelete performs complete deletion (VO-CD) by pivot key.
-func (s *Server) handleDelete(w http.ResponseWriter, name string, def *viewobject.Definition, req updateRequest) {
-	key, err := bodyKey(def, req.Key)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad key: %v", err)
-		return
-	}
-	res, err := s.cfg.Cluster.DeleteByKey(name, key)
+func (s *Server) handleDelete(w http.ResponseWriter, name string, req updateRequest) {
+	res, err := s.cfg.Cluster.DeleteByKey(name, req.Key)
 	if err != nil {
 		writeError(w, updateStatus(err), "delete rejected: %v", err)
 		return
@@ -458,19 +444,10 @@ func (s *Server) handleDelete(w http.ResponseWriter, name string, def *viewobjec
 }
 
 // handleInsert performs complete insertion (VO-CI) of the document.
-func (s *Server) handleInsert(w http.ResponseWriter, name string, def *viewobject.Definition, req updateRequest) {
-	if req.Instance == nil {
-		writeError(w, http.StatusBadRequest, "insert needs an \"instance\" document")
-		return
-	}
-	inst, err := InstanceFromDoc(def, req.Instance)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad instance: %v", err)
-		return
-	}
-	// The instance was parsed against shard 0's definition; the
+func (s *Server) handleInsert(w http.ResponseWriter, name string, req updateRequest) {
+	// The instance was decoded against shard 0's definition; the
 	// coordinator re-homes it onto the pivot key's shard.
-	res, err := s.cfg.Cluster.InsertInstance(name, inst)
+	res, err := s.cfg.Cluster.InsertInstance(name, req.Instance)
 	if err != nil {
 		writeError(w, updateStatus(err), "insert rejected: %v", err)
 		return
@@ -479,19 +456,10 @@ func (s *Server) handleInsert(w http.ResponseWriter, name string, def *viewobjec
 }
 
 // handleReplace performs replacement (VO-R): the server instantiates
-// the current instance under the key, builds the desired instance from
-// the document, and hands both to the translator.
-func (s *Server) handleReplace(w http.ResponseWriter, name string, def *viewobject.Definition, req updateRequest) {
-	if req.Instance == nil {
-		writeError(w, http.StatusBadRequest, "replace needs an \"instance\" document")
-		return
-	}
-	key, err := bodyKey(def, req.Key)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad key: %v", err)
-		return
-	}
-	oldInst, ok, err := s.cfg.Cluster.InstantiateByKey(name, key)
+// the current instance under the key and hands it, with the desired
+// instance the body decoded to, to the translator.
+func (s *Server) handleReplace(w http.ResponseWriter, name string, req updateRequest) {
+	oldInst, ok, err := s.cfg.Cluster.InstantiateByKey(name, req.Key)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "instantiate: %v", err)
 		return
@@ -500,12 +468,7 @@ func (s *Server) handleReplace(w http.ResponseWriter, name string, def *viewobje
 		writeError(w, http.StatusNotFound, "no %s instance with that key", name)
 		return
 	}
-	newInst, err := InstanceFromDoc(def, req.Instance)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad instance: %v", err)
-		return
-	}
-	res, err := s.cfg.Cluster.ReplaceInstance(name, oldInst, newInst)
+	res, err := s.cfg.Cluster.ReplaceInstance(name, oldInst, req.Instance)
 	if err != nil {
 		writeError(w, updateStatus(err), "replace rejected: %v", err)
 		return

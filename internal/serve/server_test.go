@@ -504,6 +504,36 @@ func TestUpdateBodyIsOneEnvelope(t *testing.T) {
 	})
 }
 
+// TestUpdateBodyRepeatedNameRejected: a name given twice in the envelope
+// or in a document is a 400 that changes nothing. encoding/json used to
+// keep the last "key" (deleting CS345 here) and the last value of a
+// repeated attribute.
+func TestUpdateBodyRepeatedNameRejected(t *testing.T) {
+	forEachN(t, func(t *testing.T, n int) {
+		s, _, _ := newTestServer(t, n, Config{})
+		if code, doc := do(t, s, "POST", "/objects/omega:delete", []byte(`{"key":["CS445"],"KEY":["CS345"]}`)); code != http.StatusBadRequest {
+			t.Errorf("delete with a repeated key = %d (%v), want 400", code, doc)
+		}
+		for _, id := range []string{"CS445", "CS345"} {
+			if code, _ := do(t, s, "GET", "/objects/omega/"+id, nil); code != http.StatusOK {
+				t.Errorf("%s not readable after the rejected delete (%d)", id, code)
+			}
+		}
+		_, orig := do(t, s, "GET", "/objects/omega/CS345", nil)
+		doc, err := json.Marshal(orig)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := `{"key":["CS345"],"instance":{"Title":"Twice",` + string(doc[1:]) + `}`
+		if code, resp := do(t, s, "POST", "/objects/omega:replace", []byte(body)); code != http.StatusBadRequest {
+			t.Errorf("replace with a repeated attribute = %d (%v), want 400", code, resp)
+		}
+		if _, after := do(t, s, "GET", "/objects/omega/CS345", nil); after["Title"] != orig["Title"] {
+			t.Errorf("Title = %v after the rejected replace, want %v", after["Title"], orig["Title"])
+		}
+	})
+}
+
 // stallOmega installs a StepProbe that parks the first ω update inside
 // the §5 pipeline (standing in for a slow disk or a huge translation)
 // until the returned release runs; entered closes once it is parked.

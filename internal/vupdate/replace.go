@@ -2,7 +2,9 @@ package vupdate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"penguin/internal/obs"
 	"penguin/internal/reldb"
@@ -117,11 +119,18 @@ func propagateIslandKeys(def *viewobject.Definition, topo *Topology, in *viewobj
 			if err != nil {
 				return err
 			}
-			parentTuple := in.Tuple()
-			for _, ci := range in.Children(child.ID) {
+			kids := in.ChildList(child.ID)
+			for i := 0; i < kids.Len(); i++ {
+				// Only a child whose inherited values differ is rewritten.
+				// Identical, not Equal: Int 1 inherited from a Float 1.0,
+				// or -0 from 0, takes the parent's value too.
+				ci := kids.At(i)
+				if inherits(in, ci, srcIdx, tgtIdx) {
+					continue
+				}
 				nt := ci.Tuple()
 				for k, j := range tgtIdx {
-					nt[j] = parentTuple[srcIdx[k]]
+					nt[j] = in.Value(srcIdx[k])
 				}
 				if err := ci.SetTuple(def, nt); err != nil {
 					return err
@@ -135,6 +144,17 @@ func propagateIslandKeys(def *viewobject.Definition, topo *Topology, in *viewobj
 		}
 	}
 	return nil
+}
+
+// inherits reports whether the child already holds, at every tgtIdx,
+// the value identical to the parent's at the matching srcIdx.
+func inherits(parent, child *viewobject.InstNode, srcIdx, tgtIdx []int) bool {
+	for k, j := range tgtIdx {
+		if !child.Value(j).Identical(parent.Value(srcIdx[k])) {
+			return false
+		}
+	}
+	return true
 }
 
 // machine states of algorithm VO-R.
@@ -265,13 +285,20 @@ func (rc *replaceCtx) pairKids(child *viewobject.Node, oldKids, newKids []*viewo
 			extractor = complement
 		}
 	}
-	keyOf := func(in *viewobject.InstNode) string {
-		return in.Tuple().Project(extractor).Encode()
+	// Each kid's pairing key, and each pair's sort key (its new tuple's
+	// encoding), is computed once, from the component's values in place.
+	var buf []byte
+	keyOf := func(in *viewobject.InstNode, idx []int) string {
+		buf = buf[:0]
+		for _, j := range idx {
+			buf = reldb.AppendKey(buf, in.Value(j))
+		}
+		return string(buf)
 	}
 	oldByKey := make(map[string][]*viewobject.InstNode)
 	var oldOrder []string
 	for _, o := range oldKids {
-		k := keyOf(o)
+		k := keyOf(o, extractor)
 		if _, seen := oldByKey[k]; !seen {
 			oldOrder = append(oldOrder, k)
 		}
@@ -279,7 +306,7 @@ func (rc *replaceCtx) pairKids(child *viewobject.Node, oldKids, newKids []*viewo
 	}
 	var leftoverNew []*viewobject.InstNode
 	for _, n := range newKids {
-		k := keyOf(n)
+		k := keyOf(n, extractor)
 		if olds := oldByKey[k]; len(olds) > 0 {
 			pairs = append(pairs, [2]*viewobject.InstNode{olds[0], n})
 			oldByKey[k] = olds[1:]
@@ -301,9 +328,24 @@ func (rc *replaceCtx) pairKids(child *viewobject.Node, oldKids, newKids []*viewo
 	}
 	unpairedOld = leftoverOld[m:]
 	unpairedNew = leftoverNew[m:]
-	sort.SliceStable(pairs, func(a, b int) bool {
-		return pairs[a][1].Tuple().Encode() < pairs[b][1].Tuple().Encode()
-	})
+	if len(pairs) > 1 {
+		all := make([]int, schema.Arity())
+		for i := range all {
+			all[i] = i
+		}
+		type keyedPair struct {
+			key  string
+			pair [2]*viewobject.InstNode
+		}
+		keyed := make([]keyedPair, len(pairs))
+		for i, p := range pairs {
+			keyed[i] = keyedPair{keyOf(p[1], all), p}
+		}
+		slices.SortStableFunc(keyed, func(a, b keyedPair) int { return strings.Compare(a.key, b.key) })
+		for i := range keyed {
+			pairs[i] = keyed[i].pair
+		}
+	}
 	return pairs, unpairedOld, unpairedNew
 }
 

@@ -16,10 +16,9 @@ import (
 func validateConnections(def *viewobject.Definition, in *viewobject.InstNode) error {
 	node := in.Node()
 	parentSchema := def.NodeSchema(node)
-	parentTuple := in.Tuple()
 	for _, child := range node.Children {
-		kids := in.Children(child.ID)
-		if len(kids) == 0 {
+		kids := in.ChildList(child.ID)
+		if kids.Len() == 0 {
 			continue
 		}
 		if len(child.Path) == 1 {
@@ -33,25 +32,25 @@ func validateConnections(def *viewobject.Definition, in *viewobject.InstNode) er
 			if err != nil {
 				return err
 			}
-			for _, ci := range kids {
-				ct := ci.Tuple()
+			for j := 0; j < kids.Len(); j++ {
+				ci := kids.At(j)
 				for k := range srcIdx {
-					pv := parentTuple[srcIdx[k]]
-					cv := ct[tgtIdx[k]]
+					pv := in.Value(srcIdx[k])
+					cv := ci.Value(tgtIdx[k])
 					if pv.IsNull() {
 						return rejectAs(ReasonIntegrity, "vupdate: %s: component %s cannot be connected: parent %s has null %s",
 							def.Name, child.ID, node.ID, e.SourceAttrs()[k])
 					}
 					if !pv.Equal(cv) {
 						return rejectAs(ReasonIntegrity, "vupdate: %s: component %s (%s) is not connected to its parent %s (%s=%s, %s=%s)",
-							def.Name, child.ID, ct, node.ID,
+							def.Name, child.ID, ci.Tuple(), node.ID,
 							e.SourceAttrs()[k], pv, e.TargetAttrs()[k], cv)
 					}
 				}
 			}
 		}
-		for _, ci := range kids {
-			if err := validateConnections(def, ci); err != nil {
+		for j := 0; j < kids.Len(); j++ {
+			if err := validateConnections(def, kids.At(j)); err != nil {
 				return err
 			}
 		}
