@@ -317,3 +317,181 @@ func TestTxCloneIndexIndependence(t *testing.T) {
 		t.Fatalf("head bucket = %d rows", len(head))
 	}
 }
+
+// batchPath is a relation and the attribute list that reaches one
+// MatchEqualBatch access path on it.
+type batchPath struct {
+	name  string
+	r     *Relation
+	attrs []string
+}
+
+// batchPaths returns one relation per MatchEqualBatch access path over
+// the same rows — a shared scan, a secondary index over (CourseID,
+// Grade), one over (Grade, CourseID) that the same lookup reaches in the
+// other order, and the row tree — each with the attribute list that
+// reaches that path.
+func batchPaths(t *testing.T) []batchPath {
+	t.Helper()
+	fill := func() *Relation {
+		r := newGradesRel(t)
+		for pid := int64(1); pid <= 60; pid++ {
+			g := string(rune('A' + pid%3))
+			if err := r.Insert(grade(fmt.Sprintf("C%d", pid%4), pid, g)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
+	}
+	scan, same, permuted, point := fill(), fill(), fill(), fill()
+	if err := same.CreateIndex("cg", []string{"CourseID", "Grade"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := permuted.CreateIndex("gc", []string{"Grade", "CourseID"}); err != nil {
+		t.Fatal(err)
+	}
+	return []batchPath{
+		{"scan", scan, []string{"CourseID", "Grade"}},
+		{"index", same, []string{"CourseID", "Grade"}},
+		{"permuted-index", permuted, []string{"CourseID", "Grade"}},
+		{"point", point, []string{"PID", "CourseID"}},
+	}
+}
+
+// batchVals returns value sets for attrs (see batchPaths): hits, a
+// repeat and a miss.
+func batchVals(attrs []string) []Tuple {
+	if attrs[0] == "PID" {
+		return []Tuple{{Int(5), String("C1")}, {Int(6), String("C2")}, {Int(5), String("C1")}, {Int(5), String("C3")}}
+	}
+	return []Tuple{
+		{String("C1"), String("A")}, {String("C2"), String("B")}, {String("C1"), String("A")},
+		{String("C3"), String("C")}, {String("C0"), String("Z")},
+	}
+}
+
+// A batch answers each value set exactly as MatchEqual does, on every
+// access path — including an index declared in a different attribute
+// order from the lookup — and duplicate value sets share one bucket
+// and one probe.
+func TestMatchEqualBatchEqualsPerSetLookups(t *testing.T) {
+	for _, p := range batchPaths(t) {
+		t.Run(p.name, func(t *testing.T) {
+			vals := batchVals(p.attrs)
+			var st MatchStats
+			got, err := p.r.MatchEqualBatchStats(p.attrs, vals, &st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			distinct := map[string]bool{}
+			hits := 0
+			for _, vs := range vals {
+				k := EncodeValues(vs...)
+				if distinct[k] {
+					continue
+				}
+				distinct[k] = true
+				want, err := p.r.MatchEqual(p.attrs, vs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bucket, ok := got[k]
+				if ok != (len(want) > 0) || len(bucket) != len(want) {
+					t.Fatalf("%v: batch %v (present %t), MatchEqual %v", vs, bucket, ok, want)
+				}
+				for i := range want {
+					if !bucket[i].Equal(want[i]) {
+						t.Fatalf("%v row %d: batch %v, MatchEqual %v", vs, i, bucket[i], want[i])
+					}
+				}
+				if ok {
+					hits++
+				}
+			}
+			if len(got) != hits {
+				t.Fatalf("batch has %d buckets, want %d", len(got), hits)
+			}
+			if p.name == "scan" {
+				if st.Scans != 1 || st.Probes != 0 {
+					t.Fatalf("stats %+v, want one shared scan", st)
+				}
+			} else if st.Scans != 0 || st.Probes != len(distinct) {
+				t.Fatalf("stats %+v, want %d probes (one per distinct value set)", st, len(distinct))
+			}
+		})
+	}
+}
+
+// Every tuple a batch returns is the caller's own copy: writing into it,
+// or appending to its bucket, changes neither the relation, nor another
+// bucket of the same batch, nor a later batch.
+func TestMatchEqualBatchReturnsCopies(t *testing.T) {
+	for _, p := range batchPaths(t) {
+		t.Run(p.name, func(t *testing.T) {
+			vals := batchVals(p.attrs)
+			first, err := p.r.MatchEqualBatch(p.attrs, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := p.r.MatchEqualBatch(p.attrs, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := p.r.All()
+			for k, bucket := range first {
+				for _, tup := range bucket {
+					tup[2] = String("mutated")
+				}
+				first[k] = append(bucket, grade("X", 0, "X"))
+			}
+			for i, tup := range p.r.All() {
+				if !tup.Equal(before[i]) {
+					t.Fatalf("relation row %d changed to %v", i, tup)
+				}
+			}
+			again, err := p.r.MatchEqualBatch(p.attrs, vals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(again) != len(want) {
+				t.Fatalf("second batch has %d buckets, want %d", len(again), len(want))
+			}
+			for k, bucket := range want {
+				if len(first[k]) != len(bucket)+1 {
+					t.Fatalf("appending to one bucket changed another: %v", first[k])
+				}
+				for i := range bucket {
+					if !again[k][i].Equal(bucket[i]) {
+						t.Fatalf("bucket row %d: second batch %v, want %v", i, again[k][i], bucket[i])
+					}
+					if !first[k][i][2].Equal(String("mutated")) {
+						t.Fatalf("bucket row %d became %v: an append to another bucket wrote into it", i, first[k][i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// A value set that fails validation fails the whole batch, however late
+// it comes: an error and a nil map, never a partial answer.
+func TestMatchEqualBatchLateBadValueSet(t *testing.T) {
+	for _, p := range batchPaths(t) {
+		t.Run(p.name, func(t *testing.T) {
+			vals := batchVals(p.attrs)
+			bad := append(append([]Tuple(nil), vals...), Tuple{Int(1), Int(2), Int(3)})
+			got, err := p.r.MatchEqualBatch(p.attrs, bad)
+			if err == nil || got != nil {
+				t.Fatalf("late arity mismatch = %v, %v; want nil and an error", got, err)
+			}
+			wrongKind := append(append([]Tuple(nil), vals...), Tuple{Int(1), Int(2)})
+			if p.attrs[0] == "PID" {
+				wrongKind[len(vals)] = Tuple{String("x"), String("y")}
+			}
+			got, err = p.r.MatchEqualBatch(p.attrs, wrongKind)
+			if err == nil || got != nil {
+				t.Fatalf("late wrong-kind value set = %v, %v; want nil and an error", got, err)
+			}
+		})
+	}
+}

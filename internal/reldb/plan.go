@@ -1,5 +1,7 @@
 package reldb
 
+import "slices"
+
 // planKind classifies how a MatchEqual-family lookup over an attribute
 // set is served on a given relation version.
 type planKind uint8
@@ -56,4 +58,15 @@ func (r *Relation) planFor(what string, attrNames []string) (lookupPlan, error) 
 		pl.kind, pl.order = planIndex, pl.ix.attrs
 	}
 	return pl, nil
+}
+
+// appendPrefix appends to dst the seek prefix of a lookup whose values
+// vals are in idx order: the values encoded in the serving tree's
+// attribute order, so an index built over the same attributes in a
+// different order still serves the lookup.
+func (pl lookupPlan) appendPrefix(dst []byte, vals Tuple) []byte {
+	for _, a := range pl.order {
+		dst = AppendKey(dst, vals[slices.Index(pl.idx, a)])
+	}
+	return dst
 }

@@ -348,18 +348,39 @@ func entries(leaves []*treeNode) (keys []string, vals []Tuple) {
 	return keys, vals
 }
 
-// prefixed returns copies of the tuples whose keys start with prefix, in
-// key order: one seek, then a walk of that run.
-func (t *ptree) prefixed(prefix string) []Tuple {
-	var out []Tuple
-	t.ascend(prefix, func(k string, v Tuple) bool {
-		if !strings.HasPrefix(k, prefix) {
-			return false
+// appendPrefixed appends to dst copies of the tuples whose keys start
+// with prefix, in key order: one seek, then a walk of that run. A batch
+// of probes appends into one slice, so the walk takes no callback and
+// allocates nothing but the copies and dst's growth.
+func (t *ptree) appendPrefixed(dst []Tuple, prefix string) []Tuple {
+	if t.root != nil {
+		dst, _ = t.root.appendPrefixed(dst, prefix)
+	}
+	return dst
+}
+
+// appendPrefixed is the walk under n; it reports false once it has met
+// a key past the run, so the caller stops too. Every key under a later
+// child sorts after prefix, so searching prefix there starts at its
+// first entry, as ascend does.
+func (n *treeNode) appendPrefixed(dst []Tuple, prefix string) ([]Tuple, bool) {
+	if n.kids == nil {
+		i, _ := n.search(prefix)
+		for ; i < len(n.keys); i++ {
+			if !strings.HasPrefix(n.keys[i], prefix) {
+				return dst, false
+			}
+			dst = append(dst, n.vals[i].Clone())
 		}
-		out = append(out, v.Clone())
-		return true
-	})
-	return out
+		return dst, true
+	}
+	for i := n.childFor(prefix); i < len(n.kids); i++ {
+		var more bool
+		if dst, more = n.kids[i].appendPrefixed(dst, prefix); !more {
+			return dst, false
+		}
+	}
+	return dst, true
 }
 
 // subtrees cuts the tree into at least want key-ordered, disjoint

@@ -484,7 +484,8 @@ func (r *Relation) MatchEqualStats(attrNames []string, vals Tuple, st *MatchStat
 		return nil, err
 	}
 	if pl.kind != planScan {
-		return r.probe(pl, vals, st), nil
+		var buf [64]byte
+		return r.appendProbe(nil, pl, string(pl.appendPrefix(buf[:0], vals)), st), nil
 	}
 	var out []Tuple
 	r.Scan(func(t Tuple) bool {
@@ -500,24 +501,21 @@ func (r *Relation) MatchEqualStats(attrNames []string, vals Tuple, st *MatchStat
 	return out, nil
 }
 
-// probe serves one planned lookup that has an ordered access path: tuples
-// equal on the plan's attributes share a key prefix in its tree — the row
-// tree when they are the primary key, else the plan's index's — so the
-// answer is one seek and a walk of that prefix, already in primary-key
-// order. The values go into the tree's attribute order, so an index built
-// over the same attributes in a different order still serves the lookup.
-func (r *Relation) probe(pl lookupPlan, vals Tuple, st *MatchStats) []Tuple {
+// appendProbe serves one planned lookup that has an ordered access path,
+// appending its answer to dst: tuples equal on the plan's attributes
+// share a key prefix in its tree — the row tree when they are the
+// primary key, else the plan's index's — so the answer is one seek and
+// a walk of that prefix, already in primary-key order. prefix is the
+// lookup values encoded in the tree's attribute order (appendPrefix).
+func (r *Relation) appendProbe(dst []Tuple, pl lookupPlan, prefix string, st *MatchStats) []Tuple {
 	t := &r.rows
 	if pl.kind == planIndex {
 		t = &pl.ix.tree
 	}
-	var prefix []byte
-	for _, a := range pl.order {
-		prefix = AppendKey(prefix, vals[slices.Index(pl.idx, a)])
-	}
-	out := t.prefixed(string(prefix))
-	r.obsProbe(st, len(out))
-	return out
+	n := len(dst)
+	dst = t.appendPrefixed(dst, prefix)
+	r.obsProbe(st, len(dst)-n)
+	return dst
 }
 
 // MatchEqualBatch answers many MatchEqual probes over the same attribute
@@ -534,60 +532,92 @@ func (r *Relation) MatchEqualBatch(attrNames []string, valSets []Tuple) (map[str
 
 // MatchEqualBatchStats is MatchEqualBatch that additionally accumulates
 // lookup cost into st (which may be nil).
+//
+// Each value set is encoded once, into a reused buffer, and that one
+// string is its dedupe key, its result key and — whenever the serving
+// tree's attribute order is attrNames' own, as for every index the
+// structural graph builds — its seek prefix; otherwise the prefix is
+// built in a second reused buffer. The probes append the whole batch's
+// matches into one slice, and each bucket is a full-capacity subslice of
+// it, so a caller appending to one bucket reallocates it instead of
+// writing into its neighbour. Every returned tuple is still a copy.
 func (r *Relation) MatchEqualBatchStats(attrNames []string, valSets []Tuple, st *MatchStats) (map[string][]Tuple, error) {
 	pl, err := r.planFor("MatchEqualBatch", attrNames)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[string][]Tuple, len(valSets))
-	if len(valSets) == 0 {
-		return out, nil
-	}
-	// Validate and deduplicate the probe set.
-	type probe struct {
-		key  string
-		vals Tuple
-	}
-	probes := make([]probe, 0, len(valSets))
-	distinct := make(map[string]bool, len(valSets))
 	for _, vs := range valSets {
 		if err := r.checkLookupVals("MatchEqualBatch", pl.idx, vs); err != nil {
 			return nil, err
 		}
-		k := EncodeValues(vs...)
-		if distinct[k] {
+	}
+	// out doubles as the set of value sets seen: each distinct one enters
+	// with a nil bucket, which its matches fill or the end removes.
+	out := make(map[string][]Tuple, len(valSets))
+	if len(valSets) == 0 {
+		return out, nil
+	}
+	type span struct {
+		key    string
+		lo, hi int
+	}
+	spans := make([]span, 0, len(valSets))
+	inOrder := slices.Equal(pl.order, pl.idx)
+	var encBuf, preBuf [64]byte
+	enc, pre := encBuf[:0], preBuf[:0]
+	var all []Tuple
+	for _, vs := range valSets {
+		enc = enc[:0]
+		for _, v := range vs {
+			enc = AppendKey(enc, v)
+		}
+		if _, dup := out[string(enc)]; dup {
 			continue
 		}
-		distinct[k] = true
-		probes = append(probes, probe{key: k, vals: vs})
+		k := string(enc)
+		out[k] = nil
+		if pl.kind == planScan {
+			continue
+		}
+		prefix := k
+		if !inOrder {
+			pre = pl.appendPrefix(pre[:0], vs)
+			prefix = string(pre)
+		}
+		lo := len(all)
+		all = r.appendProbe(all, pl, prefix, st)
+		spans = append(spans, span{key: k, lo: lo, hi: len(all)})
 	}
-	if pl.kind != planScan {
-		// One probe per distinct value set.
-		for _, p := range probes {
-			if matches := r.probe(pl, p.vals, st); len(matches) > 0 {
-				out[p.key] = matches
+	if pl.kind == planScan {
+		// No index: one shared scan buckets every value set at once. The
+		// scan is in primary-key order, so each bucket comes out
+		// key-ordered, and a row's projection encoded the way the value
+		// sets were makes its bucket a map hit.
+		r.Scan(func(t Tuple) bool {
+			enc = enc[:0]
+			for _, j := range pl.idx {
+				enc = AppendKey(enc, t[j])
+			}
+			if b, ok := out[string(enc)]; ok {
+				out[string(enc)] = append(b, t.Clone())
+			}
+			return true
+		})
+		r.obsScan(st, r.Count())
+		for k, b := range out {
+			if b == nil {
+				delete(out, k)
 			}
 		}
 		return out, nil
 	}
-	// No index: one shared scan buckets every value set at once. The scan
-	// is in primary-key order, so each bucket comes out key-ordered. The
-	// probe keys are encodings of the lookup values in attrNames order, so
-	// encoding each row's attrNames projection the same way makes the
-	// bucket assignment a map hit.
-	var enc []byte
-	r.Scan(func(t Tuple) bool {
-		enc = enc[:0]
-		for _, j := range pl.idx {
-			enc = AppendKey(enc, t[j])
+	for _, s := range spans {
+		if s.hi > s.lo {
+			out[s.key] = all[s.lo:s.hi:s.hi]
+		} else {
+			delete(out, s.key)
 		}
-		if distinct[string(enc)] {
-			k := string(enc)
-			out[k] = append(out[k], t.Clone())
-		}
-		return true
-	})
-	r.obsScan(st, r.Count())
+	}
 	return out, nil
 }
 

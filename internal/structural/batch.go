@@ -27,25 +27,17 @@ func ConnectedViaBatchStats(res Resolver, e Edge, tuples []reldb.Tuple, st *reld
 	if err != nil {
 		return nil, err
 	}
-	// keys[i] is the encoded connecting-value set of tuples[i], or "" for
-	// a null connecting value ("" is unambiguous: EncodeValues of one or
-	// more values is never empty, and Validate rejects empty attr lists).
-	keys := make([]string, len(tuples))
-	valSets := make([]reldb.Tuple, 0, len(tuples))
 	// One backing array holds every value set; each is sliced out of it
-	// at full capacity, so no set can grow into its neighbour.
+	// at full capacity, so no set can grow into its neighbour. A tuple
+	// with a null connecting value passes none, and its out[i] stays nil
+	// as in ConnectedVia; every other out[i] starts empty. Duplicate
+	// value sets go to the batch as they are: it probes each distinct one
+	// once.
 	w := len(srcIdx)
 	backing := make(reldb.Tuple, len(tuples)*w)
-	// seen maps an encoded value set to the key string already built for
-	// it, so duplicates share that string. A batch of one has none.
-	var seen map[string]string
-	if len(tuples) > 1 {
-		seen = make(map[string]string, len(tuples))
-	}
-	var enc []byte
+	valSets := make([]reldb.Tuple, 0, len(tuples))
 	for i, t := range tuples {
 		vals := backing[i*w : (i+1)*w : (i+1)*w]
-		enc = enc[:0]
 		null := false
 		for vi, j := range srcIdx {
 			if t[j].IsNull() {
@@ -53,21 +45,11 @@ func ConnectedViaBatchStats(res Resolver, e Edge, tuples []reldb.Tuple, st *reld
 				break
 			}
 			vals[vi] = t[j]
-			enc = reldb.AppendKey(enc, t[j])
 		}
-		if null {
-			continue
+		if !null {
+			out[i] = []reldb.Tuple{}
+			valSets = append(valSets, vals)
 		}
-		if k, dup := seen[string(enc)]; dup {
-			keys[i] = k
-			continue
-		}
-		k := string(enc) // EncodeValues(vals...), built in place
-		keys[i] = k
-		if seen != nil {
-			seen[k] = k
-		}
-		valSets = append(valSets, vals)
 	}
 	tgtRel, err := res.Relation(e.Target())
 	if err != nil {
@@ -77,15 +59,22 @@ func ConnectedViaBatchStats(res Resolver, e Edge, tuples []reldb.Tuple, st *reld
 	if err != nil {
 		return nil, err
 	}
-	for i, k := range keys {
-		if k == "" {
-			// Null connecting value: out[i] stays nil, as in ConnectedVia.
+	// The batch keys its buckets by each value set's encoding
+	// (EncodeValues); encoding into one reused buffer makes each lookup a
+	// map hit without a string.
+	var buf [64]byte
+	enc, next := buf[:0], 0
+	for i := range out {
+		if out[i] == nil {
 			continue
 		}
-		if m, ok := matches[k]; ok {
+		enc = enc[:0]
+		for _, v := range valSets[next] {
+			enc = reldb.AppendKey(enc, v)
+		}
+		next++
+		if m, ok := matches[string(enc)]; ok {
 			out[i] = m
-		} else {
-			out[i] = []reldb.Tuple{}
 		}
 	}
 	return out, nil

@@ -23,8 +23,8 @@ import (
 // A component's tuple slice is never written in place: every mutator
 // (SetTuple, and SetAttr through it) installs a freshly allocated slice.
 // Clone shares tuples between the copy and the original on the strength
-// of that, and so does assembly from storage (adoptNode), where two
-// instances reaching one stored tuple may hold the same slice.
+// of that. Assembly from storage adopts the copies a relation hands out
+// (adoptNode, fillChildSegment) instead of copying them again.
 type Instance struct {
 	def  *Definition
 	root *InstNode
@@ -32,9 +32,12 @@ type Instance struct {
 
 // InstNode is one component tuple of an instance.
 type InstNode struct {
-	node     *Node
-	tuple    reldb.Tuple
-	children map[string][]*InstNode
+	node  *Node
+	tuple reldb.Tuple
+	// children holds the sub-instances per child node, indexed by the
+	// child's position in node.Children; nil until the first child is
+	// attached, so a leaf component (most of any instance) carries none.
+	children [][]*InstNode
 }
 
 // NewInstance creates an instance of def with the given pivot tuple
@@ -61,36 +64,36 @@ func newInstNode(def *Definition, n *Node, tuple reldb.Tuple) (*InstNode, error)
 	if err := schema.CheckTuple(tuple); err != nil {
 		return nil, fmt.Errorf("viewobject: instance node %s: %w", n.ID, err)
 	}
-	// children stays nil until the first AddChild: leaf components (the
-	// majority of any instance tree) never pay for an empty map, which
-	// keeps Clone cheap on deep extents.
 	return &InstNode{node: n, tuple: tuple.Clone()}, nil
 }
 
-// adoptNode wraps a tuple a relation just handed out. Unlike newInstNode
-// it neither checks the tuple (it was checked when it was stored) nor
-// copies it (reldb copies at its boundary); NewInstance, AddChild and
-// SetTuple keep doing both, because their tuples come from clients.
+// adoptNode wraps a pivot tuple a relation just handed out. Unlike
+// newInstNode it neither checks the tuple (it was checked when it was
+// stored) nor copies it (reldb copies at its boundary); NewInstance,
+// AddChild and SetTuple keep doing both, because their tuples come from
+// clients. The components below a pivot are adopted the same way, a
+// level at a time (fillChildSegment).
 func adoptNode(n *Node, tuple reldb.Tuple) *InstNode {
 	return &InstNode{node: n, tuple: tuple}
 }
 
-// adoptChildren attaches one adopted component per tuple under the
-// child node, which must be one of n's children with no components
-// attached yet, and returns them in order.
-func (n *InstNode) adoptChildren(child *Node, tuples []reldb.Tuple) []*InstNode {
-	if len(tuples) == 0 {
+// childPos returns the position of the child node childID among the
+// node's children, or -1.
+func (n *InstNode) childPos(childID string) int {
+	for i, c := range n.node.Children {
+		if c.ID == childID {
+			return i
+		}
+	}
+	return -1
+}
+
+// kids returns the sub-instances at child position pos.
+func (n *InstNode) kids(pos int) []*InstNode {
+	if pos < 0 || n.children == nil {
 		return nil
 	}
-	kids := make([]*InstNode, len(tuples))
-	for i, t := range tuples {
-		kids[i] = adoptNode(child, t)
-	}
-	if n.children == nil {
-		n.children = make(map[string][]*InstNode, len(n.node.Children))
-	}
-	n.children[child.ID] = kids
-	return kids
+	return n.children[pos]
 }
 
 // Definition returns the object this instance belongs to.
@@ -126,13 +129,13 @@ func (n *InstNode) Value(i int) reldb.Value { return n.tuple[i] }
 // Children returns the sub-instances under the given child node ID, in
 // insertion order.
 func (n *InstNode) Children(childID string) []*InstNode {
-	return append([]*InstNode(nil), n.children[childID]...)
+	return append([]*InstNode(nil), n.kids(n.childPos(childID))...)
 }
 
 // ChildList returns a read-only view of the sub-instances under the
 // given child node ID, in insertion order: Children without the copy.
 func (n *InstNode) ChildList(childID string) ChildList {
-	return ChildList{kids: n.children[childID]}
+	return ChildList{kids: n.kids(n.childPos(childID))}
 }
 
 // ChildList is a read-only view of one child node's sub-instances. It
@@ -150,14 +153,8 @@ func (l ChildList) At(i int) *InstNode { return l.kids[i] }
 // it. The child ID must be one of the node's children in the definition;
 // the tuple must be full-width for the child's relation.
 func (n *InstNode) AddChild(def *Definition, childID string, tuple reldb.Tuple) (*InstNode, error) {
-	var childNode *Node
-	for _, c := range n.node.Children {
-		if c.ID == childID {
-			childNode = c
-			break
-		}
-	}
-	if childNode == nil {
+	pos := n.childPos(childID)
+	if pos < 0 {
 		var have []string
 		for _, c := range n.node.Children {
 			have = append(have, c.ID)
@@ -165,14 +162,14 @@ func (n *InstNode) AddChild(def *Definition, childID string, tuple reldb.Tuple) 
 		return nil, fmt.Errorf("viewobject: node %s has no child %s (have %s)",
 			n.node.ID, childID, strings.Join(have, ", "))
 	}
-	cn, err := newInstNode(def, childNode, tuple)
+	cn, err := newInstNode(def, n.node.Children[pos], tuple)
 	if err != nil {
 		return nil, err
 	}
 	if n.children == nil {
-		n.children = make(map[string][]*InstNode, len(n.node.Children))
+		n.children = make([][]*InstNode, len(n.node.Children))
 	}
-	n.children[childID] = append(n.children[childID], cn)
+	n.children[pos] = append(n.children[pos], cn)
 	return cn, nil
 }
 
@@ -205,8 +202,8 @@ func (i *Instance) NodesAt(nodeID string) []*InstNode {
 		if n.node.ID == nodeID {
 			out = append(out, n)
 		}
-		for _, cid := range n.childIDs() {
-			for _, c := range n.children[cid] {
+		for _, kids := range n.children {
+			for _, c := range kids {
 				walk(c)
 			}
 		}
@@ -217,15 +214,6 @@ func (i *Instance) NodesAt(nodeID string) []*InstNode {
 
 // Count returns the number of component instances at the given node ID.
 func (i *Instance) Count(nodeID string) int { return len(i.NodesAt(nodeID)) }
-
-// childIDs returns the node's child IDs in definition order.
-func (n *InstNode) childIDs() []string {
-	ids := make([]string, 0, len(n.node.Children))
-	for _, c := range n.node.Children {
-		ids = append(ids, c.ID)
-	}
-	return ids
-}
 
 // Clone deep-copies the instance; mutating the copy leaves the original
 // untouched. Update requests typically clone the current instance and
@@ -240,14 +228,17 @@ func (n *InstNode) clone() *InstNode {
 	// a freshly allocated slice instead of writing elements in place, so
 	// the original and the clone can never observe each other's edits.
 	c := &InstNode{node: n.node, tuple: n.tuple}
-	if len(n.children) > 0 {
-		c.children = make(map[string][]*InstNode, len(n.children))
-		for id, kids := range n.children {
+	if n.children != nil {
+		c.children = make([][]*InstNode, len(n.children))
+		for pos, kids := range n.children {
+			if len(kids) == 0 {
+				continue
+			}
 			ck := make([]*InstNode, len(kids))
 			for j, k := range kids {
 				ck[j] = k.clone()
 			}
-			c.children[id] = ck
+			c.children[pos] = ck
 		}
 	}
 	return c
@@ -314,14 +305,14 @@ func (i *Instance) Render() string {
 		}
 		// Flatten children in definition order, with a stable sort of
 		// instances by tuple encoding for determinism.
-		for _, cid := range n.childIDs() {
-			kids := append([]*InstNode(nil), n.children[cid]...)
+		lastPos := lastChildPos(n)
+		for pos := range n.children {
+			kids := append([]*InstNode(nil), n.children[pos]...)
 			sort.SliceStable(kids, func(a, b int) bool {
 				return kids[a].tuple.Encode() < kids[b].tuple.Encode()
 			})
 			for j, c := range kids {
-				lastChild := j == len(kids)-1 && cid == lastChildID(n)
-				walk(c, childPrefix, lastChild, false)
+				walk(c, childPrefix, j == len(kids)-1 && pos == lastPos, false)
 			}
 		}
 	}
@@ -329,13 +320,13 @@ func (i *Instance) Render() string {
 	return b.String()
 }
 
-// lastChildID returns the ID of the last child node that actually has
-// instances, so tree glyphs close correctly.
-func lastChildID(n *InstNode) string {
-	last := ""
-	for _, cid := range n.childIDs() {
-		if len(n.children[cid]) > 0 {
-			last = cid
+// lastChildPos returns the position of the last child node that
+// actually has instances (-1 for none), so tree glyphs close correctly.
+func lastChildPos(n *InstNode) int {
+	last := -1
+	for pos, kids := range n.children {
+		if len(kids) > 0 {
+			last = pos
 		}
 	}
 	return last

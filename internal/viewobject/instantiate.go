@@ -264,7 +264,7 @@ func fillLevel(res structural.Resolver, def *Definition, parents []*InstNode) er
 // fillChildLevel builds every parent's children at one definition node,
 // splitting the parent set across stolen worker tokens when the level is
 // wide and spare parallelism exists. Each segment touches only its own
-// parents (adoptChildren mutates nothing outside the parent node), so
+// parents (fillChildSegment writes no other parent's child lists), so
 // the helpers need no locks; segment results concatenate in parent order.
 func fillChildLevel(res structural.Resolver, def *Definition, parents []*InstNode, child *Node) ([]*InstNode, error) {
 	helpers := 0
@@ -313,7 +313,12 @@ func fillChildLevel(res structural.Resolver, def *Definition, parents []*InstNod
 
 // fillChildSegment is the sequential unit of a level fill: one batched
 // traversal for a contiguous run of parents, results attached in
-// per-parent key order.
+// per-parent key order. The segment's components are built in three
+// allocations: a slab of nodes; a slice of pointers to them, which is
+// the next level's parent set and out of which each parent's child list
+// is carved; and the child-list headers of the parents that had none.
+// Every carved slice is full-capacity, so a later AddChild reallocates
+// it and never writes into a neighbour's.
 func fillChildSegment(res structural.Resolver, def *Definition, parents []*InstNode, child *Node) ([]*InstNode, error) {
 	var st reldb.MatchStats
 	perParent, err := traverseLevel(res, parents, child.Path, &st)
@@ -321,16 +326,35 @@ func fillChildSegment(res structural.Resolver, def *Definition, parents []*InstN
 		return nil, fmt.Errorf("viewobject: %s: node %s: %w", def.Name, child.ID, err)
 	}
 	obs.Default.InstTuplesByObject.At(def.obsSlot).Add(int64(st.Scanned))
-	total := 0
-	for _, tuples := range perParent {
+	total, headless := 0, 0
+	for i, tuples := range perParent {
 		total += len(tuples)
+		if len(tuples) > 0 && parents[i].children == nil {
+			headless++
+		}
 	}
 	if total == 0 {
 		return nil, nil
 	}
-	level := make([]*InstNode, 0, total)
+	pos, width := parents[0].childPos(child.ID), len(parents[0].node.Children)
+	slab := make([]InstNode, total)
+	level := make([]*InstNode, total)
+	headers := make([][]*InstNode, headless*width)
+	k := 0
 	for i, p := range parents {
-		level = append(level, p.adoptChildren(child, perParent[i])...)
+		lo := k
+		for _, t := range perParent[i] {
+			slab[k] = InstNode{node: child, tuple: t}
+			level[k] = &slab[k]
+			k++
+		}
+		if k == lo {
+			continue
+		}
+		if p.children == nil {
+			p.children, headers = headers[:width:width], headers[width:]
+		}
+		p.children[pos] = level[lo:k:k]
 	}
 	obs.Default.InstNodesByObject.At(def.obsSlot).Add(int64(total))
 	return level, nil
@@ -361,6 +385,10 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, path []structur
 		return frontiers, nil
 	}
 	offs := make([]int, len(parents)+1)
+	// One dedupe set and one key buffer serve every parent of every edge.
+	seen := make(map[string]bool)
+	var buf [64]byte
+	enc := buf[:0]
 	for _, e := range path[1:] {
 		// Flatten the per-parent frontiers, remembering each parent's
 		// segment so results can be distributed back.
@@ -382,22 +410,25 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, path []structur
 		if err != nil {
 			return nil, err
 		}
-		tgtSchema := tgtRel.Schema()
+		keyIdx := tgtRel.Schema().Key()
 		for i := range parents {
 			if offs[i+1]-offs[i] == 1 {
 				// A single-tuple frontier is again one probe.
 				frontiers[i] = results[offs[i]]
 				continue
 			}
-			seen := make(map[string]bool)
+			clear(seen)
 			var next []reldb.Tuple
 			for _, matches := range results[offs[i]:offs[i+1]] {
 				for _, mt := range matches {
-					ek := tgtSchema.EncodeKeyOf(mt)
-					if seen[ek] {
+					enc = enc[:0]
+					for _, j := range keyIdx {
+						enc = reldb.AppendKey(enc, mt[j])
+					}
+					if seen[string(enc)] {
 						continue
 					}
-					seen[ek] = true
+					seen[string(enc)] = true
 					next = append(next, mt)
 				}
 			}

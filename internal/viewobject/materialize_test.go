@@ -1,12 +1,14 @@
 package viewobject_test
 
 import (
+	"runtime"
 	"testing"
 
 	"penguin/internal/obs"
 	"penguin/internal/reldb"
 	"penguin/internal/university"
 	. "penguin/internal/viewobject"
+	"penguin/internal/workload"
 )
 
 // matCounters reads the materializer counter family.
@@ -329,4 +331,84 @@ func TestMaterializedInstantiateShared(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMaterializerRetention pins what a patched materialized instance
+// keeps alive (DESIGN §11). Assembly builds each level's components in
+// slabs shared by the instances of one batch — one full build, at one
+// worker, or the instances one sync rebuilt — so a live instance pins
+// its batch-mates' nodes until every one of them is replaced or
+// dropped. Replacing every instance once therefore frees every earlier
+// batch, and the cache costs what one built fresh at that generation
+// costs; a full build with a single survivor pins at most that build's
+// nodes besides the live ones.
+func TestMaterializerRetention(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a full build is one batch
+	const roots, perCommit = 256, 32
+	w, err := workload.BuildTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 3, Peninsulas: 1, Roots: roots})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	// cost is the heap m's cache holds: the heap with it, less the heap
+	// once it is dropped. The database must outlive every measurement
+	// (see the KeepAlive below), or the last one would count it too.
+	cost := func(m *Materializer) int64 {
+		with := heap()
+		m.Close()
+		return with - heap()
+	}
+	sync := func(m *Materializer) {
+		if _, ok, err := m.InstantiateByKey(reldb.Tuple{reldb.Int(0)}); err != nil || !ok {
+			t.Fatal(ok, err)
+		}
+	}
+	build := func() *Materializer {
+		m := NewMaterializer(w.DB, w.Def)
+		sync(m)
+		return m
+	}
+	// replace rewrites the pivot payload of keys [from, roots), perCommit
+	// pivots a commit, and syncs m after each commit: every sync rebuilds
+	// its commit's instances as one batch.
+	replace := func(m *Materializer, from int, stamp string) {
+		for lo := from; lo < roots; lo += perCommit {
+			tx := w.DB.Begin()
+			for k := lo; k < min(lo+perCommit, roots); k++ {
+				key := reldb.Int(int64(k))
+				if _, err := tx.Replace("N0", reldb.Tuple{key}, reldb.Tuple{key, reldb.String(stamp)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			sync(m)
+		}
+	}
+
+	m := build()
+	replace(m, 0, "every")
+	patched := cost(m)
+	fresh := cost(build())
+	t.Logf("every instance replaced: %d B against %d B built fresh (%.2fx)", patched, fresh, float64(patched)/float64(fresh))
+	if patched > fresh*11/10 {
+		t.Errorf("a cache whose every instance was replaced holds %d B, want <= 1.1 x %d B (fresh)", patched, fresh)
+	}
+
+	m = build()
+	replace(m, 1, "all-but-one")
+	pinned := cost(m)
+	fresh = cost(build())
+	t.Logf("one survivor of a full build: %d B against %d B built fresh (%.2fx)", pinned, fresh, float64(pinned)/float64(fresh))
+	if pinned > fresh*22/10 {
+		t.Errorf("a cache with one survivor of its full build holds %d B, want <= 2.2 x %d B (its own nodes plus that build's)", pinned, fresh)
+	}
+	runtime.KeepAlive(w)
 }
