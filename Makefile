@@ -92,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzInstanceFromDoc$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInstance$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzOQLQuery$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/oql
+	$(GO) test -run='^$$' -fuzz='^FuzzRQL$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/rql
 
 # examples runs every program under examples/ end to end; each exits
 # non-zero (log.Fatal) when a step it demonstrates fails. Their output

@@ -51,17 +51,19 @@ func (c *Cluster) InsertInstance(objName string, inst *viewobject.Instance) (*vu
 	})
 }
 
-// ReplaceInstance routes a replacement (VO-R) to the old instance's
-// home shard. A replacement that would change the pivot key's shard
-// (route(new) != route(old)) is rejected: the island would have to
-// migrate between shards, which the translation algorithms do not
-// express — delete and re-insert instead.
-func (c *Cluster) ReplaceInstance(objName string, oldInst, newInst *viewobject.Instance) (*vupdate.Result, error) {
+// ReplaceByKey routes a replacement (VO-R) of the instance whose pivot
+// key is key to that key's home shard, where the old side is assembled
+// inside the update's write transaction (vupdate.Updater.ReplaceByKey).
+// A replacement that would change the pivot key's shard (route(new) !=
+// route(key)) is rejected: the island would have to migrate between
+// shards, which the translation algorithms do not express — delete and
+// re-insert instead.
+func (c *Cluster) ReplaceByKey(objName string, key reldb.Tuple, newInst *viewobject.Instance) (*vupdate.Result, error) {
 	o, err := c.object(objName)
 	if err != nil {
 		return nil, err
 	}
-	home, err := o.home(oldInst.Key(), len(c.dbs))
+	home, err := o.home(key, len(c.dbs))
 	if err != nil {
 		return nil, err
 	}
@@ -73,17 +75,20 @@ func (c *Cluster) ReplaceInstance(objName string, oldInst, newInst *viewobject.I
 		return nil, fmt.Errorf("shard: %s: replacement moves pivot key %s from shard %d to %d: %w",
 			objName, newInst.Key(), home, newHome, ErrCrossShardMove)
 	}
-	oldHomed, err := rehome(o.trs[home].Definition(), oldInst)
-	if err != nil {
-		return nil, err
-	}
 	newHomed, err := rehome(o.trs[home].Definition(), newInst)
 	if err != nil {
 		return nil, err
 	}
 	return c.update(o, home, func(u *vupdate.Updater) (*vupdate.Result, error) {
-		return u.ReplaceInstance(oldHomed, newHomed)
+		return u.ReplaceByKey(key, newHomed)
 	})
+}
+
+// ReplaceInstance replaces the instance oldInst names, by its key: it is
+// ReplaceByKey(objName, oldInst.Key(), newInst), so the old side is the
+// instance's state inside the write transaction, not oldInst itself.
+func (c *Cluster) ReplaceInstance(objName string, oldInst, newInst *viewobject.Instance) (*vupdate.Result, error) {
+	return c.ReplaceByKey(objName, oldInst.Key(), newInst)
 }
 
 // ErrCrossShardMove rejects replacements that re-route the pivot key.

@@ -65,11 +65,10 @@ type decoder struct {
 	// its children and siblings keep their order.
 	vals  []reldb.Value
 	nodes []pendingNode
-	inst  []*viewobject.InstNode
 	seen  []bool // per open node document: which plan fields it named
 }
 
-// pendingNode is one decoded component awaiting its InstNode.
+// pendingNode is one decoded component awaiting its instance.
 type pendingNode struct {
 	plan   *nodePlan
 	parent int // index into nodes; -1 for the pivot
@@ -113,12 +112,11 @@ func keyArity(def *viewobject.Definition, got int) error {
 // release clears what the decode left behind and pools the decoder.
 func (d *decoder) release() {
 	clear(d.vals)
-	clear(d.inst)
 	d.def, d.data = nil, nil
 	if cap(d.vals) > maxPooledVals || cap(d.str) > maxPooledBuf {
 		return
 	}
-	d.vals, d.nodes, d.inst, d.seen, d.str = d.vals[:0], d.nodes[:0], d.inst[:0], d.seen[:0], d.str[:0]
+	d.vals, d.nodes, d.seen, d.str = d.vals[:0], d.nodes[:0], d.seen[:0], d.str[:0]
 	decoderPool.Put(d)
 }
 
@@ -221,24 +219,14 @@ func (d *decoder) instance(need bool) (*viewobject.Instance, error) {
 	if err := d.node(planFor(d.def), -1); err != nil {
 		return nil, err
 	}
-	// Every decoded tuple enters through NewInstance and AddChild, the
-	// hostile-input boundary: CheckTuple, then a private copy.
-	var inst *viewobject.Instance
-	for _, pn := range d.nodes {
-		t := d.vals[pn.off : pn.off+pn.plan.arity]
-		var in *viewobject.InstNode
-		var err error
-		if pn.parent < 0 {
-			if inst, err = viewobject.NewInstance(d.def, t); err == nil {
-				in = inst.Root()
-			}
-		} else {
-			in, err = d.inst[pn.parent].AddChild(d.def, pn.plan.node.ID, t)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("bad instance: %w", err)
-		}
-		d.inst = append(d.inst, in)
+	// Every decoded tuple enters through BuildInstance, the hostile-input
+	// boundary: CheckTuple, then a copy into the instance's own slab.
+	inst, err := viewobject.BuildInstance(d.def, len(d.nodes), func(i int) (*viewobject.Node, int, reldb.Tuple) {
+		pn := d.nodes[i]
+		return pn.plan.node, pn.parent, d.vals[pn.off : pn.off+pn.plan.arity]
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bad instance: %w", err)
 	}
 	return inst, nil
 }

@@ -455,21 +455,18 @@ func (s *Server) handleInsert(w http.ResponseWriter, name string, req updateRequ
 	s.updateResponse(w, res)
 }
 
-// handleReplace performs replacement (VO-R): the server instantiates
-// the current instance under the key and hands it, with the desired
-// instance the body decoded to, to the translator.
+// handleReplace performs replacement (VO-R) of the instance under the
+// key by the one the body decoded to. The translator assembles the
+// current instance inside the write transaction, so a write committed
+// before this one is part of what it replaces. A key with no instance
+// is a 404, as a GET of it is.
 func (s *Server) handleReplace(w http.ResponseWriter, name string, req updateRequest) {
-	oldInst, ok, err := s.cfg.Cluster.InstantiateByKey(name, req.Key)
+	res, err := s.cfg.Cluster.ReplaceByKey(name, req.Key, req.Instance)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "instantiate: %v", err)
-		return
-	}
-	if !ok {
-		writeError(w, http.StatusNotFound, "no %s instance with that key", name)
-		return
-	}
-	res, err := s.cfg.Cluster.ReplaceInstance(name, oldInst, req.Instance)
-	if err != nil {
+		if vupdate.ReasonOf(err) == vupdate.ReasonNoInstance {
+			writeError(w, http.StatusNotFound, "no %s instance with that key", name)
+			return
+		}
 		writeError(w, updateStatus(err), "replace rejected: %v", err)
 		return
 	}

@@ -10,11 +10,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"penguin/internal/obs"
 	"penguin/internal/oql"
 	"penguin/internal/reldb"
 	"penguin/internal/reldb/shard"
+	"penguin/internal/structural"
 	"penguin/internal/university"
 	"penguin/internal/viewobject"
 	"penguin/internal/vupdate"
@@ -374,9 +376,11 @@ func TestPeninsulaDeleteTranslatesOnce(t *testing.T) {
 }
 
 // TestUpdateErrors pins the status mapping: 405 for a verbless POST and
-// for a read-only object, 404 for an unknown verb, 400 for a malformed
-// key, 409 for a §5 rejection and for a replacement that would re-home
-// the pivot key (ErrCrossShardMove) instead of migrating the island.
+// for a read-only object, 404 for an unknown verb and for a replacement
+// of a missing instance, 400 for a malformed key, 409 for a §5
+// rejection (a deletion of a missing instance among them) and for a
+// replacement that would re-home the pivot key (ErrCrossShardMove)
+// instead of migrating the island.
 func TestUpdateErrors(t *testing.T) {
 	forEachN(t, func(t *testing.T, n int) {
 		s, c, _ := newTestServer(t, n, Config{})
@@ -392,6 +396,12 @@ func TestUpdateErrors(t *testing.T) {
 		code, doc := do(t, s, "POST", "/objects/omega:delete", map[string]any{"key": []any{"NOPE999"}})
 		if code != http.StatusConflict {
 			t.Errorf("delete of a missing instance = %d (%v), want 409", code, doc)
+		}
+		_, cs345 := do(t, s, "GET", "/objects/omega/CS345", nil)
+		cs345["CourseID"] = "NOPE999"
+		code, doc = do(t, s, "POST", "/objects/omega:replace", map[string]any{"key": []any{"NOPE999"}, "instance": cs345})
+		if code != http.StatusNotFound {
+			t.Errorf("replace of a missing instance = %d (%v), want 404", code, doc)
 		}
 
 		// ω′: one shard takes its updates like the plain database always
@@ -438,6 +448,92 @@ func TestUpdateErrors(t *testing.T) {
 			t.Errorf("cross-shard move = %d (%v), want 409", code, doc)
 		}
 	})
+}
+
+// TestReplaceSeesConcurrentCommit: a replacement replaces the instance
+// as its own write transaction finds it. The test holds the home
+// shard's writer with a transaction adding a GRADES row to CS345,
+// starts a replacement of CS345 built from a GET taken before that row
+// existed, then commits. The replacement runs after the insert, so the
+// serial order is insert → replace: the instance ends as the body says
+// and the new row is deleted, not left behind as a component the
+// replacement never saw; the integrity audit is as it was.
+func TestReplaceSeesConcurrentCommit(t *testing.T) {
+	forEachN(t, func(t *testing.T, n int) {
+		s, c, _ := newTestServer(t, n, Config{})
+		audit0 := auditShards(t, c)
+		_, doc := do(t, s, "GET", "/objects/omega/CS345", nil)
+		doc["Title"] = "Replaced While Held"
+		body, err := json.Marshal(map[string]any{"key": []any{"CS345"}, "instance": doc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		home, err := c.HomeOf("omega", reldb.Tuple{reldb.String("CS345")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		held := c.DB(home).Begin()
+		if err := held.Insert(university.Grades, reldb.Tuple{
+			reldb.String("CS345"), reldb.Int(2), reldb.String("Spr92"), reldb.String("B")}); err != nil {
+			held.Rollback()
+			t.Fatal(err)
+		}
+		type reply struct {
+			code int
+			body string
+		}
+		done := make(chan reply)
+		go func() {
+			w := httptest.NewRecorder()
+			s.Handler().ServeHTTP(w, httptest.NewRequest("POST", "/objects/omega:replace", bytes.NewReader(body)))
+			done <- reply{w.Code, w.Body.String()}
+		}()
+		// Let the replacement reach the writer, so anything it reads
+		// before taking the writer predates the insert. The outcome does
+		// not hang on the wait: a replacement that reads inside its
+		// transaction sees the insert however the two interleave.
+		time.Sleep(50 * time.Millisecond)
+		if err := held.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		r := <-done
+		if r.code != http.StatusOK {
+			t.Fatalf("replace = %d: %s", r.code, r.body)
+		}
+		_, after := do(t, s, "GET", "/objects/omega/CS345", nil)
+		normalize(doc)
+		normalize(after)
+		if !reflect.DeepEqual(after, doc) {
+			t.Errorf("after insert → replace, CS345 is\n%v\nwant the replacement\n%v", after, doc)
+		}
+		if got := auditShards(t, c); got != audit0 {
+			t.Errorf("the replacement changed the integrity audit:\n%s\nwant\n%s", got, audit0)
+		}
+	})
+}
+
+// auditShards renders every shard's integrity audit. One shard is
+// clean; over several, replicated CURRICULUM rows dangle into the
+// COURSES rows other shards hold, so a test compares the audit before
+// and after an update.
+func auditShards(t *testing.T, c *shard.Cluster) string {
+	t.Helper()
+	var b strings.Builder
+	for i := 0; i < c.N(); i++ {
+		def, err := c.Object("omega", i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs, err := (&structural.Integrity{G: def.Graph()}).Audit(c.DB(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.N() == 1 && len(vs) != 0 {
+			t.Errorf("one shard:\n%s", structural.FormatViolations(vs))
+		}
+		fmt.Fprintf(&b, "shard %d:\n%s\n", i, structural.FormatViolations(vs))
+	}
+	return b.String()
 }
 
 // TestHiddenAttributeRejected: a document may write only what its view

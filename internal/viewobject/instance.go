@@ -2,6 +2,7 @@ package viewobject
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -60,11 +61,97 @@ func MustNewInstance(def *Definition, pivotTuple reldb.Tuple) *Instance {
 }
 
 func newInstNode(def *Definition, n *Node, tuple reldb.Tuple) (*InstNode, error) {
-	schema := def.schemaOf(n)
-	if err := schema.CheckTuple(tuple); err != nil {
-		return nil, fmt.Errorf("viewobject: instance node %s: %w", n.ID, err)
+	if err := checkComponent(def, n, tuple); err != nil {
+		return nil, err
 	}
 	return &InstNode{node: n, tuple: tuple.Clone()}, nil
+}
+
+// checkComponent checks a client's tuple for a component of node n.
+func checkComponent(def *Definition, n *Node, tuple reldb.Tuple) error {
+	if err := def.schemaOf(n).CheckTuple(tuple); err != nil {
+		return fmt.Errorf("viewobject: instance node %s: %w", n.ID, err)
+	}
+	return nil
+}
+
+// BuildInstance builds an instance of def from its n components, given
+// in preorder: component(i) returns the i-th one's definition node, the
+// position of its parent component (-1 for the pivot, which comes
+// first; a parent precedes its children, and siblings come in order)
+// and its full-width tuple. Every tuple is checked as NewInstance and
+// AddChild check it, and the first failure in preorder is the error.
+// The instance is built in one allocation per kind: the components in
+// one slab, every value copied into one backing array, the child lists
+// carved from one pointer array — each a full-capacity slice, so a
+// later AddChild or SetTuple reallocates instead of writing into a
+// neighbour. The caller's tuples are not retained.
+func BuildInstance(def *Definition, n int, component func(i int) (node *Node, parent int, tuple reldb.Tuple)) (*Instance, error) {
+	if n < 1 {
+		return nil, fmt.Errorf("viewobject: %s: an instance needs its pivot component", def.Name)
+	}
+	slab := make([]InstNode, n)
+	// Pass 1 checks every component and sizes the arrays: list[i] is the
+	// child-list header component i goes into, base[p] one past the first
+	// header of component p's lists (0 while it has no child), count[h]
+	// the length of list h.
+	scratch := make([]int, 2*n, 3*n)
+	list, base, count := scratch[:n], scratch[n:], scratch[2*n:]
+	values := 0
+	for i := range slab {
+		node, parent, tuple := component(i)
+		if i == 0 {
+			if node != def.root || parent != -1 {
+				return nil, fmt.Errorf("viewobject: %s: the first component must be the pivot", def.Name)
+			}
+		} else {
+			if parent < 0 || parent >= i {
+				return nil, fmt.Errorf("viewobject: %s: component %d: parent %d does not precede it", def.Name, i, parent)
+			}
+			p := &slab[parent]
+			pos := slices.Index(p.node.Children, node)
+			if pos < 0 {
+				return nil, noChild(p.node, node.ID)
+			}
+			if base[parent] == 0 {
+				base[parent] = len(count) + 1
+				for range p.node.Children {
+					count = append(count, 0)
+				}
+			}
+			list[i] = base[parent] - 1 + pos
+			count[list[i]]++
+		}
+		if err := checkComponent(def, node, tuple); err != nil {
+			return nil, err
+		}
+		slab[i] = InstNode{node: node, tuple: tuple}
+		values += len(tuple)
+	}
+	// Pass 2 copies the tuples and links every component into its list.
+	vals := make([]reldb.Value, values)
+	ptrs := make([]*InstNode, n-1)
+	heads := make([][]*InstNode, len(count))
+	off := 0
+	for h, c := range count {
+		heads[h] = ptrs[off : off : off+c]
+		off += c
+	}
+	off = 0
+	for i := range slab {
+		in := &slab[i]
+		w := copy(vals[off:], in.tuple)
+		in.tuple = vals[off : off+w : off+w]
+		off += w
+		if b := base[i]; b > 0 {
+			w := len(in.node.Children)
+			in.children = heads[b-1 : b-1+w : b-1+w]
+		}
+		if i > 0 {
+			heads[list[i]] = append(heads[list[i]], in)
+		}
+	}
+	return &Instance{def: def, root: &slab[0]}, nil
 }
 
 // adoptNode wraps a pivot tuple a relation just handed out. Unlike
@@ -155,12 +242,7 @@ func (l ChildList) At(i int) *InstNode { return l.kids[i] }
 func (n *InstNode) AddChild(def *Definition, childID string, tuple reldb.Tuple) (*InstNode, error) {
 	pos := n.childPos(childID)
 	if pos < 0 {
-		var have []string
-		for _, c := range n.node.Children {
-			have = append(have, c.ID)
-		}
-		return nil, fmt.Errorf("viewobject: node %s has no child %s (have %s)",
-			n.node.ID, childID, strings.Join(have, ", "))
+		return nil, noChild(n.node, childID)
 	}
 	cn, err := newInstNode(def, n.node.Children[pos], tuple)
 	if err != nil {
@@ -171,6 +253,17 @@ func (n *InstNode) AddChild(def *Definition, childID string, tuple reldb.Tuple) 
 	}
 	n.children[pos] = append(n.children[pos], cn)
 	return cn, nil
+}
+
+// noChild is the error for a component under n whose node is not one
+// of n's children.
+func noChild(n *Node, childID string) error {
+	var have []string
+	for _, c := range n.Children {
+		have = append(have, c.ID)
+	}
+	return fmt.Errorf("viewobject: node %s has no child %s (have %s)",
+		n.ID, childID, strings.Join(have, ", "))
 }
 
 // MustAddChild is AddChild that panics on error (fixtures).
@@ -217,31 +310,67 @@ func (i *Instance) Count(nodeID string) int { return len(i.NodesAt(nodeID)) }
 
 // Clone deep-copies the instance; mutating the copy leaves the original
 // untouched. Update requests typically clone the current instance and
-// edit the copy.
+// edit the copy. The copy's components are built in one slab, their
+// child lists carved out of one pointer array. Tuple slices are shared,
+// not copied: values are immutable and every mutation path (SetTuple,
+// and SetAttr through it) installs a freshly allocated slice instead of
+// writing elements in place, so the original and the clone can never
+// observe each other's edits.
 func (i *Instance) Clone() *Instance {
-	return &Instance{def: i.def, root: i.root.clone()}
+	nodes, lists := i.root.size()
+	c := slabCloner{
+		slab:  make([]InstNode, nodes),
+		ptrs:  make([]*InstNode, nodes-1),
+		heads: make([][]*InstNode, lists),
+	}
+	return &Instance{def: i.def, root: c.copy(i.root)}
 }
 
-func (n *InstNode) clone() *InstNode {
-	// The tuple slice is shared, not copied: values are immutable and
-	// every mutation path (SetTuple, and SetAttr through With) installs
-	// a freshly allocated slice instead of writing elements in place, so
-	// the original and the clone can never observe each other's edits.
-	c := &InstNode{node: n.node, tuple: n.tuple}
-	if n.children != nil {
-		c.children = make([][]*InstNode, len(n.children))
-		for pos, kids := range n.children {
-			if len(kids) == 0 {
-				continue
-			}
-			ck := make([]*InstNode, len(kids))
-			for j, k := range kids {
-				ck[j] = k.clone()
-			}
-			c.children[pos] = ck
+// size counts the components of the subtree at n and the child-list
+// headers they carry.
+func (n *InstNode) size() (nodes, lists int) {
+	nodes, lists = 1, len(n.children)
+	for _, kids := range n.children {
+		for _, k := range kids {
+			kn, kl := k.size()
+			nodes += kn
+			lists += kl
 		}
 	}
-	return c
+	return nodes, lists
+}
+
+// slabCloner hands out the remaining slab, pointer and header space of
+// a Clone.
+type slabCloner struct {
+	slab  []InstNode
+	ptrs  []*InstNode
+	heads [][]*InstNode
+}
+
+func (c *slabCloner) copy(src *InstNode) *InstNode {
+	dst := &c.slab[0]
+	c.slab = c.slab[1:]
+	dst.node, dst.tuple = src.node, src.tuple
+	if src.children == nil {
+		return dst
+	}
+	w := len(src.children)
+	dst.children, c.heads = c.heads[:w:w], c.heads[w:]
+	for pos, kids := range src.children {
+		if len(kids) == 0 {
+			continue
+		}
+		// Full capacity: a later AddChild reallocates the list instead of
+		// writing into a neighbour's.
+		list := c.ptrs[:len(kids):len(kids)]
+		c.ptrs = c.ptrs[len(kids):]
+		for j, k := range kids {
+			list[j] = c.copy(k)
+		}
+		dst.children[pos] = list
+	}
+	return dst
 }
 
 // SetTuple replaces the component's tuple (validated against the base

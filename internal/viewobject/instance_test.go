@@ -406,3 +406,93 @@ func TestSharedTuplesAreInvisible(t *testing.T) {
 		t.Error("the clone's edits did not take")
 	}
 }
+
+// component is one BuildInstance input.
+type component struct {
+	node   string
+	parent int
+	tuple  reldb.Tuple
+}
+
+func buildFrom(om *Definition, comps []component) (*Instance, error) {
+	return BuildInstance(om, len(comps), func(i int) (*Node, int, reldb.Tuple) {
+		n, _ := om.Node(comps[i].node)
+		return n, comps[i].parent, comps[i].tuple
+	})
+}
+
+// TestBuildInstance: the slab constructor builds what NewInstance and
+// AddChild build from the same components, whatever the order of the
+// child nodes in the preorder; a slab's lists and tuples are full
+// capacity, so appending to or rewriting one component leaves its
+// neighbours alone; and malformed input is an error — a bad tuple with
+// AddChild's text, the first in preorder — never a panic.
+func TestBuildInstance(t *testing.T) {
+	_, om := seededOmega(t)
+	s, i := reldb.String, reldb.Int
+	comps := []component{
+		{university.Courses, -1, reldb.Tuple{s("CS999"), s("T"), s("Computer Science"), i(3), s("graduate")}},
+		{university.Grades, 0, reldb.Tuple{s("CS999"), i(1), s("Win91"), s("A")}},
+		{university.Student, 1, reldb.Tuple{i(1), s("PhD"), i(3)}},
+		{university.Department, 0, reldb.Tuple{s("Computer Science"), s("Gates"), reldb.Float(1)}},
+		{university.Grades, 0, reldb.Tuple{s("CS999"), i(4), s("Win91"), s("B")}},
+		{university.Student, 4, reldb.Tuple{i(4), s("BS"), i(4)}},
+	}
+	got, err := buildFrom(om, comps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := MustNewInstance(om, comps[0].tuple)
+	added := []*InstNode{want.Root()}
+	for _, c := range comps[1:] {
+		added = append(added, added[c.parent].MustAddChild(om, c.node, c.tuple))
+	}
+	if got.Render() != want.Render() {
+		t.Fatalf("BuildInstance:\n%s\nNewInstance and AddChild:\n%s", got.Render(), want.Render())
+	}
+	comps[1].tuple[3] = s("F") // the caller's tuples are copied
+	grades := got.Root().Children(university.Grades)
+	if g, _ := grades[0].Get(om, "Grade"); g.MustString() != "A" {
+		t.Fatalf("the instance shares the caller's tuple: Grade = %s", g)
+	}
+	grades[0].MustAddChild(om, university.Student, reldb.Tuple{i(2), s("MS"), i(1)})
+	if st := grades[1].Children(university.Student); len(st) != 1 || !st[0].Value(0).Equal(i(4)) {
+		t.Fatalf("AddChild on one grade changed its neighbour's students: %v", st)
+	}
+	if err := grades[0].SetAttr(om, "Grade", s("C")); err != nil {
+		t.Fatal(err)
+	}
+	if g, _ := grades[1].Get(om, "Grade"); g.MustString() != "B" {
+		t.Fatalf("SetAttr on one grade rewrote its neighbour: Grade = %s", g)
+	}
+
+	bad := func(edit func([]component) []component) error {
+		c := append([]component(nil), comps...)
+		_, err := buildFrom(om, edit(c))
+		return err
+	}
+	_, wantErr := want.Root().AddChild(om, university.Grades, reldb.Tuple{s("CS999"), s("x"), reldb.Null(), reldb.Null()})
+	for name, edit := range map[string]func([]component) []component{
+		"bad tuple, then another": func(c []component) []component {
+			c[1] = component{university.Grades, 0, reldb.Tuple{s("CS999"), s("x"), reldb.Null(), reldb.Null()}}
+			c[3] = component{university.Department, 0, reldb.Tuple{i(1)}}
+			return c
+		},
+		"no pivot first":         func(c []component) []component { return c[1:] },
+		"parent after its child": func(c []component) []component { c[2].parent = 5; return c },
+		"not a child of its parent": func(c []component) []component {
+			c[2].parent = 0
+			return c
+		},
+		"none": func([]component) []component { return nil },
+	} {
+		err := bad(edit)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		if name == "bad tuple, then another" && err.Error() != wantErr.Error() {
+			t.Errorf("%s: %v, want AddChild's %v", name, err, wantErr)
+		}
+	}
+}

@@ -17,22 +17,29 @@ func (u *Updater) DeleteByKey(key reldb.Tuple) (*Result, error) {
 	return u.run(func(s *session) error {
 		var inst *viewobject.Instance
 		if err := s.step(obs.StepLocalValidate, func() error {
-			var ok bool
 			var err error
-			inst, ok, err = viewobject.InstantiateByKeyOp(s.tx, s.def, key, s.op)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return fmt.Errorf("vupdate: %s: no instance with key %s: %w",
-					s.def.Name, key, reldb.ErrNoSuchTuple)
-			}
-			return nil
+			inst, err = s.instanceAt(key)
+			return err
 		}); err != nil {
 			return err
 		}
 		return s.deleteInstance(inst)
 	})
+}
+
+// instanceAt assembles the instance whose object key is key inside the
+// session's transaction; a missing one is an error wrapping
+// reldb.ErrNoSuchTuple.
+func (s *session) instanceAt(key reldb.Tuple) (*viewobject.Instance, error) {
+	inst, ok, err := viewobject.InstantiateByKeyOp(s.tx, s.def, key, s.op)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("vupdate: %s: no instance with key %s: %w",
+			s.def.Name, key, reldb.ErrNoSuchTuple)
+	}
+	return inst, nil
 }
 
 // deleteInstance implements VO-CD:

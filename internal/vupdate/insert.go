@@ -36,23 +36,23 @@ func (s *session) insertInstance(inst *viewobject.Instance) error {
 	if !s.tr.AllowInsertion {
 		return reject("vupdate: %s: insertion of object instances is not allowed", s.def.Name)
 	}
+	topo := s.tr.Topology()
 	if err := s.step(obs.StepLocalValidate, func() error {
-		return validateConnections(s.def, inst.Root())
+		return validateConnections(s.def, topo.root, inst.Root())
 	}); err != nil {
 		return err
 	}
-	topo := s.tr.Topology()
 	var touched []relTuple
 	if err := s.step(obs.StepTranslate, func() error {
 		// Walk the definition preorder so owners precede owned tuples.
-		for _, node := range s.def.Nodes() {
-			for _, in := range inst.NodesAt(node.ID) {
-				t, err := s.insertComponent(topo, node, in.Tuple())
+		for _, p := range topo.plans {
+			for _, in := range inst.NodesAt(p.node.ID) {
+				t, err := s.insertComponent(p, in.Tuple())
 				if err != nil {
 					return err
 				}
 				if t != nil {
-					touched = append(touched, relTuple{node.Relation, t})
+					touched = append(touched, relTuple{p.node.Relation, t})
 				}
 			}
 		}
@@ -78,40 +78,34 @@ type relTuple struct {
 	tuple reldb.Tuple
 }
 
-// insertComponent applies the three VO-CI cases to one component tuple.
-// It returns the tuple now present in the database when the database was
-// modified, and nil when the case required no operation.
-func (s *session) insertComponent(topo *Topology, node *viewobject.Node, tuple reldb.Tuple) (reldb.Tuple, error) {
+// insertComponent applies the three VO-CI cases to one component tuple
+// of p's node. It returns the tuple now present in the database when the
+// database was modified, and nil when the case required no operation.
+func (s *session) insertComponent(p *nodePlan, tuple reldb.Tuple) (reldb.Tuple, error) {
+	node := p.node
 	rel, err := s.relation(node.Relation)
 	if err != nil {
 		return nil, err
 	}
-	schema := rel.Schema()
-	if err := schema.CheckTuple(tuple); err != nil {
+	if err := p.schema.CheckTuple(tuple); err != nil {
 		return nil, fmt.Errorf("vupdate: %s: component %s: %w", s.def.Name, node.ID, err)
 	}
-	inIsland := topo.InIsland(node.ID)
-	key := schema.KeyOf(tuple)
+	key := p.schema.KeyOf(tuple)
 	existing, exists := rel.Get(key)
 
-	projIdx, err := schema.Indices(node.Attrs)
-	if err != nil {
-		return nil, err
-	}
-
 	switch {
-	case exists && projectedEqual(tuple, existing, projIdx):
+	case exists && projectedEqual(tuple, existing, p.proj):
 		// CASE 1: an identical tuple exists.
-		if inIsland {
+		if p.island {
 			return nil, rejectAs(ReasonConflict, "vupdate: %s: identical %s tuple %s already exists in the dependency island",
 				s.def.Name, node.ID, key)
 		}
 		return nil, nil
 	case !exists:
 		// CASE 2: the key is free.
-		if !inIsland {
-			p := s.tr.outsidePolicy(node.ID)
-			if !p.Modifiable || !p.AllowInsert {
+		if !p.island {
+			pol := s.tr.outsidePolicy(node.ID)
+			if !pol.Modifiable || !pol.AllowInsert {
 				return nil, reject("vupdate: %s: the application is not allowed to insert tuples in %s",
 					s.def.Name, node.Relation)
 			}
@@ -122,19 +116,19 @@ func (s *session) insertComponent(topo *Topology, node *viewobject.Node, tuple r
 		return tuple, nil
 	default:
 		// CASE 3: the key exists with differing values.
-		if inIsland {
+		if p.island {
 			return nil, rejectAs(ReasonConflict, "vupdate: %s: %s tuple with key %s exists with conflicting values",
 				s.def.Name, node.ID, key)
 		}
-		p := s.tr.outsidePolicy(node.ID)
-		if !p.Modifiable || !p.AllowModifyExisting {
+		pol := s.tr.outsidePolicy(node.ID)
+		if !pol.Modifiable || !pol.AllowModifyExisting {
 			return nil, reject("vupdate: %s: the application is not allowed to modify tuples of %s",
 				s.def.Name, node.Relation)
 		}
 		// Merge the projected attributes into the existing tuple so
 		// attributes outside the projection keep their stored values.
 		merged := existing.Clone()
-		for _, j := range projIdx {
+		for _, j := range p.proj {
 			merged[j] = tuple[j]
 		}
 		if err := s.replace(node.Relation, key, merged); err != nil {

@@ -23,8 +23,11 @@
 package vupdate
 
 import (
+	"fmt"
+	"slices"
 	"sort"
 
+	"penguin/internal/reldb"
 	"penguin/internal/structural"
 	"penguin/internal/viewobject"
 )
@@ -74,6 +77,100 @@ type Topology struct {
 	Def *viewobject.Definition
 	// Class maps node ID to its class.
 	Class map[string]NodeClass
+
+	// root is the translation plan of the pivot node; plans holds every
+	// node's plan in definition preorder.
+	root  *nodePlan
+	plans []*nodePlan
+}
+
+// nodePlan is what the translation algorithms need of one definition
+// node, resolved once when the topology is analyzed: the translator is
+// fixed at definition time (§6), so no request re-derives an index set
+// or a class. The translator's policy maps (Island, Outside, Peninsula)
+// are exported and mutable, so they stay run-time reads.
+type nodePlan struct {
+	node   *viewobject.Node
+	schema *reldb.Schema
+	class  NodeClass
+	island bool
+	proj   []int // the projected attributes
+	key    []int // the key attributes
+	all    []int // every attribute: a pair's sort key encodes these
+	// pairing is what VO-R pairs this node's old and new components on:
+	// the key complement (the key part not inherited from the parent)
+	// for an island child linked by one connection, the full key
+	// otherwise.
+	pairing []int
+	// src and tgt are the parent edge's attributes, in the parent's
+	// schema and in this node's; set only for a single-connection path.
+	src, tgt []int
+	// follows says step 1 rewrites tgt from the parent's src values: an
+	// island child inherits its parent's key, and a child referencing
+	// its parent carries a system-maintained foreign key.
+	follows bool
+	kids    []*nodePlan // per position in node.Children
+}
+
+// planNode resolves the plan of n (whose parent's plan is parent) and
+// of every node below it, appending them to t.plans in preorder.
+func (t *Topology) planNode(n *viewobject.Node, parent *nodePlan) *nodePlan {
+	schema := t.Def.NodeSchema(n)
+	p := &nodePlan{
+		node:   n,
+		schema: schema,
+		class:  t.Class[n.ID],
+		island: t.InIsland(n.ID),
+		proj:   mustIndices(schema, n.Attrs),
+		key:    schema.Key(),
+		all:    make([]int, schema.Arity()),
+	}
+	for i := range p.all {
+		p.all[i] = i
+	}
+	p.pairing = p.key
+	if len(n.Path) == 1 {
+		e := n.Path[0]
+		p.src = mustIndices(parent.schema, e.SourceAttrs())
+		p.tgt = mustIndices(schema, e.TargetAttrs())
+		p.follows = p.island || (!e.Forward && e.Conn.Type == structural.Reference)
+		if p.island {
+			var complement []int
+			for _, k := range p.key {
+				if !slices.Contains(p.tgt, k) {
+					complement = append(complement, k)
+				}
+			}
+			if len(complement) > 0 {
+				p.pairing = complement
+			}
+		}
+	}
+	t.plans = append(t.plans, p)
+	for _, c := range n.Children {
+		p.kids = append(p.kids, t.planNode(c, p))
+	}
+	return p
+}
+
+// mustIndices resolves attribute names a validated definition holds:
+// its projections and the attributes of the connections it crosses.
+func mustIndices(schema *reldb.Schema, names []string) []int {
+	idx, err := schema.Indices(names)
+	if err != nil {
+		panic(fmt.Sprintf("vupdate: %v", err)) // definitions are validated against the database
+	}
+	return idx
+}
+
+// planOf returns the plan of a node of the definition.
+func (t *Topology) planOf(n *viewobject.Node) *nodePlan {
+	for _, p := range t.plans {
+		if p.node == n {
+			return p
+		}
+	}
+	panic(fmt.Sprintf("vupdate: node %s is not in %s", n.ID, t.Def.Name))
 }
 
 // Analyze computes the dependency island, the referencing peninsulas, and
@@ -119,6 +216,7 @@ func Analyze(def *viewobject.Definition) *Topology {
 		}
 		t.Class[n.ID] = classifyOutside(g, n.Relation, islandRels)
 	}
+	t.root = t.planNode(def.Root(), nil)
 	return t
 }
 

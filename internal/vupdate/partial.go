@@ -39,8 +39,7 @@ func (u *Updater) PartialInsert(pivotKey reldb.Tuple, nodeID string, tuple reldb
 		if err != nil {
 			return err
 		}
-		topo := s.tr.Topology()
-		t, err := s.insertComponent(topo, node, tuple)
+		t, err := s.insertComponent(s.tr.Topology().planOf(node), tuple)
 		if err != nil {
 			return err
 		}
@@ -125,7 +124,9 @@ func (u *Updater) PartialUpdate(pivotKey reldb.Tuple, nodeID string, oldTuple, n
 		if err != nil {
 			return err
 		}
-		schema := s.schemaOf(node)
+		topo := s.tr.Topology()
+		p := topo.planOf(node)
+		schema := p.schema
 		if err := schema.CheckTuple(newTuple); err != nil {
 			return fmt.Errorf("vupdate: %s: component %s: %w", s.def.Name, nodeID, err)
 		}
@@ -137,28 +138,23 @@ func (u *Updater) PartialUpdate(pivotKey reldb.Tuple, nodeID string, oldTuple, n
 			return rejectAs(ReasonNoInstance, "vupdate: %s: %s tuple %s does not belong to instance %s",
 				s.def.Name, nodeID, schema.KeyOf(oldTuple), pivotKey)
 		}
-		topo := s.tr.Topology()
-		rc := &replaceCtx{s: s, topo: topo, keyMap: make(map[string]map[string]keyChange)}
-		projIdx, err := schema.Indices(node.Attrs)
-		if err != nil {
-			return err
-		}
+		rc := &replaceCtx{s: s, topo: topo}
 		oldKey, newKey := schema.KeyOf(oldTuple), schema.KeyOf(newTuple)
 		switch {
-		case projectedEqual(oldTuple, newTuple, projIdx):
+		case projectedEqual(oldTuple, newTuple, p.proj):
 			return nil
 		case oldKey.Equal(newKey):
-			if err := rc.replaceSameKey(node, schema, oldKey, newTuple, projIdx); err != nil {
+			if err := rc.replaceSameKey(p, oldKey, newTuple); err != nil {
 				return err
 			}
 		default:
-			switch topo.Class[node.ID] {
+			switch p.class {
 			case ClassPivot, ClassIsland:
-				if err := rc.replaceIslandKey(node, schema, oldTuple, newTuple, projIdx); err != nil {
+				if err := rc.replaceIslandKey(p, oldTuple, newTuple); err != nil {
 					return err
 				}
 			case ClassReferenced:
-				if err := rc.insertOrMendOutside(node, schema, newTuple, projIdx); err != nil {
+				if err := rc.insertOrMendOutside(p, newTuple); err != nil {
 					return err
 				}
 			default:
@@ -208,7 +204,7 @@ func (s *session) pivotTuple(pivotKey reldb.Tuple) (reldb.Tuple, error) {
 // the tuple's key.
 func (s *session) connectedToInstance(pivotTuple reldb.Tuple, node *viewobject.Node, tuple reldb.Tuple) (bool, error) {
 	if node == s.def.Root() {
-		rootSchema := s.schemaOf(s.def.Root())
+		rootSchema := s.def.NodeSchema(node)
 		return rootSchema.KeyOf(pivotTuple).Equal(rootSchema.KeyOf(tuple)), nil
 	}
 	var full []structural.Edge
@@ -219,7 +215,7 @@ func (s *session) connectedToInstance(pivotTuple reldb.Tuple, node *viewobject.N
 	if err != nil {
 		return false, err
 	}
-	schema := s.schemaOf(node)
+	schema := s.def.NodeSchema(node)
 	want := schema.EncodeKeyOf(tuple)
 	for _, rt := range reached {
 		if schema.EncodeKeyOf(rt) == want {

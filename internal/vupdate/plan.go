@@ -275,15 +275,6 @@ func (s *session) relation(name string) (*reldb.Relation, error) {
 	return s.tx.Relation(name)
 }
 
-// schemaOf returns the base schema of a node's relation.
-func (s *session) schemaOf(n *viewobject.Node) *reldb.Schema {
-	rel, err := s.tx.Relation(n.Relation)
-	if err != nil {
-		panic(err) // definitions are validated against the database
-	}
-	return rel.Schema()
-}
-
 // reject builds a translator-policy rejection (the default reason; use
 // rejectAs to tag a more specific one).
 func reject(format string, args ...any) error {

@@ -40,7 +40,7 @@ func TestPropagateIslandKeysMatchesParentExactly(t *testing.T) {
 	for i, k := range []reldb.Value{reldb.Float(0), reldb.Float(math.Copysign(0, -1)), reldb.Int(0), reldb.Float(5)} {
 		inst.Root().MustAddChild(def, "C", reldb.Tuple{k, reldb.Int(int64(i))})
 	}
-	if err := propagateIslandKeys(def, Analyze(def), inst.Root()); err != nil {
+	if err := propagateIslandKeys(def, Analyze(def).root, inst.Root()); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range inst.Root().Children("C") {

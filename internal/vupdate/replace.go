@@ -1,6 +1,7 @@
 package vupdate
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -33,6 +34,9 @@ import (
 //     across ownership and subset connections leaving the island, and the
 //     recursive dependency repair of §5.2 runs for every tuple the
 //     translation inserted or replaced.
+//
+// oldInst is taken as the instance's current state. ReplaceByKey reads
+// that state inside the update's own transaction instead.
 func (u *Updater) ReplaceInstance(oldInst, newInst *viewobject.Instance) (*Result, error) {
 	if err := u.checkInstance(oldInst); err != nil {
 		return nil, err
@@ -41,6 +45,24 @@ func (u *Updater) ReplaceInstance(oldInst, newInst *viewobject.Instance) (*Resul
 		return nil, err
 	}
 	return u.run(func(s *session) error {
+		return s.replaceInstance(oldInst, newInst)
+	})
+}
+
+// ReplaceByKey is ReplaceInstance of the instance whose object key is
+// key: the instance is assembled inside the update's write transaction,
+// as DeleteByKey does, so the translation replaces exactly what the
+// commit overwrites — a write that committed before this one began is
+// part of the old side.
+func (u *Updater) ReplaceByKey(key reldb.Tuple, newInst *viewobject.Instance) (*Result, error) {
+	if err := u.checkInstance(newInst); err != nil {
+		return nil, err
+	}
+	return u.run(func(s *session) error {
+		oldInst, err := s.instanceAt(key)
+		if err != nil {
+			return err
+		}
 		return s.replaceInstance(oldInst, newInst)
 	})
 }
@@ -55,23 +77,19 @@ func (s *session) replaceInstance(oldInst, newInst *viewobject.Instance) error {
 	// Step 1: propagation within the view object, then local validation
 	// of the propagated replacing instance.
 	if err := s.step(obs.StepPropagate, func() error {
-		return propagateIslandKeys(s.def, topo, newInst.Root())
+		return propagateIslandKeys(s.def, topo.root, newInst.Root())
 	}); err != nil {
 		return err
 	}
 	if err := s.step(obs.StepLocalValidate, func() error {
-		return validateConnections(s.def, newInst.Root())
+		return validateConnections(s.def, topo.root, newInst.Root())
 	}); err != nil {
 		return err
 	}
 	// Step 2: translation (state machine).
-	rc := &replaceCtx{
-		s:      s,
-		topo:   topo,
-		keyMap: make(map[string]map[string]keyChange),
-	}
+	rc := &replaceCtx{s: s, topo: topo}
 	if err := s.step(obs.StepTranslate, func() error {
-		return rc.walkPair(oldInst.Root(), newInst.Root(), stateR)
+		return rc.walkPair(topo.root, oldInst.Root(), newInst.Root(), stateR)
 	}); err != nil {
 		return err
 	}
@@ -79,6 +97,9 @@ func (s *session) replaceInstance(oldInst, newInst *viewobject.Instance) error {
 	return s.step(obs.StepGlobalValidate, func() error {
 		if err := rc.propagateKeyChanges(); err != nil {
 			return err
+		}
+		if len(rc.touched) == 0 {
+			return nil
 		}
 		seen := make(map[string]bool)
 		for _, rt := range rc.touched {
@@ -95,50 +116,34 @@ func (s *session) replaceInstance(oldInst, newInst *viewobject.Instance) error {
 // (the complement A_j stays as given; the inherited part follows the
 // parent — §5.3 "a change to A_j has to be propagated down to R_j's
 // children in the dependency island"). Only single-connection island
-// paths carry inherited attributes.
-func propagateIslandKeys(def *viewobject.Definition, topo *Topology, in *viewobject.InstNode) error {
-	node := in.Node()
-	for _, child := range node.Children {
-		// Island children inherit key attributes from the parent;
-		// peninsula-style children (reached through a single inverse
-		// reference — they reference the parent) carry a system-maintained
-		// foreign key that must follow the parent's key. Both are
-		// rewritten from the (new) parent tuple.
-		follows := topo.InIsland(child.ID) ||
-			(len(child.Path) == 1 && !child.Path[0].Forward &&
-				child.Path[0].Conn.Type == structural.Reference)
-		if follows && len(child.Path) == 1 {
-			e := child.Path[0]
-			parentSchema := def.NodeSchema(node)
-			childSchema := def.NodeSchema(child)
-			srcIdx, err := parentSchema.Indices(e.SourceAttrs())
-			if err != nil {
-				return err
-			}
-			tgtIdx, err := childSchema.Indices(e.TargetAttrs())
-			if err != nil {
-				return err
-			}
-			kids := in.ChildList(child.ID)
+// paths carry inherited attributes. Peninsula-style children (reached
+// through a single inverse reference — they reference the parent) carry
+// a system-maintained foreign key that must follow the parent's key;
+// both are rewritten from the (new) parent tuple. p is the plan of in's
+// node.
+func propagateIslandKeys(def *viewobject.Definition, p *nodePlan, in *viewobject.InstNode) error {
+	for _, cp := range p.kids {
+		kids := in.ChildList(cp.node.ID)
+		if cp.follows {
 			for i := 0; i < kids.Len(); i++ {
 				// Only a child whose inherited values differ is rewritten.
 				// Identical, not Equal: Int 1 inherited from a Float 1.0,
 				// or -0 from 0, takes the parent's value too.
 				ci := kids.At(i)
-				if inherits(in, ci, srcIdx, tgtIdx) {
+				if inherits(in, ci, cp.src, cp.tgt) {
 					continue
 				}
 				nt := ci.Tuple()
-				for k, j := range tgtIdx {
-					nt[j] = in.Value(srcIdx[k])
+				for k, j := range cp.tgt {
+					nt[j] = in.Value(cp.src[k])
 				}
 				if err := ci.SetTuple(def, nt); err != nil {
 					return err
 				}
 			}
 		}
-		for _, ci := range in.Children(child.ID) {
-			if err := propagateIslandKeys(def, topo, ci); err != nil {
+		for i := 0; i < kids.Len(); i++ {
+			if err := propagateIslandKeys(def, cp, kids.At(i)); err != nil {
 				return err
 			}
 		}
@@ -155,6 +160,35 @@ func inherits(parent, child *viewobject.InstNode, srcIdx, tgtIdx []int) bool {
 		}
 	}
 	return true
+}
+
+// sameValues reports whether two components hold equal values at every
+// index of idx: the in-place form of projectedEqual (and, over the key
+// indices, of comparing KeyOf tuples).
+func sameValues(a, b *viewobject.InstNode, idx []int) bool {
+	for _, j := range idx {
+		if !a.Value(j).Equal(b.Value(j)) {
+			return false
+		}
+	}
+	return true
+}
+
+// keyOf builds the key tuple of a component, for handing to reldb.
+func keyOf(in *viewobject.InstNode, p *nodePlan) reldb.Tuple {
+	key := make(reldb.Tuple, len(p.key))
+	for i, j := range p.key {
+		key[i] = in.Value(j)
+	}
+	return key
+}
+
+// appendValues appends the key encoding of a component's values at idx.
+func appendValues(dst []byte, in *viewobject.InstNode, idx []int) []byte {
+	for _, j := range idx {
+		dst = reldb.AppendKey(dst, in.Value(j))
+	}
+	return dst
 }
 
 // machine states of algorithm VO-R.
@@ -175,12 +209,19 @@ type replaceCtx struct {
 	topo *Topology
 	// keyMap records island key replacements: relation → encoded old key
 	// → change. Used for peninsula foreign-key propagation and for the
-	// outward ownership/subset propagation of step 3.
+	// outward ownership/subset propagation of step 3. Nil until the
+	// first key replacement.
 	keyMap  map[string]map[string]keyChange
 	touched []relTuple
+	// keyA and keyB are pairKids' encoding buffers, reused across the
+	// walk: each call is done with them before the walk descends.
+	keyA, keyB []byte
 }
 
 func (rc *replaceCtx) recordKeyChange(rel string, oldKey, newKey reldb.Tuple) {
+	if rc.keyMap == nil {
+		rc.keyMap = make(map[string]map[string]keyChange)
+	}
 	m := rc.keyMap[rel]
 	if m == nil {
 		m = make(map[string]keyChange)
@@ -189,65 +230,61 @@ func (rc *replaceCtx) recordKeyChange(rel string, oldKey, newKey reldb.Tuple) {
 	m[reldb.EncodeValues(oldKey...)] = keyChange{oldKey: oldKey.Clone(), newKey: newKey.Clone()}
 }
 
-// walkPair processes one paired component (old, new) and recurses into
-// the paired children.
-func (rc *replaceCtx) walkPair(oldIn, newIn *viewobject.InstNode, state voState) error {
-	node := newIn.Node()
-	schema := rc.s.schemaOf(node)
-	ot, nt := oldIn.Tuple(), newIn.Tuple()
-	oldKey, newKey := schema.KeyOf(ot), schema.KeyOf(nt)
-
+// walkPair processes one paired component (old, new) of p's node and
+// recurses into the paired children. Both components are read in
+// place; a tuple is copied only where the walk writes it.
+func (rc *replaceCtx) walkPair(p *nodePlan, oldIn, newIn *viewobject.InstNode, state voState) error {
 	// CASE I-1: in state I with matching keys, go to state R staying
 	// with this tuple.
-	if state == stateI && oldKey.Equal(newKey) {
+	if state == stateI && sameValues(oldIn, newIn, p.key) {
 		state = stateR
 	}
 	var err error
 	switch {
-	case rc.topo.Class[node.ID] == ClassPeninsula:
+	case p.class == ClassPeninsula:
 		// Peninsula components are handled uniformly in either state:
 		// their foreign keys are system-maintained (step 3), their other
 		// key attributes are frozen, and non-key changes replace.
-		err = rc.handlePeninsula(node, schema, ot, nt)
+		err = rc.handlePeninsula(p, oldIn, newIn)
 	case state == stateR:
-		err = rc.handleR(node, schema, ot, nt)
+		err = rc.handleR(p, oldIn, newIn)
 	default:
-		err = rc.handleI(node, schema, ot, nt)
+		// Cases I-2, I-3 and I-4 (I-1 switched to state R above; the
+		// keys are known to differ).
+		err = rc.insertOrMendOutside(p, newIn.Tuple())
 	}
 	if err != nil {
 		return err
 	}
-	return rc.walkChildren(oldIn, newIn, state)
+	return rc.walkChildren(p, oldIn, newIn, state)
 }
 
 // walkChildren pairs the two components' children per child node and
 // recurses; unpaired new children become insertions, unpaired old
 // children inside the island become deletions.
-func (rc *replaceCtx) walkChildren(oldIn, newIn *viewobject.InstNode, state voState) error {
-	node := newIn.Node()
-	for _, child := range node.Children {
+func (rc *replaceCtx) walkChildren(p *nodePlan, oldIn, newIn *viewobject.InstNode, state voState) error {
+	for _, cp := range p.kids {
 		// Moving to the next relation down: state I outside the island,
 		// state R inside (from state R); state I stays I.
 		childState := stateI
-		if state == stateR && rc.topo.InIsland(child.ID) {
+		if state == stateR && cp.island {
 			childState = stateR
 		}
-		oldKids := oldIn.Children(child.ID)
-		newKids := newIn.Children(child.ID)
-		pairs, unpairedOld, unpairedNew := rc.pairKids(child, oldKids, newKids)
-		for _, p := range pairs {
-			if err := rc.walkPair(p[0], p[1], childState); err != nil {
+		id := cp.node.ID
+		pairs, unpairedOld, unpairedNew := rc.pairKids(cp, oldIn.ChildList(id), newIn.ChildList(id))
+		for _, pr := range pairs {
+			if err := rc.walkPair(cp, pr[0], pr[1], childState); err != nil {
 				return err
 			}
 		}
 		for _, n := range unpairedNew {
-			if err := rc.insertSubtree(n); err != nil {
+			if err := rc.insertSubtree(cp, n); err != nil {
 				return err
 			}
 		}
 		for _, o := range unpairedOld {
-			if rc.topo.InIsland(child.ID) {
-				if err := rc.s.deleteCascade(child.Relation, o.Tuple(), map[string]bool{}); err != nil {
+			if cp.island {
+				if err := rc.s.deleteCascade(cp.node.Relation, o.Tuple(), map[string]bool{}); err != nil {
 					return err
 				}
 			}
@@ -258,55 +295,93 @@ func (rc *replaceCtx) walkChildren(oldIn, newIn *viewobject.InstNode, state voSt
 	return nil
 }
 
-// pairKids aligns old and new child components. Island children linked by
-// a single connection pair on their key complement (the part of the key
-// not inherited from the parent), so a parent key change still pairs the
-// corresponding children; everything else pairs on the full key, with
-// leftovers paired positionally.
-func (rc *replaceCtx) pairKids(child *viewobject.Node, oldKids, newKids []*viewobject.InstNode) (
+// pairKids aligns the old and new components of p's node (a child of
+// the pair being walked). Each component's pairing key is p.pairing's
+// values: the key complement for an island child linked by one
+// connection, so a parent key change still pairs the corresponding
+// children; the full key otherwise. Lists of equal length whose keys
+// match at every index pair positionally; otherwise pairByKey pairs
+// them. Pairs are sorted, stably, by the new tuple's encoding.
+func (rc *replaceCtx) pairKids(p *nodePlan, oldKids, newKids viewobject.ChildList) (
 	pairs [][2]*viewobject.InstNode, unpairedOld, unpairedNew []*viewobject.InstNode) {
 
-	schema := rc.s.schemaOf(child)
-	extractor := schema.Key()
-	if rc.topo.InIsland(child.ID) && len(child.Path) == 1 {
-		inherited := make(map[int]bool)
-		if idx, err := schema.Indices(child.Path[0].TargetAttrs()); err == nil {
-			for _, j := range idx {
-				inherited[j] = true
-			}
+	if n := newKids.Len(); n == oldKids.Len() && rc.positional(p, oldKids, newKids) {
+		if n == 0 {
+			return nil, nil, nil
 		}
-		var complement []int
-		for _, k := range schema.Key() {
-			if !inherited[k] {
-				complement = append(complement, k)
-			}
+		// Every new component's key equals the old one's at its index:
+		// the k-th new component with a key takes the k-th old one with
+		// it, which is the one at its own index.
+		pairs = make([][2]*viewobject.InstNode, n)
+		for i := range pairs {
+			pairs[i] = [2]*viewobject.InstNode{oldKids.At(i), newKids.At(i)}
 		}
-		if len(complement) > 0 {
-			extractor = complement
+	} else {
+		pairs, unpairedOld, unpairedNew = pairByKey(p, oldKids, newKids)
+	}
+	if !rc.inOrder(p, pairs) {
+		sortPairs(p, pairs)
+	}
+	return pairs, unpairedOld, unpairedNew
+}
+
+// positional reports whether old and new component i hold the same
+// pairing key for every i (the lists have equal length).
+func (rc *replaceCtx) positional(p *nodePlan, oldKids, newKids viewobject.ChildList) bool {
+	for i := 0; i < oldKids.Len(); i++ {
+		rc.keyA = appendValues(rc.keyA[:0], oldKids.At(i), p.pairing)
+		rc.keyB = appendValues(rc.keyB[:0], newKids.At(i), p.pairing)
+		if !bytes.Equal(rc.keyA, rc.keyB) {
+			return false
 		}
 	}
-	// Each kid's pairing key, and each pair's sort key (its new tuple's
-	// encoding), is computed once, from the component's values in place.
+	return true
+}
+
+// inOrder reports whether pairs are already sorted by the encoding of
+// each new tuple, which is the common case; it costs one encoding per
+// pair, in two reused buffers.
+func (rc *replaceCtx) inOrder(p *nodePlan, pairs [][2]*viewobject.InstNode) bool {
+	if len(pairs) < 2 {
+		return true
+	}
+	prev, cur := appendValues(rc.keyA[:0], pairs[0][1], p.all), rc.keyB[:0]
+	ok := true
+	for i := 1; i < len(pairs) && ok; i++ {
+		cur = appendValues(cur[:0], pairs[i][1], p.all)
+		ok = bytes.Compare(prev, cur) <= 0
+		prev, cur = cur, prev
+	}
+	rc.keyA, rc.keyB = prev, cur
+	return ok
+}
+
+// pairByKey is the general pairing: a new component pairs with the
+// first unpaired old component holding its key; the leftovers pair
+// positionally, the old ones grouped by the order in which each key
+// first appears in the old list (these are the key-change pairs).
+func pairByKey(p *nodePlan, oldKids, newKids viewobject.ChildList) (
+	pairs [][2]*viewobject.InstNode, unpairedOld, unpairedNew []*viewobject.InstNode) {
+
 	var buf []byte
-	keyOf := func(in *viewobject.InstNode, idx []int) string {
-		buf = buf[:0]
-		for _, j := range idx {
-			buf = reldb.AppendKey(buf, in.Value(j))
-		}
+	keyOf := func(in *viewobject.InstNode) string {
+		buf = appendValues(buf[:0], in, p.pairing)
 		return string(buf)
 	}
 	oldByKey := make(map[string][]*viewobject.InstNode)
 	var oldOrder []string
-	for _, o := range oldKids {
-		k := keyOf(o, extractor)
+	for i := 0; i < oldKids.Len(); i++ {
+		o := oldKids.At(i)
+		k := keyOf(o)
 		if _, seen := oldByKey[k]; !seen {
 			oldOrder = append(oldOrder, k)
 		}
 		oldByKey[k] = append(oldByKey[k], o)
 	}
 	var leftoverNew []*viewobject.InstNode
-	for _, n := range newKids {
-		k := keyOf(n, extractor)
+	for j := 0; j < newKids.Len(); j++ {
+		n := newKids.At(j)
+		k := keyOf(n)
 		if olds := oldByKey[k]; len(olds) > 0 {
 			pairs = append(pairs, [2]*viewobject.InstNode{olds[0], n})
 			oldByKey[k] = olds[1:]
@@ -318,98 +393,77 @@ func (rc *replaceCtx) pairKids(child *viewobject.Node, oldKids, newKids []*viewo
 	for _, k := range oldOrder {
 		leftoverOld = append(leftoverOld, oldByKey[k]...)
 	}
-	// Positional pairing of leftovers: these are the key-change pairs.
-	m := len(leftoverOld)
-	if len(leftoverNew) < m {
-		m = len(leftoverNew)
-	}
+	m := min(len(leftoverOld), len(leftoverNew))
 	for i := 0; i < m; i++ {
 		pairs = append(pairs, [2]*viewobject.InstNode{leftoverOld[i], leftoverNew[i]})
 	}
-	unpairedOld = leftoverOld[m:]
-	unpairedNew = leftoverNew[m:]
-	if len(pairs) > 1 {
-		all := make([]int, schema.Arity())
-		for i := range all {
-			all[i] = i
-		}
-		type keyedPair struct {
-			key  string
-			pair [2]*viewobject.InstNode
-		}
-		keyed := make([]keyedPair, len(pairs))
-		for i, p := range pairs {
-			keyed[i] = keyedPair{keyOf(p[1], all), p}
-		}
-		slices.SortStableFunc(keyed, func(a, b keyedPair) int { return strings.Compare(a.key, b.key) })
-		for i := range keyed {
-			pairs[i] = keyed[i].pair
-		}
-	}
-	return pairs, unpairedOld, unpairedNew
+	return pairs, leftoverOld[m:], leftoverNew[m:]
 }
 
-// handleR implements the three R-cases for one tuple pair.
-func (rc *replaceCtx) handleR(node *viewobject.Node, schema *reldb.Schema, ot, nt reldb.Tuple) error {
-	projIdx, err := schema.Indices(node.Attrs)
-	if err != nil {
-		return err
+// sortPairs sorts pairs, stably, by the encoding of each new tuple
+// (p's attributes in schema order).
+func sortPairs(p *nodePlan, pairs [][2]*viewobject.InstNode) {
+	type keyedPair struct {
+		key  string
+		pair [2]*viewobject.InstNode
 	}
-	if projectedEqual(ot, nt, projIdx) {
+	var buf []byte
+	keyed := make([]keyedPair, len(pairs))
+	for i, pr := range pairs {
+		buf = appendValues(buf[:0], pr[1], p.all)
+		keyed[i] = keyedPair{string(buf), pr}
+	}
+	slices.SortStableFunc(keyed, func(a, b keyedPair) int { return strings.Compare(a.key, b.key) })
+	for i := range keyed {
+		pairs[i] = keyed[i].pair
+	}
+}
+
+// handleR implements the three R-cases for one component pair of p's
+// node.
+func (rc *replaceCtx) handleR(p *nodePlan, oldIn, newIn *viewobject.InstNode) error {
+	if sameValues(oldIn, newIn, p.proj) {
 		return nil // CASE R-1: the projections match exactly.
 	}
-	oldKey, newKey := schema.KeyOf(ot), schema.KeyOf(nt)
-	if oldKey.Equal(newKey) {
+	if sameValues(oldIn, newIn, p.key) {
 		// CASE R-2: the projections differ but the keys match.
-		return rc.replaceSameKey(node, schema, oldKey, nt, projIdx)
+		return rc.replaceSameKey(p, keyOf(oldIn, p), newIn.Tuple())
 	}
 	// CASE R-3: the projections differ and the keys differ.
-	switch rc.topo.Class[node.ID] {
+	switch p.class {
 	case ClassPivot, ClassIsland:
-		return rc.replaceIslandKey(node, schema, ot, nt, projIdx)
+		return rc.replaceIslandKey(p, oldIn.Tuple(), newIn.Tuple())
 	case ClassReferenced:
 		// §5.3 rule 2: a permitted key replacement of a referenced
 		// relation leads to an insertion, not a replacement.
-		return rc.insertOrMendOutside(node, schema, nt, projIdx)
+		return rc.insertOrMendOutside(p, newIn.Tuple())
 	case ClassPeninsula:
-		return rc.peninsulaKeyChange(node, schema, ot, nt, projIdx)
+		return rc.peninsulaKeyChange(p, oldIn.Tuple(), newIn.Tuple())
 	default:
 		return rejectAs(ReasonAmbiguousKey, "vupdate: %s: changes to the key of %s tuples are precluded (outside relation)",
-			rc.s.def.Name, node.ID)
+			rc.s.def.Name, p.node.ID)
 	}
-}
-
-// handleI implements cases I-2, I-3, and I-4 (I-1 switches to state R in
-// walkPair before reaching here; keys are known to differ).
-func (rc *replaceCtx) handleI(node *viewobject.Node, schema *reldb.Schema, _, nt reldb.Tuple) error {
-	return rc.insertOrMendOutside(node, schema, nt, nil)
 }
 
 // insertOrMendOutside inserts nt if its key is free (I-2), does nothing
 // if an identical tuple exists (I-3), and replaces the existing tuple's
 // projected attributes when values conflict (I-4).
-func (rc *replaceCtx) insertOrMendOutside(node *viewobject.Node, schema *reldb.Schema, nt reldb.Tuple, projIdx []int) error {
-	if projIdx == nil {
-		var err error
-		projIdx, err = schema.Indices(node.Attrs)
-		if err != nil {
-			return err
-		}
-	}
+func (rc *replaceCtx) insertOrMendOutside(p *nodePlan, nt reldb.Tuple) error {
+	node := p.node
 	rel, err := rc.s.relation(node.Relation)
 	if err != nil {
 		return err
 	}
-	if err := schema.CheckTuple(nt); err != nil {
+	if err := p.schema.CheckTuple(nt); err != nil {
 		return fmt.Errorf("vupdate: %s: component %s: %w", rc.s.def.Name, node.ID, err)
 	}
-	key := schema.KeyOf(nt)
+	key := p.schema.KeyOf(nt)
 	existing, exists := rel.Get(key)
-	p := rc.s.tr.outsidePolicy(node.ID)
+	pol := rc.s.tr.outsidePolicy(node.ID)
 	switch {
 	case !exists:
 		// CASE I-2: insert.
-		if !p.Modifiable || !p.AllowInsert {
+		if !pol.Modifiable || !pol.AllowInsert {
 			return reject("vupdate: %s: the application is not allowed to insert tuples in %s",
 				rc.s.def.Name, node.Relation)
 		}
@@ -418,17 +472,17 @@ func (rc *replaceCtx) insertOrMendOutside(node *viewobject.Node, schema *reldb.S
 		}
 		rc.touched = append(rc.touched, relTuple{node.Relation, nt})
 		return nil
-	case projectedEqual(nt, existing, projIdx):
+	case projectedEqual(nt, existing, p.proj):
 		// CASE I-3: already present.
 		return nil
 	default:
 		// CASE I-4: conflicting values.
-		if !p.Modifiable || !p.AllowModifyExisting {
+		if !pol.Modifiable || !pol.AllowModifyExisting {
 			return reject("vupdate: %s: the application is not allowed to modify tuples of %s",
 				rc.s.def.Name, node.Relation)
 		}
 		merged := existing.Clone()
-		for _, j := range projIdx {
+		for _, j := range p.proj {
 			merged[j] = nt[j]
 		}
 		if err := rc.s.replace(node.Relation, key, merged); err != nil {
@@ -441,10 +495,11 @@ func (rc *replaceCtx) insertOrMendOutside(node *viewobject.Node, schema *reldb.S
 
 // replaceSameKey merges the new projected attributes into the database
 // tuple carrying the (unchanged) key.
-func (rc *replaceCtx) replaceSameKey(node *viewobject.Node, schema *reldb.Schema, key reldb.Tuple, nt reldb.Tuple, projIdx []int) error {
-	if !rc.topo.InIsland(node.ID) {
-		p := rc.s.tr.outsidePolicy(node.ID)
-		if !p.Modifiable || !p.AllowModifyExisting {
+func (rc *replaceCtx) replaceSameKey(p *nodePlan, key reldb.Tuple, nt reldb.Tuple) error {
+	node := p.node
+	if !p.island {
+		pol := rc.s.tr.outsidePolicy(node.ID)
+		if !pol.Modifiable || !pol.AllowModifyExisting {
 			return reject("vupdate: %s: the application is not allowed to modify tuples of %s",
 				rc.s.def.Name, node.Relation)
 		}
@@ -459,7 +514,7 @@ func (rc *replaceCtx) replaceSameKey(node *viewobject.Node, schema *reldb.Schema
 			rc.s.def.Name, node.ID, key, reldb.ErrNoSuchTuple)
 	}
 	merged := existing.Clone()
-	for _, j := range projIdx {
+	for _, j := range p.proj {
 		merged[j] = nt[j]
 	}
 	if merged.Equal(existing) {
@@ -477,7 +532,8 @@ func (rc *replaceCtx) replaceSameKey(node *viewobject.Node, schema *reldb.Schema
 // policy. When a tuple with the new key already exists, the old tuple is
 // deleted and the existing tuple absorbs the new values — but only when
 // the DBA allowed the merge (the paper's third island dialog question).
-func (rc *replaceCtx) replaceIslandKey(node *viewobject.Node, schema *reldb.Schema, ot, nt reldb.Tuple, projIdx []int) error {
+func (rc *replaceCtx) replaceIslandKey(p *nodePlan, ot, nt reldb.Tuple) error {
+	node, schema := p.node, p.schema
 	policy := rc.s.tr.islandPolicy(node.ID)
 	if !policy.AllowKeyModification {
 		return reject("vupdate: %s: modifying the key of %s tuples during replacements is not allowed",
@@ -501,7 +557,7 @@ func (rc *replaceCtx) replaceIslandKey(node *viewobject.Node, schema *reldb.Sche
 			rc.s.def.Name, node.ID, oldKey, reldb.ErrNoSuchTuple)
 	}
 	merged := existingOld.Clone()
-	for _, j := range projIdx {
+	for _, j := range p.proj {
 		merged[j] = nt[j]
 	}
 	if existingNew, clash := rel.Get(newKey); clash {
@@ -516,7 +572,7 @@ func (rc *replaceCtx) replaceIslandKey(node *viewobject.Node, schema *reldb.Sche
 			return err
 		}
 		mergedExisting := existingNew.Clone()
-		for _, j := range projIdx {
+		for _, j := range p.proj {
 			mergedExisting[j] = nt[j]
 		}
 		if !mergedExisting.Equal(existingNew) {
@@ -540,19 +596,14 @@ func (rc *replaceCtx) replaceIslandKey(node *viewobject.Node, schema *reldb.Sche
 // projections are a no-op, an unchanged key with differing values is a
 // plain replacement, and a key difference goes through the propagation
 // check below.
-func (rc *replaceCtx) handlePeninsula(node *viewobject.Node, schema *reldb.Schema, ot, nt reldb.Tuple) error {
-	projIdx, err := schema.Indices(node.Attrs)
-	if err != nil {
-		return err
-	}
-	if projectedEqual(ot, nt, projIdx) {
+func (rc *replaceCtx) handlePeninsula(p *nodePlan, oldIn, newIn *viewobject.InstNode) error {
+	if sameValues(oldIn, newIn, p.proj) {
 		return nil
 	}
-	oldKey, newKey := schema.KeyOf(ot), schema.KeyOf(nt)
-	if oldKey.Equal(newKey) {
-		return rc.replaceSameKey(node, schema, oldKey, nt, projIdx)
+	if sameValues(oldIn, newIn, p.key) {
+		return rc.replaceSameKey(p, keyOf(oldIn, p), newIn.Tuple())
 	}
-	return rc.peninsulaKeyChange(node, schema, ot, nt, projIdx)
+	return rc.peninsulaKeyChange(p, oldIn.Tuple(), newIn.Tuple())
 }
 
 // peninsulaKeyChange validates a key difference on a referencing
@@ -560,7 +611,8 @@ func (rc *replaceCtx) handlePeninsula(node *viewobject.Node, schema *reldb.Schem
 // foreign-key propagation from an island key change (applied in step 3);
 // any further key change is inherently ambiguous and rejected (§5.3).
 // Non-key projected differences are applied as a normal replacement.
-func (rc *replaceCtx) peninsulaKeyChange(node *viewobject.Node, schema *reldb.Schema, ot, nt reldb.Tuple, projIdx []int) error {
+func (rc *replaceCtx) peninsulaKeyChange(p *nodePlan, ot, nt reldb.Tuple) error {
+	node, schema := p.node, p.schema
 	expected := rc.applyKeyMapToRefs(node.Relation, ot)
 	if !schema.KeyOf(expected).Equal(schema.KeyOf(nt)) {
 		return rejectAs(ReasonAmbiguousKey, "vupdate: %s: replacements on keys of referencing peninsula %s are prohibited",
@@ -570,7 +622,7 @@ func (rc *replaceCtx) peninsulaKeyChange(node *viewobject.Node, schema *reldb.Sc
 	// carries the old foreign key; step 3 rewrites it).
 	merged := ot.Clone()
 	changed := false
-	for _, j := range projIdx {
+	for _, j := range p.proj {
 		if schema.IsKeyAttr(j) {
 			continue
 		}
@@ -582,8 +634,8 @@ func (rc *replaceCtx) peninsulaKeyChange(node *viewobject.Node, schema *reldb.Sc
 	if !changed {
 		return nil
 	}
-	p := rc.s.tr.outsidePolicy(node.ID)
-	if !p.Modifiable || !p.AllowModifyExisting {
+	pol := rc.s.tr.outsidePolicy(node.ID)
+	if !pol.Modifiable || !pol.AllowModifyExisting {
 		return reject("vupdate: %s: the application is not allowed to modify tuples of %s",
 			rc.s.def.Name, node.Relation)
 	}
@@ -625,19 +677,21 @@ func (rc *replaceCtx) applyKeyMapToRefs(relName string, t reldb.Tuple) reldb.Tup
 	return out
 }
 
-// insertSubtree inserts a new component and its descendants using the
-// VO-CI cases (an unpaired new component is new data by definition).
-func (rc *replaceCtx) insertSubtree(in *viewobject.InstNode) error {
-	t, err := rc.s.insertComponent(rc.topo, in.Node(), in.Tuple())
+// insertSubtree inserts a new component of p's node and its descendants
+// using the VO-CI cases (an unpaired new component is new data by
+// definition).
+func (rc *replaceCtx) insertSubtree(p *nodePlan, in *viewobject.InstNode) error {
+	t, err := rc.s.insertComponent(p, in.Tuple())
 	if err != nil {
 		return err
 	}
 	if t != nil {
-		rc.touched = append(rc.touched, relTuple{in.Node().Relation, t})
+		rc.touched = append(rc.touched, relTuple{p.node.Relation, t})
 	}
-	for _, child := range in.Node().Children {
-		for _, ci := range in.Children(child.ID) {
-			if err := rc.insertSubtree(ci); err != nil {
+	for _, cp := range p.kids {
+		kids := in.ChildList(cp.node.ID)
+		for i := 0; i < kids.Len(); i++ {
+			if err := rc.insertSubtree(cp, kids.At(i)); err != nil {
 				return err
 			}
 		}

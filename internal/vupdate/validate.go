@@ -12,45 +12,36 @@ import (
 // differs from its GRADES parent's PID) and is rejected before any
 // translation happens. Children attached through multi-connection paths
 // (excluded intermediate relations) cannot be checked without the
-// intermediate tuples and are skipped.
-func validateConnections(def *viewobject.Definition, in *viewobject.InstNode) error {
-	node := in.Node()
-	parentSchema := def.NodeSchema(node)
-	for _, child := range node.Children {
+// intermediate tuples and are skipped. p is the plan of in's node.
+func validateConnections(def *viewobject.Definition, p *nodePlan, in *viewobject.InstNode) error {
+	for _, cp := range p.kids {
+		child := cp.node
 		kids := in.ChildList(child.ID)
 		if kids.Len() == 0 {
 			continue
 		}
 		if len(child.Path) == 1 {
-			e := child.Path[0]
-			srcIdx, err := parentSchema.Indices(e.SourceAttrs())
-			if err != nil {
-				return err
-			}
-			childSchema := def.NodeSchema(child)
-			tgtIdx, err := childSchema.Indices(e.TargetAttrs())
-			if err != nil {
-				return err
-			}
 			for j := 0; j < kids.Len(); j++ {
 				ci := kids.At(j)
-				for k := range srcIdx {
-					pv := in.Value(srcIdx[k])
-					cv := ci.Value(tgtIdx[k])
+				for k := range cp.src {
+					pv := in.Value(cp.src[k])
+					cv := ci.Value(cp.tgt[k])
 					if pv.IsNull() {
+						e := child.Path[0]
 						return rejectAs(ReasonIntegrity, "vupdate: %s: component %s cannot be connected: parent %s has null %s",
-							def.Name, child.ID, node.ID, e.SourceAttrs()[k])
+							def.Name, child.ID, p.node.ID, e.SourceAttrs()[k])
 					}
 					if !pv.Equal(cv) {
+						e := child.Path[0]
 						return rejectAs(ReasonIntegrity, "vupdate: %s: component %s (%s) is not connected to its parent %s (%s=%s, %s=%s)",
-							def.Name, child.ID, ci.Tuple(), node.ID,
+							def.Name, child.ID, ci.Tuple(), p.node.ID,
 							e.SourceAttrs()[k], pv, e.TargetAttrs()[k], cv)
 					}
 				}
 			}
 		}
 		for j := 0; j < kids.Len(); j++ {
-			if err := validateConnections(def, kids.At(j)); err != nil {
+			if err := validateConnections(def, cp, kids.At(j)); err != nil {
 				return err
 			}
 		}
