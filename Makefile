@@ -19,15 +19,10 @@ bench:
 
 # bench-smoke runs every benchmark exactly once (no timing fidelity) to
 # catch benchmarks that panic or fail to build; cheap enough for CI.
-# The parallel-instantiation benchmark additionally runs at -cpu 1,4:
-# the worker budget tracks GOMAXPROCS, so the pair exercises both the
-# sequential path and the 4-worker fan-out (scaling itself is asserted
-# by TestParallelInstantiationSpeedup on hosts with enough cores).
+# The sharded-commit benchmark additionally runs at -cpu 1,4, the pair
+# its shard-count scaling is read at.
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
-	$(GO) test -bench=BenchmarkParallelInstantiation -benchtime=1x -cpu=1,4 -run='^$$' .
-	$(GO) test -bench=BenchmarkMaterializedRead -benchtime=1x -run='^$$' .
-	$(GO) test -bench='BenchmarkCommit(WAL|InMemory)' -benchtime=1x -run='^$$' .
 	$(GO) test -bench=BenchmarkShardedCommit -benchtime=1x -cpu=1,4 -run='^$$' .
 
 # metrics-lint drives real concurrent workloads — including the
@@ -57,7 +52,8 @@ serve-smoke:
 
 # shard-stress drives the sharded coordinator under the race detector:
 # the concurrent write mix over a live cluster (fast path + forced
-# cross-shard traffic, N-shard results pinned identical to 1-shard),
+# cross-shard traffic, N-shard results pinned identical to 1-shard), the
+# read cut (a query beside global commits reads one cluster state),
 # the HTTP surface (its whole suite is one table over 1 and 3 shards),
 # and the cross-shard half of the crash matrix (2PC step kills +
 # kill -9 of a 2-shard cluster under stress traffic).
@@ -66,9 +62,11 @@ shard-stress:
 	$(GO) test -race -count=1 ./internal/serve
 	$(GO) test -race -run '^TestCrashMatrix(CrossShard2PC|Kill9)$$/^shards=2$$' -count=1 ./internal/workload
 
-# cpu-sweep reruns the parallel, storage and serving suites at every
-# core count whose chunk arithmetic differs: tier-1 was red at 2 and 3
-# cores while the 1- and 4-core shapes CI ran stayed green.
+# cpu-sweep reruns the assembly, storage and serving suites at 1, 2, 3,
+# 4 and 8 cores. A read runs on its request's goroutine, but the
+# stress, commit and serving tests race goroutines whose interleavings
+# change with the core count, and tier-1 was once red at 2 and 3 cores
+# while the 1- and 4-core runs CI made stayed green.
 cpu-sweep:
 	for n in 1 2 3 4 8; do GOMAXPROCS=$$n $(GO) test -count=1 ./internal/viewobject ./internal/reldb/... ./internal/serve || exit 1; done
 
@@ -88,6 +86,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryValue$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzWALRecord$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzWALFrames$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
+	$(GO) test -run='^$$' -fuzz='^FuzzSnapshot$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendValue$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzInstanceFromDoc$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeInstance$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/serve

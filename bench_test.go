@@ -1,6 +1,7 @@
-// Benchmark harness: one benchmark per experiment of DESIGN.md's index
-// (E1-E12), regenerating every figure-stage of the paper and measuring
-// the performance experiments the paper argues qualitatively. Run with
+// Benchmark harness: the paper's figure stages (E1-E6), the experiments
+// it argues qualitatively (E7, E10-E12), and what no row of the
+// end-to-end benchmark's layer ledger (go run ./benchmark) reports: the
+// design ablations and shard-count scaling. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -146,133 +147,6 @@ func BenchmarkDialogTranslatorChoice(b *testing.B) {
 		if _, _, err := vupdate.ChooseTranslator(om, answers); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// E8 — §6: the EES345 replacement under the permissive and restrictive
-// translators. Each iteration runs on a freshly seeded database (setup
-// excluded from the timing).
-func BenchmarkReplaceTranslation(b *testing.B) {
-	run := func(b *testing.B, restrictive bool) {
-		answers := vupdate.PaperDialogAnswers()
-		if restrictive {
-			answers.Answers["outside.DEPARTMENT.modifiable"] = false
-		}
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			db, g := university.MustNewSeeded()
-			om := university.MustOmega(g)
-			tr, _, err := vupdate.ChooseTranslator(om, answers)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tr.RepairInserts = true
-			u := vupdate.NewUpdater(tr)
-			old, ok, err := viewobject.InstantiateByKey(db, om, reldb.Tuple{reldb.String("CS345")})
-			if err != nil || !ok {
-				b.Fatal(err)
-			}
-			repl := old.Clone()
-			_ = repl.Root().SetAttr(om, "CourseID", reldb.String("EES345"))
-			_ = repl.Root().SetAttr(om, "DeptName", reldb.String("Engineering Economic Systems"))
-			dep := repl.Root().Children(university.Department)[0]
-			_ = dep.SetTuple(om, reldb.Tuple{reldb.String("Engineering Economic Systems"), reldb.Null(), reldb.Null()})
-			b.StartTimer()
-			_, err = u.ReplaceInstance(old, repl)
-			if restrictive && err == nil {
-				b.Fatal("restrictive translator accepted the replacement")
-			}
-			if !restrictive && err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("permissive", func(b *testing.B) { run(b, false) })
-	b.Run("restrictive", func(b *testing.B) { run(b, true) })
-}
-
-// E9 — update translation throughput by fan-out: VO-CI inserts a fresh
-// instance, VO-CD deletes it, VO-R renames it; per iteration, at growing
-// grades-per-course fan-out.
-func BenchmarkVOCI(b *testing.B) {
-	benchUpdateOps(b, "insert")
-}
-
-// BenchmarkVOCD measures complete deletion (see BenchmarkVOCI).
-func BenchmarkVOCD(b *testing.B) {
-	benchUpdateOps(b, "delete")
-}
-
-// BenchmarkVOR measures replacement with a pivot key change.
-func BenchmarkVOR(b *testing.B) {
-	benchUpdateOps(b, "replace")
-}
-
-func benchUpdateOps(b *testing.B, op string) {
-	for _, fanout := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("fanout%d", fanout), func(b *testing.B) {
-			db, g := university.New()
-			err := university.SeedScaled(db, university.ScaleSpec{
-				Departments: 1, StudentsPerDept: fanout + 4, CoursesPerDept: 1,
-				GradesPerCourse: 1,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			om := university.MustOmega(g)
-			u := vupdate.NewUpdater(vupdate.PermissiveTranslator(om))
-			buildInstance := func(i int) *viewobject.Instance {
-				id := fmt.Sprintf("BENCH%07d", i)
-				inst := viewobject.MustNewInstance(om, reldb.Tuple{
-					reldb.String(id), reldb.String("Bench"), reldb.String("Dept000"),
-					reldb.Int(3), reldb.String("graduate"),
-				})
-				for s := 0; s < fanout; s++ {
-					gr := inst.Root().MustAddChild(om, university.Grades, reldb.Tuple{
-						reldb.String(id), reldb.Int(int64(s + 1)), reldb.String("Aut90"), reldb.String("A"),
-					})
-					gr.MustAddChild(om, university.Student, reldb.Tuple{
-						reldb.Int(int64(s + 1)), reldb.String("BS"), reldb.Int(1),
-					})
-				}
-				return inst
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				switch op {
-				case "insert":
-					if _, err := u.InsertInstance(buildInstance(i)); err != nil {
-						b.Fatal(err)
-					}
-				case "delete":
-					b.StopTimer()
-					if _, err := u.InsertInstance(buildInstance(i)); err != nil {
-						b.Fatal(err)
-					}
-					b.StartTimer()
-					key := reldb.Tuple{reldb.String(fmt.Sprintf("BENCH%07d", i))}
-					if _, err := u.DeleteByKey(key); err != nil {
-						b.Fatal(err)
-					}
-				case "replace":
-					b.StopTimer()
-					if _, err := u.InsertInstance(buildInstance(i)); err != nil {
-						b.Fatal(err)
-					}
-					key := reldb.Tuple{reldb.String(fmt.Sprintf("BENCH%07d", i))}
-					old, ok, err := viewobject.InstantiateByKey(db, om, key)
-					if err != nil || !ok {
-						b.Fatal(err)
-					}
-					repl := old.Clone()
-					_ = repl.Root().SetAttr(om, "CourseID", reldb.String(fmt.Sprintf("RENAM%07d", i)))
-					b.StartTimer()
-					if _, err := u.ReplaceInstance(old, repl); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
 	}
 }
 
@@ -569,81 +443,6 @@ func BenchmarkConnectionIndex(b *testing.B) {
 	})
 }
 
-// parallelBenchSpec is the scale fixture for E14 and the speedup test:
-// ~10k instance nodes per full instantiation, enough pivot frontier for
-// the fan-out to dominate worker startup.
-var parallelBenchSpec = workload.TreeSpec{Depth: 2, Width: 3, Fanout: 4, Roots: 64, Peninsulas: 1}
-
-// E14 — parallel snapshot instantiation. The worker budget tracks
-// GOMAXPROCS, so `go test -bench=ParallelInstantiation -cpu 1,4`
-// measures the scaling directly: the -cpu 1 run is the sequential
-// baseline, the -cpu 4 run fans the pivot frontier over 4 workers.
-// The output is byte-identical either way (pinned by the differential
-// tests); the chunks/op metric confirms the fan-out engaged.
-func BenchmarkParallelInstantiation(b *testing.B) {
-	w, err := workload.BuildTree(parallelBenchSpec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	before := obs.Capture()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		insts, err := viewobject.Instantiate(w.DB, w.Def, viewobject.Query{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(insts) != parallelBenchSpec.Roots {
-			b.Fatalf("%d instances, want %d", len(insts), parallelBenchSpec.Roots)
-		}
-	}
-	b.StopTimer()
-	d := obs.Capture().Sub(before)
-	b.ReportMetric(float64(d.Counter("viewobject.parallel.chunks"))/float64(b.N), "chunks/op")
-}
-
-// E15 — materialized view-object reads: serving the university ω from
-// the patched delta-stream cache (hit) versus a cold full instantiation
-// over a fresh snapshot at the same generation (the price every read
-// pays without the Materializer). The differential tests pin the two
-// paths byte-identical; this measures what the cache buys.
-func BenchmarkMaterializedRead(b *testing.B) {
-	b.Run("hit", func(b *testing.B) {
-		db, g := university.MustNewSeeded()
-		om := university.MustOmega(g)
-		m := viewobject.NewMaterializer(db, om)
-		defer m.Close()
-		if _, err := m.Instantiate(viewobject.Query{}); err != nil {
-			b.Fatal(err) // build the cache cold once, off the clock
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			insts, err := m.Instantiate(viewobject.Query{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(insts) != 6 {
-				b.Fatalf("%d instances, want 6", len(insts))
-			}
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		db, g := university.MustNewSeeded()
-		om := university.MustOmega(g)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			rtx := db.BeginRead()
-			insts, err := viewobject.Instantiate(rtx, om, viewobject.Query{})
-			rtx.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(insts) != 6 {
-				b.Fatalf("%d instances, want 6", len(insts))
-			}
-		}
-	})
-}
-
 // Guard: the facade re-exports work (compile-time wiring check exercised
 // at runtime once).
 func BenchmarkFacadeSmoke(b *testing.B) {
@@ -653,52 +452,6 @@ func BenchmarkFacadeSmoke(b *testing.B) {
 			b.Fatal("fresh database not empty")
 		}
 	}
-}
-
-// E13 — durability: commit latency with the write-ahead log against the
-// in-memory engine. Commits run from parallel goroutines so SyncCommit's
-// group fsync batches — the acceptance bound is WAL within 5x of
-// in-memory throughput under the same concurrency.
-func BenchmarkCommitWAL(b *testing.B) {
-	commitBench(b, func(b *testing.B) *penguin.Database {
-		db, err := penguin.OpenDatabaseWith(b.TempDir(), penguin.OpenOptions{CheckpointInterval: -1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { db.Close() })
-		return db
-	})
-}
-
-// BenchmarkCommitInMemory is BenchmarkCommitWAL's baseline: identical
-// traffic with no durability.
-func BenchmarkCommitInMemory(b *testing.B) {
-	commitBench(b, func(b *testing.B) *penguin.Database {
-		return penguin.NewDatabase()
-	})
-}
-
-func commitBench(b *testing.B, open func(b *testing.B) *penguin.Database) {
-	db := open(b)
-	if _, err := db.CreateRelation(reldb.MustSchema("BENCH", []penguin.Attribute{
-		{Name: "K", Type: penguin.KindInt},
-		{Name: "V", Type: penguin.KindString, Nullable: true},
-	}, []string{"K"})); err != nil {
-		b.Fatal(err)
-	}
-	var key int64
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			k := atomic.AddInt64(&key, 1)
-			if err := db.RunInTx(func(tx *penguin.Tx) error {
-				return tx.Insert("BENCH", penguin.Tuple{penguin.Int(k), penguin.String("v")})
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // E16 — sharded write scaling: VO-CI commits through the shard

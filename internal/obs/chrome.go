@@ -15,7 +15,7 @@ import (
 // its own pid; within a trace, spans are laid out onto tids by greedy
 // interval coloring — each span takes the lowest lane whose previous
 // occupant has already ended — so overlapping spans (a parent and its
-// children, or parallel chunk workers) always render on separate rows.
+// children) always render on separate rows.
 
 // chromeEvent is one trace-event object, per the Trace Event Format
 // ("X" = complete event with an explicit duration).

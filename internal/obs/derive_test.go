@@ -30,7 +30,6 @@ func TestDerivedAggregates(t *testing.T) {
 		{name: "viewobject.instantiate.tuples_scanned", set: objects, ctr: func(r *Registry) *CounterVec { return r.InstTuplesByObject }},
 		{name: "viewobject.instantiate.nodes", set: objects, ctr: func(r *Registry) *CounterVec { return r.InstNodesByObject }},
 		{name: "viewobject.instantiate.ns", set: objects, hist: func(r *Registry) *HistogramVec { return r.InstantiateNsByObject }},
-		{name: "viewobject.instantiate.parallel_ns", set: objects, hist: func(r *Registry) *HistogramVec { return r.InstantiateParallelNsByObject }},
 		{name: "vupdate.updates.committed", set: objects, ctr: func(r *Registry) *CounterVec { return r.CommittedByObject }},
 		{name: "vupdate.updates.rejected", set: objects, ctr: func(r *Registry) *CounterVec { return r.RejectedByObject }},
 		{name: "penguin.http.requests", set: endpoints, ctr: func(r *Registry) *CounterVec { return r.HTTPRequestsByEndpoint }},

@@ -173,22 +173,13 @@ type Registry struct {
 	RelProbes  *CounterVec // point lookups and index-bucket probes, by relation
 	RelScans   *CounterVec // full-relation scan fallbacks, by relation
 
-	// viewobject: instantiation, by view object. ParallelNs times only
-	// the calls that actually fanned out, so it covers a subset of the
-	// InstantiateNs observations.
-	InstCallsByObject             *CounterVec   // Instantiate / InstantiateByKey calls
-	InstTuplesByObject            *CounterVec   // stored tuples visited while assembling instances
-	InstNodesByObject             *CounterVec   // instance nodes assembled
-	InstantiateNsByObject         *HistogramVec // instantiation latency
-	InstantiateParallelNsByObject *HistogramVec // latency of instantiations that fanned out
-	BatchedLookups                Counter       // level-at-a-time batched child fetches issued
-	LevelFanOut                   Histogram     // instance nodes per assembly level
-
-	// viewobject: parallel instantiation. Workers and chunks count per
-	// fan-out (a sequential call adds to neither).
-	ParallelWorkers Counter // worker goroutines launched by parallel fan-outs
-	ParallelChunks  Counter // pivot chunks dispatched to workers
-	ParallelSteals  Counter // level fan-outs split across idle workers (work stealing)
+	// viewobject: instantiation, by view object.
+	InstCallsByObject     *CounterVec   // Instantiate / InstantiateByKey calls
+	InstTuplesByObject    *CounterVec   // stored tuples visited while assembling instances
+	InstNodesByObject     *CounterVec   // instance nodes assembled
+	InstantiateNsByObject *HistogramVec // instantiation latency
+	BatchedLookups        Counter       // level-at-a-time batched child fetches issued
+	LevelFanOut           Histogram     // instance nodes per assembly level
 
 	// viewobject: the materialized view-object cache (Materializer).
 	// Every MaterializedInstantiate serve increments exactly one of
@@ -265,7 +256,6 @@ func NewRegistry() *Registry {
 	r.InstTuplesByObject = NewCounterVec(r.Objects)
 	r.InstNodesByObject = NewCounterVec(r.Objects)
 	r.InstantiateNsByObject = NewHistogramVec(r.Objects, DurationBounds)
-	r.InstantiateParallelNsByObject = NewHistogramVec(r.Objects, DurationBounds)
 
 	r.CommittedByObject = NewCounterVec(r.Objects)
 	r.RejectedByObject = NewCounterVec(r.Objects)

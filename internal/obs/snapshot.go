@@ -113,12 +113,8 @@ func (r *Registry) Snapshot() Snapshot {
 	lc("viewobject.instantiate.tuples_scanned", r.InstTuplesByObject)
 	lc("viewobject.instantiate.nodes", r.InstNodesByObject)
 	lh("viewobject.instantiate.ns", r.InstantiateNsByObject)
-	lh("viewobject.instantiate.parallel_ns", r.InstantiateParallelNsByObject)
 	c("viewobject.instantiate.batched_lookups", &r.BatchedLookups)
 	h("viewobject.instantiate.level_fanout", &r.LevelFanOut)
-	c("viewobject.parallel.workers", &r.ParallelWorkers)
-	c("viewobject.parallel.chunks", &r.ParallelChunks)
-	c("viewobject.parallel.steals", &r.ParallelSteals)
 	c("viewobject.materialize.hits", &r.MatHits)
 	c("viewobject.materialize.misses", &r.MatMisses)
 	c("viewobject.materialize.patches", &r.MatPatches)

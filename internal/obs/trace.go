@@ -52,8 +52,8 @@ func (e Event) String() string {
 // instrumented paths thread Op values unconditionally and stay
 // allocation-free when no flight recorder is installed. An active Op
 // (from Registry.StartOp) carries the trace identity; Child spans
-// inherit it, so an operation that fans out across the parallel pool
-// still yields one connected tree.
+// inherit it, so an operation and everything it calls yield one
+// connected tree.
 //
 // Op is a value type and safe to copy across goroutines: span-ID
 // allocation is atomic and the collector behind col is mutex-protected.

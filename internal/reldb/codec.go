@@ -61,8 +61,9 @@ type byteReader interface {
 // overruns reports whether n elements of at least one byte each cannot
 // fit in what r has left, so a corrupt count fails before it sizes an
 // allocation. Only a reader that knows its length can tell: the
-// *bytes.Reader over a WAL payload does, the streaming snapshot reader
-// does not and relies on the maxSnapshotCount caps alone.
+// *bytes.Reader over a WAL payload does. The streaming snapshot reader
+// does not: it relies on the maxSnapshotCount caps, and grows what a
+// count would size as the elements arrive.
 func overruns(r byteReader, n uint32) bool {
 	lr, ok := r.(interface{ Len() int })
 	return ok && int64(n) > int64(lr.Len())
@@ -294,8 +295,10 @@ func readSchema(r byteReader) (*Schema, error) {
 	if nAttrs > maxSnapshotCount || overruns(r, nAttrs) {
 		return nil, fmt.Errorf("reldb: snapshot %s: attribute count %d too large", name, nAttrs)
 	}
-	attrs := make([]Attribute, nAttrs)
-	for i := range attrs {
+	// A streaming reader cannot check nAttrs against the bytes left, so
+	// attrs grows as attributes arrive instead of being sized by it.
+	attrs := make([]Attribute, 0, min(nAttrs, 64))
+	for i := uint32(0); i < nAttrs; i++ {
 		an, err := readString(r)
 		if err != nil {
 			return nil, err
@@ -308,7 +311,7 @@ func readSchema(r byteReader) (*Schema, error) {
 		if err != nil {
 			return nil, err
 		}
-		attrs[i] = Attribute{Name: an, Type: Kind(kb), Nullable: nb == 1}
+		attrs = append(attrs, Attribute{Name: an, Type: Kind(kb), Nullable: nb == 1})
 	}
 	nKey, err := readU32(r)
 	if err != nil {

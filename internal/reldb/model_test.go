@@ -320,24 +320,22 @@ func checkModel(t testing.TB, r *Relation, m *modelRel) {
 
 	pred := Cmp{Op: OpGt, L: Attr{Name: "C"}, R: Const{V: Int(2)}}
 	wantSel := filter(func(tu Tuple) bool { return !tu[2].IsNull() && tu[2].MustInt() > 2 })
-	for _, workers := range []int{1, 2, 3, 4, 8} {
-		got, err := r.SelectParallel(pred, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameTuples(t, fmt.Sprintf("SelectParallel(C > 2, %d)", workers), got, wantSel)
-		if got, err = r.SelectParallel(nil, workers); err != nil {
-			t.Fatal(err)
-		}
-		sameTuples(t, fmt.Sprintf("SelectParallel(nil, %d)", workers), got, all)
+	got, err := r.Select(pred)
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameTuples(t, "Select(C > 2)", got, wantSel)
+	if got, err = r.Select(nil); err != nil {
+		t.Fatal(err)
+	}
+	sameTuples(t, "Select(nil)", got, all)
 }
 
 const (
 	modelAs = 48 // A in [0,48), B in [0,16): 768 keys
 	modelBs = 16
 	// modelSeedRows rows are stored before the op stream runs, so that
-	// SelectParallel clears selectParallelMinRows and the tree has height.
+	// the tree has height.
 	modelSeedRows = 600
 )
 

@@ -107,99 +107,29 @@ func TestMatchEqualAttributeListsDoNotCollide(t *testing.T) {
 	}
 }
 
-func TestSelectParallelMatchesSelect(t *testing.T) {
-	r := newGradesRel(t)
-	// Enough rows to clear selectParallelMinRows.
-	for i := 0; i < selectParallelMinRows+100; i++ {
-		g := "A"
-		if i%3 == 0 {
-			g = "B"
-		}
-		if err := r.Insert(grade(fmt.Sprintf("CS%03d", i%7), int64(i), g)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, pred := range []Expr{
-		nil,
-		Eq("Grade", String("B")),
-		Cmp{Op: OpGt, L: Attr{Name: "PID"}, R: Const{V: Int(400)}},
-	} {
-		want, err := r.Select(pred)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			got, err := r.SelectParallel(pred, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("pred=%v workers=%d: %d tuples, want %d", pred, workers, len(got), len(want))
-			}
-			for i := range got {
-				if !got[i].Equal(want[i]) {
-					t.Fatalf("pred=%v workers=%d: tuple %d = %v, want %v (order must match Select)",
-						pred, workers, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestSelectParallelChunkShapes sweeps row counts whose rounded-up chunk
-// size overshoots the row set in every way up to 8 workers allow: no
-// shape may panic or differ from Select.
-func TestSelectParallelChunkShapes(t *testing.T) {
-	r := newGradesRel(t)
-	rows := 0
-	for n := selectParallelMinRows + 4; n <= selectParallelMinRows+33; n++ {
-		for ; rows < n; rows++ {
-			if err := r.Insert(grade("CS101", int64(rows), "A")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		want, err := r.Select(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 2, 3, 4, 8} {
-			got, err := r.SelectParallel(nil, workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("rows=%d workers=%d: %d tuples, want %d", n, workers, len(got), len(want))
-			}
-			for i := range got {
-				if !got[i].Equal(want[i]) {
-					t.Fatalf("rows=%d workers=%d: tuple %d = %v, want %v", n, workers, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
+// TestSelectParallelError: a predicate that fails part-way through a
+// relation tall enough to span many tree nodes yields the error and a nil
+// result, never the prefix selected before the failing row.
 func TestSelectParallelError(t *testing.T) {
 	r := newGradesRel(t)
-	for i := 0; i < selectParallelMinRows; i++ {
-		if err := r.Insert(grade("CS101", int64(i), "A")); err != nil {
+	for i := 0; i < 512; i++ {
+		g := "A"
+		if i == 400 {
+			g = "B"
+		}
+		if err := r.Insert(grade("CS101", int64(i), g)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bad := Eq("NoSuchAttr", Int(1))
-	out, err := r.SelectParallel(bad, 4)
+	// Or stops at its first true term, so only the "B" row reaches the
+	// missing attribute.
+	bad := Or{Terms: []Expr{Eq("Grade", String("A")), Eq("NoSuchAttr", Int(1))}}
+	out, err := r.Select(bad)
 	if err == nil {
 		t.Fatal("expected predicate error")
 	}
 	if out != nil {
-		t.Fatalf("errored SelectParallel returned %d tuples, want nil", len(out))
-	}
-	want, wantErr := r.Select(bad)
-	if want != nil || wantErr == nil {
-		t.Fatal("Select baseline should also error with nil result")
-	}
-	if err.Error() != wantErr.Error() {
-		t.Fatalf("error %q, want Select's %q", err, wantErr)
+		t.Fatalf("errored Select returned %d tuples, want nil", len(out))
 	}
 }
 

@@ -382,20 +382,3 @@ func (n *treeNode) appendPrefixed(dst []Tuple, prefix string) ([]Tuple, bool) {
 	}
 	return dst, true
 }
-
-// subtrees cuts the tree into at least want key-ordered, disjoint
-// subtrees where it is tall enough to, by descending level by level.
-func (t *ptree) subtrees(want int) []*treeNode {
-	if t.root == nil {
-		return nil
-	}
-	level := []*treeNode{t.root}
-	for len(level) < want && level[0].kids != nil {
-		var next []*treeNode
-		for _, n := range level {
-			next = append(next, n.kids...)
-		}
-		level = next
-	}
-	return level
-}

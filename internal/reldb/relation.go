@@ -3,7 +3,6 @@ package reldb
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"penguin/internal/obs"
@@ -254,16 +253,9 @@ func (r *Relation) All() []Tuple {
 // result slice is nil — never a truncated prefix a caller could silently
 // use.
 func (r *Relation) Select(pred Expr) ([]Tuple, error) {
-	if r.rows.root == nil {
-		return nil, nil
-	}
-	return r.selectUnder(r.rows.root, pred, nil)
-}
-
-// selectUnder appends to out the tuples under n that satisfy pred.
-func (r *Relation) selectUnder(n *treeNode, pred Expr, out []Tuple) ([]Tuple, error) {
+	var out []Tuple
 	var evalErr error
-	n.ascend("", func(_ string, t Tuple) bool {
+	r.Scan(func(t Tuple) bool {
 		if pred != nil {
 			ok, err := EvalBool(pred, Row{Schema: r.schema, Tuple: t})
 			if err != nil {
@@ -281,48 +273,6 @@ func (r *Relation) selectUnder(n *treeNode, pred Expr, out []Tuple) ([]Tuple, er
 		return nil, evalErr
 	}
 	return out, nil
-}
-
-// selectParallelMinRows is the relation size below which SelectParallel
-// runs sequentially: chunking and goroutine startup cost more than the
-// scan they would split.
-const selectParallelMinRows = 512
-
-// SelectParallel is Select evaluated on up to `workers` goroutines over
-// contiguous runs of the row tree's subtrees. The result is identical to
-// Select — tuples in primary-key order, nil slice on any predicate
-// evaluation error (the error of the lowest-keyed chunk wins, so the
-// reported error is deterministic). Callers must honor the same
-// immutability contract as Scan: committed relation versions only.
-func (r *Relation) SelectParallel(pred Expr, workers int) ([]Tuple, error) {
-	if workers <= 1 || r.rows.n < selectParallelMinRows {
-		return r.Select(pred)
-	}
-	parts := r.rows.subtrees(workers)
-	if workers > len(parts) {
-		workers = len(parts)
-	}
-	chunkResults := make([][]Tuple, workers)
-	chunkErrs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for _, n := range parts[w*len(parts)/workers : (w+1)*len(parts)/workers] {
-				if chunkResults[w], chunkErrs[w] = r.selectUnder(n, pred, chunkResults[w]); chunkErrs[w] != nil {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range chunkErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return slices.Concat(chunkResults...), nil
 }
 
 // CreateIndex registers a secondary index over the named attributes and

@@ -243,11 +243,13 @@ func (c *Cluster) commitGlobal(o *object, home int, txs []*reldb.Tx, ops []vupda
 		}
 	}
 	var warn error
+	c.cut.Lock()
 	for _, p := range preps {
 		if err := p.CommitDecided(); err != nil && warn == nil {
 			warn = err
 		}
 	}
+	c.cut.Unlock()
 	for _, p := range preps {
 		if err := p.WaitDecided(); err != nil && warn == nil {
 			warn = err

@@ -24,43 +24,30 @@ func (c *Cluster) InstantiateByKey(objName string, key reldb.Tuple) (*viewobject
 	return viewobject.InstantiateByKey(rtx, o.trs[home].Definition(), key)
 }
 
-// Instantiate runs the query on every shard — each against its own
-// consistent snapshot — and merges the per-shard results into a single
-// pivot-key-ordered list. Island partitioning makes the shard result
-// sets disjoint: every instance appears exactly once, on its pivot's
-// home shard.
+// Instantiate runs the query on every shard and merges the per-shard
+// results into a single pivot-key-ordered list. The shard snapshots are
+// opened under the cluster's read cut, so together they are one state
+// of the cluster: no cross-shard commit is seen on one shard and not on
+// another. Island partitioning makes the shard result sets disjoint:
+// every instance appears exactly once, on its pivot's home shard.
 func (c *Cluster) Instantiate(objName string, q viewobject.Query) ([]*viewobject.Instance, error) {
 	o, err := c.object(objName)
 	if err != nil {
 		return nil, err
 	}
-	type chunk struct {
-		insts []*viewobject.Instance
-		err   error
+	rtxs := make([]*reldb.ReadTx, len(c.dbs))
+	c.cut.RLock()
+	for i, db := range c.dbs {
+		rtxs[i] = db.BeginRead()
 	}
-	chunks := make([]chunk, len(c.dbs))
-	done := make(chan int, len(c.dbs))
-	for i := range c.dbs {
-		go func(i int) {
-			rtx := c.dbs[i].BeginRead()
-			defer rtx.Close()
-			insts, err := viewobject.Instantiate(rtx, o.trs[i].Definition(), q)
-			chunks[i] = chunk{insts: insts, err: err}
-			done <- i
-		}(i)
-	}
-	for range c.dbs {
-		<-done
-	}
-	total := 0
-	for i := range chunks {
-		if chunks[i].err != nil {
-			return nil, chunks[i].err
+	c.cut.RUnlock()
+	defer func() {
+		for _, rtx := range rtxs {
+			rtx.Close()
 		}
-		total += len(chunks[i].insts)
-	}
-	if len(chunks) == 1 {
-		return chunks[0].insts, nil // one shard: already in pivot-key order
+	}()
+	if len(rtxs) == 1 {
+		return viewobject.Instantiate(rtxs[0], o.trs[0].Definition(), q) // already in pivot-key order
 	}
 	// Per-shard results are already pivot-key ordered; a stable sort on
 	// the encoded key, computed once per instance, merges them
@@ -69,9 +56,13 @@ func (c *Cluster) Instantiate(objName string, q viewobject.Query) ([]*viewobject
 		key  string
 		inst *viewobject.Instance
 	}
-	merged := make([]keyed, 0, total)
-	for i := range chunks {
-		for _, inst := range chunks[i].insts {
+	var merged []keyed
+	for i, rtx := range rtxs {
+		insts, err := viewobject.Instantiate(rtx, o.trs[i].Definition(), q)
+		if err != nil {
+			return nil, err
+		}
+		for _, inst := range insts {
 			merged = append(merged, keyed{key: inst.EncodedKey(), inst: inst})
 		}
 	}

@@ -35,6 +35,7 @@ import (
 	"hash/fnv"
 	"path/filepath"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -59,6 +60,11 @@ type Cluster struct {
 	// with those of earlier incarnations still present in the logs.
 	xidNonce uint64
 	xidSeq   atomic.Uint64
+	// cut makes a cross-shard commit one step for readers: commitGlobal
+	// holds it exclusively while it installs the decision on each shard,
+	// and Instantiate holds it shared while it opens its snapshots.
+	// Local commits do not take it.
+	cut sync.RWMutex
 }
 
 // object is one registered view object: a translator per shard (each

@@ -1,7 +1,6 @@
 package viewobject_test
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -13,14 +12,12 @@ import (
 // TestAssemblyAllocations pins what assembly allocates on the benchmark
 // object (46 components per instance): a level costs a few allocations
 // plus one stored-tuple copy per component, so a one-instance read and a
-// 96-pivot range read stay near the figures logged here. The worker
-// budget is pinned to 1, so the parallel fan-out does not enter the
-// count; the race detector's allocations do not belong in it either.
+// 96-pivot range read stay near the figures logged here. The race
+// detector's allocations do not belong in the count.
 func TestAssemblyAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	w, err := workload.BuildTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 3, Peninsulas: 1, Roots: 200})
 	if err != nil {
 		t.Fatal(err)

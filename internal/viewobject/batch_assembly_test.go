@@ -1,7 +1,6 @@
 package viewobject_test
 
 import (
-	"runtime"
 	"testing"
 
 	"penguin/internal/obs"
@@ -53,26 +52,13 @@ func withoutIndexes(t testing.TB, db *reldb.Database) *reldb.Database {
 	return bare
 }
 
-// The differential acceptance test: batched level-at-a-time assembly —
-// sequential and parallel — must emit byte-identical instances, in the
-// same order, as the naive parent-at-a-time path — on the indexed and
-// index-less (shared-scan) variants of the workload fixture and on the
-// university Omega object.
+// The differential acceptance test: batched level-at-a-time assembly
+// must emit byte-identical instances, in the same order, as the naive
+// parent-at-a-time path — on the indexed and index-less (shared-scan)
+// variants of the workload fixture and on the university Omega object.
 func TestBatchedAssemblyMatchesNaiveByteForByte(t *testing.T) {
 	spec := workload.TreeSpec{Depth: 2, Width: 2, Fanout: 3, Roots: 7, Peninsulas: 1}
 
-	// run assembles all instances on the batched path under a
-	// parallelism budget of workers (1 forces a sequential run, >1 fans
-	// out — the fixture's root counts clear minParallelPivots).
-	run := func(t *testing.T, res structural.Resolver, def *Definition, workers int) []string {
-		t.Helper()
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
-		insts, err := Instantiate(res, def, Query{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return renderAll(t, insts)
-	}
 	compare := func(t *testing.T, res structural.Resolver, def *Definition) {
 		t.Helper()
 		insts, err := InstantiateNaive(res, def)
@@ -83,17 +69,16 @@ func TestBatchedAssemblyMatchesNaiveByteForByte(t *testing.T) {
 		if len(naive) == 0 {
 			t.Fatal("fixture produced no instances")
 		}
-		for name, got := range map[string][]string{
-			"batched":          run(t, res, def, 1),
-			"parallel batched": run(t, res, def, 4),
-		} {
-			if len(naive) != len(got) {
-				t.Fatalf("naive assembled %d instances, %s %d", len(naive), name, len(got))
-			}
-			for i := range naive {
-				if naive[i] != got[i] {
-					t.Fatalf("instance %d differs:\n--- naive ---\n%s\n--- %s ---\n%s", i, naive[i], name, got[i])
-				}
+		if insts, err = Instantiate(res, def, Query{}); err != nil {
+			t.Fatal(err)
+		}
+		got := renderAll(t, insts)
+		if len(naive) != len(got) {
+			t.Fatalf("naive assembled %d instances, batched %d", len(naive), len(got))
+		}
+		for i := range naive {
+			if naive[i] != got[i] {
+				t.Fatalf("instance %d differs:\n--- naive ---\n%s\n--- batched ---\n%s", i, naive[i], got[i])
 			}
 		}
 	}
@@ -161,12 +146,8 @@ func instantiationRatio(t *testing.T, w *workload.Workload, naive bool) float64 
 // than the naive per-parent path's. Measured on the index-less variant,
 // where the difference is purely the batching (one shared scan per level
 // versus one scan per parent); with the auto edge indexes the ratio drops
-// to ~1 for both paths. The worker budget is pinned to 1: every pivot
-// chunk of the parallel fan-out repeats the level's shared scan, so on
-// index-less data the ratio would otherwise grow with the host's core
-// count (30 one-pivot chunks at 8 cores) and measure that, not batching.
+// to ~1 for both paths.
 func TestBatchedAssemblyCollapsesScanRatio(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	spec := workload.TreeSpec{Depth: 2, Width: 2, Fanout: 4, Roots: 30, Peninsulas: 1}
 	build := func() *workload.Workload {
 		w, err := workload.BuildTree(spec)

@@ -9,8 +9,7 @@ import (
 )
 
 // The naive parent-at-a-time assembler: the reference the differential
-// tests hold the batched level-at-a-time path (sequential and parallel)
-// against, byte for byte. It shares pivotSelect and the metric families
+// tests hold the batched level-at-a-time path against, byte for byte. It shares pivotSelect and the metric families
 // with production, so instance sets and scan accounting compare
 // directly; everything below the pivots is its own code.
 
@@ -22,7 +21,7 @@ func InstantiateNaive(res structural.Resolver, def *Definition) ([]*Instance, er
 	if err != nil {
 		return nil, err
 	}
-	pivots, scanned, err := pivotSelect(pivotRel, nil, 1)
+	pivots, scanned, err := pivotSelect(pivotRel, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package viewobject_test
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -356,8 +355,6 @@ func TestMustHelpersPanic(t *testing.T) {
 // that holder alone.
 func TestSharedTuplesAreInvisible(t *testing.T) {
 	db, def := seededOmega(t)
-	// One worker, so one batch: parallel chunks each probe for themselves.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	all, err := Instantiate(db, def, Query{})
 	if err != nil {
 		t.Fatal(err)

@@ -2,7 +2,6 @@ package viewobject
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"penguin/internal/obs"
@@ -48,11 +47,7 @@ type CountCond struct {
 // Instantiate composes the query with the object's structure, executes it
 // against the database reachable through res, and assembles the matching
 // hierarchical instances (Figure 4). Results are in pivot-key order.
-//
-// When GOMAXPROCS is above 1 and the pivot frontier is
-// large enough, assembly fans out across a bounded worker pool (see
-// parallel.go); the output — contents and order — is identical to a
-// sequential run.
+// Assembly runs on the caller's goroutine.
 func Instantiate(res structural.Resolver, def *Definition, q Query) ([]*Instance, error) {
 	return InstantiateOp(res, def, q, obs.Op{})
 }
@@ -60,14 +55,13 @@ func Instantiate(res structural.Resolver, def *Definition, q Query) ([]*Instance
 // InstantiateOp is Instantiate under a causal trace context: the
 // instantiation becomes a child span of parent when parent is active
 // (e.g. a materializer rebuild inside a traced serve) and a root span
-// of its own when the flight recorder is on but parent is not. Parallel
-// fan-out reports each chunk as a child span, so the span tree shows
-// where the pool spent its time. A failed instantiation finishes its
-// span too (detail err=…): the failures are the traces one wants.
+// of its own when the flight recorder is on but parent is not. A failed
+// instantiation finishes its span too (detail err=…): the failures are
+// the traces one wants.
 func InstantiateOp(res structural.Resolver, def *Definition, q Query, parent obs.Op) ([]*Instance, error) {
 	start := time.Now()
 	op := obs.Default.OpUnder(parent, "viewobject.instantiate")
-	out, err := instantiate(res, def, q, op)
+	out, err := instantiate(res, def, q)
 	if err != nil {
 		if op.Active() {
 			op.Finish(fmt.Sprintf("object=%s err=%v", def.Name, err))
@@ -82,30 +76,21 @@ func InstantiateOp(res structural.Resolver, def *Definition, q Query, parent obs
 	return out, nil
 }
 
-// instantiate selects the pivots, assembles their instances (fanning
-// out under op when the frontier is large enough) and keeps those
-// satisfying the query's node predicates and count conditions.
-func instantiate(res structural.Resolver, def *Definition, q Query, op obs.Op) ([]*Instance, error) {
+// instantiate selects the pivots, assembles their instances and keeps
+// those satisfying the query's node predicates and count conditions.
+func instantiate(res structural.Resolver, def *Definition, q Query) ([]*Instance, error) {
 	pivotRel, err := res.Relation(def.Pivot())
 	if err != nil {
 		return nil, err
 	}
-	workers := workersFor(res)
-	pivots, scanned, err := pivotSelect(pivotRel, q.PivotPred, workers)
+	pivots, scanned, err := pivotSelect(pivotRel, q.PivotPred)
 	if err != nil {
 		return nil, fmt.Errorf("viewobject: %s: pivot selection: %w", def.Name, err)
 	}
 	// Counted only on success: an errored selection did not complete.
 	obs.Default.InstTuplesByObject.At(def.obsSlot).Add(scanned)
-	var instances []*Instance
-	if workers > 1 && len(pivots) >= minParallelPivots {
-		pstart := time.Now()
-		instances, err = instantiateParallel(res, def, pivots, workers, op)
-		if err != nil {
-			return nil, err
-		}
-		obs.Default.InstantiateParallelNsByObject.At(def.obsSlot).Observe(time.Since(pstart).Nanoseconds())
-	} else if instances, err = assembleBatch(res, def, pivots); err != nil {
+	instances, err := assembleBatch(res, def, pivots)
+	if err != nil {
 		return nil, err
 	}
 	var out []*Instance
@@ -128,12 +113,11 @@ func instantiate(res structural.Resolver, def *Definition, q Query, op obs.Op) (
 // tuples actually visited; when it is a range conjunction over one
 // attribute (RangeConjunction + ProbeableRange) it runs as a MatchRange
 // probe — one seek and an in-order walk of the key or index range,
-// charging the tuples walked; otherwise it scans — in parallel when
-// the relation and worker budget warrant it — charging the whole
+// charging the tuples walked; otherwise it scans, charging the whole
 // relation, which is what a scan visits. The naive reference assembler
 // the differential tests keep shares this selection, so its pivot set
 // (and scan accounting) is identical by construction.
-func pivotSelect(pivotRel *reldb.Relation, pred reldb.Expr, workers int) ([]reldb.Tuple, int64, error) {
+func pivotSelect(pivotRel *reldb.Relation, pred reldb.Expr) ([]reldb.Tuple, int64, error) {
 	if pred != nil {
 		if attrs, vals, ok := reldb.EqConjunction(pred); ok && pivotRel.ProbeableEqual(attrs, vals) {
 			var st reldb.MatchStats
@@ -152,7 +136,7 @@ func pivotSelect(pivotRel *reldb.Relation, pred reldb.Expr, workers int) ([]reld
 			return pivots, int64(st.Scanned), nil
 		}
 	}
-	pivots, err := pivotRel.SelectParallel(pred, workers)
+	pivots, err := pivotRel.Select(pred)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -162,8 +146,7 @@ func pivotSelect(pivotRel *reldb.Relation, pred reldb.Expr, workers int) ([]reld
 // assembleBatch runs the batched level-at-a-time assembly over a slice
 // of pivot tuples: create every root first, then fill the whole forest
 // level-at-a-time so all pivots' children at the same definition node
-// come from one batched fetch. It is the sequential unit of work — the
-// parallel path calls it once per pivot chunk. The pivots, like every
+// come from one batched fetch. The pivots, like every
 // tuple the traversal fetches below them, come straight from a relation
 // and are adopted, not re-checked and re-copied (see adoptNode).
 func assembleBatch(res structural.Resolver, def *Definition, pivots []reldb.Tuple) ([]*Instance, error) {
@@ -238,18 +221,12 @@ func instantiateByKey(res structural.Resolver, def *Definition, key reldb.Tuple)
 // lookup per path edge for the whole level) and the results distributed
 // back, preserving the per-parent key ordering and dedup semantics of the
 // naive path. The freshly built level then recurses as one batch.
-//
-// A level whose parent set is large enough may be split across idle
-// worker tokens (work stealing, see parallel.go): helper goroutines fill
-// disjoint contiguous parent segments concurrently and the segment
-// results concatenate back in parent order, so the assembled instances
-// are identical to a sequential fill.
 func fillLevel(res structural.Resolver, def *Definition, parents []*InstNode) error {
 	if len(parents) == 0 {
 		return nil
 	}
 	for _, child := range parents[0].node.Children {
-		level, err := fillChildLevel(res, def, parents, child)
+		level, err := fillChildSegment(res, def, parents, child)
 		if err != nil {
 			return err
 		}
@@ -261,59 +238,9 @@ func fillLevel(res structural.Resolver, def *Definition, parents []*InstNode) er
 	return nil
 }
 
-// fillChildLevel builds every parent's children at one definition node,
-// splitting the parent set across stolen worker tokens when the level is
-// wide and spare parallelism exists. Each segment touches only its own
-// parents (fillChildSegment writes no other parent's child lists), so
-// the helpers need no locks; segment results concatenate in parent order.
-func fillChildLevel(res structural.Resolver, def *Definition, parents []*InstNode, child *Node) ([]*InstNode, error) {
-	helpers := 0
-	if len(parents) >= 2*minStealParents && workersFor(res) > 1 {
-		helpers = grabStealTokens(len(parents)/minStealParents - 1)
-	}
-	if helpers == 0 {
-		return fillChildSegment(res, def, parents, child)
-	}
-	defer releaseStealTokens(helpers)
-	obs.Default.ParallelSteals.Add(int64(helpers))
-	segs := helpers + 1
-	per := (len(parents) + segs - 1) / segs
-	results := make([][]*InstNode, segs)
-	errs := make([]error, segs)
-	var wg sync.WaitGroup
-	for s := 1; s < segs; s++ {
-		lo, hi := s*per, (s+1)*per
-		if hi > len(parents) {
-			hi = len(parents)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(s, lo, hi int) {
-			defer wg.Done()
-			results[s], errs[s] = fillChildSegment(res, def, parents[lo:hi], child)
-		}(s, lo, hi)
-	}
-	results[0], errs[0] = fillChildSegment(res, def, parents[:per], child)
-	wg.Wait()
-	total := 0
-	for s := 0; s < segs; s++ {
-		if errs[s] != nil {
-			return nil, errs[s] // lowest-segment error wins: deterministic
-		}
-		total += len(results[s])
-	}
-	level := make([]*InstNode, 0, total)
-	for _, seg := range results {
-		level = append(level, seg...)
-	}
-	return level, nil
-}
-
-// fillChildSegment is the sequential unit of a level fill: one batched
-// traversal for a contiguous run of parents, results attached in
-// per-parent key order. The segment's components are built in three
+// fillChildSegment builds every parent's children at one definition
+// node: one batched traversal for the whole level, results attached in
+// per-parent key order. The level's components are built in three
 // allocations: a slab of nodes; a slice of pointers to them, which is
 // the next level's parent set and out of which each parent's child list
 // is carved; and the child-list headers of the parents that had none.

@@ -3,7 +3,6 @@ package viewobject_test
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"penguin/internal/obs"
@@ -93,56 +92,8 @@ func TestPivotProbeMatchesScanOnOmega(t *testing.T) {
 	}
 }
 
-func TestParallelInstantiationMetrics(t *testing.T) {
-	w, err := workload.BuildTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 3, Roots: 16, Peninsulas: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	before := obs.Capture()
-	insts, err := Instantiate(w.DB, w.Def, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(insts) != 16 {
-		t.Fatalf("%d instances, want 16", len(insts))
-	}
-	d := obs.Capture().Sub(before)
-	workers := d.Counter("viewobject.parallel.workers")
-	chunks := d.Counter("viewobject.parallel.chunks")
-	if workers < 2 || workers > 4 {
-		t.Fatalf("parallel.workers = %d, want 2..4", workers)
-	}
-	if chunks < workers || chunks > 16 {
-		t.Fatalf("parallel.chunks = %d (workers %d)", chunks, workers)
-	}
-	if n := d.Histogram("viewobject.instantiate.parallel_ns").Count; n != 1 {
-		t.Fatalf("parallel_ns observed %d times, want 1", n)
-	}
-	if n := d.LabeledHistograms["viewobject.instantiate.parallel_ns"].Values[w.Def.Name].Count; n != 1 {
-		t.Fatalf("labeled parallel_ns observed %d times, want 1", n)
-	}
-
-	// With a budget of 1 the fan-out (and its metrics) must not engage.
-	runtime.GOMAXPROCS(1)
-	before = obs.Capture()
-	if _, err := Instantiate(w.DB, w.Def, Query{}); err != nil {
-		t.Fatal(err)
-	}
-	d = obs.Capture().Sub(before)
-	if n := d.Counter("viewobject.parallel.workers"); n != 0 {
-		t.Fatalf("sequential run counted %d parallel workers", n)
-	}
-	if n := d.Histogram("viewobject.instantiate.parallel_ns").Count; n != 0 {
-		t.Fatalf("sequential run observed parallel_ns %d times", n)
-	}
-}
-
 // failingResolver resolves through the database until it meets failRel,
-// which always errors — simulating a mid-assembly resolution failure
-// inside the worker pool.
+// which always errors — simulating a mid-assembly resolution failure.
 type failingResolver struct {
 	db      *reldb.Database
 	failRel string
@@ -157,16 +108,13 @@ func (f *failingResolver) Relation(name string) (*reldb.Relation, error) {
 	return f.db.Relation(name)
 }
 
+// TestParallelErrorPropagation: a resolver that fails below the pivots
+// surfaces its error, and no partly assembled instances.
 func TestParallelErrorPropagation(t *testing.T) {
 	w, err := workload.BuildTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 2, Roots: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	// Every worker hits the failure when it descends to the failing child
-	// relation; the fan-out must drain cleanly and surface the error.
 	res := &failingResolver{db: w.DB, failRel: "N0_0_0"}
 	insts, err := Instantiate(res, w.Def, Query{})
 	if !errors.Is(err, errResolveBoom) {
@@ -174,12 +122,6 @@ func TestParallelErrorPropagation(t *testing.T) {
 	}
 	if insts != nil {
 		t.Fatalf("errored Instantiate returned %d instances, want nil", len(insts))
-	}
-
-	// The sequential path reports the same error.
-	runtime.GOMAXPROCS(1)
-	if _, err := Instantiate(res, w.Def, Query{}); !errors.Is(err, errResolveBoom) {
-		t.Fatalf("sequential err = %v, want errResolveBoom", err)
 	}
 }
 
@@ -235,118 +177,25 @@ func TestPivotRangeProbe(t *testing.T) {
 	}
 }
 
-// Work stealing: a wide level must split across spare worker tokens —
-// and produce instances byte-identical to a sequential fill, which is
-// the whole point of the disjoint-segment design.
-func TestLevelWorkStealingMatchesSequential(t *testing.T) {
-	w, err := workload.BuildTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 10, Roots: 2, Peninsulas: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Two pivots keep the chunked fan-out off (below minParallelPivots),
-	// so any parallelism below comes from level stealing alone.
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	before := obs.Capture()
-	stolen, err := Instantiate(w.DB, w.Def, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := obs.Capture().Sub(before).Counter("viewobject.parallel.steals"); n == 0 {
-		t.Fatal("wide levels with spare workers recorded no steals")
-	}
-
-	runtime.GOMAXPROCS(1)
-	before = obs.Capture()
-	sequential, err := Instantiate(w.DB, w.Def, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := obs.Capture().Sub(before).Counter("viewobject.parallel.steals"); n != 0 {
-		t.Fatalf("parallelism 1 stole %d times", n)
-	}
-
-	if len(stolen) != len(sequential) || len(stolen) != 2 {
-		t.Fatalf("instance counts: stolen %d, sequential %d, want 2", len(stolen), len(sequential))
-	}
-	for i := range stolen {
-		if stolen[i].Render() != sequential[i].Render() {
-			t.Fatalf("instance %d differs between stolen and sequential assembly:\n%s\n---\n%s",
-				i, stolen[i].Render(), sequential[i].Render())
-		}
-	}
-}
-
-// chunkShapeWorkers × 4..33 items covers every way a rounded-up chunk
-// size can overshoot the item count (10 items in 8 chunks of 2 need only
-// 5) — the shapes a 1- and 4-core CI host never produced.
-var chunkShapeWorkers = []int{1, 2, 3, 4, 8}
-
-// renderWith instantiates the whole object under the given worker budget.
-func renderWith(t *testing.T, w *workload.Workload, workers int) []string {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(workers)
-	defer runtime.GOMAXPROCS(prev)
-	insts, err := Instantiate(w.DB, w.Def, Query{})
-	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	return renderAll(t, insts)
-}
-
-// TestChunkShapesMatchSequential runs the table over both splits of the
-// assembler: the pivot chunking of instantiateParallel (n roots) and the
-// segment split of fillChildLevel (one root whose second level has n
-// parents, so only level stealing can fan out). Neither may panic, and
-// each must equal the sequential result element by element.
-func TestChunkShapesMatchSequential(t *testing.T) {
-	for n := 4; n <= 33; n++ {
-		for name, spec := range map[string]workload.TreeSpec{
-			"pivots":  {Depth: 1, Width: 1, Fanout: 2, Roots: n},
-			"parents": {Depth: 2, Width: 1, Fanout: n, Roots: 1},
-		} {
-			w, err := workload.BuildTree(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := renderWith(t, w, 1)
-			for _, workers := range chunkShapeWorkers {
-				got := renderWith(t, w, workers)
-				if len(got) != len(want) {
-					t.Fatalf("%s=%d workers=%d: %d instances, want %d", name, n, workers, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("%s=%d workers=%d: instance %d differs from the sequential result", name, n, workers, i)
-					}
-				}
-			}
-		}
-	}
-}
-
-// A write transaction is not safe to resolve through from several
-// goroutines (Relation clones lazily into a plain map), and the update
-// translators instantiate through theirs: neither the pivot fan-out nor
-// level stealing may engage for it, whatever the worker budget.
+// TestWriteTxResolverStaysSequential: the update translators
+// instantiate through their write transaction, which must read what the
+// database holds.
 func TestWriteTxResolverStaysSequential(t *testing.T) {
 	w, err := workload.BuildTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 10, Roots: 8, Peninsulas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	want := renderWith(t, w, 1)
-
-	tx := w.DB.Begin()
-	defer tx.Rollback()
-	before := obs.Capture()
-	insts, err := Instantiate(tx, w.Def, Query{})
+	fromDB, err := Instantiate(w.DB, w.Def, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := obs.Capture().Sub(before)
-	if workers, steals := d.Counter("viewobject.parallel.workers"), d.Counter("viewobject.parallel.steals"); workers != 0 || steals != 0 {
-		t.Fatalf("write-transaction resolver fanned out: %d pool workers, %d steals", workers, steals)
+	want := renderAll(t, fromDB)
+
+	tx := w.DB.Begin()
+	defer tx.Rollback()
+	insts, err := Instantiate(tx, w.Def, Query{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	got := renderAll(t, insts)
 	if len(got) != len(want) {

@@ -16,7 +16,7 @@
 //   - a definition relation missing, new, or dropped and created again
 //     (Diff reports it Structural), or a pivot change when the pivot also
 //     appears mid-path → the plan cannot localize: re-instantiate through
-//     the existing (parallel) path.
+//     the existing path.
 //
 // The window between two syncs may span any number of commits; the diff
 // is their net effect, and that is all localization needs (DESIGN §11).
@@ -379,8 +379,7 @@ func (m *Materializer) versionsIn(rtx *reldb.ReadTx) map[string]*reldb.Relation 
 }
 
 // rebuildLocked re-instantiates the full extent through the existing
-// Instantiate path (parallel when the pivot frontier and worker budget
-// warrant) and re-keys the cache at the snapshot's generation.
+// Instantiate path and re-keys the cache at the snapshot's generation.
 func (m *Materializer) rebuildLocked(rtx *reldb.ReadTx, op obs.Op) error {
 	insts, err := InstantiateOp(rtx, m.def, Query{}, op)
 	if err != nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // The materialization differential property (mirroring the
-// naive/batched/parallel assembly harness): drive a random stream of
+// naive/batched assembly harness): drive a random stream of
 // VO-R / VO-CD / VO-CI update translations through the database and,
 // at every observed generation, the materialized cache must serve the
 // full extent element-wise byte-identical to a fresh instantiation over

@@ -335,15 +335,14 @@ func TestMaterializedInstantiateShared(t *testing.T) {
 
 // TestMaterializerRetention pins what a patched materialized instance
 // keeps alive (DESIGN §11). Assembly builds each level's components in
-// slabs shared by the instances of one batch — one full build, at one
-// worker, or the instances one sync rebuilt — so a live instance pins
+// slabs shared by the instances of one batch — one full build, or the
+// instances one sync rebuilt — so a live instance pins
 // its batch-mates' nodes until every one of them is replaced or
 // dropped. Replacing every instance once therefore frees every earlier
 // batch, and the cache costs what one built fresh at that generation
 // costs; a full build with a single survivor pins at most that build's
 // nodes besides the live ones.
 func TestMaterializerRetention(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a full build is one batch
 	const roots, perCommit = 256, 32
 	w, err := workload.BuildTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 3, Peninsulas: 1, Roots: roots})
 	if err != nil {

@@ -29,10 +29,9 @@ type StressSpec struct {
 	// Readers is the number of concurrent instantiation goroutines.
 	Readers int
 	// ParallelReaders is the number of concurrent goroutines running
-	// full-object Instantiate calls (all roots at once), which fan out to
-	// every shard and engage the parallel assembly when
-	// viewobject.Parallelism allows — so writer commits race against
-	// multi-worker snapshot reads. May be 0.
+	// full-object Instantiate calls (all roots at once), which read every
+	// shard — so writer commits race against whole-cluster snapshot
+	// reads. May be 0.
 	ParallelReaders int
 	// MaterializedReaders is the number of concurrent goroutines reading
 	// through the run's viewobject.Materializers (one per shard, a key
@@ -245,10 +244,9 @@ func runStress(sw *ShardedWorkload, spec StressSpec, before obs.Snapshot) (*Stre
 		})
 	}
 
-	// Full-object readers: the query runs on every shard's snapshot (each
-	// fanning its pivot frontier across the worker pool when the
-	// parallelism budget allows) and merges; every instance in the result
-	// passes the same torn-instance invariants.
+	// Full-object readers: the query runs on every shard's snapshot and
+	// merges; every instance in the result passes the same torn-instance
+	// invariants.
 	for r := 0; r < spec.ParallelReaders; r++ {
 		reader(func(int) error {
 			insts, err := c.Instantiate(ShardedObject, viewobject.Query{})
@@ -340,8 +338,8 @@ func runStress(sw *ShardedWorkload, spec StressSpec, before obs.Snapshot) (*Stre
 	res.SlowTraces = res.Metrics.Counter("obs.slowtrace.captured")
 	// With a flight recorder installed, every retained span tree must be
 	// well-formed even though spans were emitted from the §5 pipeline, the
-	// cross-shard commit, the parallel instantiation pool, and the
-	// materializers concurrently: exactly one root, every ParentID
+	// cross-shard commit, the readers and the materializers
+	// concurrently: exactly one root, every ParentID
 	// resolvable, every child's interval inside its parent's. A violation
 	// here means the causal threading tore under load.
 	if rec := obs.Default.Recorder(); rec != nil {

@@ -65,12 +65,12 @@ func TestRunStress(t *testing.T) {
 	}
 }
 
-// TestRunStressParallelReaders adds full-object parallel-instantiation
-// readers to the mix: multi-worker snapshot reads racing VO writers.
-// Under `go test -race` this is the proof that the parallel fan-out is
-// race-clean; the invariant checks prove no torn instances.
+// TestRunStressParallelReaders adds full-object readers to the mix:
+// whole-extent snapshot reads racing VO writers. Under `go test -race`
+// this is the proof that concurrent readers are race-clean against
+// commits; the invariant checks prove no torn instances.
 func TestRunStressParallelReaders(t *testing.T) {
-	// Run at GOMAXPROCS 4 so the parallel path engages even in a
+	// Run at GOMAXPROCS 4 so readers and writers interleave even in a
 	// GOMAXPROCS=1 CI job.
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -85,9 +85,6 @@ func TestRunStressParallelReaders(t *testing.T) {
 	res := runStressOK(t, spec, 1)
 	if res.ParallelInstantiations == 0 {
 		t.Fatal("parallel readers never observed an instance")
-	}
-	if n := res.Metrics.Counter("viewobject.parallel.workers"); n == 0 {
-		t.Fatal("parallel fan-out never engaged")
 	}
 }
 

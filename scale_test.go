@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -14,7 +13,6 @@ import (
 	"penguin/internal/university"
 	"penguin/internal/viewobject"
 	"penguin/internal/vupdate"
-	"penguin/internal/workload"
 )
 
 // TestScaleIntegration exercises the whole stack at ~50k rows: seed,
@@ -107,56 +105,6 @@ func TestScaleIntegration(t *testing.T) {
 	}
 	if len(vs) != 0 {
 		t.Fatalf("%d violations after scale updates", len(vs))
-	}
-}
-
-// TestParallelInstantiationSpeedup asserts that the worker fan-out buys
-// wall-clock time on multi-core hosts. Correctness is not at stake here
-// (byte-identical output is pinned by the differential tests); this is
-// purely a perf gate, so it only runs where a speedup is physically
-// possible — with fewer than 4 hardware threads the workers time-slice
-// one core and the fan-out can only add scheduler overhead. The
-// threshold is deliberately below the ~linear scaling seen on idle
-// 4-core hosts to keep shared CI runners from flaking.
-func TestParallelInstantiationSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("speedup test skipped in -short mode")
-	}
-	if n := runtime.NumCPU(); n < 4 {
-		t.Skipf("requires >= 4 CPUs for a measurable speedup, have %d", n)
-	}
-	w, err := workload.BuildTree(parallelBenchSpec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Best-of-N wall time at a fixed worker budget; one warm-up pass
-	// warms the page allocator so both budgets
-	// measure steady state.
-	measure := func(workers int) time.Duration {
-		prev := runtime.GOMAXPROCS(workers)
-		defer runtime.GOMAXPROCS(prev)
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 4; i++ {
-			start := time.Now()
-			insts, err := viewobject.Instantiate(w.DB, w.Def, viewobject.Query{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(insts) != parallelBenchSpec.Roots {
-				t.Fatalf("%d instances, want %d", len(insts), parallelBenchSpec.Roots)
-			}
-			if d := time.Since(start); i > 0 && d < best {
-				best = d
-			}
-		}
-		return best
-	}
-	seq := measure(1)
-	par := measure(4)
-	ratio := float64(seq) / float64(par)
-	t.Logf("sequential %v, 4 workers %v, speedup %.2fx", seq, par, ratio)
-	if ratio < 1.4 {
-		t.Errorf("parallel instantiation speedup %.2fx < 1.4x (seq %v, par %v)", ratio, seq, par)
 	}
 }
 
