@@ -100,5 +100,6 @@ examples:
 	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done
 
 # verify is the full gate: compile everything, vet, then run the whole
-# suite (including the concurrent stress tests) under the race detector.
-verify: build vet race metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test fuzz-smoke examples
+# suite (including the concurrent stress tests) under the race detector,
+# every benchmark once, and every CI target besides.
+verify: build vet race metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test bench-smoke fuzz-smoke examples

@@ -472,7 +472,7 @@ func BenchmarkShardedCommit(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer sw.Close()
-			def, err := sw.C.Object(workload.ShardedObject, 0)
+			def, err := sw.C.Object(workload.ShardedObject)
 			if err != nil {
 				b.Fatal(err)
 			}

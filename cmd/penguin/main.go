@@ -225,7 +225,7 @@ func main() {
 		sh.adopt(db)
 	} else if sh.cluster == nil {
 		sh.cluster = openUniversity(*dataDir, *shards)
-		om, err := sh.cluster.Object(university.ObjOmega, 0)
+		om, err := sh.cluster.Object(university.ObjOmega)
 		if err != nil {
 			fatal(err)
 		}

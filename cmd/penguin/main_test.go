@@ -36,7 +36,7 @@ func testShellOver(t *testing.T, n int, script string) (*shell, *bytes.Buffer) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	om, err := c.Object(university.ObjOmega, 0)
+	om, err := c.Object(university.ObjOmega)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,9 +515,10 @@ func TestShellDataDirLayout(t *testing.T) {
 
 // TestShellOverShards drives the object commands over three shards:
 // reads, the dry run and the real deletion route by pivot key exactly as
-// on one shard, .shards and .checkpoint walk every shard, and the
-// commands that need one database's snapshot, delta stream or
-// translator are refused.
+// on one shard — the dry run of a key homed off shard 0 lists exactly
+// what its deletion then executes — .shards and .checkpoint walk every
+// shard, and the commands that need one database's snapshot or delta
+// stream, or (.dialog) could make ω′ break the placement, are refused.
 func TestShellOverShards(t *testing.T) {
 	sh, out := testShellOver(t, 3, "")
 	text := run(t, sh, out, ".query omega Level = 'graduate' and count(STUDENT) < 5")
@@ -528,16 +529,28 @@ func TestShellOverShards(t *testing.T) {
 	if !strings.Contains(text, "COURSES: (CS345") {
 		t.Errorf(".instance output:\n%s", text)
 	}
-	text = run(t, sh, out, ".preview omega CS445")
-	if !strings.Contains(text, "would translate into") {
-		t.Errorf(".preview output:\n%s", text)
+	// CS445 is homed off shard 0, so the dry run and the delete both
+	// translate there — and must list the same operations.
+	if home, err := sh.cluster.HomeOf(university.ObjOmega, reldb.Tuple{reldb.String("CS445")}); err != nil || home == 0 {
+		t.Fatalf("CS445 is homed on shard %d (%v), want one other than 0", home, err)
+	}
+	preview := run(t, sh, out, ".preview omega CS445")
+	previewOps, ok := strings.CutPrefix(preview, "would translate into ")
+	if !ok {
+		t.Fatalf(".preview output:\n%s", preview)
 	}
 	if text = run(t, sh, out, ".instance omega CS445"); !strings.Contains(text, "COURSES: (CS445") {
 		t.Errorf("preview mutated the cluster:\n%s", text)
 	}
 	text = run(t, sh, out, ".delete omega CS445")
-	if !strings.Contains(text, "translated into") {
-		t.Errorf(".delete output:\n%s", text)
+	deleteOps, ok := strings.CutPrefix(text, "translated into ")
+	if !ok {
+		t.Fatalf(".delete output:\n%s", text)
+	}
+	// Both read "N operation(s)<header tail>:\n<ops>": compare N and ops.
+	previewOps = strings.Replace(previewOps, " (nothing executed)", "", 1)
+	if previewOps != deleteOps || strings.HasPrefix(deleteOps, "0 ") {
+		t.Errorf(".preview of CS445 listed\n%s\nthe .delete that followed executed\n%s", previewOps, deleteOps)
 	}
 	if text = run(t, sh, out, ".instance omega CS445"); !strings.Contains(text, "no instance") {
 		t.Errorf("CS445 survived the routed delete:\n%s", text)

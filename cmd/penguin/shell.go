@@ -50,8 +50,8 @@ type shell struct {
 func (sh *shell) db() *reldb.Database { return sh.cluster.DB(0) }
 
 // single reports whether the session is one database; over several
-// shards it refuses the command, which needs one database's snapshot,
-// relation versions, or translator.
+// shards it refuses the command, which needs one database's snapshot or
+// relation versions, or would break the shards' placement.
 func (sh *shell) single(why string) bool {
 	if sh.cluster.N() > 1 {
 		sh.errorf("%s - not supported over %d shards", why, sh.cluster.N())
@@ -150,7 +150,7 @@ func (sh *shell) command(line string) bool {
 		fmt.Fprint(sh.out, sh.g.Render())
 	case ".objects":
 		for _, n := range sh.cluster.Objects() {
-			def, _ := sh.cluster.Object(n, 0)
+			def, _ := sh.cluster.Object(n)
 			fmt.Fprintf(sh.out, "%-12s pivot %s, complexity %d\n", n, def.Pivot(), def.Complexity())
 		}
 	case ".object":
@@ -223,19 +223,7 @@ func (sh *shell) command(line string) bool {
 		if def == nil {
 			break
 		}
-		// The dry run translates where the real update would: on the
-		// key's home shard, with the translator registered there.
-		home, err := sh.cluster.HomeOf(args[0], key)
-		if err != nil {
-			sh.errorf("error: %v", err)
-			break
-		}
-		tr, err := sh.cluster.Translator(args[0], home)
-		if err != nil {
-			sh.errorf("error: %v", err)
-			break
-		}
-		res, err := vupdate.NewUpdater(tr).PreviewDeleteByKey(key)
+		res, err := sh.cluster.PreviewDeleteByKey(args[0], key)
 		if err != nil {
 			sh.errorf("would be rejected: %v", err)
 			break
@@ -246,7 +234,7 @@ func (sh *shell) command(line string) bool {
 		if def == nil {
 			break
 		}
-		if !sh.single("the dialog chooses one database's translator") {
+		if !sh.single("a chosen translator could let omega-prime write GRADES, partitioned outside its island") {
 			break
 		}
 		sh.out.Flush()
@@ -257,10 +245,7 @@ func (sh *shell) command(line string) bool {
 			break
 		}
 		tr.RepairInserts = true
-		err = sh.cluster.ReplaceObject(args[0], func(int, *reldb.Database) (*vupdate.Translator, error) {
-			return tr, nil
-		})
-		if err != nil {
+		if err := sh.cluster.ReplaceObject(args[0], tr); err != nil {
 			sh.errorf("error: %v", err)
 			break
 		}
@@ -387,8 +372,8 @@ func (sh *shell) command(line string) bool {
 		}
 		fmt.Fprintln(sh.out, "saved", args[0])
 	case ".checkpoint":
-		for i, db := range sh.cluster.Databases() {
-			gen, err := db.Checkpoint()
+		for i := 0; i < sh.cluster.N(); i++ {
+			gen, err := sh.cluster.DB(i).Checkpoint()
 			if errors.Is(err, reldb.ErrNotDurable) {
 				sh.errorf("this session is in-memory - start with -data-dir DIR for durability")
 				break
@@ -530,7 +515,7 @@ func (sh *shell) lookupObject(args []string) *viewobject.Definition {
 		sh.errorf("usage: ... NAME")
 		return nil
 	}
-	def, err := sh.cluster.Object(args[0], 0)
+	def, err := sh.cluster.Object(args[0])
 	if err != nil {
 		sh.errorf("no object named %s - see .objects", args[0])
 		return nil

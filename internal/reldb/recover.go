@@ -48,9 +48,6 @@ import (
 type OpenOptions struct {
 	// Sync selects the WAL durability mode (default SyncCommit).
 	Sync SyncMode
-	// SyncInterval is the fsync period in SyncInterval mode (default
-	// 2ms; ignored in the other modes).
-	SyncInterval time.Duration
 	// CheckpointInterval is the background checkpoint period. Zero means
 	// the 30-second default; negative disables the background
 	// checkpointer (Checkpoint can still be called manually).
@@ -66,10 +63,7 @@ type OpenOptions struct {
 	ShardLabel string
 }
 
-const (
-	defaultSyncInterval       = 2 * time.Millisecond
-	defaultCheckpointInterval = 30 * time.Second
-)
+const defaultCheckpointInterval = 30 * time.Second
 
 // OpenDatabase opens (or creates) a durable database in dir with default
 // options: every acknowledged commit survives kill -9, and a background
@@ -80,9 +74,6 @@ func OpenDatabase(dir string) (*Database, error) {
 
 // OpenDatabaseWith is OpenDatabase with explicit durability options.
 func OpenDatabaseWith(dir string, opts OpenOptions) (*Database, error) {
-	if opts.SyncInterval <= 0 {
-		opts.SyncInterval = defaultSyncInterval
-	}
 	ckptEvery := opts.CheckpointInterval
 	if ckptEvery == 0 {
 		ckptEvery = defaultCheckpointInterval
@@ -162,7 +153,7 @@ func OpenDatabaseWith(dir string, opts OpenOptions) (*Database, error) {
 	if label == "" {
 		label = "0"
 	}
-	db.wal = newWAL(dir, opts.Sync, opts.SyncInterval, tail, tailStart, db.gen, obs.Default.Shards.Intern(label))
+	db.wal = newWAL(dir, opts.Sync, tail, tailStart, db.gen, obs.Default.Shards.Intern(label))
 	if ckptEvery > 0 {
 		db.ckptStop = make(chan struct{})
 		db.ckptDone = make(chan struct{})

@@ -392,9 +392,9 @@ func TestCloseIdempotentAndCommitAfterCloseFails(t *testing.T) {
 	}
 }
 
-// TestSyncModes: the relaxed modes still recover what reached the OS.
+// TestSyncModes: the relaxed mode still recovers what reached the OS.
 func TestSyncModes(t *testing.T) {
-	for _, mode := range []SyncMode{SyncInterval, SyncNone} {
+	for _, mode := range []SyncMode{SyncNone} {
 		dir := t.TempDir()
 		db, err := OpenDatabaseWith(dir, OpenOptions{Sync: mode})
 		if err != nil {

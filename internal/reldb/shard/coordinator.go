@@ -17,11 +17,7 @@ var errNeedsGlobal = errors.New("shard: translation left the island")
 // DeleteByKey routes a complete deletion (VO-CD) to the pivot key's
 // home shard.
 func (c *Cluster) DeleteByKey(objName string, key reldb.Tuple) (*vupdate.Result, error) {
-	o, err := c.object(objName)
-	if err != nil {
-		return nil, err
-	}
-	home, err := o.home(key, len(c.dbs))
+	o, home, err := c.route(objName, key)
 	if err != nil {
 		return nil, err
 	}
@@ -30,24 +26,34 @@ func (c *Cluster) DeleteByKey(objName string, key reldb.Tuple) (*vupdate.Result,
 	})
 }
 
+// PreviewDeleteByKey translates a complete deletion on the pivot key's
+// home shard — where DeleteByKey would — over a private fork of that
+// shard's snapshot, and reports the operations without executing them.
+func (c *Cluster) PreviewDeleteByKey(objName string, key reldb.Tuple) (*vupdate.Result, error) {
+	o, home, err := c.route(objName, key)
+	if err != nil {
+		return nil, err
+	}
+	u := &vupdate.Updater{T: o.tr, Hooks: &vupdate.TxHooks{
+		Begin: func() (*reldb.Tx, error) {
+			rtx := c.dbs[home].BeginRead()
+			defer rtx.Close()
+			return rtx.Fork().Begin(), nil
+		},
+	}}
+	return u.PreviewDeleteByKey(key)
+}
+
 // InsertInstance routes a complete insertion (VO-CI) to the instance's
-// home shard. The instance may have been built against any shard's copy
-// of the definition; it is re-homed before translation.
+// home shard. The instance must be built over the registered definition
+// (Object).
 func (c *Cluster) InsertInstance(objName string, inst *viewobject.Instance) (*vupdate.Result, error) {
-	o, err := c.object(objName)
-	if err != nil {
-		return nil, err
-	}
-	home, err := o.home(inst.Key(), len(c.dbs))
-	if err != nil {
-		return nil, err
-	}
-	homed, err := rehome(o.trs[home].Definition(), inst)
+	o, home, err := c.route(objName, inst.Key())
 	if err != nil {
 		return nil, err
 	}
 	return c.update(o, home, func(u *vupdate.Updater) (*vupdate.Result, error) {
-		return u.InsertInstance(homed)
+		return u.InsertInstance(inst)
 	})
 }
 
@@ -59,15 +65,11 @@ func (c *Cluster) InsertInstance(objName string, inst *viewobject.Instance) (*vu
 // shards, which the translation algorithms do not express — delete and
 // re-insert instead.
 func (c *Cluster) ReplaceByKey(objName string, key reldb.Tuple, newInst *viewobject.Instance) (*vupdate.Result, error) {
-	o, err := c.object(objName)
+	o, home, err := c.route(objName, key)
 	if err != nil {
 		return nil, err
 	}
-	home, err := o.home(key, len(c.dbs))
-	if err != nil {
-		return nil, err
-	}
-	newHome, err := o.home(newInst.Key(), len(c.dbs))
+	_, newHome, err := c.route(objName, newInst.Key())
 	if err != nil {
 		return nil, err
 	}
@@ -75,12 +77,8 @@ func (c *Cluster) ReplaceByKey(objName string, key reldb.Tuple, newInst *viewobj
 		return nil, fmt.Errorf("shard: %s: replacement moves pivot key %s from shard %d to %d: %w",
 			objName, newInst.Key(), home, newHome, ErrCrossShardMove)
 	}
-	newHomed, err := rehome(o.trs[home].Definition(), newInst)
-	if err != nil {
-		return nil, err
-	}
 	return c.update(o, home, func(u *vupdate.Updater) (*vupdate.Result, error) {
-		return u.ReplaceByKey(key, newHomed)
+		return u.ReplaceByKey(key, newInst)
 	})
 }
 
@@ -104,7 +102,7 @@ func (c *Cluster) update(o *object, home int, call func(*vupdate.Updater) (*vupd
 	// Fast path: translate with only the home writer held. If every
 	// emitted operation stays inside the (hash-partitioned) island the
 	// commit is purely local; otherwise roll back and signal the retry.
-	u := &vupdate.Updater{T: o.trs[home], Hooks: &vupdate.TxHooks{
+	u := &vupdate.Updater{T: o.tr, Hooks: &vupdate.TxHooks{
 		Begin: func() (*reldb.Tx, error) { return c.dbs[home].Begin(), nil },
 		Finish: func(tx *reldb.Tx, ops []vupdate.DBOp) error {
 			if len(c.dbs) == 1 || allIsland(o, ops) {
@@ -132,7 +130,7 @@ func (c *Cluster) updateGlobal(o *object, home int, call func(*vupdate.Updater) 
 		txs[i] = c.dbs[i].Begin()
 	}
 	inFinish := false
-	u := &vupdate.Updater{T: o.trs[home], Hooks: &vupdate.TxHooks{
+	u := &vupdate.Updater{T: o.tr, Hooks: &vupdate.TxHooks{
 		Begin: func() (*reldb.Tx, error) { return txs[home], nil },
 		Finish: func(tx *reldb.Tx, ops []vupdate.DBOp) error {
 			inFinish = true

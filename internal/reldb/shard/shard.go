@@ -67,16 +67,16 @@ type Cluster struct {
 	cut sync.RWMutex
 }
 
-// object is one registered view object: a translator per shard (each
-// built over that shard's database) plus routing state.
+// object is one registered view object: its translator — one for every
+// shard, and with it one definition — plus routing state.
 type object struct {
 	name string
-	trs  []*vupdate.Translator
+	tr   *vupdate.Translator
 	// islandRels are the base relations of the object's dependency
 	// island — the partitioned set; operations on any other relation
 	// force the cross-shard path.
 	islandRels map[string]bool
-	// pivotSchema (shard 0's copy) encodes routing keys.
+	// pivotSchema encodes routing keys.
 	pivotSchema *reldb.Schema
 }
 
@@ -195,51 +195,51 @@ func (c *Cluster) N() int { return len(c.dbs) }
 // DB returns shard i's database.
 func (c *Cluster) DB(i int) *reldb.Database { return c.dbs[i] }
 
-// Databases returns the shard databases in shard order.
-func (c *Cluster) Databases() []*reldb.Database { return c.dbs }
-
-// AddObject registers a view object: build is invoked once per shard,
-// in shard order, and must create (or re-attach) an identically shaped
-// definition plus translator over that shard's database — DDL broadcast
-// is simply build running everywhere. The object's dependency island
-// becomes (or must match) the cluster's partitioned relation set.
-func (c *Cluster) AddObject(name string, build func(shard int, db *reldb.Database) (*vupdate.Translator, error)) error {
+// AddObject registers a view object served by the translator tr: one
+// translator, and so one definition, reads, decodes and translates on
+// every shard. DDL is the caller's, once per shard — tr's definition
+// may be built over any database of the right shape, and registration
+// refuses a shard that lacks a relation the definition names or holds
+// it under a different schema. The object's dependency island becomes
+// (or must match) the cluster's partitioned relation set.
+func (c *Cluster) AddObject(name string, tr *vupdate.Translator) error {
 	if _, dup := c.objects[name]; dup {
 		return fmt.Errorf("shard: object %s already registered", name)
 	}
-	return c.register(name, build)
+	return c.register(name, tr)
 }
 
-// ReplaceObject re-registers an existing object with the translators a
-// fresh build returns — how a translator chosen after start-up (the §6
-// dialog) takes effect. Placement is validated again: the rows already
-// sit where the earlier registration put them, so an island that differs
-// from it is refused and the earlier registration stays. Like AddObject
-// it must not run concurrently with traffic.
-func (c *Cluster) ReplaceObject(name string, build func(shard int, db *reldb.Database) (*vupdate.Translator, error)) error {
+// ReplaceObject re-registers an existing object with another translator
+// — how a translator chosen after start-up (the §6 dialog) takes effect.
+// It runs AddObject's checks; the placement check matters most here, as
+// the rows already sit where the earlier registration put them, so an
+// island that differs from it is refused. On any refusal the earlier
+// registration stays. Like AddObject it must not run concurrently with
+// traffic.
+func (c *Cluster) ReplaceObject(name string, tr *vupdate.Translator) error {
 	if _, err := c.object(name); err != nil {
 		return err
 	}
-	return c.register(name, build)
+	return c.register(name, tr)
 }
 
-// register builds and validates one object and, only if every check
-// passes, installs it under name.
-func (c *Cluster) register(name string, build func(shard int, db *reldb.Database) (*vupdate.Translator, error)) error {
-	o := &object{name: name, trs: make([]*vupdate.Translator, len(c.dbs))}
+// register validates one object and, only if every check passes,
+// installs it under name.
+func (c *Cluster) register(name string, tr *vupdate.Translator) error {
+	def := tr.Definition()
 	for i, db := range c.dbs {
-		tr, err := build(i, db)
-		if err != nil {
-			return fmt.Errorf("shard %d: build %s: %w", i, name, err)
+		for _, n := range def.Nodes() {
+			rel, err := db.Relation(n.Relation)
+			if err != nil {
+				return fmt.Errorf("shard %d: object %s: %w", i, name, err)
+			}
+			if got, want := rel.Schema().String(), def.NodeSchema(n).String(); got != want {
+				return fmt.Errorf("shard %d: object %s: relation is %s, the definition reads %s", i, name, got, want)
+			}
 		}
-		if got := tr.Definition().Graph().Database(); got != db {
-			return fmt.Errorf("shard %d: build %s: translator not built over the shard's database", i, name)
-		}
-		o.trs[i] = tr
 	}
-	topo := o.trs[0].Topology()
-	def := o.trs[0].Definition()
-	o.islandRels = make(map[string]bool)
+	o := &object{name: name, tr: tr, islandRels: make(map[string]bool)}
+	topo := tr.Topology()
 	for _, id := range topo.Island() {
 		n, _ := def.Node(id)
 		o.islandRels[n.Relation] = true
@@ -273,24 +273,14 @@ func (c *Cluster) register(name string, build func(shard int, db *reldb.Database
 	return nil
 }
 
-// Object returns the shard-local definition of a registered object on
-// shard i (reads against shard i must use its own definition).
-func (c *Cluster) Object(name string, i int) (*viewobject.Definition, error) {
+// Object returns the definition of a registered object — the one its
+// translator serves, on every shard.
+func (c *Cluster) Object(name string) (*viewobject.Definition, error) {
 	o, err := c.object(name)
 	if err != nil {
 		return nil, err
 	}
-	return o.trs[i].Definition(), nil
-}
-
-// Translator returns the translator registered for the object on shard
-// i — what a dry-run translation (vupdate's Preview calls) runs against.
-func (c *Cluster) Translator(name string, i int) (*vupdate.Translator, error) {
-	o, err := c.object(name)
-	if err != nil {
-		return nil, err
-	}
-	return o.trs[i], nil
+	return o.tr.Definition(), nil
 }
 
 // Updatable reports whether updates may route through the object.
@@ -303,8 +293,7 @@ func (c *Cluster) Updatable(name string) bool {
 	if !ok {
 		return false
 	}
-	t := o.trs[0]
-	return t.AllowInsertion || t.AllowDeletion || t.AllowReplacement
+	return o.tr.AllowInsertion || o.tr.AllowDeletion || o.tr.AllowReplacement
 }
 
 // Objects returns the registered object names, sorted.
@@ -328,22 +317,24 @@ func (c *Cluster) object(name string) (*object, error) {
 // HomeOf returns the shard that owns the island of the instance whose
 // object key is key (canonical key order).
 func (c *Cluster) HomeOf(objName string, key reldb.Tuple) (int, error) {
-	o, err := c.object(objName)
-	if err != nil {
-		return 0, err
-	}
-	return o.home(key, len(c.dbs))
+	_, home, err := c.route(objName, key)
+	return home, err
 }
 
-// home hashes the encoded pivot key onto a shard index.
-func (o *object) home(key reldb.Tuple, n int) (int, error) {
+// route resolves a registered object and the home shard of key: the
+// FNV-1a hash of the encoded pivot key, modulo the shard count.
+func (c *Cluster) route(objName string, key reldb.Tuple) (*object, int, error) {
+	o, err := c.object(objName)
+	if err != nil {
+		return nil, 0, err
+	}
 	enc, err := o.pivotSchema.EncodeKey(key)
 	if err != nil {
-		return 0, fmt.Errorf("shard: route %s: %w", o.name, err)
+		return nil, 0, fmt.Errorf("shard: route %s: %w", o.name, err)
 	}
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(enc))
-	return int(h.Sum64() % uint64(n)), nil
+	return o, int(h.Sum64() % uint64(len(c.dbs))), nil
 }
 
 // Generations returns each shard's commit generation, in shard order.

@@ -4,8 +4,8 @@ package shard_test
 // lives above it in the dependency order): internal/workload's sharded
 // stress, crash, and benchmark suites drive Cluster end to end. The
 // tests here pin the cluster-level invariants that need no workload:
-// routing determinism, placement-conflict rejection, re-registration,
-// and the data-directory layout check.
+// routing determinism, placement-conflict rejection, the shard check at
+// registration, re-registration, and the data-directory layout check.
 
 import (
 	"errors"
@@ -22,17 +22,24 @@ import (
 	"penguin/internal/vupdate"
 )
 
-// miniObject builds a two-relation object (pivot R owning C) over db.
+// miniRelations creates mini's relations on db: the pivot R and the C
+// it owns, whose second key attribute N is of kind nKind.
+func miniRelations(db *reldb.Database, nKind reldb.Kind) {
+	db.MustCreateRelation(reldb.MustSchema("R", []reldb.Attribute{
+		{Name: "K", Type: reldb.KindInt},
+		{Name: "V", Type: reldb.KindString, Nullable: true},
+	}, []string{"K"}))
+	db.MustCreateRelation(reldb.MustSchema("C", []reldb.Attribute{
+		{Name: "K", Type: reldb.KindInt},
+		{Name: "N", Type: nKind},
+	}, []string{"K", "N"}))
+}
+
+// miniObject builds a two-relation object (pivot R owning C) over db,
+// creating the relations first where db lacks them.
 func miniObject(db *reldb.Database) (*vupdate.Translator, error) {
 	if !db.HasRelation("R") {
-		db.MustCreateRelation(reldb.MustSchema("R", []reldb.Attribute{
-			{Name: "K", Type: reldb.KindInt},
-			{Name: "V", Type: reldb.KindString, Nullable: true},
-		}, []string{"K"}))
-		db.MustCreateRelation(reldb.MustSchema("C", []reldb.Attribute{
-			{Name: "K", Type: reldb.KindInt},
-			{Name: "N", Type: reldb.KindInt},
-		}, []string{"K", "N"}))
+		miniRelations(db, reldb.KindInt)
 	}
 	g := structural.NewGraph(db)
 	conn := &structural.Connection{
@@ -55,6 +62,23 @@ func miniObject(db *reldb.Database) (*vupdate.Translator, error) {
 	return vupdate.PermissiveTranslator(def), nil
 }
 
+// everyShard runs build over every shard of c — the DDL, once per shard
+// — and returns shard 0's translator, the one to register.
+func everyShard(t *testing.T, c *shard.Cluster, build func(*reldb.Database) (*vupdate.Translator, error)) *vupdate.Translator {
+	t.Helper()
+	var tr0 *vupdate.Translator
+	for i := 0; i < c.N(); i++ {
+		tr, err := build(c.DB(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			tr0 = tr
+		}
+	}
+	return tr0
+}
+
 func newMiniCluster(t *testing.T, n int) *shard.Cluster {
 	t.Helper()
 	dbs := make([]*reldb.Database, n)
@@ -65,9 +89,7 @@ func newMiniCluster(t *testing.T, n int) *shard.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddObject("mini", func(_ int, db *reldb.Database) (*vupdate.Translator, error) {
-		return miniObject(db)
-	}); err != nil {
+	if err := c.AddObject("mini", everyShard(t, c, miniObject)); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -104,7 +126,7 @@ func TestRoutingDeterministic(t *testing.T) {
 // shard's generation.
 func TestFastPathLocalCommit(t *testing.T) {
 	c := newMiniCluster(t, 2)
-	def, err := c.Object("mini", 0)
+	def, err := c.Object("mini")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +168,7 @@ func TestFastPathLocalCommit(t *testing.T) {
 // key is refused with ErrCrossShardMove.
 func TestCrossShardMoveRejected(t *testing.T) {
 	c := newMiniCluster(t, 4)
-	def, _ := c.Object("mini", 0)
+	def, _ := c.Object("mini")
 	// Find two keys with different homes.
 	var kOld, kNew int64 = -1, -1
 	h0, _ := c.HomeOf("mini", reldb.Tuple{reldb.Int(0)})
@@ -172,7 +194,7 @@ func TestCrossShardMoveRejected(t *testing.T) {
 // conflictObject builds an object over a new pivot P that references R:
 // R would be a referenced relation (replicated) — but mini already
 // partitioned it.
-func conflictObject(_ int, db *reldb.Database) (*vupdate.Translator, error) {
+func conflictObject(db *reldb.Database) (*vupdate.Translator, error) {
 	if !db.HasRelation("P") {
 		db.MustCreateRelation(reldb.MustSchema("P", []reldb.Attribute{
 			{Name: "PK", Type: reldb.KindInt},
@@ -204,32 +226,114 @@ func conflictObject(_ int, db *reldb.Database) (*vupdate.Translator, error) {
 // claims a relation an earlier object replicated (or vice versa) fails —
 // between replicas. One shard holds every relation whole, so the same
 // pair of objects registers there as it would over a plain database.
+// A shard that lacks a relation the definition names, or holds it
+// under another schema, is refused too; each refusal leaves the earlier
+// registration as the only one, in force.
 func TestPlacementConflictRejected(t *testing.T) {
-	err := newMiniCluster(t, 2).AddObject("conflict", conflictObject)
+	c := newMiniCluster(t, 2)
+	err := c.AddObject("conflict", everyShard(t, c, conflictObject))
 	if err == nil || !strings.Contains(err.Error(), "placement conflicts") {
 		t.Fatalf("conflicting placement over 2 shards: err = %v, want a placement conflict", err)
 	}
-	if err := newMiniCluster(t, 1).AddObject("conflict", conflictObject); err != nil {
+	one := newMiniCluster(t, 1)
+	if err := one.AddObject("conflict", everyShard(t, one, conflictObject)); err != nil {
 		t.Fatalf("1-shard cluster refused a placement that only replicas constrain: %v", err)
+	}
+
+	// P created on shard 0 only: shard 1 cannot serve the object.
+	c = newMiniCluster(t, 2)
+	tr, err := conflictObject(c.DB(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddObject("conflict", tr); !errors.Is(err, reldb.ErrNoSuchRelation) || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("a shard without P: err = %v, want shard 1's missing relation", err)
+	}
+	// Shard 1's P under another schema.
+	c.DB(1).MustCreateRelation(reldb.MustSchema("P", []reldb.Attribute{
+		{Name: "PK", Type: reldb.KindInt},
+		{Name: "RK", Type: reldb.KindString, Nullable: true},
+	}, []string{"PK"}))
+	if err := c.AddObject("conflict", tr); err == nil || !strings.Contains(err.Error(), "shard 1") || !strings.Contains(err.Error(), "the definition reads") {
+		t.Fatalf("a shard holding P under another schema: err = %v, want shard 1's schema refused", err)
+	}
+	if got := c.Objects(); len(got) != 1 || got[0] != "mini" {
+		t.Fatalf("objects after refused registrations = %v, want [mini]", got)
+	}
+	checkMiniInForce(t, c)
+}
+
+// checkMiniInForce asserts that mini is registered with a permissive
+// translator that still translates: an insert commits.
+func checkMiniInForce(t *testing.T, c *shard.Cluster) {
+	t.Helper()
+	if !c.Updatable("mini") {
+		t.Fatal("mini is no longer updatable")
+	}
+	def, err := c.Object("mini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := int64(100 + c.Generation())
+	inst := viewobject.MustNewInstance(def, reldb.Tuple{reldb.Int(k), reldb.String("v")})
+	inst.Root().MustAddChild(def, "C", reldb.Tuple{reldb.Int(k), reldb.Int(1)})
+	if _, err := c.InsertInstance("mini", inst); err != nil {
+		t.Fatalf("mini insert after a refused registration: %v", err)
 	}
 }
 
-// TestReplaceObject: a re-registration swaps the translators in, is
+// TestReplaceObject: a re-registration swaps the translator in, is
 // refused for a name never added, and is refused — leaving the earlier
 // registration in force — when its island contradicts the placement the
-// rows already have.
+// rows already have, when its definition names a relation the shards
+// lack, or when it reads a relation under another schema than theirs.
 func TestReplaceObject(t *testing.T) {
 	c := newMiniCluster(t, 2)
-	if err := c.ReplaceObject("nope", miniRestrictive); err == nil {
+	def, err := c.Object("mini")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReplaceObject("nope", vupdate.NewTranslator(def)); err == nil {
 		t.Fatal("ReplaceObject accepted an unregistered name")
 	}
-	if err := c.ReplaceObject("mini", conflictObject); err == nil || !strings.Contains(err.Error(), "placement conflicts") {
+	// Definitions built over private databases, not over a shard.
+	// conflict names P, which no shard holds yet.
+	priv := reldb.NewDatabase()
+	if _, err := miniObject(priv); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := conflictObject(priv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReplaceObject("mini", tr); !errors.Is(err, reldb.ErrNoSuchRelation) || !strings.Contains(err.Error(), "shard 0") {
+		t.Fatalf("ReplaceObject naming a relation no shard holds: err = %v, want shard 0's missing relation", err)
+	}
+	// This mini reads C with N a string; the shards key it by an int.
+	odd := reldb.NewDatabase()
+	miniRelations(odd, reldb.KindString)
+	if tr, err = miniObject(odd); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReplaceObject("mini", tr); err == nil || !strings.Contains(err.Error(), "the definition reads") {
+		t.Fatalf("ReplaceObject reading C under another schema: err = %v, want the schema refused", err)
+	}
+	// Over the shards, conflict's island contradicts mini's placement.
+	if err := c.ReplaceObject("mini", everyShard(t, c, conflictObject)); err == nil || !strings.Contains(err.Error(), "placement conflicts") {
 		t.Fatalf("ReplaceObject with a contradicting island: err = %v, want a placement conflict", err)
 	}
-	if !c.Updatable("mini") {
-		t.Fatal("refused replacement displaced the earlier registration")
+	if got, err := c.Object("mini"); err != nil || got != def {
+		t.Fatalf("Object after refused replacements = %p, %v; want the earlier definition %p", got, err, def)
 	}
-	if err := c.ReplaceObject("mini", miniRestrictive); err != nil {
+	checkMiniInForce(t, c)
+
+	// A definition over a private database of the shards' shape is
+	// accepted: registration needs the shape, not the database.
+	same := reldb.NewDatabase()
+	if tr, err = miniObject(same); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.ReplaceObject("mini", vupdate.NewTranslator(tr.Definition())); err != nil {
 		t.Fatal(err)
 	}
 	if c.Updatable("mini") {
@@ -238,16 +342,6 @@ func TestReplaceObject(t *testing.T) {
 	if _, err := c.DeleteByKey("mini", reldb.Tuple{reldb.Int(1)}); err == nil {
 		t.Fatal("restrictive replacement still translated a deletion")
 	}
-}
-
-// miniRestrictive rebuilds mini with the default translator (no verb
-// allowed).
-func miniRestrictive(_ int, db *reldb.Database) (*vupdate.Translator, error) {
-	tr, err := miniObject(db)
-	if err != nil {
-		return nil, err
-	}
-	return vupdate.NewTranslator(tr.Definition()), nil
 }
 
 // TestOpenRefusesDatabaseDir: a directory a plain reldb.OpenDatabase

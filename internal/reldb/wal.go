@@ -60,9 +60,6 @@ const (
 	// SyncCommit fsyncs before Commit returns (group-batched): an
 	// acknowledged commit survives kill -9. The default.
 	SyncCommit SyncMode = iota
-	// SyncInterval fsyncs on a timer: a crash may lose the last interval
-	// of acknowledged commits, but the log is still a committed prefix.
-	SyncInterval
 	// SyncNone never fsyncs (tests and bulk loads): durability is
 	// whatever the OS page cache survives.
 	SyncNone
@@ -105,9 +102,8 @@ func snapshotName(gen uint64) string {
 // so wal.mu only coordinates appends with the background syncer and with
 // checkpoint rolls.
 type wal struct {
-	dir      string
-	mode     SyncMode
-	interval time.Duration
+	dir  string
+	mode SyncMode
 	// slot is the shard label slot (obs.Default.Shards) the log's obs
 	// counters are recorded under. Set once at open.
 	slot int
@@ -140,11 +136,10 @@ type wal struct {
 	done   chan struct{} // syncer exit
 }
 
-func newWAL(dir string, mode SyncMode, interval time.Duration, f *os.File, segStart, head uint64, slot int) *wal {
+func newWAL(dir string, mode SyncMode, f *os.File, segStart, head uint64, slot int) *wal {
 	w := &wal{
 		dir:      dir,
 		mode:     mode,
-		interval: interval,
 		f:        f,
 		segStart: segStart,
 		appended: head,
@@ -152,12 +147,9 @@ func newWAL(dir string, mode SyncMode, interval time.Duration, f *os.File, segSt
 		done:     make(chan struct{}),
 	}
 	w.scond = sync.NewCond(&w.smu)
-	switch mode {
-	case SyncCommit:
+	if mode == SyncCommit {
 		go w.syncLoop()
-	case SyncInterval:
-		go w.intervalLoop()
-	default:
+	} else {
 		close(w.done)
 	}
 	return w
@@ -206,7 +198,7 @@ func (w *wal) append(gen uint64, payload []byte) (uint64, error) {
 }
 
 // waitDurable blocks until the log is durable through the given append
-// sequence (SyncCommit mode; the other modes acknowledge immediately).
+// sequence (SyncCommit mode; SyncNone acknowledges immediately).
 // A sticky fsync error fails every waiter: durability can no longer be
 // promised.
 func (w *wal) waitDurable(seq uint64) error {
@@ -242,24 +234,6 @@ func (w *wal) syncLoop() {
 			return
 		}
 		w.smu.Unlock()
-		w.syncPass()
-	}
-}
-
-// intervalLoop fsyncs on a timer until closed, then does a final pass.
-func (w *wal) intervalLoop() {
-	defer close(w.done)
-	t := time.NewTicker(w.interval)
-	defer t.Stop()
-	for {
-		w.smu.Lock()
-		closed := w.closed
-		w.smu.Unlock()
-		if closed {
-			w.syncPass()
-			return
-		}
-		<-t.C
 		w.syncPass()
 	}
 }
@@ -338,8 +312,8 @@ func (w *wal) roll() (uint64, error) {
 	return start, nil
 }
 
-// close stops the syncer (final fsync included for SyncCommit/Interval)
-// and closes the active segment.
+// close stops the syncer and closes the active segment, fsyncing it
+// first whatever the mode.
 func (w *wal) close() error {
 	w.smu.Lock()
 	if w.closed {

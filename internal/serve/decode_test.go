@@ -339,7 +339,7 @@ func TestDecodeAllocations(t *testing.T) {
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/objects/"+workload.ShardedObject+"/3", nil))
 	body := []byte(`{"key":[3],"instance":` + strings.TrimSpace(rec.Body.String()) + `}`)
-	def, err := s.cfg.Cluster.Object(workload.ShardedObject, 0)
+	def, err := s.cfg.Cluster.Object(workload.ShardedObject)
 	if err != nil {
 		t.Fatal(err)
 	}

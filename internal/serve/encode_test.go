@@ -290,7 +290,7 @@ func TestResponsesMatchEncoder(t *testing.T) {
 			return w.Body.Bytes()
 		}
 		for _, name := range c.Objects() {
-			def, err := c.Object(name, 0)
+			def, err := c.Object(name)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -229,12 +229,11 @@ func updateStatus(err error) int {
 }
 
 // object resolves {name}; a miss answers 404 and returns nil. The
-// resolved definition is shard 0's copy — every shard's definition has
-// the identical shape, so it serves for parsing queries, keys, and
-// documents (reads against a specific shard use that shard's own copy
-// inside the cluster).
+// resolved definition is the object's one registered definition — the
+// one queries, keys and documents are parsed against and every shard
+// reads and translates with.
 func (s *Server) object(w http.ResponseWriter, name string) *viewobject.Definition {
-	def, err := s.cfg.Cluster.Object(name, 0)
+	def, err := s.cfg.Cluster.Object(name)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "no object named %q", name)
 		return nil
@@ -255,7 +254,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	names := c.Objects() // sorted: the API's order is not a map's
 	infos := make([]objInfo, 0, len(names))
 	for _, name := range names {
-		def, err := c.Object(name, 0)
+		def, err := c.Object(name)
 		if err != nil {
 			continue
 		}
@@ -445,8 +444,8 @@ func (s *Server) handleDelete(w http.ResponseWriter, name string, req updateRequ
 
 // handleInsert performs complete insertion (VO-CI) of the document.
 func (s *Server) handleInsert(w http.ResponseWriter, name string, req updateRequest) {
-	// The instance was decoded against shard 0's definition; the
-	// coordinator re-homes it onto the pivot key's shard.
+	// The instance was decoded against the registered definition; the
+	// coordinator translates it on the pivot key's home shard as is.
 	res, err := s.cfg.Cluster.InsertInstance(name, req.Instance)
 	if err != nil {
 		writeError(w, updateStatus(err), "insert rejected: %v", err)

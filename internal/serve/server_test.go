@@ -217,7 +217,7 @@ func TestOneShardMatchesDatabase(t *testing.T) {
 	rtx := c.DB(0).BeginRead()
 	defer rtx.Close()
 	for _, name := range c.Objects() {
-		def, err := c.Object(name, 0)
+		def, err := c.Object(name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -518,12 +518,12 @@ func TestReplaceSeesConcurrentCommit(t *testing.T) {
 // and after an update.
 func auditShards(t *testing.T, c *shard.Cluster) string {
 	t.Helper()
+	def, err := c.Object("omega")
+	if err != nil {
+		t.Fatal(err)
+	}
 	var b strings.Builder
 	for i := 0; i < c.N(); i++ {
-		def, err := c.Object("omega", i)
-		if err != nil {
-			t.Fatal(err)
-		}
 		vs, err := (&structural.Integrity{G: def.Graph()}).Audit(c.DB(i))
 		if err != nil {
 			t.Fatal(err)

@@ -1,16 +1,15 @@
 // The served university: the Figure 1 schema over a shard.Cluster of
 // n >= 1 shards — the one backend the CLI and the HTTP tier run on (one
-// shard is the plain database). Registration broadcasts the schema and
-// connection graph to every shard; seeding partitions ω's dependency
-// island ({COURSES, GRADES}) by course and replicates every other
-// relation — the placement invariant the coordinator's fast path
-// depends on.
+// shard is the plain database). The schema and connection graph are
+// installed on every shard and each object registered once; seeding
+// partitions ω's dependency island ({COURSES, GRADES}) by course and
+// replicates every other relation — the placement invariant the
+// coordinator's fast path depends on.
 package university
 
 import (
 	"penguin/internal/reldb"
 	"penguin/internal/reldb/shard"
-	"penguin/internal/structural"
 	"penguin/internal/vupdate"
 )
 
@@ -66,9 +65,9 @@ func OpenSharded(dir string, n int, opts reldb.OpenOptions) (*shard.Cluster, boo
 	return c, seeded, nil
 }
 
-// registerSharded installs the university schema on every shard and
-// registers both objects — registration is the DDL broadcast: each
-// build callback runs once per shard over that shard's database.
+// registerSharded installs the university schema on every shard — DDL
+// runs once per shard — and registers both objects once, over shard 0's
+// graph: one definition serves them all.
 //
 // ω gets the §6 dialog's permissive translator and is fully updatable.
 // So does ω′ on one shard. Over several it registers read-only (the
@@ -78,33 +77,30 @@ func OpenSharded(dir string, n int, opts reldb.OpenOptions) (*shard.Cluster, boo
 // coordinator would replay on every replica — placement would break.
 // Updates go through ω there.
 func registerSharded(c *shard.Cluster) error {
-	graphs := make([]*structural.Graph, c.N())
-	for i := 0; i < c.N(); i++ {
-		g, err := Install(c.DB(i))
-		if err != nil {
-			return err
-		}
-		graphs[i] = g
-	}
-	if err := c.AddObject(ObjOmega, func(i int, _ *reldb.Database) (*vupdate.Translator, error) {
-		om, err := Omega(graphs[i])
-		if err != nil {
-			return nil, err
-		}
-		return vupdate.PermissiveTranslator(om), nil
-	}); err != nil {
+	g, err := Install(c.DB(0))
+	if err != nil {
 		return err
 	}
-	return c.AddObject(ObjOmegaPrime, func(i int, _ *reldb.Database) (*vupdate.Translator, error) {
-		op, err := OmegaPrime(graphs[i])
-		if err != nil {
-			return nil, err
+	for i := 1; i < c.N(); i++ {
+		if _, err := Install(c.DB(i)); err != nil {
+			return err
 		}
-		if c.N() == 1 {
-			return vupdate.PermissiveTranslator(op), nil
-		}
-		return vupdate.NewTranslator(op), nil
-	})
+	}
+	om, err := Omega(g)
+	if err != nil {
+		return err
+	}
+	if err := c.AddObject(ObjOmega, vupdate.PermissiveTranslator(om)); err != nil {
+		return err
+	}
+	op, err := OmegaPrime(g)
+	if err != nil {
+		return err
+	}
+	if c.N() == 1 {
+		return c.AddObject(ObjOmegaPrime, vupdate.PermissiveTranslator(op))
+	}
+	return c.AddObject(ObjOmegaPrime, vupdate.NewTranslator(op))
 }
 
 // SeedSharded loads the paper's illustrative instance with partitioned

@@ -93,8 +93,10 @@ func (r *Result) String() string {
 	return strings.Join(lines, "\n")
 }
 
-// Updater executes view-object updates on a database under a translator.
-// The database must be the one the translator's definition was built over.
+// Updater executes view-object updates under a translator. Without
+// Hooks.Begin the updates run on the database the translator's
+// definition was built over; with it, on whatever database the hook's
+// transaction belongs to (one of a cluster's shards).
 type Updater struct {
 	T *Translator
 	// Hooks, when non-nil, lets a coordinator intercept the transaction
@@ -109,12 +111,13 @@ type Updater struct {
 func NewUpdater(t *Translator) *Updater { return &Updater{T: t} }
 
 // TxHooks intercepts an update's transaction lifecycle. Begin supplies
-// the write transaction instead of db.Begin(); Finish receives the
-// translated operations after a successful translation and owns the
-// commit (run neither commits nor rolls back when Finish is set — on a
-// Finish error the coordinator decides the transaction's fate).
-// Translation failures still roll back the supplied transaction inside
-// run, exactly like the unhooked path.
+// the write transaction instead of db.Begin() — and a preview's
+// throw-away transaction instead of one over a fork of db's snapshot;
+// Finish receives the translated operations after a successful
+// translation and owns the commit (run neither commits nor rolls back
+// when Finish is set — on a Finish error the coordinator decides the
+// transaction's fate). Translation failures still roll back the
+// supplied transaction inside run, exactly like the unhooked path.
 type TxHooks struct {
 	Begin  func() (*reldb.Tx, error)
 	Finish func(tx *reldb.Tx, ops []DBOp) error
@@ -155,29 +158,32 @@ func SetStepProbe(p StepProbe) StepProbe {
 	return *prev
 }
 
-// run executes fn inside a transaction against the definition's database,
-// committing on success and rolling back on error. Committed updates
-// record their emitted operations into the obs op counters (so the
-// counters always match the returned Result); rejections record their
-// reason. Every return finishes the root span, failures with an err=
-// detail: a rejected or failed update is exactly the trace one wants.
+// begin opens an update's transaction: Hooks.Begin's when set, else
+// dflt's over the definition's own database.
+func (u *Updater) begin(dflt func(db *reldb.Database) *reldb.Tx) (*reldb.Tx, error) {
+	if u.Hooks != nil && u.Hooks.Begin != nil {
+		return u.Hooks.Begin()
+	}
+	return dflt(u.T.Definition().Graph().Database()), nil
+}
+
+// run executes fn inside a write transaction (begin's), committing on
+// success and rolling back on error. Committed updates record their
+// emitted operations into the obs op counters (so the counters always
+// match the returned Result); rejections record their reason. Every
+// return finishes the root span, failures with an err= detail: a
+// rejected or failed update is exactly the trace one wants.
 func (u *Updater) run(fn func(*session) error) (*Result, error) {
 	def := u.T.Definition()
-	db := def.Graph().Database()
 	// The root span opens before Begin so the commit child (which covers
 	// Begin→Commit) nests inside it even across writer-lock waits.
 	op := obs.Default.StartOp("vupdate.update")
-	var tx *reldb.Tx
-	if u.Hooks != nil && u.Hooks.Begin != nil {
-		var err error
-		if tx, err = u.Hooks.Begin(); err != nil {
-			if op.Active() {
-				op.Finish(fmt.Sprintf("object=%s begin failed", def.Name))
-			}
-			return nil, err
+	tx, err := u.begin((*reldb.Database).Begin)
+	if err != nil {
+		if op.Active() {
+			op.Finish(fmt.Sprintf("object=%s begin failed", def.Name))
 		}
-	} else {
-		tx = db.Begin()
+		return nil, err
 	}
 	s := &session{tr: u.T, def: def, g: def.Graph(), op: op, tx: tx}
 	s.tx.SetTraceOp(op)
@@ -190,7 +196,6 @@ func (u *Updater) run(fn func(*session) error) (*Result, error) {
 		}
 		return nil, err
 	}
-	var err error
 	if u.Hooks != nil && u.Hooks.Finish != nil {
 		err = u.Hooks.Finish(s.tx, s.ops)
 	} else {
@@ -288,7 +293,7 @@ func (u *Updater) checkInstance(inst *viewobject.Instance) error {
 		return fmt.Errorf("vupdate: nil instance")
 	}
 	if inst.Definition() != u.T.Definition() {
-		return fmt.Errorf("vupdate: instance belongs to object %s, translator serves %s",
+		return fmt.Errorf("vupdate: instance is built over a definition of %s, not the %s definition the translator serves",
 			inst.Definition().Name, u.T.Definition().Name)
 	}
 	return nil

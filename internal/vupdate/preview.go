@@ -12,17 +12,23 @@ import (
 // operations under the chosen translator before committing to it.
 
 // runPreview executes fn inside a transaction over a private fork of a
-// consistent read snapshot, returning the operations fn performed. The
-// what-if reads see exactly the pinned committed state; the live database
-// is untouched and its writer lock is never taken, so previews run
+// consistent read snapshot (or Hooks.Begin's transaction), returning the
+// operations fn performed and rolling the transaction back. The what-if
+// reads see exactly the pinned committed state; the live database is
+// untouched and its writer lock is never taken, so previews run
 // concurrently with real update traffic.
 func (u *Updater) runPreview(fn func(*session) error) (*Result, error) {
+	tx, err := u.begin(func(db *reldb.Database) *reldb.Tx {
+		rtx := db.BeginRead()
+		defer rtx.Close()
+		return rtx.Fork().Begin()
+	})
+	if err != nil {
+		return nil, err
+	}
 	def := u.T.Definition()
-	db := def.Graph().Database()
-	rtx := db.BeginRead()
-	defer rtx.Close()
-	s := &session{tr: u.T, def: def, g: def.Graph(), tx: rtx.Fork().Begin()}
-	err := fn(s)
+	s := &session{tr: u.T, def: def, g: def.Graph(), tx: tx}
+	err = fn(s)
 	ops := s.ops
 	_ = s.tx.Rollback()
 	if err != nil {

@@ -1,8 +1,9 @@
 // Sharded workload build: the synthetic ownership tree distributed over
-// a shard.Cluster. The schema (relations, connections, definition) is
-// broadcast to every shard; island rows are seeded on their pivot's
-// home shard only, peninsula rows are replicated everywhere — the
-// placement invariant the coordinator's fast path depends on.
+// a shard.Cluster. The schema (relations and edge indexes) is built on
+// every shard and the object registered once, with shard 0's
+// definition; island rows are seeded on their pivot's home shard only,
+// peninsula rows are replicated everywhere — the placement invariant the
+// coordinator's fast path depends on.
 package workload
 
 import (
@@ -18,6 +19,8 @@ const ShardedObject = "tree"
 
 // ShardedWorkload is a generated sharded database: the cluster, the
 // spec, and each shard's local graph/definition (identical shapes).
+// Shards[0].Def is the one the cluster registered: instances bound for
+// the cluster are built over it.
 type ShardedWorkload struct {
 	C      *shard.Cluster
 	Spec   TreeSpec
@@ -57,15 +60,14 @@ func OpenShardedTree(dir string, n int, spec TreeSpec, opts reldb.OpenOptions, c
 
 func buildSharded(c *shard.Cluster, spec TreeSpec, create bool) (*ShardedWorkload, error) {
 	sw := &ShardedWorkload{C: c, Spec: spec, Shards: make([]*Workload, c.N())}
-	err := c.AddObject(ShardedObject, func(i int, db *reldb.Database) (*vupdate.Translator, error) {
-		w, err := buildTree(db, spec, create)
+	for i := range sw.Shards {
+		w, err := buildTree(c.DB(i), spec, create)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("workload: shard %d: %w", i, err)
 		}
 		sw.Shards[i] = w
-		return vupdate.PermissiveTranslator(w.Def), nil
-	})
-	if err != nil {
+	}
+	if err := c.AddObject(ShardedObject, vupdate.PermissiveTranslator(sw.Shards[0].Def)); err != nil {
 		return nil, err
 	}
 	if create {

@@ -175,7 +175,7 @@ func runStress(sw *ShardedWorkload, spec StressSpec, before obs.Snapshot) (*Stre
 		}
 		mats = make([]*viewobject.Materializer, c.N())
 		for i := range mats {
-			mats[i] = viewobject.NewMaterializer(c.DB(i), sw.Shards[i].Def)
+			mats[i] = viewobject.NewMaterializer(c.DB(i), w0.Def)
 			defer mats[i].Close()
 			// Prime the cache before any writer starts: on a
 			// small-GOMAXPROCS box the scheduler can run every writer to

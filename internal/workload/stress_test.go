@@ -229,32 +229,33 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			}
 
 			rng := rand.New(rand.NewSource(int64(n)))
-			// deleted holds each deleted key's last instance, for VO-CI.
-			deleted := map[int64]*viewobject.Instance{}
+			// deleted holds each deleted key's last instance in each
+			// cluster (built over that cluster's definition), for VO-CI.
+			deleted := map[int64][]*viewobject.Instance{}
 			var deletes, inserts int
 			for op := 1; op <= 120; op++ {
 				k := rng.Int63n(int64(spec.Roots))
 				key := reldb.Tuple{reldb.Int(k)}
 				switch gone, dead := deleted[k]; {
 				case dead:
-					for _, sw := range both {
-						if _, err := sw.C.InsertInstance(ShardedObject, gone); err != nil {
+					for i, sw := range both {
+						if _, err := sw.C.InsertInstance(ShardedObject, gone[i]); err != nil {
 							t.Fatalf("op %d: VO-CI key %d: %v", op, k, err)
 						}
 					}
 					delete(deleted, k)
 					inserts++
 				case rng.Intn(3) == 0:
-					inst, ok, err := one.C.InstantiateByKey(ShardedObject, key)
-					if err != nil || !ok {
-						t.Fatalf("op %d: key %d: %v %v", op, k, ok, err)
-					}
 					for _, sw := range both {
+						inst, ok, err := sw.C.InstantiateByKey(ShardedObject, key)
+						if err != nil || !ok {
+							t.Fatalf("op %d: key %d: %v %v", op, k, ok, err)
+						}
 						if _, err := sw.C.DeleteByKey(ShardedObject, key); err != nil {
 							t.Fatalf("op %d: VO-CD key %d: %v", op, k, err)
 						}
+						deleted[k] = append(deleted[k], inst)
 					}
-					deleted[k] = inst
 					deletes++
 				default:
 					s := fmt.Sprintf("r%d", rng.Intn(1000))

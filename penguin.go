@@ -94,8 +94,6 @@ type (
 const (
 	// SyncCommit fsyncs (group-batched) before Commit returns.
 	SyncCommit = reldb.SyncCommit
-	// SyncInterval fsyncs on a background ticker.
-	SyncInterval = reldb.SyncInterval
 	// SyncNone never fsyncs explicitly; durability is best-effort.
 	SyncNone = reldb.SyncNone
 )

@@ -10,11 +10,15 @@ import (
 // every translation commits locally. Over several, island-local updates
 // commit on the home shard's fast path; updates touching replicated
 // relations run the cross-shard two-phase protocol, with in-doubt
-// transactions resolved at open.
+// transactions resolved at open. Sharding decides where rows are
+// stored, not what the object is: the caller creates the relations on
+// every shard, then registers each view object once (AddObject with one
+// Translator), and that one definition reads, decodes and translates on
+// every shard.
 type (
 	// ShardCluster is a set of shard databases plus the view objects
-	// registered over them; reads fan out and merge, updates route by
-	// pivot key.
+	// registered over them, one translator each; reads fan out and
+	// merge, updates route by pivot key.
 	ShardCluster = shard.Cluster
 )
 

@@ -9,9 +9,9 @@ import (
 )
 
 // TestFacadeSharding drives the sharded execution path through the
-// public facade only: assemble a cluster over in-memory shards, register
-// an object per shard (the DDL broadcast), and run the routed update
-// verbs plus the fan-out read.
+// public facade only: assemble a cluster over in-memory shards, create
+// the relation on every shard (DDL runs once per shard), register the
+// object once, and run the routed update verbs plus the fan-out read.
 func TestFacadeSharding(t *testing.T) {
 	const n = 3
 	dbs := make([]*penguin.Database, n)
@@ -27,25 +27,23 @@ func TestFacadeSharding(t *testing.T) {
 	// One pivot-only object: the island is just SENSOR, so every update
 	// translation stays island-local and commits on the home shard's
 	// fast path.
-	err = c.AddObject("sensor", func(_ int, db *penguin.Database) (*penguin.Translator, error) {
-		schema, err := penguin.NewSchema("SENSOR", []penguin.Attribute{
-			{Name: "SensorID", Type: penguin.KindString},
-			{Name: "Reading", Type: penguin.KindInt, Nullable: true},
-		}, []string{"SensorID"})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := db.CreateRelation(schema); err != nil {
-			return nil, err
-		}
-		g := penguin.NewGraph(db)
-		def, err := penguin.Define(g, "sensor", "SENSOR", penguin.DefaultMetric(), nil)
-		if err != nil {
-			return nil, err
-		}
-		return penguin.PermissiveTranslator(def), nil
-	})
+	schema, err := penguin.NewSchema("SENSOR", []penguin.Attribute{
+		{Name: "SensorID", Type: penguin.KindString},
+		{Name: "Reading", Type: penguin.KindInt, Nullable: true},
+	}, []string{"SensorID"})
 	if err != nil {
+		t.Fatal(err)
+	}
+	for _, db := range dbs {
+		if _, err := db.CreateRelation(schema); err != nil {
+			t.Fatal(err)
+		}
+	}
+	def, err := penguin.Define(penguin.NewGraph(dbs[0]), "sensor", "SENSOR", penguin.DefaultMetric(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddObject("sensor", penguin.PermissiveTranslator(def)); err != nil {
 		t.Fatal(err)
 	}
 	if !c.Updatable("sensor") {
@@ -54,9 +52,8 @@ func TestFacadeSharding(t *testing.T) {
 
 	// Inserts route by hashed pivot key; the rows must spread over more
 	// than one shard.
-	def, err := c.Object("sensor", 0)
-	if err != nil {
-		t.Fatal(err)
+	if got, err := c.Object("sensor"); err != nil || got != def {
+		t.Fatalf("Object = %p, %v; want the registered definition %p", got, err, def)
 	}
 	for i := 0; i < 16; i++ {
 		inst, err := penguin.NewInstance(def,
