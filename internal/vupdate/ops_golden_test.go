@@ -101,10 +101,19 @@ type opsScript struct {
 	rng   *rand.Rand
 	pools map[string][][]reldb.Value // relation → attribute → values
 	fresh int
+	// rate is one over the chance that mutate rewrites a component's
+	// projected attribute.
+	rate int
+	// partial mixes PartialInsert, PartialDelete and PartialUpdate
+	// requests into the sequence.
+	partial bool
+	// retune, when set, adjusts the translator before every step (the
+	// island merge toggle still applies).
+	retune func(step int, tr *Translator)
 }
 
 func newOpsScript(db *reldb.Database, def *viewobject.Definition, seed int64) *opsScript {
-	sc := &opsScript{db: db, def: def, rng: rand.New(rand.NewSource(seed)), pools: map[string][][]reldb.Value{}}
+	sc := &opsScript{db: db, def: def, rng: rand.New(rand.NewSource(seed)), pools: map[string][][]reldb.Value{}, rate: 8}
 	rtx := db.BeginRead()
 	defer rtx.Close()
 	for _, n := range def.Nodes() {
@@ -169,7 +178,7 @@ func (sc *opsScript) freshValue(schema *reldb.Schema, j int) reldb.Value {
 func (sc *opsScript) mutate(c *comp) {
 	schema := sc.def.NodeSchema(c.node)
 	proj, _ := schema.Indices(c.node.Attrs)
-	if sc.rng.Intn(8) == 0 {
+	if sc.rng.Intn(sc.rate) == 0 {
 		j := proj[sc.rng.Intn(len(proj))]
 		if !schema.IsKeyAttr(j) || sc.rng.Intn(3) == 0 {
 			c.tuple[j] = sc.value(c.node, j)
@@ -234,6 +243,9 @@ func (sc *opsScript) run(t *testing.T, u *Updater, steps int) string {
 				u.T.Island[id] = p
 			}
 		}
+		if sc.retune != nil {
+			sc.retune(step, u.T)
+		}
 		keys := sc.keys()
 		if len(keys) == 0 {
 			t.Fatalf("step %d: every instance is gone", step)
@@ -242,6 +254,12 @@ func (sc *opsScript) run(t *testing.T, u *Updater, steps int) string {
 		old, ok, err := viewobject.InstantiateByKey(sc.db, sc.def, key)
 		if err != nil || !ok {
 			t.Fatalf("step %d: instantiate %s: %v %v", step, key, ok, err)
+		}
+		if sc.partial && sc.rng.Intn(2) == 0 {
+			what, res, err := sc.partialStep(u, old)
+			record(step, what, res, err)
+			sc.audit(t, step)
+			continue
 		}
 		r := sc.rng.Intn(10)
 		if r >= 8 && len(keys) <= 3 {
@@ -284,27 +302,95 @@ func (sc *opsScript) run(t *testing.T, u *Updater, steps int) string {
 			res, err := u.DeleteByKey(key)
 			record(step, fmt.Sprintf("delete %s", key), res, err)
 		}
-		vs, err := (&structural.Integrity{G: sc.def.Graph()}).Audit(sc.db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(vs) != 0 {
-			t.Fatalf("step %d left violations:\n%s", step, structural.FormatViolations(vs))
-		}
+		sc.audit(t, step)
 	}
 	return b.String()
 }
 
+// audit fails the test when the database breaks the structural model.
+func (sc *opsScript) audit(t *testing.T, step int) {
+	t.Helper()
+	vs, err := (&structural.Integrity{G: sc.def.Graph()}).Audit(sc.db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(vs) != 0 {
+		t.Fatalf("step %d left violations:\n%s", step, structural.FormatViolations(vs))
+	}
+}
+
+// partialStep plays one partial request on a component of old: a node
+// is drawn, then one of its components, whose tuple (with one projected
+// attribute, a key one half the time, redrawn) is inserted as a sibling, deleted by key, or
+// written over the original.
+func (sc *opsScript) partialStep(u *Updater, old *viewobject.Instance) (string, *Result, error) {
+	nodes := sc.def.Nodes()
+	n := nodes[sc.rng.Intn(len(nodes))]
+	comps := old.NodesAt(n.ID)
+	kind := sc.rng.Intn(3)
+	if len(comps) == 0 {
+		return fmt.Sprintf("partial %s %s: no component", old.Key(), n.ID), &Result{}, nil
+	}
+	ot := comps[sc.rng.Intn(len(comps))].Tuple()
+	nt := ot.Clone()
+	schema := sc.def.NodeSchema(n)
+	attrs := schema.Key() // half the time a key attribute
+	if sc.rng.Intn(2) == 0 {
+		attrs, _ = schema.Indices(n.Attrs)
+	}
+	j := attrs[sc.rng.Intn(len(attrs))]
+	nt[j] = sc.value(n, j)
+	switch kind {
+	case 0:
+		res, err := u.PartialInsert(old.Key(), n.ID, nt)
+		return fmt.Sprintf("partial-insert %s %s %s", old.Key(), n.ID, nt), res, err
+	case 1:
+		key := schema.KeyOf(ot)
+		res, err := u.PartialDelete(old.Key(), n.ID, key)
+		return fmt.Sprintf("partial-delete %s %s %s", old.Key(), n.ID, key), res, err
+	default:
+		res, err := u.PartialUpdate(old.Key(), n.ID, ot, nt)
+		return fmt.Sprintf("partial-update %s %s %s -> %s", old.Key(), n.ID, ot, nt), res, err
+	}
+}
+
+// mixedOmegaTranslator is ω's permissive translator with every policy
+// question answered both ways over a run, so its rejections reach each
+// gate but one (CURRICULUM, ω's only peninsula, is all key, so no
+// peninsula tuple has a non-key attribute to modify): the island merge question YES for GRADES and NO for COURSES
+// (the run flips both every 40 steps), and on a rotation of 30 steps
+// the referenced DEPARTMENT takes no insertions or modifications, the
+// outside STUDENT no modifications, the peninsula CURRICULUM no
+// modifications (so an island key change cannot rewrite its foreign
+// key) and global repair no insertions outside the object.
+func mixedOmegaTranslator(def *viewobject.Definition) (*Translator, func(step int, tr *Translator)) {
+	tr := PermissiveTranslator(def)
+	grades := tr.Island[university.Grades]
+	grades.AllowMergeWithExisting = true
+	tr.Island[university.Grades] = grades
+	retune := func(step int, tr *Translator) {
+		on := func(phase int) bool { return (step/10)%3 != phase }
+		tr.Outside[university.Department] = OutsidePolicy{Modifiable: true, AllowInsert: on(0), AllowModifyExisting: on(1)}
+		tr.Outside[university.Student] = OutsidePolicy{Modifiable: on(2), AllowInsert: true, AllowModifyExisting: true}
+		tr.Outside[university.Curriculum] = OutsidePolicy{Modifiable: true, AllowInsert: true, AllowModifyExisting: on(0)}
+		tr.RepairInserts = on(1)
+	}
+	return tr, retune
+}
+
 // TestTranslationOpsGolden pins what VO-R, VO-CI and VO-CD translate
 // to — every emitted operation in order, and every rejection's text —
-// over a seeded request sequence on the benchmark tree and on ω. The
-// goldens under testdata were written by the map-based translator;
-// rewrite them with -update only for a change that means to translate
-// differently.
+// over a seeded request sequence on the benchmark tree and on ω, and
+// over a second ω sequence that adds partial requests under the mixed
+// translator. The tree and ω goldens were written by the map-based
+// translator, the mixed one by the translator that still spelled out
+// VO-R's I-cases beside VO-CI's; rewrite them with -update only for a
+// change that means to translate differently.
 func TestTranslationOpsGolden(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		build func() (*reldb.Database, *viewobject.Definition)
+		mixed bool // the mixed translator and partial requests
 	}{
 		{"tree", func() (*reldb.Database, *viewobject.Definition) {
 			w, err := workload.BuildTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 3, Peninsulas: 1, Roots: 6})
@@ -312,15 +398,31 @@ func TestTranslationOpsGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			return w.DB, w.Def
-		}},
+		}, false},
 		{"omega", func() (*reldb.Database, *viewobject.Definition) {
 			db, g := university.MustNewSeeded()
 			return db, university.MustOmega(g)
-		}},
+		}, false},
+		{"omega_mixed", func() (*reldb.Database, *viewobject.Definition) {
+			db, g := university.MustNewSeeded()
+			return db, university.MustOmega(g)
+		}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db, def := tc.build()
-			got := newOpsScript(db, def, 35).run(t, NewUpdater(PermissiveTranslator(def)), 160)
+			seed, steps := int64(35), 160
+			if tc.mixed {
+				// A seed whose rejections reach every policy gate ω
+				// can reach (see mixedOmegaTranslator).
+				seed, steps = 33, 300
+			}
+			sc := newOpsScript(db, def, seed)
+			tr := PermissiveTranslator(def)
+			if tc.mixed {
+				tr, sc.retune = mixedOmegaTranslator(def)
+				sc.partial, sc.rate = true, 3
+			}
+			got := sc.run(t, NewUpdater(tr), steps)
 			path := filepath.Join("testdata", "ops_"+tc.name+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
