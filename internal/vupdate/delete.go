@@ -170,38 +170,21 @@ func (s *session) deleteCascade(relName string, tuple reldb.Tuple, deleted map[s
 
 // referencingPolicy resolves the deletion-time policy for a relation that
 // references a deleted tuple: the translator's peninsula policy when the
-// relation is an object node classified as a peninsula, and the key-aware
-// default (delete when the foreign key is part of the key, set-null
-// otherwise) for everything else.
+// relation is an object node classified as a peninsula, and the
+// key-aware default for everything else (global integrity maintenance).
 func (s *session) referencingPolicy(relName string) PeninsulaPolicy {
-	topo := s.tr.Topology()
-	for _, id := range topo.Peninsulas() {
-		n, _ := s.def.Node(id)
-		if n.Relation == relName {
-			p := s.tr.peninsulaPolicy(id)
-			if !p.AllowUpdateOnDelete {
-				return PeninsulaPolicy{OnDelete: PeninsulaRestrict}
-			}
-			return p
+	if p := s.tr.topo.firstPeninsula[relName]; p != nil {
+		pol := s.tr.peninsulaPolicy(p.node.ID)
+		if !pol.AllowUpdateOnDelete {
+			return PeninsulaPolicy{OnDelete: PeninsulaRestrict}
 		}
+		return pol
 	}
-	// Out-of-object referencing relation: global integrity maintenance.
 	rel, err := s.relation(relName)
 	if err != nil {
 		return PeninsulaPolicy{OnDelete: PeninsulaRestrict}
 	}
-	schema := rel.Schema()
-	for _, c := range s.g.Outgoing(relName) {
-		if c.Type != structural.Reference {
-			continue
-		}
-		for _, a := range c.FromAttrs {
-			if schema.IsKeyName(a) {
-				return PeninsulaPolicy{AllowUpdateOnDelete: true, OnDelete: PeninsulaDeleteTuple}
-			}
-		}
-	}
-	return PeninsulaPolicy{AllowUpdateOnDelete: true, OnDelete: PeninsulaSetNull}
+	return PeninsulaPolicy{AllowUpdateOnDelete: true, OnDelete: keyAwareAction(s.g, rel.Schema())}
 }
 
 // rewriteReferencing rewrites the referencing attributes of refs (tuples

@@ -42,17 +42,12 @@ func (s *session) insertInstance(inst *viewobject.Instance) error {
 	}); err != nil {
 		return err
 	}
-	var touched []relTuple
 	if err := s.step(obs.StepTranslate, func() error {
 		// Walk the definition preorder so owners precede owned tuples.
 		for _, p := range topo.plans {
 			for _, in := range inst.NodesAt(p.node.ID) {
-				t, err := s.insertComponent(p, in.Tuple())
-				if err != nil {
+				if _, err := s.insertComponent(p, in.Tuple()); err != nil {
 					return err
-				}
-				if t != nil {
-					touched = append(touched, relTuple{p.node.Relation, t})
 				}
 			}
 		}
@@ -63,13 +58,7 @@ func (s *session) insertInstance(inst *viewobject.Instance) error {
 	// Global validation (§5.2): dependency repair for every inserted or
 	// replaced tuple, recursively.
 	return s.step(obs.StepGlobalValidate, func() error {
-		seen := make(map[string]bool)
-		for _, rt := range touched {
-			if err := s.ensureDependencies(rt.rel, rt.tuple, seen); err != nil {
-				return err
-			}
-		}
-		return nil
+		return s.repair(s.touched)
 	})
 }
 
@@ -79,8 +68,10 @@ type relTuple struct {
 }
 
 // insertComponent applies the three VO-CI cases to one component tuple
-// of p's node. It returns the tuple now present in the database when the
-// database was modified, and nil when the case required no operation.
+// of p's node; on a node outside the dependency island they are also
+// VO-R's cases I-3, I-2 and I-4 (§5.3). It returns the tuple now present
+// in the database when the database was modified, and nil when the case
+// required no operation.
 func (s *session) insertComponent(p *nodePlan, tuple reldb.Tuple) (reldb.Tuple, error) {
 	node := p.node
 	rel, err := s.relation(node.Relation)
@@ -103,16 +94,13 @@ func (s *session) insertComponent(p *nodePlan, tuple reldb.Tuple) (reldb.Tuple, 
 		return nil, nil
 	case !exists:
 		// CASE 2: the key is free.
-		if !p.island {
-			pol := s.tr.outsidePolicy(node.ID)
-			if !pol.Modifiable || !pol.AllowInsert {
-				return nil, reject("vupdate: %s: the application is not allowed to insert tuples in %s",
-					s.def.Name, node.Relation)
-			}
+		if err := s.mayInsert(p); err != nil {
+			return nil, err
 		}
 		if err := s.insert(node.Relation, tuple); err != nil {
 			return nil, err
 		}
+		s.touch(node.Relation, tuple)
 		return tuple, nil
 	default:
 		// CASE 3: the key exists with differing values.
@@ -120,22 +108,27 @@ func (s *session) insertComponent(p *nodePlan, tuple reldb.Tuple) (reldb.Tuple, 
 			return nil, rejectAs(ReasonConflict, "vupdate: %s: %s tuple with key %s exists with conflicting values",
 				s.def.Name, node.ID, key)
 		}
-		pol := s.tr.outsidePolicy(node.ID)
-		if !pol.Modifiable || !pol.AllowModifyExisting {
-			return nil, reject("vupdate: %s: the application is not allowed to modify tuples of %s",
-				s.def.Name, node.Relation)
+		if err := s.mayModify(p); err != nil {
+			return nil, err
 		}
-		// Merge the projected attributes into the existing tuple so
-		// attributes outside the projection keep their stored values.
-		merged := existing.Clone()
-		for _, j := range p.proj {
-			merged[j] = tuple[j]
-		}
+		merged := mergeProjection(p, existing, tuple)
 		if err := s.replace(node.Relation, key, merged); err != nil {
 			return nil, err
 		}
+		s.touch(node.Relation, merged)
 		return merged, nil
 	}
+}
+
+// mergeProjection returns a copy of the stored tuple with p's projected
+// attributes taken from t: attributes outside the projection keep their
+// stored values.
+func mergeProjection(p *nodePlan, stored, t reldb.Tuple) reldb.Tuple {
+	merged := stored.Clone()
+	for _, j := range p.proj {
+		merged[j] = t[j]
+	}
+	return merged
 }
 
 // projectedEqual compares two full-width tuples on the projected indices.

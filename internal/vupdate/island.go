@@ -82,6 +82,11 @@ type Topology struct {
 	// node's plan in definition preorder.
 	root  *nodePlan
 	plans []*nodePlan
+	// firstNode maps a relation to its first node in preorder, whose
+	// policy gates a repair insertion into it; firstPeninsula maps a
+	// relation to its first peninsula node by ID, whose policy gates a
+	// deletion or a key propagation that rewrites its tuples.
+	firstNode, firstPeninsula map[string]*nodePlan
 }
 
 // nodePlan is what the translation algorithms need of one definition
@@ -217,6 +222,19 @@ func Analyze(def *viewobject.Definition) *Topology {
 		t.Class[n.ID] = classifyOutside(g, n.Relation, islandRels)
 	}
 	t.root = t.planNode(def.Root(), nil)
+	t.firstNode = make(map[string]*nodePlan)
+	for _, p := range t.plans {
+		if t.firstNode[p.node.Relation] == nil {
+			t.firstNode[p.node.Relation] = p
+		}
+	}
+	t.firstPeninsula = make(map[string]*nodePlan)
+	for _, id := range t.Peninsulas() {
+		n, _ := def.Node(id)
+		if t.firstPeninsula[n.Relation] == nil {
+			t.firstPeninsula[n.Relation] = t.planOf(n)
+		}
+	}
 	return t
 }
 

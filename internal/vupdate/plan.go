@@ -132,6 +132,9 @@ type session struct {
 	tx  *reldb.Tx
 	op  obs.Op // the update's root span (zero when untraced)
 	ops []DBOp
+	// touched lists the tuples the translation inserted or replaced, in
+	// order: the dependency repair of step 3 starts from them.
+	touched []relTuple
 }
 
 // StepProbe is a test hook invoked at the start of every §5 pipeline
@@ -273,6 +276,11 @@ func (s *session) replace(rel string, oldKey reldb.Tuple, newTuple reldb.Tuple) 
 	}
 	s.ops = append(s.ops, DBOp{Kind: OpReplace, Relation: rel, Key: oldKey.Clone(), Tuple: newTuple.Clone()})
 	return nil
+}
+
+// touch records a tuple the translation inserted or replaced.
+func (s *session) touch(rel string, t reldb.Tuple) {
+	s.touched = append(s.touched, relTuple{rel, t})
 }
 
 // relation resolves a relation inside the transaction.

@@ -72,6 +72,21 @@ func (s *session) ensureDependencies(relName string, tuple reldb.Tuple, seen map
 	return nil
 }
 
+// repair runs the recursive dependency repair over the given inserted
+// or replaced tuples, in order.
+func (s *session) repair(touched []relTuple) error {
+	if len(touched) == 0 {
+		return nil
+	}
+	seen := make(map[string]bool)
+	for _, rt := range touched {
+		if err := s.ensureDependencies(rt.rel, rt.tuple, seen); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // repairInsert inserts the minimal dependency tuple of relation target
 // required by edge e from the source tuple, then recurses.
 func (s *session) repairInsert(target string, e structural.Edge, source reldb.Tuple, seen map[string]bool) error {
@@ -82,21 +97,9 @@ func (s *session) repairInsert(target string, e structural.Edge, source reldb.Tu
 	if err != nil {
 		return err
 	}
-	srcRel, err := s.relation(e.Source())
-	if err != nil {
-		return err
-	}
-	srcIdx, err := srcRel.Schema().Indices(e.SourceAttrs())
-	if err != nil {
-		return err
-	}
-	tgtIdx, err := tgtRel.Schema().Indices(e.TargetAttrs())
-	if err != nil {
-		return err
-	}
 	nt := make(reldb.Tuple, tgtRel.Schema().Arity())
-	for i, j := range tgtIdx {
-		nt[j] = source[srcIdx[i]]
+	if err := s.carry(e, source, nt); err != nil {
+		return err
 	}
 	if err := tgtRel.Schema().CheckTuple(nt); err != nil {
 		return fmt.Errorf("vupdate: cannot construct minimal %s dependency tuple: %w", target, err)
@@ -107,23 +110,38 @@ func (s *session) repairInsert(target string, e structural.Edge, source reldb.Tu
 	return s.ensureDependencies(target, nt, seen)
 }
 
+// carry writes into dst, a tuple of e's target, the values src, a tuple
+// of e's source, holds at e's connecting attributes: dst becomes
+// connected to src through e.
+func (s *session) carry(e structural.Edge, src, dst reldb.Tuple) error {
+	srcRel, err := s.relation(e.Source())
+	if err != nil {
+		return err
+	}
+	srcIdx, err := srcRel.Schema().Indices(e.SourceAttrs())
+	if err != nil {
+		return err
+	}
+	tgtRel, err := s.relation(e.Target())
+	if err != nil {
+		return err
+	}
+	tgtIdx, err := tgtRel.Schema().Indices(e.TargetAttrs())
+	if err != nil {
+		return err
+	}
+	for i, j := range tgtIdx {
+		dst[j] = src[srcIdx[i]]
+	}
+	return nil
+}
+
 // checkRepairAllowed verifies the translator permits inserting dependency
-// tuples into relName.
+// tuples into relName: the insertion permission of the relation's first
+// node in the object, or RepairInserts for a relation outside it.
 func (s *session) checkRepairAllowed(relName string) error {
-	topo := s.tr.Topology()
-	for _, n := range s.def.Nodes() {
-		if n.Relation != relName {
-			continue
-		}
-		if topo.InIsland(n.ID) {
-			return nil
-		}
-		p := s.tr.outsidePolicy(n.ID)
-		if p.Modifiable && p.AllowInsert {
-			return nil
-		}
-		return reject("vupdate: %s: the application is not allowed to insert tuples in %s",
-			s.def.Name, relName)
+	if p := s.tr.topo.firstNode[relName]; p != nil {
+		return s.mayInsert(p)
 	}
 	if !s.tr.RepairInserts {
 		return reject("vupdate: %s: dependency repair would insert into %s, which the translator does not allow",

@@ -98,16 +98,7 @@ func (s *session) replaceInstance(oldInst, newInst *viewobject.Instance) error {
 		if err := rc.propagateKeyChanges(); err != nil {
 			return err
 		}
-		if len(rc.touched) == 0 {
-			return nil
-		}
-		seen := make(map[string]bool)
-		for _, rt := range rc.touched {
-			if err := s.ensureDependencies(rt.rel, rt.tuple, seen); err != nil {
-				return err
-			}
-		}
-		return nil
+		return s.repair(s.touched)
 	})
 }
 
@@ -199,9 +190,11 @@ const (
 	stateI                // inserting: the subtree is new data
 )
 
+// keyChange is one key replacement: the tuple before it and the tuple
+// after it. Propagation reads only their key attributes, where every
+// connection a key change travels attaches (Definitions 2.2-2.4).
 type keyChange struct {
-	oldKey reldb.Tuple
-	newKey reldb.Tuple
+	before, after reldb.Tuple
 }
 
 type replaceCtx struct {
@@ -211,23 +204,22 @@ type replaceCtx struct {
 	// → change. Used for peninsula foreign-key propagation and for the
 	// outward ownership/subset propagation of step 3. Nil until the
 	// first key replacement.
-	keyMap  map[string]map[string]keyChange
-	touched []relTuple
+	keyMap map[string]map[string]keyChange
 	// keyA and keyB are pairKids' encoding buffers, reused across the
 	// walk: each call is done with them before the walk descends.
 	keyA, keyB []byte
 }
 
-func (rc *replaceCtx) recordKeyChange(rel string, oldKey, newKey reldb.Tuple) {
+func (rc *replaceCtx) recordKeyChange(p *nodePlan, before, after reldb.Tuple) {
 	if rc.keyMap == nil {
 		rc.keyMap = make(map[string]map[string]keyChange)
 	}
-	m := rc.keyMap[rel]
+	m := rc.keyMap[p.node.Relation]
 	if m == nil {
 		m = make(map[string]keyChange)
-		rc.keyMap[rel] = m
+		rc.keyMap[p.node.Relation] = m
 	}
-	m[reldb.EncodeValues(oldKey...)] = keyChange{oldKey: oldKey.Clone(), newKey: newKey.Clone()}
+	m[p.schema.EncodeKeyOf(before)] = keyChange{before, after}
 }
 
 // walkPair processes one paired component (old, new) of p's node and
@@ -241,17 +233,18 @@ func (rc *replaceCtx) walkPair(p *nodePlan, oldIn, newIn *viewobject.InstNode, s
 	}
 	var err error
 	switch {
-	case p.class == ClassPeninsula:
-		// Peninsula components are handled uniformly in either state:
-		// their foreign keys are system-maintained (step 3), their other
-		// key attributes are frozen, and non-key changes replace.
-		err = rc.handlePeninsula(p, oldIn, newIn)
-	case state == stateR:
+	case state == stateR || p.class == ClassPeninsula:
+		// Peninsula components take the R-cases in either state: their
+		// foreign keys are system-maintained (step 3), their other key
+		// attributes are frozen, and non-key changes replace.
 		err = rc.handleR(p, oldIn, newIn)
 	default:
 		// Cases I-2, I-3 and I-4 (I-1 switched to state R above; the
-		// keys are known to differ).
-		err = rc.insertOrMendOutside(p, newIn.Tuple())
+		// keys are known to differ) are VO-CI's cases 2, 1 and 3. Only
+		// a node outside the island gets here: an island node's parent
+		// is the pivot or an island node, which walks in state R, so
+		// the island node does too.
+		_, err = rc.s.insertComponent(p, newIn.Tuple())
 	}
 	if err != nil {
 		return err
@@ -436,7 +429,8 @@ func (rc *replaceCtx) handleR(p *nodePlan, oldIn, newIn *viewobject.InstNode) er
 	case ClassReferenced:
 		// §5.3 rule 2: a permitted key replacement of a referenced
 		// relation leads to an insertion, not a replacement.
-		return rc.insertOrMendOutside(p, newIn.Tuple())
+		_, err := rc.s.insertComponent(p, newIn.Tuple())
+		return err
 	case ClassPeninsula:
 		return rc.peninsulaKeyChange(p, oldIn.Tuple(), newIn.Tuple())
 	default:
@@ -445,64 +439,12 @@ func (rc *replaceCtx) handleR(p *nodePlan, oldIn, newIn *viewobject.InstNode) er
 	}
 }
 
-// insertOrMendOutside inserts nt if its key is free (I-2), does nothing
-// if an identical tuple exists (I-3), and replaces the existing tuple's
-// projected attributes when values conflict (I-4).
-func (rc *replaceCtx) insertOrMendOutside(p *nodePlan, nt reldb.Tuple) error {
-	node := p.node
-	rel, err := rc.s.relation(node.Relation)
-	if err != nil {
-		return err
-	}
-	if err := p.schema.CheckTuple(nt); err != nil {
-		return fmt.Errorf("vupdate: %s: component %s: %w", rc.s.def.Name, node.ID, err)
-	}
-	key := p.schema.KeyOf(nt)
-	existing, exists := rel.Get(key)
-	pol := rc.s.tr.outsidePolicy(node.ID)
-	switch {
-	case !exists:
-		// CASE I-2: insert.
-		if !pol.Modifiable || !pol.AllowInsert {
-			return reject("vupdate: %s: the application is not allowed to insert tuples in %s",
-				rc.s.def.Name, node.Relation)
-		}
-		if err := rc.s.insert(node.Relation, nt); err != nil {
-			return err
-		}
-		rc.touched = append(rc.touched, relTuple{node.Relation, nt})
-		return nil
-	case projectedEqual(nt, existing, p.proj):
-		// CASE I-3: already present.
-		return nil
-	default:
-		// CASE I-4: conflicting values.
-		if !pol.Modifiable || !pol.AllowModifyExisting {
-			return reject("vupdate: %s: the application is not allowed to modify tuples of %s",
-				rc.s.def.Name, node.Relation)
-		}
-		merged := existing.Clone()
-		for _, j := range p.proj {
-			merged[j] = nt[j]
-		}
-		if err := rc.s.replace(node.Relation, key, merged); err != nil {
-			return err
-		}
-		rc.touched = append(rc.touched, relTuple{node.Relation, merged})
-		return nil
-	}
-}
-
 // replaceSameKey merges the new projected attributes into the database
 // tuple carrying the (unchanged) key.
 func (rc *replaceCtx) replaceSameKey(p *nodePlan, key reldb.Tuple, nt reldb.Tuple) error {
 	node := p.node
-	if !p.island {
-		pol := rc.s.tr.outsidePolicy(node.ID)
-		if !pol.Modifiable || !pol.AllowModifyExisting {
-			return reject("vupdate: %s: the application is not allowed to modify tuples of %s",
-				rc.s.def.Name, node.Relation)
-		}
+	if err := rc.s.mayModify(p); err != nil {
+		return err
 	}
 	rel, err := rc.s.relation(node.Relation)
 	if err != nil {
@@ -513,17 +455,14 @@ func (rc *replaceCtx) replaceSameKey(p *nodePlan, key reldb.Tuple, nt reldb.Tupl
 		return fmt.Errorf("vupdate: %s: %s tuple %s no longer exists: %w",
 			rc.s.def.Name, node.ID, key, reldb.ErrNoSuchTuple)
 	}
-	merged := existing.Clone()
-	for _, j := range p.proj {
-		merged[j] = nt[j]
-	}
+	merged := mergeProjection(p, existing, nt)
 	if merged.Equal(existing) {
 		return nil
 	}
 	if err := rc.s.replace(node.Relation, key, merged); err != nil {
 		return err
 	}
-	rc.touched = append(rc.touched, relTuple{node.Relation, merged})
+	rc.s.touch(node.Relation, merged)
 	return nil
 }
 
@@ -534,7 +473,7 @@ func (rc *replaceCtx) replaceSameKey(p *nodePlan, key reldb.Tuple, nt reldb.Tupl
 // the DBA allowed the merge (the paper's third island dialog question).
 func (rc *replaceCtx) replaceIslandKey(p *nodePlan, ot, nt reldb.Tuple) error {
 	node, schema := p.node, p.schema
-	policy := rc.s.tr.islandPolicy(node.ID)
+	policy := rc.s.tr.Island[node.ID]
 	if !policy.AllowKeyModification {
 		return reject("vupdate: %s: modifying the key of %s tuples during replacements is not allowed",
 			rc.s.def.Name, node.ID)
@@ -556,10 +495,7 @@ func (rc *replaceCtx) replaceIslandKey(p *nodePlan, ot, nt reldb.Tuple) error {
 		return fmt.Errorf("vupdate: %s: %s tuple %s no longer exists: %w",
 			rc.s.def.Name, node.ID, oldKey, reldb.ErrNoSuchTuple)
 	}
-	merged := existingOld.Clone()
-	for _, j := range p.proj {
-		merged[j] = nt[j]
-	}
+	var merged reldb.Tuple
 	if existingNew, clash := rel.Get(newKey); clash {
 		// A tuple with the new key already exists: delete the old tuple
 		// and replace the existing one (simpler than delete+insert, as
@@ -571,39 +507,21 @@ func (rc *replaceCtx) replaceIslandKey(p *nodePlan, ot, nt reldb.Tuple) error {
 		if err := rc.s.delete(node.Relation, oldKey); err != nil {
 			return err
 		}
-		mergedExisting := existingNew.Clone()
-		for _, j := range p.proj {
-			mergedExisting[j] = nt[j]
-		}
-		if !mergedExisting.Equal(existingNew) {
-			if err := rc.s.replace(node.Relation, newKey, mergedExisting); err != nil {
+		merged = mergeProjection(p, existingNew, nt)
+		if !merged.Equal(existingNew) {
+			if err := rc.s.replace(node.Relation, newKey, merged); err != nil {
 				return err
 			}
 		}
-		rc.recordKeyChange(node.Relation, oldKey, newKey)
-		rc.touched = append(rc.touched, relTuple{node.Relation, mergedExisting})
-		return nil
+	} else {
+		merged = mergeProjection(p, existingOld, nt)
+		if err := rc.s.replace(node.Relation, oldKey, merged); err != nil {
+			return err
+		}
 	}
-	if err := rc.s.replace(node.Relation, oldKey, merged); err != nil {
-		return err
-	}
-	rc.recordKeyChange(node.Relation, oldKey, newKey)
-	rc.touched = append(rc.touched, relTuple{node.Relation, merged})
+	rc.recordKeyChange(p, ot, nt)
+	rc.s.touch(node.Relation, merged)
 	return nil
-}
-
-// handlePeninsula processes one peninsula component pair: identical
-// projections are a no-op, an unchanged key with differing values is a
-// plain replacement, and a key difference goes through the propagation
-// check below.
-func (rc *replaceCtx) handlePeninsula(p *nodePlan, oldIn, newIn *viewobject.InstNode) error {
-	if sameValues(oldIn, newIn, p.proj) {
-		return nil
-	}
-	if sameValues(oldIn, newIn, p.key) {
-		return rc.replaceSameKey(p, keyOf(oldIn, p), newIn.Tuple())
-	}
-	return rc.peninsulaKeyChange(p, oldIn.Tuple(), newIn.Tuple())
 }
 
 // peninsulaKeyChange validates a key difference on a referencing
@@ -634,15 +552,13 @@ func (rc *replaceCtx) peninsulaKeyChange(p *nodePlan, ot, nt reldb.Tuple) error 
 	if !changed {
 		return nil
 	}
-	pol := rc.s.tr.outsidePolicy(node.ID)
-	if !pol.Modifiable || !pol.AllowModifyExisting {
-		return reject("vupdate: %s: the application is not allowed to modify tuples of %s",
-			rc.s.def.Name, node.Relation)
+	if err := rc.s.mayModify(p); err != nil {
+		return err
 	}
 	if err := rc.s.replace(node.Relation, schema.KeyOf(ot), merged); err != nil {
 		return err
 	}
-	rc.touched = append(rc.touched, relTuple{node.Relation, merged})
+	rc.s.touch(node.Relation, merged)
 	return nil
 }
 
@@ -650,11 +566,6 @@ func (rc *replaceCtx) peninsulaKeyChange(p *nodePlan, ot, nt reldb.Tuple) error 
 // tuple according to the island key changes recorded so far.
 func (rc *replaceCtx) applyKeyMapToRefs(relName string, t reldb.Tuple) reldb.Tuple {
 	out := t.Clone()
-	rel, err := rc.s.relation(relName)
-	if err != nil {
-		return out
-	}
-	schema := rel.Schema()
 	for _, c := range rc.s.g.Outgoing(relName) {
 		if c.Type != structural.Reference {
 			continue
@@ -663,15 +574,17 @@ func (rc *replaceCtx) applyKeyMapToRefs(relName string, t reldb.Tuple) reldb.Tup
 		if len(changes) == 0 {
 			continue
 		}
-		idx, err := schema.Indices(c.FromAttrs)
+		// The referenced tuple's key, read through the connection.
+		toRel, err := rc.s.relation(c.To)
 		if err != nil {
 			continue
 		}
-		fk := out.Project(idx)
-		if ch, ok := changes[reldb.EncodeValues(fk...)]; ok {
-			for i, j := range idx {
-				out[j] = ch.newKey[i]
-			}
+		ref := make(reldb.Tuple, toRel.Schema().Arity())
+		if rc.s.carry(structural.Edge{Conn: c, Forward: true}, out, ref) != nil {
+			continue
+		}
+		if ch, ok := changes[toRel.Schema().EncodeKeyOf(ref)]; ok {
+			_ = rc.s.carry(structural.Edge{Conn: c, Forward: false}, ch.after, out)
 		}
 	}
 	return out
@@ -681,12 +594,8 @@ func (rc *replaceCtx) applyKeyMapToRefs(relName string, t reldb.Tuple) reldb.Tup
 // using the VO-CI cases (an unpaired new component is new data by
 // definition).
 func (rc *replaceCtx) insertSubtree(p *nodePlan, in *viewobject.InstNode) error {
-	t, err := rc.s.insertComponent(p, in.Tuple())
-	if err != nil {
+	if _, err := rc.s.insertComponent(p, in.Tuple()); err != nil {
 		return err
-	}
-	if t != nil {
-		rc.touched = append(rc.touched, relTuple{p.node.Relation, t})
 	}
 	for _, cp := range p.kids {
 		kids := in.ChildList(cp.node.ID)
@@ -727,103 +636,76 @@ func (rc *replaceCtx) propagateKeyChanges() error {
 	return nil
 }
 
+// propagateOneKeyChange follows one key change of relName across the
+// connections leaving its key: referencing tuples take the new key as
+// their foreign key, and owned and subset tuples take it as their key,
+// recursively, as deleteCascade follows a deletion.
 func (rc *replaceCtx) propagateOneKeyChange(relName string, ch keyChange) error {
-	rel, err := rc.s.relation(relName)
-	if err != nil {
-		return err
-	}
-	schema := rel.Schema()
-	keyIdx := schema.Key()
-	keyAttrs := make([]string, len(keyIdx))
-	for i, j := range keyIdx {
-		keyAttrs[i] = schema.Attr(j).Name
-	}
+	s := rc.s
 	// Incoming references: rewrite foreign keys old → new.
-	for _, c := range rc.s.g.Incoming(relName) {
+	for _, c := range s.g.Incoming(relName) {
 		if c.Type != structural.Reference {
 			continue
 		}
-		fromRel, err := rc.s.relation(c.From)
+		e := structural.Edge{Conn: c, Forward: false}
+		refs, err := structural.ConnectedVia(s.tx, e, ch.before)
 		if err != nil {
 			return err
 		}
-		fromSchema := fromRel.Schema()
-		fkIdx, err := fromSchema.Indices(c.FromAttrs)
-		if err != nil {
+		if len(refs) == 0 {
+			continue
+		}
+		if err := rc.checkFKRewriteAllowed(c.From); err != nil {
 			return err
 		}
-		// Referenced attributes are the key (Definition 2.3): project the
-		// old key values into the reference's attribute order.
-		refVals, err := projectKeyVals(schema, c.ToAttrs, ch.oldKey, keyAttrs)
+		fromRel, err := s.relation(c.From)
 		if err != nil {
 			return err
-		}
-		newVals, err := projectKeyVals(schema, c.ToAttrs, ch.newKey, keyAttrs)
-		if err != nil {
-			return err
-		}
-		refs, err := fromRel.MatchEqual(c.FromAttrs, refVals)
-		if err != nil {
-			return err
-		}
-		if len(refs) > 0 {
-			if err := rc.checkFKRewriteAllowed(c.From); err != nil {
-				return err
-			}
 		}
 		for _, rt := range refs {
 			nt := rt.Clone()
-			for i, j := range fkIdx {
-				nt[j] = newVals[i]
-			}
-			if err := rc.s.replace(c.From, fromSchema.KeyOf(rt), nt); err != nil {
+			if err := s.carry(e, ch.after, nt); err != nil {
 				return err
 			}
-			rc.touched = append(rc.touched, relTuple{c.From, nt})
+			if err := s.replace(c.From, fromRel.Schema().KeyOf(rt), nt); err != nil {
+				return err
+			}
+			s.touch(c.From, nt)
 		}
 	}
 	// Outgoing ownership and subset connections: tuples still connected
 	// to the old key follow it (out-of-object dependents; in-object
 	// island children were already replaced by the state machine).
-	for _, c := range rc.s.g.Outgoing(relName) {
+	for _, c := range s.g.Outgoing(relName) {
 		if c.Type != structural.Ownership && c.Type != structural.Subset {
 			continue
 		}
-		toRel, err := rc.s.relation(c.To)
+		e := structural.Edge{Conn: c, Forward: true}
+		deps, err := structural.ConnectedVia(s.tx, e, ch.before)
+		if err != nil {
+			return err
+		}
+		if len(deps) == 0 {
+			continue
+		}
+		toRel, err := s.relation(c.To)
 		if err != nil {
 			return err
 		}
 		toSchema := toRel.Schema()
-		tgtIdx, err := toSchema.Indices(c.ToAttrs)
-		if err != nil {
-			return err
-		}
-		oldVals, err := projectKeyVals(schema, c.FromAttrs, ch.oldKey, keyAttrs)
-		if err != nil {
-			return err
-		}
-		newVals, err := projectKeyVals(schema, c.FromAttrs, ch.newKey, keyAttrs)
-		if err != nil {
-			return err
-		}
-		deps, err := toRel.MatchEqual(c.ToAttrs, oldVals)
-		if err != nil {
-			return err
-		}
 		for _, dt := range deps {
 			nt := dt.Clone()
-			for i, j := range tgtIdx {
-				nt[j] = newVals[i]
-			}
-			oldDepKey := toSchema.KeyOf(dt)
-			newDepKey := toSchema.KeyOf(nt)
-			if err := rc.s.replace(c.To, oldDepKey, nt); err != nil {
+			if err := s.carry(e, ch.after, nt); err != nil {
 				return err
 			}
-			rc.touched = append(rc.touched, relTuple{c.To, nt})
-			if !oldDepKey.Equal(newDepKey) {
+			oldDepKey := toSchema.KeyOf(dt)
+			if err := s.replace(c.To, oldDepKey, nt); err != nil {
+				return err
+			}
+			s.touch(c.To, nt)
+			if !oldDepKey.Equal(toSchema.KeyOf(nt)) {
 				// The dependent's own key changed: recurse.
-				if err := rc.propagateOneKeyChange(c.To, keyChange{oldKey: oldDepKey, newKey: newDepKey}); err != nil {
+				if err := rc.propagateOneKeyChange(c.To, keyChange{dt, nt}); err != nil {
 					return err
 				}
 			}
@@ -836,38 +718,9 @@ func (rc *replaceCtx) propagateOneKeyChange(relName string, ch keyChange) error 
 // are peninsula nodes of the object by their outside policy; relations
 // outside the object are system-maintained and always allowed.
 func (rc *replaceCtx) checkFKRewriteAllowed(relName string) error {
-	for _, id := range rc.topo.Peninsulas() {
-		n, _ := rc.s.def.Node(id)
-		if n.Relation != relName {
-			continue
-		}
-		p := rc.s.tr.outsidePolicy(id)
-		if !p.Modifiable || !p.AllowModifyExisting {
-			return reject("vupdate: %s: key propagation must modify %s, which the translator does not allow",
-				rc.s.def.Name, relName)
-		}
-		return nil
+	if p := rc.topo.firstPeninsula[relName]; p != nil && rc.s.mayModify(p) != nil {
+		return reject("vupdate: %s: key propagation must modify %s, which the translator does not allow",
+			rc.s.def.Name, relName)
 	}
 	return nil
-}
-
-// projectKeyVals maps key values (in canonical key order, labeled by
-// keyAttrs) into the order of the connection attribute list attrs.
-func projectKeyVals(schema *reldb.Schema, attrs []string, key reldb.Tuple, keyAttrs []string) (reldb.Tuple, error) {
-	out := make(reldb.Tuple, len(attrs))
-	for i, a := range attrs {
-		found := false
-		for k, ka := range keyAttrs {
-			if ka == a {
-				out[i] = key[k]
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("vupdate: connection attribute %s of %s is not a key attribute",
-				a, schema.Name())
-		}
-	}
-	return out, nil
 }

@@ -161,18 +161,20 @@ func PermissiveTranslator(def *viewobject.Definition) *Translator {
 	return tr
 }
 
-// defaultPeninsulaAction picks delete-tuple when the peninsula's
-// referencing attributes participate in its key (null would corrupt the
-// key) and set-null otherwise.
+// defaultPeninsulaAction is keyAwareAction for a peninsula node.
 func (tr *Translator) defaultPeninsulaAction(nodeID string) PeninsulaAction {
 	def := tr.topo.Def
-	n, ok := def.Node(nodeID)
-	if !ok {
-		return PeninsulaRestrict
-	}
-	g := def.Graph()
-	schema := g.Database().MustRelation(n.Relation).Schema()
-	for _, c := range g.Outgoing(n.Relation) {
+	n, _ := def.Node(nodeID)
+	return keyAwareAction(def.Graph(), def.NodeSchema(n))
+}
+
+// keyAwareAction is the deletion action for the tuples of schema's
+// relation that reference a deleted tuple, where no policy names one:
+// delete them when a referencing attribute participates in their key
+// (null would corrupt the key), set the referencing attributes to null
+// otherwise.
+func keyAwareAction(g *structural.Graph, schema *reldb.Schema) PeninsulaAction {
+	for _, c := range g.Outgoing(schema.Name()) {
 		if c.Type != structural.Reference {
 			continue
 		}
@@ -191,14 +193,28 @@ func (tr *Translator) Definition() *viewobject.Definition { return tr.topo.Def }
 // Topology returns the island/peninsula analysis.
 func (tr *Translator) Topology() *Topology { return tr.topo }
 
-// islandPolicy returns the island policy for a node (zero = all NO).
-func (tr *Translator) islandPolicy(nodeID string) IslandPolicy {
-	return tr.Island[nodeID]
+// mayInsert answers the policy question "may this update insert tuples
+// into p's node?": inside the dependency island always, outside it when
+// the node's outside policy makes the relation modifiable and allows
+// new tuples.
+func (s *session) mayInsert(p *nodePlan) error {
+	if pol := s.tr.Outside[p.node.ID]; p.island || pol.Modifiable && pol.AllowInsert {
+		return nil
+	}
+	return reject("vupdate: %s: the application is not allowed to insert tuples in %s",
+		s.def.Name, p.node.Relation)
 }
 
-// outsidePolicy returns the outside policy for a node (zero = all NO).
-func (tr *Translator) outsidePolicy(nodeID string) OutsidePolicy {
-	return tr.Outside[nodeID]
+// mayModify answers the policy question "may this update modify tuples
+// of p's node?": inside the dependency island always, outside it when
+// the node's outside policy makes the relation modifiable and allows
+// replacing existing tuples.
+func (s *session) mayModify(p *nodePlan) error {
+	if pol := s.tr.Outside[p.node.ID]; p.island || pol.Modifiable && pol.AllowModifyExisting {
+		return nil
+	}
+	return reject("vupdate: %s: the application is not allowed to modify tuples of %s",
+		s.def.Name, p.node.Relation)
 }
 
 // peninsulaPolicy returns the peninsula policy for a node (zero = restrict).
