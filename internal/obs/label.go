@@ -198,10 +198,6 @@ func (v *HistogramVec) StatByLabel() map[string]HistogramStat {
 	return out
 }
 
-// Total returns the family's aggregate: the sum over every slot,
-// overflow included.
-func (v *HistogramVec) Total() HistogramStat { return sumStats(v.bounds(), v.StatByLabel()) }
-
 // bounds returns the bucket layout every slot shares.
 func (v *HistogramVec) bounds() []int64 { return v.hists[0].bounds }
 

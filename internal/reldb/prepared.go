@@ -189,10 +189,6 @@ func (p *PreparedTx) Abort() error {
 	return nil
 }
 
-// Gen returns the generation the decision published (0 before
-// CommitDecided).
-func (p *PreparedTx) Gen() uint64 { return p.batch.Gen }
-
 // InDoubt returns the xids of cross-shard prepares replayed from the
 // log that have no decision — the set the sharded open must resolve.
 func (db *Database) InDoubt() []string {

@@ -62,12 +62,6 @@ func (rtx *ReadTx) MustRelation(name string) *Relation {
 	return r
 }
 
-// HasRelation reports whether the snapshot contains the named relation.
-func (rtx *ReadTx) HasRelation(name string) bool {
-	_, ok := rtx.rels[name]
-	return ok
-}
-
 // Names returns the snapshot's relation names, sorted.
 func (rtx *ReadTx) Names() []string {
 	names := make([]string, 0, len(rtx.rels))
@@ -80,15 +74,6 @@ func (rtx *ReadTx) Names() []string {
 
 // Generation returns the commit generation the snapshot pinned.
 func (rtx *ReadTx) Generation() uint64 { return rtx.gen }
-
-// TotalRows returns the number of tuples across the snapshot.
-func (rtx *ReadTx) TotalRows() int {
-	total := 0
-	for _, r := range rtx.rels {
-		total += r.Count()
-	}
-	return total
-}
 
 // Lag returns how many commits the database has advanced past the
 // snapshot — the ReadTx's age in generations. Workloads can poll it to

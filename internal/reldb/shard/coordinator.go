@@ -152,7 +152,7 @@ func (c *Cluster) updateGlobal(o *object, home int, call func(*vupdate.Updater) 
 
 // commitGlobal finishes a global update: replays the non-island
 // operations on every non-home shard, then runs the two-phase commit
-// over the shards that have work. It owns every transaction in txs —
+// over every shard. It owns every transaction in txs —
 // on any error each one has been committed, aborted, or rolled back.
 func (c *Cluster) commitGlobal(o *object, home int, txs []*reldb.Tx, ops []vupdate.DBOp) error {
 	rollbackAll := func() {
@@ -189,21 +189,12 @@ func (c *Cluster) commitGlobal(o *object, home int, txs []*reldb.Tx, ops []vupda
 		return txs[home].Commit()
 	}
 
-	// Participants: every shard whose transaction changed anything. The
-	// home shard always participates; a replica with zero replayed
-	// operations (possible only when ops was entirely island-local,
-	// handled above) would be released without preparing.
-	parts := make([]int, 0, len(txs))
-	for i, tx := range txs {
-		if i == home || tx.OpCount() > 0 {
-			parts = append(parts, i)
-		}
-	}
-	for i, tx := range txs {
-		if tx.OpCount() == 0 && i != home {
-			_ = tx.Rollback()
-			txs[i] = nil
-		}
+	// Participants: every shard, ascending. The home shard holds the
+	// translation and each replica replayed the same non-empty op list
+	// above, so no transaction is empty.
+	parts := make([]int, len(txs))
+	for i := range parts {
+		parts[i] = i
 	}
 
 	// Two-phase commit: prepare ascending, all prepares durable before

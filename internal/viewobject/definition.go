@@ -18,7 +18,6 @@ package viewobject
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"penguin/internal/obs"
@@ -309,15 +308,4 @@ func pathLabel(path []structural.Edge) string {
 		parts[i] = sym
 	}
 	return strings.Join(parts, "·")
-}
-
-// sortedNodeIDs returns all node IDs, sorted (for deterministic errors
-// and renderings).
-func (d *Definition) sortedNodeIDs() []string {
-	ids := make([]string, 0, len(d.byID))
-	for id := range d.byID {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }
