@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test fuzz-smoke examples verify
+.PHONY: build test race vet bench bench-smoke metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test fuzz-smoke examples loc verify
 
 build:
 	$(GO) build ./...
@@ -98,6 +98,14 @@ fuzz-smoke:
 # is discarded, their errors are not.
 examples:
 	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done
+
+# loc prints the non-test line count per package and in total: Go files
+# under internal/, cmd/, examples/ and the root package, without
+# _test.go files, blank lines and lines holding only a // comment.
+loc:
+	@{ ls *.go; find internal cmd examples -name '*.go'; } | grep -v '_test\.go$$' | \
+	xargs awk '!/^[ \t]*(\/\/.*)?$$/ { d = FILENAME; if (!sub(/\/[^\/]*$$/, "", d)) d = "."; n[d]++; t++ } \
+		END { for (d in n) printf "%6d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%6d total\n", t }'
 
 # verify is the full gate: compile everything, vet, then run the whole
 # suite (including the concurrent stress tests) under the race detector,
