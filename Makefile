@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test fuzz-smoke examples loc verify
+.PHONY: build test race vet fmt-check bench bench-smoke metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test fuzz-smoke examples loc verify
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,10 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when any Go file is not gofmt-formatted, listing it.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -110,4 +114,4 @@ loc:
 # verify is the full gate: compile everything, vet, then run the whole
 # suite (including the concurrent stress tests) under the race detector,
 # every benchmark once, and every CI target besides.
-verify: build vet race metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test bench-smoke fuzz-smoke examples
+verify: build vet fmt-check race metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test bench-smoke fuzz-smoke examples

@@ -241,7 +241,7 @@ func All() (string, error) {
 	}
 	b.WriteString(f4)
 	b.WriteString(sep)
-	s4, err := Section4Enumeration(db.Clone())
+	s4, err := Section4Enumeration(db)
 	if err != nil {
 		return "", err
 	}

@@ -2,93 +2,49 @@ package keller
 
 import (
 	"fmt"
-	"strings"
+
+	"penguin/internal/vupdate"
 )
 
 // The flat-view translator-choice dialog (Keller 1986): a short series of
 // per-relation questions asked of the view definer at view-definition
 // time. The effort of answering once is amortized over every subsequent
-// view update — the property the amortization experiment measures.
-
-// Question is one yes/no dialog question.
-type Question struct {
-	ID   string
-	Text string
-}
-
-// QA pairs a question with its answer.
-type QA struct {
-	Question Question
-	Answer   bool
-}
-
-// Transcript records one dialog run.
-type Transcript []QA
-
-// Render prints the transcript in the paper's typography.
-func (t Transcript) Render() string {
-	var b strings.Builder
-	for _, qa := range t {
-		ans := "<NO>"
-		if qa.Answer {
-			ans = "<YES>"
-		}
-		fmt.Fprintf(&b, "%s %s\n", qa.Question.Text, ans)
-	}
-	return b.String()
-}
-
-// Answerer supplies dialog answers.
-type Answerer interface {
-	Answer(q Question) (bool, error)
-}
-
-// ScriptedAnswerer answers by question ID with a default.
-type ScriptedAnswerer struct {
-	Answers map[string]bool
-	Default bool
-}
-
-// Answer implements Answerer.
-func (s ScriptedAnswerer) Answer(q Question) (bool, error) {
-	if v, ok := s.Answers[q.ID]; ok {
-		return v, nil
-	}
-	return s.Default, nil
-}
+// view update — the property the amortization experiment measures. It
+// speaks the view-object dialog's vocabulary (vupdate.Question,
+// vupdate.Answerer, vupdate.Transcript).
 
 // ChooseTranslator conducts the per-relation dialog for a view and
 // returns the resulting translator and transcript. Per relation, in join
 // order: insertion permission, modification permission, and — for the
 // root relation — key-replacement permission.
-func ChooseTranslator(v *View, a Answerer) (*Translator, Transcript, error) {
+func ChooseTranslator(v *View, a vupdate.Answerer) (*Translator, vupdate.Transcript, error) {
 	tr := &Translator{View: v, Policy: make(map[string]RelationPolicy)}
-	var tape Transcript
-	ask := func(q Question) (bool, error) {
+	var tape vupdate.Transcript
+	ask := func(q vupdate.Question) (bool, error) {
 		ans, err := a.Answer(q)
 		if err != nil {
 			return false, err
 		}
-		tape = append(tape, QA{Question: q, Answer: ans})
+		tape = append(tape, vupdate.QA{Question: q, Answer: ans})
 		return ans, nil
 	}
 	for i, j := range v.Joins {
 		var p RelationPolicy
 		var err error
-		if p.AllowInsert, err = ask(Question{
+		if p.AllowInsert, err = ask(vupdate.Question{
 			ID:   "keller." + j.Relation + ".insert",
 			Text: fmt.Sprintf("Can new tuples be inserted into relation %s to implement view updates?", j.Relation),
 		}); err != nil {
 			return nil, tape, err
 		}
-		if p.AllowModify, err = ask(Question{
+		if p.AllowModify, err = ask(vupdate.Question{
 			ID:   "keller." + j.Relation + ".modify",
 			Text: fmt.Sprintf("Can existing tuples of relation %s be modified to implement view updates?", j.Relation),
 		}); err != nil {
 			return nil, tape, err
 		}
 		if i == 0 {
-			if p.AllowKeyReplace, err = ask(Question{
+			if p.AllowKeyReplace, err = ask(vupdate.Question{
 				ID:   "keller." + j.Relation + ".keyreplace",
 				Text: fmt.Sprintf("Can the key of a tuple of the root relation %s be replaced?", j.Relation),
 			}); err != nil {

@@ -155,10 +155,18 @@ func isJoinAttr(v *View, rel, attr string) bool {
 	return false
 }
 
-// validateCandidate applies ops to a scratch clone and checks C1, C2, C4.
+// fork returns a private database over db's current snapshot: writes to
+// it copy the paths they touch and leave db untouched.
+func fork(db *reldb.Database) *reldb.Database {
+	rtx := db.BeginRead()
+	defer rtx.Close()
+	return rtx.Fork()
+}
+
+// validateCandidate applies ops to a scratch fork and checks C1, C2, C4.
 func (t *Translator) validateCandidate(ops []CandidateOp, baseline *reldb.ResultSet, wantGone string) Candidate {
 	cand := Candidate{Ops: ops}
-	scratch := t.View.db.Clone()
+	scratch := fork(t.View.db)
 	// C4: operations must be executable.
 	err := scratch.RunInTx(func(tx *reldb.Tx) error {
 		for _, op := range ops {
@@ -364,10 +372,10 @@ func (t *Translator) EnumerateInsertionTranslations(viewTuple reldb.Tuple) ([]Ca
 }
 
 // validateInsertCandidate applies the ops (building base tuples from the
-// view tuple) on a scratch clone and checks C1, C2, C4 for insertion.
+// view tuple) on a scratch fork and checks C1, C2, C4 for insertion.
 func (t *Translator) validateInsertCandidate(viewTuple reldb.Tuple, ops []CandidateOp, baseline *reldb.ResultSet, wantNew string) Candidate {
 	cand := Candidate{Ops: ops}
-	scratch := t.View.db.Clone()
+	scratch := fork(t.View.db)
 	err := scratch.RunInTx(func(tx *reldb.Tx) error {
 		for _, op := range ops {
 			rel, err := tx.Relation(op.Relation)

@@ -9,6 +9,7 @@ import (
 	"penguin/internal/reldb"
 	"penguin/internal/structural"
 	"penguin/internal/university"
+	"penguin/internal/vupdate"
 )
 
 func s(v string) reldb.Value { return reldb.String(v) }
@@ -278,7 +279,7 @@ func TestFlatReplaceStale(t *testing.T) {
 func TestKellerDialog(t *testing.T) {
 	db, _ := university.MustNewSeeded()
 	v := courseGradesView(t, db)
-	tr, tape, err := ChooseTranslator(v, ScriptedAnswerer{
+	tr, tape, err := ChooseTranslator(v, vupdate.ScriptedAnswerer{
 		Answers: map[string]bool{"keller.GRADES.insert": false},
 		Default: true,
 	})
@@ -307,15 +308,11 @@ func TestKellerDialog(t *testing.T) {
 	}
 	// Error propagation.
 	boom := errors.New("boom")
-	bad := answerFunc(func(Question) (bool, error) { return false, boom })
+	bad := vupdate.AnswerFunc(func(vupdate.Question) (bool, error) { return false, boom })
 	if _, _, err := ChooseTranslator(v, bad); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 }
-
-type answerFunc func(Question) (bool, error)
-
-func (f answerFunc) Answer(q Question) (bool, error) { return f(q) }
 
 func TestOuterJoinView(t *testing.T) {
 	db, _ := university.MustNewSeeded()

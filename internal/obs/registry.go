@@ -182,7 +182,7 @@ type Registry struct {
 	LevelFanOut           Histogram     // instance nodes per assembly level
 
 	// viewobject: the materialized view-object cache (Materializer).
-	// Every MaterializedInstantiate serve increments exactly one of
+	// Every Materializer.Instantiate serve increments exactly one of
 	// hits/misses/fallbacks; patches counts per-instance patch operations
 	// (rebuilds and drops) applied while serving hits.
 	MatHits      Counter   // serves answered from the patched cache

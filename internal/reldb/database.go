@@ -207,21 +207,6 @@ func (db *Database) Generation() uint64 {
 	return db.gen
 }
 
-// Clone copies the database into an independent catalog: schemas, stored
-// tuples and the row and index trees are shared (Relation.clone), so the
-// copy costs O(relations × indexes) whatever they hold; either side
-// copies the paths it later writes. Used for what-if planning and
-// failure-injection tests.
-func (db *Database) Clone() *Database {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	c := NewDatabase()
-	for n, r := range db.relations {
-		c.relations[n] = r.clone()
-	}
-	return c
-}
-
 // TotalRows returns the number of tuples across all relations.
 func (db *Database) TotalRows() int {
 	db.mu.RLock()

@@ -9,9 +9,10 @@
 //   - Graph: the directed-graph representation of a database schema
 //     (vertices are relations, edges are connections), with traversal
 //     helpers that expose both forward connections and their inverses.
-//   - Integrity: an enforcement engine that checks insertions against the
-//     connection rules and propagates deletions and key modifications
-//     according to per-connection policies.
+//   - Integrity: an audit that scans a database for tuples violating the
+//     connection rules. The rules are enforced on writes by the view-object
+//     update translator (internal/vupdate), which cascades deletions and
+//     key changes under the translator's policies.
 package structural
 
 import (

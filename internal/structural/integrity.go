@@ -56,154 +56,9 @@ func ConnectedViaStats(res Resolver, e Edge, tuple reldb.Tuple, st *reldb.MatchS
 	return matches, nil
 }
 
-// DeleteAction selects how a deletion of a referenced tuple treats its
-// referencing tuples (Definition 2.3, criterion 2).
-type DeleteAction uint8
-
-// Delete actions for reference connections.
-const (
-	// DeleteRestrict rejects the deletion while referencing tuples exist.
-	DeleteRestrict DeleteAction = iota
-	// DeleteCascade deletes the referencing tuples (recursively applying
-	// their own integrity rules).
-	DeleteCascade
-	// DeleteSetNull assigns null to the referencing attributes.
-	DeleteSetNull
-)
-
-// String implements fmt.Stringer.
-func (a DeleteAction) String() string {
-	switch a {
-	case DeleteRestrict:
-		return "restrict"
-	case DeleteCascade:
-		return "cascade"
-	case DeleteSetNull:
-		return "set-null"
-	default:
-		return fmt.Sprintf("deleteaction(%d)", uint8(a))
-	}
-}
-
-// Policy configures, per reference connection name, how Delete treats
-// referencing tuples. Connections absent from the map use DeleteRestrict.
-type Policy struct {
-	// OnRefDelete applies when a referenced tuple is deleted, keyed by
-	// the reference connection's name.
-	OnRefDelete map[string]DeleteAction
-}
-
-// refDelete returns the configured delete action for connection name.
-func (p *Policy) refDelete(name string) DeleteAction {
-	if p == nil || p.OnRefDelete == nil {
-		return DeleteRestrict
-	}
-	return p.OnRefDelete[name]
-}
-
-// Integrity enforces the structural model's rules over a graph.
+// Integrity checks the structural model's rules over a graph.
 type Integrity struct {
-	G      *Graph
-	Policy *Policy
-}
-
-// Delete removes the tuple with the given key from rel inside tx,
-// propagating per the structural model:
-//
-//   - owned and subset tuples are deleted recursively (criterion 2 of
-//     Definitions 2.2 and 2.4);
-//   - referencing tuples are handled per the policy's delete action
-//     (criterion 2 of Definition 2.3): restrict, cascade, or set-null.
-//
-// It returns the total number of database operations performed.
-func (in *Integrity) Delete(tx *reldb.Tx, rel string, key reldb.Tuple) (int, error) {
-	r, err := tx.Relation(rel)
-	if err != nil {
-		return 0, err
-	}
-	tuple, ok := r.Get(key)
-	if !ok {
-		return 0, fmt.Errorf("structural: delete from %s: %w", rel, reldb.ErrNoSuchTuple)
-	}
-	before := tx.OpCount()
-	if err := in.deleteTuple(tx, rel, tuple); err != nil {
-		return tx.OpCount() - before, err
-	}
-	return tx.OpCount() - before, nil
-}
-
-func (in *Integrity) deleteTuple(tx *reldb.Tx, rel string, tuple reldb.Tuple) error {
-	r, err := tx.Relation(rel)
-	if err != nil {
-		return err
-	}
-	key := r.Schema().KeyOf(tuple)
-	// A diamond-shaped cascade may reach the same tuple twice; the second
-	// visit finds it already gone and has nothing left to do.
-	if !r.Has(key) {
-		return nil
-	}
-	// Handle incoming references first (they may restrict).
-	for _, c := range in.G.Incoming(rel) {
-		if c.Type != Reference {
-			continue
-		}
-		referencing, err := ConnectedVia(tx, Edge{Conn: c, Forward: false}, tuple)
-		if err != nil {
-			return err
-		}
-		if len(referencing) == 0 {
-			continue
-		}
-		switch in.Policy.refDelete(c.Name) {
-		case DeleteRestrict:
-			return fmt.Errorf("structural: delete from %s restricted by %s: %d referencing tuple(s) in %s",
-				rel, c, len(referencing), c.From)
-		case DeleteCascade:
-			for _, rt := range referencing {
-				if err := in.deleteTuple(tx, c.From, rt); err != nil {
-					return err
-				}
-			}
-		case DeleteSetNull:
-			fromRel, err := tx.Relation(c.From)
-			if err != nil {
-				return err
-			}
-			idx, err := fromRel.Schema().Indices(c.FromAttrs)
-			if err != nil {
-				return err
-			}
-			for _, rt := range referencing {
-				nt := rt.Clone()
-				for _, j := range idx {
-					nt[j] = reldb.Null()
-				}
-				if _, err := tx.Replace(c.From, fromRel.Schema().KeyOf(rt), nt); err != nil {
-					return fmt.Errorf("structural: set-null on %s: %w", c, err)
-				}
-			}
-		}
-	}
-	// Cascade to owned and subset tuples.
-	for _, c := range in.G.Outgoing(rel) {
-		switch c.Type {
-		case Ownership, Subset:
-			dependents, err := ConnectedVia(tx, Edge{Conn: c, Forward: true}, tuple)
-			if err != nil {
-				return err
-			}
-			for _, dt := range dependents {
-				if err := in.deleteTuple(tx, c.To, dt); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if _, err := tx.Delete(rel, key); err != nil {
-		return err
-	}
-	return nil
+	G *Graph
 }
 
 // Violation reports one integrity failure found by Audit.

@@ -1,7 +1,6 @@
 package structural
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -45,105 +44,6 @@ func seededMini(t *testing.T) (*reldb.Database, *Graph) {
 		t.Fatal(err)
 	}
 	return db, g
-}
-
-func TestDeleteCascadesOwnershipAndSubset(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g}
-	tx := db.Begin()
-	n, err := in.Delete(tx, "OWNER", reldb.Tuple{reldb.Int(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// OWNER(1) plus its two OWNED tuples.
-	if n != 3 {
-		t.Fatalf("ops = %d, want 3", n)
-	}
-	if db.MustRelation("OWNED").Count() != 1 {
-		t.Fatalf("OWNED count = %d", db.MustRelation("OWNED").Count())
-	}
-	// Subset cascade.
-	tx = db.Begin()
-	if _, err := in.Delete(tx, "GENERAL", reldb.Tuple{reldb.String("g1")}); err != nil {
-		t.Fatal(err)
-	}
-	_ = tx.Commit()
-	if db.MustRelation("SPECIAL").Count() != 0 {
-		t.Fatal("subset tuple survived parent deletion")
-	}
-}
-
-func TestDeleteRestrictedByReference(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g} // default policy: restrict
-	tx := db.Begin()
-	_, err := in.Delete(tx, "TARGET", reldb.Tuple{reldb.String("t1")})
-	if err == nil || !strings.Contains(err.Error(), "restricted") {
-		t.Fatalf("err = %v", err)
-	}
-	_ = tx.Rollback()
-	if db.MustRelation("TARGET").Count() != 2 {
-		t.Fatal("restricted delete mutated the database")
-	}
-	// Unreferenced target deletes fine.
-	tx = db.Begin()
-	if _, err := in.Delete(tx, "TARGET", reldb.Tuple{reldb.String("t2")}); err != nil {
-		t.Fatal(err)
-	}
-	_ = tx.Commit()
-}
-
-func TestDeleteCascadeReferencePolicy(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g, Policy: &Policy{
-		OnRefDelete: map[string]DeleteAction{"ref": DeleteCascade},
-	}}
-	tx := db.Begin()
-	n, err := in.Delete(tx, "TARGET", reldb.Tuple{reldb.String("t1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tx.Commit()
-	if n != 3 { // two referencing tuples + the target
-		t.Fatalf("ops = %d, want 3", n)
-	}
-	if db.MustRelation("REFER").Count() != 1 {
-		t.Fatalf("REFER count = %d, want 1 (only the null ref)", db.MustRelation("REFER").Count())
-	}
-}
-
-func TestDeleteSetNullReferencePolicy(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g, Policy: &Policy{
-		OnRefDelete: map[string]DeleteAction{"ref": DeleteSetNull},
-	}}
-	tx := db.Begin()
-	_, err := in.Delete(tx, "TARGET", reldb.Tuple{reldb.String("t1")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = tx.Commit()
-	if db.MustRelation("REFER").Count() != 3 {
-		t.Fatal("set-null should keep referencing tuples")
-	}
-	got, _ := db.MustRelation("REFER").Get(reldb.Tuple{reldb.Int(5)})
-	if !got[1].IsNull() {
-		t.Fatalf("FK not nulled: %v", got)
-	}
-}
-
-func TestDeleteMissingTuple(t *testing.T) {
-	db, g := seededMini(t)
-	in := &Integrity{G: g}
-	tx := db.Begin()
-	defer func() { _ = tx.Rollback() }()
-	_, err := in.Delete(tx, "OWNER", reldb.Tuple{reldb.Int(99)})
-	if !errors.Is(err, reldb.ErrNoSuchTuple) {
-		t.Fatalf("err = %v", err)
-	}
 }
 
 func TestAuditCleanDatabase(t *testing.T) {
@@ -192,25 +92,5 @@ func TestAuditFindsViolations(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("violations missing %q:\n%s", want, text)
 		}
-	}
-}
-
-func TestActionStrings(t *testing.T) {
-	if DeleteRestrict.String() != "restrict" || DeleteCascade.String() != "cascade" || DeleteSetNull.String() != "set-null" {
-		t.Fatal("DeleteAction strings")
-	}
-	if !strings.Contains(DeleteAction(9).String(), "deleteaction") {
-		t.Fatal("unknown action strings")
-	}
-}
-
-func TestPolicyDefaults(t *testing.T) {
-	var p *Policy
-	if p.refDelete("x") != DeleteRestrict {
-		t.Fatal("nil policy should restrict")
-	}
-	p = &Policy{}
-	if p.refDelete("x") != DeleteRestrict {
-		t.Fatal("empty policy defaults wrong")
 	}
 }

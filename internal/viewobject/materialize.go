@@ -412,32 +412,3 @@ func (m *Materializer) dropKey(ek string) {
 		m.keys = append(m.keys[:i], m.keys[i+1:]...)
 	}
 }
-
-// materializers interns one Materializer per (database, definition)
-// pair for the package-level MaterializedInstantiate entry point.
-var materializers sync.Map // matKey -> *Materializer
-
-type matKey struct {
-	db  *reldb.Database
-	def *Definition
-}
-
-// MaterializerFor returns the shared materializer for def's instances
-// over db, creating it on first use.
-func MaterializerFor(db *reldb.Database, def *Definition) *Materializer {
-	k := matKey{db: db, def: def}
-	if v, ok := materializers.Load(k); ok {
-		return v.(*Materializer)
-	}
-	v, _ := materializers.LoadOrStore(k, NewMaterializer(db, def))
-	return v.(*Materializer)
-}
-
-// MaterializedInstantiate is Instantiate through the shared materialized
-// cache: it serves patched instances when the cache is fresh and falls
-// back to the regular instantiation path on miss or invalidation. The
-// result is byte-identical to Instantiate over a snapshot at the same
-// generation.
-func MaterializedInstantiate(db *reldb.Database, def *Definition, q Query) ([]*Instance, error) {
-	return MaterializerFor(db, def).Instantiate(q)
-}

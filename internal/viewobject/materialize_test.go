@@ -300,27 +300,25 @@ func TestMaterializerOverflowResyncs(t *testing.T) {
 	}
 }
 
-func TestMaterializedInstantiateShared(t *testing.T) {
+// Served instances are clones: mutating the caller's copy must not leak
+// into later serves.
+func TestMaterializerServesClones(t *testing.T) {
 	db, g := university.MustNewSeeded()
 	om := university.MustOmega(g)
-	defer MaterializerFor(db, om).Close()
+	m := NewMaterializer(db, om)
+	defer m.Close()
 
-	a, err := MaterializedInstantiate(db, om, Query{})
+	a, err := m.Instantiate(Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(a) == 0 {
 		t.Fatal("no instances")
 	}
-	if MaterializerFor(db, om) != MaterializerFor(db, om) {
-		t.Fatal("MaterializerFor does not intern per (db, def)")
-	}
-	// Served instances are clones: mutating the caller's copy must not
-	// leak into later serves.
 	if err := a[0].Root().SetAttr(om, "Title", reldb.String("CLOBBERED")); err != nil {
 		t.Fatal(err)
 	}
-	b, err := MaterializedInstantiate(db, om, Query{})
+	b, err := m.Instantiate(Query{})
 	if err != nil {
 		t.Fatal(err)
 	}

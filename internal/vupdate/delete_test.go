@@ -290,3 +290,78 @@ func TestVOCDDeepCascadeOutsideObject(t *testing.T) {
 	}
 	auditClean(t, db, g)
 }
+
+// An m:n relationship is a link relation owned by both sides (§2). VO-CD
+// of an author through an AUTHORS-pivot object deletes the author's WROTE
+// rows (Definition 2.2, criterion 2) and leaves every paper, including
+// the one a remaining co-author still links to.
+func TestVOCDManyToManyLinkRelation(t *testing.T) {
+	db := reldb.NewDatabase()
+	db.MustCreateRelation(reldb.MustSchema("AUTHORS", []reldb.Attribute{
+		{Name: "AID", Type: reldb.KindInt},
+		{Name: "Name", Type: reldb.KindString, Nullable: true},
+	}, []string{"AID"}))
+	db.MustCreateRelation(reldb.MustSchema("PAPERS", []reldb.Attribute{
+		{Name: "PID", Type: reldb.KindInt},
+		{Name: "Title", Type: reldb.KindString, Nullable: true},
+	}, []string{"PID"}))
+	db.MustCreateRelation(reldb.MustSchema("WROTE", []reldb.Attribute{
+		{Name: "AID", Type: reldb.KindInt},
+		{Name: "PID", Type: reldb.KindInt},
+		{Name: "Position", Type: reldb.KindInt, Nullable: true},
+	}, []string{"AID", "PID"}))
+	g := structural.NewGraph(db)
+	g.MustAddConnection(&structural.Connection{
+		Name: "author-wrote", Type: structural.Ownership,
+		From: "AUTHORS", To: "WROTE",
+		FromAttrs: []string{"AID"}, ToAttrs: []string{"AID"},
+	})
+	g.MustAddConnection(&structural.Connection{
+		Name: "paper-wrote", Type: structural.Ownership,
+		From: "PAPERS", To: "WROTE",
+		FromAttrs: []string{"PID"}, ToAttrs: []string{"PID"},
+	})
+	err := db.RunInTx(func(tx *reldb.Tx) error {
+		for _, ins := range []struct {
+			rel string
+			row reldb.Tuple
+		}{
+			{"AUTHORS", reldb.Tuple{iv(1), s("Codd")}},
+			{"AUTHORS", reldb.Tuple{iv(2), s("Date")}},
+			{"PAPERS", reldb.Tuple{iv(10), s("Relational Model")}},
+			{"PAPERS", reldb.Tuple{iv(11), s("Normal Forms")}},
+			{"WROTE", reldb.Tuple{iv(1), iv(10), iv(1)}},
+			{"WROTE", reldb.Tuple{iv(1), iv(11), iv(1)}},
+			{"WROTE", reldb.Tuple{iv(2), iv(11), iv(2)}},
+		} {
+			if err := tx.Insert(ins.rel, ins.row); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := viewobject.Define(g, "author", "AUTHORS", viewobject.DefaultMetric(),
+		map[string][]string{"WROTE": nil, "PAPERS": nil})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := NewUpdater(PermissiveTranslator(def))
+	res, err := u.DeleteByKey(reldb.Tuple{iv(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.MustRelation("WROTE").Count(); got != 1 {
+		t.Fatalf("WROTE count = %d, want 1", got)
+	}
+	if got := db.MustRelation("PAPERS").Count(); got != 2 {
+		t.Fatalf("PAPERS count = %d, want 2: papers must survive author deletion", got)
+	}
+	// Codd + Codd's two WROTE rows.
+	if got := res.Count(OpDelete); got != 3 || len(res.Ops) != 3 {
+		t.Fatalf("ops:\n%s", res)
+	}
+	auditClean(t, db, g)
+}

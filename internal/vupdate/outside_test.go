@@ -14,8 +14,8 @@ import (
 // ownership or subset connections, the deletions must be propagated
 // (repeatedly, if necessary) to those owned and subset relations" — even
 // when those relations are NOT part of the view object. Build an
-// out-of-object chain GRADES —* APPEALS —* APPEALNOTES and verify VO-CD
-// on ω reaches both.
+// out-of-object chain GRADES —* APPEALS —* APPEALNOTES, with ESCALATIONS
+// a subset of APPEALS, and verify VO-CD on ω reaches all three.
 func TestVOCDCascadesOutsideTheObject(t *testing.T) {
 	db, g := university.MustNewSeeded()
 	db.MustCreateRelation(reldb.MustSchema("APPEALS", []reldb.Attribute{
@@ -31,6 +31,12 @@ func TestVOCDCascadesOutsideTheObject(t *testing.T) {
 		{Name: "NoteNo", Type: reldb.KindInt},
 		{Name: "Text", Type: reldb.KindString, Nullable: true},
 	}, []string{"CourseID", "PID", "Seq", "NoteNo"}))
+	db.MustCreateRelation(reldb.MustSchema("ESCALATIONS", []reldb.Attribute{
+		{Name: "CourseID", Type: reldb.KindString},
+		{Name: "PID", Type: reldb.KindInt},
+		{Name: "Seq", Type: reldb.KindInt},
+		{Name: "Board", Type: reldb.KindString, Nullable: true},
+	}, []string{"CourseID", "PID", "Seq"}))
 	g.MustAddConnection(&structural.Connection{
 		Name: "grade-appeals", Type: structural.Ownership,
 		From: university.Grades, To: "APPEALS",
@@ -41,11 +47,19 @@ func TestVOCDCascadesOutsideTheObject(t *testing.T) {
 		From: "APPEALS", To: "APPEALNOTES",
 		FromAttrs: []string{"CourseID", "PID", "Seq"}, ToAttrs: []string{"CourseID", "PID", "Seq"},
 	})
+	g.MustAddConnection(&structural.Connection{
+		Name: "appeal-escalation", Type: structural.Subset,
+		From: "APPEALS", To: "ESCALATIONS",
+		FromAttrs: []string{"CourseID", "PID", "Seq"}, ToAttrs: []string{"CourseID", "PID", "Seq"},
+	})
 	err := db.RunInTx(func(tx *reldb.Tx) error {
 		if err := tx.Insert("APPEALS", reldb.Tuple{s("CS345"), iv(4), iv(1), s("regrade")}); err != nil {
 			return err
 		}
-		return tx.Insert("APPEALNOTES", reldb.Tuple{s("CS345"), iv(4), iv(1), iv(1), s("pending")})
+		if err := tx.Insert("APPEALNOTES", reldb.Tuple{s("CS345"), iv(4), iv(1), iv(1), s("pending")}); err != nil {
+			return err
+		}
+		return tx.Insert("ESCALATIONS", reldb.Tuple{s("CS345"), iv(4), iv(1), s("faculty senate")})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +78,11 @@ func TestVOCDCascadesOutsideTheObject(t *testing.T) {
 	if db.MustRelation("APPEALS").Count() != 0 || db.MustRelation("APPEALNOTES").Count() != 0 {
 		t.Fatal("out-of-object ownership chain not cascaded")
 	}
-	// course + 3 grades + 2 curricula + appeal + note.
-	if res.Count(OpDelete) != 8 {
+	if db.MustRelation("ESCALATIONS").Count() != 0 {
+		t.Fatal("out-of-object subset tuple not cascaded")
+	}
+	// course + 3 grades + 2 curricula + appeal + note + escalation.
+	if res.Count(OpDelete) != 9 {
 		t.Fatalf("deletes = %d\n%s", res.Count(OpDelete), res)
 	}
 	auditClean(t, db, g)

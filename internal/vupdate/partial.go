@@ -22,7 +22,8 @@ import (
 //     inherently ambiguous and rejected);
 //   - PartialUpdate replaces one component tuple, applying the R-case
 //     rules (key replacements only inside the island, with full
-//     propagation).
+//     propagation); a non-pivot island component's new key must keep it
+//     connected to the instance, as PartialInsert checks.
 
 // PartialInsert adds one component tuple at node nodeID of the instance
 // identified by pivotKey.
@@ -49,16 +50,7 @@ func (u *Updater) PartialInsert(pivotKey reldb.Tuple, nodeID string, tuple reldb
 		if err := s.repair([]relTuple{{node.Relation, t}}); err != nil {
 			return err
 		}
-		// The component must now be connected to the instance.
-		ok, err := s.connectedToInstance(pivotTuple, node, t)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return rejectAs(ReasonIntegrity, "vupdate: %s: the new %s tuple %s is not connected to instance %s",
-				s.def.Name, nodeID, t, pivotKey)
-		}
-		return nil
+		return s.requireConnected(pivotKey, pivotTuple, node, t)
 	})
 }
 
@@ -165,7 +157,16 @@ func (u *Updater) PartialUpdate(pivotKey reldb.Tuple, nodeID string, oldTuple, n
 		if err := rc.propagateKeyChanges(); err != nil {
 			return err
 		}
-		return s.repair(s.touched)
+		if err := s.repair(s.touched); err != nil {
+			return err
+		}
+		// A non-pivot island key inherits the pivot's: a new key can name
+		// another instance's pivot, or one that does not exist and that
+		// the repair inserted.
+		if p.class != ClassIsland {
+			return nil
+		}
+		return s.requireConnected(pivotKey, pivotTuple, node, newTuple)
 	})
 }
 
@@ -190,6 +191,21 @@ func (s *session) pivotTuple(pivotKey reldb.Tuple) (reldb.Tuple, error) {
 			s.def.Name, pivotKey, reldb.ErrNoSuchTuple)
 	}
 	return t, nil
+}
+
+// requireConnected rejects a partial update whose new tuple at node is
+// not connected to the instance rooted at pivotTuple: the component
+// would land in another instance, or in none.
+func (s *session) requireConnected(pivotKey, pivotTuple reldb.Tuple, node *viewobject.Node, tuple reldb.Tuple) error {
+	ok, err := s.connectedToInstance(pivotTuple, node, tuple)
+	if err != nil {
+		return err
+	}
+	if !ok {
+		return rejectAs(ReasonIntegrity, "vupdate: %s: the new %s tuple %s is not connected to instance %s",
+			s.def.Name, node.ID, tuple, pivotKey)
+	}
+	return nil
 }
 
 // connectedToInstance reports whether tuple appears at node when the

@@ -161,6 +161,30 @@ func TestPartialUpdateIslandKeyChange(t *testing.T) {
 	auditClean(t, db, g)
 }
 
+// A GRADES key inherits the COURSES key: rewriting it would move the
+// grade out of the addressed instance, into another course's instance or,
+// for a course that does not exist, under an all-null course the repair
+// inserts. Both are rejected as PartialInsert rejects a disconnected
+// tuple, and the transaction rolls back.
+func TestPartialUpdateIslandKeyLeavingInstanceRejected(t *testing.T) {
+	for _, course := range []string{"EE201", "EE999"} {
+		t.Run(course, func(t *testing.T) {
+			db, _, _, u := fixture(t)
+			before := db.TotalRows()
+			old, _ := db.MustRelation(university.Grades).Get(reldb.Tuple{s("CS345"), iv(4)})
+			nt := old.Clone()
+			nt[0] = s(course)
+			_, err := u.PartialUpdate(reldb.Tuple{s("CS345")}, university.Grades, old, nt)
+			if !errors.Is(err, ErrRejected) || ReasonOf(err) != ReasonIntegrity {
+				t.Fatalf("err = %v (reason %s), want an integrity rejection", err, ReasonOf(err))
+			}
+			if db.TotalRows() != before || !db.MustRelation(university.Grades).Has(reldb.Tuple{s("CS345"), iv(4)}) {
+				t.Fatal("rejected update left changes")
+			}
+		})
+	}
+}
+
 func TestPartialUpdatePivotKeyChangePropagates(t *testing.T) {
 	db, g, _, u := fixture(t)
 	old, _ := db.MustRelation(university.Courses).Get(reldb.Tuple{s("CS345")})

@@ -137,7 +137,7 @@ type (
 	ConnType = structural.ConnType
 	// Graph is the structural schema of a database.
 	Graph = structural.Graph
-	// Integrity enforces the structural model's rules.
+	// Integrity audits a database against the structural model's rules.
 	Integrity = structural.Integrity
 	// Violation is one integrity failure found by an audit.
 	Violation = structural.Violation
@@ -193,9 +193,7 @@ var (
 	// Materialized view objects: cached instances kept fresh from the
 	// diff of relation versions, falling back to full instantiation when
 	// a change cannot be localized.
-	NewMaterializer         = viewobject.NewMaterializer
-	MaterializerFor         = viewobject.MaterializerFor
-	MaterializedInstantiate = viewobject.MaterializedInstantiate
+	NewMaterializer = viewobject.NewMaterializer
 )
 
 // Update translation (internal/vupdate, §5-§6).
