@@ -219,8 +219,9 @@ func (sc *opsScript) keys() []reldb.Tuple {
 	return keys
 }
 
-// run plays steps requests through u and returns the transcript.
-func (sc *opsScript) run(t *testing.T, u *Updater, steps int) string {
+// run plays steps requests through u, numbered from first, and returns
+// the transcript.
+func (sc *opsScript) run(t *testing.T, u *Updater, first, steps int) string {
 	t.Helper()
 	var b strings.Builder
 	record := func(step int, what string, res *Result, err error) {
@@ -234,14 +235,9 @@ func (sc *opsScript) run(t *testing.T, u *Updater, steps int) string {
 		}
 	}
 	pivotSchema := sc.def.NodeSchema(sc.def.Root())
-	for step := 0; step < steps; step++ {
+	for step := first; step < first+steps; step++ {
 		if step%40 == 20 {
-			// Half the run lets an island key change adopt an existing
-			// tuple (the third island dialog question).
-			for id, p := range u.T.Island {
-				p.AllowMergeWithExisting = !p.AllowMergeWithExisting
-				u.T.Island[id] = p
-			}
+			flipMerge(u.T)
 		}
 		if sc.retune != nil {
 			sc.retune(step, u.T)
@@ -305,6 +301,16 @@ func (sc *opsScript) run(t *testing.T, u *Updater, steps int) string {
 		sc.audit(t, step)
 	}
 	return b.String()
+}
+
+// flipMerge toggles every island node's merge answer: a run flips it
+// every 40 steps, so half the run lets an island key change adopt an
+// existing tuple (the third island dialog question).
+func flipMerge(tr *Translator) {
+	for id, p := range tr.Island {
+		p.AllowMergeWithExisting = !p.AllowMergeWithExisting
+		tr.Island[id] = p
+	}
 }
 
 // audit fails the test when the database breaks the structural model.
@@ -378,51 +384,63 @@ func mixedOmegaTranslator(def *viewobject.Definition) (*Translator, func(step in
 	return tr, retune
 }
 
+// mixedChains plays the mixed ω script as chains independent runs of
+// chainLen steps, each on a freshly seeded database under a fresh
+// translator, so a changed outcome rewrites at most the rest of its own
+// chain. Step numbers run on from chain to chain and set the policy
+// answers, so chain c plays steps c·chainLen onwards under the answers
+// those steps have in one long run.
+func mixedChains(t *testing.T, seed int64, chains, chainLen int) string {
+	var b strings.Builder
+	for c := 0; c < chains; c++ {
+		db, g := university.MustNewSeeded()
+		def := university.MustOmega(g)
+		sc := newOpsScript(db, def, seed*100+int64(c))
+		tr, retune := mixedOmegaTranslator(def)
+		sc.retune, sc.partial, sc.rate = retune, true, 3
+		first := c * chainLen
+		for step := 0; step < first; step++ {
+			if step%40 == 20 {
+				flipMerge(tr)
+			}
+		}
+		fmt.Fprintf(&b, "chain %d\n", c)
+		b.WriteString(sc.run(t, NewUpdater(tr), first, chainLen))
+	}
+	return b.String()
+}
+
 // TestTranslationOpsGolden pins what VO-R, VO-CI and VO-CD translate
 // to — every emitted operation in order, and every rejection's text —
 // over a seeded request sequence on the benchmark tree and on ω, and
-// over a second ω sequence that adds partial requests under the mixed
+// over chains of ω requests that add partial requests under the mixed
 // translator. The tree and ω goldens were written by the map-based
 // translator, the mixed one by the translator that still spelled out
 // VO-R's I-cases beside VO-CI's; rewrite them with -update only for a
 // change that means to translate differently.
 func TestTranslationOpsGolden(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		build func() (*reldb.Database, *viewobject.Definition)
-		mixed bool // the mixed translator and partial requests
+		name string
+		play func(t *testing.T) string
 	}{
-		{"tree", func() (*reldb.Database, *viewobject.Definition) {
+		{"tree", func(t *testing.T) string {
 			w, err := workload.BuildTree(workload.TreeSpec{Depth: 2, Width: 2, Fanout: 3, Peninsulas: 1, Roots: 6})
 			if err != nil {
 				t.Fatal(err)
 			}
-			return w.DB, w.Def
-		}, false},
-		{"omega", func() (*reldb.Database, *viewobject.Definition) {
+			return newOpsScript(w.DB, w.Def, 35).run(t, NewUpdater(PermissiveTranslator(w.Def)), 0, 160)
+		}},
+		{"omega", func(t *testing.T) string {
 			db, g := university.MustNewSeeded()
-			return db, university.MustOmega(g)
-		}, false},
-		{"omega_mixed", func() (*reldb.Database, *viewobject.Definition) {
-			db, g := university.MustNewSeeded()
-			return db, university.MustOmega(g)
-		}, true},
+			def := university.MustOmega(g)
+			return newOpsScript(db, def, 35).run(t, NewUpdater(PermissiveTranslator(def)), 0, 160)
+		}},
+		// A seed whose rejections reach every policy gate ω can reach
+		// (see mixedOmegaTranslator).
+		{"omega_mixed", func(t *testing.T) string { return mixedChains(t, 29, 30, 10) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			db, def := tc.build()
-			seed, steps := int64(35), 160
-			if tc.mixed {
-				// A seed whose rejections reach every policy gate ω
-				// can reach (see mixedOmegaTranslator).
-				seed, steps = 33, 300
-			}
-			sc := newOpsScript(db, def, seed)
-			tr := PermissiveTranslator(def)
-			if tc.mixed {
-				tr, sc.retune = mixedOmegaTranslator(def)
-				sc.partial, sc.rate = true, 3
-			}
-			got := sc.run(t, NewUpdater(tr), steps)
+			got := tc.play(t)
 			path := filepath.Join("testdata", "ops_"+tc.name+".golden")
 			if *updateGolden {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
