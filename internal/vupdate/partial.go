@@ -10,19 +10,21 @@ import (
 
 // Partial update operations manipulate a single component of a view
 // object (one node of the object's tree) rather than a complete instance.
-// The paper defines them in the companion thesis [4]; they reuse the
-// machinery of the complete operations:
+// The paper defines them in the companion thesis [4]. Each is its own
+// checks followed by a one-entry delta through apply, the dispatch VO-R
+// writes its delta with, so every §5 case keeps one implementation:
 //
-//   - PartialInsert adds one component tuple under an existing instance,
-//     applying the VO-CI cases and the §5.2 dependency repair, and
-//     verifies the new tuple is actually connected to the instance;
-//   - PartialDelete removes one component tuple; only dependency-island
-//     components may be deleted (removing a non-island component from an
-//     instance does not delete shared base data — such requests are
-//     inherently ambiguous and rejected);
-//   - PartialUpdate replaces one component tuple, applying the R-case
-//     rules (key replacements only inside the island, with full
-//     propagation); a non-pivot island component's new key must keep it
+//   - PartialInsert adds one component tuple under an existing instance
+//     (an insertion: the VO-CI cases), runs the §5.2 dependency repair,
+//     and verifies the new tuple is actually connected to the instance;
+//   - PartialDelete removes one component tuple (a deletion: VO-CD's
+//     cascade); only dependency-island components may be deleted
+//     (removing a non-island component from an instance does not delete
+//     shared base data — such requests are inherently ambiguous and
+//     rejected);
+//   - PartialUpdate replaces one component tuple (a pair: the R-cases,
+//     so key replacements only inside the island, with VO-R's step 3
+//     after them); a non-pivot island component's new key must keep it
 //     connected to the instance, as PartialInsert checks.
 
 // PartialInsert adds one component tuple at node nodeID of the instance
@@ -40,12 +42,16 @@ func (u *Updater) PartialInsert(pivotKey reldb.Tuple, nodeID string, tuple reldb
 		if err != nil {
 			return err
 		}
-		t, err := s.insertComponent(s.tr.Topology().planOf(node), tuple)
-		if err != nil {
+		p := s.tr.Topology().planOf(node)
+		if err := s.apply([]nodeDelta{{p: p, op: deltaInsert, nt: tuple}}); err != nil {
 			return err
 		}
-		if t == nil {
-			t = tuple // case 1 wrote nothing; the request is still checked
+		// The tuple the insertion stored (case 3 merges the request into
+		// the existing tuple); case 1 wrote nothing, and the request is
+		// still checked.
+		t := tuple
+		if len(s.touched) > 0 {
+			t = s.touched[0].tuple
 		}
 		if err := s.repair([]relTuple{{node.Relation, t}}); err != nil {
 			return err
@@ -97,7 +103,7 @@ func (u *Updater) PartialDelete(pivotKey reldb.Tuple, nodeID string, key reldb.T
 			return reject("vupdate: %s: deleting the pivot component is a complete deletion; use DeleteByKey",
 				s.def.Name)
 		}
-		return s.deleteCascade(node.Relation, tuple, map[string]bool{})
+		return s.apply([]nodeDelta{{p: topo.planOf(node), op: deltaDelete, ot: tuple}})
 	})
 }
 
@@ -130,40 +136,16 @@ func (u *Updater) PartialUpdate(pivotKey reldb.Tuple, nodeID string, oldTuple, n
 			return rejectAs(ReasonNoInstance, "vupdate: %s: %s tuple %s does not belong to instance %s",
 				s.def.Name, nodeID, schema.KeyOf(oldTuple), pivotKey)
 		}
-		rc := &replaceCtx{s: s, topo: topo}
-		oldKey, newKey := schema.KeyOf(oldTuple), schema.KeyOf(newTuple)
-		switch {
-		case projectedEqual(oldTuple, newTuple, p.proj):
-			return nil
-		case oldKey.Equal(newKey):
-			if err := rc.replaceSameKey(p, oldKey, newTuple); err != nil {
-				return err
-			}
-		default:
-			switch p.class {
-			case ClassPivot, ClassIsland:
-				if err := rc.replaceIslandKey(p, oldTuple, newTuple); err != nil {
-					return err
-				}
-			case ClassReferenced:
-				if _, err := s.insertComponent(p, newTuple); err != nil {
-					return err
-				}
-			default:
-				return rejectAs(ReasonAmbiguousKey, "vupdate: %s: changes to the key of %s tuples are precluded",
-					s.def.Name, nodeID)
-			}
-		}
-		if err := rc.propagateKeyChanges(); err != nil {
+		if err := s.apply([]nodeDelta{{p: p, op: deltaPair, ot: oldTuple, nt: newTuple}}); err != nil {
 			return err
 		}
-		if err := s.repair(s.touched); err != nil {
+		if err := s.settle(); err != nil {
 			return err
 		}
 		// A non-pivot island key inherits the pivot's: a new key can name
 		// another instance's pivot, or one that does not exist and that
-		// the repair inserted.
-		if p.class != ClassIsland {
+		// the repair inserted. A delta that wrote nothing moved nothing.
+		if p.class != ClassIsland || len(s.ops) == 0 {
 			return nil
 		}
 		return s.requireConnected(pivotKey, pivotTuple, node, newTuple)

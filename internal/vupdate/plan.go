@@ -135,6 +135,10 @@ type session struct {
 	// touched lists the tuples the translation inserted or replaced, in
 	// order: the dependency repair of step 3 starts from them.
 	touched []relTuple
+	// keyMap records island key replacements: relation → encoded old key
+	// → change. Step 3 propagates them, and a later peninsula pair reads
+	// them. Nil until the first key replacement.
+	keyMap map[string]map[string]keyChange
 }
 
 // StepProbe is a test hook invoked at the start of every §5 pipeline
