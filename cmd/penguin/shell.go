@@ -33,9 +33,10 @@ type shell struct {
 	// shards sees that shard's partition of the island relations.
 	cluster *shard.Cluster
 	g       *structural.Graph
-	// materialized holds the delta-stream cache per object name for
-	// objects with .materialize enabled; .query and .instance route
-	// through it instead of instantiating from a fresh snapshot.
+	// materialized holds the materialized instances per object name for
+	// objects with .materialize enabled (kept fresh by diffing relation
+	// versions); .query and .instance route through it instead of
+	// instantiating from a fresh snapshot.
 	materialized map[string]*viewobject.Materializer
 	out          *bufio.Writer
 	errw         io.Writer

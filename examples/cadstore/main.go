@@ -149,7 +149,7 @@ func main() {
 			}))
 		}
 	}
-	res, err := u.ReplaceInstance(old, repl)
+	res, err := u.ReplaceByKey(old.Key(), repl)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func main() {
 			}))
 		}
 	}
-	_, err = uf.ReplaceInstance(old2, repl2)
+	_, err = uf.ReplaceByKey(old2.Key(), repl2)
 	if errors.Is(err, penguin.ErrRejected) {
 		fmt.Printf("\nreleased-design translator rejected the unknown part:\n  %v\n", err)
 	} else {

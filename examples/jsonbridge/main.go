@@ -90,7 +90,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := u.ReplaceInstance(current, edited)
+	res, err := u.ReplaceByKey(current.Key(), edited)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func section6() {
 		}))
 
 		fmt.Printf("\n--- replacing CS345 -> EES345 under the %s translator ---\n", label)
-		res, err := u.ReplaceInstance(old, repl)
+		res, err := u.ReplaceByKey(old.Key(), repl)
 		if err != nil {
 			fmt.Println("rejected:", err)
 			return

@@ -190,7 +190,7 @@ func Section6Example() (string, error) {
 		fmt.Fprintf(&b, "replace (COURSE: CS345 ... (DEPARTMENT: Computer Science) ...)\n")
 		fmt.Fprintf(&b, "   with (COURSE: EES345 ... (DEPARTMENT: Engineering Economic Systems) ...)\n")
 		fmt.Fprintf(&b, "under the %s:\n", label)
-		res, err := vupdate.NewUpdater(tr).ReplaceInstance(old, repl)
+		res, err := vupdate.NewUpdater(tr).ReplaceByKey(old.Key(), repl)
 		if err != nil {
 			fmt.Fprintf(&b, "  REJECTED: %v\n\n", err)
 			return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -82,11 +83,69 @@ func (m *modelRel) equalOn(attrs []string, vals Tuple) func(Tuple) bool {
 	}
 }
 
-func (m *modelRel) inRange(attr string, lo, hi *RangeBound) func(Tuple) bool {
+// satisfiesEq is equalOn under a predicate's three-valued logic: a null
+// on either side of an equality matches nothing.
+func (m *modelRel) satisfiesEq(attrs []string, vals Tuple) func(Tuple) bool {
+	eq := m.equalOn(attrs, vals)
+	idx, _ := m.schema.Indices(attrs)
+	return func(t Tuple) bool {
+		for i, j := range idx {
+			if t[j].IsNull() || vals[i].IsNull() {
+				return false
+			}
+		}
+		return eq(t)
+	}
+}
+
+// leads reports whether attr leads the primary key or one of the
+// oracle's indexes: the attributes a range can walk.
+func (m *modelRel) leads(attr string) bool {
+	if m.schema.AttrNames()[m.schema.Key()[0]] == attr {
+		return true
+	}
+	for _, attrs := range m.indexes {
+		if attrs[0] == attr {
+			return true
+		}
+	}
+	return false
+}
+
+// covers reports whether the primary key or one of the oracle's indexes
+// is over exactly the attribute set attrs: the sets an equality probes.
+func (m *modelRel) covers(attrs []string) bool {
+	same := func(b []string) bool {
+		if len(b) != len(attrs) {
+			return false
+		}
+		for _, a := range b {
+			if !slices.Contains(attrs, a) {
+				return false
+			}
+		}
+		return true
+	}
+	var key []string
+	for _, k := range m.schema.Key() {
+		key = append(key, m.schema.AttrNames()[k])
+	}
+	if same(key) {
+		return true
+	}
+	for _, ix := range m.indexes {
+		if same(ix) {
+			return true
+		}
+	}
+	return false
+}
+
+func (m *modelRel) inRange(attr string, lo, hi *rangeBound) func(Tuple) bool {
 	j, _ := m.schema.AttrIndex(attr)
 	return func(t Tuple) bool {
 		v := t[j]
-		if v.IsNull() {
+		if v.IsNull() || (lo != nil && lo.V.IsNull()) || (hi != nil && hi.V.IsNull()) {
 			return false
 		}
 		if lo != nil {
@@ -123,7 +182,76 @@ var (
 	modelFs = []Value{Null(), Float(-1), Float(0.5), Int(1), Float(1), Float(3)}
 )
 
-func bound(v Value, strict bool) *RangeBound { return &RangeBound{V: v, Strict: strict} }
+// rangeBound is one side of a range case: the constant the attribute is
+// compared with and whether the comparison excludes it (< or >).
+type rangeBound struct {
+	V      Value
+	Strict bool
+}
+
+func bound(v Value, strict bool) *rangeBound { return &rangeBound{V: v, Strict: strict} }
+
+// rangePred is the conjunction a range case stands for, with the
+// constant written on the left of its upper bound.
+func rangePred(attr string, lo, hi *rangeBound) Expr {
+	var terms []Expr
+	if lo != nil {
+		op := OpGe
+		if lo.Strict {
+			op = OpGt
+		}
+		terms = append(terms, Cmp{Op: op, L: Attr{Name: attr}, R: Const{V: lo.V}})
+	}
+	if hi != nil {
+		op := OpGe // c >= attr is attr <= c
+		if hi.Strict {
+			op = OpGt
+		}
+		terms = append(terms, Cmp{Op: op, L: Const{V: hi.V}, R: Attr{Name: attr}})
+	}
+	if len(terms) == 1 {
+		return terms[0]
+	}
+	return And{Terms: terms}
+}
+
+// eqPred is the equality conjunction over attrs and vals, with the
+// constant written on the left of every second term.
+func eqPred(attrs []string, vals Tuple) Expr {
+	terms := make([]Expr, len(attrs))
+	for i, a := range attrs {
+		terms[i] = Eq(a, vals[i])
+		if i%2 == 1 {
+			terms[i] = Cmp{Op: OpEq, L: Const{V: vals[i]}, R: Attr{Name: a}}
+		}
+	}
+	if len(terms) == 1 {
+		return terms[0]
+	}
+	return And{Terms: terms}
+}
+
+// checkSelect runs pred through SelectStats and compares its answer with
+// the oracle's, and the path it took with the one its stats report: a
+// probe (key, index or range walk) charging exactly the tuples it
+// returns, or a scan charging the whole relation.
+func checkSelect(t testing.TB, r *Relation, pred Expr, want []Tuple, probe bool) {
+	t.Helper()
+	var st MatchStats
+	got, err := r.SelectStats(pred, &st)
+	what := fmt.Sprintf("Select(%s)", pred)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	sameTuples(t, what, got, want)
+	charged := MatchStats{Scans: 1, Scanned: r.Count()}
+	if probe {
+		charged = MatchStats{Probes: 1, Scanned: len(got)}
+	}
+	if st != charged {
+		t.Fatalf("%s: probe=%v but charged %+v", what, probe, st)
+	}
+}
 
 // checkRows compares r's rows, in scan order, against the oracle's, and
 // returns them.
@@ -283,39 +411,51 @@ func checkModel(t testing.TB, r *Relation, m *modelRel) {
 
 	for _, rg := range []struct {
 		attr   string
-		lo, hi *RangeBound
+		lo, hi *rangeBound
+		exact  bool // every bound has an exact tree position
 	}{
-		{"A", bound(Int(10), false), bound(Int(20), true)}, // leading key attribute
-		{"A", bound(Int(10), true), bound(Int(20), false)},
-		{"A", bound(Float(10.5), false), nil}, // float bound on an int attribute
-		{"A", nil, bound(Float(3.5), true)},
-		{"A", bound(Int(30), false), bound(Int(5), false)}, // empty
-		{"B", bound(Int(3), true), bound(Int(9), true)},    // key attribute that does not lead: scan
-		{"C", bound(Int(0), false), nil},                   // indexed or not, as the ops left it; nulls
-		{"C", bound(Int(-3), true), bound(Int(7), true)},
-		{"C", nil, bound(Float(2.5), false)},
-		{"C", bound(Int(maxExactInt+1), false), nil}, // no exact tree position: scan
-		{"S", bound(String("s1"), false), bound(String("s4"), false)},
-		{"S", bound(String("s3"), true), nil},
-		{"F", bound(Int(0), true), bound(Float(2), true)},
-		{"F", nil, bound(Float(math.Copysign(0, -1)), false)}, // -0.0 and 0 are one bound
+		{"A", bound(Int(10), false), bound(Int(20), true), true}, // leading key attribute
+		{"A", bound(Int(10), true), bound(Int(20), false), true},
+		{"A", bound(Float(10.5), false), nil, true}, // float bound on an int attribute
+		{"A", nil, bound(Float(3.5), true), true},
+		{"A", bound(Int(30), false), bound(Int(5), false), true}, // empty
+		{"B", bound(Int(3), true), bound(Int(9), true), true},    // key attribute that does not lead: scan
+		{"C", bound(Int(0), false), nil, true},                   // indexed or not, as the ops left it; nulls
+		{"C", bound(Int(-3), true), bound(Int(7), true), true},
+		{"C", nil, bound(Float(2.5), false), true},
+		{"C", bound(Int(maxExactInt+1), false), nil, false}, // no exact tree position: scan
+		{"C", bound(Null(), false), nil, false},             // matches nothing, three-valued: scan
+		{"S", bound(String("s1"), false), bound(String("s4"), false), true},
+		{"S", bound(String("s3"), true), nil, true},
+		{"F", bound(Int(0), true), bound(Float(2), true), true},
+		{"F", nil, bound(Float(math.Copysign(0, -1)), false), true}, // -0.0 and 0 are one bound
 	} {
-		var st MatchStats
-		got, err := r.MatchRangeStats(rg.attr, rg.lo, rg.hi, &st)
-		what := fmt.Sprintf("MatchRange %s %v %v", rg.attr, rg.lo, rg.hi)
-		if err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		sameTuples(t, what, got, filter(m.inRange(rg.attr, rg.lo, rg.hi)))
-		if walk := r.ProbeableRange(rg.attr, rg.lo, rg.hi); walk != (st.Probes == 1) || walk == (st.Scans == 1) {
-			t.Fatalf("%s: probeable=%v but charged %+v", what, walk, st)
-		}
-		if st.Probes == 1 && st.Scanned != len(got) {
-			t.Fatalf("%s: walk charged %d for a window of %d", what, st.Scanned, len(got))
-		}
+		checkSelect(t, r, rangePred(rg.attr, rg.lo, rg.hi), filter(m.inRange(rg.attr, rg.lo, rg.hi)),
+			rg.exact && m.leads(rg.attr))
 	}
-	if got, err := r.MatchRange("C", bound(Null(), false), nil); err != nil || len(got) != 0 {
-		t.Fatalf("MatchRange with a null bound = %v, %v", got, err)
+	for _, e := range []struct {
+		attrs []string
+		vals  Tuple
+		exact bool // every constant is one a probe finds every equal stored value by
+	}{
+		{[]string{"A", "B"}, Tuple{Int(7), Int(5)}, true},                // the primary-key point
+		{[]string{"B", "A"}, Tuple{Int(5), Int(40)}, true},               // in the other order
+		{[]string{"A"}, Tuple{Int(7)}, true},                             // a key prefix: no path, scan
+		{[]string{"C"}, Tuple{Int(2)}, true},                             // byC, as the ops left it
+		{[]string{"C", "S"}, Tuple{Int(2), String("s3")}, true},          // bySC lists S first
+		{[]string{"B", "C"}, Tuple{Int(5), Int(7)}, true},                // byCB lists C first
+		{[]string{"F"}, Tuple{Float(0.5)}, false},                        // a Float column: scan
+		{[]string{"F"}, Tuple{Int(1)}, false},                            // an Int on a Float column
+		{[]string{"C"}, Tuple{Null()}, false},                            // a null constant
+		{[]string{"S", "C"}, Tuple{Null(), Int(2)}, false},               // ... on a covered set
+		{[]string{"C"}, Tuple{Int(maxExactInt + 1)}, false},              // an int no key can hold
+		{[]string{"C", "C"}, Tuple{Int(2), Int(2)}, false},               // a duplicated attribute
+		{[]string{"C", "C"}, Tuple{Int(2), Int(7)}, false},               // ... contradicting itself
+		{[]string{"A", "B"}, Tuple{Int(7), Float(5)}, false},             // a kind that is not the column's
+		{[]string{"A", "B"}, Tuple{Int(maxExactInt + 1), Int(5)}, false}, // out of domain on the key
+	} {
+		checkSelect(t, r, eqPred(e.attrs, e.vals), filter(m.satisfiesEq(e.attrs, e.vals)),
+			e.exact && m.covers(e.attrs))
 	}
 
 	pred := Cmp{Op: OpGt, L: Attr{Name: "C"}, R: Const{V: Int(2)}}

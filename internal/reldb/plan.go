@@ -34,11 +34,12 @@ type lookupPlan struct {
 // planFor resolves the access path for attrNames on this version: a
 // point probe when the attribute set is exactly the primary key, else a
 // probe of the secondary index over exactly that set (in any order; the
-// lexicographically first name wins when several do), else a scan. It is
-// the one access-path choice — MatchEqual, MatchEqualBatch,
-// ProbeableEqual and HasIndexOn all call it — and it runs on every call:
-// nothing is memoized, so a committed version has no mutable state and
-// an answer depends on that version alone.
+// lexicographically first name wins when several do), else a scan.
+// MatchEqual, MatchEqualBatch and HasIndexOn call it, and so does
+// Select, the one predicate planner, for an equality conjunction (a
+// range over one attribute walks rangeTree's tree instead). It runs on
+// every call: nothing is memoized, so a committed version has no mutable
+// state and an answer depends on that version alone.
 func (r *Relation) planFor(what string, attrNames []string) (lookupPlan, error) {
 	idx, err := r.lookupIndices(what, attrNames)
 	if err != nil {

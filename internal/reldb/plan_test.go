@@ -2,7 +2,6 @@ package reldb
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 )
 
@@ -130,97 +129,6 @@ func TestSelectParallelError(t *testing.T) {
 	}
 	if out != nil {
 		t.Fatalf("errored Select returned %d tuples, want nil", len(out))
-	}
-}
-
-func TestEqConjunction(t *testing.T) {
-	attrs, vals, ok := EqConjunction(Eq("Grade", String("A")))
-	if !ok || len(attrs) != 1 || attrs[0] != "Grade" || !vals[0].Equal(String("A")) {
-		t.Fatalf("single eq: %v %v %v", attrs, vals, ok)
-	}
-	// Reversed operand order and conjunction.
-	attrs, vals, ok = EqConjunction(And{Terms: []Expr{
-		Cmp{Op: OpEq, L: Const{V: String("CS101")}, R: Attr{Name: "CourseID"}},
-		Eq("PID", Int(1)),
-	}})
-	if !ok || strings.Join(attrs, ",") != "CourseID,PID" || !vals[1].Equal(Int(1)) {
-		t.Fatalf("conjunction: %v %v %v", attrs, vals, ok)
-	}
-	for _, pred := range []Expr{
-		Cmp{Op: OpLt, L: Attr{Name: "PID"}, R: Const{V: Int(1)}},         // not equality
-		Cmp{Op: OpEq, L: Attr{Name: "A"}, R: Attr{Name: "B"}},            // attr = attr
-		Cmp{Op: OpEq, L: Attr{Rel: "R", Name: "A"}, R: Const{V: Int(1)}}, // qualified
-		And{Terms: []Expr{Eq("A", Int(1)), Not{E: Eq("B", Int(2))}}},     // nested structure
-		Or{Terms: []Expr{Eq("A", Int(1))}},                               // not a conjunction
-		And{},                                                            // empty
-	} {
-		if _, _, ok := EqConjunction(pred); ok {
-			t.Fatalf("EqConjunction(%v) should be false", pred)
-		}
-	}
-}
-
-func TestProbeableEqual(t *testing.T) {
-	s, err := NewSchema("MIX",
-		[]Attribute{
-			{Name: "ID", Type: KindInt},
-			{Name: "Score", Type: KindFloat},
-			{Name: "Tag", Type: KindString, Nullable: true},
-		},
-		[]string{"ID"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRelation(s)
-	if err := r.CreateIndex("byTag", []string{"Tag"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.CreateIndex("byScore", []string{"Score"}); err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name  string
-		attrs []string
-		vals  Tuple
-		want  bool
-	}{
-		{"key point", []string{"ID"}, Tuple{Int(7)}, true},
-		{"indexed string", []string{"Tag"}, Tuple{String("x")}, true},
-		{"float attr never probes", []string{"Score"}, Tuple{Float(1.5)}, false},
-		{"kind mismatch", []string{"ID"}, Tuple{Float(7)}, false},
-		{"null constant", []string{"Tag"}, Tuple{Null()}, false},
-		{"no access path", []string{"ID", "Tag"}, Tuple{Int(7), String("x")}, false},
-		{"unknown attr", []string{"Nope"}, Tuple{Int(1)}, false},
-		{"duplicate attr", []string{"Tag", "Tag"}, Tuple{String("x"), String("x")}, false},
-	}
-	for _, c := range cases {
-		if got := r.ProbeableEqual(c.attrs, c.vals); got != c.want {
-			t.Errorf("%s: ProbeableEqual = %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-// TestFloatProbeSemantics documents why ProbeableEqual refuses Float
-// attributes: a Float column may store Int values (kindAssignable),
-// which compare equal to a Float constant under scan semantics but
-// encode differently, so an index probe would miss them.
-func TestFloatProbeSemantics(t *testing.T) {
-	s, err := NewSchema("F",
-		[]Attribute{{Name: "ID", Type: KindInt}, {Name: "V", Type: KindFloat}},
-		[]string{"ID"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRelation(s)
-	if err := r.Insert(Tuple{Int(1), Int(5)}); err != nil { // Int into Float column
-		t.Fatal(err)
-	}
-	got, err := r.Select(Eq("V", Float(5)))
-	if err != nil || len(got) != 1 {
-		t.Fatalf("scan Select = %v, %v; want the Int-valued row (Compare is numeric)", got, err)
-	}
-	if r.ProbeableEqual([]string{"V"}, Tuple{Float(5)}) {
-		t.Fatal("ProbeableEqual must refuse the Float column")
 	}
 }
 

@@ -57,11 +57,13 @@ func TestIntKeysBeyondExactDomain(t *testing.T) {
 	if _, err := r.MatchEqual([]string{"K"}, Tuple{Int(edge + 1)}); !errors.Is(err, ErrKeyDomain) {
 		t.Fatalf("lookup of 2^53+1: %v, want ErrKeyDomain", err)
 	}
-	if r.ProbeableEqual([]string{"K"}, Tuple{Int(edge + 1)}) || r.ProbeableRange("K", &RangeBound{V: Int(edge + 1)}, nil) {
-		t.Fatal("2^53+1 has no exact tree position: the predicate must take the scan path")
-	}
-	if got, err := r.MatchRange("K", &RangeBound{V: Int(edge + 1)}, nil); err != nil || len(got) != 0 {
-		t.Fatalf("K >= 2^53+1 = %v, %v; want nothing (2^53 is below it)", got, err)
+	// 2^53+1 has no exact tree position: a predicate over it scans, and
+	// finds nothing (2^53 is below it).
+	for _, pred := range []Expr{Eq("K", Int(edge+1)), Cmp{Op: OpGe, L: Attr{Name: "K"}, R: Const{V: Int(edge + 1)}}} {
+		var st MatchStats
+		if got, err := r.SelectStats(pred, &st); err != nil || len(got) != 0 || st.Scans != 1 {
+			t.Fatalf("Select(%s) = %v, %v charging %+v; want nothing, by a scan", pred, got, err, st)
+		}
 	}
 
 	// V holds MaxInt64 in every row: it cannot be indexed, and once an

@@ -1,9 +1,6 @@
 package reldb
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // ResultSet is a materialized intermediate or final query result: a derived
 // schema plus rows. Query plans are composed functionally; each operator
@@ -63,7 +60,7 @@ func (p SelectPlan) Run() (*ResultSet, error) {
 }
 
 // ProjectPlan keeps only the named attributes, in order. Duplicate rows are
-// preserved (bag semantics); wrap in DistinctPlan for set semantics.
+// preserved (bag semantics).
 type ProjectPlan struct {
 	Input Plan
 	Names []string
@@ -229,275 +226,4 @@ func (p QualifyPlan) Run() (*ResultSet, error) {
 		return nil, err
 	}
 	return &ResultSet{Schema: schema, Rows: in.Rows}, nil
-}
-
-// SortPlan orders rows by the named attributes ascending (Desc flips all).
-type SortPlan struct {
-	Input Plan
-	By    []string
-	Desc  bool
-}
-
-// Run implements Plan.
-func (p SortPlan) Run() (*ResultSet, error) {
-	in, err := p.Input.Run()
-	if err != nil {
-		return nil, err
-	}
-	idx, err := in.Schema.Indices(p.By)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]Tuple, len(in.Rows))
-	copy(rows, in.Rows)
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range idx {
-			c, err := Compare(rows[i][k], rows[j][k])
-			if err != nil || c == 0 {
-				continue
-			}
-			if p.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return &ResultSet{Schema: in.Schema, Rows: rows}, nil
-}
-
-// DistinctPlan removes duplicate rows (full-tuple equality).
-type DistinctPlan struct{ Input Plan }
-
-// Run implements Plan.
-func (p DistinctPlan) Run() (*ResultSet, error) {
-	in, err := p.Input.Run()
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[string]struct{}, len(in.Rows))
-	out := &ResultSet{Schema: in.Schema}
-	for _, t := range in.Rows {
-		k := t.Encode()
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out.Rows = append(out.Rows, t)
-	}
-	return out, nil
-}
-
-// LimitPlan keeps at most N rows.
-type LimitPlan struct {
-	Input Plan
-	N     int
-}
-
-// Run implements Plan.
-func (p LimitPlan) Run() (*ResultSet, error) {
-	in, err := p.Input.Run()
-	if err != nil {
-		return nil, err
-	}
-	if len(in.Rows) > p.N {
-		in = &ResultSet{Schema: in.Schema, Rows: in.Rows[:p.N]}
-	}
-	return in, nil
-}
-
-// AggFunc enumerates aggregate functions.
-type AggFunc uint8
-
-// Aggregate functions.
-const (
-	AggCount AggFunc = iota
-	AggSum
-	AggMin
-	AggMax
-	AggAvg
-)
-
-// String implements fmt.Stringer.
-func (f AggFunc) String() string {
-	switch f {
-	case AggCount:
-		return "count"
-	case AggSum:
-		return "sum"
-	case AggMin:
-		return "min"
-	case AggMax:
-		return "max"
-	case AggAvg:
-		return "avg"
-	default:
-		return fmt.Sprintf("agg(%d)", uint8(f))
-	}
-}
-
-// AggSpec names one aggregate column: Func over Attr (Attr empty for
-// count(*)), output column As.
-type AggSpec struct {
-	Func AggFunc
-	Attr string // empty means count(*)
-	As   string
-}
-
-// AggregatePlan groups by the named attributes and computes aggregates.
-// With no group-by attributes, it produces exactly one row.
-type AggregatePlan struct {
-	Input   Plan
-	GroupBy []string
-	Aggs    []AggSpec
-}
-
-// Run implements Plan.
-func (p AggregatePlan) Run() (*ResultSet, error) {
-	in, err := p.Input.Run()
-	if err != nil {
-		return nil, err
-	}
-	gidx, err := in.Schema.Indices(p.GroupBy)
-	if err != nil {
-		return nil, err
-	}
-	type group struct {
-		key    Tuple
-		counts []int64
-		sums   []float64
-		mins   []Value
-		maxs   []Value
-		allInt []bool
-	}
-	newGroup := func(key Tuple) *group {
-		g := &group{
-			key:    key,
-			counts: make([]int64, len(p.Aggs)),
-			sums:   make([]float64, len(p.Aggs)),
-			mins:   make([]Value, len(p.Aggs)),
-			maxs:   make([]Value, len(p.Aggs)),
-			allInt: make([]bool, len(p.Aggs)),
-		}
-		for i := range g.allInt {
-			g.allInt[i] = true
-		}
-		return g
-	}
-	groups := make(map[string]*group)
-	var order []string
-	for _, t := range in.Rows {
-		key := t.Project(gidx)
-		ek := key.Encode()
-		g, ok := groups[ek]
-		if !ok {
-			g = newGroup(key)
-			groups[ek] = g
-			order = append(order, ek)
-		}
-		for i, spec := range p.Aggs {
-			if spec.Attr == "" { // count(*)
-				g.counts[i]++
-				continue
-			}
-			ai, ok := in.Schema.AttrIndex(spec.Attr)
-			if !ok {
-				return nil, fmt.Errorf("reldb: aggregate over unknown attribute %s", spec.Attr)
-			}
-			v := t[ai]
-			if v.IsNull() {
-				continue
-			}
-			g.counts[i]++
-			if f, ok := v.AsFloat(); ok {
-				g.sums[i] += f
-				if v.Kind() != KindInt {
-					g.allInt[i] = false
-				}
-			}
-			if g.mins[i].IsNull() {
-				g.mins[i] = v
-				g.maxs[i] = v
-			} else {
-				if c, err := Compare(v, g.mins[i]); err == nil && c < 0 {
-					g.mins[i] = v
-				}
-				if c, err := Compare(v, g.maxs[i]); err == nil && c > 0 {
-					g.maxs[i] = v
-				}
-			}
-		}
-	}
-	// With no groups and no group-by, emit the single empty group so that
-	// count(*) over an empty input is 0, matching SQL.
-	if len(groups) == 0 && len(p.GroupBy) == 0 {
-		ek := Tuple{}.Encode()
-		groups[ek] = newGroup(Tuple{})
-		order = append(order, ek)
-	}
-	// Output schema: group-by attributes followed by aggregate columns.
-	attrs := make([]Attribute, 0, len(gidx)+len(p.Aggs))
-	for _, gi := range gidx {
-		attrs = append(attrs, in.Schema.Attr(gi))
-	}
-	for i, spec := range p.Aggs {
-		name := spec.As
-		if name == "" {
-			name = spec.Func.String()
-			if spec.Attr != "" {
-				name += "_" + spec.Attr
-			}
-		}
-		kind := KindFloat
-		if spec.Func == AggCount {
-			kind = KindInt
-		}
-		attrs = append(attrs, Attribute{Name: name, Type: kind, Nullable: true})
-		p.Aggs[i].As = name
-	}
-	keyNames := append([]string(nil), p.GroupBy...)
-	if len(keyNames) == 0 {
-		keyNames = []string{attrs[0].Name}
-	}
-	schema, err := NewSchema(in.Schema.Name()+"!agg", attrs, keyNames)
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(order)
-	out := &ResultSet{Schema: schema}
-	for _, ek := range order {
-		g := groups[ek]
-		row := make(Tuple, 0, len(attrs))
-		row = append(row, g.key...)
-		for i, spec := range p.Aggs {
-			switch spec.Func {
-			case AggCount:
-				row = append(row, Int(g.counts[i]))
-			case AggSum:
-				row = append(row, numValue(g.sums[i], g.allInt[i], g.counts[i]))
-			case AggAvg:
-				if g.counts[i] == 0 {
-					row = append(row, Null())
-				} else {
-					row = append(row, Float(g.sums[i]/float64(g.counts[i])))
-				}
-			case AggMin:
-				row = append(row, g.mins[i])
-			case AggMax:
-				row = append(row, g.maxs[i])
-			}
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-func numValue(sum float64, allInt bool, count int64) Value {
-	if count == 0 {
-		return Null()
-	}
-	if allInt {
-		return Int(int64(sum))
-	}
-	return Float(sum)
 }

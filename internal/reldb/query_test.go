@@ -1,10 +1,6 @@
 package reldb
 
-import (
-	"fmt"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // testDB builds a two-relation database:
 //
@@ -190,206 +186,6 @@ func TestJoinArityMismatch(t *testing.T) {
 	}
 }
 
-func TestSort(t *testing.T) {
-	db := testDB(t)
-	courses := db.MustRelation("COURSES")
-	rs := run(t, SortPlan{Input: ScanPlan{courses}, By: []string{"Units", "CourseID"}})
-	var got []string
-	for i := 0; i < rs.Len(); i++ {
-		got = append(got, rs.Row(i).MustGet("CourseID").MustString())
-	}
-	want := "CS101,EE201,CS345,ME301"
-	if strings.Join(got, ",") != want {
-		t.Fatalf("sort order = %v, want %s", got, want)
-	}
-	rs = run(t, SortPlan{Input: ScanPlan{courses}, By: []string{"Units", "CourseID"}, Desc: true})
-	if first := rs.Row(0).MustGet("CourseID").MustString(); first != "ME301" {
-		t.Fatalf("desc first = %s", first)
-	}
-	if _, err := (SortPlan{Input: ScanPlan{courses}, By: []string{"Nope"}}).Run(); err == nil {
-		t.Fatal("sort by unknown attr should fail")
-	}
-}
-
-func TestDistinct(t *testing.T) {
-	db := testDB(t)
-	p := DistinctPlan{ProjectPlan{ScanPlan{db.MustRelation("COURSES")}, []string{"Dept"}}}
-	rs := run(t, p)
-	if rs.Len() != 3 {
-		t.Fatalf("distinct depts = %d, want 3", rs.Len())
-	}
-}
-
-func TestLimit(t *testing.T) {
-	db := testDB(t)
-	rs := run(t, LimitPlan{ScanPlan{db.MustRelation("COURSES")}, 2})
-	if rs.Len() != 2 {
-		t.Fatalf("limit = %d", rs.Len())
-	}
-	rs = run(t, LimitPlan{ScanPlan{db.MustRelation("COURSES")}, 100})
-	if rs.Len() != 4 {
-		t.Fatalf("limit beyond size = %d", rs.Len())
-	}
-}
-
-func TestAggregateGrouped(t *testing.T) {
-	db := testDB(t)
-	p := AggregatePlan{
-		Input:   ScanPlan{db.MustRelation("GRADES")},
-		GroupBy: []string{"CourseID"},
-		Aggs:    []AggSpec{{Func: AggCount, As: "n"}},
-	}
-	rs := run(t, p)
-	counts := map[string]int64{}
-	for i := 0; i < rs.Len(); i++ {
-		row := rs.Row(i)
-		counts[row.MustGet("CourseID").MustString()] = row.MustGet("n").MustInt()
-	}
-	want := map[string]int64{"CS101": 3, "CS345": 2, "EE201": 1}
-	for k, v := range want {
-		if counts[k] != v {
-			t.Fatalf("count[%s] = %d, want %d (all: %v)", k, counts[k], v, counts)
-		}
-	}
-}
-
-func TestAggregateGlobal(t *testing.T) {
-	db := testDB(t)
-	p := AggregatePlan{
-		Input: ScanPlan{db.MustRelation("COURSES")},
-		Aggs: []AggSpec{
-			{Func: AggCount, As: "n"},
-			{Func: AggSum, Attr: "Units", As: "total"},
-			{Func: AggMin, Attr: "Units", As: "lo"},
-			{Func: AggMax, Attr: "Units", As: "hi"},
-			{Func: AggAvg, Attr: "Units", As: "mean"},
-		},
-	}
-	rs := run(t, p)
-	if rs.Len() != 1 {
-		t.Fatalf("global aggregate rows = %d", rs.Len())
-	}
-	row := rs.Row(0)
-	if n := row.MustGet("n").MustInt(); n != 4 {
-		t.Fatalf("count = %d", n)
-	}
-	if tot, _ := row.MustGet("total").AsInt(); tot != 14 {
-		t.Fatalf("sum = %v", row.MustGet("total"))
-	}
-	if lo, _ := row.MustGet("lo").AsInt(); lo != 3 {
-		t.Fatalf("min = %v", row.MustGet("lo"))
-	}
-	if hi, _ := row.MustGet("hi").AsInt(); hi != 4 {
-		t.Fatalf("max = %v", row.MustGet("hi"))
-	}
-	if mean, _ := row.MustGet("mean").AsFloat(); mean != 3.5 {
-		t.Fatalf("avg = %v", row.MustGet("mean"))
-	}
-}
-
-func TestAggregateEmptyInput(t *testing.T) {
-	db := NewDatabase()
-	r := db.MustCreateRelation(MustSchema("E", []Attribute{
-		{Name: "A", Type: KindInt},
-	}, []string{"A"}))
-	p := AggregatePlan{
-		Input: ScanPlan{r},
-		Aggs: []AggSpec{
-			{Func: AggCount, As: "n"},
-			{Func: AggSum, Attr: "A", As: "s"},
-			{Func: AggAvg, Attr: "A", As: "m"},
-		},
-	}
-	rs := run(t, p)
-	if rs.Len() != 1 {
-		t.Fatalf("empty aggregate rows = %d, want 1", rs.Len())
-	}
-	row := rs.Row(0)
-	if n := row.MustGet("n").MustInt(); n != 0 {
-		t.Fatalf("count over empty = %d", n)
-	}
-	if !row.MustGet("s").IsNull() {
-		t.Fatal("sum over empty should be null")
-	}
-	if !row.MustGet("m").IsNull() {
-		t.Fatal("avg over empty should be null")
-	}
-	// Grouped aggregate over empty input yields zero rows.
-	p2 := AggregatePlan{Input: ScanPlan{r}, GroupBy: []string{"A"},
-		Aggs: []AggSpec{{Func: AggCount, As: "n"}}}
-	if rs := run(t, p2); rs.Len() != 0 {
-		t.Fatalf("grouped empty = %d rows", rs.Len())
-	}
-}
-
-func TestAggregateNullsIgnored(t *testing.T) {
-	db := NewDatabase()
-	r := db.MustCreateRelation(MustSchema("N", []Attribute{
-		{Name: "ID", Type: KindInt},
-		{Name: "V", Type: KindInt, Nullable: true},
-	}, []string{"ID"}))
-	_ = r.Insert(Tuple{Int(1), Int(10)})
-	_ = r.Insert(Tuple{Int(2), Null()})
-	_ = r.Insert(Tuple{Int(3), Int(20)})
-	p := AggregatePlan{Input: ScanPlan{r}, Aggs: []AggSpec{
-		{Func: AggCount, Attr: "V", As: "nv"},
-		{Func: AggCount, As: "n"},
-		{Func: AggAvg, Attr: "V", As: "m"},
-	}}
-	rs := run(t, p)
-	row := rs.Row(0)
-	if nv := row.MustGet("nv").MustInt(); nv != 2 {
-		t.Fatalf("count(V) = %d, want 2", nv)
-	}
-	if n := row.MustGet("n").MustInt(); n != 3 {
-		t.Fatalf("count(*) = %d, want 3", n)
-	}
-	if m, _ := row.MustGet("m").AsFloat(); m != 15 {
-		t.Fatalf("avg(V) = %v, want 15", m)
-	}
-}
-
-func TestAggregateDefaultNamesAndErrors(t *testing.T) {
-	db := testDB(t)
-	p := AggregatePlan{
-		Input: ScanPlan{db.MustRelation("COURSES")},
-		Aggs:  []AggSpec{{Func: AggCount}, {Func: AggMax, Attr: "Units"}},
-	}
-	rs := run(t, p)
-	if _, ok := rs.Schema.AttrIndex("count"); !ok {
-		t.Fatalf("default count name missing: %v", rs.Schema.AttrNames())
-	}
-	if _, ok := rs.Schema.AttrIndex("max_Units"); !ok {
-		t.Fatalf("default max name missing: %v", rs.Schema.AttrNames())
-	}
-	bad := AggregatePlan{
-		Input: ScanPlan{db.MustRelation("COURSES")},
-		Aggs:  []AggSpec{{Func: AggSum, Attr: "Nope"}},
-	}
-	if _, err := bad.Run(); err == nil {
-		t.Fatal("aggregate over unknown attr should fail")
-	}
-}
-
-func TestComposedPipeline(t *testing.T) {
-	// Figure-4-shaped query: courses with fewer than 3 grades.
-	db := testDB(t)
-	agg := AggregatePlan{
-		Input:   ScanPlan{db.MustRelation("GRADES")},
-		GroupBy: []string{"CourseID"},
-		Aggs:    []AggSpec{{Func: AggCount, As: "n"}},
-	}
-	few := SelectPlan{agg, Cmp{OpLt, Attr{Name: "n"}, Const{Int(3)}}}
-	rs := run(t, few)
-	ids := map[string]bool{}
-	for i := 0; i < rs.Len(); i++ {
-		ids[rs.Row(i).MustGet("CourseID").MustString()] = true
-	}
-	if !ids["CS345"] || !ids["EE201"] || ids["CS101"] {
-		t.Fatalf("pipeline result = %v", ids)
-	}
-}
-
 func TestLargeJoinStress(t *testing.T) {
 	db := NewDatabase()
 	l := db.MustCreateRelation(MustSchema("BIGL", []Attribute{
@@ -417,15 +213,6 @@ func TestLargeJoinStress(t *testing.T) {
 	}
 }
 
-func TestAggFuncString(t *testing.T) {
-	want := map[AggFunc]string{AggCount: "count", AggSum: "sum", AggMin: "min", AggMax: "max", AggAvg: "avg"}
-	for f, s := range want {
-		if f.String() != s {
-			t.Errorf("%v.String() = %q", f, f.String())
-		}
-	}
-}
-
 func TestResultSetRowAccess(t *testing.T) {
 	db := testDB(t)
 	rs := run(t, ScanPlan{db.MustRelation("COURSES")})
@@ -439,27 +226,4 @@ func TestResultSetRowAccess(t *testing.T) {
 		}
 	}()
 	row.MustGet("Nope")
-}
-
-func ExampleAggregatePlan() {
-	db := NewDatabase()
-	r := db.MustCreateRelation(MustSchema("T", []Attribute{
-		{Name: "G", Type: KindString},
-		{Name: "V", Type: KindInt},
-	}, []string{"G", "V"}))
-	_ = r.Insert(Tuple{String("a"), Int(1)})
-	_ = r.Insert(Tuple{String("a"), Int(2)})
-	_ = r.Insert(Tuple{String("b"), Int(5)})
-	rs, _ := (AggregatePlan{
-		Input:   ScanPlan{r},
-		GroupBy: []string{"G"},
-		Aggs:    []AggSpec{{Func: AggSum, Attr: "V", As: "s"}},
-	}).Run()
-	for i := 0; i < rs.Len(); i++ {
-		row := rs.Row(i)
-		fmt.Printf("%s=%s\n", row.MustGet("G"), row.MustGet("s"))
-	}
-	// Output:
-	// a=3
-	// b=5
 }

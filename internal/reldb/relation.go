@@ -248,33 +248,6 @@ func (r *Relation) All() []Tuple {
 	return out
 }
 
-// Select returns all tuples satisfying the predicate, in key order.
-// A nil predicate selects everything. On a predicate evaluation error the
-// result slice is nil — never a truncated prefix a caller could silently
-// use.
-func (r *Relation) Select(pred Expr) ([]Tuple, error) {
-	var out []Tuple
-	var evalErr error
-	r.Scan(func(t Tuple) bool {
-		if pred != nil {
-			ok, err := EvalBool(pred, Row{Schema: r.schema, Tuple: t})
-			if err != nil {
-				evalErr = err
-				return false
-			}
-			if !ok {
-				return true
-			}
-		}
-		out = append(out, t.Clone())
-		return true
-	})
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	return out, nil
-}
-
 // CreateIndex registers a secondary index over the named attributes and
 // backfills it. Index names are unique per relation.
 func (r *Relation) CreateIndex(name string, attrNames []string) error {
@@ -342,14 +315,14 @@ func (r *Relation) checkLookupVals(what string, idx []int, vals Tuple) error {
 	return nil
 }
 
-// MatchStats accumulates the cost of MatchEqual-family lookups, so
-// callers (the view-object assembly in particular) can attribute how
-// many stored tuples a lookup had to visit.
+// MatchStats accumulates the cost of MatchEqual-family lookups and
+// Select, so callers (the view-object assembly in particular) can
+// attribute how many stored tuples a lookup had to visit.
 type MatchStats struct {
 	// Scanned counts tuples visited: probed bucket entries for indexed
-	// lookups, the whole relation for scan fallbacks.
+	// lookups, a walked window for ranges, the whole relation for scans.
 	Scanned int
-	// Probes counts point lookups and index-bucket probes.
+	// Probes counts point lookups, index-bucket probes and range walks.
 	Probes int
 	// Scans counts full-relation scan fallbacks.
 	Scans int

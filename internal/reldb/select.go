@@ -1,0 +1,269 @@
+package reldb
+
+import "sort"
+
+// predTerm is one term of a decomposed conjunction: an unqualified
+// attribute compared with a constant, read with the attribute on the
+// left.
+type predTerm struct {
+	attr string
+	op   CmpOp
+	v    Value
+}
+
+// conjunction appends to dst the terms of pred when pred is a Cmp, or a
+// non-empty And of Cmps, each comparing one unqualified attribute with a
+// constant in either operand order. Anything else — other boolean
+// structure, qualified references, attribute-to-attribute or computed
+// comparisons — returns ok=false.
+func conjunction(dst []predTerm, pred Expr) ([]predTerm, bool) {
+	and, ok := pred.(And)
+	if !ok {
+		t, ok := cmpTerm(pred)
+		return append(dst, t), ok
+	}
+	for _, e := range and.Terms {
+		t, ok := cmpTerm(e)
+		if !ok {
+			return nil, false
+		}
+		dst = append(dst, t)
+	}
+	return dst, len(dst) > 0
+}
+
+// cmpTerm reads one attribute-constant comparison.
+func cmpTerm(e Expr) (predTerm, bool) {
+	c, ok := e.(Cmp)
+	if !ok {
+		return predTerm{}, false
+	}
+	op := c.Op
+	a, aOK := c.L.(Attr)
+	k, kOK := c.R.(Const)
+	if !aOK || !kOK {
+		a, aOK = c.R.(Attr)
+		k, kOK = c.L.(Const)
+		// const op attr reads right to left: 3 < x is x > 3.
+		switch op {
+		case OpLt:
+			op = OpGt
+		case OpLe:
+			op = OpGe
+		case OpGt:
+			op = OpLt
+		case OpGe:
+			op = OpLe
+		}
+	}
+	if !aOK || !kOK || a.Rel != "" {
+		return predTerm{}, false
+	}
+	return predTerm{attr: a.Name, op: op, v: k.V}, true
+}
+
+// Select returns all tuples satisfying the predicate, in key order.
+// A nil predicate selects everything. On a predicate evaluation error the
+// result slice is nil — never a truncated prefix a caller could silently
+// use.
+//
+// Select is the one place a predicate's access path is chosen. An
+// equality conjunction probes the primary key or a covering index, a
+// range over one attribute walks the window of the tree that attribute
+// leads, and everything else scans under pred itself; a probe or walk is
+// taken only where it returns exactly what the scan would.
+func (r *Relation) Select(pred Expr) ([]Tuple, error) {
+	return r.SelectStats(pred, nil)
+}
+
+// SelectStats is Select that additionally accumulates lookup cost into
+// st (which may be nil): a probe or walk charges the tuples it visits, a
+// completed scan the whole relation, a scan stopped by an evaluation
+// error nothing.
+func (r *Relation) SelectStats(pred Expr, st *MatchStats) ([]Tuple, error) {
+	var buf [4]predTerm
+	if terms, ok := conjunction(buf[:0], pred); ok {
+		if out, ok := r.probeEqual(terms, st); ok {
+			return out, nil
+		}
+		if out, ok := r.walkRange(terms, st); ok {
+			return out, nil
+		}
+	}
+	var out []Tuple
+	var evalErr error
+	r.Scan(func(t Tuple) bool {
+		if pred != nil {
+			ok, err := EvalBool(pred, Row{Schema: r.schema, Tuple: t})
+			if err != nil {
+				evalErr = err
+				return false
+			}
+			if !ok {
+				return true
+			}
+		}
+		out = append(out, t.Clone())
+		return true
+	})
+	if evalErr != nil {
+		return nil, evalErr
+	}
+	r.obsScan(st, r.Count())
+	return out, nil
+}
+
+// probeEqual serves an all-equality conjunction with one probe of the
+// tree planFor resolves, when that returns exactly what a scan would:
+//
+//   - every attribute resolves, with no duplicates (a contradictory
+//     duplicate needs scan semantics);
+//   - no constant is null (x = null is three-valued null, which a scan
+//     treats as no match);
+//   - every constant's kind exactly equals its attribute's declared
+//     type, that type is not Float, and the constant lies in the key
+//     codec's exact domain: anything else keeps the predicate's scan
+//     semantics (numeric equality across kinds — a Float column may
+//     hold Ints beside Floats — and no match for an int no key can
+//     hold);
+//   - the attribute set is the primary key's or a secondary index's —
+//     otherwise probing buys nothing.
+func (r *Relation) probeEqual(terms []predTerm, st *MatchStats) ([]Tuple, bool) {
+	var nameBuf [4]string
+	var valBuf [4]Value
+	names, vals := nameBuf[:0], Tuple(valBuf[:0])
+	for _, t := range terms {
+		if t.op != OpEq {
+			return nil, false
+		}
+		names, vals = append(names, t.attr), append(vals, t.v)
+	}
+	pl, err := r.planFor("Select", names)
+	if err != nil || pl.kind == planScan {
+		return nil, false
+	}
+	for i, j := range pl.idx {
+		a, v := r.schema.Attr(j), vals[i]
+		if v.IsNull() || a.Type == KindFloat || v.Kind() != a.Type || !keyEncodable(v) {
+			return nil, false
+		}
+	}
+	var buf [64]byte
+	return r.appendProbe(nil, pl, string(pl.appendPrefix(buf[:0], vals)), st), true
+}
+
+// walkRange serves a range over one attribute — at most one lower (>,
+// >=) and one upper (<, <=) bound — by walking the window between its
+// bounds in the tree the attribute leads, when that returns exactly
+// what a scan would: the attribute leads the primary key or a
+// secondary index, and every bound is walkable (walkableBound).
+func (r *Relation) walkRange(terms []predTerm, st *MatchStats) ([]Tuple, bool) {
+	var lo, hi *predTerm
+	for i := range terms {
+		t := &terms[i]
+		if t.attr != terms[0].attr {
+			return nil, false
+		}
+		switch {
+		case (t.op == OpGt || t.op == OpGe) && lo == nil:
+			lo = t
+		case (t.op == OpLt || t.op == OpLe) && hi == nil:
+			hi = t
+		default:
+			return nil, false
+		}
+	}
+	ai, ok := r.schema.AttrIndex(terms[0].attr)
+	if !ok {
+		return nil, false
+	}
+	kind := r.schema.Attr(ai).Type
+	tree, pkOrder := r.rangeTree(ai)
+	if tree == nil || !walkableBound(kind, lo) || !walkableBound(kind, hi) {
+		return nil, false
+	}
+
+	// The window runs from the first position past null (null sorts first
+	// and satisfies no range) or the lower bound, to the upper bound; a
+	// bound that excludes (lower) or includes (upper) its own value sits
+	// just past every key that starts with that value's encoding.
+	from, to := string([]byte{tagNull + 1}), ""
+	if lo != nil {
+		if from = EncodeValues(lo.v); lo.op == OpGt {
+			from = prefixSuccessor(from)
+		}
+	}
+	if hi != nil {
+		if to = EncodeValues(hi.v); hi.op == OpLe {
+			to = prefixSuccessor(to)
+		}
+	}
+	var out []Tuple
+	tree.ascend(from, func(k string, t Tuple) bool {
+		if hi != nil && k >= to {
+			return false
+		}
+		out = append(out, t.Clone())
+		return true
+	})
+	if !pkOrder {
+		// An index walk comes out in indexed-value order; put the window
+		// back in primary-key order (Compare order is codec order).
+		sort.Slice(out, func(i, j int) bool {
+			for _, k := range r.schema.key {
+				if c, _ := Compare(out[i][k], out[j][k]); c != 0 {
+					return c < 0
+				}
+			}
+			return false
+		})
+	}
+	r.obsProbe(st, len(out))
+	return out, true
+}
+
+// rangeTree resolves the tree a range over attribute ai can walk in
+// order: the row tree when ai leads the primary key, else the secondary
+// index (first by name) that ai leads. Want ranges on an attribute? Index
+// it.
+func (r *Relation) rangeTree(ai int) (t *ptree, pkOrder bool) {
+	if r.schema.key[0] == ai {
+		return &r.rows, true
+	}
+	var best *secondaryIndex
+	for _, ix := range r.indexes {
+		if ix.attrs[0] == ai && (best == nil || ix.name < best.name) {
+			best = ix
+		}
+	}
+	if best == nil {
+		return nil, false
+	}
+	return &best.tree, false
+}
+
+// walkableBound reports whether bound b (nil: none) turns into an exact
+// tree position for an attribute of kind want: non-null (a null bound
+// matches nothing, three-valued), of a kind Compare orders against every
+// value the attribute can store — any numeric pair, else the same kind —
+// and inside the key codec's exact domain.
+func walkableBound(want Kind, b *predTerm) bool {
+	if b == nil {
+		return true
+	}
+	numeric := func(k Kind) bool { return k == KindInt || k == KindFloat }
+	have := b.v.Kind()
+	return !b.v.IsNull() && (want == have || (numeric(want) && numeric(have))) && keyEncodable(b.v)
+}
+
+// prefixSuccessor returns the smallest string greater than every string
+// that has prefix p. Key encodings start with a tag byte below 0xFF, so
+// one always exists.
+func prefixSuccessor(p string) string {
+	b := []byte(p)
+	for b[len(b)-1] == 0xFF {
+		b = b[:len(b)-1]
+	}
+	b[len(b)-1]++
+	return string(b)
+}

@@ -1,0 +1,356 @@
+package reldb
+
+import (
+	"fmt"
+	"testing"
+)
+
+// selectPath runs pred through SelectStats, holds its answer to the same
+// predicate forced down the scan path (a one-term Or, which Select reads
+// as no conjunction) — same tuples, same order — and reports the path
+// Select took: "probe" for a key or index probe or a range walk, which
+// charges exactly the tuples it returns, or "scan", which charges the
+// whole relation.
+func selectPath(t *testing.T, r *Relation, pred Expr) string {
+	t.Helper()
+	var st MatchStats
+	got, err := r.SelectStats(pred, &st)
+	if err != nil {
+		t.Fatalf("Select(%s): %v", pred, err)
+	}
+	want, err := r.Select(Or{Terms: []Expr{pred}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTuples(t, fmt.Sprintf("Select(%s)", pred), got, want)
+	switch st {
+	case MatchStats{Probes: 1, Scanned: len(got)}:
+		return "probe"
+	case MatchStats{Scans: 1, Scanned: r.Count()}:
+		return "scan"
+	}
+	t.Fatalf("Select(%s) charged %+v for %d tuples", pred, st, len(got))
+	return ""
+}
+
+// selectFails checks that pred is an evaluation error for Select, and
+// that the scan it stopped charged nothing.
+func selectFails(t *testing.T, r *Relation, pred Expr) {
+	t.Helper()
+	var st MatchStats
+	if got, err := r.SelectStats(pred, &st); err == nil || got != nil || st != (MatchStats{}) {
+		t.Fatalf("Select(%s) = %v, %v charging %+v; want an error charging nothing", pred, got, err, st)
+	}
+}
+
+// gradesRows is a GRADES relation holding a few rows, null grades among
+// them.
+func gradesRows(t *testing.T) *Relation {
+	t.Helper()
+	r := newGradesRel(t)
+	for i, g := range []string{"A", "B", "A", "", "C", "A", "B"} {
+		tu := grade(fmt.Sprintf("CS%d", 100+i%3), int64(i), g)
+		if g == "" {
+			tu[2] = Null()
+		}
+		if err := r.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return r
+}
+
+// TestEqConjunction pins the equality shapes Select reads as one
+// conjunction: a Cmp, or an And of Cmps, between an unqualified
+// attribute and a constant in either operand order. Every other shape
+// scans, with the same answer.
+func TestEqConjunction(t *testing.T) {
+	r := gradesRows(t)
+	if err := r.CreateIndex("byGrade", []string{"Grade"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		pred Expr
+		want string
+	}{
+		{Eq("Grade", String("A")), "probe"},
+		{Cmp{Op: OpEq, L: Const{V: String("B")}, R: Attr{Name: "Grade"}}, "probe"}, // reversed operands
+		{And{Terms: []Expr{ // the key point, reversed and conjoined
+			Cmp{Op: OpEq, L: Const{V: String("CS101")}, R: Attr{Name: "CourseID"}},
+			Eq("PID", Int(1)),
+		}}, "probe"},
+		{Cmp{Op: OpNe, L: Attr{Name: "Grade"}, R: Const{V: String("A")}}, "scan"},                // not equality
+		{Cmp{Op: OpEq, L: Attr{Name: "Grade"}, R: Attr{Name: "Grade"}}, "scan"},                  // attr = attr
+		{Cmp{Op: OpEq, L: Attr{Rel: "GRADES", Name: "Grade"}, R: Const{V: String("A")}}, "scan"}, // qualified
+		{And{Terms: []Expr{Eq("Grade", String("A")), Not{E: Eq("PID", Int(2))}}}, "scan"},        // nested structure
+		{Or{Terms: []Expr{Eq("Grade", String("A"))}}, "scan"},                                    // not a conjunction
+		{And{}, "scan"}, // empty
+	} {
+		if got := selectPath(t, r, c.pred); got != c.want {
+			t.Errorf("Select(%v) took a %s, want a %s", c.pred, got, c.want)
+		}
+	}
+}
+
+// TestProbeableEqual pins when an equality conjunction probes: the
+// attribute set has a path (the primary key or a covering index) and
+// every constant is one a probe finds every equal stored value by.
+func TestProbeableEqual(t *testing.T) {
+	s, err := NewSchema("MIX",
+		[]Attribute{
+			{Name: "ID", Type: KindInt},
+			{Name: "Score", Type: KindFloat},
+			{Name: "Tag", Type: KindString, Nullable: true},
+		},
+		[]string{"ID"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRelation(s)
+	for i, tag := range []Value{String("x"), Null(), String("y"), String("x")} {
+		score := Value(Float(1.5))
+		if i%2 == 1 {
+			score = Int(2)
+		}
+		if err := r.Insert(Tuple{Int(int64(i + 6)), score, tag}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.CreateIndex("byTag", []string{"Tag"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CreateIndex("byScore", []string{"Score"}); err != nil {
+		t.Fatal(err)
+	}
+	eqs := func(attrs []string, vals ...Value) Expr {
+		terms := make([]Expr, len(attrs))
+		for i, a := range attrs {
+			terms[i] = Eq(a, vals[i])
+		}
+		return And{Terms: terms}
+	}
+	for _, c := range []struct {
+		name string
+		pred Expr
+		want string
+	}{
+		{"key point", eqs([]string{"ID"}, Int(7)), "probe"},
+		{"indexed string", eqs([]string{"Tag"}, String("x")), "probe"},
+		{"float attr never probes", eqs([]string{"Score"}, Float(1.5)), "scan"},
+		{"int on a float attr", eqs([]string{"Score"}, Int(2)), "scan"},
+		{"kind mismatch", eqs([]string{"ID"}, Float(7)), "scan"},
+		{"null constant", eqs([]string{"Tag"}, Null()), "scan"},
+		{"no access path", eqs([]string{"ID", "Tag"}, Int(7), String("x")), "scan"},
+		{"duplicate attr", eqs([]string{"Tag", "Tag"}, String("x"), String("x")), "scan"},
+	} {
+		if got := selectPath(t, r, c.pred); got != c.want {
+			t.Errorf("%s: Select took a %s, want a %s", c.name, got, c.want)
+		}
+	}
+	selectFails(t, r, Eq("Nope", Int(1)))
+}
+
+// TestFloatProbeSemantics pins that Select never probes a Float
+// attribute: a Float column may store Int values (kindAssignable),
+// which compare equal to a Float constant under scan semantics, and the
+// scan stays the authority on that cross-kind equality.
+func TestFloatProbeSemantics(t *testing.T) {
+	s, err := NewSchema("F",
+		[]Attribute{{Name: "ID", Type: KindInt}, {Name: "V", Type: KindFloat}},
+		[]string{"ID"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRelation(s)
+	if err := r.Insert(Tuple{Int(1), Int(5)}); err != nil { // Int into Float column
+		t.Fatal(err)
+	}
+	if err := r.CreateIndex("byV", []string{"V"}); err != nil {
+		t.Fatal(err)
+	}
+	var st MatchStats
+	got, err := r.SelectStats(Eq("V", Float(5)), &st)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("Select = %v, %v; want the Int-valued row (Compare is numeric)", got, err)
+	}
+	if st.Scans != 1 {
+		t.Fatalf("Select charged %+v: the Float column must scan", st)
+	}
+}
+
+// TestRangeConjunction pins the range shapes Select reads: ordering
+// comparisons between one unqualified attribute and constants, at most
+// one per side, a constant on the left flipping its side.
+func TestRangeConjunction(t *testing.T) {
+	r := gradesRows(t)
+	if err := r.CreateIndex("byPID", []string{"PID"}); err != nil {
+		t.Fatal(err)
+	}
+	lt := func(a string, v Value) Expr { return Cmp{Op: OpLt, L: Attr{Name: a}, R: Const{V: v}} }
+	ge := func(a string, v Value) Expr { return Cmp{Op: OpGe, L: Attr{Name: a}, R: Const{V: v}} }
+	for _, c := range []struct {
+		pred Expr
+		want string
+	}{
+		{lt("PID", Int(5)), "probe"},
+		{Cmp{Op: OpLt, L: Const{V: Int(5)}, R: Attr{Name: "PID"}}, "probe"}, // 5 < PID is PID > 5
+		{Cmp{Op: OpGe, L: Const{V: Int(2)}, R: Attr{Name: "PID"}}, "probe"}, // 2 >= PID is PID <= 2
+		{And{Terms: []Expr{ge("PID", Int(2)), lt("PID", Int(5))}}, "probe"},
+		{Cmp{Op: OpNe, L: Attr{Name: "PID"}, R: Const{V: Int(5)}}, "scan"},
+		{And{Terms: []Expr{lt("PID", Int(5)), ge("Grade", String("B"))}}, "scan"}, // two attributes
+		{Cmp{Op: OpLt, L: Attr{Rel: "GRADES", Name: "PID"}, R: Const{V: Int(5)}}, "scan"},
+		{And{Terms: []Expr{lt("PID", Int(5)), lt("PID", Int(7))}}, "scan"}, // two upper bounds
+		{And{Terms: []Expr{ge("PID", Int(2)), ge("PID", Int(3))}}, "scan"}, // two lower bounds
+		{And{Terms: []Expr{lt("PID", Int(5)), Eq("PID", Int(2))}}, "scan"}, // an equality mixed in
+		{Or{Terms: []Expr{lt("PID", Int(5))}}, "scan"},
+		{Not{E: lt("PID", Int(5))}, "scan"},
+		{Cmp{Op: OpLt, L: Attr{Name: "PID"}, R: Attr{Name: "PID"}}, "scan"},
+	} {
+		if got := selectPath(t, r, c.pred); got != c.want {
+			t.Errorf("Select(%s) took a %s, want a %s", c.pred, got, c.want)
+		}
+	}
+}
+
+// TestProbeableRange pins when a range walks: its attribute leads the
+// primary key or an index, and every bound has an exact tree position.
+func TestProbeableRange(t *testing.T) {
+	r := gradesRows(t)
+	ge := func(a string, v Value) Expr { return Cmp{Op: OpGe, L: Attr{Name: a}, R: Const{V: v}} }
+	if got := selectPath(t, r, ge("PID", Int(1))); got != "scan" {
+		t.Fatal("PID neither leads the key nor an index: nothing ordered to walk")
+	}
+	if err := r.CreateIndex("byPID", []string{"PID", "Grade"}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		pred Expr
+		want string
+	}{
+		{"leading attribute of an index", ge("PID", Int(1)), "probe"},
+		{"indexed but not leading", ge("Grade", String("B")), "scan"},
+		{"leading primary-key attribute", ge("CourseID", String("CS1")), "probe"},
+		{"float bound on an int attribute", ge("PID", Float(1.5)), "probe"},
+		{"a bound the key codec rounds", ge("PID", Int(maxExactInt+1)), "scan"},
+		{"null bound", ge("PID", Null()), "scan"},
+	} {
+		if got := selectPath(t, r, c.pred); got != c.want {
+			t.Errorf("%s: Select took a %s, want a %s", c.name, got, c.want)
+		}
+	}
+	selectFails(t, r, ge("PID", String("x")))
+	selectFails(t, r, ge("Nope", Int(1)))
+}
+
+// TestMatchRangeMatchesSelect pins the substitution guarantee: for every
+// range, walked (indexed) or scanned (index dropped), Select returns
+// exactly what the predicate's scan does — same tuples, same
+// primary-key order — including rows holding null in the ranged
+// attribute (which no range matches).
+func TestMatchRangeMatchesSelect(t *testing.T) {
+	s := MustSchema("T", []Attribute{
+		{Name: "K", Type: KindInt},
+		{Name: "N", Type: KindInt, Nullable: true},
+		{Name: "S", Type: KindString, Nullable: true},
+	}, []string{"K"})
+	r := NewRelation(s)
+	for k := 0; k < 40; k++ {
+		n := Value(Int(int64((k * 7) % 13)))
+		if k%5 == 0 {
+			n = Null()
+		}
+		if err := r.Insert(Tuple{Int(int64(k)), n, String(fmt.Sprintf("s%02d", k%9))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cmp := func(op CmpOp, a string, v Value) Expr { return Cmp{Op: op, L: Attr{Name: a}, R: Const{V: v}} }
+	and := func(terms ...Expr) Expr { return And{Terms: terms} }
+	preds := []Expr{
+		cmp(OpGt, "N", Int(4)),
+		cmp(OpGe, "N", Int(4)),
+		cmp(OpLt, "N", Int(6)),
+		and(cmp(OpGe, "N", Int(3)), cmp(OpLt, "N", Int(9))),
+		cmp(OpGe, "N", Int(100)),
+		and(cmp(OpGe, "N", Int(9)), cmp(OpLe, "N", Int(3))),
+		cmp(OpGt, "N", Float(4.5)),
+		and(cmp(OpGe, "S", String("s03")), cmp(OpLt, "S", String("s07"))),
+		and(cmp(OpGt, "K", Int(10)), cmp(OpLe, "K", Int(20))),
+	}
+	bare := r.clone() // the same rows with no index: the second pass scans
+	if err := r.CreateIndex("byN", []string{"N"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.CreateIndex("bySK", []string{"S", "K"}); err != nil {
+		t.Fatal(err)
+	}
+	for i, pred := range append(preds, preds...) {
+		if i == len(preds) {
+			r = bare
+		}
+		want := "probe"
+		if i >= len(preds) && i != 2*len(preds)-1 { // K leads the key, indexed or not
+			want = "scan"
+		}
+		if got := selectPath(t, r, pred); got != want {
+			t.Fatalf("case %d (%s): took a %s, want a %s", i, pred, got, want)
+		}
+	}
+
+	// A null bound matches nothing, exactly like the scan's three-valued
+	// comparison, and does not error; a kind mismatch errors rather than
+	// silently returning nothing.
+	if got := selectPath(t, r, cmp(OpGe, "N", Null())); got != "scan" {
+		t.Fatalf("null bound took a %s", got)
+	}
+	selectFails(t, r, cmp(OpGe, "N", String("x")))
+}
+
+// TestRangeWalkAccounting pins what a range costs: over the leading key
+// attribute or the leading attribute of an index it charges one probe of
+// exactly its window — the first time and every time, however the
+// relation has been mutated in between — while a range over any other
+// attribute charges a full scan.
+func TestRangeWalkAccounting(t *testing.T) {
+	r := newGradesRel(t)
+	if err := r.CreateIndex("byPID", []string{"PID"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := r.Insert(grade(fmt.Sprintf("CS%03d", i), int64(i), "A")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ge := func(a string, v Value) Expr { return Cmp{Op: OpGe, L: Attr{Name: a}, R: Const{V: v}} }
+	for round, c := range []struct {
+		attr string
+		lo   Value
+		want int
+	}{
+		{"PID", Int(93), 7},
+		{"PID", Int(93), 7},
+		{"CourseID", String("CS090"), 10},
+		{"PID", Int(500), 1}, // after the insert below
+	} {
+		if round == 3 {
+			if err := r.Insert(grade("CS999", 999, "B")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var st MatchStats
+		out, err := r.SelectStats(ge(c.attr, c.lo), &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(out) != c.want || st != (MatchStats{Probes: 1, Scanned: c.want}) {
+			t.Fatalf("round %d: %d tuples charged %+v, want one probe of a %d-tuple window", round, len(out), st, c.want)
+		}
+	}
+	var st MatchStats
+	if _, err := r.SelectStats(ge("Grade", String("B")), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st != (MatchStats{Scans: 1, Scanned: r.Count()}) {
+		t.Fatalf("unindexed range charged %+v, want one full scan", st)
+	}
+}

@@ -85,6 +85,8 @@ func (c *Cluster) ReplaceByKey(objName string, key reldb.Tuple, newInst *viewobj
 // ReplaceInstance replaces the instance oldInst names, by its key: it is
 // ReplaceByKey(objName, oldInst.Key(), newInst), so the old side is the
 // instance's state inside the write transaction, not oldInst itself.
+// Only the frozen end-to-end benchmark (benchmark/) calls it; it goes
+// when that benchmark changes.
 func (c *Cluster) ReplaceInstance(objName string, oldInst, newInst *viewobject.Instance) (*vupdate.Result, error) {
 	return c.ReplaceByKey(objName, oldInst.Key(), newInst)
 }

@@ -188,7 +188,7 @@ func runSelect(db *reldb.Database, st *SelectStmt) (*Outcome, error) {
 		}
 	}
 	if hasAgg || len(st.GroupBy) > 0 {
-		var aggs []reldb.AggSpec
+		var aggs []aggSpec
 		var outNames []string
 		for _, item := range st.Items {
 			if item.Star {
@@ -210,18 +210,18 @@ func runSelect(db *reldb.Database, st *SelectStmt) (*Outcome, error) {
 				outNames = append(outNames, name)
 				continue
 			}
-			spec := reldb.AggSpec{As: item.As}
+			spec := aggSpec{As: item.As}
 			switch item.Agg {
 			case "COUNT":
-				spec.Func = reldb.AggCount
+				spec.Func = aggCount
 			case "SUM":
-				spec.Func = reldb.AggSum
+				spec.Func = aggSum
 			case "MIN":
-				spec.Func = reldb.AggMin
+				spec.Func = aggMin
 			case "MAX":
-				spec.Func = reldb.AggMax
+				spec.Func = aggMax
 			case "AVG":
-				spec.Func = reldb.AggAvg
+				spec.Func = aggAvg
 			}
 			if item.Expr != nil {
 				spec.Attr = item.Expr.String()
@@ -229,7 +229,7 @@ func runSelect(db *reldb.Database, st *SelectStmt) (*Outcome, error) {
 			aggs = append(aggs, spec)
 		}
 		_ = outNames
-		p = reldb.AggregatePlan{Input: p, GroupBy: st.GroupBy, Aggs: aggs}
+		p = aggregatePlan{Input: p, GroupBy: st.GroupBy, Aggs: aggs}
 	} else if !st.Items[0].Star {
 		names := make([]string, len(st.Items))
 		for i, item := range st.Items {
@@ -238,13 +238,13 @@ func runSelect(db *reldb.Database, st *SelectStmt) (*Outcome, error) {
 		p = reldb.ProjectPlan{Input: p, Names: names}
 	}
 	if st.Distinct {
-		p = reldb.DistinctPlan{Input: p}
+		p = distinctPlan{Input: p}
 	}
 	if len(st.OrderBy) > 0 {
-		p = reldb.SortPlan{Input: p, By: st.OrderBy, Desc: st.Desc}
+		p = sortPlan{Input: p, By: st.OrderBy, Desc: st.Desc}
 	}
 	if st.Limit >= 0 {
-		p = reldb.LimitPlan{Input: p, N: st.Limit}
+		p = limitPlan{Input: p, N: st.Limit}
 	}
 	rs, err := p.Run()
 	if err != nil {

@@ -1,0 +1,312 @@
+package rql
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"penguin/internal/reldb"
+)
+
+func runPlan(t *testing.T, p reldb.Plan) *reldb.ResultSet {
+	t.Helper()
+	rs, err := p.Run()
+	if err != nil {
+		t.Fatalf("plan failed: %v", err)
+	}
+	return rs
+}
+
+// plansDB builds a two-relation database:
+//
+//	COURSES(CourseID, Title, Dept, Units)
+//	GRADES(CourseID, PID, Grade)
+func plansDB(t *testing.T) *reldb.Database {
+	t.Helper()
+	db := reldb.NewDatabase()
+	courses := db.MustCreateRelation(reldb.MustSchema("COURSES", []reldb.Attribute{
+		{Name: "CourseID", Type: reldb.KindString},
+		{Name: "Title", Type: reldb.KindString, Nullable: true},
+		{Name: "Dept", Type: reldb.KindString, Nullable: true},
+		{Name: "Units", Type: reldb.KindInt, Nullable: true},
+	}, []string{"CourseID"}))
+	grades := db.MustCreateRelation(reldb.MustSchema("GRADES", []reldb.Attribute{
+		{Name: "CourseID", Type: reldb.KindString},
+		{Name: "PID", Type: reldb.KindInt},
+		{Name: "Grade", Type: reldb.KindString, Nullable: true},
+	}, []string{"CourseID", "PID"}))
+	for _, c := range []struct {
+		id, title, dept string
+		units           int64
+	}{
+		{"CS101", "Intro CS", "CS", 3},
+		{"CS345", "Databases", "CS", 4},
+		{"EE201", "Circuits", "EE", 3},
+		{"ME301", "Dynamics", "ME", 4},
+	} {
+		if err := courses.Insert(reldb.Tuple{reldb.String(c.id), reldb.String(c.title), reldb.String(c.dept), reldb.Int(c.units)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, g := range []struct {
+		id    string
+		pid   int64
+		grade string
+	}{
+		{"CS101", 1, "A"}, {"CS101", 2, "B"}, {"CS101", 3, "A"},
+		{"CS345", 1, "B"}, {"CS345", 4, "C"},
+		{"EE201", 2, "A"},
+	} {
+		if err := grades.Insert(reldb.Tuple{reldb.String(g.id), reldb.Int(g.pid), reldb.String(g.grade)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+func TestSort(t *testing.T) {
+	db := plansDB(t)
+	courses := db.MustRelation("COURSES")
+	rs := runPlan(t, sortPlan{Input: reldb.ScanPlan{Rel: courses}, By: []string{"Units", "CourseID"}})
+	var got []string
+	for i := 0; i < rs.Len(); i++ {
+		got = append(got, rs.Row(i).MustGet("CourseID").MustString())
+	}
+	want := "CS101,EE201,CS345,ME301"
+	if strings.Join(got, ",") != want {
+		t.Fatalf("sort order = %v, want %s", got, want)
+	}
+	rs = runPlan(t, sortPlan{Input: reldb.ScanPlan{Rel: courses}, By: []string{"Units", "CourseID"}, Desc: true})
+	if first := rs.Row(0).MustGet("CourseID").MustString(); first != "ME301" {
+		t.Fatalf("desc first = %s", first)
+	}
+	if _, err := (sortPlan{Input: reldb.ScanPlan{Rel: courses}, By: []string{"Nope"}}).Run(); err == nil {
+		t.Fatal("sort by unknown attr should fail")
+	}
+}
+
+func TestDistinct(t *testing.T) {
+	db := plansDB(t)
+	p := distinctPlan{reldb.ProjectPlan{Input: reldb.ScanPlan{Rel: db.MustRelation("COURSES")}, Names: []string{"Dept"}}}
+	rs := runPlan(t, p)
+	if rs.Len() != 3 {
+		t.Fatalf("distinct depts = %d, want 3", rs.Len())
+	}
+}
+
+func TestLimit(t *testing.T) {
+	db := plansDB(t)
+	rs := runPlan(t, limitPlan{reldb.ScanPlan{Rel: db.MustRelation("COURSES")}, 2})
+	if rs.Len() != 2 {
+		t.Fatalf("limit = %d", rs.Len())
+	}
+	rs = runPlan(t, limitPlan{reldb.ScanPlan{Rel: db.MustRelation("COURSES")}, 100})
+	if rs.Len() != 4 {
+		t.Fatalf("limit beyond size = %d", rs.Len())
+	}
+}
+
+func TestAggregateGrouped(t *testing.T) {
+	db := plansDB(t)
+	p := aggregatePlan{
+		Input:   reldb.ScanPlan{Rel: db.MustRelation("GRADES")},
+		GroupBy: []string{"CourseID"},
+		Aggs:    []aggSpec{{Func: aggCount, As: "n"}},
+	}
+	rs := runPlan(t, p)
+	counts := map[string]int64{}
+	for i := 0; i < rs.Len(); i++ {
+		row := rs.Row(i)
+		counts[row.MustGet("CourseID").MustString()] = row.MustGet("n").MustInt()
+	}
+	want := map[string]int64{"CS101": 3, "CS345": 2, "EE201": 1}
+	for k, v := range want {
+		if counts[k] != v {
+			t.Fatalf("count[%s] = %d, want %d (all: %v)", k, counts[k], v, counts)
+		}
+	}
+}
+
+func TestAggregateGlobal(t *testing.T) {
+	db := plansDB(t)
+	p := aggregatePlan{
+		Input: reldb.ScanPlan{Rel: db.MustRelation("COURSES")},
+		Aggs: []aggSpec{
+			{Func: aggCount, As: "n"},
+			{Func: aggSum, Attr: "Units", As: "total"},
+			{Func: aggMin, Attr: "Units", As: "lo"},
+			{Func: aggMax, Attr: "Units", As: "hi"},
+			{Func: aggAvg, Attr: "Units", As: "mean"},
+		},
+	}
+	rs := runPlan(t, p)
+	if rs.Len() != 1 {
+		t.Fatalf("global aggregate rows = %d", rs.Len())
+	}
+	row := rs.Row(0)
+	if n := row.MustGet("n").MustInt(); n != 4 {
+		t.Fatalf("count = %d", n)
+	}
+	if tot, _ := row.MustGet("total").AsInt(); tot != 14 {
+		t.Fatalf("sum = %v", row.MustGet("total"))
+	}
+	if lo, _ := row.MustGet("lo").AsInt(); lo != 3 {
+		t.Fatalf("min = %v", row.MustGet("lo"))
+	}
+	if hi, _ := row.MustGet("hi").AsInt(); hi != 4 {
+		t.Fatalf("max = %v", row.MustGet("hi"))
+	}
+	if mean, _ := row.MustGet("mean").AsFloat(); mean != 3.5 {
+		t.Fatalf("avg = %v", row.MustGet("mean"))
+	}
+}
+
+func TestAggregateEmptyInput(t *testing.T) {
+	db := reldb.NewDatabase()
+	r := db.MustCreateRelation(reldb.MustSchema("E", []reldb.Attribute{
+		{Name: "A", Type: reldb.KindInt},
+	}, []string{"A"}))
+	p := aggregatePlan{
+		Input: reldb.ScanPlan{Rel: r},
+		Aggs: []aggSpec{
+			{Func: aggCount, As: "n"},
+			{Func: aggSum, Attr: "A", As: "s"},
+			{Func: aggAvg, Attr: "A", As: "m"},
+		},
+	}
+	rs := runPlan(t, p)
+	if rs.Len() != 1 {
+		t.Fatalf("empty aggregate rows = %d, want 1", rs.Len())
+	}
+	row := rs.Row(0)
+	if n := row.MustGet("n").MustInt(); n != 0 {
+		t.Fatalf("count over empty = %d", n)
+	}
+	if !row.MustGet("s").IsNull() {
+		t.Fatal("sum over empty should be null")
+	}
+	if !row.MustGet("m").IsNull() {
+		t.Fatal("avg over empty should be null")
+	}
+	// Grouped aggregate over empty input yields zero rows.
+	p2 := aggregatePlan{Input: reldb.ScanPlan{Rel: r}, GroupBy: []string{"A"},
+		Aggs: []aggSpec{{Func: aggCount, As: "n"}}}
+	if rs := runPlan(t, p2); rs.Len() != 0 {
+		t.Fatalf("grouped empty = %d rows", rs.Len())
+	}
+}
+
+func TestAggregateNullsIgnored(t *testing.T) {
+	db := reldb.NewDatabase()
+	r := db.MustCreateRelation(reldb.MustSchema("N", []reldb.Attribute{
+		{Name: "ID", Type: reldb.KindInt},
+		{Name: "V", Type: reldb.KindInt, Nullable: true},
+	}, []string{"ID"}))
+	_ = r.Insert(reldb.Tuple{reldb.Int(1), reldb.Int(10)})
+	_ = r.Insert(reldb.Tuple{reldb.Int(2), reldb.Null()})
+	_ = r.Insert(reldb.Tuple{reldb.Int(3), reldb.Int(20)})
+	p := aggregatePlan{Input: reldb.ScanPlan{Rel: r}, Aggs: []aggSpec{
+		{Func: aggCount, Attr: "V", As: "nv"},
+		{Func: aggCount, As: "n"},
+		{Func: aggAvg, Attr: "V", As: "m"},
+	}}
+	rs := runPlan(t, p)
+	row := rs.Row(0)
+	if nv := row.MustGet("nv").MustInt(); nv != 2 {
+		t.Fatalf("count(V) = %d, want 2", nv)
+	}
+	if n := row.MustGet("n").MustInt(); n != 3 {
+		t.Fatalf("count(*) = %d, want 3", n)
+	}
+	if m, _ := row.MustGet("m").AsFloat(); m != 15 {
+		t.Fatalf("avg(V) = %v, want 15", m)
+	}
+}
+
+func TestAggregateDefaultNamesAndErrors(t *testing.T) {
+	db := plansDB(t)
+	p := aggregatePlan{
+		Input: reldb.ScanPlan{Rel: db.MustRelation("COURSES")},
+		Aggs:  []aggSpec{{Func: aggCount}, {Func: aggMax, Attr: "Units"}},
+	}
+	rs := runPlan(t, p)
+	if _, ok := rs.Schema.AttrIndex("count"); !ok {
+		t.Fatalf("default count name missing: %v", rs.Schema.AttrNames())
+	}
+	if _, ok := rs.Schema.AttrIndex("max_Units"); !ok {
+		t.Fatalf("default max name missing: %v", rs.Schema.AttrNames())
+	}
+	bad := aggregatePlan{
+		Input: reldb.ScanPlan{Rel: db.MustRelation("COURSES")},
+		Aggs:  []aggSpec{{Func: aggSum, Attr: "Nope"}},
+	}
+	if _, err := bad.Run(); err == nil {
+		t.Fatal("aggregate over unknown attr should fail")
+	}
+}
+
+func TestComposedPipeline(t *testing.T) {
+	// Figure-4-shaped query: courses with fewer than 3 grades.
+	db := plansDB(t)
+	agg := aggregatePlan{
+		Input:   reldb.ScanPlan{Rel: db.MustRelation("GRADES")},
+		GroupBy: []string{"CourseID"},
+		Aggs:    []aggSpec{{Func: aggCount, As: "n"}},
+	}
+	few := reldb.SelectPlan{Input: agg, Pred: reldb.Cmp{Op: reldb.OpLt, L: reldb.Attr{Name: "n"}, R: reldb.Const{V: reldb.Int(3)}}}
+	rs := runPlan(t, few)
+	ids := map[string]bool{}
+	for i := 0; i < rs.Len(); i++ {
+		ids[rs.Row(i).MustGet("CourseID").MustString()] = true
+	}
+	if !ids["CS345"] || !ids["EE201"] || ids["CS101"] {
+		t.Fatalf("pipeline result = %v", ids)
+	}
+}
+
+func TestPlansPropagateChildError(t *testing.T) {
+	db := plansDB(t)
+	bad := reldb.ProjectPlan{Input: reldb.ScanPlan{Rel: db.MustRelation("COURSES")}, Names: []string{"Nope"}}
+	for _, p := range []reldb.Plan{
+		sortPlan{Input: bad, By: []string{"X"}},
+		distinctPlan{bad},
+		limitPlan{bad, 1},
+		aggregatePlan{Input: bad},
+	} {
+		if _, err := p.Run(); err == nil {
+			t.Errorf("%T swallowed child error", p)
+		}
+	}
+}
+
+func TestAggFuncString(t *testing.T) {
+	want := map[aggFunc]string{aggCount: "count", aggSum: "sum", aggMin: "min", aggMax: "max", aggAvg: "avg"}
+	for f, s := range want {
+		if f.String() != s {
+			t.Errorf("%v.String() = %q", f, f.String())
+		}
+	}
+}
+
+func Example_aggregatePlan() {
+	db := reldb.NewDatabase()
+	r := db.MustCreateRelation(reldb.MustSchema("T", []reldb.Attribute{
+		{Name: "G", Type: reldb.KindString},
+		{Name: "V", Type: reldb.KindInt},
+	}, []string{"G", "V"}))
+	_ = r.Insert(reldb.Tuple{reldb.String("a"), reldb.Int(1)})
+	_ = r.Insert(reldb.Tuple{reldb.String("a"), reldb.Int(2)})
+	_ = r.Insert(reldb.Tuple{reldb.String("b"), reldb.Int(5)})
+	rs, _ := (aggregatePlan{
+		Input:   reldb.ScanPlan{Rel: r},
+		GroupBy: []string{"G"},
+		Aggs:    []aggSpec{{Func: aggSum, Attr: "V", As: "s"}},
+	}).Run()
+	for i := 0; i < rs.Len(); i++ {
+		row := rs.Row(i)
+		fmt.Printf("%s=%s\n", row.MustGet("G"), row.MustGet("s"))
+	}
+	// Output:
+	// a=3
+	// b=5
+}

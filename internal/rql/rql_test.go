@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"penguin/internal/obs"
 	"penguin/internal/reldb"
 )
 
@@ -256,6 +257,43 @@ func TestDelete(t *testing.T) {
 	out = mustExec(t, db, `DELETE FROM emp`)
 	if out.Affected != 2 || db.MustRelation("emp").Count() != 0 {
 		t.Fatal("unconditional delete wrong")
+	}
+}
+
+// TestWhereProbesIndex: an UPDATE or DELETE whose WHERE is an equality
+// on an indexed attribute probes the index — the relation is charged
+// probes and no scan — and affects exactly the rows the same predicate's
+// scan form (or-wrapped, which no probe serves) does.
+func TestWhereProbesIndex(t *testing.T) {
+	indexed := func() *reldb.Database {
+		db := rqlDB(t)
+		if err := db.MustRelation("emp").CreateIndex("byDept", []string{"dept"}); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	for _, stmt := range []string{`UPDATE emp SET salary = salary + 5 WHERE `, `DELETE FROM emp WHERE `} {
+		probed, scanned := indexed(), indexed()
+		before := obs.Default.Snapshot()
+		n := mustExec(t, probed, stmt+`dept = 'cs'`).Affected
+		d := obs.Default.Snapshot().Sub(before)
+		probes := d.LabeledCounters["reldb.relation.probes"].Values["emp"]
+		scans := d.LabeledCounters["reldb.relation.scans"].Values["emp"]
+		if probes == 0 || scans != 0 {
+			t.Errorf("%sdept = 'cs': %d probes, %d scans of emp; want a probe and no scan", stmt, probes, scans)
+		}
+		if m := mustExec(t, scanned, stmt+`dept = 'cs' or dept = 'cs'`).Affected; n != 2 || m != n {
+			t.Errorf("%s: the probe affected %d rows, the scan %d; want 2 each", stmt, n, m)
+		}
+		if got, want := probed.MustRelation("emp").All(), scanned.MustRelation("emp").All(); len(got) != len(want) {
+			t.Errorf("%s: %d rows left after the probe, %d after the scan", stmt, len(got), len(want))
+		} else {
+			for i := range got {
+				if !got[i].Equal(want[i]) {
+					t.Errorf("%s: row %d is %v after the probe, %v after the scan", stmt, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 

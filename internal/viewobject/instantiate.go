@@ -108,39 +108,15 @@ func instantiate(res structural.Resolver, def *Definition, q Query) ([]*Instance
 
 // pivotSelect picks the pivot tuples satisfying pred, in primary-key
 // order, and reports how many stored tuples the selection visited.
-// When pred is an indexable equality conjunction (EqConjunction +
-// ProbeableEqual) it runs as a MatchEqual probe charging only the
-// tuples actually visited; when it is a range conjunction over one
-// attribute (RangeConjunction + ProbeableRange) it runs as a MatchRange
-// probe — one seek and an in-order walk of the key or index range,
-// charging the tuples walked; otherwise it scans, charging the whole
-// relation, which is what a scan visits. The naive reference assembler
-// the differential tests keep shares this selection, so its pivot set
-// (and scan accounting) is identical by construction.
+// Relation.SelectStats plans the predicate — a probe or range walk
+// charges the tuples it visits, a scan the whole relation. The naive
+// reference assembler the differential tests keep shares this
+// selection, so its pivot set (and scan accounting) is identical by
+// construction.
 func pivotSelect(pivotRel *reldb.Relation, pred reldb.Expr) ([]reldb.Tuple, int64, error) {
-	if pred != nil {
-		if attrs, vals, ok := reldb.EqConjunction(pred); ok && pivotRel.ProbeableEqual(attrs, vals) {
-			var st reldb.MatchStats
-			pivots, err := pivotRel.MatchEqualStats(attrs, vals, &st)
-			if err != nil {
-				return nil, 0, err
-			}
-			return pivots, int64(st.Scanned), nil
-		}
-		if attr, lo, hi, ok := reldb.RangeConjunction(pred); ok && pivotRel.ProbeableRange(attr, lo, hi) {
-			var st reldb.MatchStats
-			pivots, err := pivotRel.MatchRangeStats(attr, lo, hi, &st)
-			if err != nil {
-				return nil, 0, err
-			}
-			return pivots, int64(st.Scanned), nil
-		}
-	}
-	pivots, err := pivotRel.Select(pred)
-	if err != nil {
-		return nil, 0, err
-	}
-	return pivots, int64(pivotRel.Count()), nil
+	var st reldb.MatchStats
+	pivots, err := pivotRel.SelectStats(pred, &st)
+	return pivots, int64(st.Scanned), err
 }
 
 // assembleBatch runs the batched level-at-a-time assembly over a slice

@@ -47,7 +47,7 @@ func TestPivotProbeChargesOnlyVisitedTuples(t *testing.T) {
 		t.Fatalf("probe charged %d scanned tuples, want 1", probeScanned)
 	}
 
-	// The same predicate wrapped so EqConjunction rejects it (a 1-term
+	// The same predicate wrapped so Select reads no conjunction (a 1-term
 	// Or) takes the scan path: same instances, whole relation charged.
 	scanScanned, scanned := scannedBy(Query{
 		PivotPred: reldb.Or{Terms: []reldb.Expr{reldb.Eq("K0", reldb.Int(3))}},

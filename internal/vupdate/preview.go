@@ -63,6 +63,8 @@ func (u *Updater) PreviewInsertInstance(inst *viewobject.Instance) (*Result, err
 }
 
 // PreviewReplaceInstance translates a replacement without executing it.
+// Only the frozen end-to-end benchmark (benchmark/) calls it; it goes
+// with ReplaceInstance when that benchmark changes.
 func (u *Updater) PreviewReplaceInstance(oldInst, newInst *viewobject.Instance) (*Result, error) {
 	if err := u.checkInstance(oldInst); err != nil {
 		return nil, err

@@ -36,7 +36,10 @@ import (
 //     tuple the translation inserted or replaced.
 //
 // oldInst is taken as the instance's current state. ReplaceByKey reads
-// that state inside the update's own transaction instead.
+// that state inside the update's own transaction instead, and every
+// caller but the frozen end-to-end benchmark (benchmark/) uses it; this
+// two-instance form, PreviewReplaceInstance and Cluster.ReplaceInstance
+// are kept for that benchmark alone and go when it changes.
 func (u *Updater) ReplaceInstance(oldInst, newInst *viewobject.Instance) (*Result, error) {
 	if err := u.checkInstance(oldInst); err != nil {
 		return nil, err

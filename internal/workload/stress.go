@@ -35,8 +35,8 @@ type StressSpec struct {
 	ParallelReaders int
 	// MaterializedReaders is the number of concurrent goroutines reading
 	// through the run's viewobject.Materializers (one per shard, a key
-	// served by its home shard's) — patched instances served from the
-	// delta-stream cache racing the same VO writers. May be 0.
+	// served by its home shard's) — instances patched by diffing relation
+	// versions, racing the same VO writers. May be 0.
 	MaterializedReaders int
 	// Writers is the number of concurrent update-translation goroutines.
 	// Writer w owns the root keys k with k mod Writers == w; readers read
@@ -375,7 +375,7 @@ func replaceStamped(sw *ShardedWorkload, k int64, s string) (*viewobject.Instanc
 			}
 		}
 	}
-	if _, err := sw.C.ReplaceInstance(ShardedObject, cur, stamped); err != nil {
+	if _, err := sw.C.ReplaceByKey(ShardedObject, cur.Key(), stamped); err != nil {
 		return nil, err
 	}
 	return stamped, nil

@@ -89,10 +89,11 @@ func TestRunStressParallelReaders(t *testing.T) {
 }
 
 // TestRunStressMaterializedReaders adds readers served through one
-// materialized cache per shard: delta-stream patching racing VO writers.
-// Under `go test -race` this proves the materializer's sync/patch path is
-// race-clean against commits (cross-shard ones included at 3 shards); the
-// invariant checks prove a patched instance is never torn, and the run's
+// materialized cache per shard: patching by relation-version diffs,
+// racing VO writers. Under `go test -race` this proves the
+// materializer's sync/patch path is race-clean against commits
+// (cross-shard ones included at 3 shards); the invariant checks prove a
+// patched instance is never torn, and the run's
 // closing drain proves every key's patched render equals a fresh one. The
 // run also holds one ReadTx per shard across all writer activity with a
 // low lag-alert threshold, so both stale-ReadTx observation points (Fork
