@@ -22,17 +22,11 @@ import (
 )
 
 // Join adds one relation to a view's query graph, equi-joined to the
-// relations already present.
-type Join struct {
-	// Relation is the base relation to join in.
-	Relation string
-	// LeftAttrs are qualified attribute names of the accumulated join
-	// ("REL.Attr"); RightAttrs are attribute names of Relation. Both are
-	// empty for the first (root) relation.
-	LeftAttrs, RightAttrs []string
-	// Outer keeps unmatched left rows (null-padded).
-	Outer bool
-}
+// relations already present. Joins[0] is the root relation and takes no
+// join condition; a later join's LeftAttrs name attributes of the
+// relations before it ("REL.Attr"; an unqualified name is the root's),
+// its RightAttrs attributes of its Relation.
+type Join = reldb.Join
 
 // View is a select-project-join relational view definition.
 type View struct {
@@ -73,16 +67,19 @@ func NewView(db *reldb.Database, name string, joins []Join, selection reldb.Expr
 			return nil, fmt.Errorf("keller: view %s: join %d has mismatched attribute lists", name, i)
 		}
 	}
-	// Derive and cache the view schema (this also validates the joins,
-	// the selection, and the projection).
-	schema, err := v.joinedSchema()
+	// Derive and cache the view schema by evaluating the view once (this
+	// also validates the joins, the selection on the rows present, and
+	// the projection).
+	rtx := db.BeginRead()
+	rs, err := v.eval(rtx)
+	rtx.Close()
 	if err != nil {
 		return nil, err
 	}
-	v.schema = schema
+	v.schema = rs.Schema
 	v.attrMaps = make(map[string]map[int]int, len(joins))
 	for _, j := range joins {
-		m, err := v.relationAttrs(schema, j.Relation)
+		m, err := v.relationAttrs(v.schema, j.Relation)
 		if err != nil {
 			return nil, err
 		}
@@ -97,65 +94,17 @@ func (v *View) Schema() *reldb.Schema { return v.schema }
 // Root returns the root relation of the query graph.
 func (v *View) Root() string { return v.Joins[0].Relation }
 
-// resolver resolves relation names; *reldb.Database, *reldb.ReadTx, and
-// *reldb.Tx all satisfy it.
-type resolver interface {
-	Relation(name string) (*reldb.Relation, error)
-}
-
-// plan composes the view's relational algebra tree over relations resolved
-// through res.
-func (v *View) plan(res resolver) (reldb.Plan, error) {
-	root, err := res.Relation(v.Joins[0].Relation)
-	if err != nil {
-		return nil, err
+// eval runs the view's query over relations resolved through res: the
+// join chain, then the selection, then the projection.
+func (v *View) eval(res reldb.Resolver) (*reldb.ResultSet, error) {
+	rs, err := reldb.JoinChain(res, v.Joins[0].Relation, v.Joins[1:])
+	if err == nil {
+		rs, err = rs.Filter(v.Selection)
 	}
-	var p reldb.Plan = reldb.QualifyPlan{
-		Input:  reldb.ScanPlan{Rel: root},
-		Prefix: v.Joins[0].Relation,
+	if err == nil && len(v.Projection) > 0 {
+		rs, err = rs.Project(v.Projection)
 	}
-	for _, j := range v.Joins[1:] {
-		rel, err := res.Relation(j.Relation)
-		if err != nil {
-			return nil, err
-		}
-		rightAttrs := make([]string, len(j.RightAttrs))
-		for i, a := range j.RightAttrs {
-			rightAttrs[i] = qualify(j.Relation, a)
-		}
-		p = reldb.JoinPlan{
-			Left:       p,
-			Right:      reldb.QualifyPlan{Input: reldb.ScanPlan{Rel: rel}, Prefix: j.Relation},
-			LeftAttrs:  j.LeftAttrs,
-			RightAttrs: rightAttrs,
-			Outer:      j.Outer,
-		}
-	}
-	if v.Selection != nil {
-		p = reldb.SelectPlan{Input: p, Pred: v.Selection}
-	}
-	if len(v.Projection) > 0 {
-		p = reldb.ProjectPlan{Input: p, Names: v.Projection}
-	}
-	return p, nil
-}
-
-// joinedSchema derives the schema of the view's rows.
-func (v *View) joinedSchema() (*reldb.Schema, error) {
-	rtx := v.db.BeginRead()
-	defer rtx.Close()
-	p, err := v.plan(rtx)
-	if err != nil {
-		return nil, err
-	}
-	// Materialize against the (possibly empty) relations to obtain the
-	// derived schema; relations validate lazily so this is cheap when
-	// empty and correct when not.
-	rs, err := p.Run()
-	if err != nil {
-		return nil, err
-	}
-	return rs.Schema, nil
+	return rs, err
 }
 
 // Materialize evaluates the view inside a snapshot-isolated read
@@ -169,13 +118,9 @@ func (v *View) Materialize() (*reldb.ResultSet, error) {
 // MaterializeIn evaluates the view against relations resolved through res
 // — a *reldb.ReadTx snapshot, a write transaction (to see its uncommitted
 // state), or a bare database.
-func (v *View) MaterializeIn(res resolver) (*reldb.ResultSet, error) {
+func (v *View) MaterializeIn(res reldb.Resolver) (*reldb.ResultSet, error) {
 	op := obs.Default.StartOp("keller.materialize")
-	p, err := v.plan(res)
-	var rs *reldb.ResultSet
-	if err == nil {
-		rs, err = p.Run()
-	}
+	rs, err := v.eval(res)
 	if err != nil {
 		if op.Active() {
 			op.Finish(fmt.Sprintf("view=%s err=%v", v.Name, err))
@@ -244,7 +189,7 @@ func (v *View) joinEquivalence() map[string][]string {
 	union := func(a, b string) { parent[find(a)] = find(b) }
 	for _, j := range v.Joins[1:] {
 		for i := range j.LeftAttrs {
-			union(j.LeftAttrs[i], qualify(j.Relation, j.RightAttrs[i]))
+			union(qualify(v.Root(), j.LeftAttrs[i]), qualify(j.Relation, j.RightAttrs[i]))
 		}
 	}
 	groups := make(map[string][]string)

@@ -444,14 +444,17 @@ func checkModel(t testing.TB, r *Relation, m *modelRel) {
 		{[]string{"C"}, Tuple{Int(2)}, true},                             // byC, as the ops left it
 		{[]string{"C", "S"}, Tuple{Int(2), String("s3")}, true},          // bySC lists S first
 		{[]string{"B", "C"}, Tuple{Int(5), Int(7)}, true},                // byCB lists C first
-		{[]string{"F"}, Tuple{Float(0.5)}, false},                        // a Float column: scan
-		{[]string{"F"}, Tuple{Int(1)}, false},                            // an Int on a Float column
+		{[]string{"F"}, Tuple{Float(0.5)}, true},                         // a Float column
+		{[]string{"F"}, Tuple{Int(1)}, true},                             // an Int on a Float column
+		{[]string{"F"}, Tuple{Int(0)}, true},                             // ... against a stored 0.0
+		{[]string{"F"}, Tuple{Float(math.Copysign(0, -1))}, true},        // -0.0 against a stored 0.0
 		{[]string{"C"}, Tuple{Null()}, false},                            // a null constant
 		{[]string{"S", "C"}, Tuple{Null(), Int(2)}, false},               // ... on a covered set
 		{[]string{"C"}, Tuple{Int(maxExactInt + 1)}, false},              // an int no key can hold
 		{[]string{"C", "C"}, Tuple{Int(2), Int(2)}, false},               // a duplicated attribute
 		{[]string{"C", "C"}, Tuple{Int(2), Int(7)}, false},               // ... contradicting itself
-		{[]string{"A", "B"}, Tuple{Int(7), Float(5)}, false},             // a kind that is not the column's
+		{[]string{"A", "B"}, Tuple{Int(7), Float(5)}, true},              // a Float on an Int key
+		{[]string{"A", "B"}, Tuple{Int(7), Float(5.5)}, true},            // ... that no int equals
 		{[]string{"A", "B"}, Tuple{Int(maxExactInt + 1), Int(5)}, false}, // out of domain on the key
 	} {
 		checkSelect(t, r, eqPred(e.attrs, e.vals), filter(m.satisfiesEq(e.attrs, e.vals)),

@@ -53,6 +53,48 @@ func TestCreateIndexServesNextLookup(t *testing.T) {
 	sameTuples(t, "pinned lookup", lookup(pinned.MustRelation("GRADES"), "scan"), before)
 }
 
+// TestIndexOnlyTxPublishesIndex: a transaction whose only change is an
+// index publishes it — the next lookup probes — under the generation the
+// relation already had, and leaves a snapshot pinned before it scanning.
+func TestIndexOnlyTxPublishesIndex(t *testing.T) {
+	db := NewDatabase()
+	if _, err := db.CreateRelation(gradesSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.RunInTx(func(tx *Tx) error { return tx.Insert("GRADES", grade("CS101", 1, "A")) }); err != nil {
+		t.Fatal(err)
+	}
+	gen := db.Generation()
+	pinned := db.BeginRead()
+	defer pinned.Close()
+	if err := db.RunInTx(func(tx *Tx) error {
+		r, err := tx.Relation("GRADES")
+		if err != nil {
+			return err
+		}
+		return r.CreateIndex("byGrade", []string{"Grade"})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	rel := db.MustRelation("GRADES")
+	if got := rel.IndexNames(); len(got) != 1 || got[0] != "byGrade" {
+		t.Fatalf("indexes after an index-only transaction = %v, want [byGrade]", got)
+	}
+	if db.Generation() != gen || rel.Generation() != gen {
+		t.Fatalf("generation %d (relation %d), want %d: an index advances none", db.Generation(), rel.Generation(), gen)
+	}
+	for _, c := range []struct {
+		rel   *Relation
+		stats MatchStats
+	}{{rel, MatchStats{Probes: 1, Scanned: 1}}, {pinned.MustRelation("GRADES"), MatchStats{Scans: 1, Scanned: 1}}} {
+		var st MatchStats
+		out, err := c.rel.MatchEqualStats([]string{"Grade"}, Tuple{String("A")}, &st)
+		if err != nil || len(out) != 1 || st != c.stats {
+			t.Fatalf("lookup = %d rows, %v charging %+v; want 1 row charging %+v", len(out), err, st, c.stats)
+		}
+	}
+}
+
 // TestMatchEqualAttributeListsDoNotCollide: two attribute lists whose
 // names, joined with a separator that may occur inside a name, spell the
 // same string must still resolve to their own attributes.
@@ -106,10 +148,10 @@ func TestMatchEqualAttributeListsDoNotCollide(t *testing.T) {
 	}
 }
 
-// TestSelectParallelError: a predicate that fails part-way through a
+// TestSelectErrorPartWayReturnsNil: a predicate that fails part-way through a
 // relation tall enough to span many tree nodes yields the error and a nil
 // result, never the prefix selected before the failing row.
-func TestSelectParallelError(t *testing.T) {
+func TestSelectErrorPartWayReturnsNil(t *testing.T) {
 	r := newGradesRel(t)
 	for i := 0; i < 512; i++ {
 		g := "A"

@@ -1,12 +1,19 @@
 package reldb
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
-// ResultSet is a materialized intermediate or final query result: a derived
-// schema plus rows. Query plans are composed functionally; each operator
-// consumes and produces ResultSets. The engine materializes eagerly —
-// relations here are small enough that a volcano iterator would buy nothing,
-// and eager materialization keeps the view-object assembly code simple.
+// A query is plain calls over ResultSets, evaluated eagerly — relations
+// here are small enough that a volcano iterator would buy nothing.
+// JoinChain builds the one equi-join chain Keller's select-project-join
+// views and RQL both run; Filter and Project derive one ResultSet from
+// another. A query over one relation reads its rows through
+// Relation.Select instead, which picks the predicate's access path.
+
+// ResultSet is a materialized intermediate or final query result: a
+// derived schema plus rows.
 type ResultSet struct {
 	Schema *Schema
 	Rows   []Tuple
@@ -18,37 +25,14 @@ func (rs *ResultSet) Len() int { return len(rs.Rows) }
 // Row returns row i paired with the result schema.
 func (rs *ResultSet) Row(i int) Row { return Row{Schema: rs.Schema, Tuple: rs.Rows[i]} }
 
-// Plan is a composable query operator tree. Run executes the plan.
-type Plan interface {
-	Run() (*ResultSet, error)
-}
-
-// ScanPlan reads an entire relation in primary-key order.
-type ScanPlan struct{ Rel *Relation }
-
-// Run implements Plan.
-func (p ScanPlan) Run() (*ResultSet, error) {
-	return &ResultSet{Schema: p.Rel.Schema(), Rows: p.Rel.All()}, nil
-}
-
-// SelectPlan filters its input by a predicate.
-type SelectPlan struct {
-	Input Plan
-	Pred  Expr
-}
-
-// Run implements Plan.
-func (p SelectPlan) Run() (*ResultSet, error) {
-	in, err := p.Input.Run()
-	if err != nil {
-		return nil, err
+// Filter returns the rows that satisfy pred; a nil pred keeps them all.
+func (rs *ResultSet) Filter(pred Expr) (*ResultSet, error) {
+	if pred == nil {
+		return rs, nil
 	}
-	if p.Pred == nil {
-		return in, nil
-	}
-	out := &ResultSet{Schema: in.Schema}
-	for _, t := range in.Rows {
-		ok, err := EvalBool(p.Pred, Row{Schema: in.Schema, Tuple: t})
+	out := &ResultSet{Schema: rs.Schema}
+	for _, t := range rs.Rows {
+		ok, err := EvalBool(pred, Row{Schema: rs.Schema, Tuple: t})
 		if err != nil {
 			return nil, err
 		}
@@ -59,68 +43,127 @@ func (p SelectPlan) Run() (*ResultSet, error) {
 	return out, nil
 }
 
-// ProjectPlan keeps only the named attributes, in order. Duplicate rows are
+// Project keeps only the named attributes, in order. Duplicate rows are
 // preserved (bag semantics).
-type ProjectPlan struct {
-	Input Plan
-	Names []string
-}
-
-// Run implements Plan.
-func (p ProjectPlan) Run() (*ResultSet, error) {
-	in, err := p.Input.Run()
+func (rs *ResultSet) Project(names []string) (*ResultSet, error) {
+	schema, err := rs.Schema.ProjectSchema(rs.Schema.Name(), names)
 	if err != nil {
 		return nil, err
 	}
-	schema, err := in.Schema.ProjectSchema(in.Schema.Name(), p.Names)
+	idx, err := rs.Schema.Indices(names)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := in.Schema.Indices(p.Names)
-	if err != nil {
-		return nil, err
-	}
-	out := &ResultSet{Schema: schema, Rows: make([]Tuple, len(in.Rows))}
-	for i, t := range in.Rows {
+	out := &ResultSet{Schema: schema, Rows: make([]Tuple, len(rs.Rows))}
+	for i, t := range rs.Rows {
 		out.Rows[i] = t.Project(idx)
 	}
 	return out, nil
 }
 
-// JoinPlan is an equi-join on attribute lists of equal length. The output
-// schema qualifies every attribute as Rel.Attr using each input schema's
-// name, so downstream predicates can disambiguate.
-type JoinPlan struct {
-	Left, Right           Plan
+// Resolver resolves relation names; *Database, *ReadTx and *Tx all
+// satisfy it.
+type Resolver interface {
+	Relation(name string) (*Relation, error)
+}
+
+// Join adds one relation to a join chain, equi-joined to the rows the
+// chain has accumulated before it.
+type Join struct {
+	// Relation is the base relation to join in.
+	Relation string
+	// LeftAttrs name attributes of the accumulated rows, RightAttrs
+	// attributes of Relation, pairwise equal. An unqualified left
+	// attribute is the root relation's, an unqualified right one
+	// Relation's; "REL.Attr" names any relation of the chain.
 	LeftAttrs, RightAttrs []string
 	// Outer, when true, makes this a left outer join: unmatched left rows
 	// survive with nulls for the right side.
 	Outer bool
 }
 
-// Run implements Plan. The build side is the right input (hash join).
-func (p JoinPlan) Run() (*ResultSet, error) {
-	if len(p.LeftAttrs) != len(p.RightAttrs) {
-		return nil, fmt.Errorf("reldb: join attribute lists differ in length: %d vs %d",
-			len(p.LeftAttrs), len(p.RightAttrs))
-	}
-	left, err := p.Left.Run()
+// JoinChain resolves root and every joined relation through res,
+// qualifies each relation's attributes with its name ("REL.Attr"), and
+// equi-joins the relations in order, each one the build side of a hash
+// join. With no joins it returns the root's rows, qualified. The chain's
+// key is the union of the relations' keys, and every attribute is
+// nullable (outer joins pad with null).
+func JoinChain(res Resolver, root string, joins []Join) (*ResultSet, error) {
+	acc, err := qualified(res, root)
 	if err != nil {
 		return nil, err
 	}
-	right, err := p.Right.Run()
+	for _, j := range joins {
+		if len(j.LeftAttrs) != len(j.RightAttrs) {
+			return nil, fmt.Errorf("reldb: join %s: attribute lists differ in length: %d vs %d",
+				j.Relation, len(j.LeftAttrs), len(j.RightAttrs))
+		}
+		rel, err := qualified(res, j.Relation)
+		if err != nil {
+			return nil, err
+		}
+		left, right := make([]string, len(j.LeftAttrs)), make([]string, len(j.RightAttrs))
+		for i := range left {
+			left[i], right[i] = qualify(root, j.LeftAttrs[i]), qualify(j.Relation, j.RightAttrs[i])
+		}
+		if acc, err = join(acc, rel, left, right, j.Outer); err != nil {
+			return nil, err
+		}
+	}
+	return acc, nil
+}
+
+// qualified returns the rows of the named relation under a schema, named
+// after it, whose attributes are qualified with that name (an attribute
+// whose name already holds a dot is kept).
+func qualified(res Resolver, name string) (*ResultSet, error) {
+	rel, err := res.Relation(name)
 	if err != nil {
 		return nil, err
 	}
-	schema, err := joinedSchema(left.Schema, right.Schema)
+	s := rel.Schema()
+	attrs := s.Attrs()
+	var keyNames []string
+	for i := range attrs {
+		attrs[i].Name = qualify(name, attrs[i].Name)
+		if s.IsKeyAttr(i) {
+			keyNames = append(keyNames, attrs[i].Name)
+		}
+	}
+	schema, err := NewSchema(name, attrs, keyNames)
 	if err != nil {
 		return nil, err
 	}
-	lidx, err := left.Schema.Indices(p.LeftAttrs)
+	return &ResultSet{Schema: schema, Rows: rel.All()}, nil
+}
+
+// qualify prefixes attr with rel unless it is already qualified.
+func qualify(rel, attr string) string {
+	if strings.Contains(attr, ".") {
+		return attr
+	}
+	return rel + "." + attr
+}
+
+// join equi-joins left and right on attribute lists of equal length,
+// building a hash table on the right side. Its schema concatenates the
+// two, every attribute nullable, keyed by the union of their keys; a
+// null join value matches nothing.
+func join(left, right *ResultSet, leftAttrs, rightAttrs []string, outer bool) (*ResultSet, error) {
+	lidx, err := left.Schema.Indices(leftAttrs)
 	if err != nil {
 		return nil, err
 	}
-	ridx, err := right.Schema.Indices(p.RightAttrs)
+	ridx, err := right.Schema.Indices(rightAttrs)
+	if err != nil {
+		return nil, err
+	}
+	attrs := append(left.Schema.Attrs(), right.Schema.Attrs()...)
+	keyNames := append(left.Schema.KeyNames(), right.Schema.KeyNames()...)
+	for i := range attrs {
+		attrs[i].Nullable = true
+	}
+	schema, err := NewSchema(left.Schema.Name()+"*"+right.Schema.Name(), attrs, keyNames)
 	if err != nil {
 		return nil, err
 	}
@@ -133,16 +176,12 @@ func (p JoinPlan) Run() (*ResultSet, error) {
 	nulls := make(Tuple, right.Schema.Arity())
 	for _, lt := range left.Rows {
 		probe := lt.Project(lidx)
-		if hasNull(probe) {
-			if p.Outer {
-				out.Rows = append(out.Rows, lt.Concat(nulls))
-			}
-			continue
+		var matches []Tuple
+		if !hasNull(probe) {
+			matches = build[probe.Encode()]
 		}
-		matches := build[probe.Encode()]
-		if len(matches) == 0 && p.Outer {
+		if len(matches) == 0 && outer {
 			out.Rows = append(out.Rows, lt.Concat(nulls))
-			continue
 		}
 		for _, rt := range matches {
 			out.Rows = append(out.Rows, lt.Concat(rt))
@@ -158,72 +197,4 @@ func hasNull(t Tuple) bool {
 		}
 	}
 	return false
-}
-
-// joinedSchema concatenates two schemas, qualifying each attribute with
-// its source schema name. If a source attribute is already qualified
-// (contains a dot), it is kept as is. The joined key is the union of the
-// two keys; all joined attributes are nullable (outer joins pad with null).
-func joinedSchema(l, r *Schema) (*Schema, error) {
-	attrs := make([]Attribute, 0, l.Arity()+r.Arity())
-	var keyNames []string
-	add := func(s *Schema) {
-		for i := 0; i < s.Arity(); i++ {
-			a := s.Attr(i)
-			name := a.Name
-			if !hasDot(name) {
-				name = s.Name() + "." + a.Name
-			}
-			attrs = append(attrs, Attribute{Name: name, Type: a.Type, Nullable: true})
-			if s.IsKeyAttr(i) {
-				keyNames = append(keyNames, name)
-			}
-		}
-	}
-	add(l)
-	add(r)
-	return NewSchema(l.Name()+"*"+r.Name(), attrs, keyNames)
-}
-
-func hasDot(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '.' {
-			return true
-		}
-	}
-	return false
-}
-
-// QualifyPlan renames every attribute of its input to "Prefix.Name"
-// (attributes already containing a dot are kept). It lets join chains
-// address attributes uniformly by qualified name.
-type QualifyPlan struct {
-	Input  Plan
-	Prefix string
-}
-
-// Run implements Plan.
-func (p QualifyPlan) Run() (*ResultSet, error) {
-	in, err := p.Input.Run()
-	if err != nil {
-		return nil, err
-	}
-	s := in.Schema
-	attrs := make([]Attribute, s.Arity())
-	var keyNames []string
-	for i := 0; i < s.Arity(); i++ {
-		a := s.Attr(i)
-		if !hasDot(a.Name) {
-			a.Name = p.Prefix + "." + a.Name
-		}
-		attrs[i] = a
-		if s.IsKeyAttr(i) {
-			keyNames = append(keyNames, a.Name)
-		}
-	}
-	schema, err := NewSchema(p.Prefix, attrs, keyNames)
-	if err != nil {
-		return nil, err
-	}
-	return &ResultSet{Schema: schema, Rows: in.Rows}, nil
 }

@@ -7,20 +7,20 @@ import (
 
 func TestQualifyPlan(t *testing.T) {
 	db := testDB(t)
-	rs := run(t, QualifyPlan{Input: ScanPlan{db.MustRelation("COURSES")}, Prefix: "C"})
-	if _, ok := rs.Schema.AttrIndex("C.CourseID"); !ok {
+	rs := chain(t, db, "COURSES")
+	if _, ok := rs.Schema.AttrIndex("COURSES.CourseID"); !ok {
 		t.Fatalf("qualified attr missing: %v", rs.Schema.AttrNames())
 	}
-	if !rs.Schema.IsKeyName("C.CourseID") {
+	if !rs.Schema.IsKeyName("COURSES.CourseID") {
 		t.Fatal("key should stay the key after qualification")
 	}
 	if rs.Len() != 4 {
 		t.Fatalf("rows = %d", rs.Len())
 	}
 	// Already-qualified attributes are kept.
-	rs2 := run(t, QualifyPlan{Input: QualifyPlan{Input: ScanPlan{db.MustRelation("COURSES")}, Prefix: "C"}, Prefix: "D"})
-	if _, ok := rs2.Schema.AttrIndex("C.CourseID"); !ok {
-		t.Fatalf("double qualification rewrote names: %v", rs2.Schema.AttrNames())
+	db.MustCreateRelation(MustSchema("D", []Attribute{{Name: "C.CourseID", Type: KindString}}, []string{"C.CourseID"}))
+	if rs := chain(t, db, "D"); rs.Schema.AttrNames()[0] != "C.CourseID" {
+		t.Fatalf("double qualification rewrote names: %v", rs.Schema.AttrNames())
 	}
 }
 
@@ -58,35 +58,9 @@ func TestMatchEqualPrimaryKeyFastPath(t *testing.T) {
 	}
 }
 
-func TestSelectPlanPropagatesChildError(t *testing.T) {
-	db := testDB(t)
-	bad := SelectPlan{
-		Input: ProjectPlan{ScanPlan{db.MustRelation("COURSES")}, []string{"Nope"}},
-		Pred:  Eq("X", Int(1)),
-	}
-	if _, err := bad.Run(); err == nil {
-		t.Fatal("child error swallowed")
-	}
-	for _, p := range []Plan{
-		ProjectPlan{bad, []string{"X"}},
-		JoinPlan{Left: bad, Right: ScanPlan{db.MustRelation("GRADES")}},
-		JoinPlan{Left: ScanPlan{db.MustRelation("GRADES")}, Right: bad},
-		QualifyPlan{Input: bad, Prefix: "Q"},
-	} {
-		if _, err := p.Run(); err == nil {
-			t.Errorf("%T swallowed child error", p)
-		}
-	}
-}
-
 func TestJoinSchemaNameAndKeys(t *testing.T) {
 	db := testDB(t)
-	rs := run(t, JoinPlan{
-		Left:       ScanPlan{db.MustRelation("COURSES")},
-		Right:      ScanPlan{db.MustRelation("GRADES")},
-		LeftAttrs:  []string{"CourseID"},
-		RightAttrs: []string{"CourseID"},
-	})
+	rs := chain(t, db, "COURSES", gradesJoin(false))
 	if !strings.Contains(rs.Schema.Name(), "*") {
 		t.Fatalf("joined schema name = %q", rs.Schema.Name())
 	}

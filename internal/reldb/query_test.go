@@ -1,6 +1,10 @@
 package reldb
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 // testDB builds a two-relation database:
 //
@@ -49,59 +53,68 @@ func testDB(t *testing.T) *Database {
 	return db
 }
 
-func run(t *testing.T, p Plan) *ResultSet {
+// chain runs JoinChain over db, failing the test on an error.
+func chain(t *testing.T, db *Database, root string, joins ...Join) *ResultSet {
 	t.Helper()
-	rs, err := p.Run()
+	rs, err := JoinChain(db, root, joins)
 	if err != nil {
-		t.Fatalf("plan failed: %v", err)
+		t.Fatalf("JoinChain(%s): %v", root, err)
 	}
 	return rs
 }
 
+// scanOf is the ResultSet of every row of the named relation.
+func scanOf(db *Database, name string) *ResultSet {
+	r := db.MustRelation(name)
+	return &ResultSet{Schema: r.Schema(), Rows: r.All()}
+}
+
 func TestScanAndSelect(t *testing.T) {
 	db := testDB(t)
-	courses := db.MustRelation("COURSES")
-	rs := run(t, ScanPlan{courses})
-	if rs.Len() != 4 {
-		t.Fatalf("scan = %d rows", rs.Len())
+	courses := scanOf(db, "COURSES")
+	if courses.Len() != 4 {
+		t.Fatalf("scan = %d rows", courses.Len())
 	}
-	rs = run(t, SelectPlan{ScanPlan{courses}, Eq("Dept", String("CS"))})
-	if rs.Len() != 2 {
-		t.Fatalf("select = %d rows", rs.Len())
+	for _, c := range []struct {
+		pred Expr
+		want int
+	}{{Eq("Dept", String("CS")), 2}, {nil, 4}} {
+		rs, err := courses.Filter(c.pred)
+		if err != nil || rs.Len() != c.want {
+			t.Fatalf("Filter(%v) = %d rows, %v; want %d", c.pred, rs.Len(), err, c.want)
+		}
 	}
-	rs = run(t, SelectPlan{ScanPlan{courses}, nil})
-	if rs.Len() != 4 {
-		t.Fatalf("select nil pred = %d rows", rs.Len())
-	}
-	if _, err := (SelectPlan{ScanPlan{courses}, Eq("Nope", Int(1))}).Run(); err == nil {
-		t.Fatal("select with bad predicate should fail")
+	if rs, err := courses.Filter(Eq("Nope", Int(1))); err == nil || rs != nil {
+		t.Fatalf("Filter with a bad predicate = %v, %v; want an error", rs, err)
 	}
 }
 
 func TestProject(t *testing.T) {
 	db := testDB(t)
-	courses := db.MustRelation("COURSES")
-	rs := run(t, ProjectPlan{ScanPlan{courses}, []string{"Dept", "CourseID"}})
+	courses := scanOf(db, "COURSES")
+	rs, err := courses.Project([]string{"Dept", "CourseID"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rs.Schema.Arity() != 2 {
 		t.Fatalf("projected arity = %d", rs.Schema.Arity())
 	}
 	if rs.Row(0).MustGet("Dept").IsNull() {
 		t.Fatal("projection lost values")
 	}
-	if _, err := (ProjectPlan{ScanPlan{courses}, []string{"Nope"}}).Run(); err == nil {
+	if _, err := courses.Project([]string{"Nope"}); err == nil {
 		t.Fatal("projecting unknown attr should fail")
 	}
 }
 
+// gradesJoin joins GRADES to COURSES on CourseID.
+func gradesJoin(outer bool) Join {
+	return Join{Relation: "GRADES", LeftAttrs: []string{"CourseID"}, RightAttrs: []string{"CourseID"}, Outer: outer}
+}
+
 func TestJoin(t *testing.T) {
 	db := testDB(t)
-	p := JoinPlan{
-		Left:       ScanPlan{db.MustRelation("COURSES")},
-		Right:      ScanPlan{db.MustRelation("GRADES")},
-		LeftAttrs:  []string{"CourseID"},
-		RightAttrs: []string{"CourseID"},
-	}
-	rs := run(t, p)
+	rs := chain(t, db, "COURSES", gradesJoin(false))
 	if rs.Len() != 6 {
 		t.Fatalf("join = %d rows, want 6", rs.Len())
 	}
@@ -119,18 +132,57 @@ func TestJoin(t *testing.T) {
 			t.Fatal("join produced non-matching row")
 		}
 	}
+	// The same join spelled with qualified names gives the same rows.
+	q := chain(t, db, "COURSES", Join{Relation: "GRADES",
+		LeftAttrs: []string{"COURSES.CourseID"}, RightAttrs: []string{"GRADES.CourseID"}})
+	sameTuples(t, "qualified join", q.Rows, rs.Rows)
+}
+
+// TestJoinChainResolvesNames: an unqualified left attribute is the
+// root's, however far down the chain the join is, an unqualified right
+// one the joined relation's, and a qualified name reaches any relation
+// already in the chain.
+func TestJoinChainResolvesNames(t *testing.T) {
+	db := testDB(t)
+	people := db.MustCreateRelation(MustSchema("PEOPLE", []Attribute{
+		{Name: "PID", Type: KindInt},
+		{Name: "Dept", Type: KindString},
+	}, []string{"PID"}))
+	for _, p := range []Tuple{{Int(1), String("CS")}, {Int(2), String("EE")}} {
+		if err := people.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// COURSES ⋈ GRADES ⋈ PEOPLE: Dept is COURSES.Dept, three relations
+	// back; PID is PEOPLE.PID.
+	rs := chain(t, db, "COURSES", gradesJoin(false), Join{Relation: "PEOPLE",
+		LeftAttrs: []string{"Dept", "GRADES.PID"}, RightAttrs: []string{"Dept", "PID"}})
+	var got []string
+	for i := 0; i < rs.Len(); i++ {
+		row := rs.Row(i)
+		got = append(got, fmt.Sprintf("%s/%d", row.MustGet("COURSES.CourseID").MustString(), row.MustGet("PEOPLE.PID").MustInt()))
+	}
+	// PID 1 (CS) took CS101 and CS345; PID 2 (EE) took CS101 and EE201.
+	if want := "CS101/1 CS345/1 EE201/2"; strings.Join(got, " ") != want {
+		t.Fatalf("chain rows = %v, want %s", got, want)
+	}
+	for _, j := range []Join{
+		{Relation: "PEOPLE", LeftAttrs: []string{"Grade"}, RightAttrs: []string{"PID"}},  // Grade is not the root's
+		{Relation: "PEOPLE", LeftAttrs: []string{"Dept"}, RightAttrs: []string{"Title"}}, // Title is not PEOPLE's
+		{Relation: "NOPE"},
+	} {
+		if _, err := JoinChain(db, "COURSES", []Join{gradesJoin(false), j}); err == nil {
+			t.Errorf("JoinChain accepted %+v", j)
+		}
+	}
+	if _, err := JoinChain(db, "NOPE", nil); err == nil {
+		t.Error("JoinChain accepted an unknown root")
+	}
 }
 
 func TestOuterJoin(t *testing.T) {
 	db := testDB(t)
-	p := JoinPlan{
-		Left:       ScanPlan{db.MustRelation("COURSES")},
-		Right:      ScanPlan{db.MustRelation("GRADES")},
-		LeftAttrs:  []string{"CourseID"},
-		RightAttrs: []string{"CourseID"},
-		Outer:      true,
-	}
-	rs := run(t, p)
+	rs := chain(t, db, "COURSES", gradesJoin(true))
 	// ME301 has no grades: 6 matched + 1 null-padded.
 	if rs.Len() != 7 {
 		t.Fatalf("outer join = %d rows, want 7", rs.Len())
@@ -161,27 +213,20 @@ func TestJoinNullKeysDoNotMatch(t *testing.T) {
 	_ = l.Insert(Tuple{Int(1), Int(7)})
 	_ = l.Insert(Tuple{Int(2), Null()})
 	_ = r.Insert(Tuple{Int(7)})
-	inner := run(t, JoinPlan{Left: ScanPlan{l}, Right: ScanPlan{r},
-		LeftAttrs: []string{"FK"}, RightAttrs: []string{"K"}})
-	if inner.Len() != 1 {
+	j := Join{Relation: "R", LeftAttrs: []string{"FK"}, RightAttrs: []string{"K"}}
+	if inner := chain(t, db, "L", j); inner.Len() != 1 {
 		t.Fatalf("inner join with null key = %d rows, want 1", inner.Len())
 	}
-	outer := run(t, JoinPlan{Left: ScanPlan{l}, Right: ScanPlan{r},
-		LeftAttrs: []string{"FK"}, RightAttrs: []string{"K"}, Outer: true})
-	if outer.Len() != 2 {
+	j.Outer = true
+	if outer := chain(t, db, "L", j); outer.Len() != 2 {
 		t.Fatalf("outer join with null key = %d rows, want 2", outer.Len())
 	}
 }
 
 func TestJoinArityMismatch(t *testing.T) {
 	db := testDB(t)
-	p := JoinPlan{
-		Left:       ScanPlan{db.MustRelation("COURSES")},
-		Right:      ScanPlan{db.MustRelation("GRADES")},
-		LeftAttrs:  []string{"CourseID"},
-		RightAttrs: []string{"CourseID", "PID"},
-	}
-	if _, err := p.Run(); err == nil {
+	j := Join{Relation: "GRADES", LeftAttrs: []string{"CourseID"}, RightAttrs: []string{"CourseID", "PID"}}
+	if _, err := JoinChain(db, "COURSES", []Join{j}); err == nil {
 		t.Fatal("mismatched join attrs should fail")
 	}
 }
@@ -206,8 +251,7 @@ func TestLargeJoinStress(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	rs := run(t, JoinPlan{Left: ScanPlan{l}, Right: ScanPlan{r},
-		LeftAttrs: []string{"ID"}, RightAttrs: []string{"FK"}})
+	rs := chain(t, db, "BIGL", Join{Relation: "BIGR", LeftAttrs: []string{"ID"}, RightAttrs: []string{"FK"}})
 	if rs.Len() != 4*n {
 		t.Fatalf("join = %d rows, want %d", rs.Len(), 4*n)
 	}
@@ -215,7 +259,7 @@ func TestLargeJoinStress(t *testing.T) {
 
 func TestResultSetRowAccess(t *testing.T) {
 	db := testDB(t)
-	rs := run(t, ScanPlan{db.MustRelation("COURSES")})
+	rs := scanOf(db, "COURSES")
 	row := rs.Row(0)
 	if _, ok := row.Get("Nope"); ok {
 		t.Fatal("Get unknown attr should be !ok")

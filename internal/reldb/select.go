@@ -118,14 +118,8 @@ func (r *Relation) SelectStats(pred Expr, st *MatchStats) ([]Tuple, error) {
 //
 //   - every attribute resolves, with no duplicates (a contradictory
 //     duplicate needs scan semantics);
-//   - no constant is null (x = null is three-valued null, which a scan
-//     treats as no match);
-//   - every constant's kind exactly equals its attribute's declared
-//     type, that type is not Float, and the constant lies in the key
-//     codec's exact domain: anything else keeps the predicate's scan
-//     semantics (numeric equality across kinds — a Float column may
-//     hold Ints beside Floats — and no match for an int no key can
-//     hold);
+//   - every constant is exact for its attribute (exactConst), as a
+//     range walk's bounds are;
 //   - the attribute set is the primary key's or a secondary index's —
 //     otherwise probing buys nothing.
 func (r *Relation) probeEqual(terms []predTerm, st *MatchStats) ([]Tuple, bool) {
@@ -143,8 +137,7 @@ func (r *Relation) probeEqual(terms []predTerm, st *MatchStats) ([]Tuple, bool) 
 		return nil, false
 	}
 	for i, j := range pl.idx {
-		a, v := r.schema.Attr(j), vals[i]
-		if v.IsNull() || a.Type == KindFloat || v.Kind() != a.Type || !keyEncodable(v) {
+		if !exactConst(r.schema.Attr(j).Type, vals[i]) {
 			return nil, false
 		}
 	}
@@ -242,18 +235,25 @@ func (r *Relation) rangeTree(ai int) (t *ptree, pkOrder bool) {
 	return &best.tree, false
 }
 
-// walkableBound reports whether bound b (nil: none) turns into an exact
-// tree position for an attribute of kind want: non-null (a null bound
-// matches nothing, three-valued), of a kind Compare orders against every
-// value the attribute can store — any numeric pair, else the same kind —
-// and inside the key codec's exact domain.
+// walkableBound reports whether bound b (nil: none) is exact for an
+// attribute of kind want.
 func walkableBound(want Kind, b *predTerm) bool {
-	if b == nil {
-		return true
-	}
+	return b == nil || exactConst(want, b.v)
+}
+
+// exactConst reports whether constant v, compared with an attribute of
+// kind want, turns into an exact tree position — one a probe or walk
+// finds every stored value Compare holds equal to v by: v is non-null (a
+// comparison with null matches nothing, three-valued), of a kind Compare
+// orders against every value the attribute can store — any numeric
+// pair, else the same kind — and inside the key codec's exact domain.
+// There ints and floats share one encoding, and −0 encodes as 0, so a
+// numeric constant finds its equals of either kind; stored key and
+// indexed values never leave that domain.
+func exactConst(want Kind, v Value) bool {
 	numeric := func(k Kind) bool { return k == KindInt || k == KindFloat }
-	have := b.v.Kind()
-	return !b.v.IsNull() && (want == have || (numeric(want) && numeric(have))) && keyEncodable(b.v)
+	have := v.Kind()
+	return !v.IsNull() && (want == have || (numeric(want) && numeric(have))) && keyEncodable(v)
 }
 
 // prefixSuccessor returns the smallest string greater than every string

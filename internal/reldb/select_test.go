@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -136,9 +137,10 @@ func TestProbeableEqual(t *testing.T) {
 	}{
 		{"key point", eqs([]string{"ID"}, Int(7)), "probe"},
 		{"indexed string", eqs([]string{"Tag"}, String("x")), "probe"},
-		{"float attr never probes", eqs([]string{"Score"}, Float(1.5)), "scan"},
-		{"int on a float attr", eqs([]string{"Score"}, Int(2)), "scan"},
-		{"kind mismatch", eqs([]string{"ID"}, Float(7)), "scan"},
+		{"indexed float", eqs([]string{"Score"}, Float(1.5)), "probe"},
+		{"int on a float attr", eqs([]string{"Score"}, Int(2)), "probe"},
+		{"float on an int key", eqs([]string{"ID"}, Float(7)), "probe"},
+		{"fractional float on an int key", eqs([]string{"ID"}, Float(7.5)), "probe"},
 		{"null constant", eqs([]string{"Tag"}, Null()), "scan"},
 		{"no access path", eqs([]string{"ID", "Tag"}, Int(7), String("x")), "scan"},
 		{"duplicate attr", eqs([]string{"Tag", "Tag"}, String("x"), String("x")), "scan"},
@@ -148,12 +150,13 @@ func TestProbeableEqual(t *testing.T) {
 		}
 	}
 	selectFails(t, r, Eq("Nope", Int(1)))
+	selectFails(t, r, Eq("Tag", Int(1))) // a kind Compare cannot order against Tag: scan, and fail
 }
 
-// TestFloatProbeSemantics pins that Select never probes a Float
-// attribute: a Float column may store Int values (kindAssignable),
-// which compare equal to a Float constant under scan semantics, and the
-// scan stays the authority on that cross-kind equality.
+// TestFloatProbeSemantics pins that an indexed Float attribute probes
+// and finds every value Compare holds equal to the constant: a Float
+// column may store Int values (kindAssignable), and ints and floats share
+// one key encoding, in which −0 is 0.
 func TestFloatProbeSemantics(t *testing.T) {
 	s, err := NewSchema("F",
 		[]Attribute{{Name: "ID", Type: KindInt}, {Name: "V", Type: KindFloat}},
@@ -162,19 +165,24 @@ func TestFloatProbeSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRelation(s)
-	if err := r.Insert(Tuple{Int(1), Int(5)}); err != nil { // Int into Float column
-		t.Fatal(err)
+	for i, v := range []Value{Int(5), Float(5), Float(0), Float(5.5)} { // an Int into the Float column
+		if err := r.Insert(Tuple{Int(int64(i)), v}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := r.CreateIndex("byV", []string{"V"}); err != nil {
 		t.Fatal(err)
 	}
-	var st MatchStats
-	got, err := r.SelectStats(Eq("V", Float(5)), &st)
-	if err != nil || len(got) != 1 {
-		t.Fatalf("Select = %v, %v; want the Int-valued row (Compare is numeric)", got, err)
-	}
-	if st.Scans != 1 {
-		t.Fatalf("Select charged %+v: the Float column must scan", st)
+	for _, c := range []struct {
+		v    Value
+		want int
+	}{{Float(5), 2}, {Int(5), 2}, {Float(math.Copysign(0, -1)), 1}, {Int(0), 1}, {Float(5.25), 0}} {
+		if got := selectPath(t, r, Eq("V", c.v)); got != "probe" {
+			t.Errorf("Select(V = %v) took a %s, want a probe", c.v, got)
+		}
+		if got, _ := r.Select(Eq("V", c.v)); len(got) != c.want {
+			t.Errorf("Select(V = %v) = %d rows, want %d", c.v, len(got), c.want)
+		}
 	}
 }
 

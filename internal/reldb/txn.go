@@ -144,7 +144,7 @@ func (tx *Tx) SetTraceOp(op obs.Op) { tx.op = op }
 
 // Commit publishes the transaction's modified relations into the catalog
 // and releases the writer lock. Relations the transaction only read are
-// not republished.
+// not republished; one it only indexed is, under the same generation.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		obs.Default.TxDoneHits.Inc()
@@ -208,6 +208,9 @@ func (tx *Tx) Commit() error {
 			pubDur = time.Since(pubStart)
 		}
 	}
+	if published == 0 {
+		tx.installIndexed()
+	}
 	gen := tx.db.gen
 	tx.db.mu.Unlock()
 	deltas := len(batch.Deltas)
@@ -238,10 +241,11 @@ func (tx *Tx) Commit() error {
 	return nil
 }
 
-// install advances the generation and swaps the written relations into
-// the catalog, frozen: a published version never mutates a node in place
-// again, and nothing about it — its edit token included — is written
-// after this. Caller holds db.mu.
+// install advances the generation and swaps the written relations, and
+// the only indexed ones (installIndexed), into the catalog, frozen: a
+// published version never mutates a node in place again, and nothing
+// about it — its edit token included — is written after this. Caller
+// holds db.mu.
 func (tx *Tx) install() {
 	tx.db.gen++
 	for name := range tx.written {
@@ -249,6 +253,22 @@ func (tx *Tx) install() {
 		r.freeze()
 		r.gen = tx.db.gen
 		tx.db.relations[name] = r
+	}
+	tx.installIndexed()
+}
+
+// installIndexed swaps into the catalog, frozen, every clone the
+// transaction wrote no tuple to but gave a new index (there is no
+// DropIndex, so only a grown index set is a changed one). An index is derived
+// state the WAL does not log, so the clone takes no generation and
+// publishes no delta: it keeps the generation of the rows it shares with
+// the version it replaces. Caller holds db.mu.
+func (tx *Tx) installIndexed() {
+	for name, r := range tx.dirty {
+		if !tx.written[name] && len(r.indexes) > len(tx.db.relations[name].indexes) {
+			r.freeze()
+			tx.db.relations[name] = r
+		}
 	}
 }
 

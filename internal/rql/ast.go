@@ -45,20 +45,12 @@ type SelectItem struct {
 	As string
 }
 
-// JoinClause joins another relation into the FROM chain.
-type JoinClause struct {
-	Table string
-	// On pairs qualified attributes: left = right.
-	OnLeft, OnRight []string
-	Outer           bool
-}
-
 // SelectStmt is a query.
 type SelectStmt struct {
 	Items    []SelectItem
 	Distinct bool
 	From     string
-	Joins    []JoinClause
+	Joins    []reldb.Join // the FROM chain past From, in order
 	Where    reldb.Expr
 	GroupBy  []string
 	OrderBy  []string

@@ -2,6 +2,7 @@ package rql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"penguin/internal/reldb"
@@ -133,50 +134,14 @@ var emptySchema = reldb.MustSchema("~empty", []reldb.Attribute{
 }, []string{"~"})
 
 // runSelect evaluates the query inside a snapshot-isolated read
-// transaction: every scanned relation comes from one committed state, and
+// transaction: every relation it reads comes from one committed state, and
 // concurrent writers are never blocked by a long-running query.
 func runSelect(db *reldb.Database, st *SelectStmt) (*Outcome, error) {
 	rtx := db.BeginRead()
 	defer rtx.Close()
-	from, err := rtx.Relation(st.From)
+	rs, err := selectFrom(rtx, st)
 	if err != nil {
 		return nil, err
-	}
-	var p reldb.Plan = reldb.ScanPlan{Rel: from}
-	if len(st.Joins) > 0 {
-		p = reldb.QualifyPlan{Input: p, Prefix: st.From}
-		for _, j := range st.Joins {
-			rel, err := rtx.Relation(j.Table)
-			if err != nil {
-				return nil, err
-			}
-			right := make([]string, len(j.OnRight))
-			for i, a := range j.OnRight {
-				if strings.Contains(a, ".") {
-					right[i] = a
-				} else {
-					right[i] = j.Table + "." + a
-				}
-			}
-			left := make([]string, len(j.OnLeft))
-			for i, a := range j.OnLeft {
-				if strings.Contains(a, ".") {
-					left[i] = a
-				} else {
-					left[i] = st.From + "." + a
-				}
-			}
-			p = reldb.JoinPlan{
-				Left:       p,
-				Right:      reldb.QualifyPlan{Input: reldb.ScanPlan{Rel: rel}, Prefix: j.Table},
-				LeftAttrs:  left,
-				RightAttrs: right,
-				Outer:      j.Outer,
-			}
-		}
-	}
-	if st.Where != nil {
-		p = reldb.SelectPlan{Input: p, Pred: st.Where}
 	}
 
 	// Aggregates and grouping.
@@ -189,25 +154,15 @@ func runSelect(db *reldb.Database, st *SelectStmt) (*Outcome, error) {
 	}
 	if hasAgg || len(st.GroupBy) > 0 {
 		var aggs []aggSpec
-		var outNames []string
 		for _, item := range st.Items {
 			if item.Star {
 				return nil, fmt.Errorf("rql: * cannot be combined with aggregates")
 			}
 			if item.Agg == "" {
 				// Must be a group-by column.
-				name := item.Expr.String()
-				found := false
-				for _, g := range st.GroupBy {
-					if g == name {
-						found = true
-						break
-					}
-				}
-				if !found {
+				if name := item.Expr.String(); !slices.Contains(st.GroupBy, name) {
 					return nil, fmt.Errorf("rql: column %s must appear in GROUP BY", name)
 				}
-				outNames = append(outNames, name)
 				continue
 			}
 			spec := aggSpec{As: item.As}
@@ -228,33 +183,56 @@ func runSelect(db *reldb.Database, st *SelectStmt) (*Outcome, error) {
 			}
 			aggs = append(aggs, spec)
 		}
-		_ = outNames
-		p = aggregatePlan{Input: p, GroupBy: st.GroupBy, Aggs: aggs}
+		rs, err = aggregate(rs, st.GroupBy, aggs)
 	} else if !st.Items[0].Star {
 		names := make([]string, len(st.Items))
 		for i, item := range st.Items {
 			names[i] = item.Expr.String()
 		}
-		p = reldb.ProjectPlan{Input: p, Names: names}
+		rs, err = rs.Project(names)
 	}
-	if st.Distinct {
-		p = distinctPlan{Input: p}
-	}
-	if len(st.OrderBy) > 0 {
-		p = sortPlan{Input: p, By: st.OrderBy, Desc: st.Desc}
-	}
-	if st.Limit >= 0 {
-		p = limitPlan{Input: p, N: st.Limit}
-	}
-	rs, err := p.Run()
 	if err != nil {
 		return nil, err
+	}
+	if st.Distinct {
+		rs = distinct(rs)
+	}
+	if len(st.OrderBy) > 0 {
+		if rs, err = sortRows(rs, st.OrderBy, st.Desc); err != nil {
+			return nil, err
+		}
+	}
+	if st.Limit >= 0 {
+		rs = limit(rs, st.Limit)
 	}
 	// Column aliases for plain projections.
 	if !hasAgg && len(st.GroupBy) == 0 {
 		rs = applyAliases(rs, st.Items)
 	}
 	return &Outcome{Rows: rs}, nil
+}
+
+// selectFrom returns the rows of the FROM clause that satisfy WHERE. One
+// table is read through Relation.Select, so an equality on an indexed
+// attribute probes and a range walks; a join chain is built by
+// reldb.JoinChain and then filtered.
+func selectFrom(rtx *reldb.ReadTx, st *SelectStmt) (*reldb.ResultSet, error) {
+	if len(st.Joins) > 0 {
+		rs, err := reldb.JoinChain(rtx, st.From, st.Joins)
+		if err != nil {
+			return nil, err
+		}
+		return rs.Filter(st.Where)
+	}
+	rel, err := rtx.Relation(st.From)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := rel.Select(st.Where)
+	if err != nil {
+		return nil, err
+	}
+	return &reldb.ResultSet{Schema: rel.Schema(), Rows: rows}, nil
 }
 
 // applyAliases renames projected columns per AS clauses.

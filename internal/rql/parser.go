@@ -269,7 +269,7 @@ func (p *parser) parseSelect() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		jc := JoinClause{Table: tbl.text, Outer: outer}
+		jc := reldb.Join{Relation: tbl.text, Outer: outer}
 		if _, err := p.expect(tokKeyword, "ON"); err != nil {
 			return nil, err
 		}
@@ -285,8 +285,8 @@ func (p *parser) parseSelect() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			jc.OnLeft = append(jc.OnLeft, l.text)
-			jc.OnRight = append(jc.OnRight, r.text)
+			jc.LeftAttrs = append(jc.LeftAttrs, l.text)
+			jc.RightAttrs = append(jc.RightAttrs, r.text)
 			if p.keyword("AND") {
 				continue
 			}

@@ -7,23 +7,13 @@ import (
 	"penguin/internal/reldb"
 )
 
-// The plans below are RQL's own, stacked on reldb's Scan, Select,
-// Project, Join and Qualify plans.
+// RQL's operators past the FROM/WHERE rows (which reldb.JoinChain or
+// Relation.Select produce): sort, distinct, limit and aggregate, each a
+// function from one ResultSet to the next.
 
-// sortPlan orders rows by the named attributes ascending (Desc flips all).
-type sortPlan struct {
-	Input reldb.Plan
-	By    []string
-	Desc  bool
-}
-
-// Run implements reldb.Plan.
-func (p sortPlan) Run() (*reldb.ResultSet, error) {
-	in, err := p.Input.Run()
-	if err != nil {
-		return nil, err
-	}
-	idx, err := in.Schema.Indices(p.By)
+// sortRows orders rows by the named attributes ascending (desc flips all).
+func sortRows(in *reldb.ResultSet, by []string, desc bool) (*reldb.ResultSet, error) {
+	idx, err := in.Schema.Indices(by)
 	if err != nil {
 		return nil, err
 	}
@@ -35,7 +25,7 @@ func (p sortPlan) Run() (*reldb.ResultSet, error) {
 			if err != nil || c == 0 {
 				continue
 			}
-			if p.Desc {
+			if desc {
 				return c > 0
 			}
 			return c < 0
@@ -45,15 +35,8 @@ func (p sortPlan) Run() (*reldb.ResultSet, error) {
 	return &reldb.ResultSet{Schema: in.Schema, Rows: rows}, nil
 }
 
-// distinctPlan removes duplicate rows (full-tuple equality).
-type distinctPlan struct{ Input reldb.Plan }
-
-// Run implements reldb.Plan.
-func (p distinctPlan) Run() (*reldb.ResultSet, error) {
-	in, err := p.Input.Run()
-	if err != nil {
-		return nil, err
-	}
+// distinct removes duplicate rows (full-tuple equality).
+func distinct(in *reldb.ResultSet) *reldb.ResultSet {
 	seen := make(map[string]struct{}, len(in.Rows))
 	out := &reldb.ResultSet{Schema: in.Schema}
 	for _, t := range in.Rows {
@@ -64,25 +47,15 @@ func (p distinctPlan) Run() (*reldb.ResultSet, error) {
 		seen[k] = struct{}{}
 		out.Rows = append(out.Rows, t)
 	}
-	return out, nil
+	return out
 }
 
-// limitPlan keeps at most N rows.
-type limitPlan struct {
-	Input reldb.Plan
-	N     int
-}
-
-// Run implements reldb.Plan.
-func (p limitPlan) Run() (*reldb.ResultSet, error) {
-	in, err := p.Input.Run()
-	if err != nil {
-		return nil, err
+// limit keeps at most n rows.
+func limit(in *reldb.ResultSet, n int) *reldb.ResultSet {
+	if len(in.Rows) > n {
+		return &reldb.ResultSet{Schema: in.Schema, Rows: in.Rows[:n]}
 	}
-	if len(in.Rows) > p.N {
-		in = &reldb.ResultSet{Schema: in.Schema, Rows: in.Rows[:p.N]}
-	}
-	return in, nil
+	return in
 }
 
 // aggFunc enumerates aggregate functions.
@@ -123,21 +96,10 @@ type aggSpec struct {
 	As   string
 }
 
-// aggregatePlan groups by the named attributes and computes aggregates.
-// With no group-by attributes, it produces exactly one row.
-type aggregatePlan struct {
-	Input   reldb.Plan
-	GroupBy []string
-	Aggs    []aggSpec
-}
-
-// Run implements reldb.Plan.
-func (p aggregatePlan) Run() (*reldb.ResultSet, error) {
-	in, err := p.Input.Run()
-	if err != nil {
-		return nil, err
-	}
-	gidx, err := in.Schema.Indices(p.GroupBy)
+// aggregate groups by the named attributes and computes aggs. With no
+// group-by attributes, it produces exactly one row.
+func aggregate(in *reldb.ResultSet, groupBy []string, aggs []aggSpec) (*reldb.ResultSet, error) {
+	gidx, err := in.Schema.Indices(groupBy)
 	if err != nil {
 		return nil, err
 	}
@@ -152,11 +114,11 @@ func (p aggregatePlan) Run() (*reldb.ResultSet, error) {
 	newGroup := func(key reldb.Tuple) *group {
 		g := &group{
 			key:    key,
-			counts: make([]int64, len(p.Aggs)),
-			sums:   make([]float64, len(p.Aggs)),
-			mins:   make([]reldb.Value, len(p.Aggs)),
-			maxs:   make([]reldb.Value, len(p.Aggs)),
-			allInt: make([]bool, len(p.Aggs)),
+			counts: make([]int64, len(aggs)),
+			sums:   make([]float64, len(aggs)),
+			mins:   make([]reldb.Value, len(aggs)),
+			maxs:   make([]reldb.Value, len(aggs)),
+			allInt: make([]bool, len(aggs)),
 		}
 		for i := range g.allInt {
 			g.allInt[i] = true
@@ -174,14 +136,14 @@ func (p aggregatePlan) Run() (*reldb.ResultSet, error) {
 			groups[ek] = g
 			order = append(order, ek)
 		}
-		for i, spec := range p.Aggs {
+		for i, spec := range aggs {
 			if spec.Attr == "" { // count(*)
 				g.counts[i]++
 				continue
 			}
 			ai, ok := in.Schema.AttrIndex(spec.Attr)
 			if !ok {
-				return nil, fmt.Errorf("reldb: aggregate over unknown attribute %s", spec.Attr)
+				return nil, fmt.Errorf("rql: aggregate over unknown attribute %s", spec.Attr)
 			}
 			v := t[ai]
 			if v.IsNull() {
@@ -209,17 +171,17 @@ func (p aggregatePlan) Run() (*reldb.ResultSet, error) {
 	}
 	// With no groups and no group-by, emit the single empty group so that
 	// count(*) over an empty input is 0, matching SQL.
-	if len(groups) == 0 && len(p.GroupBy) == 0 {
+	if len(groups) == 0 && len(groupBy) == 0 {
 		ek := reldb.Tuple{}.Encode()
 		groups[ek] = newGroup(reldb.Tuple{})
 		order = append(order, ek)
 	}
 	// Output schema: group-by attributes followed by aggregate columns.
-	attrs := make([]reldb.Attribute, 0, len(gidx)+len(p.Aggs))
+	attrs := make([]reldb.Attribute, 0, len(gidx)+len(aggs))
 	for _, gi := range gidx {
 		attrs = append(attrs, in.Schema.Attr(gi))
 	}
-	for i, spec := range p.Aggs {
+	for _, spec := range aggs {
 		name := spec.As
 		if name == "" {
 			name = spec.Func.String()
@@ -232,9 +194,8 @@ func (p aggregatePlan) Run() (*reldb.ResultSet, error) {
 			kind = reldb.KindInt
 		}
 		attrs = append(attrs, reldb.Attribute{Name: name, Type: kind, Nullable: true})
-		p.Aggs[i].As = name
 	}
-	keyNames := append([]string(nil), p.GroupBy...)
+	keyNames := append([]string(nil), groupBy...)
 	if len(keyNames) == 0 {
 		keyNames = []string{attrs[0].Name}
 	}
@@ -248,7 +209,7 @@ func (p aggregatePlan) Run() (*reldb.ResultSet, error) {
 		g := groups[ek]
 		row := make(reldb.Tuple, 0, len(attrs))
 		row = append(row, g.key...)
-		for i, spec := range p.Aggs {
+		for i, spec := range aggs {
 			switch spec.Func {
 			case aggCount:
 				row = append(row, reldb.Int(g.counts[i]))

@@ -8,13 +8,21 @@ import (
 	"penguin/internal/reldb"
 )
 
-func runPlan(t *testing.T, p reldb.Plan) *reldb.ResultSet {
-	t.Helper()
-	rs, err := p.Run()
-	if err != nil {
-		t.Fatalf("plan failed: %v", err)
+// must returns an operator's result, failing the test on its error:
+// must(t)(sortRows(…)).
+func must(t *testing.T) func(*reldb.ResultSet, error) *reldb.ResultSet {
+	return func(rs *reldb.ResultSet, err error) *reldb.ResultSet {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("operator failed: %v", err)
+		}
+		return rs
 	}
-	return rs
+}
+
+// scan is the ResultSet of every row of r.
+func scan(r *reldb.Relation) *reldb.ResultSet {
+	return &reldb.ResultSet{Schema: r.Schema(), Rows: r.All()}
 }
 
 // plansDB builds a two-relation database:
@@ -66,8 +74,8 @@ func plansDB(t *testing.T) *reldb.Database {
 
 func TestSort(t *testing.T) {
 	db := plansDB(t)
-	courses := db.MustRelation("COURSES")
-	rs := runPlan(t, sortPlan{Input: reldb.ScanPlan{Rel: courses}, By: []string{"Units", "CourseID"}})
+	courses := scan(db.MustRelation("COURSES"))
+	rs := must(t)(sortRows(courses, []string{"Units", "CourseID"}, false))
 	var got []string
 	for i := 0; i < rs.Len(); i++ {
 		got = append(got, rs.Row(i).MustGet("CourseID").MustString())
@@ -76,19 +84,18 @@ func TestSort(t *testing.T) {
 	if strings.Join(got, ",") != want {
 		t.Fatalf("sort order = %v, want %s", got, want)
 	}
-	rs = runPlan(t, sortPlan{Input: reldb.ScanPlan{Rel: courses}, By: []string{"Units", "CourseID"}, Desc: true})
+	rs = must(t)(sortRows(courses, []string{"Units", "CourseID"}, true))
 	if first := rs.Row(0).MustGet("CourseID").MustString(); first != "ME301" {
 		t.Fatalf("desc first = %s", first)
 	}
-	if _, err := (sortPlan{Input: reldb.ScanPlan{Rel: courses}, By: []string{"Nope"}}).Run(); err == nil {
+	if _, err := sortRows(courses, []string{"Nope"}, false); err == nil {
 		t.Fatal("sort by unknown attr should fail")
 	}
 }
 
 func TestDistinct(t *testing.T) {
 	db := plansDB(t)
-	p := distinctPlan{reldb.ProjectPlan{Input: reldb.ScanPlan{Rel: db.MustRelation("COURSES")}, Names: []string{"Dept"}}}
-	rs := runPlan(t, p)
+	rs := distinct(must(t)(scan(db.MustRelation("COURSES")).Project([]string{"Dept"})))
 	if rs.Len() != 3 {
 		t.Fatalf("distinct depts = %d, want 3", rs.Len())
 	}
@@ -96,11 +103,12 @@ func TestDistinct(t *testing.T) {
 
 func TestLimit(t *testing.T) {
 	db := plansDB(t)
-	rs := runPlan(t, limitPlan{reldb.ScanPlan{Rel: db.MustRelation("COURSES")}, 2})
+	courses := scan(db.MustRelation("COURSES"))
+	rs := limit(courses, 2)
 	if rs.Len() != 2 {
 		t.Fatalf("limit = %d", rs.Len())
 	}
-	rs = runPlan(t, limitPlan{reldb.ScanPlan{Rel: db.MustRelation("COURSES")}, 100})
+	rs = limit(courses, 100)
 	if rs.Len() != 4 {
 		t.Fatalf("limit beyond size = %d", rs.Len())
 	}
@@ -108,12 +116,7 @@ func TestLimit(t *testing.T) {
 
 func TestAggregateGrouped(t *testing.T) {
 	db := plansDB(t)
-	p := aggregatePlan{
-		Input:   reldb.ScanPlan{Rel: db.MustRelation("GRADES")},
-		GroupBy: []string{"CourseID"},
-		Aggs:    []aggSpec{{Func: aggCount, As: "n"}},
-	}
-	rs := runPlan(t, p)
+	rs := must(t)(aggregate(scan(db.MustRelation("GRADES")), []string{"CourseID"}, []aggSpec{{Func: aggCount, As: "n"}}))
 	counts := map[string]int64{}
 	for i := 0; i < rs.Len(); i++ {
 		row := rs.Row(i)
@@ -125,21 +128,20 @@ func TestAggregateGrouped(t *testing.T) {
 			t.Fatalf("count[%s] = %d, want %d (all: %v)", k, counts[k], v, counts)
 		}
 	}
+	if _, err := aggregate(scan(db.MustRelation("GRADES")), []string{"Nope"}, nil); err == nil {
+		t.Fatal("group by unknown attr should fail")
+	}
 }
 
 func TestAggregateGlobal(t *testing.T) {
 	db := plansDB(t)
-	p := aggregatePlan{
-		Input: reldb.ScanPlan{Rel: db.MustRelation("COURSES")},
-		Aggs: []aggSpec{
-			{Func: aggCount, As: "n"},
-			{Func: aggSum, Attr: "Units", As: "total"},
-			{Func: aggMin, Attr: "Units", As: "lo"},
-			{Func: aggMax, Attr: "Units", As: "hi"},
-			{Func: aggAvg, Attr: "Units", As: "mean"},
-		},
-	}
-	rs := runPlan(t, p)
+	rs := must(t)(aggregate(scan(db.MustRelation("COURSES")), nil, []aggSpec{
+		{Func: aggCount, As: "n"},
+		{Func: aggSum, Attr: "Units", As: "total"},
+		{Func: aggMin, Attr: "Units", As: "lo"},
+		{Func: aggMax, Attr: "Units", As: "hi"},
+		{Func: aggAvg, Attr: "Units", As: "mean"},
+	}))
 	if rs.Len() != 1 {
 		t.Fatalf("global aggregate rows = %d", rs.Len())
 	}
@@ -166,15 +168,11 @@ func TestAggregateEmptyInput(t *testing.T) {
 	r := db.MustCreateRelation(reldb.MustSchema("E", []reldb.Attribute{
 		{Name: "A", Type: reldb.KindInt},
 	}, []string{"A"}))
-	p := aggregatePlan{
-		Input: reldb.ScanPlan{Rel: r},
-		Aggs: []aggSpec{
-			{Func: aggCount, As: "n"},
-			{Func: aggSum, Attr: "A", As: "s"},
-			{Func: aggAvg, Attr: "A", As: "m"},
-		},
-	}
-	rs := runPlan(t, p)
+	rs := must(t)(aggregate(scan(r), nil, []aggSpec{
+		{Func: aggCount, As: "n"},
+		{Func: aggSum, Attr: "A", As: "s"},
+		{Func: aggAvg, Attr: "A", As: "m"},
+	}))
 	if rs.Len() != 1 {
 		t.Fatalf("empty aggregate rows = %d, want 1", rs.Len())
 	}
@@ -189,9 +187,7 @@ func TestAggregateEmptyInput(t *testing.T) {
 		t.Fatal("avg over empty should be null")
 	}
 	// Grouped aggregate over empty input yields zero rows.
-	p2 := aggregatePlan{Input: reldb.ScanPlan{Rel: r}, GroupBy: []string{"A"},
-		Aggs: []aggSpec{{Func: aggCount, As: "n"}}}
-	if rs := runPlan(t, p2); rs.Len() != 0 {
+	if rs := must(t)(aggregate(scan(r), []string{"A"}, []aggSpec{{Func: aggCount, As: "n"}})); rs.Len() != 0 {
 		t.Fatalf("grouped empty = %d rows", rs.Len())
 	}
 }
@@ -205,12 +201,11 @@ func TestAggregateNullsIgnored(t *testing.T) {
 	_ = r.Insert(reldb.Tuple{reldb.Int(1), reldb.Int(10)})
 	_ = r.Insert(reldb.Tuple{reldb.Int(2), reldb.Null()})
 	_ = r.Insert(reldb.Tuple{reldb.Int(3), reldb.Int(20)})
-	p := aggregatePlan{Input: reldb.ScanPlan{Rel: r}, Aggs: []aggSpec{
+	rs := must(t)(aggregate(scan(r), nil, []aggSpec{
 		{Func: aggCount, Attr: "V", As: "nv"},
 		{Func: aggCount, As: "n"},
 		{Func: aggAvg, Attr: "V", As: "m"},
-	}}
-	rs := runPlan(t, p)
+	}))
 	row := rs.Row(0)
 	if nv := row.MustGet("nv").MustInt(); nv != 2 {
 		t.Fatalf("count(V) = %d, want 2", nv)
@@ -225,22 +220,15 @@ func TestAggregateNullsIgnored(t *testing.T) {
 
 func TestAggregateDefaultNamesAndErrors(t *testing.T) {
 	db := plansDB(t)
-	p := aggregatePlan{
-		Input: reldb.ScanPlan{Rel: db.MustRelation("COURSES")},
-		Aggs:  []aggSpec{{Func: aggCount}, {Func: aggMax, Attr: "Units"}},
-	}
-	rs := runPlan(t, p)
+	courses := scan(db.MustRelation("COURSES"))
+	rs := must(t)(aggregate(courses, nil, []aggSpec{{Func: aggCount}, {Func: aggMax, Attr: "Units"}}))
 	if _, ok := rs.Schema.AttrIndex("count"); !ok {
 		t.Fatalf("default count name missing: %v", rs.Schema.AttrNames())
 	}
 	if _, ok := rs.Schema.AttrIndex("max_Units"); !ok {
 		t.Fatalf("default max name missing: %v", rs.Schema.AttrNames())
 	}
-	bad := aggregatePlan{
-		Input: reldb.ScanPlan{Rel: db.MustRelation("COURSES")},
-		Aggs:  []aggSpec{{Func: aggSum, Attr: "Nope"}},
-	}
-	if _, err := bad.Run(); err == nil {
+	if _, err := aggregate(courses, nil, []aggSpec{{Func: aggSum, Attr: "Nope"}}); err == nil {
 		t.Fatal("aggregate over unknown attr should fail")
 	}
 }
@@ -248,34 +236,14 @@ func TestAggregateDefaultNamesAndErrors(t *testing.T) {
 func TestComposedPipeline(t *testing.T) {
 	// Figure-4-shaped query: courses with fewer than 3 grades.
 	db := plansDB(t)
-	agg := aggregatePlan{
-		Input:   reldb.ScanPlan{Rel: db.MustRelation("GRADES")},
-		GroupBy: []string{"CourseID"},
-		Aggs:    []aggSpec{{Func: aggCount, As: "n"}},
-	}
-	few := reldb.SelectPlan{Input: agg, Pred: reldb.Cmp{Op: reldb.OpLt, L: reldb.Attr{Name: "n"}, R: reldb.Const{V: reldb.Int(3)}}}
-	rs := runPlan(t, few)
+	agg := must(t)(aggregate(scan(db.MustRelation("GRADES")), []string{"CourseID"}, []aggSpec{{Func: aggCount, As: "n"}}))
+	rs := must(t)(agg.Filter(reldb.Cmp{Op: reldb.OpLt, L: reldb.Attr{Name: "n"}, R: reldb.Const{V: reldb.Int(3)}}))
 	ids := map[string]bool{}
 	for i := 0; i < rs.Len(); i++ {
 		ids[rs.Row(i).MustGet("CourseID").MustString()] = true
 	}
 	if !ids["CS345"] || !ids["EE201"] || ids["CS101"] {
 		t.Fatalf("pipeline result = %v", ids)
-	}
-}
-
-func TestPlansPropagateChildError(t *testing.T) {
-	db := plansDB(t)
-	bad := reldb.ProjectPlan{Input: reldb.ScanPlan{Rel: db.MustRelation("COURSES")}, Names: []string{"Nope"}}
-	for _, p := range []reldb.Plan{
-		sortPlan{Input: bad, By: []string{"X"}},
-		distinctPlan{bad},
-		limitPlan{bad, 1},
-		aggregatePlan{Input: bad},
-	} {
-		if _, err := p.Run(); err == nil {
-			t.Errorf("%T swallowed child error", p)
-		}
 	}
 }
 
@@ -297,11 +265,7 @@ func Example_aggregatePlan() {
 	_ = r.Insert(reldb.Tuple{reldb.String("a"), reldb.Int(1)})
 	_ = r.Insert(reldb.Tuple{reldb.String("a"), reldb.Int(2)})
 	_ = r.Insert(reldb.Tuple{reldb.String("b"), reldb.Int(5)})
-	rs, _ := (aggregatePlan{
-		Input:   reldb.ScanPlan{Rel: r},
-		GroupBy: []string{"G"},
-		Aggs:    []aggSpec{{Func: aggSum, Attr: "V", As: "s"}},
-	}).Run()
+	rs, _ := aggregate(scan(r), []string{"G"}, []aggSpec{{Func: aggSum, Attr: "V", As: "s"}})
 	for i := 0; i < rs.Len(); i++ {
 		row := rs.Row(i)
 		fmt.Printf("%s=%s\n", row.MustGet("G"), row.MustGet("s"))

@@ -260,7 +260,7 @@ func TestDelete(t *testing.T) {
 	}
 }
 
-// TestWhereProbesIndex: an UPDATE or DELETE whose WHERE is an equality
+// TestWhereProbesIndex: a SELECT, UPDATE or DELETE whose WHERE is an equality
 // on an indexed attribute probes the index — the relation is charged
 // probes and no scan — and affects exactly the rows the same predicate's
 // scan form (or-wrapped, which no probe serves) does.
@@ -293,6 +293,26 @@ func TestWhereProbesIndex(t *testing.T) {
 					t.Errorf("%s: row %d is %v after the probe, %v after the scan", stmt, i, got[i], want[i])
 				}
 			}
+		}
+	}
+
+	// A SELECT on one table reads through the same planner.
+	db := indexed()
+	before := obs.Default.Snapshot()
+	probed := mustExec(t, db, `SELECT * FROM emp WHERE dept = 'cs'`).Rows
+	d := obs.Default.Snapshot().Sub(before)
+	probes := d.LabeledCounters["reldb.relation.probes"].Values["emp"]
+	scans := d.LabeledCounters["reldb.relation.scans"].Values["emp"]
+	if probes == 0 || scans != 0 {
+		t.Errorf("SELECT … WHERE dept = 'cs': %d probes, %d scans of emp; want a probe and no scan", probes, scans)
+	}
+	scanned := mustExec(t, db, `SELECT * FROM emp WHERE dept = 'cs' or dept = 'cs'`).Rows
+	if probed.Len() != 2 || probed.Len() != scanned.Len() {
+		t.Fatalf("SELECT: the probe read %d rows, the scan %d; want 2 each", probed.Len(), scanned.Len())
+	}
+	for i := range probed.Rows {
+		if !probed.Rows[i].Equal(scanned.Rows[i]) {
+			t.Errorf("SELECT: row %d is %v from the probe, %v from the scan", i, probed.Rows[i], scanned.Rows[i])
 		}
 	}
 }

@@ -11,9 +11,7 @@ import (
 // *reldb.Tx satisfy it; integrity routines that run inside a transaction
 // must be handed the transaction, because Database.Relation takes the
 // database lock the transaction already holds.
-type Resolver interface {
-	Relation(name string) (*reldb.Relation, error)
-}
+type Resolver = reldb.Resolver
 
 // ConnectedVia returns the tuples of e.Target() connected to tuple across
 // the edge, resolving relations through res. A null connecting value on
