@@ -171,7 +171,7 @@ func TestServeSignalDurability(t *testing.T) {
 	if !ok {
 		t.Fatal("COURSES has no Title attribute")
 	}
-	title := row[idx].MustString()
+	title := row.At(idx).MustString()
 	k, err := strconv.Atoi(strings.TrimPrefix(title, "acked-"))
 	if err != nil || k < acks {
 		t.Fatalf("recovered Title %q, want acked-k with k >= %d (the last acknowledged update)", title, acks)

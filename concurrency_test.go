@@ -331,8 +331,8 @@ func TestStressMetricsCoherent(t *testing.T) {
 func courseIDs(t *testing.T, db *reldb.Database) []string {
 	t.Helper()
 	var ids []string
-	db.MustRelation(university.Courses).Scan(func(tup reldb.Tuple) bool {
-		s, _ := tup[0].AsString()
+	db.MustRelation(university.Courses).Scan(func(tup reldb.Row) bool {
+		s, _ := tup.At(0).AsString()
 		ids = append(ids, s)
 		return true
 	})

@@ -141,7 +141,7 @@ func main() {
 	must(repl.Root().SetAttr(asm, "AsmID", penguin.String("GRIPPER-MK2")))
 	must(repl.Root().SetAttr(asm, "Rev", penguin.Int(4)))
 	for _, comp := range repl.Root().Children("COMPONENT") {
-		if comp.Tuple()[1].MustInt() == 2 {
+		if comp.Row().At(1).MustInt() == 2 {
 			must(comp.SetAttr(asm, "PartNo", penguin.String("P-201")))
 			part := comp.Children("PART")[0]
 			must(part.SetTuple(asm, penguin.Tuple{
@@ -169,7 +169,7 @@ func main() {
 	}
 	repl2 := old2.Clone()
 	for _, comp := range repl2.Root().Children("COMPONENT") {
-		if comp.Tuple()[1].MustInt() == 1 {
+		if comp.Row().At(1).MustInt() == 1 {
 			must(comp.SetAttr(asm, "PartNo", penguin.String("P-999")))
 			part := comp.Children("PART")[0]
 			must(part.SetTuple(asm, penguin.Tuple{

@@ -184,7 +184,7 @@ func (t *Translator) validateCandidate(ops []CandidateOp, baseline *reldb.Result
 				if !ok {
 					return fmt.Errorf("C4: %s: tuple missing", op)
 				}
-				nt := old.Clone()
+				nt := old.Tuple()
 				idx, err := rel.Schema().Indices(op.Attrs)
 				if err != nil {
 					return err
@@ -398,7 +398,7 @@ func (t *Translator) validateInsertCandidate(viewTuple reldb.Tuple, ops []Candid
 				if !ok {
 					return fmt.Errorf("C4: %s: tuple missing", op)
 				}
-				merged := existing.Clone()
+				merged := existing.Tuple()
 				for bi, vi := range attrMap {
 					merged[bi] = viewTuple[vi]
 				}

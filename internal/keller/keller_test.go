@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	. "penguin/internal/keller"
+	"penguin/internal/obs"
 	"penguin/internal/reldb"
 	"penguin/internal/structural"
 	"penguin/internal/university"
@@ -145,8 +146,8 @@ func TestFlatInsert(t *testing.T) {
 		t.Fatalf("inserts = %d, want 2", res.Inserts)
 	}
 	course, _ := db.MustRelation(university.Courses).Get(reldb.Tuple{s("CS999")})
-	if !course[2].IsNull() { // DeptName projected out
-		t.Fatalf("DeptName = %v, want null", course[2])
+	if !course.At(2).IsNull() { // DeptName projected out
+		t.Fatalf("DeptName = %v, want null", course.At(2))
 	}
 	// Existing grade row: case 1 for GRADES (no-op), case 3 for COURSES
 	// is root-identical → rejection.
@@ -171,10 +172,10 @@ func TestFlatInsertCase3Replaces(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 	got, _ := db.MustRelation(university.Courses).Get(reldb.Tuple{s("CS345")})
-	if got[1].MustString() != "Renamed DB" {
-		t.Fatalf("title = %v", got[1])
+	if got.At(1).MustString() != "Renamed DB" {
+		t.Fatalf("title = %v", got.At(1))
 	}
-	if got[2].IsNull() {
+	if got.At(2).IsNull() {
 		t.Fatal("invisible attribute clobbered")
 	}
 }
@@ -214,8 +215,8 @@ func TestFlatReplaceSameKeys(t *testing.T) {
 		t.Fatalf("result = %+v", res)
 	}
 	got, _ := db.MustRelation(university.Grades).Get(reldb.Tuple{s("CS345"), iv(1)})
-	if got[3].MustString() != "A+" {
-		t.Fatalf("grade = %v", got[3])
+	if got.At(3).MustString() != "A+" {
+		t.Fatalf("grade = %v", got.At(3))
 	}
 	// Identical replace: zero ops.
 	res, err = tr.Replace(nu, nu)
@@ -332,5 +333,90 @@ func TestOuterJoinView(t *testing.T) {
 	// 17 matched rows; every course has at least one grade in the seed.
 	if rs.Len() != 17 {
 		t.Fatalf("rows = %d", rs.Len())
+	}
+}
+
+// viewDB holds KR(A, B) and KS(A, C), joined on A, with rows rows of
+// each.
+func viewDB(t *testing.T, rows int) (*reldb.Database, []Join) {
+	t.Helper()
+	db := reldb.NewDatabase()
+	kr := db.MustCreateRelation(reldb.MustSchema("KR", []reldb.Attribute{
+		{Name: "A", Type: reldb.KindInt}, {Name: "B", Type: reldb.KindString, Nullable: true},
+	}, []string{"A"}))
+	ks := db.MustCreateRelation(reldb.MustSchema("KS", []reldb.Attribute{
+		{Name: "A", Type: reldb.KindInt}, {Name: "C", Type: reldb.KindInt},
+	}, []string{"A", "C"}))
+	for i := int64(0); i < int64(rows); i++ {
+		if err := kr.Insert(reldb.Tuple{iv(i), s("x")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := ks.Insert(reldb.Tuple{iv(i), iv(2 * i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db, []Join{{Relation: "KR"}, {Relation: "KS", LeftAttrs: []string{"KR.A"}, RightAttrs: []string{"A"}}}
+}
+
+// TestViewRefusalIndependentOfData: NewView checks a definition against
+// the relation schemas, so an empty database and one holding a row
+// refuse the same bad definitions and accept the same good one.
+func TestViewRefusalIndependentOfData(t *testing.T) {
+	eq := func(e reldb.Expr) reldb.Expr { return reldb.Cmp{Op: reldb.OpEq, L: e, R: reldb.Const{V: iv(1)}} }
+	for _, rows := range []int{0, 1} {
+		db, joins := viewDB(t, rows)
+		for what, sel := range map[string]reldb.Expr{
+			"an unknown attribute":        eq(reldb.Attr{Rel: "KR", Name: "Nope"}),
+			"an unknown qualifier":        eq(reldb.Attr{Rel: "KT", Name: "A"}),
+			"an unknown unqualified name": eq(reldb.Attr{Name: "Nope"}),
+			"an unknown attribute behind a short circuit": reldb.And{Terms: []reldb.Expr{
+				reldb.Not{E: reldb.IsNull{E: reldb.Attr{Rel: "KR", Name: "B"}}},
+				reldb.Or{Terms: []reldb.Expr{eq(reldb.Attr{Rel: "KS", Name: "C"}), reldb.Like{E: reldb.Attr{Rel: "KS", Name: "Nope"}, Pattern: "%"}}},
+			}},
+		} {
+			if _, err := NewView(db, "bad", joins, sel, nil); err == nil {
+				t.Errorf("%d rows: selection with %s accepted", rows, what)
+			}
+		}
+		if _, err := NewView(db, "bad", joins, nil, []string{"KS.Nope"}); err == nil {
+			t.Errorf("%d rows: unknown projected attribute accepted", rows)
+		}
+		v, err := NewView(db, "good", joins, eq(reldb.Attr{Rel: "KS", Name: "C"}), []string{"KR.A", "KS.C"})
+		if err != nil {
+			t.Fatalf("%d rows: %v", rows, err)
+		}
+		if got := strings.Join(v.Schema().AttrNames(), ","); got != "KR.A,KS.C" {
+			t.Fatalf("%d rows: view schema %s", rows, got)
+		}
+	}
+}
+
+// TestNewViewScansNoRow: defining a view reads no row of its relations
+// (reldb.relation.scans and .scanned stay put); materializing it scans
+// each relation of the join chain once.
+func TestNewViewScansNoRow(t *testing.T) {
+	db, joins := viewDB(t, 3)
+	charged := func() (scans, scanned int64) {
+		for _, rel := range []string{"KR", "KS"} {
+			slot := obs.Default.Relations.Intern(rel)
+			scans += obs.Default.RelScans.At(slot).Load()
+			scanned += obs.Default.RelScanned.At(slot).Load()
+		}
+		return scans, scanned
+	}
+	scans0, scanned0 := charged()
+	v, err := NewView(db, "kv", joins, reldb.Cmp{Op: reldb.OpEq, L: reldb.Attr{Rel: "KR", Name: "B"}, R: reldb.Const{V: s("x")}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scans, scanned := charged(); scans != scans0 || scanned != scanned0 {
+		t.Fatalf("NewView charged %d scans over %d rows", scans-scans0, scanned-scanned0)
+	}
+	rs, err := v.Materialize()
+	if err != nil || rs.Len() != 3 {
+		t.Fatalf("Materialize = %v rows, %v", rs, err)
+	}
+	if scans, scanned := charged(); scans != scans0+2 || scanned != scanned0+6 {
+		t.Fatalf("Materialize charged %d scans over %d rows, want 2 over 6", scans-scans0, scanned-scanned0)
 	}
 }

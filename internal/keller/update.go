@@ -125,7 +125,7 @@ func (t *Translator) insertIntoRelation(tx *reldb.Tx, res *Result, viewSchema *r
 			return fmt.Errorf("keller: %s: modifications of %s are not allowed: %w",
 				t.View.Name, relName, ErrRejected)
 		}
-		merged := existing.Clone()
+		merged := existing.Tuple()
 		for bi, vi := range attrMap {
 			merged[bi] = viewTuple[vi]
 		}
@@ -155,9 +155,9 @@ func finishOp(op obs.Op, res *Result, err error) (*Result, error) {
 
 // visibleEqual compares a constructed tuple with an existing one on the
 // attributes the view exposes.
-func visibleEqual(bt, existing reldb.Tuple, attrMap map[int]int) bool {
+func visibleEqual(bt reldb.Tuple, existing reldb.Row, attrMap map[int]int) bool {
 	for bi := range attrMap {
-		if !bt[bi].Equal(existing[bi]) {
+		if !bt[bi].Equal(existing.At(bi)) {
 			return false
 		}
 	}
@@ -242,7 +242,7 @@ func (t *Translator) replaceInRelation(tx *reldb.Tx, res *Result, viewSchema *re
 			return fmt.Errorf("keller: %s: %s tuple %s no longer exists: %w",
 				t.View.Name, relName, oldKey, reldb.ErrNoSuchTuple)
 		}
-		merged := existing.Clone()
+		merged := existing.Tuple()
 		changed := false
 		for bi, vi := range attrMap {
 			if !merged[bi].Equal(newTuple[vi]) {
@@ -283,7 +283,7 @@ func (t *Translator) replaceInRelation(tx *reldb.Tx, res *Result, viewSchema *re
 			return fmt.Errorf("keller: %s: modifications of %s are not allowed: %w",
 				t.View.Name, relName, ErrRejected)
 		}
-		merged := existing.Clone()
+		merged := existing.Tuple()
 		for bi, vi := range attrMap {
 			merged[bi] = newTuple[vi]
 		}

@@ -67,16 +67,25 @@ func NewView(db *reldb.Database, name string, joins []Join, selection reldb.Expr
 			return nil, fmt.Errorf("keller: view %s: join %d has mismatched attribute lists", name, i)
 		}
 	}
-	// Derive and cache the view schema by evaluating the view once (this
-	// also validates the joins, the selection on the rows present, and
-	// the projection).
-	rtx := db.BeginRead()
-	rs, err := v.eval(rtx)
-	rtx.Close()
+	// Derive and cache the view schema from the relation schemas, reading
+	// no row: the joins, every attribute the selection names and the
+	// projection are checked against it, so a bad definition is refused
+	// whatever the data holds.
+	schema, err := reldb.JoinSchema(db, joins[0].Relation, joins[1:])
 	if err != nil {
 		return nil, err
 	}
-	v.schema = rs.Schema
+	if selection != nil {
+		if err := reldb.CheckExpr(selection, schema); err != nil {
+			return nil, fmt.Errorf("keller: view %s: selection: %w", name, err)
+		}
+	}
+	if len(projection) > 0 {
+		if schema, err = schema.ProjectSchema(schema.Name(), projection); err != nil {
+			return nil, err
+		}
+	}
+	v.schema = schema
 	v.attrMaps = make(map[string]map[int]int, len(joins))
 	for _, j := range joins {
 		m, err := v.relationAttrs(v.schema, j.Relation)

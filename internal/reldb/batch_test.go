@@ -40,8 +40,8 @@ func TestMatchEqualUsesOrderPermutedIndex(t *testing.T) {
 	}
 	// Same query via a scan on an index-less twin must agree.
 	r2 := NewRelation(s)
-	r.Scan(func(tup Tuple) bool {
-		if err := r2.Insert(tup); err != nil {
+	r.Scan(func(tup Row) bool {
+		if err := r2.Insert(tup.Tuple()); err != nil {
 			t.Fatal(err)
 		}
 		return true
@@ -128,18 +128,17 @@ func checkBatch(t *testing.T, r *Relation, st MatchStats) {
 		{String("C1")},
 		{String("C3")},
 		{String("C1")},   // duplicate: must collapse into one probe
-		{String("nope")}, // no matches: absent from the result
+		{String("nope")}, // no matches: a nil bucket
 	}
 	got, err := r.MatchEqualBatchStats([]string{"CourseID"}, valSets, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("batch returned %d buckets, want 2", len(got))
+	if len(got) != len(valSets) {
+		t.Fatalf("batch returned %d buckets, want one per value set (%d)", len(got), len(valSets))
 	}
-	for _, course := range []string{"C1", "C3"} {
-		key := EncodeValues(String(course))
-		bucket := got[key]
+	for i, course := range []string{"C1", "C3", "C1"} {
+		bucket := got[i]
 		want, err := r.MatchEqual([]string{"CourseID"}, Tuple{String(course)})
 		if err != nil {
 			t.Fatal(err)
@@ -153,8 +152,11 @@ func checkBatch(t *testing.T, r *Relation, st MatchStats) {
 			}
 		}
 	}
-	if _, ok := got[EncodeValues(String("nope"))]; ok {
-		t.Fatal("empty bucket present in batch result")
+	if &got[0][0] != &got[2][0] {
+		t.Fatal("equal value sets got separate buckets")
+	}
+	if got[3] != nil {
+		t.Fatalf("value set with no match got bucket %v, want nil", got[3])
 	}
 }
 
@@ -208,11 +210,11 @@ func TestMatchEqualBatchPointLookupPath(t *testing.T) {
 	if st.Scans != 0 || st.Probes != 3 {
 		t.Fatalf("point-path stats = %+v, want 3 probes and no scans", st)
 	}
-	if len(got) != 2 {
-		t.Fatalf("point path returned %d buckets, want 2", len(got))
+	if len(got) != 3 || got[1] == nil || got[2] != nil {
+		t.Fatalf("point path returned buckets %v, want hits for the first two sets only", got)
 	}
-	hit := got[EncodeValues(Int(3), String("C3"))]
-	if len(hit) != 1 || !hit[0].Equal(grade("C3", 3, "A")) {
+	hit := got[0]
+	if len(hit) != 1 || !hit[0].Equal(RowOf(grade("C3", 3, "A"))) {
 		t.Fatalf("point lookup bucket = %v", hit)
 	}
 }
@@ -256,7 +258,7 @@ func TestReplaceKeyChangeMaintainsNonKeyIndex(t *testing.T) {
 	if err != nil || len(got) != 2 {
 		t.Fatalf("bucket A = %d rows, %v", len(got), err)
 	}
-	if !got[0].Equal(grade("CS101", 2, "A")) || !got[1].Equal(grade("EE201", 7, "A")) {
+	if !got[0].Equal(RowOf(grade("CS101", 2, "A"))) || !got[1].Equal(RowOf(grade("EE201", 7, "A"))) {
 		t.Fatalf("bucket A rows = %v", got)
 	}
 	// Key change and bucket change together.
@@ -265,7 +267,7 @@ func TestReplaceKeyChangeMaintainsNonKeyIndex(t *testing.T) {
 	}
 	a, _ := indexLookup(t, r, []string{"Grade"}, Tuple{String("A")})
 	b, _ := indexLookup(t, r, []string{"Grade"}, Tuple{String("B")})
-	if len(a) != 1 || len(b) != 1 || !b[0].Equal(grade("ME301", 9, "B")) {
+	if len(a) != 1 || len(b) != 1 || !b[0].Equal(RowOf(grade("ME301", 9, "B"))) {
 		t.Fatalf("buckets after move: A=%v B=%v", a, b)
 	}
 }
@@ -383,33 +385,25 @@ func TestMatchEqualBatchEqualsPerSetLookups(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if len(got) != len(vals) {
+				t.Fatalf("batch has %d buckets for %d value sets", len(got), len(vals))
+			}
 			distinct := map[string]bool{}
-			hits := 0
-			for _, vs := range vals {
-				k := EncodeValues(vs...)
-				if distinct[k] {
-					continue
-				}
-				distinct[k] = true
+			for i, vs := range vals {
+				distinct[EncodeValues(vs...)] = true
 				want, err := p.r.MatchEqual(p.attrs, vs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				bucket, ok := got[k]
-				if ok != (len(want) > 0) || len(bucket) != len(want) {
-					t.Fatalf("%v: batch %v (present %t), MatchEqual %v", vs, bucket, ok, want)
+				bucket := got[i]
+				if (bucket == nil) != (len(want) == 0) || len(bucket) != len(want) {
+					t.Fatalf("%v: batch %v, MatchEqual %v", vs, bucket, want)
 				}
 				for i := range want {
 					if !bucket[i].Equal(want[i]) {
 						t.Fatalf("%v row %d: batch %v, MatchEqual %v", vs, i, bucket[i], want[i])
 					}
 				}
-				if ok {
-					hits++
-				}
-			}
-			if len(got) != hits {
-				t.Fatalf("batch has %d buckets, want %d", len(got), hits)
 			}
 			if p.name == "scan" {
 				if st.Scans != 1 || st.Probes != 0 {
@@ -422,9 +416,11 @@ func TestMatchEqualBatchEqualsPerSetLookups(t *testing.T) {
 	}
 }
 
-// Every tuple a batch returns is the caller's own copy: writing into it,
-// or appending to its bucket, changes neither the relation, nor another
-// bucket of the same batch, nor a later batch.
+// A batch hands out the stored rows, read-only: a row's copy-out is the
+// caller's own, so editing it changes neither the relation nor a later
+// batch, and every bucket is full-capacity, so appending to one
+// reallocates it and leaves its neighbours — and the buckets it shares
+// with equal value sets — as they were.
 func TestMatchEqualBatchReturnsCopies(t *testing.T) {
 	for _, p := range batchPaths(t) {
 		t.Run(p.name, func(t *testing.T) {
@@ -439,14 +435,15 @@ func TestMatchEqualBatchReturnsCopies(t *testing.T) {
 			}
 			before := p.r.All()
 			for k, bucket := range first {
-				for _, tup := range bucket {
-					tup[2] = String("mutated")
+				for _, row := range bucket {
+					out := row.Tuple()
+					out[2] = String("mutated")
 				}
-				first[k] = append(bucket, grade("X", 0, "X"))
+				first[k] = append(bucket, RowOf(grade("X", 0, "X")))
 			}
-			for i, tup := range p.r.All() {
-				if !tup.Equal(before[i]) {
-					t.Fatalf("relation row %d changed to %v", i, tup)
+			for i, row := range p.r.All() {
+				if !row.Equal(before[i]) || row.At(2).Equal(String("mutated")) {
+					t.Fatalf("relation row %d changed to %v", i, row)
 				}
 			}
 			again, err := p.r.MatchEqualBatch(p.attrs, vals)
@@ -461,11 +458,8 @@ func TestMatchEqualBatchReturnsCopies(t *testing.T) {
 					t.Fatalf("appending to one bucket changed another: %v", first[k])
 				}
 				for i := range bucket {
-					if !again[k][i].Equal(bucket[i]) {
-						t.Fatalf("bucket row %d: second batch %v, want %v", i, again[k][i], bucket[i])
-					}
-					if !first[k][i][2].Equal(String("mutated")) {
-						t.Fatalf("bucket row %d became %v: an append to another bucket wrote into it", i, first[k][i])
+					if !again[k][i].Equal(bucket[i]) || !first[k][i].Equal(bucket[i]) {
+						t.Fatalf("bucket %d row %d: %v and %v, want %v", k, i, first[k][i], again[k][i], bucket[i])
 					}
 				}
 			}
@@ -474,7 +468,7 @@ func TestMatchEqualBatchReturnsCopies(t *testing.T) {
 }
 
 // A value set that fails validation fails the whole batch, however late
-// it comes: an error and a nil map, never a partial answer.
+// it comes: an error and a nil result, never a partial answer.
 func TestMatchEqualBatchLateBadValueSet(t *testing.T) {
 	for _, p := range batchPaths(t) {
 		t.Run(p.name, func(t *testing.T) {

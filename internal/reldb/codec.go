@@ -244,7 +244,7 @@ func writeRelation(w byteWriter, rel *Relation) error {
 	}
 	writeU32(w, uint32(rel.Count()))
 	var scanErr error
-	rel.Scan(func(t Tuple) bool {
+	rel.rows.ascend("", func(_ string, t Tuple) bool {
 		for _, v := range t {
 			if err := writeValue(w, v); err != nil {
 				scanErr = err

@@ -42,7 +42,7 @@ import (
 // TupleChange is one same-key replacement: the stored image before and
 // after the commit.
 type TupleChange struct {
-	Old, New Tuple
+	Old, New Row
 }
 
 // Delta is the net change one commit applied to one relation.
@@ -56,10 +56,9 @@ type Delta struct {
 	// over the relation must re-derive them.
 	Structural bool
 	// Inserts, Deletes, Replaces carry the net tuple changes in encoded
-	// primary-key order. Stored images are shared with the committed
-	// relation versions and must not be mutated.
-	Inserts  []Tuple
-	Deletes  []Tuple
+	// primary-key order: the committed versions' stored rows.
+	Inserts  []Row
+	Deletes  []Row
 	Replaces []TupleChange
 }
 
@@ -88,8 +87,7 @@ func (b *DeltaBatch) stamp(gen uint64) {
 // one-row commit, splits and merges included — not what they hold. If new
 // is not a later version of old (the relation was dropped and created
 // again in between) the delta is Structural and carries no tuples. The
-// images are the versions' stored tuples and must not be mutated; Gen is
-// left zero.
+// images are the versions' stored rows; Gen is left zero.
 func Diff(old, new *Relation) Delta {
 	d, _ := diff(old, new)
 	return d
@@ -108,14 +106,14 @@ func diff(old, new *Relation) (d Delta, read int) {
 	for i, j := 0, 0; i < len(ka) || j < len(kb); {
 		switch {
 		case j == len(kb) || i < len(ka) && ka[i] < kb[j]:
-			d.Deletes = append(d.Deletes, va[i])
+			d.Deletes = append(d.Deletes, Row{va[i]})
 			i++
 		case i == len(ka) || kb[j] < ka[i]:
-			d.Inserts = append(d.Inserts, vb[j])
+			d.Inserts = append(d.Inserts, Row{vb[j]})
 			j++
 		default:
 			if !sameStored(va[i], vb[j]) && !va[i].Equal(vb[j]) {
-				d.Replaces = append(d.Replaces, TupleChange{Old: va[i], New: vb[j]})
+				d.Replaces = append(d.Replaces, TupleChange{Old: Row{va[i]}, New: Row{vb[j]}})
 			}
 			i, j = i+1, j+1
 		}

@@ -61,7 +61,7 @@ func TestDeltaStreamNetEffect(t *testing.T) {
 	if len(d.Inserts) != 1 || len(d.Deletes) != 0 || len(d.Replaces) != 0 {
 		t.Fatalf("net effect I=%d D=%d R=%d, want 1/0/0", len(d.Inserts), len(d.Deletes), len(d.Replaces))
 	}
-	if !d.Inserts[0].Equal(grade("CS101", 1, "C")) {
+	if !d.Inserts[0].Equal(RowOf(grade("CS101", 1, "C"))) {
 		t.Fatalf("insert image %v, want the final in-tx state", d.Inserts[0])
 	}
 
@@ -88,14 +88,14 @@ func TestDeltaStreamNetEffect(t *testing.T) {
 		t.Fatalf("poll = %d batches lost=%v, want 2 batches", len(batches), lost)
 	}
 	rep := batches[0].Deltas[0]
-	if len(rep.Replaces) != 1 || !rep.Replaces[0].Old.Equal(grade("CS101", 1, "C")) || !rep.Replaces[0].New.Equal(grade("CS101", 1, "B")) {
+	if len(rep.Replaces) != 1 || !rep.Replaces[0].Old.Equal(RowOf(grade("CS101", 1, "C"))) || !rep.Replaces[0].New.Equal(RowOf(grade("CS101", 1, "B"))) {
 		t.Fatalf("same-key replace delta = %+v", rep)
 	}
 	keyed := batches[1].Deltas[0]
 	if len(keyed.Deletes) != 1 || len(keyed.Inserts) != 1 {
 		t.Fatalf("key-changing replace delta = %+v, want delete+insert", keyed)
 	}
-	if !keyed.Deletes[0].Equal(grade("CS245", 7, "A")) || !keyed.Inserts[0].Equal(grade("CS245", 8, "A")) {
+	if !keyed.Deletes[0].Equal(RowOf(grade("CS245", 7, "A"))) || !keyed.Inserts[0].Equal(RowOf(grade("CS245", 8, "A"))) {
 		t.Fatalf("key-changing replace images = %+v", keyed)
 	}
 }

@@ -5,12 +5,12 @@ import (
 	"strings"
 )
 
-// Expr is a scalar expression evaluated against a Row. Expressions use
-// SQL-style three-valued logic: comparisons involving null evaluate to
-// null, which predicates treat as false.
+// Expr is a scalar expression evaluated against a Row read under a
+// schema. Expressions use SQL-style three-valued logic: comparisons
+// involving null evaluate to null, which predicates treat as false.
 type Expr interface {
-	// Eval computes the expression's value for the row.
-	Eval(Row) (Value, error)
+	// Eval computes the expression's value for row r of schema s.
+	Eval(*Schema, Row) (Value, error)
 	// String renders the expression in RQL syntax.
 	String() string
 }
@@ -19,7 +19,7 @@ type Expr interface {
 type Const struct{ V Value }
 
 // Eval implements Expr.
-func (c Const) Eval(Row) (Value, error) { return c.V, nil }
+func (c Const) Eval(*Schema, Row) (Value, error) { return c.V, nil }
 
 // String implements Expr.
 func (c Const) String() string { return c.V.Literal() }
@@ -34,21 +34,29 @@ type Attr struct {
 }
 
 // Eval implements Expr.
-func (a Attr) Eval(r Row) (Value, error) {
+func (a Attr) Eval(s *Schema, r Row) (Value, error) {
+	i, err := a.index(s)
+	if err != nil {
+		return Null(), err
+	}
+	return r.At(i), nil
+}
+
+// index resolves the reference against schema s.
+func (a Attr) index(s *Schema) (int, error) {
 	if a.Rel != "" {
-		if v, ok := r.Get(a.Rel + "." + a.Name); ok {
-			return v, nil
+		if i, ok := s.AttrIndex(a.Rel + "." + a.Name); ok {
+			return i, nil
 		}
-		if r.Schema.Name() != a.Rel {
-			return Null(), fmt.Errorf("reldb: attribute %s.%s not found in %s",
-				a.Rel, a.Name, r.Schema.Name())
+		if s.Name() != a.Rel {
+			return 0, fmt.Errorf("reldb: attribute %s.%s not found in %s", a.Rel, a.Name, s.Name())
 		}
 	}
-	v, ok := r.Get(a.Name)
+	i, ok := s.AttrIndex(a.Name)
 	if !ok {
-		return Null(), fmt.Errorf("reldb: attribute %s not found in %s", a.Name, r.Schema.Name())
+		return 0, fmt.Errorf("reldb: attribute %s not found in %s", a.Name, s.Name())
 	}
-	return v, nil
+	return i, nil
 }
 
 // String implements Expr.
@@ -100,12 +108,12 @@ type Cmp struct {
 }
 
 // Eval implements Expr.
-func (c Cmp) Eval(r Row) (Value, error) {
-	lv, err := c.L.Eval(r)
+func (c Cmp) Eval(s *Schema, r Row) (Value, error) {
+	lv, err := c.L.Eval(s, r)
 	if err != nil {
 		return Null(), err
 	}
-	rv, err := c.R.Eval(r)
+	rv, err := c.R.Eval(s, r)
 	if err != nil {
 		return Null(), err
 	}
@@ -143,10 +151,10 @@ func (c Cmp) String() string {
 type And struct{ Terms []Expr }
 
 // Eval implements Expr.
-func (a And) Eval(r Row) (Value, error) {
+func (a And) Eval(s *Schema, r Row) (Value, error) {
 	sawNull := false
 	for _, t := range a.Terms {
-		v, err := t.Eval(r)
+		v, err := t.Eval(s, r)
 		if err != nil {
 			return Null(), err
 		}
@@ -175,10 +183,10 @@ func (a And) String() string { return joinExprs(a.Terms, " and ") }
 type Or struct{ Terms []Expr }
 
 // Eval implements Expr.
-func (o Or) Eval(r Row) (Value, error) {
+func (o Or) Eval(s *Schema, r Row) (Value, error) {
 	sawNull := false
 	for _, t := range o.Terms {
-		v, err := t.Eval(r)
+		v, err := t.Eval(s, r)
 		if err != nil {
 			return Null(), err
 		}
@@ -207,8 +215,8 @@ func (o Or) String() string { return "(" + joinExprs(o.Terms, " or ") + ")" }
 type Not struct{ E Expr }
 
 // Eval implements Expr.
-func (n Not) Eval(r Row) (Value, error) {
-	v, err := n.E.Eval(r)
+func (n Not) Eval(s *Schema, r Row) (Value, error) {
+	v, err := n.E.Eval(s, r)
 	if err != nil {
 		return Null(), err
 	}
@@ -232,8 +240,8 @@ type IsNull struct {
 }
 
 // Eval implements Expr.
-func (i IsNull) Eval(r Row) (Value, error) {
-	v, err := i.E.Eval(r)
+func (i IsNull) Eval(s *Schema, r Row) (Value, error) {
+	v, err := i.E.Eval(s, r)
 	if err != nil {
 		return Null(), err
 	}
@@ -259,8 +267,8 @@ type In struct {
 }
 
 // Eval implements Expr.
-func (in In) Eval(r Row) (Value, error) {
-	v, err := in.E.Eval(r)
+func (in In) Eval(s *Schema, r Row) (Value, error) {
+	v, err := in.E.Eval(s, r)
 	if err != nil {
 		return Null(), err
 	}
@@ -269,7 +277,7 @@ func (in In) Eval(r Row) (Value, error) {
 	}
 	sawNull := false
 	for _, le := range in.List {
-		lv, err := le.Eval(r)
+		lv, err := le.Eval(s, r)
 		if err != nil {
 			return Null(), err
 		}
@@ -328,12 +336,12 @@ type Arith struct {
 }
 
 // Eval implements Expr.
-func (a Arith) Eval(r Row) (Value, error) {
-	lv, err := a.L.Eval(r)
+func (a Arith) Eval(s *Schema, r Row) (Value, error) {
+	lv, err := a.L.Eval(s, r)
 	if err != nil {
 		return Null(), err
 	}
-	rv, err := a.R.Eval(r)
+	rv, err := a.R.Eval(s, r)
 	if err != nil {
 		return Null(), err
 	}
@@ -390,19 +398,19 @@ type Like struct {
 }
 
 // Eval implements Expr.
-func (l Like) Eval(r Row) (Value, error) {
-	v, err := l.E.Eval(r)
+func (l Like) Eval(s *Schema, r Row) (Value, error) {
+	v, err := l.E.Eval(s, r)
 	if err != nil {
 		return Null(), err
 	}
 	if v.IsNull() {
 		return Null(), nil
 	}
-	s, ok := v.AsString()
+	str, ok := v.AsString()
 	if !ok {
 		return Null(), fmt.Errorf("reldb: LIKE on non-string operand %s", l.E)
 	}
-	return Bool(likeMatch(l.Pattern, s)), nil
+	return Bool(likeMatch(l.Pattern, str)), nil
 }
 
 // String implements Expr.
@@ -444,8 +452,8 @@ func likeMatch(pattern, s string) bool {
 }
 
 // EvalBool evaluates e as a predicate: null counts as false.
-func EvalBool(e Expr, r Row) (bool, error) {
-	v, err := e.Eval(r)
+func EvalBool(e Expr, s *Schema, r Row) (bool, error) {
+	v, err := e.Eval(s, r)
 	if err != nil {
 		return false, err
 	}
@@ -457,6 +465,40 @@ func EvalBool(e Expr, r Row) (bool, error) {
 		return false, fmt.Errorf("reldb: predicate %s evaluated to non-boolean %s", e, v)
 	}
 	return b, nil
+}
+
+// CheckExpr resolves every attribute reference in e against schema s,
+// reading no row: it refuses what evaluating e would refuse on the first
+// row that reached the bad reference, whatever rows there are.
+func CheckExpr(e Expr, s *Schema) error {
+	var sub []Expr
+	switch x := e.(type) {
+	case Attr:
+		_, err := x.index(s)
+		return err
+	case Cmp:
+		sub = []Expr{x.L, x.R}
+	case Arith:
+		sub = []Expr{x.L, x.R}
+	case And:
+		sub = x.Terms
+	case Or:
+		sub = x.Terms
+	case Not:
+		sub = []Expr{x.E}
+	case IsNull:
+		sub = []Expr{x.E}
+	case Like:
+		sub = []Expr{x.E}
+	case In:
+		sub = append([]Expr{x.E}, x.List...)
+	}
+	for _, se := range sub {
+		if err := CheckExpr(se, s); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Eq is shorthand for an attribute = constant comparison.

@@ -5,7 +5,13 @@ import (
 	"testing"
 )
 
-func exprRow(t *testing.T) Row {
+// evalRow is a row and the schema an expression reads it under.
+type evalRow struct {
+	s *Schema
+	r Row
+}
+
+func exprRow(t *testing.T) evalRow {
 	t.Helper()
 	s := MustSchema("R", []Attribute{
 		{Name: "A", Type: KindInt},
@@ -13,12 +19,12 @@ func exprRow(t *testing.T) Row {
 		{Name: "C", Type: KindFloat, Nullable: true},
 		{Name: "D", Type: KindBool, Nullable: true},
 	}, []string{"A"})
-	return Row{Schema: s, Tuple: Tuple{Int(10), String("hi"), Float(2.5), Bool(true)}}
+	return evalRow{s, Row{Tuple{Int(10), String("hi"), Float(2.5), Bool(true)}}}
 }
 
-func mustEval(t *testing.T, e Expr, r Row) Value {
+func mustEval(t *testing.T, e Expr, r evalRow) Value {
 	t.Helper()
-	v, err := e.Eval(r)
+	v, err := e.Eval(r.s, r.r)
 	if err != nil {
 		t.Fatalf("Eval(%s): %v", e, err)
 	}
@@ -36,10 +42,10 @@ func TestConstAndAttr(t *testing.T) {
 	if v := mustEval(t, Attr{Rel: "R", Name: "A"}, r); !v.Equal(Int(10)) {
 		t.Fatalf("qualified attr = %v", v)
 	}
-	if _, err := (Attr{Name: "Z"}).Eval(r); err == nil {
+	if _, err := (Attr{Name: "Z"}).Eval(r.s, r.r); err == nil {
 		t.Fatal("unknown attr should fail")
 	}
-	if _, err := (Attr{Rel: "S", Name: "A"}).Eval(r); err == nil {
+	if _, err := (Attr{Rel: "S", Name: "A"}).Eval(r.s, r.r); err == nil {
 		t.Fatal("wrong qualifier should fail")
 	}
 }
@@ -49,7 +55,7 @@ func TestAttrQualifiedAgainstJoinedSchema(t *testing.T) {
 		{Name: "R.A", Type: KindInt, Nullable: true},
 		{Name: "S.A", Type: KindInt, Nullable: true},
 	}, []string{"R.A"})
-	r := Row{Schema: s, Tuple: Tuple{Int(1), Int(2)}}
+	r := evalRow{s, Row{Tuple{Int(1), Int(2)}}}
 	if v := mustEval(t, Attr{Rel: "S", Name: "A"}, r); !v.Equal(Int(2)) {
 		t.Fatalf("joined qualified attr = %v", v)
 	}
@@ -85,7 +91,7 @@ func TestCmpNullPropagates(t *testing.T) {
 		t.Fatalf("cmp with null = %v, want null", v)
 	}
 	// EvalBool treats null as false.
-	b, err := EvalBool(e, r)
+	b, err := EvalBool(e, r.s, r.r)
 	if err != nil || b {
 		t.Fatalf("EvalBool(null) = %v, %v", b, err)
 	}
@@ -94,7 +100,7 @@ func TestCmpNullPropagates(t *testing.T) {
 func TestCmpTypeMismatchErrors(t *testing.T) {
 	r := exprRow(t)
 	e := Cmp{OpEq, Attr{Name: "A"}, Const{String("x")}}
-	if _, err := e.Eval(r); err == nil {
+	if _, err := e.Eval(r.s, r.r); err == nil {
 		t.Fatal("int vs string compare should error")
 	}
 }
@@ -129,13 +135,13 @@ func TestLogicalOps(t *testing.T) {
 		}
 	}
 	// Non-boolean operands error.
-	if _, err := (And{[]Expr{Const{Int(1)}}}).Eval(r); err == nil {
+	if _, err := (And{[]Expr{Const{Int(1)}}}).Eval(r.s, r.r); err == nil {
 		t.Error("And over int should fail")
 	}
-	if _, err := (Or{[]Expr{Const{Int(1)}}}).Eval(r); err == nil {
+	if _, err := (Or{[]Expr{Const{Int(1)}}}).Eval(r.s, r.r); err == nil {
 		t.Error("Or over int should fail")
 	}
-	if _, err := (Not{Const{Int(1)}}).Eval(r); err == nil {
+	if _, err := (Not{Const{Int(1)}}).Eval(r.s, r.r); err == nil {
 		t.Error("Not over int should fail")
 	}
 }
@@ -198,13 +204,13 @@ func TestArith(t *testing.T) {
 			t.Errorf("%s = %v, want %v", c.e, v, c.want)
 		}
 	}
-	if _, err := (Arith{OpDiv, Const{Int(1)}, Const{Int(0)}}).Eval(r); err == nil {
+	if _, err := (Arith{OpDiv, Const{Int(1)}, Const{Int(0)}}).Eval(r.s, r.r); err == nil {
 		t.Error("int division by zero should fail")
 	}
-	if _, err := (Arith{OpDiv, Const{Float(1)}, Const{Float(0)}}).Eval(r); err == nil {
+	if _, err := (Arith{OpDiv, Const{Float(1)}, Const{Float(0)}}).Eval(r.s, r.r); err == nil {
 		t.Error("float division by zero should fail")
 	}
-	if _, err := (Arith{OpAdd, Const{String("a")}, Const{Int(1)}}).Eval(r); err == nil {
+	if _, err := (Arith{OpAdd, Const{String("a")}, Const{Int(1)}}).Eval(r.s, r.r); err == nil {
 		t.Error("arith on string should fail")
 	}
 	if v := mustEval(t, Arith{OpAdd, Const{Null()}, Const{Int(1)}}, r); !v.IsNull() {
@@ -242,7 +248,7 @@ func TestLike(t *testing.T) {
 	if v := mustEval(t, Like{E: Const{Null()}, Pattern: "%"}, r); !v.IsNull() {
 		t.Error("LIKE on null should be null")
 	}
-	if _, err := (Like{E: Const{Int(1)}, Pattern: "%"}).Eval(r); err == nil {
+	if _, err := (Like{E: Const{Int(1)}, Pattern: "%"}).Eval(r.s, r.r); err == nil {
 		t.Error("LIKE on int should fail")
 	}
 }
@@ -284,10 +290,10 @@ func TestAndAllSimplification(t *testing.T) {
 
 func TestEvalBoolErrors(t *testing.T) {
 	r := exprRow(t)
-	if _, err := EvalBool(Const{Int(3)}, r); err == nil {
+	if _, err := EvalBool(Const{Int(3)}, r.s, r.r); err == nil {
 		t.Fatal("non-boolean predicate should error")
 	}
-	if _, err := EvalBool(Attr{Name: "Z"}, r); err == nil {
+	if _, err := EvalBool(Attr{Name: "Z"}, r.s, r.r); err == nil {
 		t.Fatal("eval error should propagate")
 	}
 }

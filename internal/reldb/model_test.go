@@ -162,13 +162,22 @@ func (m *modelRel) inRange(attr string, lo, hi *rangeBound) func(Tuple) bool {
 	}
 }
 
-func sameTuples(t testing.TB, what string, got, want []Tuple) {
+// tuplesOf unwraps rows, for comparing two reads with sameTuples.
+func tuplesOf(rows []Row) []Tuple {
+	out := make([]Tuple, len(rows))
+	for i, r := range rows {
+		out[i] = r.t
+	}
+	return out
+}
+
+func sameTuples(t testing.TB, what string, got []Row, want []Tuple) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d tuples, oracle has %d", what, len(got), len(want))
 	}
 	for i := range got {
-		if !got[i].Equal(want[i]) {
+		if !got[i].t.Equal(want[i]) {
 			t.Fatalf("%s: tuple %d = %v, oracle has %v", what, i, got[i], want[i])
 		}
 	}
@@ -261,8 +270,8 @@ func checkRows(t testing.TB, r *Relation, m *modelRel) []Tuple {
 		t.Fatalf("Count = %d, oracle has %d", r.Count(), len(m.rows))
 	}
 	all := m.filter(nil)
-	var scanned []Tuple
-	r.Scan(func(tu Tuple) bool { scanned = append(scanned, tu); return true })
+	var scanned []Row
+	r.Scan(func(tu Row) bool { scanned = append(scanned, tu); return true })
 	sameTuples(t, "Scan", scanned, all)
 	return all
 }
@@ -298,7 +307,7 @@ func checkDiff(t testing.TB, was *modelRun, r *Relation, m *modelRel) {
 	d := Diff(was.r, r)
 	sameTuples(t, "Diff inserts", d.Inserts, ins)
 	sameTuples(t, "Diff deletes", d.Deletes, del)
-	var gotOld, gotNew []Tuple
+	var gotOld, gotNew []Row
 	for _, rc := range d.Replaces {
 		gotOld, gotNew = append(gotOld, rc.Old), append(gotNew, rc.New)
 	}
@@ -331,7 +340,7 @@ func checkModel(t testing.TB, r *Relation, m *modelRel) {
 			key := Tuple{Int(a), Int(b)}
 			want, ok := m.rows[EncodeValues(key...)]
 			got, gok := r.Get(key)
-			if ok != gok || (ok && !got.Equal(want)) {
+			if ok != gok || (ok && !got.t.Equal(want)) {
 				t.Fatalf("Get %v = %v, %v; oracle has %v, %v", key, got, gok, want, ok)
 			}
 		}
@@ -360,31 +369,7 @@ func checkModel(t testing.TB, r *Relation, m *modelRel) {
 		}
 		sameTuples(t, fmt.Sprintf("MatchEqual %v %v", e.attrs, e.vals), got, filter(m.equalOn(e.attrs, e.vals)))
 	}
-	for _, batch := range []struct {
-		attrs []string
-		vals  []Value
-	}{{[]string{"C"}, modelCs}, {[]string{"F"}, modelFs}, {[]string{"S"}, modelSs}} {
-		sets := make([]Tuple, len(batch.vals))
-		for i, v := range batch.vals {
-			sets[i] = Tuple{v}
-		}
-		got, err := r.MatchEqualBatch(batch.attrs, append(sets, sets[0]))
-		if err != nil {
-			t.Fatalf("MatchEqualBatch %v: %v", batch.attrs, err)
-		}
-		// Int(1) and Float(1) are one value, one encoding and one bucket.
-		filled := map[string]bool{}
-		for _, vs := range sets {
-			want := filter(m.equalOn(batch.attrs, vs))
-			sameTuples(t, fmt.Sprintf("MatchEqualBatch %v %v", batch.attrs, vs), got[EncodeValues(vs...)], want)
-			if len(want) > 0 {
-				filled[EncodeValues(vs...)] = true
-			}
-		}
-		if len(got) != len(filled) {
-			t.Fatalf("MatchEqualBatch %v: %d buckets, oracle fills %d", batch.attrs, len(got), len(filled))
-		}
-	}
+	checkBatches(t, r, m, filter)
 	for name, attrs := range m.indexes {
 		for _, c := range modelCs[:4] {
 			vals := Tuple{c}
@@ -472,6 +457,106 @@ func checkModel(t testing.TB, r *Relation, m *modelRel) {
 		t.Fatal(err)
 	}
 	sameTuples(t, "Select(nil)", got, all)
+}
+
+// checkBatches runs MatchEqualBatch over value-set lists that hold
+// duplicates (Int(1) and Float(1) among them: one value, one encoding),
+// nulls and, on a covered attribute set and on one that scans, sets in
+// shuffled order. Each answer must be aligned with its sets and equal
+// the oracle's per set, equal sets must share one bucket, and the batch
+// must cost one probe per distinct set or one scan. A bad set anywhere
+// in a batch fails it whole.
+func checkBatches(t testing.TB, r *Relation, m *modelRel, filter func(func(Tuple) bool) []Tuple) {
+	t.Helper()
+	var cs, ss, fs []Tuple
+	for _, c := range modelCs {
+		cs = append(cs, Tuple{c})
+		for _, sv := range modelSs[:3] {
+			ss = append(ss, Tuple{sv, c})
+		}
+	}
+	for _, f := range modelFs {
+		fs = append(fs, Tuple{f})
+	}
+	var keys, prefixes []Tuple
+	for a := int64(5); a < 9; a++ {
+		keys = append(keys, Tuple{Int(a), Int(a % 3)}, Tuple{Int(a), Int(5)})
+		prefixes = append(prefixes, Tuple{Int(a)})
+	}
+	swap := func(sets []Tuple) []Tuple {
+		out := make([]Tuple, len(sets))
+		for i, vs := range sets {
+			out[i] = Tuple{vs[1], vs[0]}
+		}
+		return out
+	}
+	cb := make([]Tuple, len(cs))
+	for i, c := range cs {
+		cb[i] = Tuple{c[0], Int(int64(i % 2 * 5))}
+	}
+	for _, batch := range []struct {
+		attrs []string
+		sets  []Tuple
+	}{
+		{[]string{"C"}, cs}, {[]string{"F"}, fs}, {[]string{"S", "C"}, ss}, {[]string{"C", "S"}, swap(ss)},
+		{[]string{"C", "B"}, cb}, {[]string{"A", "B"}, keys}, {[]string{"B", "A"}, swap(keys)}, {[]string{"A"}, prefixes},
+	} {
+		// Every set twice, the second copies in reverse order.
+		sets := append(slices.Clone(batch.sets), batch.sets...)
+		slices.Reverse(sets[len(batch.sets):])
+		what := fmt.Sprintf("MatchEqualBatch %v", batch.attrs)
+		var st MatchStats
+		got, err := r.MatchEqualBatchStats(batch.attrs, sets, &st)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if len(got) != len(sets) {
+			t.Fatalf("%s: %d buckets for %d sets", what, len(got), len(sets))
+		}
+		bucket := map[string][]Row{}
+		for i, vs := range sets {
+			want := filter(m.equalOn(batch.attrs, vs))
+			sameTuples(t, fmt.Sprintf("%s %v", what, vs), got[i], want)
+			if len(want) == 0 && got[i] != nil {
+				t.Fatalf("%s %v: empty bucket is not nil", what, vs)
+			}
+			ek := EncodeValues(vs...)
+			if b, seen := bucket[ek]; seen && len(b) > 0 && &b[0] != &got[i][0] {
+				t.Fatalf("%s %v: equal sets got separate buckets", what, vs)
+			}
+			bucket[ek] = got[i]
+		}
+		charged := MatchStats{Scans: 1, Scanned: r.Count()}
+		if m.covers(batch.attrs) {
+			charged = MatchStats{Probes: len(bucket)}
+			for _, b := range bucket {
+				charged.Scanned += len(b)
+			}
+		}
+		if st != charged {
+			t.Fatalf("%s: charged %+v, want %+v", what, st, charged)
+		}
+		// Bad sets: one value too many, a value of the wrong kind, and a
+		// null where the attribute is a key attribute.
+		tooLong := append(slices.Clone(sets[0]), Int(1))
+		wrongKind := slices.Clone(sets[0])
+		if wrongKind[0] = String("x"); batch.attrs[0] == "S" {
+			wrongKind[0] = Int(1)
+		}
+		bads := []Tuple{tooLong, wrongKind}
+		if k := slices.IndexFunc(batch.attrs, func(a string) bool { return a == "A" || a == "B" }); k >= 0 {
+			null := slices.Clone(sets[0])
+			null[k] = Null()
+			bads = append(bads, null)
+		}
+		for n, bad := range bads {
+			at := []int{0, len(sets) / 2, len(sets)}[n%3]
+			withBad := slices.Insert(slices.Clone(sets), at, bad)
+			if got, err := r.MatchEqualBatch(batch.attrs, withBad); err == nil || got != nil {
+				t.Fatalf("%s with bad set %v at %d: %v, %d buckets; want an error and none", what, bad, at, err, len(got))
+			}
+		}
+	}
 }
 
 const (
@@ -660,7 +745,7 @@ func FuzzRelationOps(f *testing.F) {
 		for ; len(ops) >= 4; ops = ops[4:] {
 			key := run.step(t, ops[0], ops[1], ops[2], ops[3])
 			want, ok := run.m.rows[EncodeValues(key...)]
-			if got, gok := run.r.Get(key); ok != gok || (ok && !got.Equal(want)) || run.r.Count() != len(run.m.rows) {
+			if got, gok := run.r.Get(key); ok != gok || (ok && !got.t.Equal(want)) || run.r.Count() != len(run.m.rows) {
 				t.Fatalf("after op %v: Get %v = %v, %v; oracle has %v, %v", ops[:4], key, got, gok, want, ok)
 			}
 		}

@@ -27,7 +27,8 @@ type lookupPlan struct {
 	// ix is the serving secondary index (planIndex only).
 	ix *secondaryIndex
 	// order is the serving tree's attribute order: the primary key
-	// (planPoint) or ix.attrs (planIndex). Nil for planScan.
+	// (planPoint) or ix.attrs (planIndex); idx itself for planScan. A
+	// batch encodes its value sets in this order.
 	order []int
 }
 
@@ -45,7 +46,7 @@ func (r *Relation) planFor(what string, attrNames []string) (lookupPlan, error) 
 	if err != nil {
 		return lookupPlan{}, err
 	}
-	pl := lookupPlan{idx: idx, kind: planScan}
+	pl := lookupPlan{idx: idx, kind: planScan, order: idx}
 	if sameIntSet(idx, r.schema.key) {
 		pl.kind, pl.order = planPoint, r.schema.key
 		return pl, nil

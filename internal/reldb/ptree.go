@@ -348,37 +348,93 @@ func entries(leaves []*treeNode) (keys []string, vals []Tuple) {
 	return keys, vals
 }
 
-// appendPrefixed appends to dst copies of the tuples whose keys start
-// with prefix, in key order: one seek, then a walk of that run. A batch
-// of probes appends into one slice, so the walk takes no callback and
-// allocates nothing but the copies and dst's growth.
-func (t *ptree) appendPrefixed(dst []Tuple, prefix string) []Tuple {
-	if t.root != nil {
-		dst, _ = t.root.appendPrefixed(dst, prefix)
-	}
-	return dst
+// A finger is a root-to-leaf path into one tree, left where the last
+// probe's walk ended. Probing ascending prefixes through one finger
+// climbs only as far as the next prefix needs and descends from there,
+// so probes whose runs lie in one subtree share its descent; the first
+// probe descends from the root. The zero finger is ready.
+type finger struct {
+	steps [fingerDepth]fingerStep
+	depth int // steps[:depth] is the path, root first
 }
 
-// appendPrefixed is the walk under n; it reports false once it has met
-// a key past the run, so the caller stops too. Every key under a later
-// child sorts after prefix, so searching prefix there starts at its
-// first entry, as ascend does.
-func (n *treeNode) appendPrefixed(dst []Tuple, prefix string) ([]Tuple, bool) {
-	if n.kids == nil {
-		i, _ := n.search(prefix)
-		for ; i < len(n.keys); i++ {
-			if !strings.HasPrefix(n.keys[i], prefix) {
-				return dst, false
+// fingerDepth bounds a path: a tree that tall holds more than
+// treeMinFill^(fingerDepth-1) = 8^15 entries, more than memory can.
+const fingerDepth = 16
+
+// fingerStep is one node of a finger's path: the position taken in it (a
+// child of a branch, an entry of a leaf) and the bound every key under it
+// sorts below, which the root and the nodes down the right edge lack.
+type fingerStep struct {
+	n       *treeNode
+	i       int
+	hi      string
+	bounded bool
+}
+
+// appendPrefixed appends to dst the tuples of t whose keys start with
+// prefix, as Rows, in key order: a seek, then a walk of that run. One
+// finger serves one version of one tree, and the prefixes it is given
+// must ascend, none a prefix of another — distinct encodings of one
+// attribute list, which the key codec makes self-delimiting. Every key
+// before the finger then sorts below the next prefix, so climbing only
+// while the prefix is at or past a node's bound finds its run; at worst
+// the seek lands a leaf early and the walk moves on. The walk takes no
+// callback and allocates nothing but dst's growth.
+func (f *finger) appendPrefixed(t *ptree, dst []Row, prefix string) []Row {
+	if t.root == nil {
+		return dst
+	}
+	for f.depth > 1 && f.steps[f.depth-1].bounded && prefix >= f.steps[f.depth-1].hi {
+		f.depth--
+	}
+	if f.depth == 0 {
+		f.steps[0], f.depth = fingerStep{n: t.root}, 1
+	}
+	for s := &f.steps[f.depth-1]; s.n.kids != nil; s = &f.steps[f.depth-1] {
+		s.i = s.n.childFor(prefix)
+		f.push(s)
+	}
+	leaf := &f.steps[f.depth-1]
+	leaf.i, _ = leaf.n.search(prefix)
+	for {
+		for s := &f.steps[f.depth-1]; s.i < len(s.n.keys); s.i++ {
+			if !strings.HasPrefix(s.n.keys[s.i], prefix) {
+				return dst
 			}
-			dst = append(dst, n.vals[i].Clone())
+			dst = append(dst, Row{s.n.vals[s.i]})
 		}
-		return dst, true
-	}
-	for i := n.childFor(prefix); i < len(n.kids); i++ {
-		var more bool
-		if dst, more = n.kids[i].appendPrefixed(dst, prefix); !more {
-			return dst, false
+		if !f.nextLeaf() {
+			return dst
 		}
 	}
-	return dst, true
+}
+
+// push appends to the path the child at s's position, bounded by the
+// separator right of it, else by s's own bound.
+func (f *finger) push(s *fingerStep) {
+	c := fingerStep{n: s.n.kids[s.i], hi: s.hi, bounded: s.bounded}
+	if s.i < len(s.n.keys) {
+		c.hi, c.bounded = s.n.keys[s.i], true
+	}
+	f.steps[f.depth] = c
+	f.depth++
+}
+
+// nextLeaf moves the path to the first entry of the next leaf, or
+// reports false at the last one.
+func (f *finger) nextLeaf() bool {
+	d := f.depth - 1
+	for d > 0 && f.steps[d-1].i+1 == len(f.steps[d-1].n.kids) {
+		d--
+	}
+	if d == 0 {
+		return false
+	}
+	f.steps[d-1].i++
+	f.depth = d
+	for f.steps[f.depth-1].n.kids != nil {
+		f.push(&f.steps[f.depth-1])
+	}
+	return true
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -175,7 +176,7 @@ func TestOldVersionsSurviveWriter(t *testing.T) {
 	// and inserts row rows+c-1: every version differs from the one before
 	// in scan sum, in key set and in every index bucket the readers probe.
 	sumAt := func(r *Relation) (sum int64, n int) {
-		r.Scan(func(tu Tuple) bool { sum += tu[2].MustInt(); n++; return true })
+		r.Scan(func(tu Row) bool { sum += tu.At(2).MustInt(); n++; return true })
 		return sum, n
 	}
 	var wg sync.WaitGroup
@@ -207,7 +208,7 @@ func TestOldVersionsSurviveWriter(t *testing.T) {
 						return
 					}
 					for j := range g {
-						if got, ok := r.Get(Tuple{g[j][0]}); !ok || !got.Equal(g[j]) || !g2[j].Equal(g[j]) {
+						if got, ok := r.Get(Tuple{g[j].At(0)}); !ok || !got.Equal(g[j]) || !g2[j].Equal(g[j]) {
 							t.Errorf("pinned gen %d: row %v now reads %v, %v", rtx.Generation(), g[j], got, g2[j])
 							return
 						}
@@ -229,7 +230,7 @@ func TestOldVersionsSurviveWriter(t *testing.T) {
 				return err
 			}
 			for _, tu := range hit {
-				if _, err := tx.Replace("R", Tuple{tu[0]}, Tuple{tu[0], tu[1], Int(c)}); err != nil {
+				if _, err := tx.Replace("R", Tuple{tu.At(0)}, Tuple{tu.At(0), tu.At(1), Int(c)}); err != nil {
 					return err
 				}
 			}
@@ -378,7 +379,7 @@ func TestCommitCostFlatAcrossSizes(t *testing.T) {
 		}
 		now := db.MustRelation("R")
 		d, read := diff(was, now)
-		if len(d.Replaces) != 1 || len(d.Inserts)+len(d.Deletes) != 0 || !d.Replaces[0].New.Equal(Tuple{Int(k), Int(-1)}) {
+		if len(d.Replaces) != 1 || len(d.Inserts)+len(d.Deletes) != 0 || !d.Replaces[0].New.Equal(RowOf(Tuple{Int(k), Int(-1)})) {
 			t.Fatalf("%d rows: diff of a one-row replace = %+v", n, d)
 		}
 		allocs := testing.AllocsPerRun(20, func() { Diff(was, now) })
@@ -390,6 +391,55 @@ func TestCommitCostFlatAcrossSizes(t *testing.T) {
 	for i, b := range perCommit {
 		if b > 2*perCommit[0] || perCommit[0] > 2*b {
 			t.Errorf("bytes per commit at %d rows = %.0f, at %d rows = %.0f: not within 2x", sizes[i], b, sizes[0], perCommit[0])
+		}
+	}
+}
+
+// TestFingerMatchesPrefixWalks: probing ascending prefixes through one
+// finger answers each as a walk of the tree from that prefix does, on a tree
+// of height 4 whose runs cross leaf and branch boundaries, for prefixes
+// before, between and after the stored keys, and after deletions have
+// left separators that no stored key equals.
+func TestFingerMatchesPrefixWalks(t *testing.T) {
+	var tr ptree
+	o := new(treeOwner)
+	// Key (a, b): 600 values of a, each with 1 to 60 entries.
+	rng := rand.New(rand.NewSource(7))
+	for a := int64(0); a < 600; a++ {
+		for b := int64(0); b < 1+a%60; b++ {
+			tr.put(o, EncodeValues(Int(2*a), Int(b)), Tuple{Int(2 * a), Int(b)})
+		}
+	}
+	for i := 0; i < 3000; i++ {
+		a, b := rng.Int63n(600), rng.Int63n(60)
+		tr.delete(o, EncodeValues(Int(2*a), Int(b)))
+	}
+	if _, h := treeShape(&tr); h < 3 {
+		t.Fatalf("tree height %d, want at least 3", h)
+	}
+	for round := 0; round < 200; round++ {
+		var prefixes []string
+		for a := int64(-2); a < 1203; a += 1 + rng.Int63n(int64(1+round%40)) {
+			prefixes = append(prefixes, EncodeValues(Int(a)))
+		}
+		var f finger
+		for _, p := range prefixes {
+			got := f.appendPrefixed(&tr, nil, p)
+			var want []Tuple
+			tr.ascend(p, func(k string, v Tuple) bool {
+				if strings.HasPrefix(k, p) {
+					want = append(want, v)
+				}
+				return strings.HasPrefix(k, p)
+			})
+			if len(got) != len(want) {
+				t.Fatalf("round %d prefix %x: finger %d rows, a walk from the prefix %d", round, p, len(got), len(want))
+			}
+			for i := range got {
+				if !got[i].Same(Row{want[i]}) {
+					t.Fatalf("round %d prefix %x row %d: finger %v, walk %v", round, p, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }

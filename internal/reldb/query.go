@@ -13,17 +13,15 @@ import (
 // Relation.Select instead, which picks the predicate's access path.
 
 // ResultSet is a materialized intermediate or final query result: a
-// derived schema plus rows.
+// derived schema plus rows. A result over one relation holds its stored
+// rows; a join or projection builds new ones.
 type ResultSet struct {
 	Schema *Schema
-	Rows   []Tuple
+	Rows   []Row
 }
 
 // Len returns the number of rows.
 func (rs *ResultSet) Len() int { return len(rs.Rows) }
-
-// Row returns row i paired with the result schema.
-func (rs *ResultSet) Row(i int) Row { return Row{Schema: rs.Schema, Tuple: rs.Rows[i]} }
 
 // Filter returns the rows that satisfy pred; a nil pred keeps them all.
 func (rs *ResultSet) Filter(pred Expr) (*ResultSet, error) {
@@ -32,7 +30,7 @@ func (rs *ResultSet) Filter(pred Expr) (*ResultSet, error) {
 	}
 	out := &ResultSet{Schema: rs.Schema}
 	for _, t := range rs.Rows {
-		ok, err := EvalBool(pred, Row{Schema: rs.Schema, Tuple: t})
+		ok, err := EvalBool(pred, rs.Schema, t)
 		if err != nil {
 			return nil, err
 		}
@@ -54,9 +52,9 @@ func (rs *ResultSet) Project(names []string) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &ResultSet{Schema: schema, Rows: make([]Tuple, len(rs.Rows))}
+	out := &ResultSet{Schema: schema, Rows: make([]Row, len(rs.Rows))}
 	for i, t := range rs.Rows {
-		out.Rows[i] = t.Project(idx)
+		out.Rows[i] = Row{t.Project(idx)}
 	}
 	return out, nil
 }
@@ -89,7 +87,22 @@ type Join struct {
 // key is the union of the relations' keys, and every attribute is
 // nullable (outer joins pad with null).
 func JoinChain(res Resolver, root string, joins []Join) (*ResultSet, error) {
-	acc, err := qualified(res, root)
+	return joinChain(res, root, joins, true)
+}
+
+// JoinSchema returns the schema JoinChain(res, root, joins) answers
+// under, with the same checks, reading no row.
+func JoinSchema(res Resolver, root string, joins []Join) (*Schema, error) {
+	rs, err := joinChain(res, root, joins, false)
+	if err != nil {
+		return nil, err
+	}
+	return rs.Schema, nil
+}
+
+// joinChain is JoinChain over every relation's rows, or over none.
+func joinChain(res Resolver, root string, joins []Join, rows bool) (*ResultSet, error) {
+	acc, err := qualified(res, root, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +111,7 @@ func JoinChain(res Resolver, root string, joins []Join) (*ResultSet, error) {
 			return nil, fmt.Errorf("reldb: join %s: attribute lists differ in length: %d vs %d",
 				j.Relation, len(j.LeftAttrs), len(j.RightAttrs))
 		}
-		rel, err := qualified(res, j.Relation)
+		rel, err := qualified(res, j.Relation, rows)
 		if err != nil {
 			return nil, err
 		}
@@ -113,10 +126,11 @@ func JoinChain(res Resolver, root string, joins []Join) (*ResultSet, error) {
 	return acc, nil
 }
 
-// qualified returns the rows of the named relation under a schema, named
-// after it, whose attributes are qualified with that name (an attribute
-// whose name already holds a dot is kept).
-func qualified(res Resolver, name string) (*ResultSet, error) {
+// qualified returns the rows of the named relation (none unless rows is
+// set; reading them is charged as a scan) under a schema, named after
+// it, whose attributes are qualified with that name (an attribute whose
+// name already holds a dot is kept).
+func qualified(res Resolver, name string, rows bool) (*ResultSet, error) {
 	rel, err := res.Relation(name)
 	if err != nil {
 		return nil, err
@@ -134,7 +148,12 @@ func qualified(res Resolver, name string) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ResultSet{Schema: schema, Rows: rel.All()}, nil
+	out := &ResultSet{Schema: schema}
+	if rows {
+		out.Rows = rel.All()
+		rel.obsScan(nil, len(out.Rows))
+	}
+	return out, nil
 }
 
 // qualify prefixes attr with rel unless it is already qualified.
@@ -167,7 +186,7 @@ func join(left, right *ResultSet, leftAttrs, rightAttrs []string, outer bool) (*
 	if err != nil {
 		return nil, err
 	}
-	build := make(map[string][]Tuple, len(right.Rows))
+	build := make(map[string][]Row, len(right.Rows))
 	for _, rt := range right.Rows {
 		k := rt.Project(ridx).Encode()
 		build[k] = append(build[k], rt)
@@ -176,15 +195,15 @@ func join(left, right *ResultSet, leftAttrs, rightAttrs []string, outer bool) (*
 	nulls := make(Tuple, right.Schema.Arity())
 	for _, lt := range left.Rows {
 		probe := lt.Project(lidx)
-		var matches []Tuple
+		var matches []Row
 		if !hasNull(probe) {
 			matches = build[probe.Encode()]
 		}
 		if len(matches) == 0 && outer {
-			out.Rows = append(out.Rows, lt.Concat(nulls))
+			out.Rows = append(out.Rows, Row{lt.t.Concat(nulls)})
 		}
 		for _, rt := range matches {
-			out.Rows = append(out.Rows, lt.Concat(rt))
+			out.Rows = append(out.Rows, Row{lt.t.Concat(rt.t)})
 		}
 	}
 	return out, nil

@@ -38,12 +38,12 @@ func TestMatchEqualPrimaryKeyFastPath(t *testing.T) {
 
 	// Canonical order.
 	got, err := r.MatchEqual([]string{"A", "B"}, Tuple{String("x"), Int(2)})
-	if err != nil || len(got) != 1 || got[0][2].MustString() != "v2" {
+	if err != nil || len(got) != 1 || got[0].At(2).MustString() != "v2" {
 		t.Fatalf("fast path = %v, %v", got, err)
 	}
 	// Reversed order: values follow the attribute list.
 	got, err = r.MatchEqual([]string{"B", "A"}, Tuple{Int(1), String("y")})
-	if err != nil || len(got) != 1 || got[0][2].MustString() != "v3" {
+	if err != nil || len(got) != 1 || got[0].At(2).MustString() != "v3" {
 		t.Fatalf("reversed fast path = %v, %v", got, err)
 	}
 	// Miss.

@@ -99,7 +99,7 @@ func TestProject(t *testing.T) {
 	if rs.Schema.Arity() != 2 {
 		t.Fatalf("projected arity = %d", rs.Schema.Arity())
 	}
-	if rs.Row(0).MustGet("Dept").IsNull() {
+	if rowValue(t, rs, 0, "Dept").IsNull() {
 		t.Fatal("projection lost values")
 	}
 	if _, err := courses.Project([]string{"Nope"}); err == nil {
@@ -127,15 +127,14 @@ func TestJoin(t *testing.T) {
 	}
 	// Every row has matching course ids on both sides.
 	for i := 0; i < rs.Len(); i++ {
-		row := rs.Row(i)
-		if !row.MustGet("COURSES.CourseID").Equal(row.MustGet("GRADES.CourseID")) {
+		if !rowValue(t, rs, i, "COURSES.CourseID").Equal(rowValue(t, rs, i, "GRADES.CourseID")) {
 			t.Fatal("join produced non-matching row")
 		}
 	}
 	// The same join spelled with qualified names gives the same rows.
 	q := chain(t, db, "COURSES", Join{Relation: "GRADES",
 		LeftAttrs: []string{"COURSES.CourseID"}, RightAttrs: []string{"GRADES.CourseID"}})
-	sameTuples(t, "qualified join", q.Rows, rs.Rows)
+	sameTuples(t, "qualified join", q.Rows, tuplesOf(rs.Rows))
 }
 
 // TestJoinChainResolvesNames: an unqualified left attribute is the
@@ -159,8 +158,7 @@ func TestJoinChainResolvesNames(t *testing.T) {
 		LeftAttrs: []string{"Dept", "GRADES.PID"}, RightAttrs: []string{"Dept", "PID"}})
 	var got []string
 	for i := 0; i < rs.Len(); i++ {
-		row := rs.Row(i)
-		got = append(got, fmt.Sprintf("%s/%d", row.MustGet("COURSES.CourseID").MustString(), row.MustGet("PEOPLE.PID").MustInt()))
+		got = append(got, fmt.Sprintf("%s/%d", rowValue(t, rs, i, "COURSES.CourseID").MustString(), rowValue(t, rs, i, "PEOPLE.PID").MustInt()))
 	}
 	// PID 1 (CS) took CS101 and CS345; PID 2 (EE) took CS101 and EE201.
 	if want := "CS101/1 CS345/1 EE201/2"; strings.Join(got, " ") != want {
@@ -189,9 +187,9 @@ func TestOuterJoin(t *testing.T) {
 	}
 	nullPadded := 0
 	for i := 0; i < rs.Len(); i++ {
-		if rs.Row(i).MustGet("GRADES.CourseID").IsNull() {
+		if rowValue(t, rs, i, "GRADES.CourseID").IsNull() {
 			nullPadded++
-			if got := rs.Row(i).MustGet("COURSES.CourseID").MustString(); got != "ME301" {
+			if got := rowValue(t, rs, i, "COURSES.CourseID").MustString(); got != "ME301" {
 				t.Fatalf("null-padded row for %s", got)
 			}
 		}
@@ -257,17 +255,25 @@ func TestLargeJoinStress(t *testing.T) {
 	}
 }
 
+// TestResultSetRowAccess: a result row is read by name through its
+// schema, and an unknown name is an error, not a zero value.
 func TestResultSetRowAccess(t *testing.T) {
 	db := testDB(t)
 	rs := scanOf(db, "COURSES")
-	row := rs.Row(0)
-	if _, ok := row.Get("Nope"); ok {
-		t.Fatal("Get unknown attr should be !ok")
+	if _, err := (Attr{Name: "Nope"}).Eval(rs.Schema, rs.Rows[0]); err == nil {
+		t.Fatal("unknown attribute read as a value")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustGet unknown attr should panic")
-		}
-	}()
-	row.MustGet("Nope")
+	if v := rowValue(t, rs, 0, "CourseID"); v.IsNull() || !v.Equal(rs.Rows[0].At(0)) {
+		t.Fatalf("CourseID of row 0 = %v, want %v", v, rs.Rows[0].At(0))
+	}
+}
+
+// rowValue returns the named attribute of row i of rs.
+func rowValue(t testing.TB, rs *ResultSet, i int, name string) Value {
+	t.Helper()
+	v, err := (Attr{Name: name}).Eval(rs.Schema, rs.Rows[i])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

@@ -202,7 +202,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 				rtx := db.BeginRead()
 				nR := rtx.MustRelation("R").Count()
 				nS := rtx.MustRelation("S").Count()
-				rtx.MustRelation("R").Scan(func(Tuple) bool { return true })
+				rtx.MustRelation("R").Scan(func(Row) bool { return true })
 				rtx.Close()
 				if nR != nS {
 					select {

@@ -3,6 +3,7 @@ package reldb
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 
 	"penguin/internal/obs"
@@ -21,7 +22,8 @@ import (
 // obtained from the catalog (directly or through a ReadTx snapshot) is
 // safe to read concurrently. Stored tuples are never mutated in place
 // (Insert and Replace store defensive copies), which lets versions, and
-// the row tree and the index trees of one version, share them.
+// the row tree and the index trees of one version, share them — and lets
+// every read hand the stored tuple itself out, as a read-only Row.
 type Relation struct {
 	schema  *Schema
 	rows    ptree
@@ -137,21 +139,18 @@ func (r *Relation) Insert(t Tuple) error {
 }
 
 // Get fetches the tuple with the given key values (canonical key order).
-func (r *Relation) Get(key Tuple) (Tuple, bool) {
+func (r *Relation) Get(key Tuple) (Row, bool) {
 	ek, err := r.schema.EncodeKey(key)
 	if err != nil {
-		return nil, false
+		return Row{}, false
 	}
 	return r.GetEncoded(ek)
 }
 
 // GetEncoded fetches the tuple with the given encoded primary key.
-func (r *Relation) GetEncoded(ek string) (Tuple, bool) {
+func (r *Relation) GetEncoded(ek string) (Row, bool) {
 	t, ok := r.rows.get(ek)
-	if !ok {
-		return nil, false
-	}
-	return t.Clone(), true
+	return Row{t}, ok
 }
 
 // Has reports whether a tuple with the given key values exists.
@@ -164,24 +163,24 @@ func (r *Relation) Has(key Tuple) bool {
 	return ok
 }
 
-// Delete removes the tuple with the given key values and returns a copy
-// of it: the stored one lives on in every version that shares it. It fails
+// Delete removes the tuple with the given key values and returns it: the
+// stored one, which lives on in every version that shares it. It fails
 // with ErrNoSuchTuple if absent.
-func (r *Relation) Delete(key Tuple) (Tuple, error) {
+func (r *Relation) Delete(key Tuple) (Row, error) {
 	ek, err := r.schema.EncodeKey(key)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	t, ok := r.rows.get(ek)
 	if !ok {
-		return nil, fmt.Errorf("reldb: %s: delete %s: %w", r.Name(), key, ErrNoSuchTuple)
+		return Row{}, fmt.Errorf("reldb: %s: delete %s: %w", r.Name(), key, ErrNoSuchTuple)
 	}
 	o := r.owner()
 	r.rows.delete(o, ek)
 	for _, ix := range r.indexes {
 		ix.tree.delete(o, ix.keyFor(t, ek))
 	}
-	return t.Clone(), nil
+	return Row{t}, nil
 }
 
 // Replace substitutes the tuple identified by oldKey with newTuple, which
@@ -193,23 +192,22 @@ func (r *Relation) Replace(oldKey Tuple, newTuple Tuple) error {
 	return err
 }
 
-// replace is Replace that also returns the stored tuple (shared,
-// immutable) it took out.
-func (r *Relation) replace(oldKey Tuple, newTuple Tuple) (Tuple, error) {
+// replace is Replace that also returns the stored tuple it took out.
+func (r *Relation) replace(oldKey Tuple, newTuple Tuple) (Row, error) {
 	if err := r.checkStorable(newTuple); err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	oldEK, err := r.schema.EncodeKey(oldKey)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	old, ok := r.rows.get(oldEK)
 	if !ok {
-		return nil, fmt.Errorf("reldb: %s: replace %s: %w", r.Name(), oldKey, ErrNoSuchTuple)
+		return Row{}, fmt.Errorf("reldb: %s: replace %s: %w", r.Name(), oldKey, ErrNoSuchTuple)
 	}
 	newEK := r.schema.EncodeKeyOf(newTuple)
 	if _, clash := r.rows.get(newEK); clash && newEK != oldEK {
-		return nil, fmt.Errorf("reldb: %s: replace %s -> %s: %w",
+		return Row{}, fmt.Errorf("reldb: %s: replace %s -> %s: %w",
 			r.Name(), oldKey, r.schema.KeyOf(newTuple), ErrDuplicateKey)
 	}
 	// An entry whose key is unchanged — in the row tree or in an index — is
@@ -228,21 +226,22 @@ func (r *Relation) replace(oldKey Tuple, newTuple Tuple) (Tuple, error) {
 		}
 		ix.tree.put(o, now, nt)
 	}
-	return old, nil
+	return Row{old}, nil
 }
 
-// Scan calls fn for every tuple in primary-key order, walking the tree as
-// it stood when Scan was called. If fn returns false the scan stops early.
-// fn must not mutate the tuple it is passed, nor the relation.
-func (r *Relation) Scan(fn func(Tuple) bool) {
-	r.rows.ascend("", func(_ string, t Tuple) bool { return fn(t) })
+// Scan calls fn for every stored row in primary-key order, walking the
+// tree as it stood when Scan was called. If fn returns false the scan
+// stops early. fn must not write the relation; the row it is passed is
+// read-only, and stays valid after the scan.
+func (r *Relation) Scan(fn func(Row) bool) {
+	r.rows.ascend("", func(_ string, t Tuple) bool { return fn(Row{t}) })
 }
 
-// All returns every tuple in primary-key order, as copies.
-func (r *Relation) All() []Tuple {
-	out := make([]Tuple, 0, r.rows.n)
-	r.Scan(func(t Tuple) bool {
-		out = append(out, t.Clone())
+// All returns every stored row in primary-key order.
+func (r *Relation) All() []Row {
+	out := make([]Row, 0, r.rows.n)
+	r.rows.ascend("", func(_ string, t Tuple) bool {
+		out = append(out, Row{t})
 		return true
 	})
 	return out
@@ -387,18 +386,18 @@ func (r *Relation) HasIndexOn(attrNames []string) bool {
 	return err == nil && pl.kind == planIndex
 }
 
-// MatchEqual returns the tuples whose attributes attrNames equal vals,
+// MatchEqual returns the rows whose attributes attrNames equal vals,
 // using a secondary index over those attributes (in any order) if one
 // exists and falling back to a scan otherwise. Results are in
 // primary-key order.
-func (r *Relation) MatchEqual(attrNames []string, vals Tuple) ([]Tuple, error) {
+func (r *Relation) MatchEqual(attrNames []string, vals Tuple) ([]Row, error) {
 	return r.MatchEqualStats(attrNames, vals, nil)
 }
 
 // MatchEqualStats is MatchEqual that additionally accumulates lookup
 // cost into st (which may be nil). The access path — point lookup,
 // secondary index or scan — is resolved by planFor on every call.
-func (r *Relation) MatchEqualStats(attrNames []string, vals Tuple, st *MatchStats) ([]Tuple, error) {
+func (r *Relation) MatchEqualStats(attrNames []string, vals Tuple, st *MatchStats) ([]Row, error) {
 	pl, err := r.planFor("MatchEqual", attrNames)
 	if err != nil {
 		return nil, err
@@ -408,16 +407,17 @@ func (r *Relation) MatchEqualStats(attrNames []string, vals Tuple, st *MatchStat
 	}
 	if pl.kind != planScan {
 		var buf [64]byte
-		return r.appendProbe(nil, pl, string(pl.appendPrefix(buf[:0], vals)), st), nil
+		var f finger
+		return r.appendProbe(&f, nil, pl, string(pl.appendPrefix(buf[:0], vals)), st), nil
 	}
-	var out []Tuple
-	r.Scan(func(t Tuple) bool {
+	var out []Row
+	r.rows.ascend("", func(_ string, t Tuple) bool {
 		for i, j := range pl.idx {
 			if !t[j].Equal(vals[i]) {
 				return true
 			}
 		}
-		out = append(out, t.Clone())
+		out = append(out, Row{t})
 		return true
 	})
 	r.obsScan(st, r.Count())
@@ -429,42 +429,44 @@ func (r *Relation) MatchEqualStats(attrNames []string, vals Tuple, st *MatchStat
 // share a key prefix in its tree — the row tree when they are the
 // primary key, else the plan's index's — so the answer is one seek and
 // a walk of that prefix, already in primary-key order. prefix is the
-// lookup values encoded in the tree's attribute order (appendPrefix).
-func (r *Relation) appendProbe(dst []Tuple, pl lookupPlan, prefix string, st *MatchStats) []Tuple {
+// lookup values encoded in the tree's attribute order (appendPrefix). A
+// batch probes through one finger, in ascending prefix order.
+func (r *Relation) appendProbe(f *finger, dst []Row, pl lookupPlan, prefix string, st *MatchStats) []Row {
 	t := &r.rows
 	if pl.kind == planIndex {
 		t = &pl.ix.tree
 	}
 	n := len(dst)
-	dst = t.appendPrefixed(dst, prefix)
+	dst = f.appendPrefixed(t, dst, prefix)
 	r.obsProbe(st, len(dst)-n)
 	return dst
 }
 
 // MatchEqualBatch answers many MatchEqual probes over the same attribute
-// list in one pass. The result maps the encoded form of each value set
-// (EncodeValues in the given attribute order) to the matching tuples in
-// primary-key order; value sets with no matches are absent. Duplicate
-// value sets collapse into one probe. With an index (or a primary-key
-// match) the batch costs one probe per distinct value set; without one
-// it costs a single shared scan that buckets every value set at once —
-// never one scan per value set.
-func (r *Relation) MatchEqualBatch(attrNames []string, valSets []Tuple) (map[string][]Tuple, error) {
+// list in one pass. The result is aligned with valSets: out[i] holds the
+// rows matching valSets[i], in primary-key order, or nil when none does.
+// Equal value sets are probed once and share one bucket. With an index
+// (or a primary-key match) the batch costs one probe per distinct value
+// set; without one it costs a single shared scan that buckets every
+// value set at once — never one scan per value set. A bad value set
+// anywhere fails the whole batch before anything is read.
+func (r *Relation) MatchEqualBatch(attrNames []string, valSets []Tuple) ([][]Row, error) {
 	return r.MatchEqualBatchStats(attrNames, valSets, nil)
 }
 
 // MatchEqualBatchStats is MatchEqualBatch that additionally accumulates
 // lookup cost into st (which may be nil).
 //
-// Each value set is encoded once, into a reused buffer, and that one
-// string is its dedupe key, its result key and — whenever the serving
-// tree's attribute order is attrNames' own, as for every index the
-// structural graph builds — its seek prefix; otherwise the prefix is
-// built in a second reused buffer. The probes append the whole batch's
-// matches into one slice, and each bucket is a full-capacity subslice of
-// it, so a caller appending to one bucket reallocates it instead of
-// writing into its neighbour. Every returned tuple is still a copy.
-func (r *Relation) MatchEqualBatchStats(attrNames []string, valSets []Tuple, st *MatchStats) (map[string][]Tuple, error) {
+// Every value set is encoded once, in the serving tree's attribute
+// order, into one string: each set's encoding is a substring of it, at
+// once its seek prefix and what finds its equals. Sorting the batch's
+// positions by encoding brings equal sets together (a batch assembly
+// hands over is mostly in order already), and the distinct ones are
+// probed in that order through one finger, every match appended into
+// one array. Each bucket is a full-capacity subslice of it, so a caller
+// appending to one bucket reallocates it instead of writing into its
+// neighbour.
+func (r *Relation) MatchEqualBatchStats(attrNames []string, valSets []Tuple, st *MatchStats) ([][]Row, error) {
 	pl, err := r.planFor("MatchEqualBatch", attrNames)
 	if err != nil {
 		return nil, err
@@ -474,71 +476,83 @@ func (r *Relation) MatchEqualBatchStats(attrNames []string, valSets []Tuple, st 
 			return nil, err
 		}
 	}
-	// out doubles as the set of value sets seen: each distinct one enters
-	// with a nil bucket, which its matches fill or the end removes.
-	out := make(map[string][]Tuple, len(valSets))
-	if len(valSets) == 0 {
+	n := len(valSets)
+	out := make([][]Row, n)
+	if n == 0 {
 		return out, nil
 	}
-	type span struct {
-		key    string
-		lo, hi int
+	// ends[i] is one past valSets[i]'s encoding in keys; perm lists the
+	// positions in encoding order; starts[g] is where the g-th distinct
+	// set begins in perm; a probed set's bucket is all[bounds[2g]:bounds[2g+1]].
+	scratch := make([]int, 5*n)
+	ends, perm := scratch[:n], scratch[n:2*n]
+	starts, bounds := scratch[2*n:2*n:3*n], scratch[3*n:]
+	var kb strings.Builder
+	kb.Grow(10 * len(pl.order) * n)
+	var encBuf [64]byte
+	for i, vs := range valSets {
+		kb.Write(pl.appendPrefix(encBuf[:0], vs))
+		ends[i], perm[i] = kb.Len(), i
 	}
-	spans := make([]span, 0, len(valSets))
-	inOrder := slices.Equal(pl.order, pl.idx)
-	var encBuf, preBuf [64]byte
-	enc, pre := encBuf[:0], preBuf[:0]
-	var all []Tuple
-	for _, vs := range valSets {
-		enc = enc[:0]
-		for _, v := range vs {
-			enc = AppendKey(enc, v)
+	keys := kb.String()
+	key := func(i int) string {
+		if i == 0 {
+			return keys[:ends[0]]
 		}
-		if _, dup := out[string(enc)]; dup {
-			continue
+		return keys[ends[i-1]:ends[i]]
+	}
+	slices.SortFunc(perm, func(a, b int) int { return strings.Compare(key(a), key(b)) })
+	for p := range perm {
+		if p == 0 || key(perm[p]) != key(perm[p-1]) {
+			starts = append(starts, p)
 		}
-		k := string(enc)
-		out[k] = nil
-		if pl.kind == planScan {
-			continue
+	}
+	// spread hands bucket b to every position holding distinct set g.
+	spread := func(g int, b []Row) {
+		end := n
+		if g+1 < len(starts) {
+			end = starts[g+1]
 		}
-		prefix := k
-		if !inOrder {
-			pre = pl.appendPrefix(pre[:0], vs)
-			prefix = string(pre)
+		for p := starts[g]; p < end; p++ {
+			out[perm[p]] = b
 		}
-		lo := len(all)
-		all = r.appendProbe(all, pl, prefix, st)
-		spans = append(spans, span{key: k, lo: lo, hi: len(all)})
 	}
 	if pl.kind == planScan {
 		// No index: one shared scan buckets every value set at once. The
 		// scan is in primary-key order, so each bucket comes out
-		// key-ordered, and a row's projection encoded the way the value
-		// sets were makes its bucket a map hit.
-		r.Scan(func(t Tuple) bool {
-			enc = enc[:0]
+		// key-ordered; a row's projection, encoded the way the value sets
+		// were, finds its set by binary search.
+		buckets := make([][]Row, len(starts))
+		var rowBuf [64]byte // not encBuf: the closure would move it to the heap
+		r.rows.ascend("", func(_ string, t Tuple) bool {
+			enc := rowBuf[:0]
 			for _, j := range pl.idx {
 				enc = AppendKey(enc, t[j])
 			}
-			if b, ok := out[string(enc)]; ok {
-				out[string(enc)] = append(b, t.Clone())
+			g, ok := slices.BinarySearchFunc(starts, enc, func(p int, e []byte) int {
+				return strings.Compare(key(perm[p]), string(e))
+			})
+			if ok {
+				buckets[g] = append(buckets[g], Row{t})
 			}
 			return true
 		})
 		r.obsScan(st, r.Count())
-		for k, b := range out {
-			if b == nil {
-				delete(out, k)
-			}
+		for g, b := range buckets {
+			spread(g, slices.Clip(b))
 		}
 		return out, nil
 	}
-	for _, s := range spans {
-		if s.hi > s.lo {
-			out[s.key] = all[s.lo:s.hi:s.hi]
-		} else {
-			delete(out, s.key)
+	var all []Row
+	var f finger
+	for g, p := range starts {
+		bounds[2*g] = len(all)
+		all = r.appendProbe(&f, all, pl, key(perm[p]), st)
+		bounds[2*g+1] = len(all)
+	}
+	for g := range starts {
+		if lo, hi := bounds[2*g], bounds[2*g+1]; hi > lo {
+			spread(g, all[lo:hi:hi])
 		}
 	}
 	return out, nil

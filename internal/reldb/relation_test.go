@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -28,7 +30,7 @@ func TestInsertGetDelete(t *testing.T) {
 		t.Fatalf("Count = %d", r.Count())
 	}
 	got, ok := r.Get(Tuple{String("CS101"), Int(1)})
-	if !ok || !got.Equal(grade("CS101", 1, "A")) {
+	if !ok || !got.Equal(RowOf(grade("CS101", 1, "A"))) {
 		t.Fatalf("Get = %v, %v", got, ok)
 	}
 	if !r.Has(Tuple{String("CS101"), Int(2)}) {
@@ -38,7 +40,7 @@ func TestInsertGetDelete(t *testing.T) {
 		t.Fatal("Has should be false")
 	}
 	old, err := r.Delete(Tuple{String("CS101"), Int(1)})
-	if err != nil || !old.Equal(grade("CS101", 1, "A")) {
+	if err != nil || !old.Equal(RowOf(grade("CS101", 1, "A"))) {
 		t.Fatalf("Delete = %v, %v", old, err)
 	}
 	if r.Count() != 1 {
@@ -78,19 +80,50 @@ func TestInsertClonesInput(t *testing.T) {
 	}
 	tup[2] = String("F") // mutate caller's slice
 	got, _ := r.Get(Tuple{String("CS101"), Int(1)})
-	if g := got[2].MustString(); g != "A" {
+	if g := got.At(2).MustString(); g != "A" {
 		t.Fatalf("stored tuple was aliased: grade = %q", g)
 	}
 }
 
+// TestGetReturnsCopy: a read hands out the stored row itself, and the
+// compiler is what keeps a reader from writing it — Row has no exported
+// field, and every method that returns values returns them in a fresh
+// tuple, so editing what any method returns changes neither the stored
+// row nor a fresh read. A method added to Row must be classified here.
 func TestGetReturnsCopy(t *testing.T) {
 	r := newGradesRel(t)
 	_ = r.Insert(grade("CS101", 1, "A"))
-	got, _ := r.Get(Tuple{String("CS101"), Int(1)})
-	got[2] = String("F")
-	again, _ := r.Get(Tuple{String("CS101"), Int(1)})
-	if again[2].MustString() != "A" {
-		t.Fatal("Get leaked internal storage")
+	key := Tuple{String("CS101"), Int(1)}
+	got, _ := r.Get(key)
+	rt := reflect.TypeOf(got)
+	for i := 0; i < rt.NumField(); i++ {
+		if rt.Field(i).IsExported() {
+			t.Fatalf("Row exports field %s", rt.Field(i).Name)
+		}
+	}
+	copies := map[string]func(Row) Tuple{
+		"Tuple":   func(r Row) Tuple { return r.Tuple() },
+		"Project": func(r Row) Tuple { return r.Project([]int{0, 1, 2}) },
+		"Key":     func(row Row) Tuple { return row.Key(r.Schema()) },
+	}
+	reads := []string{"At", "Encode", "EncodeKey", "Equal", "Len", "Same", "String"}
+	for i := 0; i < rt.NumMethod(); i++ {
+		name := rt.Method(i).Name
+		if slices.Contains(reads, name) {
+			continue
+		}
+		out, ok := copies[name]
+		if !ok {
+			t.Fatalf("Row.%s is neither a read nor a checked copy-out", name)
+		}
+		vals := out(got)
+		for j := range vals {
+			vals[j] = String("F")
+		}
+		again, _ := r.Get(key)
+		if !got.Equal(RowOf(grade("CS101", 1, "A"))) || !again.Equal(got) {
+			t.Fatalf("editing what Row.%s returned changed the stored row to %v", name, again)
+		}
 	}
 }
 
@@ -101,7 +134,7 @@ func TestReplaceSameKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := r.Get(Tuple{String("CS101"), Int(1)})
-	if got[2].MustString() != "B" {
+	if got.At(2).MustString() != "B" {
 		t.Fatalf("replace did not stick: %v", got)
 	}
 	if r.Count() != 1 {
@@ -156,8 +189,8 @@ func TestScanKeyOrderDeterministic(t *testing.T) {
 		}
 	}
 	var pids []int64
-	r.Scan(func(t Tuple) bool {
-		pids = append(pids, t[1].MustInt())
+	r.Scan(func(t Row) bool {
+		pids = append(pids, t.At(1).MustInt())
 		return true
 	})
 	want := []int64{1, 3, 5, 7, 9}
@@ -174,7 +207,7 @@ func TestScanEarlyStop(t *testing.T) {
 		_ = r.Insert(grade("CS101", pid, "A"))
 	}
 	n := 0
-	r.Scan(func(Tuple) bool {
+	r.Scan(func(Row) bool {
 		n++
 		return n < 3
 	})
@@ -229,7 +262,7 @@ func TestSecondaryIndex(t *testing.T) {
 		t.Fatalf("index lookup returned %d rows, want 10", len(got))
 	}
 	for _, tu := range got {
-		if tu[0].MustString() != "C3" {
+		if tu.At(0).MustString() != "C3" {
 			t.Fatalf("wrong row from index: %v", tu)
 		}
 	}
@@ -277,7 +310,7 @@ func TestIndexMaintainedByMutations(t *testing.T) {
 // indexLookup is MatchEqual that also fails the test unless one index or
 // point probe, not a scan, served the lookup: the tests that read what an
 // index holds go through the one lookup path.
-func indexLookup(t testing.TB, r *Relation, attrs []string, vals Tuple) ([]Tuple, error) {
+func indexLookup(t testing.TB, r *Relation, attrs []string, vals Tuple) ([]Row, error) {
 	t.Helper()
 	var st MatchStats
 	out, err := r.MatchEqualStats(attrs, vals, &st)
@@ -463,13 +496,33 @@ func TestIndexConsistencyUnderRandomOps(t *testing.T) {
 	}
 }
 
+// TestAllReturnsCopies: All hands out the stored rows; a row's copy-out
+// and the slice All returns are the caller's, so editing either changes
+// no later read.
 func TestAllReturnsCopies(t *testing.T) {
 	r := newGradesRel(t)
 	_ = r.Insert(grade("CS101", 1, "A"))
 	all := r.All()
-	all[0][2] = String("F")
+	out := all[0].Tuple()
+	out[2] = String("F")
+	all[0] = RowOf(out)
 	got, _ := r.Get(Tuple{String("CS101"), Int(1)})
-	if got[2].MustString() != "A" {
+	if got.At(2).MustString() != "A" || r.All()[0].At(2).MustString() != "A" {
 		t.Fatal("All leaked internal storage")
+	}
+}
+
+// TestReplaceClonesInput: like Insert, Replace stores its own copy of the
+// caller's tuple.
+func TestReplaceClonesInput(t *testing.T) {
+	r := newGradesRel(t)
+	_ = r.Insert(grade("CS101", 1, "A"))
+	nt := grade("CS101", 1, "B")
+	if err := r.Replace(Tuple{String("CS101"), Int(1)}, nt); err != nil {
+		t.Fatal(err)
+	}
+	nt[2] = String("F")
+	if got, _ := r.Get(Tuple{String("CS101"), Int(1)}); got.At(2).MustString() != "B" {
+		t.Fatalf("stored tuple was aliased: %v", got)
 	}
 }

@@ -173,6 +173,10 @@ func kindAssignable(want, have Kind) bool {
 	return want == KindFloat && have == KindInt
 }
 
+// CheckRow checks a row as CheckTuple checks a tuple: a row that wraps a
+// client's tuple has to pass it before it is stored.
+func (s *Schema) CheckRow(r Row) error { return s.CheckTuple(r.t) }
+
 // KeyOf extracts the key values of t in canonical (declaration) order.
 func (s *Schema) KeyOf(t Tuple) Tuple {
 	key := make(Tuple, len(s.key))

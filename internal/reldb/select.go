@@ -62,7 +62,7 @@ func cmpTerm(e Expr) (predTerm, bool) {
 	return predTerm{attr: a.Name, op: op, v: k.V}, true
 }
 
-// Select returns all tuples satisfying the predicate, in key order.
+// Select returns all rows satisfying the predicate, in key order.
 // A nil predicate selects everything. On a predicate evaluation error the
 // result slice is nil — never a truncated prefix a caller could silently
 // use.
@@ -72,7 +72,7 @@ func cmpTerm(e Expr) (predTerm, bool) {
 // range over one attribute walks the window of the tree that attribute
 // leads, and everything else scans under pred itself; a probe or walk is
 // taken only where it returns exactly what the scan would.
-func (r *Relation) Select(pred Expr) ([]Tuple, error) {
+func (r *Relation) Select(pred Expr) ([]Row, error) {
 	return r.SelectStats(pred, nil)
 }
 
@@ -80,7 +80,7 @@ func (r *Relation) Select(pred Expr) ([]Tuple, error) {
 // st (which may be nil): a probe or walk charges the tuples it visits, a
 // completed scan the whole relation, a scan stopped by an evaluation
 // error nothing.
-func (r *Relation) SelectStats(pred Expr, st *MatchStats) ([]Tuple, error) {
+func (r *Relation) SelectStats(pred Expr, st *MatchStats) ([]Row, error) {
 	var buf [4]predTerm
 	if terms, ok := conjunction(buf[:0], pred); ok {
 		if out, ok := r.probeEqual(terms, st); ok {
@@ -90,11 +90,11 @@ func (r *Relation) SelectStats(pred Expr, st *MatchStats) ([]Tuple, error) {
 			return out, nil
 		}
 	}
-	var out []Tuple
+	var out []Row
 	var evalErr error
-	r.Scan(func(t Tuple) bool {
+	r.Scan(func(t Row) bool {
 		if pred != nil {
-			ok, err := EvalBool(pred, Row{Schema: r.schema, Tuple: t})
+			ok, err := EvalBool(pred, r.schema, t)
 			if err != nil {
 				evalErr = err
 				return false
@@ -103,7 +103,7 @@ func (r *Relation) SelectStats(pred Expr, st *MatchStats) ([]Tuple, error) {
 				return true
 			}
 		}
-		out = append(out, t.Clone())
+		out = append(out, t)
 		return true
 	})
 	if evalErr != nil {
@@ -122,7 +122,7 @@ func (r *Relation) SelectStats(pred Expr, st *MatchStats) ([]Tuple, error) {
 //     range walk's bounds are;
 //   - the attribute set is the primary key's or a secondary index's —
 //     otherwise probing buys nothing.
-func (r *Relation) probeEqual(terms []predTerm, st *MatchStats) ([]Tuple, bool) {
+func (r *Relation) probeEqual(terms []predTerm, st *MatchStats) ([]Row, bool) {
 	var nameBuf [4]string
 	var valBuf [4]Value
 	names, vals := nameBuf[:0], Tuple(valBuf[:0])
@@ -142,7 +142,8 @@ func (r *Relation) probeEqual(terms []predTerm, st *MatchStats) ([]Tuple, bool) 
 		}
 	}
 	var buf [64]byte
-	return r.appendProbe(nil, pl, string(pl.appendPrefix(buf[:0], vals)), st), true
+	var f finger
+	return r.appendProbe(&f, nil, pl, string(pl.appendPrefix(buf[:0], vals)), st), true
 }
 
 // walkRange serves a range over one attribute — at most one lower (>,
@@ -150,7 +151,7 @@ func (r *Relation) probeEqual(terms []predTerm, st *MatchStats) ([]Tuple, bool) 
 // bounds in the tree the attribute leads, when that returns exactly
 // what a scan would: the attribute leads the primary key or a
 // secondary index, and every bound is walkable (walkableBound).
-func (r *Relation) walkRange(terms []predTerm, st *MatchStats) ([]Tuple, bool) {
+func (r *Relation) walkRange(terms []predTerm, st *MatchStats) ([]Row, bool) {
 	var lo, hi *predTerm
 	for i := range terms {
 		t := &terms[i]
@@ -191,12 +192,12 @@ func (r *Relation) walkRange(terms []predTerm, st *MatchStats) ([]Tuple, bool) {
 			to = prefixSuccessor(to)
 		}
 	}
-	var out []Tuple
+	var out []Row
 	tree.ascend(from, func(k string, t Tuple) bool {
 		if hi != nil && k >= to {
 			return false
 		}
-		out = append(out, t.Clone())
+		out = append(out, Row{t})
 		return true
 	})
 	if !pkOrder {
@@ -204,7 +205,7 @@ func (r *Relation) walkRange(terms []predTerm, st *MatchStats) ([]Tuple, bool) {
 		// back in primary-key order (Compare order is codec order).
 		sort.Slice(out, func(i, j int) bool {
 			for _, k := range r.schema.key {
-				if c, _ := Compare(out[i][k], out[j][k]); c != 0 {
+				if c, _ := Compare(out[i].t[k], out[j].t[k]); c != 0 {
 					return c < 0
 				}
 			}

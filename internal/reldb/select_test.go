@@ -23,7 +23,7 @@ func selectPath(t *testing.T, r *Relation, pred Expr) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameTuples(t, fmt.Sprintf("Select(%s)", pred), got, want)
+	sameTuples(t, fmt.Sprintf("Select(%s)", pred), got, tuplesOf(want))
 	switch st {
 	case MatchStats{Probes: 1, Scanned: len(got)}:
 		return "probe"

@@ -34,10 +34,6 @@ func TestTupleProjectWithConcat(t *testing.T) {
 	if !p.Equal(Tuple{Bool(true), Int(1)}) {
 		t.Fatalf("Project = %v", p)
 	}
-	w := tup.With(1, String("b"))
-	if tup[1].MustString() != "a" || w[1].MustString() != "b" {
-		t.Fatal("With should copy")
-	}
 	c := Tuple{Int(1)}.Concat(Tuple{Int(2), Int(3)})
 	if !c.Equal(Tuple{Int(1), Int(2), Int(3)}) {
 		t.Fatalf("Concat = %v", c)

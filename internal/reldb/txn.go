@@ -91,19 +91,19 @@ func (tx *Tx) Insert(relName string, t Tuple) error {
 }
 
 // Delete removes the tuple with the given key from the named relation and
-// returns the deleted tuple.
-func (tx *Tx) Delete(relName string, key Tuple) (Tuple, error) {
+// returns the deleted row.
+func (tx *Tx) Delete(relName string, key Tuple) (Row, error) {
 	if tx.done {
 		obs.Default.TxDoneHits.Inc()
-		return nil, ErrTxDone
+		return Row{}, ErrTxDone
 	}
 	r, err := tx.Relation(relName)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	old, err := r.Delete(key)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	tx.written[relName] = true
 	tx.ops++
@@ -111,25 +111,23 @@ func (tx *Tx) Delete(relName string, key Tuple) (Tuple, error) {
 }
 
 // Replace substitutes the tuple at oldKey with newTuple (possibly changing
-// the key) and returns the replaced tuple.
-func (tx *Tx) Replace(relName string, oldKey Tuple, newTuple Tuple) (Tuple, error) {
+// the key) and returns the replaced row.
+func (tx *Tx) Replace(relName string, oldKey Tuple, newTuple Tuple) (Row, error) {
 	if tx.done {
 		obs.Default.TxDoneHits.Inc()
-		return nil, ErrTxDone
+		return Row{}, ErrTxDone
 	}
 	r, err := tx.Relation(relName)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
-	// The replaced tuple is still stored in the committed version: the
-	// caller gets a copy.
 	old, err := r.replace(oldKey, newTuple)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
 	tx.written[relName] = true
 	tx.ops++
-	return old.Clone(), nil
+	return old, nil
 }
 
 // OpCount returns the number of successful operations so far.

@@ -55,12 +55,12 @@ func TestTxRollbackDelete(t *testing.T) {
 	})
 	tx := db.Begin()
 	old, err := tx.Delete("R", Tuple{Int(1)})
-	if err != nil || !old.Equal(Tuple{Int(1), String("a")}) {
+	if err != nil || !old.Equal(RowOf(Tuple{Int(1), String("a")})) {
 		t.Fatalf("delete = %v, %v", old, err)
 	}
 	_ = tx.Rollback()
 	got, ok := db.MustRelation("R").Get(Tuple{Int(1)})
-	if !ok || got[1].MustString() != "a" {
+	if !ok || got.At(1).MustString() != "a" {
 		t.Fatal("rollback did not restore deleted row")
 	}
 }
@@ -72,7 +72,7 @@ func TestTxRollbackReplace(t *testing.T) {
 	})
 	tx := db.Begin()
 	old, err := tx.Replace("R", Tuple{Int(1)}, Tuple{Int(9), String("z")})
-	if err != nil || old[1].MustString() != "a" {
+	if err != nil || old.At(1).MustString() != "a" {
 		t.Fatalf("replace = %v, %v", old, err)
 	}
 	_ = tx.Rollback()
@@ -303,9 +303,10 @@ func TestTxIsolationUntilCommit(t *testing.T) {
 	}
 }
 
-// TestTxDeleteReturnsCopy: the tuple a delete hands back is the caller's
-// to keep. Writing through it must reach neither a snapshot that still
-// holds the row nor the delete image a subscriber receives.
+// TestTxDeleteReturnsCopy: a delete hands back the stored row, read-only;
+// its copy-out is the caller's to keep. Writing that copy must reach
+// neither a snapshot that still holds the row nor the delete image a
+// subscriber receives.
 func TestTxDeleteReturnsCopy(t *testing.T) {
 	db := txDB(t)
 	if err := db.RunInTx(func(tx *Tx) error { return tx.Insert("R", Tuple{Int(1), String("a")}) }); err != nil {
@@ -318,18 +319,19 @@ func TestTxDeleteReturnsCopy(t *testing.T) {
 	if err := db.RunInTx(func(tx *Tx) error {
 		old, err := tx.Delete("R", Tuple{Int(1)})
 		if err == nil {
-			old[1] = String("clobbered")
+			out := old.Tuple()
+			out[1] = String("clobbered")
 		}
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := rtx.MustRelation("R").Get(Tuple{Int(1)}); !ok || !got.Equal(Tuple{Int(1), String("a")}) {
+	if got, ok := rtx.MustRelation("R").Get(Tuple{Int(1)}); !ok || !got.Equal(RowOf(Tuple{Int(1), String("a")})) {
 		t.Fatalf("pinned snapshot reads %v, %v after the caller wrote through a deleted tuple", got, ok)
 	}
 	batches, _ := sub.Poll()
 	if len(batches) != 1 || len(batches[0].Deltas) != 1 || len(batches[0].Deltas[0].Deletes) != 1 ||
-		!batches[0].Deltas[0].Deletes[0].Equal(Tuple{Int(1), String("a")}) {
+		!batches[0].Deltas[0].Deletes[0].Equal(RowOf(Tuple{Int(1), String("a")})) {
 		t.Fatalf("subscriber received %+v, want the delete of (1, a)", batches)
 	}
 }

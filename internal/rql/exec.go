@@ -126,7 +126,7 @@ func runInsert(db *reldb.Database, st *InsertStmt) (*Outcome, error) {
 // constEval evaluates an expression with no row context (literals and
 // arithmetic over them).
 func constEval(e reldb.Expr) (reldb.Value, error) {
-	return e.Eval(reldb.Row{Schema: emptySchema, Tuple: nil})
+	return e.Eval(emptySchema, reldb.Row{})
 }
 
 var emptySchema = reldb.MustSchema("~empty", []reldb.Attribute{
@@ -292,16 +292,15 @@ func runUpdate(db *reldb.Database, st *UpdateStmt) (*Outcome, error) {
 			return err
 		}
 		for _, t := range matches {
-			nt := t.Clone()
-			row := reldb.Row{Schema: schema, Tuple: t}
+			nt := t.Tuple()
 			for i, e := range setIdx {
-				v, err := e.Eval(row)
+				v, err := e.Eval(schema, t)
 				if err != nil {
 					return err
 				}
 				nt[i] = v
 			}
-			if _, err := tx.Replace(st.Table, schema.KeyOf(t), nt); err != nil {
+			if _, err := tx.Replace(st.Table, t.Key(schema), nt); err != nil {
 				return err
 			}
 			n++
@@ -327,7 +326,7 @@ func runDelete(db *reldb.Database, st *DeleteStmt) (*Outcome, error) {
 			return err
 		}
 		for _, t := range matches {
-			if _, err := tx.Delete(st.Table, schema.KeyOf(t)); err != nil {
+			if _, err := tx.Delete(st.Table, t.Key(schema)); err != nil {
 				return err
 			}
 			n++
@@ -351,7 +350,7 @@ func FormatResult(rs *reldb.ResultSet) string {
 	for r := 0; r < rs.Len(); r++ {
 		row := make([]string, len(names))
 		for c := range names {
-			row[c] = rs.Rows[r][c].String()
+			row[c] = rs.Rows[r].At(c).String()
 			if len(row[c]) > widths[c] {
 				widths[c] = len(row[c])
 			}

@@ -17,11 +17,11 @@ func sortRows(in *reldb.ResultSet, by []string, desc bool) (*reldb.ResultSet, er
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]reldb.Tuple, len(in.Rows))
+	rows := make([]reldb.Row, len(in.Rows))
 	copy(rows, in.Rows)
 	sort.SliceStable(rows, func(i, j int) bool {
 		for _, k := range idx {
-			c, err := reldb.Compare(rows[i][k], rows[j][k])
+			c, err := reldb.Compare(rows[i].At(k), rows[j].At(k))
 			if err != nil || c == 0 {
 				continue
 			}
@@ -97,11 +97,26 @@ type aggSpec struct {
 }
 
 // aggregate groups by the named attributes and computes aggs. With no
-// group-by attributes, it produces exactly one row.
+// group-by attributes, it produces exactly one row. Every attribute is
+// resolved against the input schema before any row is read, so a bad
+// one is refused whatever the rows are.
 func aggregate(in *reldb.ResultSet, groupBy []string, aggs []aggSpec) (*reldb.ResultSet, error) {
 	gidx, err := in.Schema.Indices(groupBy)
 	if err != nil {
 		return nil, err
+	}
+	// aidx[i] is the index of aggs[i]'s attribute, -1 for count(*).
+	aidx := make([]int, len(aggs))
+	for i, spec := range aggs {
+		aidx[i] = -1
+		if spec.Attr == "" {
+			continue
+		}
+		ai, ok := in.Schema.AttrIndex(spec.Attr)
+		if !ok {
+			return nil, fmt.Errorf("rql: aggregate over unknown attribute %s", spec.Attr)
+		}
+		aidx[i] = ai
 	}
 	type group struct {
 		key    reldb.Tuple
@@ -136,16 +151,12 @@ func aggregate(in *reldb.ResultSet, groupBy []string, aggs []aggSpec) (*reldb.Re
 			groups[ek] = g
 			order = append(order, ek)
 		}
-		for i, spec := range aggs {
-			if spec.Attr == "" { // count(*)
+		for i, ai := range aidx {
+			if ai < 0 { // count(*)
 				g.counts[i]++
 				continue
 			}
-			ai, ok := in.Schema.AttrIndex(spec.Attr)
-			if !ok {
-				return nil, fmt.Errorf("rql: aggregate over unknown attribute %s", spec.Attr)
-			}
-			v := t[ai]
+			v := t.At(ai)
 			if v.IsNull() {
 				continue
 			}
@@ -227,7 +238,7 @@ func aggregate(in *reldb.ResultSet, groupBy []string, aggs []aggSpec) (*reldb.Re
 				row = append(row, g.maxs[i])
 			}
 		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, reldb.RowOf(row))
 	}
 	return out, nil
 }

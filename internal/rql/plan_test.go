@@ -78,14 +78,14 @@ func TestSort(t *testing.T) {
 	rs := must(t)(sortRows(courses, []string{"Units", "CourseID"}, false))
 	var got []string
 	for i := 0; i < rs.Len(); i++ {
-		got = append(got, rs.Row(i).MustGet("CourseID").MustString())
+		got = append(got, get(t, rs, i, "CourseID").MustString())
 	}
 	want := "CS101,EE201,CS345,ME301"
 	if strings.Join(got, ",") != want {
 		t.Fatalf("sort order = %v, want %s", got, want)
 	}
 	rs = must(t)(sortRows(courses, []string{"Units", "CourseID"}, true))
-	if first := rs.Row(0).MustGet("CourseID").MustString(); first != "ME301" {
+	if first := get(t, rs, 0, "CourseID").MustString(); first != "ME301" {
 		t.Fatalf("desc first = %s", first)
 	}
 	if _, err := sortRows(courses, []string{"Nope"}, false); err == nil {
@@ -119,8 +119,8 @@ func TestAggregateGrouped(t *testing.T) {
 	rs := must(t)(aggregate(scan(db.MustRelation("GRADES")), []string{"CourseID"}, []aggSpec{{Func: aggCount, As: "n"}}))
 	counts := map[string]int64{}
 	for i := 0; i < rs.Len(); i++ {
-		row := rs.Row(i)
-		counts[row.MustGet("CourseID").MustString()] = row.MustGet("n").MustInt()
+		row := rowGetter(t, rs, i)
+		counts[row("CourseID").MustString()] = row("n").MustInt()
 	}
 	want := map[string]int64{"CS101": 3, "CS345": 2, "EE201": 1}
 	for k, v := range want {
@@ -145,21 +145,21 @@ func TestAggregateGlobal(t *testing.T) {
 	if rs.Len() != 1 {
 		t.Fatalf("global aggregate rows = %d", rs.Len())
 	}
-	row := rs.Row(0)
-	if n := row.MustGet("n").MustInt(); n != 4 {
+	row := rowGetter(t, rs, 0)
+	if n := row("n").MustInt(); n != 4 {
 		t.Fatalf("count = %d", n)
 	}
-	if tot, _ := row.MustGet("total").AsInt(); tot != 14 {
-		t.Fatalf("sum = %v", row.MustGet("total"))
+	if tot, _ := row("total").AsInt(); tot != 14 {
+		t.Fatalf("sum = %v", row("total"))
 	}
-	if lo, _ := row.MustGet("lo").AsInt(); lo != 3 {
-		t.Fatalf("min = %v", row.MustGet("lo"))
+	if lo, _ := row("lo").AsInt(); lo != 3 {
+		t.Fatalf("min = %v", row("lo"))
 	}
-	if hi, _ := row.MustGet("hi").AsInt(); hi != 4 {
-		t.Fatalf("max = %v", row.MustGet("hi"))
+	if hi, _ := row("hi").AsInt(); hi != 4 {
+		t.Fatalf("max = %v", row("hi"))
 	}
-	if mean, _ := row.MustGet("mean").AsFloat(); mean != 3.5 {
-		t.Fatalf("avg = %v", row.MustGet("mean"))
+	if mean, _ := row("mean").AsFloat(); mean != 3.5 {
+		t.Fatalf("avg = %v", row("mean"))
 	}
 }
 
@@ -176,14 +176,14 @@ func TestAggregateEmptyInput(t *testing.T) {
 	if rs.Len() != 1 {
 		t.Fatalf("empty aggregate rows = %d, want 1", rs.Len())
 	}
-	row := rs.Row(0)
-	if n := row.MustGet("n").MustInt(); n != 0 {
+	row := rowGetter(t, rs, 0)
+	if n := row("n").MustInt(); n != 0 {
 		t.Fatalf("count over empty = %d", n)
 	}
-	if !row.MustGet("s").IsNull() {
+	if !row("s").IsNull() {
 		t.Fatal("sum over empty should be null")
 	}
-	if !row.MustGet("m").IsNull() {
+	if !row("m").IsNull() {
 		t.Fatal("avg over empty should be null")
 	}
 	// Grouped aggregate over empty input yields zero rows.
@@ -206,14 +206,14 @@ func TestAggregateNullsIgnored(t *testing.T) {
 		{Func: aggCount, As: "n"},
 		{Func: aggAvg, Attr: "V", As: "m"},
 	}))
-	row := rs.Row(0)
-	if nv := row.MustGet("nv").MustInt(); nv != 2 {
+	row := rowGetter(t, rs, 0)
+	if nv := row("nv").MustInt(); nv != 2 {
 		t.Fatalf("count(V) = %d, want 2", nv)
 	}
-	if n := row.MustGet("n").MustInt(); n != 3 {
+	if n := row("n").MustInt(); n != 3 {
 		t.Fatalf("count(*) = %d, want 3", n)
 	}
-	if m, _ := row.MustGet("m").AsFloat(); m != 15 {
+	if m, _ := row("m").AsFloat(); m != 15 {
 		t.Fatalf("avg(V) = %v, want 15", m)
 	}
 }
@@ -240,7 +240,7 @@ func TestComposedPipeline(t *testing.T) {
 	rs := must(t)(agg.Filter(reldb.Cmp{Op: reldb.OpLt, L: reldb.Attr{Name: "n"}, R: reldb.Const{V: reldb.Int(3)}}))
 	ids := map[string]bool{}
 	for i := 0; i < rs.Len(); i++ {
-		ids[rs.Row(i).MustGet("CourseID").MustString()] = true
+		ids[get(t, rs, i, "CourseID").MustString()] = true
 	}
 	if !ids["CS345"] || !ids["EE201"] || ids["CS101"] {
 		t.Fatalf("pipeline result = %v", ids)
@@ -267,10 +267,24 @@ func Example_aggregatePlan() {
 	_ = r.Insert(reldb.Tuple{reldb.String("b"), reldb.Int(5)})
 	rs, _ := aggregate(scan(r), []string{"G"}, []aggSpec{{Func: aggSum, Attr: "V", As: "s"}})
 	for i := 0; i < rs.Len(); i++ {
-		row := rs.Row(i)
-		fmt.Printf("%s=%s\n", row.MustGet("G"), row.MustGet("s"))
+		fmt.Printf("%s=%s\n", rs.Rows[i].At(0), rs.Rows[i].At(1))
 	}
 	// Output:
 	// a=3
 	// b=5
+}
+
+// get returns the named attribute of row i of rs.
+func get(t testing.TB, rs *reldb.ResultSet, i int, name string) reldb.Value {
+	t.Helper()
+	v, err := (reldb.Attr{Name: name}).Eval(rs.Schema, rs.Rows[i])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// rowGetter returns get for row i of rs.
+func rowGetter(t testing.TB, rs *reldb.ResultSet, i int) func(name string) reldb.Value {
+	return func(name string) reldb.Value { return get(t, rs, i, name) }
 }

@@ -77,7 +77,7 @@ func TestInsert(t *testing.T) {
 	// Column list with omitted nullable columns.
 	mustExec(t, db, `INSERT INTO emp (id, name) VALUES (6, 'frank')`)
 	got, _ := db.MustRelation("emp").Get(reldb.Tuple{reldb.Int(6)})
-	if !got[2].IsNull() {
+	if !got.At(2).IsNull() {
 		t.Fatalf("dept should be null: %v", got)
 	}
 	// Errors: arity, duplicate key, unknown table, unknown column; a
@@ -112,11 +112,11 @@ func TestSelectBasics(t *testing.T) {
 	if out.Rows.Len() != 2 {
 		t.Fatalf("rows = %d", out.Rows.Len())
 	}
-	if out.Rows.Row(0).MustGet("name").MustString() != "alice" {
+	if get(t, out.Rows, 0, "name").MustString() != "alice" {
 		t.Fatal("order wrong")
 	}
 	out = mustExec(t, db, `SELECT id FROM emp ORDER BY id DESC LIMIT 2`)
-	if out.Rows.Len() != 2 || out.Rows.Row(0).MustGet("id").MustInt() != 4 {
+	if out.Rows.Len() != 2 || get(t, out.Rows, 0, "id").MustInt() != 4 {
 		t.Fatal("desc/limit wrong")
 	}
 	out = mustExec(t, db, `SELECT DISTINCT dept FROM emp WHERE dept IS NOT NULL`)
@@ -124,7 +124,7 @@ func TestSelectBasics(t *testing.T) {
 		t.Fatalf("distinct rows = %d", out.Rows.Len())
 	}
 	out = mustExec(t, db, `SELECT name AS who FROM emp WHERE id = 1`)
-	if out.Rows.Row(0).MustGet("who").MustString() != "alice" {
+	if get(t, out.Rows, 0, "who").MustString() != "alice" {
 		t.Fatal("alias wrong")
 	}
 }
@@ -169,7 +169,7 @@ func TestSelectJoin(t *testing.T) {
 	}
 	// Qualified ON attributes.
 	out = mustExec(t, db, `SELECT emp.name FROM emp JOIN dept ON emp.dept = dept.name WHERE dept.budget > 150`)
-	if out.Rows.Len() != 1 || out.Rows.Row(0).MustGet("emp.name").MustString() != "bob" {
+	if out.Rows.Len() != 1 || get(t, out.Rows, 0, "emp.name").MustString() != "bob" {
 		t.Fatalf("join+where wrong: %d", out.Rows.Len())
 	}
 	// Left outer join keeps dan.
@@ -182,26 +182,26 @@ func TestSelectJoin(t *testing.T) {
 func TestSelectAggregates(t *testing.T) {
 	db := rqlDB(t)
 	out := mustExec(t, db, `SELECT COUNT(*) AS n, SUM(salary) AS total, AVG(salary) AS m FROM emp`)
-	row := out.Rows.Row(0)
-	if row.MustGet("n").MustInt() != 4 {
-		t.Fatalf("count = %v", row.MustGet("n"))
+	row := rowGetter(t, out.Rows, 0)
+	if row("n").MustInt() != 4 {
+		t.Fatalf("count = %v", row("n"))
 	}
-	if tot, _ := row.MustGet("total").AsFloat(); tot != 180 {
-		t.Fatalf("sum = %v", row.MustGet("total"))
+	if tot, _ := row("total").AsFloat(); tot != 180 {
+		t.Fatalf("sum = %v", row("total"))
 	}
-	if m, _ := row.MustGet("m").AsFloat(); m != 60 {
-		t.Fatalf("avg = %v", row.MustGet("m"))
+	if m, _ := row("m").AsFloat(); m != 60 {
+		t.Fatalf("avg = %v", row("m"))
 	}
 	out = mustExec(t, db, `SELECT dept, COUNT(*) AS n, MAX(salary) AS hi FROM emp WHERE dept IS NOT NULL GROUP BY dept ORDER BY dept`)
 	if out.Rows.Len() != 2 {
 		t.Fatalf("groups = %d", out.Rows.Len())
 	}
-	first := out.Rows.Row(0)
-	if first.MustGet("dept").MustString() != "cs" || first.MustGet("n").MustInt() != 2 {
-		t.Fatalf("group cs wrong: %v", first.Tuple)
+	first := rowGetter(t, out.Rows, 0)
+	if first("dept").MustString() != "cs" || first("n").MustInt() != 2 {
+		t.Fatalf("group cs wrong: %v", out.Rows.Rows[0])
 	}
-	if hi, _ := first.MustGet("hi").AsFloat(); hi != 70 {
-		t.Fatalf("max = %v", first.MustGet("hi"))
+	if hi, _ := first("hi").AsFloat(); hi != 70 {
+		t.Fatalf("max = %v", first("hi"))
 	}
 	// Non-grouped column rejected.
 	if _, err := Exec(db, `SELECT name, COUNT(*) FROM emp GROUP BY dept`); err == nil {
@@ -217,6 +217,22 @@ func TestSelectAggregates(t *testing.T) {
 	}
 }
 
+// TestAggregateAttributeCheckedWhateverTheRows: an aggregate over an
+// attribute the input lacks is refused before a row is read, so a WHERE
+// that leaves no rows refuses it too.
+func TestAggregateAttributeCheckedWhateverTheRows(t *testing.T) {
+	db := rqlDB(t)
+	for _, src := range []string{
+		`SELECT SUM(nope) FROM emp`,
+		`SELECT SUM(nope) FROM emp WHERE id = 99`,
+		`SELECT dept, MAX(nope) FROM emp WHERE id = 99 GROUP BY dept`,
+	} {
+		if out, err := Exec(db, src); err == nil {
+			t.Errorf("%s: accepted, %d rows", src, out.Rows.Len())
+		}
+	}
+}
+
 func TestUpdate(t *testing.T) {
 	db := rqlDB(t)
 	out := mustExec(t, db, `UPDATE emp SET salary = salary + 5 WHERE dept = 'cs'`)
@@ -224,8 +240,8 @@ func TestUpdate(t *testing.T) {
 		t.Fatalf("affected = %d", out.Affected)
 	}
 	got, _ := db.MustRelation("emp").Get(reldb.Tuple{reldb.Int(1)})
-	if v, _ := got[3].AsFloat(); v != 55 {
-		t.Fatalf("salary = %v", got[3])
+	if v, _ := got.At(3).AsFloat(); v != 55 {
+		t.Fatalf("salary = %v", got.At(3))
 	}
 	// Key update.
 	mustExec(t, db, `UPDATE emp SET id = 100 WHERE id = 4`)
@@ -351,7 +367,7 @@ func TestParseExprStandalone(t *testing.T) {
 		{Name: "Level", Type: reldb.KindString},
 		{Name: "Units", Type: reldb.KindInt},
 	}, []string{"Level"})
-	ok, err := reldb.EvalBool(e, reldb.Row{Schema: s, Tuple: reldb.Tuple{reldb.String("graduate"), reldb.Int(4)}})
+	ok, err := reldb.EvalBool(e, s, reldb.RowOf(reldb.Tuple{reldb.String("graduate"), reldb.Int(4)}))
 	if err != nil || !ok {
 		t.Fatalf("eval = %v, %v", ok, err)
 	}
@@ -380,7 +396,7 @@ func TestStringEscapes(t *testing.T) {
 	db := rqlDB(t)
 	mustExec(t, db, `INSERT INTO emp VALUES (50, 'o\'brien', "d\"q", 1)`)
 	got, _ := db.MustRelation("emp").Get(reldb.Tuple{reldb.Int(50)})
-	if got[1].MustString() != "o'brien" || got[2].MustString() != `d"q` {
+	if got.At(1).MustString() != "o'brien" || got.At(2).MustString() != `d"q` {
 		t.Fatalf("escapes wrong: %v", got)
 	}
 }

@@ -23,14 +23,14 @@ func InstanceDoc(inst *viewobject.Instance) map[string]any {
 func nodeDoc(def *viewobject.Definition, in *viewobject.InstNode) map[string]any {
 	n := in.Node()
 	schema := def.NodeSchema(n)
-	tuple := in.Tuple()
+	row := in.Row()
 	out := make(map[string]any, len(n.Attrs)+len(n.Children))
 	for _, attr := range n.Attrs {
 		idx, ok := schema.AttrIndex(attr)
 		if !ok {
 			continue
 		}
-		out[attr] = EncodeValue(tuple[idx])
+		out[attr] = EncodeValue(row.At(idx))
 	}
 	for _, child := range n.Children {
 		kids := in.Children(child.ID)

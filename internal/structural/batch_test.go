@@ -52,14 +52,14 @@ func TestConnectedViaBatchMatchesSingle(t *testing.T) {
 	cases := []struct {
 		name   string
 		edge   Edge
-		tuples []reldb.Tuple
+		tuples []reldb.Row
 	}{
 		{"ownership forward", Edge{Conn: own, Forward: true}, db.MustRelation("OWNER").All()},
 		{"ownership inverse", Edge{Conn: own, Forward: false}, db.MustRelation("OWNED").All()},
 		{"reference with null and dangling", Edge{Conn: ref, Forward: true}, refer.All()},
 	}
 	for _, tc := range cases {
-		batch, err := ConnectedViaBatchStats(db, tc.edge, tc.tuples, nil)
+		batch, err := ConnectedViaBatchStats(db, tc.edge, sourceIdx(t, db, tc.edge), tc.tuples, nil)
 		if err != nil {
 			t.Fatalf("%s: batch: %v", tc.name, err)
 		}
@@ -89,7 +89,8 @@ func TestConnectedViaBatchMatchesSingle(t *testing.T) {
 	// key, with no scans (the auto edge index serves it).
 	var st reldb.MatchStats
 	owners := db.MustRelation("OWNER").All()
-	if _, err := ConnectedViaBatchStats(db, Edge{Conn: own, Forward: true}, owners, &st); err != nil {
+	e := Edge{Conn: own, Forward: true}
+	if _, err := ConnectedViaBatchStats(db, e, sourceIdx(t, db, e), owners, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Scans != 0 || st.Probes != len(owners) {
@@ -102,10 +103,25 @@ func TestConnectedViaBatchEmpty(t *testing.T) {
 	g := NewGraph(db)
 	g.MustAddConnection(ownershipConn())
 	own, _ := g.Connection("own")
-	out, err := ConnectedViaBatchStats(db, Edge{Conn: own, Forward: true}, nil, nil)
+	e := Edge{Conn: own, Forward: true}
+	out, err := ConnectedViaBatchStats(db, e, sourceIdx(t, db, e), nil, nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch = %v, %v", out, err)
 	}
+}
+
+// sourceIdx resolves e's source attributes in its source schema.
+func sourceIdx(t *testing.T, res Resolver, e Edge) []int {
+	t.Helper()
+	src, err := res.Relation(e.Source())
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := src.Schema().Indices(e.SourceAttrs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
 }
 
 // AddConnection must register edge indexes on connecting-attribute sets

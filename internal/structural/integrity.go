@@ -13,16 +13,16 @@ import (
 // database lock the transaction already holds.
 type Resolver = reldb.Resolver
 
-// ConnectedVia returns the tuples of e.Target() connected to tuple across
+// ConnectedVia returns the rows of e.Target() connected to row across
 // the edge, resolving relations through res. A null connecting value on
 // the source side connects to nothing.
-func ConnectedVia(res Resolver, e Edge, tuple reldb.Tuple) ([]reldb.Tuple, error) {
-	return ConnectedViaStats(res, e, tuple, nil)
+func ConnectedVia(res Resolver, e Edge, row reldb.Row) ([]reldb.Row, error) {
+	return ConnectedViaStats(res, e, row, nil)
 }
 
 // ConnectedViaStats is ConnectedVia that additionally accumulates lookup
 // cost into st (which may be nil).
-func ConnectedViaStats(res Resolver, e Edge, tuple reldb.Tuple, st *reldb.MatchStats) ([]reldb.Tuple, error) {
+func ConnectedViaStats(res Resolver, e Edge, row reldb.Row, st *reldb.MatchStats) ([]reldb.Row, error) {
 	srcRel, err := res.Relation(e.Source())
 	if err != nil {
 		return nil, err
@@ -33,10 +33,10 @@ func ConnectedViaStats(res Resolver, e Edge, tuple reldb.Tuple, st *reldb.MatchS
 	}
 	vals := make(reldb.Tuple, len(srcIdx))
 	for i, j := range srcIdx {
-		if tuple[j].IsNull() {
+		if row.At(j).IsNull() {
 			return nil, nil
 		}
-		vals[i] = tuple[j]
+		vals[i] = row.At(j)
 	}
 	tgtRel, err := res.Relation(e.Target())
 	if err != nil {
@@ -49,7 +49,7 @@ func ConnectedViaStats(res Resolver, e Edge, tuple reldb.Tuple, st *reldb.MatchS
 	if matches == nil {
 		// Non-nil even when empty: a nil result is reserved for the
 		// null-connecting-value case above.
-		matches = []reldb.Tuple{}
+		matches = []reldb.Row{}
 	}
 	return matches, nil
 }
@@ -89,7 +89,7 @@ func (in *Integrity) Audit(res Resolver) ([]Violation, error) {
 				return nil, err
 			}
 			var scanErr error
-			toRel.Scan(func(t reldb.Tuple) bool {
+			toRel.Scan(func(t reldb.Row) bool {
 				owners, err := ConnectedVia(res, Edge{Conn: c, Forward: false}, t)
 				if err != nil {
 					scanErr = err
@@ -97,7 +97,7 @@ func (in *Integrity) Audit(res Resolver) ([]Violation, error) {
 				}
 				if len(owners) == 0 {
 					out = append(out, Violation{
-						Conn: c, Rel: c.To, Tuple: t.Clone(),
+						Conn: c, Rel: c.To, Tuple: t.Tuple(),
 						Reason: fmt.Sprintf("orphan: no %s tuple in %s", c.Type, c.From),
 					})
 				}
@@ -113,7 +113,7 @@ func (in *Integrity) Audit(res Resolver) ([]Violation, error) {
 				return nil, err
 			}
 			var scanErr error
-			fromRel.Scan(func(t reldb.Tuple) bool {
+			fromRel.Scan(func(t reldb.Row) bool {
 				matches, err := ConnectedVia(res, Edge{Conn: c, Forward: true}, t)
 				if err != nil {
 					scanErr = err
@@ -121,7 +121,7 @@ func (in *Integrity) Audit(res Resolver) ([]Violation, error) {
 				}
 				if matches != nil && len(matches) == 0 {
 					out = append(out, Violation{
-						Conn: c, Rel: c.From, Tuple: t.Clone(),
+						Conn: c, Rel: c.From, Tuple: t.Tuple(),
 						Reason: fmt.Sprintf("dangling reference into %s", c.To),
 					})
 				}

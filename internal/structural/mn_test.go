@@ -89,7 +89,7 @@ func TestManyToManyViaLinkRelation(t *testing.T) {
 		if err != nil || len(ps) != 1 {
 			t.Fatalf("link->paper: %v, %v", ps, err)
 		}
-		papers[ps[0][0].MustInt()] = true
+		papers[ps[0].At(0).MustInt()] = true
 	}
 	if !papers[10] || !papers[11] {
 		t.Fatalf("Codd's papers = %v", papers)

@@ -91,11 +91,11 @@ func TestSeedContainsPaperEntities(t *testing.T) {
 	if !ok {
 		t.Fatal("CS345 missing")
 	}
-	if lvl, _ := cs345[4].AsString(); lvl != "graduate" {
-		t.Fatalf("CS345 level = %v", cs345[4])
+	if lvl, _ := cs345.At(4).AsString(); lvl != "graduate" {
+		t.Fatalf("CS345 level = %v", cs345.At(4))
 	}
-	if dept, _ := cs345[2].AsString(); dept != "Computer Science" {
-		t.Fatalf("CS345 dept = %v", cs345[2])
+	if dept, _ := cs345.At(2).AsString(); dept != "Computer Science" {
+		t.Fatalf("CS345 dept = %v", cs345.At(2))
 	}
 	// Fewer than 5 students enrolled in CS345 (Figure 4's predicate).
 	grades, err := db.MustRelation(Grades).MatchEqual([]string{"CourseID"}, reldb.Tuple{reldb.String("CS345")})

@@ -41,8 +41,8 @@ func withoutIndexes(t testing.TB, db *reldb.Database) *reldb.Database {
 		if err != nil {
 			t.Fatal(err)
 		}
-		src.Scan(func(tu reldb.Tuple) bool {
-			err = dst.Insert(tu)
+		src.Scan(func(tu reldb.Row) bool {
+			err = dst.Insert(tu.Tuple())
 			return err == nil
 		})
 		if err != nil {

@@ -47,6 +47,9 @@ type Node struct {
 	Children []*Node
 
 	parent *Node
+	// pathSrc[i] are the indices of Path[i]'s source attributes in its
+	// source relation's schema, resolved when the definition is built.
+	pathSrc [][]int
 }
 
 // Parent returns the parent node (nil at the root).
@@ -182,6 +185,7 @@ func NewDefinition(name string, g *structural.Graph, root *Node) (*Definition, e
 				return fmt.Errorf("viewobject: %s: node %s has no connection path", name, n.ID)
 			}
 			cur := n.parent.Relation
+			n.pathSrc = make([][]int, len(n.Path))
 			for i, e := range n.Path {
 				if e.Conn == nil {
 					return fmt.Errorf("viewobject: %s: node %s path step %d has no connection", name, n.ID, i)
@@ -193,6 +197,13 @@ func NewDefinition(name string, g *structural.Graph, root *Node) (*Definition, e
 				if e.Source() != cur {
 					return fmt.Errorf("viewobject: %s: node %s path step %d starts at %s, want %s",
 						name, n.ID, i, e.Source(), cur)
+				}
+				src, err := db.Relation(cur)
+				if err != nil {
+					return fmt.Errorf("viewobject: %s: node %s: %w", name, n.ID, err)
+				}
+				if n.pathSrc[i], err = src.Schema().Indices(e.SourceAttrs()); err != nil {
+					return fmt.Errorf("viewobject: %s: node %s path step %d: %w", name, n.ID, i, err)
 				}
 				cur = e.Target()
 			}

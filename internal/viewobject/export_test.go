@@ -52,8 +52,8 @@ func InstantiateByKeyNaive(res structural.Resolver, def *Definition, key reldb.T
 	return inst, err == nil, err
 }
 
-func assembleNaive(res structural.Resolver, def *Definition, pivotTuple reldb.Tuple) (*Instance, error) {
-	inst, err := NewInstance(def, pivotTuple)
+func assembleNaive(res structural.Resolver, def *Definition, pivot reldb.Row) (*Instance, error) {
+	inst, err := NewInstance(def, pivot.Tuple())
 	if err != nil {
 		return nil, err
 	}
@@ -67,13 +67,13 @@ func assembleNaive(res structural.Resolver, def *Definition, pivotTuple reldb.Tu
 func fillChildren(res structural.Resolver, def *Definition, in *InstNode) error {
 	for _, child := range in.node.Children {
 		var st reldb.MatchStats
-		targets, err := traversePath(res, in.tuple, child.Path, &st)
+		targets, err := traversePath(res, in.row, child.Path, &st)
 		if err != nil {
 			return fmt.Errorf("viewobject: %s: node %s: %w", def.Name, child.ID, err)
 		}
 		obs.Default.InstTuplesByObject.At(def.obsSlot).Add(int64(st.Scanned))
 		for _, tt := range targets {
-			cn, err := in.AddChild(def, child.ID, tt)
+			cn, err := in.AddChild(def, child.ID, tt.Tuple())
 			if err != nil {
 				return err
 			}
@@ -84,12 +84,4 @@ func fillChildren(res structural.Resolver, def *Definition, in *InstNode) error 
 		}
 	}
 	return nil
-}
-
-// SharesTuple reports whether two components hold the very same tuple
-// slice — what adopting one batched probe's result for two parents, and
-// Clone, both produce. The sharing tests use it to prove they test the
-// shared case.
-func SharesTuple(a, b *InstNode) bool {
-	return len(a.tuple) > 0 && len(b.tuple) > 0 && &a.tuple[0] == &b.tuple[0]
 }

@@ -21,11 +21,12 @@ import (
 // non-projected attributes null — the translation algorithms treat that as
 // the paper's "extension with values for the attributes projected out".
 //
-// A component's tuple slice is never written in place: every mutator
-// (SetTuple, and SetAttr through it) installs a freshly allocated slice.
-// Clone shares tuples between the copy and the original on the strength
-// of that. Assembly from storage adopts the copies a relation hands out
-// (adoptNode, fillChildSegment) instead of copying them again.
+// A component holds its tuple as a read-only reldb.Row. An assembled
+// instance holds the stored rows themselves, as the relations hand them
+// out (adoptNode, fillChildSegment); a client's tuple enters as a copy
+// (NewInstance, AddChild, BuildInstance, SetTuple, and SetAttr through
+// it). Nothing can write a Row, so Clone shares rows between the copy
+// and the original, and an edit installs a new one.
 type Instance struct {
 	def  *Definition
 	root *InstNode
@@ -33,8 +34,8 @@ type Instance struct {
 
 // InstNode is one component tuple of an instance.
 type InstNode struct {
-	node  *Node
-	tuple reldb.Tuple
+	node *Node
+	row  reldb.Row
 	// children holds the sub-instances per child node, indexed by the
 	// child's position in node.Children; nil until the first child is
 	// attached, so a leaf component (most of any instance) carries none.
@@ -64,7 +65,7 @@ func newInstNode(def *Definition, n *Node, tuple reldb.Tuple) (*InstNode, error)
 	if err := checkComponent(def, n, tuple); err != nil {
 		return nil, err
 	}
-	return &InstNode{node: n, tuple: tuple.Clone()}, nil
+	return &InstNode{node: n, row: reldb.RowOf(tuple)}, nil
 }
 
 // checkComponent checks a client's tuple for a component of node n.
@@ -82,9 +83,9 @@ func checkComponent(def *Definition, n *Node, tuple reldb.Tuple) error {
 // and its full-width tuple. Every tuple is checked as NewInstance and
 // AddChild check it, and the first failure in preorder is the error.
 // The instance is built in one allocation per kind: the components in
-// one slab, every value copied into one backing array, the child lists
-// carved from one pointer array — each a full-capacity slice, so a
-// later AddChild or SetTuple reallocates instead of writing into a
+// one slab, every value copied into one backing array (reldb.CopyRows),
+// the child lists carved from one pointer array — each a full-capacity
+// slice, so a later AddChild reallocates instead of writing into a
 // neighbour. The caller's tuples are not retained.
 func BuildInstance(def *Definition, n int, component func(i int) (node *Node, parent int, tuple reldb.Tuple)) (*Instance, error) {
 	if n < 1 {
@@ -97,7 +98,7 @@ func BuildInstance(def *Definition, n int, component func(i int) (node *Node, pa
 	// the length of list h.
 	scratch := make([]int, 2*n, 3*n)
 	list, base, count := scratch[:n], scratch[n:], scratch[2*n:]
-	values := 0
+	tuples := make([]reldb.Tuple, n)
 	for i := range slab {
 		node, parent, tuple := component(i)
 		if i == 0 {
@@ -125,11 +126,10 @@ func BuildInstance(def *Definition, n int, component func(i int) (node *Node, pa
 		if err := checkComponent(def, node, tuple); err != nil {
 			return nil, err
 		}
-		slab[i] = InstNode{node: node, tuple: tuple}
-		values += len(tuple)
+		slab[i].node, tuples[i] = node, tuple
 	}
 	// Pass 2 copies the tuples and links every component into its list.
-	vals := make([]reldb.Value, values)
+	rows := reldb.CopyRows(tuples)
 	ptrs := make([]*InstNode, n-1)
 	heads := make([][]*InstNode, len(count))
 	off := 0
@@ -137,12 +137,9 @@ func BuildInstance(def *Definition, n int, component func(i int) (node *Node, pa
 		heads[h] = ptrs[off : off : off+c]
 		off += c
 	}
-	off = 0
 	for i := range slab {
 		in := &slab[i]
-		w := copy(vals[off:], in.tuple)
-		in.tuple = vals[off : off+w : off+w]
-		off += w
+		in.row = rows[i]
 		if b := base[i]; b > 0 {
 			w := len(in.node.Children)
 			in.children = heads[b-1 : b-1+w : b-1+w]
@@ -154,14 +151,14 @@ func BuildInstance(def *Definition, n int, component func(i int) (node *Node, pa
 	return &Instance{def: def, root: &slab[0]}, nil
 }
 
-// adoptNode wraps a pivot tuple a relation just handed out. Unlike
-// newInstNode it neither checks the tuple (it was checked when it was
-// stored) nor copies it (reldb copies at its boundary); NewInstance,
-// AddChild and SetTuple keep doing both, because their tuples come from
-// clients. The components below a pivot are adopted the same way, a
-// level at a time (fillChildSegment).
-func adoptNode(n *Node, tuple reldb.Tuple) *InstNode {
-	return &InstNode{node: n, tuple: tuple}
+// adoptNode wraps a pivot row a relation just handed out. Unlike
+// newInstNode it neither checks the row (it was checked when it was
+// stored) nor copies it (a Row is read-only); NewInstance, AddChild and
+// SetTuple keep doing both, because their tuples come from clients. The
+// components below a pivot are adopted the same way, a level at a time
+// (fillChildSegment).
+func adoptNode(n *Node, row reldb.Row) *InstNode {
+	return &InstNode{node: n, row: row}
 }
 
 // childPos returns the position of the child node childID among the
@@ -192,26 +189,26 @@ func (i *Instance) Root() *InstNode { return i.root }
 // Key returns the object key of the instance: the pivot tuple's key
 // values (Definition 3.2).
 func (i *Instance) Key() reldb.Tuple {
-	return i.def.schemaOf(i.def.root).KeyOf(i.root.tuple)
+	return i.root.row.Key(i.def.schemaOf(i.def.root))
 }
 
 // EncodedKey returns the object key in the order-preserving key
 // encoding (Schema.EncodeKeyOf of the pivot tuple): comparing two
 // instances' encoded keys compares their keys.
 func (i *Instance) EncodedKey() string {
-	return i.def.schemaOf(i.def.root).EncodeKeyOf(i.root.tuple)
+	return i.root.row.EncodeKey(i.def.schemaOf(i.def.root))
 }
 
 // Node returns the definition node this component instantiates.
 func (n *InstNode) Node() *Node { return n.node }
 
-// Tuple returns a copy of the component's full-width tuple.
-func (n *InstNode) Tuple() reldb.Tuple { return n.tuple.Clone() }
+// Row returns the component's full-width row, read-only: for an
+// assembled instance, the stored row itself.
+func (n *InstNode) Row() reldb.Row { return n.row }
 
-// Value returns the i-th value of the component's full-width tuple, in
-// the base schema's attribute order: the read that does not copy the
-// tuple (values are immutable, so nothing internal can leak).
-func (n *InstNode) Value(i int) reldb.Value { return n.tuple[i] }
+// Value returns the i-th value of the component's full-width row, in
+// the base schema's attribute order.
+func (n *InstNode) Value(i int) reldb.Value { return n.row.At(i) }
 
 // Children returns the sub-instances under the given child node ID, in
 // insertion order.
@@ -283,7 +280,7 @@ func (n *InstNode) Projected(def *Definition) reldb.Tuple {
 	if err != nil {
 		panic(err) // definition validated at construction
 	}
-	return n.tuple.Project(idx)
+	return n.row.Project(idx)
 }
 
 // NodesAt returns every component instance at the given definition node
@@ -311,11 +308,10 @@ func (i *Instance) Count(nodeID string) int { return len(i.NodesAt(nodeID)) }
 // Clone deep-copies the instance; mutating the copy leaves the original
 // untouched. Update requests typically clone the current instance and
 // edit the copy. The copy's components are built in one slab, their
-// child lists carved out of one pointer array. Tuple slices are shared,
-// not copied: values are immutable and every mutation path (SetTuple,
-// and SetAttr through it) installs a freshly allocated slice instead of
-// writing elements in place, so the original and the clone can never
-// observe each other's edits.
+// child lists carved out of one pointer array. Rows are shared, not
+// copied: a Row is read-only, and every edit (SetTuple, and SetAttr
+// through it) installs a new one, so the original and the clone can
+// never observe each other's edits.
 func (i *Instance) Clone() *Instance {
 	nodes, lists := i.root.size()
 	c := slabCloner{
@@ -324,6 +320,33 @@ func (i *Instance) Clone() *Instance {
 		heads: make([][]*InstNode, lists),
 	}
 	return &Instance{def: i.def, root: c.copy(i.root)}
+}
+
+// cloneAll clones every instance of src, as Clone does, into one slab of
+// components, one pointer array, one array of child-list headers and one
+// array of instances: a cache hit over many instances allocates as one
+// clone does. It returns nil for no instances.
+func cloneAll(src []*Instance) []*Instance {
+	if len(src) == 0 {
+		return nil
+	}
+	nodes, lists := 0, 0
+	for _, inst := range src {
+		n, l := inst.root.size()
+		nodes, lists = nodes+n, lists+l
+	}
+	c := slabCloner{
+		slab:  make([]InstNode, nodes),
+		ptrs:  make([]*InstNode, nodes-len(src)),
+		heads: make([][]*InstNode, lists),
+	}
+	insts := make([]Instance, len(src))
+	out := make([]*Instance, len(src))
+	for i, inst := range src {
+		insts[i] = Instance{def: inst.def, root: c.copy(inst.root)}
+		out[i] = &insts[i]
+	}
+	return out
 }
 
 // size counts the components of the subtree at n and the child-list
@@ -351,7 +374,7 @@ type slabCloner struct {
 func (c *slabCloner) copy(src *InstNode) *InstNode {
 	dst := &c.slab[0]
 	c.slab = c.slab[1:]
-	dst.node, dst.tuple = src.node, src.tuple
+	dst.node, dst.row = src.node, src.row
 	if src.children == nil {
 		return dst
 	}
@@ -380,7 +403,7 @@ func (n *InstNode) SetTuple(def *Definition, tuple reldb.Tuple) error {
 	if err := schema.CheckTuple(tuple); err != nil {
 		return fmt.Errorf("viewobject: node %s: %w", n.node.ID, err)
 	}
-	n.tuple = tuple.Clone()
+	n.row = reldb.RowOf(tuple)
 	return nil
 }
 
@@ -392,7 +415,8 @@ func (n *InstNode) SetAttr(def *Definition, attr string, v reldb.Value) error {
 		return fmt.Errorf("viewobject: node %s: relation %s has no attribute %s",
 			n.node.ID, n.node.Relation, attr)
 	}
-	nt := n.tuple.With(idx, v)
+	nt := n.row.Tuple()
+	nt[idx] = v
 	return n.SetTuple(def, nt)
 }
 
@@ -403,7 +427,7 @@ func (n *InstNode) Get(def *Definition, attr string) (reldb.Value, bool) {
 	if !ok {
 		return reldb.Null(), false
 	}
-	return n.tuple[idx], true
+	return n.row.At(idx), true
 }
 
 // Render produces the deterministic text form of the instance used to
@@ -438,7 +462,7 @@ func (i *Instance) Render() string {
 		for pos := range n.children {
 			kids := append([]*InstNode(nil), n.children[pos]...)
 			sort.SliceStable(kids, func(a, b int) bool {
-				return kids[a].tuple.Encode() < kids[b].tuple.Encode()
+				return kids[a].row.Encode() < kids[b].row.Encode()
 			})
 			for j, c := range kids {
 				walk(c, childPrefix, j == len(kids)-1 && pos == lastPos, false)

@@ -43,10 +43,10 @@ func TestInstantiateByKey(t *testing.T) {
 	for _, gr := range inst.Root().Children(university.Grades) {
 		students := gr.Children(university.Student)
 		if len(students) != 1 {
-			t.Fatalf("grade %v has %d students", gr.Tuple(), len(students))
+			t.Fatalf("grade %v has %d students", gr.Row(), len(students))
 		}
-		if !gr.Tuple()[1].Equal(students[0].Tuple()[0]) {
-			t.Fatalf("student PID mismatch: %v vs %v", gr.Tuple(), students[0].Tuple())
+		if !gr.Row().At(1).Equal(students[0].Row().At(0)) {
+			t.Fatalf("student PID mismatch: %v vs %v", gr.Row(), students[0].Row())
 		}
 	}
 	// Missing key.
@@ -163,7 +163,7 @@ func TestInstantiateOmegaPrime(t *testing.T) {
 	if len(fac) != 1 {
 		t.Fatalf("ω′ faculty = %d, want 1", len(fac))
 	}
-	if pid := fac[0].Tuple()[0].MustInt(); pid != 6 {
+	if pid := fac[0].Row().At(0).MustInt(); pid != 6 {
 		t.Fatalf("faculty PID = %d, want 6", pid)
 	}
 	// Students are direct children of the root in ω′.
@@ -307,8 +307,8 @@ func TestProjectedRespectsProjection(t *testing.T) {
 		t.Fatalf("projected dept = %v", dep)
 	}
 	// Full tuple still available internally for joins.
-	full := inst.Root().Children(university.Department)[0].Tuple()
-	if len(full) != 3 {
+	full := inst.Root().Children(university.Department)[0].Row()
+	if full.Len() != 3 {
 		t.Fatalf("full dept tuple = %v", full)
 	}
 }
@@ -365,7 +365,7 @@ func TestSharedTuplesAreInvisible(t *testing.T) {
 	}
 	dept := func(inst *Instance) *InstNode { return inst.NodesAt(university.Department)[0] }
 	a, b := byID["CS345"], byID["CS445"] // both Computer Science
-	if !SharesTuple(dept(a), dept(b)) {
+	if !dept(a).Row().Same(dept(b).Row()) {
 		t.Fatal("the two courses' DEPARTMENT components do not share a tuple: the test no longer covers adoption")
 	}
 	before := b.Render()
@@ -387,13 +387,13 @@ func TestSharedTuplesAreInvisible(t *testing.T) {
 	}
 
 	c := b.Clone()
-	if !SharesTuple(c.Root(), b.Root()) {
+	if !c.Root().Row().Same(b.Root().Row()) {
 		t.Fatal("Clone no longer shares tuples: the test no longer covers it")
 	}
 	if err := c.Root().SetAttr(def, "Title", reldb.String("Edited")); err != nil {
 		t.Fatal(err)
 	}
-	if err := dept(c).SetTuple(def, dept(a).Tuple()); err != nil {
+	if err := dept(c).SetTuple(def, dept(a).Row().Tuple()); err != nil {
 		t.Fatal(err)
 	}
 	if b.Render() != before {

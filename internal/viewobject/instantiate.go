@@ -113,19 +113,19 @@ func instantiate(res structural.Resolver, def *Definition, q Query) ([]*Instance
 // reference assembler the differential tests keep shares this
 // selection, so its pivot set (and scan accounting) is identical by
 // construction.
-func pivotSelect(pivotRel *reldb.Relation, pred reldb.Expr) ([]reldb.Tuple, int64, error) {
+func pivotSelect(pivotRel *reldb.Relation, pred reldb.Expr) ([]reldb.Row, int64, error) {
 	var st reldb.MatchStats
 	pivots, err := pivotRel.SelectStats(pred, &st)
 	return pivots, int64(st.Scanned), err
 }
 
 // assembleBatch runs the batched level-at-a-time assembly over a slice
-// of pivot tuples: create every root first, then fill the whole forest
+// of pivot rows: create every root first, then fill the whole forest
 // level-at-a-time so all pivots' children at the same definition node
-// come from one batched fetch. The pivots, like every
-// tuple the traversal fetches below them, come straight from a relation
-// and are adopted, not re-checked and re-copied (see adoptNode).
-func assembleBatch(res structural.Resolver, def *Definition, pivots []reldb.Tuple) ([]*Instance, error) {
+// come from one batched fetch. The pivots, like every row the traversal
+// fetches below them, come straight from a relation and are adopted,
+// not re-checked (see adoptNode).
+func assembleBatch(res structural.Resolver, def *Definition, pivots []reldb.Row) ([]*Instance, error) {
 	if len(pivots) == 0 {
 		return nil, nil
 	}
@@ -184,7 +184,7 @@ func instantiateByKey(res structural.Resolver, def *Definition, key reldb.Tuple)
 	if !ok {
 		return nil, nil
 	}
-	instances, err := assembleBatch(res, def, []reldb.Tuple{pt})
+	instances, err := assembleBatch(res, def, []reldb.Row{pt})
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +224,7 @@ func fillLevel(res structural.Resolver, def *Definition, parents []*InstNode) er
 // it and never writes into a neighbour's.
 func fillChildSegment(res structural.Resolver, def *Definition, parents []*InstNode, child *Node) ([]*InstNode, error) {
 	var st reldb.MatchStats
-	perParent, err := traverseLevel(res, parents, child.Path, &st)
+	perParent, err := traverseLevel(res, parents, child, &st)
 	if err != nil {
 		return nil, fmt.Errorf("viewobject: %s: node %s: %w", def.Name, child.ID, err)
 	}
@@ -247,7 +247,7 @@ func fillChildSegment(res structural.Resolver, def *Definition, parents []*InstN
 	for i, p := range parents {
 		lo := k
 		for _, t := range perParent[i] {
-			slab[k] = InstNode{node: child, tuple: t}
+			slab[k] = InstNode{node: child, row: t}
 			level[k] = &slab[k]
 			k++
 		}
@@ -263,23 +263,24 @@ func fillChildSegment(res structural.Resolver, def *Definition, parents []*InstN
 	return level, nil
 }
 
-// traverseLevel follows one connection path for many source nodes at
-// once. The result is aligned with parents: out[i] holds the distinct
-// tuples parents[i] reaches at the far end, in the same order the naive
+// traverseLevel follows child's connection path for many source nodes
+// at once. The result is aligned with parents: out[i] holds the distinct
+// rows parents[i] reaches at the far end, in the same order the naive
 // TraversePath would produce (per-step key order, first-seen dedup).
 // Each edge costs one batched lookup for the whole level. The result
 // slices may be shared between parents with equal connecting values
-// (see structural.ConnectedViaBatch); callers only read them.
-func traverseLevel(res structural.Resolver, parents []*InstNode, path []structural.Edge, st *reldb.MatchStats) ([][]reldb.Tuple, error) {
-	// First edge: each parent's frontier is its own tuple, so the batch
-	// is the parents' tuples and its results align with parents as they
+// (see structural.ConnectedViaBatchStats); callers only read them.
+func traverseLevel(res structural.Resolver, parents []*InstNode, child *Node, st *reldb.MatchStats) ([][]reldb.Row, error) {
+	path := child.Path
+	// First edge: each parent's frontier is its own row, so the batch
+	// is the parents' rows and its results align with parents as they
 	// stand — one probe of one relation cannot return a key twice, so
 	// there is nothing to deduplicate either.
-	flat := make([]reldb.Tuple, len(parents))
+	flat := make([]reldb.Row, len(parents))
 	for i, p := range parents {
-		flat[i] = p.tuple
+		flat[i] = p.row
 	}
-	frontiers, err := structural.ConnectedViaBatchStats(res, path[0], flat, st)
+	frontiers, err := structural.ConnectedViaBatchStats(res, path[0], child.pathSrc[0], flat, st)
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +293,7 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, path []structur
 	seen := make(map[string]bool)
 	var buf [64]byte
 	enc := buf[:0]
-	for _, e := range path[1:] {
+	for step, e := range path[1:] {
 		// Flatten the per-parent frontiers, remembering each parent's
 		// segment so results can be distributed back.
 		flat = flat[:0]
@@ -304,7 +305,7 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, path []structur
 		if len(flat) == 0 {
 			break
 		}
-		results, err := structural.ConnectedViaBatchStats(res, e, flat, st)
+		results, err := structural.ConnectedViaBatchStats(res, e, child.pathSrc[step+1], flat, st)
 		if err != nil {
 			return nil, err
 		}
@@ -321,12 +322,12 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, path []structur
 				continue
 			}
 			clear(seen)
-			var next []reldb.Tuple
+			var next []reldb.Row
 			for _, matches := range results[offs[i]:offs[i+1]] {
 				for _, mt := range matches {
 					enc = enc[:0]
 					for _, j := range keyIdx {
-						enc = reldb.AppendKey(enc, mt[j])
+						enc = reldb.AppendKey(enc, mt.At(j))
 					}
 					if seen[string(enc)] {
 						continue
@@ -341,16 +342,16 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, path []structur
 	return frontiers, nil
 }
 
-// TraversePath follows a connection path starting from one source tuple
-// and returns the distinct tuples reached at the far end, in key order at
+// TraversePath follows a connection path starting from one source row
+// and returns the distinct rows reached at the far end, in key order at
 // each step. Intermediate relations contribute join steps only; their
-// tuples are not returned.
-func TraversePath(res structural.Resolver, start reldb.Tuple, path []structural.Edge) ([]reldb.Tuple, error) {
+// rows are not returned.
+func TraversePath(res structural.Resolver, start reldb.Row, path []structural.Edge) ([]reldb.Row, error) {
 	return traversePath(res, start, path, nil)
 }
 
-func traversePath(res structural.Resolver, start reldb.Tuple, path []structural.Edge, st *reldb.MatchStats) ([]reldb.Tuple, error) {
-	frontier := []reldb.Tuple{start}
+func traversePath(res structural.Resolver, start reldb.Row, path []structural.Edge, st *reldb.MatchStats) ([]reldb.Row, error) {
+	frontier := []reldb.Row{start}
 	for _, e := range path {
 		tgtRel, err := res.Relation(e.Target())
 		if err != nil {
@@ -358,14 +359,14 @@ func traversePath(res structural.Resolver, start reldb.Tuple, path []structural.
 		}
 		tgtSchema := tgtRel.Schema()
 		seen := make(map[string]bool)
-		var next []reldb.Tuple
+		var next []reldb.Row
 		for _, ft := range frontier {
 			matches, err := structural.ConnectedViaStats(res, e, ft, st)
 			if err != nil {
 				return nil, err
 			}
 			for _, mt := range matches {
-				ek := tgtSchema.EncodeKeyOf(mt)
+				ek := mt.EncodeKey(tgtSchema)
 				if seen[ek] {
 					continue
 				}
@@ -392,7 +393,7 @@ func (i *Instance) matches(q Query) (bool, error) {
 		schema := i.def.schemaOf(node)
 		sat := false
 		for _, in := range i.NodesAt(np.NodeID) {
-			ok, err := reldb.EvalBool(np.Pred, reldb.Row{Schema: schema, Tuple: in.tuple})
+			ok, err := reldb.EvalBool(np.Pred, schema, in.row)
 			if err != nil {
 				return false, fmt.Errorf("viewobject: %s: node predicate on %s: %w", i.def.Name, np.NodeID, err)
 			}
@@ -411,7 +412,7 @@ func (i *Instance) matches(q Query) (bool, error) {
 		}
 		n := i.Count(cc.NodeID)
 		cmp := reldb.Cmp{Op: cc.Op, L: reldb.Const{V: reldb.Int(int64(n))}, R: reldb.Const{V: reldb.Int(int64(cc.N))}}
-		ok, err := reldb.EvalBool(cmp, reldb.Row{})
+		ok, err := reldb.EvalBool(cmp, nil, reldb.Row{})
 		if err != nil {
 			return false, err
 		}

@@ -159,11 +159,11 @@ func (m *Materializer) instantiateLocked(q Query, op obs.Op) ([]*Instance, error
 	if err := m.syncLocked(op); err != nil {
 		return nil, err
 	}
-	var out []*Instance
+	kept := make([]*Instance, 0, len(m.keys))
 	for _, ek := range m.keys {
 		inst := m.insts[ek]
 		if q.PivotPred != nil {
-			ok, err := reldb.EvalBool(q.PivotPred, reldb.Row{Schema: m.pivotSchema, Tuple: inst.root.tuple})
+			ok, err := reldb.EvalBool(q.PivotPred, m.pivotSchema, inst.root.row)
 			if err != nil {
 				return nil, fmt.Errorf("viewobject: %s: pivot selection: %w", m.def.Name, err)
 			}
@@ -176,10 +176,10 @@ func (m *Materializer) instantiateLocked(q Query, op obs.Op) ([]*Instance, error
 			return nil, err
 		}
 		if keep {
-			out = append(out, inst.Clone())
+			kept = append(kept, inst)
 		}
 	}
-	return out, nil
+	return cloneAll(kept), nil
 }
 
 // InstantiateByKey serves the single instance with the given object key
@@ -290,13 +290,13 @@ func (m *Materializer) patchLocked(rtx *reldb.ReadTx, op obs.Op) (bool, error) {
 	// state is exact.
 	touched := make(map[string]bool)
 	for _, d := range diffs {
-		images := append(append([]reldb.Tuple(nil), d.Inserts...), d.Deletes...)
+		images := append(append([]reldb.Row(nil), d.Inserts...), d.Deletes...)
 		for _, rc := range d.Replaces {
 			images = append(images, rc.Old, rc.New)
 		}
 		for _, img := range images {
 			if d.Relation == m.pivotRel {
-				touched[m.pivotSchema.EncodeKeyOf(img)] = true
+				touched[img.EncodeKey(m.pivotSchema)] = true
 				continue
 			}
 			for _, rp := range m.revPaths[d.Relation] {
@@ -305,7 +305,7 @@ func (m *Materializer) patchLocked(rtx *reldb.ReadTx, op obs.Op) (bool, error) {
 					return false, err
 				}
 				for _, p := range pivots {
-					touched[m.pivotSchema.EncodeKeyOf(p)] = true
+					touched[p.EncodeKey(m.pivotSchema)] = true
 				}
 			}
 		}
@@ -326,7 +326,7 @@ func (m *Materializer) patchLocked(rtx *reldb.ReadTx, op obs.Op) (bool, error) {
 	sort.Strings(eks)
 	patches := 0
 	var rebuildEKs []string
-	var rebuildPts []reldb.Tuple
+	var rebuildPts []reldb.Row
 	for _, ek := range eks {
 		pt, ok := pivotRel.GetEncoded(ek)
 		if !ok {
@@ -388,7 +388,7 @@ func (m *Materializer) rebuildLocked(rtx *reldb.ReadTx, op obs.Op) error {
 	m.insts = make(map[string]*Instance, len(insts))
 	m.keys = m.keys[:0]
 	for _, inst := range insts {
-		ek := m.pivotSchema.EncodeKeyOf(inst.root.tuple)
+		ek := inst.root.row.EncodeKey(m.pivotSchema)
 		m.insts[ek] = inst
 		m.keys = append(m.keys, ek)
 	}

@@ -250,7 +250,7 @@ func TestMaterializerDDL(t *testing.T) {
 	}
 	if err := db.RunInTx(func(tx *reldb.Tx) error {
 		for _, r := range rows {
-			if err := tx.Insert(university.Curriculum, r); err != nil {
+			if err := tx.Insert(university.Curriculum, r.Tuple()); err != nil {
 				return err
 			}
 		}

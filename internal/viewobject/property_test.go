@@ -103,7 +103,7 @@ func TestInstantiateRandomConfigurations(t *testing.T) {
 func checkConnected(t *testing.T, def *Definition, in *InstNode) {
 	t.Helper()
 	node := in.Node()
-	parentTuple := in.Tuple()
+	parentTuple := in.Row()
 	parentSchema := def.NodeSchema(node)
 	for _, child := range node.Children {
 		for _, ci := range in.Children(child.ID) {
@@ -118,9 +118,9 @@ func checkConnected(t *testing.T, def *Definition, in *InstNode) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ct := ci.Tuple()
+				ct := ci.Row()
 				for k := range srcIdx {
-					if !parentTuple[srcIdx[k]].Equal(ct[tgtIdx[k]]) {
+					if !parentTuple.At(srcIdx[k]).Equal(ct.At(tgtIdx[k])) {
 						t.Fatalf("component %s not connected to parent %s: %v vs %v",
 							child.ID, node.ID, parentTuple, ct)
 					}

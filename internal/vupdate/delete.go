@@ -86,11 +86,11 @@ func (s *session) deleteInstance(inst *viewobject.Instance) error {
 				if err != nil {
 					return err
 				}
-				tuple := in.Tuple()
-				if !rel.Has(rel.Schema().KeyOf(tuple)) {
+				row := in.Row()
+				if !rel.Has(row.Key(rel.Schema())) {
 					continue // already deleted by the cascade
 				}
-				if err := s.deleteCascade(node.Relation, tuple, deleted); err != nil {
+				if err := s.deleteCascade(node.Relation, row, deleted); err != nil {
 					return err
 				}
 			}
@@ -103,14 +103,14 @@ func (s *session) deleteInstance(inst *viewobject.Instance) error {
 // incoming references are updated per the peninsula policies (or the
 // key-aware default for out-of-object relations), and owned and subset
 // tuples are deleted recursively.
-func (s *session) deleteCascade(relName string, tuple reldb.Tuple, deleted map[string]bool) error {
+func (s *session) deleteCascade(relName string, tuple reldb.Row, deleted map[string]bool) error {
 	rel, err := s.relation(relName)
 	if err != nil {
 		return err
 	}
 	schema := rel.Schema()
-	key := schema.KeyOf(tuple)
-	ek := relName + "\x00" + schema.EncodeKeyOf(tuple)
+	key := tuple.Key(schema)
+	ek := relName + "\x00" + tuple.EncodeKey(schema)
 	if deleted[ek] {
 		return nil
 	}
@@ -189,7 +189,7 @@ func (s *session) referencingPolicy(relName string) PeninsulaPolicy {
 
 // rewriteReferencing rewrites the referencing attributes of refs (tuples
 // of c.From) to null or to the policy's default values.
-func (s *session) rewriteReferencing(c *structural.Connection, refs []reldb.Tuple, policy PeninsulaPolicy) error {
+func (s *session) rewriteReferencing(c *structural.Connection, refs []reldb.Row, policy PeninsulaPolicy) error {
 	fromRel, err := s.relation(c.From)
 	if err != nil {
 		return err
@@ -204,7 +204,7 @@ func (s *session) rewriteReferencing(c *structural.Connection, refs []reldb.Tupl
 			c.From, len(policy.Default), len(idx))
 	}
 	for _, rt := range refs {
-		nt := rt.Clone()
+		nt := rt.Tuple()
 		for i, j := range idx {
 			if policy.OnDelete == PeninsulaSetNull {
 				nt[j] = reldb.Null()
@@ -212,7 +212,7 @@ func (s *session) rewriteReferencing(c *structural.Connection, refs []reldb.Tupl
 				nt[j] = policy.Default[i]
 			}
 		}
-		if err := s.replace(c.From, schema.KeyOf(rt), nt); err != nil {
+		if err := s.replace(c.From, rt.Key(schema), nt); err != nil {
 			return fmt.Errorf("vupdate: updating %s for deletion: %w", c.From, err)
 		}
 	}

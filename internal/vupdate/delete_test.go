@@ -206,7 +206,7 @@ func TestVOCDPeninsulaSetNull(t *testing.T) {
 		t.Fatal("set-null should keep spokes")
 	}
 	got, _ := db.MustRelation("SPOKE").Get(reldb.Tuple{iv(1)})
-	if !got[1].IsNull() {
+	if !got.At(1).IsNull() {
 		t.Fatalf("FK not nulled: %v", got)
 	}
 	if res.Count(OpReplace) != 2 || res.Count(OpDelete) != 1 {
@@ -273,12 +273,12 @@ func TestVOCDDeepCascadeOutsideObject(t *testing.T) {
 	// COURSES.DeptName is a non-key nullable attribute, so the default
 	// action nulls it; PEOPLE.DeptName likewise.
 	me301, _ := db.MustRelation(university.Courses).Get(reldb.Tuple{s("ME301")})
-	if !me301[2].IsNull() {
-		t.Fatalf("ME301 DeptName = %v, want null", me301[2])
+	if !me301.At(2).IsNull() {
+		t.Fatalf("ME301 DeptName = %v, want null", me301.At(2))
 	}
 	bob, _ := db.MustRelation(university.People).Get(reldb.Tuple{iv(2)})
-	if !bob[2].IsNull() {
-		t.Fatalf("Bob's DeptName = %v, want null", bob[2])
+	if !bob.At(2).IsNull() {
+		t.Fatalf("Bob's DeptName = %v, want null", bob.At(2))
 	}
 	// The ME curriculum row (owned) is gone.
 	rows, _ := db.MustRelation(university.Curriculum).MatchEqual([]string{"DeptName"}, reldb.Tuple{s("Mechanical Engineering")})

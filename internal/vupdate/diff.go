@@ -23,7 +23,7 @@ const (
 type nodeDelta struct {
 	p      *nodePlan
 	op     deltaOp
-	ot, nt reldb.Tuple
+	ot, nt reldb.Row
 }
 
 // machine states of algorithm VO-R.
@@ -43,7 +43,7 @@ const (
 // leaves out what writes nothing: CASE R-1 pairs (projections equal),
 // I-1's switch back to state R, and unpaired old components outside the
 // island, which the object does not own. It reads the components in
-// place and copies only the tuples it emits.
+// place, and a delta holds the components' rows, not copies.
 func diff(topo *Topology, oldInst, newInst *viewobject.Instance) []nodeDelta {
 	var d differ
 	d.pair(topo.root, oldInst.Root(), newInst.Root(), stateR)
@@ -72,12 +72,12 @@ func (d *differ) pair(p *nodePlan, oldIn, newIn *viewobject.InstNode, state voSt
 		// 1 and 3. Only a node outside the island gets here: an island
 		// node's parent is the pivot or an island node, which walks in
 		// state R, so the island node does too.
-		d.out = append(d.out, nodeDelta{p: p, op: deltaInsert, nt: newIn.Tuple()})
+		d.out = append(d.out, nodeDelta{p: p, op: deltaInsert, nt: newIn.Row()})
 	case !sameValues(oldIn, newIn, p.proj):
 		// The R-cases, which peninsula components take in either state:
 		// their foreign keys are system-maintained (step 3), their other
 		// key attributes are frozen, and non-key changes replace.
-		d.out = append(d.out, nodeDelta{p: p, op: deltaPair, ot: oldIn.Tuple(), nt: newIn.Tuple()})
+		d.out = append(d.out, nodeDelta{p: p, op: deltaPair, ot: oldIn.Row(), nt: newIn.Row()})
 	}
 	for _, cp := range p.kids {
 		// Moving to the next relation down: state I outside the island,
@@ -103,7 +103,7 @@ func (d *differ) pair(p *nodePlan, oldIn, newIn *viewobject.InstNode, state voSt
 		}
 		if cp.island {
 			for _, o := range unpairedOld {
-				d.out = append(d.out, nodeDelta{p: cp, op: deltaDelete, ot: o.Tuple()})
+				d.out = append(d.out, nodeDelta{p: cp, op: deltaDelete, ot: o.Row()})
 			}
 		}
 	}
@@ -113,7 +113,7 @@ func (d *differ) pair(p *nodePlan, oldIn, newIn *viewobject.InstNode, state voSt
 // descendants as insertions: an unpaired new component is new data by
 // definition.
 func (d *differ) insertSubtree(p *nodePlan, in *viewobject.InstNode) {
-	d.out = append(d.out, nodeDelta{p: p, op: deltaInsert, nt: in.Tuple()})
+	d.out = append(d.out, nodeDelta{p: p, op: deltaInsert, nt: in.Row()})
 	for _, cp := range p.kids {
 		kids := in.ChildList(cp.node.ID)
 		for i := 0; i < kids.Len(); i++ {

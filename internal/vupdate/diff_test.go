@@ -100,9 +100,9 @@ func TestDiffOneLeafEditIsOnePair(t *testing.T) {
 						t.Fatal(err)
 					}
 					d := mustDiff(t, f.tr, inst, repl)
-					before := comps[len(comps)-1].Tuple()
+					before := comps[len(comps)-1].Row().Tuple()
 					if len(d) != 1 || d[0].Node != n.ID || d[0].Op != "pair" ||
-						!d[0].Old.Equal(before) || !d[0].New.Equal(leaf.Tuple()) {
+						!d[0].Old.Equal(before) || !d[0].New.Equal(leaf.Row().Tuple()) {
 						t.Fatalf("%s %s: editing %s.%s gives %v", f.name, inst.Key(), n.ID, schema.Attr(j).Name, d)
 					}
 					edits++
@@ -134,7 +134,7 @@ func TestDiffPivotKeyEditPairsPivotFirst(t *testing.T) {
 			}
 			d := mustDiff(t, f.tr, inst, repl)
 			if len(d) == 0 || d[0].Node != def.Root().ID || d[0].Op != "pair" ||
-				!d[0].Old.Equal(inst.Root().Tuple()) || !d[0].New.Equal(repl.Root().Tuple()) {
+				!d[0].Old.Equal(inst.Root().Row().Tuple()) || !d[0].New.Equal(repl.Root().Row().Tuple()) {
 				t.Fatalf("%s %s: pivot key edit gives %v", f.name, inst.Key(), d)
 			}
 			for _, nd := range d[1:] {

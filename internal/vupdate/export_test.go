@@ -43,7 +43,7 @@ func Diff(tr *Translator, oldInst, newInst *viewobject.Instance) ([]NodeDelta, e
 	var out []NodeDelta
 	for _, d := range diff(topo, oldInst, newInst) {
 		op := [...]string{deltaPair: "pair", deltaInsert: "insert", deltaDelete: "delete"}[d.op]
-		out = append(out, NodeDelta{d.p.node.ID, op, d.ot, d.nt})
+		out = append(out, NodeDelta{d.p.node.ID, op, d.ot.Tuple(), d.nt.Tuple()})
 	}
 	return out, nil
 }

@@ -46,7 +46,7 @@ func (s *session) insertInstance(inst *viewobject.Instance) error {
 		// Walk the definition preorder so owners precede owned tuples.
 		for _, p := range topo.plans {
 			for _, in := range inst.NodesAt(p.node.ID) {
-				if _, err := s.insertComponent(p, in.Tuple()); err != nil {
+				if err := s.insertComponent(p, in.Row()); err != nil {
 					return err
 				}
 			}
@@ -64,77 +64,75 @@ func (s *session) insertInstance(inst *viewobject.Instance) error {
 
 type relTuple struct {
 	rel   string
-	tuple reldb.Tuple
+	tuple reldb.Row
 }
 
 // insertComponent applies the three VO-CI cases to one component tuple
 // of p's node; on a node outside the dependency island they are also
-// VO-R's cases I-3, I-2 and I-4 (§5.3). It returns the tuple now present
-// in the database when the database was modified, and nil when the case
-// required no operation.
-func (s *session) insertComponent(p *nodePlan, tuple reldb.Tuple) (reldb.Tuple, error) {
+// VO-R's cases I-3, I-2 and I-4 (§5.3).
+func (s *session) insertComponent(p *nodePlan, tuple reldb.Row) error {
 	node := p.node
 	rel, err := s.relation(node.Relation)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if err := p.schema.CheckTuple(tuple); err != nil {
-		return nil, fmt.Errorf("vupdate: %s: component %s: %w", s.def.Name, node.ID, err)
+	if err := p.schema.CheckRow(tuple); err != nil {
+		return fmt.Errorf("vupdate: %s: component %s: %w", s.def.Name, node.ID, err)
 	}
-	key := p.schema.KeyOf(tuple)
+	key := tuple.Key(p.schema)
 	existing, exists := rel.Get(key)
 
 	switch {
 	case exists && projectedEqual(tuple, existing, p.proj):
 		// CASE 1: an identical tuple exists.
 		if p.island {
-			return nil, rejectAs(ReasonConflict, "vupdate: %s: identical %s tuple %s already exists in the dependency island",
+			return rejectAs(ReasonConflict, "vupdate: %s: identical %s tuple %s already exists in the dependency island",
 				s.def.Name, node.ID, key)
 		}
-		return nil, nil
+		return nil
 	case !exists:
 		// CASE 2: the key is free.
 		if err := s.mayInsert(p); err != nil {
-			return nil, err
+			return err
 		}
-		if err := s.insert(node.Relation, tuple); err != nil {
-			return nil, err
+		if err := s.insert(node.Relation, tuple.Tuple()); err != nil {
+			return err
 		}
 		s.touch(node.Relation, tuple)
-		return tuple, nil
+		return nil
 	default:
 		// CASE 3: the key exists with differing values.
 		if p.island {
-			return nil, rejectAs(ReasonConflict, "vupdate: %s: %s tuple with key %s exists with conflicting values",
+			return rejectAs(ReasonConflict, "vupdate: %s: %s tuple with key %s exists with conflicting values",
 				s.def.Name, node.ID, key)
 		}
 		if err := s.mayModify(p); err != nil {
-			return nil, err
+			return err
 		}
 		merged := mergeProjection(p, existing, tuple)
 		if err := s.replace(node.Relation, key, merged); err != nil {
-			return nil, err
+			return err
 		}
-		s.touch(node.Relation, merged)
-		return merged, nil
+		s.touch(node.Relation, reldb.RowOf(merged))
+		return nil
 	}
 }
 
-// mergeProjection returns a copy of the stored tuple with p's projected
+// mergeProjection returns a copy of the stored row with p's projected
 // attributes taken from t: attributes outside the projection keep their
 // stored values.
-func mergeProjection(p *nodePlan, stored, t reldb.Tuple) reldb.Tuple {
-	merged := stored.Clone()
+func mergeProjection(p *nodePlan, stored, t reldb.Row) reldb.Tuple {
+	merged := stored.Tuple()
 	for _, j := range p.proj {
-		merged[j] = t[j]
+		merged[j] = t.At(j)
 	}
 	return merged
 }
 
-// projectedEqual compares two full-width tuples on the projected indices.
-func projectedEqual(a, b reldb.Tuple, idx []int) bool {
+// projectedEqual compares two full-width rows on the projected indices.
+func projectedEqual(a, b reldb.Row, idx []int) bool {
 	for _, j := range idx {
-		if !a[j].Equal(b[j]) {
+		if !a.At(j).Equal(b.At(j)) {
 			return false
 		}
 	}

@@ -117,10 +117,10 @@ func TestVOCIOutsideConflictReplaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	dep, _ := db.MustRelation(university.Department).Get(reldb.Tuple{s("Computer Science")})
-	if dep[1].MustString() != "New Gates Wing" {
-		t.Fatalf("building = %v", dep[1])
+	if dep.At(1).MustString() != "New Gates Wing" {
+		t.Fatalf("building = %v", dep.At(1))
 	}
-	if dep[2].IsNull() {
+	if dep.At(2).IsNull() {
 		t.Fatal("budget (outside projection) should be preserved")
 	}
 	auditClean(t, db, g)

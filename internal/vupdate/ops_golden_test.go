@@ -30,7 +30,7 @@ type comp struct {
 }
 
 func compOf(in *viewobject.InstNode) *comp {
-	c := &comp{node: in.Node(), tuple: in.Tuple(), kids: make([][]*comp, len(in.Node().Children))}
+	c := &comp{node: in.Node(), tuple: in.Row().Tuple(), kids: make([][]*comp, len(in.Node().Children))}
 	for pos, child := range in.Node().Children {
 		for _, k := range in.Children(child.ID) {
 			c.kids[pos] = append(c.kids[pos], compOf(k))
@@ -127,8 +127,9 @@ func newOpsScript(db *reldb.Database, def *viewobject.Definition, seed int64) *o
 		for j := range seen {
 			seen[j] = map[string]bool{}
 		}
-		rel.Scan(func(t reldb.Tuple) bool {
-			for j, v := range t {
+		rel.Scan(func(t reldb.Row) bool {
+			for j := 0; j < t.Len(); j++ {
+				v := t.At(j)
 				if enc := reldb.EncodeValues(v); !seen[j][enc] && len(cols[j]) < 6 {
 					seen[j][enc] = true
 					cols[j] = append(cols[j], v)
@@ -211,8 +212,8 @@ func (sc *opsScript) keys() []reldb.Tuple {
 	rel := rtx.MustRelation(sc.def.Pivot())
 	schema := rel.Schema()
 	var keys []reldb.Tuple
-	rel.Scan(func(t reldb.Tuple) bool {
-		keys = append(keys, schema.KeyOf(t))
+	rel.Scan(func(t reldb.Row) bool {
+		keys = append(keys, t.Key(schema))
 		return true
 	})
 	sort.Slice(keys, func(a, b int) bool { return keys[a].Encode() < keys[b].Encode() })
@@ -337,7 +338,7 @@ func (sc *opsScript) partialStep(u *Updater, old *viewobject.Instance) (string, 
 	if len(comps) == 0 {
 		return fmt.Sprintf("partial %s %s: no component", old.Key(), n.ID), &Result{}, nil
 	}
-	ot := comps[sc.rng.Intn(len(comps))].Tuple()
+	ot := comps[sc.rng.Intn(len(comps))].Row().Tuple()
 	nt := ot.Clone()
 	schema := sc.def.NodeSchema(n)
 	attrs := schema.Key() // half the time a key attribute

@@ -171,7 +171,7 @@ func TestOmegaPrimeOutsideReplace(t *testing.T) {
 	}
 	repl := old.Clone()
 	for _, st := range repl.Root().Children(university.Student) {
-		if st.Tuple()[0].MustInt() == 4 {
+		if st.Row().Tuple()[0].MustInt() == 4 {
 			if err := st.SetAttr(op, "Year", iv(5)); err != nil {
 				t.Fatal(err)
 			}
@@ -181,8 +181,8 @@ func TestOmegaPrimeOutsideReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := db.MustRelation(university.Student).Get(reldb.Tuple{iv(4)})
-	if y, _ := got[2].AsInt(); y != 5 {
-		t.Fatalf("year = %v", got[2])
+	if y, _ := got.At(2).AsInt(); y != 5 {
+		t.Fatalf("year = %v", got.At(2))
 	}
 	auditClean(t, db, g)
 }

@@ -43,13 +43,14 @@ func (u *Updater) PartialInsert(pivotKey reldb.Tuple, nodeID string, tuple reldb
 			return err
 		}
 		p := s.tr.Topology().planOf(node)
-		if err := s.apply([]nodeDelta{{p: p, op: deltaInsert, nt: tuple}}); err != nil {
+		nt := reldb.RowOf(tuple)
+		if err := s.apply([]nodeDelta{{p: p, op: deltaInsert, nt: nt}}); err != nil {
 			return err
 		}
 		// The tuple the insertion stored (case 3 merges the request into
 		// the existing tuple); case 1 wrote nothing, and the request is
 		// still checked.
-		t := tuple
+		t := nt
 		if len(s.touched) > 0 {
 			t = s.touched[0].tuple
 		}
@@ -128,7 +129,8 @@ func (u *Updater) PartialUpdate(pivotKey reldb.Tuple, nodeID string, oldTuple, n
 		if err := schema.CheckTuple(newTuple); err != nil {
 			return fmt.Errorf("vupdate: %s: component %s: %w", s.def.Name, nodeID, err)
 		}
-		connected, err := s.connectedToInstance(pivotTuple, node, oldTuple)
+		ot, nt := reldb.RowOf(oldTuple), reldb.RowOf(newTuple)
+		connected, err := s.connectedToInstance(pivotTuple, node, ot)
 		if err != nil {
 			return err
 		}
@@ -136,7 +138,7 @@ func (u *Updater) PartialUpdate(pivotKey reldb.Tuple, nodeID string, oldTuple, n
 			return rejectAs(ReasonNoInstance, "vupdate: %s: %s tuple %s does not belong to instance %s",
 				s.def.Name, nodeID, schema.KeyOf(oldTuple), pivotKey)
 		}
-		if err := s.apply([]nodeDelta{{p: p, op: deltaPair, ot: oldTuple, nt: newTuple}}); err != nil {
+		if err := s.apply([]nodeDelta{{p: p, op: deltaPair, ot: ot, nt: nt}}); err != nil {
 			return err
 		}
 		if err := s.settle(); err != nil {
@@ -148,7 +150,7 @@ func (u *Updater) PartialUpdate(pivotKey reldb.Tuple, nodeID string, oldTuple, n
 		if p.class != ClassIsland || len(s.ops) == 0 {
 			return nil
 		}
-		return s.requireConnected(pivotKey, pivotTuple, node, newTuple)
+		return s.requireConnected(pivotKey, pivotTuple, node, nt)
 	})
 }
 
@@ -162,14 +164,14 @@ func (s *session) partialNode(nodeID string) (*viewobject.Node, error) {
 }
 
 // pivotTuple fetches the pivot tuple of the addressed instance.
-func (s *session) pivotTuple(pivotKey reldb.Tuple) (reldb.Tuple, error) {
+func (s *session) pivotTuple(pivotKey reldb.Tuple) (reldb.Row, error) {
 	rel, err := s.relation(s.def.Pivot())
 	if err != nil {
-		return nil, err
+		return reldb.Row{}, err
 	}
 	t, ok := rel.Get(pivotKey)
 	if !ok {
-		return nil, fmt.Errorf("vupdate: %s: no instance with key %s: %w",
+		return reldb.Row{}, fmt.Errorf("vupdate: %s: no instance with key %s: %w",
 			s.def.Name, pivotKey, reldb.ErrNoSuchTuple)
 	}
 	return t, nil
@@ -178,7 +180,7 @@ func (s *session) pivotTuple(pivotKey reldb.Tuple) (reldb.Tuple, error) {
 // requireConnected rejects a partial update whose new tuple at node is
 // not connected to the instance rooted at pivotTuple: the component
 // would land in another instance, or in none.
-func (s *session) requireConnected(pivotKey, pivotTuple reldb.Tuple, node *viewobject.Node, tuple reldb.Tuple) error {
+func (s *session) requireConnected(pivotKey reldb.Tuple, pivotTuple reldb.Row, node *viewobject.Node, tuple reldb.Row) error {
 	ok, err := s.connectedToInstance(pivotTuple, node, tuple)
 	if err != nil {
 		return err
@@ -194,10 +196,10 @@ func (s *session) requireConnected(pivotKey, pivotTuple reldb.Tuple, node *viewo
 // instance rooted at pivotTuple is assembled: it traverses the
 // concatenated connection path from the pivot to the node and looks for
 // the tuple's key.
-func (s *session) connectedToInstance(pivotTuple reldb.Tuple, node *viewobject.Node, tuple reldb.Tuple) (bool, error) {
+func (s *session) connectedToInstance(pivotTuple reldb.Row, node *viewobject.Node, tuple reldb.Row) (bool, error) {
 	if node == s.def.Root() {
 		rootSchema := s.def.NodeSchema(node)
-		return rootSchema.KeyOf(pivotTuple).Equal(rootSchema.KeyOf(tuple)), nil
+		return pivotTuple.Key(rootSchema).Equal(tuple.Key(rootSchema)), nil
 	}
 	var full []structural.Edge
 	for n := node; n != s.def.Root(); n = n.Parent() {
@@ -208,9 +210,9 @@ func (s *session) connectedToInstance(pivotTuple reldb.Tuple, node *viewobject.N
 		return false, err
 	}
 	schema := s.def.NodeSchema(node)
-	want := schema.EncodeKeyOf(tuple)
+	want := tuple.EncodeKey(schema)
 	for _, rt := range reached {
-		if schema.EncodeKeyOf(rt) == want {
+		if rt.EncodeKey(schema) == want {
 			return true, nil
 		}
 	}

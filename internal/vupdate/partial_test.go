@@ -136,8 +136,8 @@ func TestPartialUpdateNonKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := db.MustRelation(university.Grades).Get(reldb.Tuple{s("CS345"), iv(1)})
-	if got[3].MustString() != "A+" {
-		t.Fatalf("grade = %v", got[3])
+	if got.At(3).MustString() != "A+" {
+		t.Fatalf("grade = %v", got.At(3))
 	}
 	if res.Count(OpReplace) != 1 {
 		t.Fatalf("ops:\n%s", res)
@@ -172,9 +172,9 @@ func TestPartialUpdateIslandKeyLeavingInstanceRejected(t *testing.T) {
 			db, _, _, u := fixture(t)
 			before := db.TotalRows()
 			old, _ := db.MustRelation(university.Grades).Get(reldb.Tuple{s("CS345"), iv(4)})
-			nt := old.Clone()
+			nt := old.Tuple()
 			nt[0] = s(course)
-			_, err := u.PartialUpdate(reldb.Tuple{s("CS345")}, university.Grades, old, nt)
+			_, err := u.PartialUpdate(reldb.Tuple{s("CS345")}, university.Grades, old.Tuple(), nt)
 			if !errors.Is(err, ErrRejected) || ReasonOf(err) != ReasonIntegrity {
 				t.Fatalf("err = %v (reason %s), want an integrity rejection", err, ReasonOf(err))
 			}
@@ -188,9 +188,9 @@ func TestPartialUpdateIslandKeyLeavingInstanceRejected(t *testing.T) {
 func TestPartialUpdatePivotKeyChangePropagates(t *testing.T) {
 	db, g, _, u := fixture(t)
 	old, _ := db.MustRelation(university.Courses).Get(reldb.Tuple{s("CS345")})
-	nt := old.Clone()
+	nt := old.Tuple()
 	nt[0] = s("CS346")
-	if _, err := u.PartialUpdate(reldb.Tuple{s("CS345")}, university.Courses, old, nt); err != nil {
+	if _, err := u.PartialUpdate(reldb.Tuple{s("CS345")}, university.Courses, old.Tuple(), nt); err != nil {
 		t.Fatal(err)
 	}
 	// Grades and curriculum rows followed.
@@ -208,9 +208,9 @@ func TestPartialUpdatePivotKeyChangePropagates(t *testing.T) {
 func TestPartialUpdateOutsideKeyChangeRejected(t *testing.T) {
 	db, _, _, u := fixture(t)
 	old, _ := db.MustRelation(university.Student).Get(reldb.Tuple{iv(1)})
-	nt := old.Clone()
+	nt := old.Tuple()
 	nt[0] = iv(999)
-	_, err := u.PartialUpdate(reldb.Tuple{s("CS345")}, university.Student, old, nt)
+	_, err := u.PartialUpdate(reldb.Tuple{s("CS345")}, university.Student, old.Tuple(), nt)
 	if !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v", err)
 	}
@@ -220,7 +220,7 @@ func TestPartialUpdateReferencedKeyInserts(t *testing.T) {
 	db, g, _, u := fixture(t)
 	old, _ := db.MustRelation(university.Department).Get(reldb.Tuple{s("Computer Science")})
 	nt := reldb.Tuple{s("Engineering Economic Systems"), reldb.Null(), reldb.Null()}
-	res, err := u.PartialUpdate(reldb.Tuple{s("CS345")}, university.Department, old, nt)
+	res, err := u.PartialUpdate(reldb.Tuple{s("CS345")}, university.Department, old.Tuple(), nt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestPartialUpdateReferencedKeyInserts(t *testing.T) {
 func TestPartialUpdateIdenticalNoOp(t *testing.T) {
 	db, _, _, u := fixture(t)
 	old, _ := db.MustRelation(university.Grades).Get(reldb.Tuple{s("CS345"), iv(1)})
-	res, err := u.PartialUpdate(reldb.Tuple{s("CS345")}, university.Grades, old, old)
+	res, err := u.PartialUpdate(reldb.Tuple{s("CS345")}, university.Grades, old.Tuple(), old.Tuple())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,9 +255,9 @@ func TestPartialUpdateGates(t *testing.T) {
 	tr.AllowReplacement = false
 	u := NewUpdater(tr)
 	old, _ := db.MustRelation(university.Grades).Get(reldb.Tuple{s("CS345"), iv(1)})
-	nt := old.Clone()
+	nt := old.Tuple()
 	nt[3] = s("B")
-	if _, err := u.PartialUpdate(reldb.Tuple{s("CS345")}, university.Grades, old, nt); !errors.Is(err, ErrRejected) {
+	if _, err := u.PartialUpdate(reldb.Tuple{s("CS345")}, university.Grades, old.Tuple(), nt); !errors.Is(err, ErrRejected) {
 		t.Fatalf("err = %v", err)
 	}
 	// Deletion gate for partial delete.

@@ -283,7 +283,7 @@ func (s *session) replace(rel string, oldKey reldb.Tuple, newTuple reldb.Tuple) 
 }
 
 // touch records a tuple the translation inserted or replaced.
-func (s *session) touch(rel string, t reldb.Tuple) {
+func (s *session) touch(rel string, t reldb.Row) {
 	s.touched = append(s.touched, relTuple{rel, t})
 }
 

@@ -29,7 +29,7 @@ func databaseFingerprint(t *testing.T, db *reldb.Database) string {
 		rel := rtx.MustRelation(name)
 		fmt.Fprintf(&buf, "%s %v %v\n", name, rel.Schema(), rel.IndexNames())
 		var rows []string
-		rel.Scan(func(tu reldb.Tuple) bool {
+		rel.Scan(func(tu reldb.Row) bool {
 			rows = append(rows, tu.Encode())
 			return true
 		})
@@ -75,8 +75,8 @@ func TestSoakRandomUpdateMixKeepsIntegrity(t *testing.T) {
 
 	liveCourses := func() []string {
 		var ids []string
-		db.MustRelation(university.Courses).Scan(func(tu reldb.Tuple) bool {
-			ids = append(ids, tu[0].MustString())
+		db.MustRelation(university.Courses).Scan(func(tu reldb.Row) bool {
+			ids = append(ids, tu.At(0).MustString())
 			return true
 		})
 		return ids
@@ -202,7 +202,7 @@ func TestInsertInstantiateRoundTrip(t *testing.T) {
 			gr := inst.Root().MustAddChild(om, university.Grades,
 				reldb.Tuple{s(id), iv(pid), s("Aut91"), s("A")})
 			stu, _ := db.MustRelation(university.Student).Get(reldb.Tuple{iv(pid)})
-			gr.MustAddChild(om, university.Student, stu)
+			gr.MustAddChild(om, university.Student, stu.Tuple())
 		}
 		if _, err := u.InsertInstance(inst); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -211,20 +211,20 @@ func TestInsertInstantiateRoundTrip(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("trial %d: %v %v", trial, ok, err)
 		}
-		if !got.Root().Tuple().Equal(inst.Root().Tuple()) {
-			t.Fatalf("trial %d: pivot differs: %v vs %v", trial, got.Root().Tuple(), inst.Root().Tuple())
+		if !got.Root().Row().Tuple().Equal(inst.Root().Row().Tuple()) {
+			t.Fatalf("trial %d: pivot differs: %v vs %v", trial, got.Root().Row().Tuple(), inst.Root().Row().Tuple())
 		}
 		gotGrades := got.NodesAt(university.Grades)
 		if len(gotGrades) != len(wantPIDs) {
 			t.Fatalf("trial %d: %d grades, want %d", trial, len(gotGrades), len(wantPIDs))
 		}
 		for _, gr := range gotGrades {
-			pid := gr.Tuple()[1].MustInt()
+			pid := gr.Row().Tuple()[1].MustInt()
 			if !wantPIDs[pid] {
 				t.Fatalf("trial %d: unexpected grade PID %d", trial, pid)
 			}
 			students := gr.Children(university.Student)
-			if len(students) != 1 || students[0].Tuple()[0].MustInt() != pid {
+			if len(students) != 1 || students[0].Row().Tuple()[0].MustInt() != pid {
 				t.Fatalf("trial %d: student mismatch under grade %d", trial, pid)
 			}
 		}
@@ -248,8 +248,8 @@ func TestDeleteAllInstancesDrainsIsland(t *testing.T) {
 	in := &structural.Integrity{G: g}
 
 	var ids []string
-	db.MustRelation(university.Courses).Scan(func(tu reldb.Tuple) bool {
-		ids = append(ids, tu[0].MustString())
+	db.MustRelation(university.Courses).Scan(func(tu reldb.Row) bool {
+		ids = append(ids, tu.At(0).MustString())
 		return true
 	})
 	for _, id := range ids {

@@ -18,12 +18,12 @@ import (
 // Repairs are gated: a relation that is a node of the view object needs
 // its policy's insert permission (island nodes are implicitly permitted);
 // any other relation needs the translator's RepairInserts flag.
-func (s *session) ensureDependencies(relName string, tuple reldb.Tuple, seen map[string]bool) error {
+func (s *session) ensureDependencies(relName string, tuple reldb.Row, seen map[string]bool) error {
 	rel, err := s.relation(relName)
 	if err != nil {
 		return err
 	}
-	ek := relName + "\x00" + rel.Schema().EncodeKeyOf(tuple)
+	ek := relName + "\x00" + tuple.EncodeKey(rel.Schema())
 	if seen[ek] {
 		return nil
 	}
@@ -89,7 +89,7 @@ func (s *session) repair(touched []relTuple) error {
 
 // repairInsert inserts the minimal dependency tuple of relation target
 // required by edge e from the source tuple, then recurses.
-func (s *session) repairInsert(target string, e structural.Edge, source reldb.Tuple, seen map[string]bool) error {
+func (s *session) repairInsert(target string, e structural.Edge, source reldb.Row, seen map[string]bool) error {
 	if err := s.checkRepairAllowed(target); err != nil {
 		return err
 	}
@@ -107,13 +107,13 @@ func (s *session) repairInsert(target string, e structural.Edge, source reldb.Tu
 	if err := s.insert(target, nt); err != nil {
 		return err
 	}
-	return s.ensureDependencies(target, nt, seen)
+	return s.ensureDependencies(target, reldb.RowOf(nt), seen)
 }
 
-// carry writes into dst, a tuple of e's target, the values src, a tuple
-// of e's source, holds at e's connecting attributes: dst becomes
-// connected to src through e.
-func (s *session) carry(e structural.Edge, src, dst reldb.Tuple) error {
+// carry writes into dst, a tuple of e's target, the values src, a row of
+// e's source, holds at e's connecting attributes: dst becomes connected
+// to src through e.
+func (s *session) carry(e structural.Edge, src reldb.Row, dst reldb.Tuple) error {
 	srcRel, err := s.relation(e.Source())
 	if err != nil {
 		return err
@@ -131,7 +131,7 @@ func (s *session) carry(e structural.Edge, src, dst reldb.Tuple) error {
 		return err
 	}
 	for i, j := range tgtIdx {
-		dst[j] = src[srcIdx[i]]
+		dst[j] = src.At(srcIdx[i])
 	}
 	return nil
 }

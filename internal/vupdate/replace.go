@@ -110,21 +110,21 @@ func (s *session) apply(delta []nodeDelta) error {
 		var err error
 		switch {
 		case d.op == deltaInsert:
-			_, err = s.insertComponent(p, d.nt)
+			err = s.insertComponent(p, d.nt)
 		case d.op == deltaDelete:
 			err = s.deleteCascade(p.node.Relation, d.ot, map[string]bool{})
 		case projectedEqual(d.ot, d.nt, p.proj):
 			// CASE R-1: the projections match exactly.
 		case projectedEqual(d.ot, d.nt, p.key):
 			// CASE R-2: the projections differ but the keys match.
-			err = s.replaceSameKey(p, p.schema.KeyOf(d.ot), d.nt)
+			err = s.replaceSameKey(p, d.ot.Key(p.schema), d.nt)
 		// CASE R-3: the projections differ and the keys differ.
 		case p.class == ClassPivot || p.class == ClassIsland:
 			err = s.replaceIslandKey(p, d.ot, d.nt)
 		case p.class == ClassReferenced:
 			// §5.3 rule 2: a permitted key replacement of a referenced
 			// relation leads to an insertion, not a replacement.
-			_, err = s.insertComponent(p, d.nt)
+			err = s.insertComponent(p, d.nt)
 		case p.class == ClassPeninsula:
 			err = s.peninsulaKeyChange(p, d.ot, d.nt)
 		default:
@@ -170,7 +170,7 @@ func propagateIslandKeys(def *viewobject.Definition, p *nodePlan, in *viewobject
 				if inherits(in, ci, cp.src, cp.tgt) {
 					continue
 				}
-				nt := ci.Tuple()
+				nt := ci.Row().Tuple()
 				for k, j := range cp.tgt {
 					nt[j] = in.Value(cp.src[k])
 				}
@@ -203,12 +203,12 @@ func inherits(parent, child *viewobject.InstNode, srcIdx, tgtIdx []int) bool {
 // after it. Propagation reads only their key attributes, where every
 // connection a key change travels attaches (Definitions 2.2-2.4).
 type keyChange struct {
-	before, after reldb.Tuple
+	before, after reldb.Row
 }
 
 // recordKeyChange records an island key replacement of p's node for
 // step 3 and for later peninsula pairs.
-func (s *session) recordKeyChange(p *nodePlan, before, after reldb.Tuple) {
+func (s *session) recordKeyChange(p *nodePlan, before, after reldb.Row) {
 	if s.keyMap == nil {
 		s.keyMap = make(map[string]map[string]keyChange)
 	}
@@ -217,12 +217,12 @@ func (s *session) recordKeyChange(p *nodePlan, before, after reldb.Tuple) {
 		m = make(map[string]keyChange)
 		s.keyMap[p.node.Relation] = m
 	}
-	m[p.schema.EncodeKeyOf(before)] = keyChange{before, after}
+	m[before.EncodeKey(p.schema)] = keyChange{before, after}
 }
 
 // replaceSameKey merges the new projected attributes into the database
 // tuple carrying the (unchanged) key.
-func (s *session) replaceSameKey(p *nodePlan, key reldb.Tuple, nt reldb.Tuple) error {
+func (s *session) replaceSameKey(p *nodePlan, key reldb.Tuple, nt reldb.Row) error {
 	node := p.node
 	if err := s.mayModify(p); err != nil {
 		return err
@@ -236,14 +236,14 @@ func (s *session) replaceSameKey(p *nodePlan, key reldb.Tuple, nt reldb.Tuple) e
 		return fmt.Errorf("vupdate: %s: %s tuple %s no longer exists: %w",
 			s.def.Name, node.ID, key, reldb.ErrNoSuchTuple)
 	}
-	merged := mergeProjection(p, existing, nt)
-	if merged.Equal(existing) {
+	if projectedEqual(existing, nt, p.proj) {
 		return nil
 	}
+	merged := mergeProjection(p, existing, nt)
 	if err := s.replace(node.Relation, key, merged); err != nil {
 		return err
 	}
-	s.touch(node.Relation, merged)
+	s.touch(node.Relation, reldb.RowOf(merged))
 	return nil
 }
 
@@ -252,7 +252,7 @@ func (s *session) replaceSameKey(p *nodePlan, key reldb.Tuple, nt reldb.Tuple) e
 // policy. When a tuple with the new key already exists, the old tuple is
 // deleted and the existing tuple absorbs the new values — but only when
 // the DBA allowed the merge (the paper's third island dialog question).
-func (s *session) replaceIslandKey(p *nodePlan, ot, nt reldb.Tuple) error {
+func (s *session) replaceIslandKey(p *nodePlan, ot, nt reldb.Row) error {
 	node, schema := p.node, p.schema
 	policy := s.tr.Island[node.ID]
 	if !policy.AllowKeyModification {
@@ -267,10 +267,10 @@ func (s *session) replaceIslandKey(p *nodePlan, ot, nt reldb.Tuple) error {
 	if err != nil {
 		return err
 	}
-	if err := schema.CheckTuple(nt); err != nil {
+	if err := schema.CheckRow(nt); err != nil {
 		return fmt.Errorf("vupdate: %s: component %s: %w", s.def.Name, node.ID, err)
 	}
-	oldKey, newKey := schema.KeyOf(ot), schema.KeyOf(nt)
+	oldKey, newKey := ot.Key(schema), nt.Key(schema)
 	existingOld, ok := rel.Get(oldKey)
 	if !ok {
 		return fmt.Errorf("vupdate: %s: %s tuple %s no longer exists: %w",
@@ -289,7 +289,7 @@ func (s *session) replaceIslandKey(p *nodePlan, ot, nt reldb.Tuple) error {
 			return err
 		}
 		merged = mergeProjection(p, existingNew, nt)
-		if !merged.Equal(existingNew) {
+		if !projectedEqual(existingNew, nt, p.proj) {
 			if err := s.replace(node.Relation, newKey, merged); err != nil {
 				return err
 			}
@@ -301,7 +301,7 @@ func (s *session) replaceIslandKey(p *nodePlan, ot, nt reldb.Tuple) error {
 		}
 	}
 	s.recordKeyChange(p, ot, nt)
-	s.touch(node.Relation, merged)
+	s.touch(node.Relation, reldb.RowOf(merged))
 	return nil
 }
 
@@ -310,23 +310,23 @@ func (s *session) replaceIslandKey(p *nodePlan, ot, nt reldb.Tuple) error {
 // foreign-key propagation from an island key change (applied in step 3);
 // any further key change is inherently ambiguous and rejected (§5.3).
 // Non-key projected differences are applied as a normal replacement.
-func (s *session) peninsulaKeyChange(p *nodePlan, ot, nt reldb.Tuple) error {
+func (s *session) peninsulaKeyChange(p *nodePlan, ot, nt reldb.Row) error {
 	node, schema := p.node, p.schema
 	expected := s.applyKeyMapToRefs(node.Relation, ot)
-	if !schema.KeyOf(expected).Equal(schema.KeyOf(nt)) {
+	if !schema.KeyOf(expected).Equal(nt.Key(schema)) {
 		return rejectAs(ReasonAmbiguousKey, "vupdate: %s: replacements on keys of referencing peninsula %s are prohibited",
 			s.def.Name, node.ID)
 	}
 	// Non-key attribute changes apply to the database tuple now (it still
 	// carries the old foreign key; step 3 rewrites it).
-	merged := ot.Clone()
+	merged := ot.Tuple()
 	changed := false
 	for _, j := range p.proj {
 		if schema.IsKeyAttr(j) {
 			continue
 		}
-		if !merged[j].Equal(nt[j]) {
-			merged[j] = nt[j]
+		if !merged[j].Equal(nt.At(j)) {
+			merged[j] = nt.At(j)
 			changed = true
 		}
 	}
@@ -336,17 +336,17 @@ func (s *session) peninsulaKeyChange(p *nodePlan, ot, nt reldb.Tuple) error {
 	if err := s.mayModify(p); err != nil {
 		return err
 	}
-	if err := s.replace(node.Relation, schema.KeyOf(ot), merged); err != nil {
+	if err := s.replace(node.Relation, ot.Key(schema), merged); err != nil {
 		return err
 	}
-	s.touch(node.Relation, merged)
+	s.touch(node.Relation, reldb.RowOf(merged))
 	return nil
 }
 
 // applyKeyMapToRefs rewrites the referencing attributes of a peninsula
 // tuple according to the island key changes recorded so far.
-func (s *session) applyKeyMapToRefs(relName string, t reldb.Tuple) reldb.Tuple {
-	out := t.Clone()
+func (s *session) applyKeyMapToRefs(relName string, t reldb.Row) reldb.Tuple {
+	out := t.Tuple()
 	for _, c := range s.g.Outgoing(relName) {
 		if c.Type != structural.Reference {
 			continue
@@ -361,7 +361,7 @@ func (s *session) applyKeyMapToRefs(relName string, t reldb.Tuple) reldb.Tuple {
 			continue
 		}
 		ref := make(reldb.Tuple, toRel.Schema().Arity())
-		if s.carry(structural.Edge{Conn: c, Forward: true}, out, ref) != nil {
+		if s.carry(structural.Edge{Conn: c, Forward: true}, reldb.RowOf(out), ref) != nil {
 			continue
 		}
 		if ch, ok := changes[toRel.Schema().EncodeKeyOf(ref)]; ok {
@@ -425,14 +425,14 @@ func (s *session) propagateOneKeyChange(relName string, ch keyChange) error {
 			return err
 		}
 		for _, rt := range refs {
-			nt := rt.Clone()
+			nt := rt.Tuple()
 			if err := s.carry(e, ch.after, nt); err != nil {
 				return err
 			}
-			if err := s.replace(c.From, fromRel.Schema().KeyOf(rt), nt); err != nil {
+			if err := s.replace(c.From, rt.Key(fromRel.Schema()), nt); err != nil {
 				return err
 			}
-			s.touch(c.From, nt)
+			s.touch(c.From, reldb.RowOf(nt))
 		}
 	}
 	// Outgoing ownership and subset connections: tuples still connected
@@ -456,18 +456,19 @@ func (s *session) propagateOneKeyChange(relName string, ch keyChange) error {
 		}
 		toSchema := toRel.Schema()
 		for _, dt := range deps {
-			nt := dt.Clone()
+			nt := dt.Tuple()
 			if err := s.carry(e, ch.after, nt); err != nil {
 				return err
 			}
-			oldDepKey := toSchema.KeyOf(dt)
+			oldDepKey := dt.Key(toSchema)
 			if err := s.replace(c.To, oldDepKey, nt); err != nil {
 				return err
 			}
-			s.touch(c.To, nt)
+			after := reldb.RowOf(nt)
+			s.touch(c.To, after)
 			if !oldDepKey.Equal(toSchema.KeyOf(nt)) {
 				// The dependent's own key changed: recurse.
-				if err := s.propagateOneKeyChange(c.To, keyChange{dt, nt}); err != nil {
+				if err := s.propagateOneKeyChange(c.To, keyChange{dt, after}); err != nil {
 					return err
 				}
 			}

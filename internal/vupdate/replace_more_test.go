@@ -108,11 +108,11 @@ func TestVORPeninsulaNonKeyChangeWithKeyPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := db.MustRelation("SPOKE").Get(reldb.Tuple{iv(1)})
-	if got[1].MustString() != "h2" {
-		t.Fatalf("FK = %v, want h2", got[1])
+	if got.At(1).MustString() != "h2" {
+		t.Fatalf("FK = %v, want h2", got.At(1))
 	}
-	if got[2].MustString() != "new note" {
-		t.Fatalf("note = %v", got[2])
+	if got.At(2).MustString() != "new note" {
+		t.Fatalf("note = %v", got.At(2))
 	}
 	in := &structural.Integrity{G: g}
 	if vs, _ := in.Audit(db); len(vs) != 0 {
@@ -142,7 +142,7 @@ func TestVORMergeIdenticalExisting(t *testing.T) {
 	// Craft CS446 identical (in projected values) to what CS445 would
 	// become after merging — title etc. match CS445's values.
 	cs445, _ := db.MustRelation(university.Courses).Get(reldb.Tuple{s("CS445")})
-	clone := cs445.Clone()
+	clone := cs445.Tuple()
 	clone[0] = s("CS446")
 	err := db.RunInTx(func(tx *reldb.Tx) error {
 		return tx.Insert(university.Courses, clone)
@@ -226,7 +226,7 @@ func TestVORStateICase4ConflictingExisting(t *testing.T) {
 	// Year 4 while the database says 2: the STUDENT pair enters state I
 	// with differing keys (5 vs 3) and hits I-4.
 	for _, gr := range repl.Root().Children(university.Grades) {
-		if gr.Tuple()[1].MustInt() == 5 {
+		if gr.Row().Tuple()[1].MustInt() == 5 {
 			if err := gr.SetTuple(om, reldb.Tuple{s("CS445"), iv(3), s("Spr91"), s("B")}); err != nil {
 				t.Fatal(err)
 			}
@@ -240,8 +240,8 @@ func TestVORStateICase4ConflictingExisting(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := db.MustRelation(university.Student).Get(reldb.Tuple{iv(3)})
-	if y, _ := got[2].AsInt(); y != 4 {
-		t.Fatalf("I-4 did not replace: year = %v", got[2])
+	if y, _ := got.At(2).AsInt(); y != 4 {
+		t.Fatalf("I-4 did not replace: year = %v", got.At(2))
 	}
 	auditClean(t, db, g)
 
@@ -256,7 +256,7 @@ func TestVORStateICase4ConflictingExisting(t *testing.T) {
 	}
 	repl2 := old2.Clone()
 	for _, gr := range repl2.Root().Children(university.Grades) {
-		if gr.Tuple()[1].MustInt() == 5 {
+		if gr.Row().Tuple()[1].MustInt() == 5 {
 			_ = gr.SetTuple(om2, reldb.Tuple{s("CS445"), iv(3), s("Spr91"), s("B")})
 			st := gr.Children(university.Student)[0]
 			_ = st.SetTuple(om2, reldb.Tuple{iv(3), s("MS"), iv(4)})

@@ -33,8 +33,8 @@ func TestVORNonKeyReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := db.MustRelation(university.Courses).Get(reldb.Tuple{s("CS345")})
-	if got[1].MustString() != "Advanced Database Systems" {
-		t.Fatalf("title = %v", got[1])
+	if got.At(1).MustString() != "Advanced Database Systems" {
+		t.Fatalf("title = %v", got.At(1))
 	}
 	if res.Count(OpReplace) != 1 || res.Count(OpInsert) != 0 || res.Count(OpDelete) != 0 {
 		t.Fatalf("ops:\n%s", res)
@@ -90,8 +90,8 @@ func TestVORSection6Example(t *testing.T) {
 	if !ok {
 		t.Fatal("new pivot key missing")
 	}
-	if ees[2].MustString() != "Engineering Economic Systems" {
-		t.Fatalf("course dept = %v", ees[2])
+	if ees.At(2).MustString() != "Engineering Economic Systems" {
+		t.Fatalf("course dept = %v", ees.At(2))
 	}
 	// The paper's highlighted effect: a ⟨Engineering Economic Systems⟩
 	// tuple was inserted in DEPARTMENT.
@@ -222,8 +222,8 @@ func TestVORMergeWithExisting(t *testing.T) {
 	}
 	got, _ := db.MustRelation(university.Courses).Get(reldb.Tuple{s("CS101")})
 	// CS445's projected values were absorbed.
-	if got[1].MustString() != "Distributed Systems" {
-		t.Fatalf("absorbed title = %v", got[1])
+	if got.At(1).MustString() != "Distributed Systems" {
+		t.Fatalf("absorbed title = %v", got.At(1))
 	}
 	auditClean(t, db, g)
 }
@@ -236,7 +236,7 @@ func TestVORIslandChildKeyChange(t *testing.T) {
 	repl := old.Clone()
 	// Move the grade of student 5 to student 3 and also change the mark.
 	for _, gr := range repl.Root().Children(university.Grades) {
-		if gr.Tuple()[1].MustInt() == 5 {
+		if gr.Row().Tuple()[1].MustInt() == 5 {
 			if err := gr.SetTuple(om, reldb.Tuple{s("CS445"), iv(3), s("Spr91"), s("A-")}); err != nil {
 				t.Fatal(err)
 			}
@@ -255,7 +255,7 @@ func TestVORIslandChildKeyChange(t *testing.T) {
 		t.Fatal("old grade survived")
 	}
 	got, ok := grades.Get(reldb.Tuple{s("CS445"), iv(3)})
-	if !ok || got[3].MustString() != "A-" {
+	if !ok || got.At(3).MustString() != "A-" {
 		t.Fatalf("new grade = %v, %v", got, ok)
 	}
 	auditClean(t, db, g)
@@ -268,19 +268,19 @@ func TestVORAddAndRemoveIslandComponents(t *testing.T) {
 	old := currentInstance(t, db, om, "CS445")
 	repl := old.Clone()
 	// Remove the grade of student 5 by rebuilding the instance without it.
-	rebuilt := viewobject.MustNewInstance(om, repl.Root().Tuple())
+	rebuilt := viewobject.MustNewInstance(om, repl.Root().Row().Tuple())
 	for _, cid := range []string{university.Department, university.Curriculum} {
 		for _, c := range repl.Root().Children(cid) {
-			rebuilt.Root().MustAddChild(om, cid, c.Tuple())
+			rebuilt.Root().MustAddChild(om, cid, c.Row().Tuple())
 		}
 	}
 	for _, gr := range repl.Root().Children(university.Grades) {
-		if gr.Tuple()[1].MustInt() == 5 {
+		if gr.Row().Tuple()[1].MustInt() == 5 {
 			continue // dropped
 		}
-		n := rebuilt.Root().MustAddChild(om, university.Grades, gr.Tuple())
+		n := rebuilt.Root().MustAddChild(om, university.Grades, gr.Row().Tuple())
 		for _, st := range gr.Children(university.Student) {
-			n.MustAddChild(om, university.Student, st.Tuple())
+			n.MustAddChild(om, university.Student, st.Row().Tuple())
 		}
 	}
 	// Add a new grade for student 2.
@@ -297,7 +297,7 @@ func TestVORAddAndRemoveIslandComponents(t *testing.T) {
 		t.Fatal("removed grade survived")
 	}
 	got, ok := grades.Get(reldb.Tuple{s("CS445"), iv(2)})
-	if !ok || got[3].MustString() != "B+" {
+	if !ok || got.At(3).MustString() != "B+" {
 		t.Fatalf("added grade = %v, %v", got, ok)
 	}
 	// The remove+add pair collapses into a single key replacement — the
@@ -316,7 +316,7 @@ func TestVORPeninsulaKeyChangeRejected(t *testing.T) {
 	repl := old.Clone()
 	// Change a curriculum row's Degree (part of its key, not the FK).
 	cu := repl.Root().Children(university.Curriculum)[0]
-	tu := cu.Tuple()
+	tu := cu.Row().Tuple()
 	tu[1] = s("MBA")
 	if err := cu.SetTuple(om, tu); err != nil {
 		t.Fatal(err)
@@ -334,7 +334,7 @@ func TestVOROutsideKeyChangeRejected(t *testing.T) {
 	// Change a student's PID (its key): STUDENT is an outside relation.
 	gr := repl.Root().Children(university.Grades)[0]
 	st := gr.Children(university.Student)[0]
-	tu := st.Tuple()
+	tu := st.Row().Tuple()
 	tu[0] = iv(999)
 	if err := st.SetTuple(om, tu); err != nil {
 		t.Fatal(err)
@@ -351,7 +351,7 @@ func TestVOROutsideNonKeyReplace(t *testing.T) {
 	repl := old.Clone()
 	gr := repl.Root().Children(university.Grades)[0]
 	st := gr.Children(university.Student)[0]
-	pid := st.Tuple()[0]
+	pid := st.Row().Tuple()[0]
 	if err := st.SetAttr(om, "Year", iv(4)); err != nil {
 		t.Fatal(err)
 	}
@@ -359,8 +359,8 @@ func TestVOROutsideNonKeyReplace(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _ := db.MustRelation(university.Student).Get(reldb.Tuple{pid})
-	if y, _ := got[2].AsInt(); y != 4 {
-		t.Fatalf("year = %v", got[2])
+	if y, _ := got.At(2).AsInt(); y != 4 {
+		t.Fatalf("year = %v", got.At(2))
 	}
 	auditClean(t, db, g)
 
@@ -425,7 +425,7 @@ func TestVORDoesNotMutateCallerInstance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, gr := range repl.Root().Children(university.Grades) {
-		if gr.Tuple()[0].MustString() != "CS345" {
+		if gr.Row().Tuple()[0].MustString() != "CS345" {
 			t.Fatal("caller's instance was mutated by propagation")
 		}
 	}

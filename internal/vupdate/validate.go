@@ -34,7 +34,7 @@ func validateConnections(def *viewobject.Definition, p *nodePlan, in *viewobject
 					if !pv.Equal(cv) {
 						e := child.Path[0]
 						return rejectAs(ReasonIntegrity, "vupdate: %s: component %s (%s) is not connected to its parent %s (%s=%s, %s=%s)",
-							def.Name, child.ID, ci.Tuple(), p.node.ID,
+							def.Name, child.ID, ci.Row(), p.node.ID,
 							e.SourceAttrs()[k], pv, e.TargetAttrs()[k], cv)
 					}
 				}

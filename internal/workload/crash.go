@@ -108,7 +108,7 @@ func DigestDatabase(db *reldb.Database) uint64 {
 	for _, name := range rtx.Names() {
 		rel := rtx.MustRelation(name)
 		set := make(map[string]struct{}, rel.Count())
-		rel.Scan(func(t reldb.Tuple) bool {
+		rel.Scan(func(t reldb.Row) bool {
 			set[t.Encode()] = struct{}{}
 			return true
 		})

@@ -341,7 +341,7 @@ func digestReplicas(sw *ShardedWorkload, rels []string) ([]uint64, error) {
 				return nil, err
 			}
 			var eks []string
-			rel.Scan(func(t reldb.Tuple) bool {
+			rel.Scan(func(t reldb.Row) bool {
 				eks = append(eks, t.Encode())
 				return true
 			})

@@ -180,7 +180,7 @@ func TestFacadeFlatBaseline(t *testing.T) {
 		t.Fatalf("rows = %d, %v", rs.Len(), err)
 	}
 	ft := penguin.PermissiveFlatTranslator(v)
-	res, err := ft.Delete(rs.Rows[0])
+	res, err := ft.Delete(rs.Rows[0].Tuple())
 	if err != nil || res.Deletes != 1 {
 		t.Fatalf("delete: %+v, %v", res, err)
 	}
