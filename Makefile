@@ -95,6 +95,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzRelationOps$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzKeyCodecOrder$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryValue$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
+	$(GO) test -run='^$$' -fuzz='^FuzzRowCodec$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzWALRecord$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzWALFrames$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshot$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/reldb

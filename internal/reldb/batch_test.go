@@ -236,6 +236,41 @@ func TestMatchEqualBatchEmptyAndErrors(t *testing.T) {
 	}
 }
 
+// MatchEqualBatchAt answers as MatchEqualBatchStats over the names its
+// indices resolve from, and refuses an index the schema lacks or one
+// given twice.
+func TestMatchEqualBatchAt(t *testing.T) {
+	r := batchRel(t, 10)
+	valSets := []Tuple{{Int(3), String("C3")}, {Int(999), String("C1")}, {Int(4), String("C4")}}
+	names := []string{"PID", "CourseID"}
+	idx, err := r.Schema().Indices(names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var byName, byIdx MatchStats
+	want, err := r.MatchEqualBatchStats(names, valSets, &byName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.MatchEqualBatchAt(idx, valSets, &byIdx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byName != byIdx || len(got) != len(want) {
+		t.Fatalf("by index: %d buckets, %+v; by name: %d, %+v", len(got), byIdx, len(want), byName)
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) || len(got[i]) > 0 && !got[i][0].Same(want[i][0]) {
+			t.Fatalf("bucket %d by index %v, by name %v", i, got[i], want[i])
+		}
+	}
+	for _, bad := range [][]int{{idx[0], r.Schema().Arity()}, {-1, idx[1]}, {idx[0], idx[0]}} {
+		if _, err := r.MatchEqualBatchAt(bad, valSets, nil); err == nil {
+			t.Fatalf("attribute indices %v accepted", bad)
+		}
+	}
+}
+
 // A Replace that changes the primary key must move the row between the
 // non-key index's buckets exactly once (no stale entry under the old
 // encoded key, none duplicated under the new one).

@@ -244,14 +244,9 @@ func writeRelation(w byteWriter, rel *Relation) error {
 	}
 	writeU32(w, uint32(rel.Count()))
 	var scanErr error
-	rel.rows.ascend("", func(_ string, t Tuple) bool {
-		for _, v := range t {
-			if err := writeValue(w, v); err != nil {
-				scanErr = err
-				return false
-			}
-		}
-		return true
+	rel.rows.ascend("", func(_ string, row Row) bool {
+		scanErr = writeValues(w, row)
+		return scanErr == nil
 	})
 	return scanErr
 }
@@ -390,9 +385,10 @@ func readRelation(r byteReader, db *Database) error {
 	if nRows > maxSnapshotCount {
 		return fmt.Errorf("reldb: snapshot %s: row count %d too large", name, nRows)
 	}
-	nAttrs := schema.Arity()
+	// Insert encodes the tuple into a row string, so one tuple serves
+	// every row.
+	t := make(Tuple, schema.Arity())
 	for i := uint32(0); i < nRows; i++ {
-		t := make(Tuple, nAttrs)
 		for j := range t {
 			v, err := readValue(r)
 			if err != nil {
@@ -487,12 +483,20 @@ func readValue(r byteReader) (Value, error) {
 	}
 }
 
-// writeTuple serializes a tuple with an arity prefix (WAL records carry
-// tuples for relations whose schema is only known at replay time, so the
-// count makes each record self-delimiting).
-func writeTuple(w byteWriter, t Tuple) error {
-	writeU32(w, uint32(len(t)))
-	for _, v := range t {
+// writeTuple serializes a row's values as a tuple with an arity prefix
+// (WAL records carry tuples for relations whose schema is only known at
+// replay time, so the count makes each record self-delimiting).
+func writeTuple(w byteWriter, r Row) error {
+	writeU32(w, uint32(r.Len()))
+	return writeValues(w, r)
+}
+
+// writeValues serializes a row's values, decoded, in order: the bytes a
+// tuple of them wrote.
+func writeValues(w byteWriter, r Row) error {
+	for p := r.pos(0); p < len(r.s); {
+		var v Value
+		v, p = valueAt(r.s, p)
 		if err := writeValue(w, v); err != nil {
 			return err
 		}

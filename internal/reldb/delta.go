@@ -106,24 +106,19 @@ func diff(old, new *Relation) (d Delta, read int) {
 	for i, j := 0, 0; i < len(ka) || j < len(kb); {
 		switch {
 		case j == len(kb) || i < len(ka) && ka[i] < kb[j]:
-			d.Deletes = append(d.Deletes, Row{va[i]})
+			d.Deletes = append(d.Deletes, va[i])
 			i++
 		case i == len(ka) || kb[j] < ka[i]:
-			d.Inserts = append(d.Inserts, Row{vb[j]})
+			d.Inserts = append(d.Inserts, vb[j])
 			j++
 		default:
-			if !sameStored(va[i], vb[j]) && !va[i].Equal(vb[j]) {
-				d.Replaces = append(d.Replaces, TupleChange{Old: Row{va[i]}, New: Row{vb[j]}})
+			if !va[i].Same(vb[j]) && !va[i].Equal(vb[j]) {
+				d.Replaces = append(d.Replaces, TupleChange{Old: va[i], New: vb[j]})
 			}
 			i, j = i+1, j+1
 		}
 	}
 	return d, read
-}
-
-// sameStored reports whether two stored tuples are one stored copy.
-func sameStored(x, y Tuple) bool {
-	return len(x) == len(y) && len(x) > 0 && &x[0] == &y[0]
 }
 
 // batchLocked is the transaction's commit batch: for every relation it

@@ -19,7 +19,7 @@ func exprRow(t *testing.T) evalRow {
 		{Name: "C", Type: KindFloat, Nullable: true},
 		{Name: "D", Type: KindBool, Nullable: true},
 	}, []string{"A"})
-	return evalRow{s, Row{Tuple{Int(10), String("hi"), Float(2.5), Bool(true)}}}
+	return evalRow{s, RowOf(Tuple{Int(10), String("hi"), Float(2.5), Bool(true)})}
 }
 
 func mustEval(t *testing.T, e Expr, r evalRow) Value {
@@ -55,7 +55,7 @@ func TestAttrQualifiedAgainstJoinedSchema(t *testing.T) {
 		{Name: "R.A", Type: KindInt, Nullable: true},
 		{Name: "S.A", Type: KindInt, Nullable: true},
 	}, []string{"R.A"})
-	r := evalRow{s, Row{Tuple{Int(1), Int(2)}}}
+	r := evalRow{s, RowOf(Tuple{Int(1), Int(2)})}
 	if v := mustEval(t, Attr{Rel: "S", Name: "A"}, r); !v.Equal(Int(2)) {
 		t.Fatalf("joined qualified attr = %v", v)
 	}

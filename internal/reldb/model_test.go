@@ -166,7 +166,7 @@ func (m *modelRel) inRange(attr string, lo, hi *rangeBound) func(Tuple) bool {
 func tuplesOf(rows []Row) []Tuple {
 	out := make([]Tuple, len(rows))
 	for i, r := range rows {
-		out[i] = r.t
+		out[i] = r.Tuple()
 	}
 	return out
 }
@@ -177,7 +177,7 @@ func sameTuples(t testing.TB, what string, got []Row, want []Tuple) {
 		t.Fatalf("%s: %d tuples, oracle has %d", what, len(got), len(want))
 	}
 	for i := range got {
-		if !got[i].t.Equal(want[i]) {
+		if !got[i].Tuple().Equal(want[i]) {
 			t.Fatalf("%s: tuple %d = %v, oracle has %v", what, i, got[i], want[i])
 		}
 	}
@@ -340,7 +340,7 @@ func checkModel(t testing.TB, r *Relation, m *modelRel) {
 			key := Tuple{Int(a), Int(b)}
 			want, ok := m.rows[EncodeValues(key...)]
 			got, gok := r.Get(key)
-			if ok != gok || (ok && !got.t.Equal(want)) {
+			if ok != gok || (ok && !got.Tuple().Equal(want)) {
 				t.Fatalf("Get %v = %v, %v; oracle has %v, %v", key, got, gok, want, ok)
 			}
 		}
@@ -745,7 +745,7 @@ func FuzzRelationOps(f *testing.F) {
 		for ; len(ops) >= 4; ops = ops[4:] {
 			key := run.step(t, ops[0], ops[1], ops[2], ops[3])
 			want, ok := run.m.rows[EncodeValues(key...)]
-			if got, gok := run.r.Get(key); ok != gok || (ok && !got.t.Equal(want)) || run.r.Count() != len(run.m.rows) {
+			if got, gok := run.r.Get(key); ok != gok || (ok && !got.Tuple().Equal(want)) || run.r.Count() != len(run.m.rows) {
 				t.Fatalf("after op %v: Get %v = %v, %v; oracle has %v, %v", ops[:4], key, got, gok, want, ok)
 			}
 		}

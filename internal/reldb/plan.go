@@ -1,6 +1,9 @@
 package reldb
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // planKind classifies how a MatchEqual-family lookup over an attribute
 // set is served on a given relation version.
@@ -21,7 +24,7 @@ const (
 // one relation version.
 type lookupPlan struct {
 	// idx are the attribute indices, in the caller's attrNames order
-	// (duplicate-free — lookupIndices rejected duplicates).
+	// (duplicate-free — planAt rejected duplicates).
 	idx  []int
 	kind planKind
 	// ix is the serving secondary index (planIndex only).
@@ -42,9 +45,26 @@ type lookupPlan struct {
 // every call: nothing is memoized, so a committed version has no mutable
 // state and an answer depends on that version alone.
 func (r *Relation) planFor(what string, attrNames []string) (lookupPlan, error) {
-	idx, err := r.lookupIndices(what, attrNames)
+	idx, err := r.schema.Indices(attrNames)
 	if err != nil {
 		return lookupPlan{}, err
+	}
+	return r.planAt(what, idx)
+}
+
+// planAt is planFor over attribute indices; it allocates nothing. It
+// rejects duplicates: the lookup paths compare attribute sets, and a
+// duplicated attribute (e.g. ["id","id"] against a two-column key) would
+// falsely pass sameIntSet and build a key with a hole.
+func (r *Relation) planAt(what string, idx []int) (lookupPlan, error) {
+	for i, j := range idx {
+		if j < 0 || j >= r.schema.Arity() {
+			return lookupPlan{}, fmt.Errorf("reldb: %s: %s: no attribute %d", r.Name(), what, j)
+		}
+		if slices.Contains(idx[:i], j) {
+			return lookupPlan{}, fmt.Errorf("reldb: %s: %s: duplicate attribute %s",
+				r.Name(), what, r.schema.Attr(j).Name)
+		}
 	}
 	pl := lookupPlan{idx: idx, kind: planScan, order: idx}
 	if sameIntSet(idx, r.schema.key) {

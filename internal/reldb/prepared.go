@@ -293,17 +293,17 @@ func (db *Database) ResolveInDoubt(xid string, commit bool) error {
 func applyDelta(rel *Relation, d Delta) error {
 	s := rel.Schema()
 	for _, t := range d.Inserts {
-		if err := rel.Insert(t.t); err != nil {
+		if err := rel.Insert(t.Tuple()); err != nil {
 			return err
 		}
 	}
 	for _, t := range d.Deletes {
-		if _, err := rel.Delete(s.KeyOf(t.t)); err != nil {
+		if _, err := rel.Delete(t.Key(s)); err != nil {
 			return err
 		}
 	}
 	for _, rc := range d.Replaces {
-		if err := rel.Replace(s.KeyOf(rc.Old.t), rc.New.t); err != nil {
+		if err := rel.Replace(rc.Old.Key(s), rc.New.Tuple()); err != nil {
 			return err
 		}
 	}

@@ -9,9 +9,9 @@ import (
 )
 
 // ptree is the one storage structure of a relation: a path-copying B+tree
-// from encoded key to stored tuple. A relation's rows live in one
-// (EncodeKey(pk) → tuple) and each secondary index in another
-// (EncodeValues(indexed attrs…)+pk encoding → the same shared tuple), so
+// from encoded key to stored row. A relation's rows live in one (the
+// row's key prefix → the row string) and each secondary index in another
+// (EncodeValues(indexed attrs…)+pk encoding → the same row string), so
 // key order, bucket order and range order all come from the structure.
 //
 // Versions share structure. Copying a ptree value copies a root pointer;
@@ -46,7 +46,7 @@ type treeOwner struct{ _ byte }
 type treeNode struct {
 	owner *treeOwner
 	keys  []string
-	vals  []Tuple
+	vals  []Row
 	kids  []*treeNode
 }
 
@@ -77,7 +77,7 @@ func (n *treeNode) childFor(key string) int {
 func newNode(o *treeOwner, leaf bool, n int) *treeNode {
 	c := &treeNode{owner: o, keys: make([]string, 0, n)}
 	if leaf {
-		c.vals = make([]Tuple, 0, n)
+		c.vals = make([]Row, 0, n)
 	} else {
 		c.kids = make([]*treeNode, 0, n)
 	}
@@ -99,10 +99,10 @@ func (n *treeNode) editable(o *treeOwner) *treeNode {
 	return c
 }
 
-func (t *ptree) get(key string) (Tuple, bool) {
+func (t *ptree) get(key string) (Row, bool) {
 	n := t.root
 	if n == nil {
-		return nil, false
+		return Row{}, false
 	}
 	for n.kids != nil {
 		n = n.kids[n.childFor(key)]
@@ -110,11 +110,11 @@ func (t *ptree) get(key string) (Tuple, bool) {
 	if i, ok := n.search(key); ok {
 		return n.vals[i], true
 	}
-	return nil, false
+	return Row{}, false
 }
 
 // put stores v under key, inserting or overwriting.
-func (t *ptree) put(o *treeOwner, key string, v Tuple) {
+func (t *ptree) put(o *treeOwner, key string, v Row) {
 	if t.root == nil {
 		t.root = newNode(o, true, 1)
 	}
@@ -133,11 +133,13 @@ func (t *ptree) put(o *treeOwner, key string, v Tuple) {
 
 // put inserts into the subtree under n, which o owns. When n overflows it
 // splits and returns the separator and the new right sibling.
-func (n *treeNode) put(o *treeOwner, key string, v Tuple) (added bool, sep string, right *treeNode) {
+func (n *treeNode) put(o *treeOwner, key string, v Row) (added bool, sep string, right *treeNode) {
 	if n.kids == nil {
 		i, found := n.search(key)
 		if found {
-			n.vals[i] = v
+			// The key too: a row tree's key is a substring of the row it
+			// files, and the old one would keep the old row alive.
+			n.keys[i], n.vals[i] = key, v
 			return false, "", nil
 		}
 		n.keys = slices.Insert(n.keys, i, key)
@@ -253,13 +255,13 @@ func (n *treeNode) delete(o *treeOwner, key string) bool {
 // ascend calls fn for every entry with key >= from, in key order, until
 // fn returns false. It walks the root it was handed: a version that
 // shares these nodes and later writes copies them first.
-func (t *ptree) ascend(from string, fn func(key string, v Tuple) bool) {
+func (t *ptree) ascend(from string, fn func(key string, v Row) bool) {
 	if t.root != nil {
 		t.root.ascend(from, fn)
 	}
 }
 
-func (n *treeNode) ascend(from string, fn func(string, Tuple) bool) bool {
+func (n *treeNode) ascend(from string, fn func(string, Row) bool) bool {
 	if n.kids == nil {
 		i, _ := n.search(from)
 		for ; i < len(n.keys); i++ {
@@ -341,7 +343,7 @@ func dropShared(a, b []*treeNode) ([]*treeNode, []*treeNode) {
 }
 
 // entries lists the keys and values of leaves, in order.
-func entries(leaves []*treeNode) (keys []string, vals []Tuple) {
+func entries(leaves []*treeNode) (keys []string, vals []Row) {
 	for _, l := range leaves {
 		keys, vals = append(keys, l.keys...), append(vals, l.vals...)
 	}
@@ -372,18 +374,65 @@ type fingerStep struct {
 	bounded bool
 }
 
-// appendPrefixed appends to dst the tuples of t whose keys start with
-// prefix, as Rows, in key order: a seek, then a walk of that run. One
-// finger serves one version of one tree, and the prefixes it is given
-// must ascend, none a prefix of another — distinct encodings of one
-// attribute list, which the key codec makes self-delimiting. Every key
-// before the finger then sorts below the next prefix, so climbing only
-// while the prefix is at or past a node's bound finds its run; at worst
-// the seek lands a leaf early and the walk moves on. The walk takes no
-// callback and allocates nothing but dst's growth.
+// appendPrefixed appends to dst the rows of t whose keys start with
+// prefix, in key order: a seek, then a walk of that run. One finger
+// serves one version of one tree, and the prefixes it is given must
+// ascend, none a prefix of another — distinct encodings of one attribute
+// list, which the key codec makes self-delimiting. Every key before the
+// finger then sorts below the next prefix, so climbing only while the
+// prefix is at or past a node's bound finds its run; at worst the seek
+// lands a leaf early and the walk moves on. The walk takes no callback
+// and allocates nothing but dst's growth, which countPrefixed, walked
+// first through a finger of its own, lets the caller size.
 func (f *finger) appendPrefixed(t *ptree, dst []Row, prefix string) []Row {
-	if t.root == nil {
+	if !f.seek(t, prefix) {
 		return dst
+	}
+	for {
+		for s := &f.steps[f.depth-1]; s.i < len(s.n.keys); s.i++ {
+			if !strings.HasPrefix(s.n.keys[s.i], prefix) {
+				return dst
+			}
+			dst = append(dst, s.n.vals[s.i])
+		}
+		if !f.nextLeaf() {
+			return dst
+		}
+	}
+}
+
+// countPrefixed is appendPrefixed that only counts the run.
+func (f *finger) countPrefixed(t *ptree, prefix string) int {
+	n := 0
+	if !f.seek(t, prefix) {
+		return 0
+	}
+	for {
+		for s := &f.steps[f.depth-1]; s.i < len(s.n.keys); s.i++ {
+			if !strings.HasPrefix(s.n.keys[s.i], prefix) {
+				return n
+			}
+			n++
+		}
+		if !f.nextLeaf() {
+			return n
+		}
+	}
+}
+
+// seek moves the finger to the first entry of t at or past prefix, or
+// reports false for an empty tree. A finger stands on the first entry
+// past every key below the last prefix it was given — after a seek, and
+// after a walk that stopped inside the tree — so when that entry is at
+// or past prefix it is the answer, and adjacent runs cost no search.
+func (f *finger) seek(t *ptree, prefix string) bool {
+	if t.root == nil {
+		return false
+	}
+	if f.depth > 0 {
+		if s := &f.steps[f.depth-1]; s.i < len(s.n.keys) && s.n.keys[s.i] >= prefix {
+			return true
+		}
 	}
 	for f.depth > 1 && f.steps[f.depth-1].bounded && prefix >= f.steps[f.depth-1].hi {
 		f.depth--
@@ -397,17 +446,7 @@ func (f *finger) appendPrefixed(t *ptree, dst []Row, prefix string) []Row {
 	}
 	leaf := &f.steps[f.depth-1]
 	leaf.i, _ = leaf.n.search(prefix)
-	for {
-		for s := &f.steps[f.depth-1]; s.i < len(s.n.keys); s.i++ {
-			if !strings.HasPrefix(s.n.keys[s.i], prefix) {
-				return dst
-			}
-			dst = append(dst, Row{s.n.vals[s.i]})
-		}
-		if !f.nextLeaf() {
-			return dst
-		}
-	}
+	return true
 }
 
 // push appends to the path the child at s's position, bounded by the

@@ -407,7 +407,7 @@ func TestFingerMatchesPrefixWalks(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for a := int64(0); a < 600; a++ {
 		for b := int64(0); b < 1+a%60; b++ {
-			tr.put(o, EncodeValues(Int(2*a), Int(b)), Tuple{Int(2 * a), Int(b)})
+			tr.put(o, EncodeValues(Int(2*a), Int(b)), RowOf(Tuple{Int(2 * a), Int(b)}))
 		}
 	}
 	for i := 0; i < 3000; i++ {
@@ -422,11 +422,11 @@ func TestFingerMatchesPrefixWalks(t *testing.T) {
 		for a := int64(-2); a < 1203; a += 1 + rng.Int63n(int64(1+round%40)) {
 			prefixes = append(prefixes, EncodeValues(Int(a)))
 		}
-		var f finger
+		var f, c finger
 		for _, p := range prefixes {
 			got := f.appendPrefixed(&tr, nil, p)
-			var want []Tuple
-			tr.ascend(p, func(k string, v Tuple) bool {
+			var want []Row
+			tr.ascend(p, func(k string, v Row) bool {
 				if strings.HasPrefix(k, p) {
 					want = append(want, v)
 				}
@@ -435,8 +435,11 @@ func TestFingerMatchesPrefixWalks(t *testing.T) {
 			if len(got) != len(want) {
 				t.Fatalf("round %d prefix %x: finger %d rows, a walk from the prefix %d", round, p, len(got), len(want))
 			}
+			if n := c.countPrefixed(&tr, p); n != len(want) {
+				t.Fatalf("round %d prefix %x: a counting finger has %d rows, a walk from the prefix %d", round, p, n, len(want))
+			}
 			for i := range got {
-				if !got[i].Same(Row{want[i]}) {
+				if !got[i].Same(want[i]) {
 					t.Fatalf("round %d prefix %x row %d: finger %v, walk %v", round, p, i, got[i], want[i])
 				}
 			}

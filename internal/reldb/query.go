@@ -54,7 +54,7 @@ func (rs *ResultSet) Project(names []string) (*ResultSet, error) {
 	}
 	out := &ResultSet{Schema: schema, Rows: make([]Row, len(rs.Rows))}
 	for i, t := range rs.Rows {
-		out.Rows[i] = Row{t.Project(idx)}
+		out.Rows[i] = t.project(idx)
 	}
 	return out, nil
 }
@@ -192,7 +192,7 @@ func join(left, right *ResultSet, leftAttrs, rightAttrs []string, outer bool) (*
 		build[k] = append(build[k], rt)
 	}
 	out := &ResultSet{Schema: schema}
-	nulls := make(Tuple, right.Schema.Arity())
+	nulls := nullRow(right.Schema.Arity())
 	for _, lt := range left.Rows {
 		probe := lt.Project(lidx)
 		var matches []Row
@@ -200,10 +200,10 @@ func join(left, right *ResultSet, leftAttrs, rightAttrs []string, outer bool) (*
 			matches = build[probe.Encode()]
 		}
 		if len(matches) == 0 && outer {
-			out.Rows = append(out.Rows, Row{lt.t.Concat(nulls)})
+			out.Rows = append(out.Rows, lt.concat(nulls))
 		}
 		for _, rt := range matches {
-			out.Rows = append(out.Rows, Row{lt.t.Concat(rt.t)})
+			out.Rows = append(out.Rows, lt.concat(rt))
 		}
 	}
 	return out, nil

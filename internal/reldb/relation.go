@@ -20,10 +20,10 @@ import (
 // write discipline, committed versions are immutable: write transactions
 // mutate a private clone and publish it at commit, so any *Relation
 // obtained from the catalog (directly or through a ReadTx snapshot) is
-// safe to read concurrently. Stored tuples are never mutated in place
-// (Insert and Replace store defensive copies), which lets versions, and
-// the row tree and the index trees of one version, share them — and lets
-// every read hand the stored tuple itself out, as a read-only Row.
+// safe to read concurrently. A stored row is one immutable string
+// (Insert and Replace encode the caller's tuple into it), which lets
+// versions, and the row tree and the index trees of one version, share
+// it — and lets every read hand the stored row itself out.
 type Relation struct {
 	schema  *Schema
 	rows    ptree
@@ -51,7 +51,7 @@ type Relation struct {
 type secondaryIndex struct {
 	name  string
 	attrs []int // attribute indices, in the order given at creation
-	// tree maps EncodeValues(attrs of t…)+EncodeKeyOf(t) to the stored t.
+	// tree maps EncodeValues(attrs of a row…)+its key to the stored row.
 	tree ptree
 }
 
@@ -102,38 +102,40 @@ func (r *Relation) freeze() {
 	}
 }
 
-// checkStorable is CheckTuple plus the key-codec domain check on indexed
-// attributes (CheckTuple covers the key attributes).
-func (r *Relation) checkStorable(t Tuple) error {
+// storable checks t — CheckTuple plus the key-codec domain check on
+// indexed attributes (CheckTuple covers the key attributes) — and
+// encodes it into the row string it would be stored as.
+func (r *Relation) storable(t Tuple) (Row, error) {
 	if err := r.schema.CheckTuple(t); err != nil {
-		return err
+		return Row{}, err
 	}
+	row := newRow(r.schema.key, t)
 	for _, ix := range r.indexes {
-		if err := ix.check(r, t); err != nil {
-			return err
+		if err := ix.check(r, row); err != nil {
+			return Row{}, err
 		}
 	}
-	return nil
+	return row, nil
 }
 
 // Insert adds a tuple. It fails with ErrDuplicateKey if a tuple with the
 // same primary key exists, and with a validation error if the tuple does
 // not satisfy the schema.
 func (r *Relation) Insert(t Tuple) error {
-	if err := r.checkStorable(t); err != nil {
+	row, err := r.storable(t)
+	if err != nil {
 		return err
 	}
-	ek := r.schema.EncodeKeyOf(t)
+	ek := row.key()
 	if _, exists := r.rows.get(ek); exists {
 		return fmt.Errorf("reldb: %s: insert %s: %w", r.Name(), r.schema.KeyOf(t), ErrDuplicateKey)
 	}
-	// One stored copy, filed under ek in the row tree and under its
-	// indexed values in every index tree.
-	t = t.Clone()
+	// One stored string, filed under its key prefix in the row tree and
+	// under its indexed values in every index tree.
 	o := r.owner()
-	r.rows.put(o, ek, t)
+	r.rows.put(o, ek, row)
 	for _, ix := range r.indexes {
-		ix.tree.put(o, ix.keyFor(t, ek), t)
+		ix.tree.put(o, ix.keyFor(row, ek), row)
 	}
 	return nil
 }
@@ -148,10 +150,7 @@ func (r *Relation) Get(key Tuple) (Row, bool) {
 }
 
 // GetEncoded fetches the tuple with the given encoded primary key.
-func (r *Relation) GetEncoded(ek string) (Row, bool) {
-	t, ok := r.rows.get(ek)
-	return Row{t}, ok
-}
+func (r *Relation) GetEncoded(ek string) (Row, bool) { return r.rows.get(ek) }
 
 // Has reports whether a tuple with the given key values exists.
 func (r *Relation) Has(key Tuple) bool {
@@ -171,16 +170,16 @@ func (r *Relation) Delete(key Tuple) (Row, error) {
 	if err != nil {
 		return Row{}, err
 	}
-	t, ok := r.rows.get(ek)
+	row, ok := r.rows.get(ek)
 	if !ok {
 		return Row{}, fmt.Errorf("reldb: %s: delete %s: %w", r.Name(), key, ErrNoSuchTuple)
 	}
 	o := r.owner()
 	r.rows.delete(o, ek)
 	for _, ix := range r.indexes {
-		ix.tree.delete(o, ix.keyFor(t, ek))
+		ix.tree.delete(o, ix.keyFor(row, ek))
 	}
-	return Row{t}, nil
+	return row, nil
 }
 
 // Replace substitutes the tuple identified by oldKey with newTuple, which
@@ -192,9 +191,10 @@ func (r *Relation) Replace(oldKey Tuple, newTuple Tuple) error {
 	return err
 }
 
-// replace is Replace that also returns the stored tuple it took out.
+// replace is Replace that also returns the stored row it took out.
 func (r *Relation) replace(oldKey Tuple, newTuple Tuple) (Row, error) {
-	if err := r.checkStorable(newTuple); err != nil {
+	nt, err := r.storable(newTuple)
+	if err != nil {
 		return Row{}, err
 	}
 	oldEK, err := r.schema.EncodeKey(oldKey)
@@ -205,15 +205,14 @@ func (r *Relation) replace(oldKey Tuple, newTuple Tuple) (Row, error) {
 	if !ok {
 		return Row{}, fmt.Errorf("reldb: %s: replace %s: %w", r.Name(), oldKey, ErrNoSuchTuple)
 	}
-	newEK := r.schema.EncodeKeyOf(newTuple)
+	newEK := nt.key()
 	if _, clash := r.rows.get(newEK); clash && newEK != oldEK {
 		return Row{}, fmt.Errorf("reldb: %s: replace %s -> %s: %w",
 			r.Name(), oldKey, r.schema.KeyOf(newTuple), ErrDuplicateKey)
 	}
 	// An entry whose key is unchanged — in the row tree or in an index — is
 	// overwritten rather than deleted and inserted: it still has to point
-	// at the new tuple.
-	nt := newTuple.Clone()
+	// at the new row.
 	o := r.owner()
 	if newEK != oldEK {
 		r.rows.delete(o, oldEK)
@@ -226,7 +225,7 @@ func (r *Relation) replace(oldKey Tuple, newTuple Tuple) (Row, error) {
 		}
 		ix.tree.put(o, now, nt)
 	}
-	return Row{old}, nil
+	return old, nil
 }
 
 // Scan calls fn for every stored row in primary-key order, walking the
@@ -234,14 +233,14 @@ func (r *Relation) replace(oldKey Tuple, newTuple Tuple) (Row, error) {
 // stops early. fn must not write the relation; the row it is passed is
 // read-only, and stays valid after the scan.
 func (r *Relation) Scan(fn func(Row) bool) {
-	r.rows.ascend("", func(_ string, t Tuple) bool { return fn(Row{t}) })
+	r.rows.ascend("", func(_ string, row Row) bool { return fn(row) })
 }
 
 // All returns every stored row in primary-key order.
 func (r *Relation) All() []Row {
 	out := make([]Row, 0, r.rows.n)
-	r.rows.ascend("", func(_ string, t Tuple) bool {
-		out = append(out, Row{t})
+	r.rows.ascend("", func(_ string, row Row) bool {
+		out = append(out, row)
 		return true
 	})
 	return out
@@ -259,9 +258,9 @@ func (r *Relation) CreateIndex(name string, attrNames []string) error {
 	}
 	ix := &secondaryIndex{name: name, attrs: idx}
 	o := r.owner()
-	r.rows.ascend("", func(ek string, t Tuple) bool {
-		if err = ix.check(r, t); err == nil {
-			ix.tree.put(o, ix.keyFor(t, ek), t)
+	r.rows.ascend("", func(ek string, row Row) bool {
+		if err = ix.check(r, row); err == nil {
+			ix.tree.put(o, ix.keyFor(row, ek), row)
 		}
 		return err == nil
 	})
@@ -360,24 +359,6 @@ func (r *Relation) obsScan(st *MatchStats, visited int) {
 	obs.Default.RelScanned.At(r.obsSlot).Add(int64(visited))
 }
 
-// lookupIndices resolves attrNames and rejects duplicates: the lookup
-// paths compare attribute sets, and a duplicated name (e.g. ["id","id"]
-// against a two-column key) would falsely pass sameIntSet and build a
-// key with a hole.
-func (r *Relation) lookupIndices(what string, attrNames []string) ([]int, error) {
-	idx, err := r.schema.Indices(attrNames)
-	if err != nil {
-		return nil, err
-	}
-	for i, j := range idx {
-		if slices.Contains(idx[:i], j) {
-			return nil, fmt.Errorf("reldb: %s: %s: duplicate attribute %s",
-				r.Name(), what, r.schema.Attr(j).Name)
-		}
-	}
-	return idx, nil
-}
-
 // HasIndexOn reports whether a secondary index serves lookups over
 // exactly the named attribute set, in any order. The primary key's own
 // set is served by the row tree and reports false.
@@ -406,40 +387,60 @@ func (r *Relation) MatchEqualStats(attrNames []string, vals Tuple, st *MatchStat
 		return nil, err
 	}
 	if pl.kind != planScan {
-		var buf [64]byte
-		var f finger
-		return r.appendProbe(&f, nil, pl, string(pl.appendPrefix(buf[:0], vals)), st), nil
+		return r.probeOne(pl, vals, st), nil
 	}
 	var out []Row
-	r.rows.ascend("", func(_ string, t Tuple) bool {
+	r.rows.ascend("", func(_ string, row Row) bool {
 		for i, j := range pl.idx {
-			if !t[j].Equal(vals[i]) {
+			if !row.At(j).Equal(vals[i]) {
 				return true
 			}
 		}
-		out = append(out, Row{t})
+		out = append(out, row)
 		return true
 	})
 	r.obsScan(st, r.Count())
 	return out, nil
 }
 
-// appendProbe serves one planned lookup that has an ordered access path,
-// appending its answer to dst: tuples equal on the plan's attributes
-// share a key prefix in its tree — the row tree when they are the
-// primary key, else the plan's index's — so the answer is one seek and
-// a walk of that prefix, already in primary-key order. prefix is the
-// lookup values encoded in the tree's attribute order (appendPrefix). A
-// batch probes through one finger, in ascending prefix order.
-func (r *Relation) appendProbe(f *finger, dst []Row, pl lookupPlan, prefix string, st *MatchStats) []Row {
+// probe serves n planned lookups that have an ordered access path: rows
+// equal on the plan's attributes share a key prefix in its tree — the row
+// tree when they are the primary key, else the plan's index's — so each
+// answer is one seek and a walk of that prefix, already in primary-key
+// order. prefix(g) is the g-th lookup's values encoded in the tree's
+// attribute order (appendPrefix); the n prefixes are distinct and
+// ascend. A counting pass through one finger sizes the array a second
+// finger appends every match into, so the answer allocates once; ends,
+// when given, gets where each lookup's run ends in it.
+func (r *Relation) probe(pl lookupPlan, n int, prefix func(g int) string, ends []int, st *MatchStats) []Row {
 	t := &r.rows
 	if pl.kind == planIndex {
 		t = &pl.ix.tree
 	}
-	n := len(dst)
-	dst = f.appendPrefixed(t, dst, prefix)
-	r.obsProbe(st, len(dst)-n)
-	return dst
+	var count, walk finger
+	total := 0
+	for g := 0; g < n; g++ {
+		c := count.countPrefixed(t, prefix(g))
+		r.obsProbe(st, c)
+		if total += c; ends != nil {
+			ends[g] = total
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	all := make([]Row, 0, total)
+	for g := 0; g < n; g++ {
+		all = walk.appendPrefixed(t, all, prefix(g))
+	}
+	return all
+}
+
+// probeOne is probe for one lookup, of the values vals in pl.idx order.
+func (r *Relation) probeOne(pl lookupPlan, vals Tuple, st *MatchStats) []Row {
+	var buf [64]byte
+	prefix := string(pl.appendPrefix(buf[:0], vals))
+	return r.probe(pl, 1, func(int) string { return prefix }, nil, st)
 }
 
 // MatchEqualBatch answers many MatchEqual probes over the same attribute
@@ -471,6 +472,22 @@ func (r *Relation) MatchEqualBatchStats(attrNames []string, valSets []Tuple, st 
 	if err != nil {
 		return nil, err
 	}
+	return r.matchEqualBatch(pl, valSets, st)
+}
+
+// MatchEqualBatchAt is MatchEqualBatchStats over attribute indices, as
+// Schema.Indices resolves the names: a caller that probes one attribute
+// list many times resolves it once.
+func (r *Relation) MatchEqualBatchAt(attrs []int, valSets []Tuple, st *MatchStats) ([][]Row, error) {
+	pl, err := r.planAt("MatchEqualBatch", attrs)
+	if err != nil {
+		return nil, err
+	}
+	return r.matchEqualBatch(pl, valSets, st)
+}
+
+// matchEqualBatch is MatchEqualBatchStats under a resolved plan.
+func (r *Relation) matchEqualBatch(pl lookupPlan, valSets []Tuple, st *MatchStats) ([][]Row, error) {
 	for _, vs := range valSets {
 		if err := r.checkLookupVals("MatchEqualBatch", pl.idx, vs); err != nil {
 			return nil, err
@@ -483,10 +500,10 @@ func (r *Relation) MatchEqualBatchStats(attrNames []string, valSets []Tuple, st 
 	}
 	// ends[i] is one past valSets[i]'s encoding in keys; perm lists the
 	// positions in encoding order; starts[g] is where the g-th distinct
-	// set begins in perm; a probed set's bucket is all[bounds[2g]:bounds[2g+1]].
-	scratch := make([]int, 5*n)
+	// set begins in perm; a probed set's bucket ends at all[runs[g]].
+	scratch := make([]int, 4*n)
 	ends, perm := scratch[:n], scratch[n:2*n]
-	starts, bounds := scratch[2*n:2*n:3*n], scratch[3*n:]
+	starts, runs := scratch[2*n:2*n:3*n], scratch[3*n:]
 	var kb strings.Builder
 	kb.Grow(10 * len(pl.order) * n)
 	var encBuf [64]byte
@@ -524,16 +541,16 @@ func (r *Relation) MatchEqualBatchStats(attrNames []string, valSets []Tuple, st 
 		// were, finds its set by binary search.
 		buckets := make([][]Row, len(starts))
 		var rowBuf [64]byte // not encBuf: the closure would move it to the heap
-		r.rows.ascend("", func(_ string, t Tuple) bool {
+		r.rows.ascend("", func(_ string, row Row) bool {
 			enc := rowBuf[:0]
 			for _, j := range pl.idx {
-				enc = AppendKey(enc, t[j])
+				enc = AppendKey(enc, row.At(j))
 			}
 			g, ok := slices.BinarySearchFunc(starts, enc, func(p int, e []byte) int {
 				return strings.Compare(key(perm[p]), string(e))
 			})
 			if ok {
-				buckets[g] = append(buckets[g], Row{t})
+				buckets[g] = append(buckets[g], row)
 			}
 			return true
 		})
@@ -543,17 +560,13 @@ func (r *Relation) MatchEqualBatchStats(attrNames []string, valSets []Tuple, st 
 		}
 		return out, nil
 	}
-	var all []Row
-	var f finger
-	for g, p := range starts {
-		bounds[2*g] = len(all)
-		all = r.appendProbe(&f, all, pl, key(perm[p]), st)
-		bounds[2*g+1] = len(all)
-	}
-	for g := range starts {
-		if lo, hi := bounds[2*g], bounds[2*g+1]; hi > lo {
+	all := r.probe(pl, len(starts), func(g int) string { return key(perm[starts[g]]) }, runs, st)
+	lo := 0
+	for g, hi := range runs[:len(starts)] {
+		if hi > lo {
 			spread(g, all[lo:hi:hi])
 		}
+		lo = hi
 	}
 	return out, nil
 }
@@ -572,30 +585,30 @@ func sameIntSet(a, b []int) bool {
 	return true
 }
 
-// keyFor builds the index-tree key of the stored tuple t, whose encoded
-// primary key is ek.
-func (ix *secondaryIndex) keyFor(t Tuple, ek string) string {
-	dst := make([]byte, 0, 16*len(ix.attrs)+len(ek))
+// keyFor builds the index-tree key of the stored row, whose key is ek.
+func (ix *secondaryIndex) keyFor(row Row, ek string) string {
+	var buf [128]byte
+	dst := buf[:0]
 	for _, j := range ix.attrs {
-		dst = AppendKey(dst, t[j])
+		dst = AppendKey(dst, row.At(j))
 	}
 	return string(append(dst, ek...))
 }
 
-// check rejects a tuple whose indexed values the key codec cannot encode
+// check rejects a row whose indexed values the key codec cannot encode
 // exactly.
-func (ix *secondaryIndex) check(r *Relation, t Tuple) error {
+func (ix *secondaryIndex) check(r *Relation, row Row) error {
 	for _, j := range ix.attrs {
-		if !keyEncodable(t[j]) {
+		if v := row.At(j); !keyEncodable(v) {
 			return fmt.Errorf("reldb: %s: index %s: attribute %s: %s: %w",
-				r.Name(), ix.name, r.schema.attrs[j].Name, t[j], ErrKeyDomain)
+				r.Name(), ix.name, r.schema.attrs[j].Name, v, ErrKeyDomain)
 		}
 	}
 	return nil
 }
 
 // clone returns an independent version of the relation in O(#indexes):
-// the trees are shared by root, and so are the stored tuples. Both sides
+// the trees are shared by root, and so are the stored rows. Both sides
 // are frozen — neither may touch a shared node in place again — and each
 // takes a new edit token if and when it next mutates.
 func (r *Relation) clone() *Relation {

@@ -143,23 +143,31 @@ func (s *Schema) CheckTuple(t Tuple) error {
 		return fmt.Errorf("reldb: %s: tuple arity %d, want %d", s.name, len(t), len(s.attrs))
 	}
 	for i, v := range t {
-		a := s.attrs[i]
-		if v.IsNull() {
-			if s.isKey[i] {
-				return fmt.Errorf("reldb: %s: key attribute %s is null", s.name, a.Name)
-			}
-			if !a.Nullable {
-				return fmt.Errorf("reldb: %s: attribute %s is not nullable", s.name, a.Name)
-			}
-			continue
+		if err := s.checkValue(i, v); err != nil {
+			return err
 		}
-		if !kindAssignable(a.Type, v.Kind()) {
-			return fmt.Errorf("reldb: %s: attribute %s has kind %s, want %s",
-				s.name, a.Name, v.Kind(), a.Type)
+	}
+	return nil
+}
+
+// checkValue checks v as the value of attribute i.
+func (s *Schema) checkValue(i int, v Value) error {
+	a := s.attrs[i]
+	if v.IsNull() {
+		if s.isKey[i] {
+			return fmt.Errorf("reldb: %s: key attribute %s is null", s.name, a.Name)
 		}
-		if s.isKey[i] && !keyEncodable(v) {
-			return fmt.Errorf("reldb: %s: key attribute %s: %s: %w", s.name, a.Name, v, ErrKeyDomain)
+		if !a.Nullable {
+			return fmt.Errorf("reldb: %s: attribute %s is not nullable", s.name, a.Name)
 		}
+		return nil
+	}
+	if !kindAssignable(a.Type, v.Kind()) {
+		return fmt.Errorf("reldb: %s: attribute %s has kind %s, want %s",
+			s.name, a.Name, v.Kind(), a.Type)
+	}
+	if s.isKey[i] && !keyEncodable(v) {
+		return fmt.Errorf("reldb: %s: key attribute %s: %s: %w", s.name, a.Name, v, ErrKeyDomain)
 	}
 	return nil
 }
@@ -173,9 +181,21 @@ func kindAssignable(want, have Kind) bool {
 	return want == KindFloat && have == KindInt
 }
 
-// CheckRow checks a row as CheckTuple checks a tuple: a row that wraps a
+// CheckRow checks a row as CheckTuple checks a tuple: a row built from a
 // client's tuple has to pass it before it is stored.
-func (s *Schema) CheckRow(r Row) error { return s.CheckTuple(r.t) }
+func (s *Schema) CheckRow(r Row) error {
+	if n := r.Len(); n != len(s.attrs) {
+		return fmt.Errorf("reldb: %s: tuple arity %d, want %d", s.name, n, len(s.attrs))
+	}
+	for i, p := 0, r.pos(0); p < len(r.s); i++ {
+		var v Value
+		v, p = valueAt(r.s, p)
+		if err := s.checkValue(i, v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // KeyOf extracts the key values of t in canonical (declaration) order.
 func (s *Schema) KeyOf(t Tuple) Tuple {

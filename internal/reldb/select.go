@@ -1,6 +1,9 @@
 package reldb
 
-import "sort"
+import (
+	"slices"
+	"strings"
+)
 
 // predTerm is one term of a decomposed conjunction: an unqualified
 // attribute compared with a constant, read with the attribute on the
@@ -141,9 +144,7 @@ func (r *Relation) probeEqual(terms []predTerm, st *MatchStats) ([]Row, bool) {
 			return nil, false
 		}
 	}
-	var buf [64]byte
-	var f finger
-	return r.appendProbe(&f, nil, pl, string(pl.appendPrefix(buf[:0], vals)), st), true
+	return r.probeOne(pl, vals, st), true
 }
 
 // walkRange serves a range over one attribute — at most one lower (>,
@@ -193,24 +194,17 @@ func (r *Relation) walkRange(terms []predTerm, st *MatchStats) ([]Row, bool) {
 		}
 	}
 	var out []Row
-	tree.ascend(from, func(k string, t Tuple) bool {
+	tree.ascend(from, func(k string, row Row) bool {
 		if hi != nil && k >= to {
 			return false
 		}
-		out = append(out, Row{t})
+		out = append(out, row)
 		return true
 	})
 	if !pkOrder {
 		// An index walk comes out in indexed-value order; put the window
-		// back in primary-key order (Compare order is codec order).
-		sort.Slice(out, func(i, j int) bool {
-			for _, k := range r.schema.key {
-				if c, _ := Compare(out[i].t[k], out[j].t[k]); c != 0 {
-					return c < 0
-				}
-			}
-			return false
-		})
+		// back in primary-key order, the order of the rows' key prefixes.
+		slices.SortFunc(out, func(a, b Row) int { return strings.Compare(a.key(), b.key()) })
 	}
 	r.obsProbe(st, len(out))
 	return out, true

@@ -383,22 +383,22 @@ func writeBatchBody(buf *bytes.Buffer, batch DeltaBatch) error {
 		writeString(buf, d.Relation)
 		writeU32(buf, uint32(len(d.Inserts)))
 		for _, t := range d.Inserts {
-			if err := writeTuple(buf, t.t); err != nil {
+			if err := writeTuple(buf, t); err != nil {
 				return err
 			}
 		}
 		writeU32(buf, uint32(len(d.Deletes)))
 		for _, t := range d.Deletes {
-			if err := writeTuple(buf, t.t); err != nil {
+			if err := writeTuple(buf, t); err != nil {
 				return err
 			}
 		}
 		writeU32(buf, uint32(len(d.Replaces)))
 		for _, rc := range d.Replaces {
-			if err := writeTuple(buf, rc.Old.t); err != nil {
+			if err := writeTuple(buf, rc.Old); err != nil {
 				return err
 			}
-			if err := writeTuple(buf, rc.New.t); err != nil {
+			if err := writeTuple(buf, rc.New); err != nil {
 				return err
 			}
 		}
@@ -568,7 +568,7 @@ func readBatchBody(r *bytes.Reader, gen uint64) (DeltaBatch, error) {
 			if err != nil {
 				return batch, err
 			}
-			d.Inserts = append(d.Inserts, Row{t})
+			d.Inserts = append(d.Inserts, RowOf(t))
 		}
 		nDel, err := readU32(r)
 		if err != nil {
@@ -579,7 +579,7 @@ func readBatchBody(r *bytes.Reader, gen uint64) (DeltaBatch, error) {
 			if err != nil {
 				return batch, err
 			}
-			d.Deletes = append(d.Deletes, Row{t})
+			d.Deletes = append(d.Deletes, RowOf(t))
 		}
 		nRep, err := readU32(r)
 		if err != nil {
@@ -594,7 +594,7 @@ func readBatchBody(r *bytes.Reader, gen uint64) (DeltaBatch, error) {
 			if err != nil {
 				return batch, err
 			}
-			d.Replaces = append(d.Replaces, TupleChange{Old: Row{old}, New: Row{nw}})
+			d.Replaces = append(d.Replaces, TupleChange{Old: RowOf(old), New: RowOf(nw)})
 		}
 		batch.Deltas = append(batch.Deltas, d)
 	}

@@ -5,9 +5,10 @@ import (
 )
 
 // ConnectedViaBatchStats crosses one edge for many source rows at once,
-// accumulating lookup cost into st (which may be nil). srcIdx are the
-// indices of the edge's source attributes in the source schema, which
-// the caller resolves once (Schema.Indices of e.SourceAttrs()). The
+// accumulating lookup cost into st (which may be nil). srcIdx and tgtIdx
+// are the indices of the edge's source attributes in the source schema
+// and of its target attributes in the target schema, which the caller
+// resolves once (Schema.Indices of e.SourceAttrs(), e.TargetAttrs()). The
 // result is aligned with rows: out[i] holds the target rows connected
 // to rows[i], in primary-key order, with the same per-row semantics as
 // ConnectedVia (nil for a null connecting value, non-nil empty for no
@@ -15,7 +16,7 @@ import (
 // relation — one index probe per distinct connecting-value set, or one
 // shared scan — instead of one lookup per source row. Source rows
 // sharing a connecting-value set share the same result slice.
-func ConnectedViaBatchStats(res Resolver, e Edge, srcIdx []int, rows []reldb.Row, st *reldb.MatchStats) ([][]reldb.Row, error) {
+func ConnectedViaBatchStats(res Resolver, e Edge, srcIdx, tgtIdx []int, rows []reldb.Row, st *reldb.MatchStats) ([][]reldb.Row, error) {
 	out := make([][]reldb.Row, len(rows))
 	if len(rows) == 0 {
 		return out, nil
@@ -46,7 +47,7 @@ func ConnectedViaBatchStats(res Resolver, e Edge, srcIdx []int, rows []reldb.Row
 	if err != nil {
 		return nil, err
 	}
-	matches, err := tgtRel.MatchEqualBatchStats(e.TargetAttrs(), valSets, st)
+	matches, err := tgtRel.MatchEqualBatchAt(tgtIdx, valSets, st)
 	if err != nil {
 		return nil, err
 	}

@@ -59,7 +59,7 @@ func TestConnectedViaBatchMatchesSingle(t *testing.T) {
 		{"reference with null and dangling", Edge{Conn: ref, Forward: true}, refer.All()},
 	}
 	for _, tc := range cases {
-		batch, err := ConnectedViaBatchStats(db, tc.edge, sourceIdx(t, db, tc.edge), tc.tuples, nil)
+		batch, err := ConnectedViaBatchStats(db, tc.edge, sourceIdx(t, db, tc.edge), targetIdx(t, db, tc.edge), tc.tuples, nil)
 		if err != nil {
 			t.Fatalf("%s: batch: %v", tc.name, err)
 		}
@@ -90,7 +90,7 @@ func TestConnectedViaBatchMatchesSingle(t *testing.T) {
 	var st reldb.MatchStats
 	owners := db.MustRelation("OWNER").All()
 	e := Edge{Conn: own, Forward: true}
-	if _, err := ConnectedViaBatchStats(db, e, sourceIdx(t, db, e), owners, &st); err != nil {
+	if _, err := ConnectedViaBatchStats(db, e, sourceIdx(t, db, e), targetIdx(t, db, e), owners, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Scans != 0 || st.Probes != len(owners) {
@@ -104,7 +104,7 @@ func TestConnectedViaBatchEmpty(t *testing.T) {
 	g.MustAddConnection(ownershipConn())
 	own, _ := g.Connection("own")
 	e := Edge{Conn: own, Forward: true}
-	out, err := ConnectedViaBatchStats(db, e, sourceIdx(t, db, e), nil, nil)
+	out, err := ConnectedViaBatchStats(db, e, sourceIdx(t, db, e), targetIdx(t, db, e), nil, nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch = %v, %v", out, err)
 	}
@@ -112,12 +112,21 @@ func TestConnectedViaBatchEmpty(t *testing.T) {
 
 // sourceIdx resolves e's source attributes in its source schema.
 func sourceIdx(t *testing.T, res Resolver, e Edge) []int {
+	return attrIdx(t, res, e.Source(), e.SourceAttrs())
+}
+
+// targetIdx resolves the edge's target attributes in the target schema.
+func targetIdx(t *testing.T, res Resolver, e Edge) []int {
+	return attrIdx(t, res, e.Target(), e.TargetAttrs())
+}
+
+func attrIdx(t *testing.T, res Resolver, rel string, attrs []string) []int {
 	t.Helper()
-	src, err := res.Relation(e.Source())
+	r, err := res.Relation(rel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx, err := src.Schema().Indices(e.SourceAttrs())
+	idx, err := r.Schema().Indices(attrs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,9 +47,10 @@ type Node struct {
 	Children []*Node
 
 	parent *Node
-	// pathSrc[i] are the indices of Path[i]'s source attributes in its
-	// source relation's schema, resolved when the definition is built.
-	pathSrc [][]int
+	// pathSrc[i] and pathTgt[i] are the indices of Path[i]'s source
+	// attributes in its source relation's schema and of its target
+	// attributes in its target's, resolved when the definition is built.
+	pathSrc, pathTgt [][]int
 }
 
 // Parent returns the parent node (nil at the root).
@@ -185,7 +186,7 @@ func NewDefinition(name string, g *structural.Graph, root *Node) (*Definition, e
 				return fmt.Errorf("viewobject: %s: node %s has no connection path", name, n.ID)
 			}
 			cur := n.parent.Relation
-			n.pathSrc = make([][]int, len(n.Path))
+			n.pathSrc, n.pathTgt = make([][]int, len(n.Path)), make([][]int, len(n.Path))
 			for i, e := range n.Path {
 				if e.Conn == nil {
 					return fmt.Errorf("viewobject: %s: node %s path step %d has no connection", name, n.ID, i)
@@ -206,6 +207,13 @@ func NewDefinition(name string, g *structural.Graph, root *Node) (*Definition, e
 					return fmt.Errorf("viewobject: %s: node %s path step %d: %w", name, n.ID, i, err)
 				}
 				cur = e.Target()
+				tgt, err := db.Relation(cur)
+				if err != nil {
+					return fmt.Errorf("viewobject: %s: node %s: %w", name, n.ID, err)
+				}
+				if n.pathTgt[i], err = tgt.Schema().Indices(e.TargetAttrs()); err != nil {
+					return fmt.Errorf("viewobject: %s: node %s path step %d: %w", name, n.ID, i, err)
+				}
 			}
 			if cur != n.Relation {
 				return fmt.Errorf("viewobject: %s: node %s path ends at %s, want %s",

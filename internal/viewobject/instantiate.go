@@ -280,7 +280,7 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, child *Node, st
 	for i, p := range parents {
 		flat[i] = p.row
 	}
-	frontiers, err := structural.ConnectedViaBatchStats(res, path[0], child.pathSrc[0], flat, st)
+	frontiers, err := structural.ConnectedViaBatchStats(res, path[0], child.pathSrc[0], child.pathTgt[0], flat, st)
 	if err != nil {
 		return nil, err
 	}
@@ -291,8 +291,6 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, child *Node, st
 	offs := make([]int, len(parents)+1)
 	// One dedupe set and one key buffer serve every parent of every edge.
 	seen := make(map[string]bool)
-	var buf [64]byte
-	enc := buf[:0]
 	for step, e := range path[1:] {
 		// Flatten the per-parent frontiers, remembering each parent's
 		// segment so results can be distributed back.
@@ -305,7 +303,7 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, child *Node, st
 		if len(flat) == 0 {
 			break
 		}
-		results, err := structural.ConnectedViaBatchStats(res, e, child.pathSrc[step+1], flat, st)
+		results, err := structural.ConnectedViaBatchStats(res, e, child.pathSrc[step+1], child.pathTgt[step+1], flat, st)
 		if err != nil {
 			return nil, err
 		}
@@ -314,7 +312,9 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, child *Node, st
 		if err != nil {
 			return nil, err
 		}
-		keyIdx := tgtRel.Schema().Key()
+		// A stored row's key is a prefix of its string: deduplicating by
+		// it encodes and allocates nothing.
+		tgtSchema := tgtRel.Schema()
 		for i := range parents {
 			if offs[i+1]-offs[i] == 1 {
 				// A single-tuple frontier is again one probe.
@@ -325,14 +325,11 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, child *Node, st
 			var next []reldb.Row
 			for _, matches := range results[offs[i]:offs[i+1]] {
 				for _, mt := range matches {
-					enc = enc[:0]
-					for _, j := range keyIdx {
-						enc = reldb.AppendKey(enc, mt.At(j))
-					}
-					if seen[string(enc)] {
+					ek := mt.EncodeKey(tgtSchema)
+					if seen[ek] {
 						continue
 					}
-					seen[string(enc)] = true
+					seen[ek] = true
 					next = append(next, mt)
 				}
 			}

@@ -6,9 +6,10 @@ import (
 )
 
 // maxBytesPerRow is the live-heap floor for a stored row of the tree
-// workload: tuple array, row-tree slot and index entries included. A
-// 48-byte Value costs about 353 B a row here, the 32-byte Value about 293.
-const maxBytesPerRow = 310
+// workload: row string, row-tree slot and index entries included. A
+// tuple of 48-byte Values cost about 353 B a row here, of 32-byte Values
+// about 293; one row string, its key a prefix of it, costs about 167.
+const maxBytesPerRow = 185
 
 // liveHeap is HeapAlloc after two collections: the second sweeps what
 // the first one's finalizers released.
