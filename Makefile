@@ -121,5 +121,7 @@ loc:
 
 # verify is the full gate: compile everything, vet, then run the whole
 # suite (including the concurrent stress tests) under the race detector,
-# every benchmark once, and every CI target besides.
-verify: build vet fmt-check race metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep speedup benchmark-test bench-smoke fuzz-smoke examples
+# every benchmark once, and every CI target besides. speedup runs before
+# the race and core-count suites, while the host is not still busy with
+# their work.
+verify: build vet fmt-check speedup race metrics-lint crash-matrix serve-smoke shard-stress cpu-sweep benchmark-test bench-smoke fuzz-smoke examples

@@ -133,8 +133,7 @@ func (t *Translator) EnumerateDeletionTranslations(viewTuple reldb.Tuple) ([]Can
 				ops = append(ops, prims[i])
 			}
 		}
-		cand := t.validateCandidate(ops, baseline, wantGone)
-		out = append(out, cand)
+		out = append(out, t.judge(ops, applyDeletionOp, baseline, wantGone, false))
 	}
 	// C3 (minimality): a valid candidate whose ops are a strict superset
 	// of another valid candidate's ops is non-minimal.
@@ -163,38 +162,19 @@ func fork(db *reldb.Database) *reldb.Database {
 	return rtx.Fork()
 }
 
-// validateCandidate applies ops to a scratch fork and checks C1, C2, C4.
-func (t *Translator) validateCandidate(ops []CandidateOp, baseline *reldb.ResultSet, wantGone string) Candidate {
+// judge applies ops to a scratch fork of the view's database, each
+// through apply, and checks C4 (every op executes and the view
+// re-materializes), C1 (the view tuple encoded as target is present
+// afterwards when appear is set, absent otherwise) and C2 (no other view
+// tuple appears or disappears). Deletion and insertion differ in C1's
+// direction and in how each failure is worded.
+func (t *Translator) judge(ops []CandidateOp, apply func(*reldb.Tx, CandidateOp) error, baseline *reldb.ResultSet, target string, appear bool) Candidate {
 	cand := Candidate{Ops: ops}
 	scratch := fork(t.View.db)
-	// C4: operations must be executable.
 	err := scratch.RunInTx(func(tx *reldb.Tx) error {
 		for _, op := range ops {
-			switch op.Kind {
-			case "delete":
-				if _, err := tx.Delete(op.Relation, op.Key); err != nil {
-					return fmt.Errorf("C4: %s: %w", op, err)
-				}
-			case "set-null":
-				rel, err := tx.Relation(op.Relation)
-				if err != nil {
-					return err
-				}
-				old, ok := rel.Get(op.Key)
-				if !ok {
-					return fmt.Errorf("C4: %s: tuple missing", op)
-				}
-				nt := old.Tuple()
-				idx, err := rel.Schema().Indices(op.Attrs)
-				if err != nil {
-					return err
-				}
-				for _, j := range idx {
-					nt[j] = reldb.Null()
-				}
-				if _, err := tx.Replace(op.Relation, op.Key, nt); err != nil {
-					return fmt.Errorf("C4: %s: %w", op, err)
-				}
+			if err := apply(tx, op); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -203,7 +183,6 @@ func (t *Translator) validateCandidate(ops []CandidateOp, baseline *reldb.Result
 		cand.Reason = err.Error()
 		return cand
 	}
-	// Re-materialize the view against the scratch database.
 	scratchView := *t.View
 	scratchView.db = scratch
 	after, err := scratchView.Materialize()
@@ -211,28 +190,65 @@ func (t *Translator) validateCandidate(ops []CandidateOp, baseline *reldb.Result
 		cand.Reason = "C4: " + err.Error()
 		return cand
 	}
-	beforeSet := rowSet(baseline)
-	afterSet := rowSet(after)
-	// C1: the requested tuple is gone.
-	if afterSet[wantGone] {
-		cand.Reason = "C1: the view tuple survives"
-		return cand
+	beforeSet, afterSet := rowSet(baseline), rowSet(after)
+	c1, appeared, disappeared := "C1: the view tuple survives", "C2: a new view tuple appeared", "C2: another view tuple disappeared"
+	if appear {
+		c1, appeared, disappeared = "C1: the view tuple does not appear", "C2: an extraneous view tuple appeared", "C2: an existing view tuple disappeared"
 	}
-	// C2: no other view tuple appeared or disappeared.
-	for enc := range afterSet {
-		if !beforeSet[enc] {
-			cand.Reason = "C2: a new view tuple appeared"
-			return cand
-		}
+	switch {
+	case afterSet[target] != appear:
+		cand.Reason = c1
+	case holdsOther(afterSet, beforeSet, target):
+		cand.Reason = appeared
+	case holdsOther(beforeSet, afterSet, target):
+		cand.Reason = disappeared
+	default:
+		cand.Valid = true
 	}
-	for enc := range beforeSet {
-		if enc != wantGone && !afterSet[enc] {
-			cand.Reason = "C2: another view tuple disappeared"
-			return cand
-		}
-	}
-	cand.Valid = true
 	return cand
+}
+
+// holdsOther reports whether set a holds a view tuple besides target
+// that set b lacks.
+func holdsOther(a, b map[string]bool, target string) bool {
+	for enc := range a {
+		if enc != target && !b[enc] {
+			return true
+		}
+	}
+	return false
+}
+
+// applyDeletionOp executes one deletion primitive: a delete, or a
+// set-null of the op's attributes.
+func applyDeletionOp(tx *reldb.Tx, op CandidateOp) error {
+	switch op.Kind {
+	case "delete":
+		if _, err := tx.Delete(op.Relation, op.Key); err != nil {
+			return fmt.Errorf("C4: %s: %w", op, err)
+		}
+	case "set-null":
+		rel, err := tx.Relation(op.Relation)
+		if err != nil {
+			return err
+		}
+		old, ok := rel.Get(op.Key)
+		if !ok {
+			return fmt.Errorf("C4: %s: tuple missing", op)
+		}
+		nt := old.Tuple()
+		idx, err := rel.Schema().Indices(op.Attrs)
+		if err != nil {
+			return err
+		}
+		for _, j := range idx {
+			nt[j] = reldb.Null()
+		}
+		if _, err := tx.Replace(op.Relation, op.Key, nt); err != nil {
+			return fmt.Errorf("C4: %s: %w", op, err)
+		}
+	}
+	return nil
 }
 
 func rowSet(rs *reldb.ResultSet) map[string]bool {
@@ -348,6 +364,7 @@ func (t *Translator) EnumerateInsertionTranslations(viewTuple reldb.Tuple) ([]Ca
 		return nil, err
 	}
 	wantNew := viewTuple.Encode()
+	apply := func(tx *reldb.Tx, op CandidateOp) error { return t.applyInsertionOp(tx, op, viewTuple) }
 	var out []Candidate
 	var walk func(i int, ops []CandidateOp)
 	walk = func(i int, ops []CandidateOp) {
@@ -355,7 +372,7 @@ func (t *Translator) EnumerateInsertionTranslations(viewTuple reldb.Tuple) ([]Ca
 			if len(ops) == 0 {
 				return
 			}
-			out = append(out, t.validateInsertCandidate(viewTuple, append([]CandidateOp(nil), ops...), baseline, wantNew))
+			out = append(out, t.judge(append([]CandidateOp(nil), ops...), apply, baseline, wantNew, true))
 			return
 		}
 		for _, o := range perRel[i] {
@@ -371,73 +388,37 @@ func (t *Translator) EnumerateInsertionTranslations(viewTuple reldb.Tuple) ([]Ca
 	return out, nil
 }
 
-// validateInsertCandidate applies the ops (building base tuples from the
-// view tuple) on a scratch fork and checks C1, C2, C4 for insertion.
-func (t *Translator) validateInsertCandidate(viewTuple reldb.Tuple, ops []CandidateOp, baseline *reldb.ResultSet, wantNew string) Candidate {
-	cand := Candidate{Ops: ops}
-	scratch := fork(t.View.db)
-	err := scratch.RunInTx(func(tx *reldb.Tx) error {
-		for _, op := range ops {
-			rel, err := tx.Relation(op.Relation)
-			if err != nil {
-				return err
-			}
-			base := rel.Schema()
-			attrMap := t.View.attrMaps[op.Relation]
-			bt := make(reldb.Tuple, base.Arity())
-			for bi, vi := range attrMap {
-				bt[bi] = viewTuple[vi]
-			}
-			switch op.Kind {
-			case "insert":
-				if err := tx.Insert(op.Relation, bt); err != nil {
-					return fmt.Errorf("C4: %s: %w", op, err)
-				}
-			case "replace":
-				existing, ok := rel.Get(op.Key)
-				if !ok {
-					return fmt.Errorf("C4: %s: tuple missing", op)
-				}
-				merged := existing.Tuple()
-				for bi, vi := range attrMap {
-					merged[bi] = viewTuple[vi]
-				}
-				if _, err := tx.Replace(op.Relation, op.Key, merged); err != nil {
-					return fmt.Errorf("C4: %s: %w", op, err)
-				}
-			}
-		}
-		return nil
-	})
+// applyInsertionOp executes one insertion primitive, building the base
+// tuple from viewTuple: an insert, or a replace of the existing tuple's
+// visible attributes.
+func (t *Translator) applyInsertionOp(tx *reldb.Tx, op CandidateOp, viewTuple reldb.Tuple) error {
+	rel, err := tx.Relation(op.Relation)
 	if err != nil {
-		cand.Reason = err.Error()
-		return cand
+		return err
 	}
-	scratchView := *t.View
-	scratchView.db = scratch
-	after, err := scratchView.Materialize()
-	if err != nil {
-		cand.Reason = "C4: " + err.Error()
-		return cand
+	base := rel.Schema()
+	attrMap := t.View.attrMaps[op.Relation]
+	bt := make(reldb.Tuple, base.Arity())
+	for bi, vi := range attrMap {
+		bt[bi] = viewTuple[vi]
 	}
-	beforeSet := rowSet(baseline)
-	afterSet := rowSet(after)
-	if !afterSet[wantNew] {
-		cand.Reason = "C1: the view tuple does not appear"
-		return cand
-	}
-	for enc := range afterSet {
-		if enc != wantNew && !beforeSet[enc] {
-			cand.Reason = "C2: an extraneous view tuple appeared"
-			return cand
+	switch op.Kind {
+	case "insert":
+		if err := tx.Insert(op.Relation, bt); err != nil {
+			return fmt.Errorf("C4: %s: %w", op, err)
+		}
+	case "replace":
+		existing, ok := rel.Get(op.Key)
+		if !ok {
+			return fmt.Errorf("C4: %s: tuple missing", op)
+		}
+		merged := existing.Tuple()
+		for bi, vi := range attrMap {
+			merged[bi] = viewTuple[vi]
+		}
+		if _, err := tx.Replace(op.Relation, op.Key, merged); err != nil {
+			return fmt.Errorf("C4: %s: %w", op, err)
 		}
 	}
-	for enc := range beforeSet {
-		if !afterSet[enc] {
-			cand.Reason = "C2: an existing view tuple disappeared"
-			return cand
-		}
-	}
-	cand.Valid = true
-	return cand
+	return nil
 }

@@ -167,7 +167,7 @@ type Registry struct {
 	CrossAborts   Counter
 
 	// reldb: per-relation lookup cost (MatchStats attribution). Each
-	// MatchEqual-family lookup charges the relation that served it, so a
+	// equality lookup and Select charges the relation that served it, so a
 	// missing index shows up against the relation that pays for it.
 	RelScanned *CounterVec // tuples visited, by relation
 	RelProbes  *CounterVec // point lookups and index-bucket probes, by relation
@@ -178,7 +178,7 @@ type Registry struct {
 	InstTuplesByObject    *CounterVec   // stored tuples visited while assembling instances
 	InstNodesByObject     *CounterVec   // instance nodes assembled
 	InstantiateNsByObject *HistogramVec // instantiation latency
-	BatchedLookups        Counter       // level-at-a-time batched child fetches issued
+	BatchedLookups        Counter       // batched edge crossings of path walks (assembly levels, materializer patches, TraversePath)
 	LevelFanOut           Histogram     // instance nodes per assembly level
 
 	// viewobject: the materialized view-object cache (Materializer).

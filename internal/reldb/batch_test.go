@@ -5,6 +5,24 @@ import (
 	"testing"
 )
 
+// matchBatch is MatchEqualBatchAt over attribute names.
+func matchBatch(r *Relation, names []string, valSets []Tuple, st *MatchStats) ([][]Row, error) {
+	idx, err := r.Schema().Indices(names)
+	if err != nil {
+		return nil, err
+	}
+	return r.MatchEqualBatchAt(idx, valSets, st)
+}
+
+// matchStats is MatchEqual that also accumulates lookup cost into st.
+func matchStats(r *Relation, names []string, vals Tuple, st *MatchStats) ([]Row, error) {
+	out, err := matchBatch(r, names, []Tuple{vals}, st)
+	if err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
 // Regression for the order-sensitive index selection bug: an index built
 // over the same attributes in a different order must still serve the
 // lookup (no full-scan fallback), with vals permuted into the index's
@@ -28,7 +46,7 @@ func TestMatchEqualUsesOrderPermutedIndex(t *testing.T) {
 
 	// Query in the reversed attribute order.
 	var st MatchStats
-	got, err := r.MatchEqualStats([]string{"B", "A"}, Tuple{Int(1), String("a1")}, &st)
+	got, err := matchStats(r, []string{"B", "A"}, Tuple{Int(1), String("a1")}, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +65,7 @@ func TestMatchEqualUsesOrderPermutedIndex(t *testing.T) {
 		return true
 	})
 	var st2 MatchStats
-	want, err := r2.MatchEqualStats([]string{"B", "A"}, Tuple{Int(1), String("a1")}, &st2)
+	want, err := matchStats(r2, []string{"B", "A"}, Tuple{Int(1), String("a1")}, &st2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +123,8 @@ func TestLookupIndexValidatesValues(t *testing.T) {
 	if _, err := r.MatchEqual([]string{"Grade"}, Tuple{Int(3)}); err == nil {
 		t.Fatal("MatchEqual wrong-typed value accepted")
 	}
-	if _, err := r.MatchEqualBatch([]string{"Grade"}, []Tuple{{String("A")}, {Int(3)}}); err == nil {
-		t.Fatal("MatchEqualBatch wrong-typed value accepted")
+	if _, err := matchBatch(r, []string{"Grade"}, []Tuple{{String("A")}, {Int(3)}}, nil); err == nil {
+		t.Fatal("MatchEqualBatchAt wrong-typed value accepted")
 	}
 }
 
@@ -130,7 +148,7 @@ func checkBatch(t *testing.T, r *Relation, st MatchStats) {
 		{String("C1")},   // duplicate: must collapse into one probe
 		{String("nope")}, // no matches: a nil bucket
 	}
-	got, err := r.MatchEqualBatchStats([]string{"CourseID"}, valSets, &st)
+	got, err := matchBatch(r, []string{"CourseID"}, valSets, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +182,7 @@ func TestMatchEqualBatchScanPath(t *testing.T) {
 	r := batchRel(t, 50)
 	var st MatchStats
 	valSets := []Tuple{{String("C1")}, {String("C3")}, {String("C1")}, {String("nope")}}
-	if _, err := r.MatchEqualBatchStats([]string{"CourseID"}, valSets, &st); err != nil {
+	if _, err := matchBatch(r, []string{"CourseID"}, valSets, &st); err != nil {
 		t.Fatal(err)
 	}
 	// One shared scan for the whole batch, not one per value set.
@@ -184,7 +202,7 @@ func TestMatchEqualBatchIndexPath(t *testing.T) {
 	}
 	var st MatchStats
 	valSets := []Tuple{{String("C1")}, {String("C3")}, {String("C1")}, {String("nope")}}
-	if _, err := r.MatchEqualBatchStats([]string{"CourseID"}, valSets, &st); err != nil {
+	if _, err := matchBatch(r, []string{"CourseID"}, valSets, &st); err != nil {
 		t.Fatal(err)
 	}
 	// One probe per distinct value set (3 distinct), no scans.
@@ -203,7 +221,7 @@ func TestMatchEqualBatchPointLookupPath(t *testing.T) {
 		{Int(4), String("C4")},
 		{Int(999), String("C1")}, // miss
 	}
-	got, err := r.MatchEqualBatchStats([]string{"PID", "CourseID"}, valSets, &st)
+	got, err := matchBatch(r, []string{"PID", "CourseID"}, valSets, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,24 +239,24 @@ func TestMatchEqualBatchPointLookupPath(t *testing.T) {
 
 func TestMatchEqualBatchEmptyAndErrors(t *testing.T) {
 	r := batchRel(t, 10)
-	got, err := r.MatchEqualBatch([]string{"CourseID"}, nil)
+	got, err := matchBatch(r, []string{"CourseID"}, nil, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty batch = %v, %v", got, err)
 	}
-	if _, err := r.MatchEqualBatch([]string{"Nope"}, []Tuple{{String("x")}}); err == nil {
+	if _, err := matchBatch(r, []string{"Nope"}, []Tuple{{String("x")}}, nil); err == nil {
 		t.Fatal("unknown attribute accepted")
 	}
-	if _, err := r.MatchEqualBatch([]string{"CourseID"}, []Tuple{{String("x"), Int(1)}}); err == nil {
+	if _, err := matchBatch(r, []string{"CourseID"}, []Tuple{{String("x"), Int(1)}}, nil); err == nil {
 		t.Fatal("arity mismatch accepted")
 	}
-	if _, err := r.MatchEqualBatch([]string{"CourseID", "CourseID"}, []Tuple{{String("x"), String("x")}}); err == nil {
+	if _, err := matchBatch(r, []string{"CourseID", "CourseID"}, []Tuple{{String("x"), String("x")}}, nil); err == nil {
 		t.Fatal("duplicate attributes accepted")
 	}
 }
 
-// MatchEqualBatchAt answers as MatchEqualBatchStats over the names its
-// indices resolve from, and refuses an index the schema lacks or one
-// given twice.
+// MatchEqualBatchAt answers each value set as MatchEqual does over the
+// names its indices resolve from, with one probe per distinct set, and
+// refuses an index the schema lacks or one given twice.
 func TestMatchEqualBatchAt(t *testing.T) {
 	r := batchRel(t, 10)
 	valSets := []Tuple{{Int(3), String("C3")}, {Int(999), String("C1")}, {Int(4), String("C4")}}
@@ -247,21 +265,21 @@ func TestMatchEqualBatchAt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var byName, byIdx MatchStats
-	want, err := r.MatchEqualBatchStats(names, valSets, &byName)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var byIdx MatchStats
 	got, err := r.MatchEqualBatchAt(idx, valSets, &byIdx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if byName != byIdx || len(got) != len(want) {
-		t.Fatalf("by index: %d buckets, %+v; by name: %d, %+v", len(got), byIdx, len(want), byName)
+	if byIdx.Probes != len(valSets) || byIdx.Scans != 0 || len(got) != len(valSets) {
+		t.Fatalf("by index: %d buckets, %+v", len(got), byIdx)
 	}
-	for i := range want {
-		if len(got[i]) != len(want[i]) || len(got[i]) > 0 && !got[i][0].Same(want[i][0]) {
-			t.Fatalf("bucket %d by index %v, by name %v", i, got[i], want[i])
+	for i, vs := range valSets {
+		want, err := r.MatchEqual(names, vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got[i]) != len(want) || len(want) > 0 && !got[i][0].Same(want[0]) {
+			t.Fatalf("bucket %d by index %v, by name %v", i, got[i], want)
 		}
 	}
 	for _, bad := range [][]int{{idx[0], r.Schema().Arity()}, {-1, idx[1]}, {idx[0], idx[0]}} {
@@ -356,14 +374,14 @@ func TestTxCloneIndexIndependence(t *testing.T) {
 }
 
 // batchPath is a relation and the attribute list that reaches one
-// MatchEqualBatch access path on it.
+// MatchEqualBatchAt access path on it.
 type batchPath struct {
 	name  string
 	r     *Relation
 	attrs []string
 }
 
-// batchPaths returns one relation per MatchEqualBatch access path over
+// batchPaths returns one relation per MatchEqualBatchAt access path over
 // the same rows — a shared scan, a secondary index over (CourseID,
 // Grade), one over (Grade, CourseID) that the same lookup reaches in the
 // other order, and the row tree — each with the attribute list that
@@ -416,7 +434,7 @@ func TestMatchEqualBatchEqualsPerSetLookups(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			vals := batchVals(p.attrs)
 			var st MatchStats
-			got, err := p.r.MatchEqualBatchStats(p.attrs, vals, &st)
+			got, err := matchBatch(p.r, p.attrs, vals, &st)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -460,11 +478,11 @@ func TestMatchEqualBatchReturnsCopies(t *testing.T) {
 	for _, p := range batchPaths(t) {
 		t.Run(p.name, func(t *testing.T) {
 			vals := batchVals(p.attrs)
-			first, err := p.r.MatchEqualBatch(p.attrs, vals)
+			first, err := matchBatch(p.r, p.attrs, vals, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := p.r.MatchEqualBatch(p.attrs, vals)
+			want, err := matchBatch(p.r, p.attrs, vals, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -481,7 +499,7 @@ func TestMatchEqualBatchReturnsCopies(t *testing.T) {
 					t.Fatalf("relation row %d changed to %v", i, row)
 				}
 			}
-			again, err := p.r.MatchEqualBatch(p.attrs, vals)
+			again, err := matchBatch(p.r, p.attrs, vals, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -509,7 +527,7 @@ func TestMatchEqualBatchLateBadValueSet(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			vals := batchVals(p.attrs)
 			bad := append(append([]Tuple(nil), vals...), Tuple{Int(1), Int(2), Int(3)})
-			got, err := p.r.MatchEqualBatch(p.attrs, bad)
+			got, err := matchBatch(p.r, p.attrs, bad, nil)
 			if err == nil || got != nil {
 				t.Fatalf("late arity mismatch = %v, %v; want nil and an error", got, err)
 			}
@@ -517,10 +535,49 @@ func TestMatchEqualBatchLateBadValueSet(t *testing.T) {
 			if p.attrs[0] == "PID" {
 				wrongKind[len(vals)] = Tuple{String("x"), String("y")}
 			}
-			got, err = p.r.MatchEqualBatch(p.attrs, wrongKind)
+			got, err = matchBatch(p.r, p.attrs, wrongKind, nil)
 			if err == nil || got != nil {
 				t.Fatalf("late wrong-kind value set = %v, %v; want nil and an error", got, err)
 			}
 		})
+	}
+}
+
+// Every equality lookup compares as Value.Equal does, also where no
+// index holds a column to the key codec's exact domain: an unindexed Int
+// column storing 2^53+1, whose float64 — and so whose key encoding — is
+// 2^53's, holds no row equal to Int(2^53) through MatchEqual, the
+// batch's scan or Select. On a Float column the same stored int equals
+// Float(2^53) but not Int(2^53), so one batch of both answers each apart.
+func TestEqualityLookupsCompareExactly(t *testing.T) {
+	s := MustSchema("R", []Attribute{
+		{Name: "ID", Type: KindInt},
+		{Name: "N", Type: KindInt},
+		{Name: "F", Type: KindFloat},
+	}, []string{"ID"})
+	r := NewRelation(s)
+	if err := r.Insert(Tuple{Int(1), Int(1<<53 + 1), Int(1<<53 + 1)}); err != nil {
+		t.Fatal(err)
+	}
+	probe := Tuple{Int(1 << 53)}
+	if got, err := r.MatchEqual([]string{"N"}, probe); err != nil || len(got) != 0 {
+		t.Fatalf("MatchEqual N = %v, %v; want no row", got, err)
+	}
+	var st MatchStats
+	got, err := matchBatch(r, []string{"N"}, []Tuple{probe, {Int(7)}}, &st)
+	if err != nil || st.Scans != 1 || len(got[0]) != 0 {
+		t.Fatalf("MatchEqualBatchAt N = %v, %v (%+v); want a scan and no row", got, err, st)
+	}
+	if got, err := r.Select(Eq("N", probe[0])); err != nil || len(got) != 0 {
+		t.Fatalf("Select N = %v, %v; want no row", got, err)
+	}
+	byKind, err := matchBatch(r, []string{"F"}, []Tuple{probe, {Float(1 << 53)}, probe}, nil)
+	if err != nil || len(byKind[0]) != 0 || len(byKind[1]) != 1 || len(byKind[2]) != 0 {
+		t.Fatalf("MatchEqualBatchAt F = %v, %v; want no row, the row, no row", byKind, err)
+	}
+	for i, vs := range []Tuple{probe, {Float(1 << 53)}} {
+		if want, err := r.MatchEqual([]string{"F"}, vs); err != nil || len(want) != len(byKind[i]) {
+			t.Fatalf("MatchEqual F %v = %v, %v; the batch answered %v", vs, want, err, byKind[i])
+		}
 	}
 }

@@ -26,6 +26,7 @@ func modelSchema() *Schema {
 		{Name: "C", Type: KindInt, Nullable: true},
 		{Name: "S", Type: KindString, Nullable: true},
 		{Name: "F", Type: KindFloat, Nullable: true},
+		{Name: "X", Type: KindInt, Nullable: true},
 	}, []string{"A", "B"})
 }
 
@@ -189,6 +190,7 @@ var (
 	modelCs = []Value{Null(), Int(-3), Int(0), Int(2), Int(7), Int(99)}
 	modelSs = []Value{Null(), String("s0"), String("s3"), String("s5"), String("zz")}
 	modelFs = []Value{Null(), Float(-1), Float(0.5), Int(1), Float(1), Float(3)}
+	modelXs = []Value{Null(), Int(maxExactInt - 1), Int(maxExactInt)}
 )
 
 // rangeBound is one side of a range case: the constant the attribute is
@@ -360,6 +362,9 @@ func checkModel(t testing.TB, r *Relation, m *modelRel) {
 	for _, f := range modelFs {
 		eqs = append(eqs, eq{[]string{"F"}, Tuple{f}})
 	}
+	for _, x := range modelXs {
+		eqs = append(eqs, eq{[]string{"X"}, Tuple{x}})
+	}
 	eqs = append(eqs, eq{[]string{"A"}, Tuple{Int(7)}}, eq{[]string{"A", "B"}, Tuple{Int(7), Int(5)}},
 		eq{[]string{"B", "A"}, Tuple{Int(5), Int(7)}}, eq{[]string{"C", "B"}, Tuple{Int(2), Int(5)}})
 	for _, e := range eqs {
@@ -433,6 +438,7 @@ func checkModel(t testing.TB, r *Relation, m *modelRel) {
 		{[]string{"F"}, Tuple{Int(1)}, true},                             // an Int on a Float column
 		{[]string{"F"}, Tuple{Int(0)}, true},                             // ... against a stored 0.0
 		{[]string{"F"}, Tuple{Float(math.Copysign(0, -1))}, true},        // -0.0 against a stored 0.0
+		{[]string{"X"}, Tuple{Int(maxExactInt)}, true},                   // beside a stored maxExactInt+1, which encodes alike
 		{[]string{"C"}, Tuple{Null()}, false},                            // a null constant
 		{[]string{"S", "C"}, Tuple{Null(), Int(2)}, false},               // ... on a covered set
 		{[]string{"C"}, Tuple{Int(maxExactInt + 1)}, false},              // an int no key can hold
@@ -459,16 +465,17 @@ func checkModel(t testing.TB, r *Relation, m *modelRel) {
 	sameTuples(t, "Select(nil)", got, all)
 }
 
-// checkBatches runs MatchEqualBatch over value-set lists that hold
+// checkBatches runs MatchEqualBatchAt over value-set lists that hold
 // duplicates (Int(1) and Float(1) among them: one value, one encoding),
-// nulls and, on a covered attribute set and on one that scans, sets in
-// shuffled order. Each answer must be aligned with its sets and equal
+// nulls, an int a stored one past the key codec's exact domain shares
+// its encoding with and, on a covered attribute set and on one that
+// scans, sets in shuffled order. Each answer must be aligned with its sets and equal
 // the oracle's per set, equal sets must share one bucket, and the batch
 // must cost one probe per distinct set or one scan. A bad set anywhere
 // in a batch fails it whole.
 func checkBatches(t testing.TB, r *Relation, m *modelRel, filter func(func(Tuple) bool) []Tuple) {
 	t.Helper()
-	var cs, ss, fs []Tuple
+	var cs, ss, fs, xs []Tuple
 	for _, c := range modelCs {
 		cs = append(cs, Tuple{c})
 		for _, sv := range modelSs[:3] {
@@ -477,6 +484,9 @@ func checkBatches(t testing.TB, r *Relation, m *modelRel, filter func(func(Tuple
 	}
 	for _, f := range modelFs {
 		fs = append(fs, Tuple{f})
+	}
+	for _, x := range modelXs {
+		xs = append(xs, Tuple{x})
 	}
 	var keys, prefixes []Tuple
 	for a := int64(5); a < 9; a++ {
@@ -498,15 +508,15 @@ func checkBatches(t testing.TB, r *Relation, m *modelRel, filter func(func(Tuple
 		attrs []string
 		sets  []Tuple
 	}{
-		{[]string{"C"}, cs}, {[]string{"F"}, fs}, {[]string{"S", "C"}, ss}, {[]string{"C", "S"}, swap(ss)},
+		{[]string{"C"}, cs}, {[]string{"F"}, fs}, {[]string{"X"}, xs}, {[]string{"S", "C"}, ss}, {[]string{"C", "S"}, swap(ss)},
 		{[]string{"C", "B"}, cb}, {[]string{"A", "B"}, keys}, {[]string{"B", "A"}, swap(keys)}, {[]string{"A"}, prefixes},
 	} {
 		// Every set twice, the second copies in reverse order.
 		sets := append(slices.Clone(batch.sets), batch.sets...)
 		slices.Reverse(sets[len(batch.sets):])
-		what := fmt.Sprintf("MatchEqualBatch %v", batch.attrs)
+		what := fmt.Sprintf("MatchEqualBatchAt %v", batch.attrs)
 		var st MatchStats
-		got, err := r.MatchEqualBatchStats(batch.attrs, sets, &st)
+		got, err := matchBatch(r, batch.attrs, sets, &st)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -552,7 +562,7 @@ func checkBatches(t testing.TB, r *Relation, m *modelRel, filter func(func(Tuple
 		for n, bad := range bads {
 			at := []int{0, len(sets) / 2, len(sets)}[n%3]
 			withBad := slices.Insert(slices.Clone(sets), at, bad)
-			if got, err := r.MatchEqualBatch(batch.attrs, withBad); err == nil || got != nil {
+			if got, err := matchBatch(r, batch.attrs, withBad, nil); err == nil || got != nil {
 				t.Fatalf("%s with bad set %v at %d: %v, %d buckets; want an error and none", what, bad, at, err, len(got))
 			}
 		}
@@ -569,9 +579,10 @@ const (
 
 // modelTuple derives a row from three bytes: the key from a and b, the
 // rest from v — nulls, a negative int, a float attribute that sometimes
-// holds an int.
+// holds an int, and an int no index covers around the edge of the key
+// codec's exact domain.
 func modelTuple(a, b, v byte) Tuple {
-	t := Tuple{Int(int64(a) % modelAs), Int(int64(b) % modelBs), Null(), Null(), Null()}
+	t := Tuple{Int(int64(a) % modelAs), Int(int64(b) % modelBs), Null(), Null(), Null(), Null()}
 	if v%7 != 0 {
 		t[2] = Int(int64(v%11) - 3)
 	}
@@ -583,6 +594,9 @@ func modelTuple(a, b, v byte) Tuple {
 		t[4] = Int(int64(v % 3))
 	case v%3 != 0:
 		t[4] = Float(float64(v%9)/2 - 1)
+	}
+	if v%2 == 0 {
+		t[5] = Int(maxExactInt - 1 + int64(v%3)) // maxExactInt+1 encodes as maxExactInt
 	}
 	return t
 }

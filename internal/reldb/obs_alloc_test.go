@@ -157,7 +157,7 @@ func TestPerRelationAttribution(t *testing.T) {
 
 	before := obs.Default.Snapshot()
 	var st MatchStats
-	if _, err := rel.MatchEqualStats([]string{"G"}, Tuple{Int(0)}, &st); err != nil {
+	if _, err := matchStats(rel, []string{"G"}, Tuple{Int(0)}, &st); err != nil {
 		t.Fatal(err)
 	}
 	delta := obs.Default.Snapshot().Sub(before)

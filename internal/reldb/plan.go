@@ -5,7 +5,7 @@ import (
 	"slices"
 )
 
-// planKind classifies how a MatchEqual-family lookup over an attribute
+// planKind classifies how an equality lookup over an attribute
 // set is served on a given relation version.
 type planKind uint8
 
@@ -39,9 +39,10 @@ type lookupPlan struct {
 // point probe when the attribute set is exactly the primary key, else a
 // probe of the secondary index over exactly that set (in any order; the
 // lexicographically first name wins when several do), else a scan.
-// MatchEqual, MatchEqualBatch and HasIndexOn call it, and so does
-// Select, the one predicate planner, for an equality conjunction (a
-// range over one attribute walks rangeTree's tree instead). It runs on
+// MatchEqual and HasIndexOn call it, and so does Select, the one
+// predicate planner, for an equality conjunction (a range over one
+// attribute walks rangeTree's tree instead); MatchEqualBatchAt, given
+// indices, calls planAt. It runs on
 // every call: nothing is memoized, so a committed version has no mutable
 // state and an answer depends on that version alone.
 func (r *Relation) planFor(what string, attrNames []string) (lookupPlan, error) {

@@ -18,7 +18,7 @@ func TestCreateIndexServesNextLookup(t *testing.T) {
 	lookup := func(rel *Relation, want string) []Row {
 		t.Helper()
 		var st MatchStats
-		out, err := rel.MatchEqualStats([]string{"Grade"}, Tuple{String("A")}, &st)
+		out, err := matchStats(rel, []string{"Grade"}, Tuple{String("A")}, &st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestIndexOnlyTxPublishesIndex(t *testing.T) {
 		stats MatchStats
 	}{{rel, MatchStats{Probes: 1, Scanned: 1}}, {pinned.MustRelation("GRADES"), MatchStats{Scans: 1, Scanned: 1}}} {
 		var st MatchStats
-		out, err := c.rel.MatchEqualStats([]string{"Grade"}, Tuple{String("A")}, &st)
+		out, err := matchStats(c.rel, []string{"Grade"}, Tuple{String("A")}, &st)
 		if err != nil || len(out) != 1 || st != c.stats {
 			t.Fatalf("lookup = %d rows, %v charging %+v; want 1 row charging %+v", len(out), err, st, c.stats)
 		}
@@ -140,11 +140,11 @@ func TestMatchEqualAttributeListsDoNotCollide(t *testing.T) {
 		attrs []string
 		want  Tuple
 	}{{first, row1}, {second, row2}} {
-		got, err := r.MatchEqualBatch(c.attrs, []Tuple{vals})
+		got, err := matchBatch(r, c.attrs, []Tuple{vals}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameTuples(t, fmt.Sprintf("MatchEqualBatch %q", c.attrs), got[0], []Tuple{c.want})
+		sameTuples(t, fmt.Sprintf("MatchEqualBatchAt %q", c.attrs), got[0], []Tuple{c.want})
 	}
 }
 

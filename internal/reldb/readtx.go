@@ -18,8 +18,9 @@ import (
 // instantiations never block writers, and writers never block readers.
 //
 // ReadTx satisfies structural.Resolver, so it can be handed directly to
-// viewobject.Instantiate, oql.Query, structural.ConnectedVia, and every
-// other read path that resolves relations by name.
+// viewobject.Instantiate, oql.Query, structural.ConnectedVia (the one
+// edge crossing), and every other read path that resolves relations by
+// name.
 type ReadTx struct {
 	db   *Database
 	rels map[string]*Relation

@@ -1,8 +1,10 @@
 package reldb
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -313,7 +315,7 @@ func (r *Relation) checkLookupVals(what string, idx []int, vals Tuple) error {
 	return nil
 }
 
-// MatchStats accumulates the cost of MatchEqual-family lookups and
+// MatchStats accumulates the cost of equality lookups and
 // Select, so callers (the view-object assembly in particular) can
 // attribute how many stored tuples a lookup had to visit.
 type MatchStats struct {
@@ -367,40 +369,21 @@ func (r *Relation) HasIndexOn(attrNames []string) bool {
 	return err == nil && pl.kind == planIndex
 }
 
-// MatchEqual returns the rows whose attributes attrNames equal vals,
-// using a secondary index over those attributes (in any order) if one
-// exists and falling back to a scan otherwise. Results are in
-// primary-key order.
+// MatchEqual returns the rows whose attributes attrNames equal vals, in
+// primary-key order: a batch of one through the lookup MatchEqualBatchAt
+// makes, so the access path — point lookup, secondary index over those
+// attributes (in any order) or scan — is resolved by planFor on every
+// call.
 func (r *Relation) MatchEqual(attrNames []string, vals Tuple) ([]Row, error) {
-	return r.MatchEqualStats(attrNames, vals, nil)
-}
-
-// MatchEqualStats is MatchEqual that additionally accumulates lookup
-// cost into st (which may be nil). The access path — point lookup,
-// secondary index or scan — is resolved by planFor on every call.
-func (r *Relation) MatchEqualStats(attrNames []string, vals Tuple, st *MatchStats) ([]Row, error) {
 	pl, err := r.planFor("MatchEqual", attrNames)
 	if err != nil {
 		return nil, err
 	}
-	if err := r.checkLookupVals("MatchEqual", pl.idx, vals); err != nil {
+	var out [1][]Row
+	if err := r.matchEqual(pl, []Tuple{vals}, out[:], nil); err != nil {
 		return nil, err
 	}
-	if pl.kind != planScan {
-		return r.probeOne(pl, vals, st), nil
-	}
-	var out []Row
-	r.rows.ascend("", func(_ string, row Row) bool {
-		for i, j := range pl.idx {
-			if !row.At(j).Equal(vals[i]) {
-				return true
-			}
-		}
-		out = append(out, row)
-		return true
-	})
-	r.obsScan(st, r.Count())
-	return out, nil
+	return out[0], nil
 }
 
 // probe serves n planned lookups that have an ordered access path: rows
@@ -436,27 +419,30 @@ func (r *Relation) probe(pl lookupPlan, n int, prefix func(g int) string, ends [
 	return all
 }
 
-// probeOne is probe for one lookup, of the values vals in pl.idx order.
-func (r *Relation) probeOne(pl lookupPlan, vals Tuple, st *MatchStats) []Row {
-	var buf [64]byte
-	prefix := string(pl.appendPrefix(buf[:0], vals))
-	return r.probe(pl, 1, func(int) string { return prefix }, nil, st)
+// MatchEqualBatchAt answers many equality lookups over one attribute
+// list, given as attribute indices (Schema.Indices resolves names): a
+// caller that probes one list many times resolves it once. The result is
+// aligned with valSets: out[i] holds the rows whose attributes equal
+// valSets[i], in primary-key order, or nil when none does. Equal value
+// sets are looked up once and share one bucket. With an index (or a
+// primary-key match) the batch costs one probe per distinct value set;
+// without one it costs a single shared scan — never one scan per value
+// set. A bad value set anywhere fails the whole batch before anything is
+// read. st, which may be nil, accumulates the lookup cost.
+func (r *Relation) MatchEqualBatchAt(attrs []int, valSets []Tuple, st *MatchStats) ([][]Row, error) {
+	pl, err := r.planAt("MatchEqual", attrs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]Row, len(valSets))
+	if err := r.matchEqual(pl, valSets, out, st); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
-// MatchEqualBatch answers many MatchEqual probes over the same attribute
-// list in one pass. The result is aligned with valSets: out[i] holds the
-// rows matching valSets[i], in primary-key order, or nil when none does.
-// Equal value sets are probed once and share one bucket. With an index
-// (or a primary-key match) the batch costs one probe per distinct value
-// set; without one it costs a single shared scan that buckets every
-// value set at once — never one scan per value set. A bad value set
-// anywhere fails the whole batch before anything is read.
-func (r *Relation) MatchEqualBatch(attrNames []string, valSets []Tuple) ([][]Row, error) {
-	return r.MatchEqualBatchStats(attrNames, valSets, nil)
-}
-
-// MatchEqualBatchStats is MatchEqualBatch that additionally accumulates
-// lookup cost into st (which may be nil).
+// matchEqual is the one equality lookup, under a resolved plan: out[i]
+// gets the rows that equal valSets[i].
 //
 // Every value set is encoded once, in the serving tree's attribute
 // order, into one string: each set's encoding is a substring of it, at
@@ -466,61 +452,51 @@ func (r *Relation) MatchEqualBatch(attrNames []string, valSets []Tuple) ([][]Row
 // probed in that order through one finger, every match appended into
 // one array. Each bucket is a full-capacity subslice of it, so a caller
 // appending to one bucket reallocates it instead of writing into its
-// neighbour.
-func (r *Relation) MatchEqualBatchStats(attrNames []string, valSets []Tuple, st *MatchStats) ([][]Row, error) {
-	pl, err := r.planFor("MatchEqualBatch", attrNames)
-	if err != nil {
-		return nil, err
-	}
-	return r.matchEqualBatch(pl, valSets, st)
-}
-
-// MatchEqualBatchAt is MatchEqualBatchStats over attribute indices, as
-// Schema.Indices resolves the names: a caller that probes one attribute
-// list many times resolves it once.
-func (r *Relation) MatchEqualBatchAt(attrs []int, valSets []Tuple, st *MatchStats) ([][]Row, error) {
-	pl, err := r.planAt("MatchEqualBatch", attrs)
-	if err != nil {
-		return nil, err
-	}
-	return r.matchEqualBatch(pl, valSets, st)
-}
-
-// matchEqualBatch is MatchEqualBatchStats under a resolved plan.
-func (r *Relation) matchEqualBatch(pl lookupPlan, valSets []Tuple, st *MatchStats) ([][]Row, error) {
+// neighbour. A single lookup keeps its scratch and its key on the stack.
+func (r *Relation) matchEqual(pl lookupPlan, valSets []Tuple, out [][]Row, st *MatchStats) error {
 	for _, vs := range valSets {
-		if err := r.checkLookupVals("MatchEqualBatch", pl.idx, vs); err != nil {
-			return nil, err
+		if err := r.checkLookupVals("MatchEqual", pl.idx, vs); err != nil {
+			return err
 		}
 	}
 	n := len(valSets)
-	out := make([][]Row, n)
 	if n == 0 {
-		return out, nil
+		return nil
 	}
 	// ends[i] is one past valSets[i]'s encoding in keys; perm lists the
 	// positions in encoding order; starts[g] is where the g-th distinct
 	// set begins in perm; a probed set's bucket ends at all[runs[g]].
-	scratch := make([]int, 4*n)
+	var one [4]int
+	scratch := one[:]
+	if n > 1 {
+		scratch = make([]int, 4*n)
+	}
 	ends, perm := scratch[:n], scratch[n:2*n]
 	starts, runs := scratch[2*n:2*n:3*n], scratch[3*n:]
-	var kb strings.Builder
-	kb.Grow(10 * len(pl.order) * n)
 	var encBuf [64]byte
-	for i, vs := range valSets {
-		kb.Write(pl.appendPrefix(encBuf[:0], vs))
-		ends[i], perm[i] = kb.Len(), i
+	var keys string
+	if n == 1 {
+		keys = string(pl.appendPrefix(encBuf[:0], valSets[0]))
+		ends[0], perm[0] = len(keys), 0
+	} else {
+		var kb strings.Builder
+		kb.Grow(10 * len(pl.order) * n)
+		for i, vs := range valSets {
+			kb.Write(pl.appendPrefix(encBuf[:0], vs))
+			ends[i], perm[i] = kb.Len(), i
+		}
+		keys = kb.String()
 	}
-	keys := kb.String()
 	key := func(i int) string {
 		if i == 0 {
 			return keys[:ends[0]]
 		}
 		return keys[ends[i-1]:ends[i]]
 	}
-	slices.SortFunc(perm, func(a, b int) int { return strings.Compare(key(a), key(b)) })
+	slices.SortFunc(perm, func(a, b int) int { return cmp.Compare(key(a), key(b)) })
 	for p := range perm {
-		if p == 0 || key(perm[p]) != key(perm[p-1]) {
+		if p == 0 || key(perm[p]) != key(perm[p-1]) ||
+			pl.kind == planScan && !slices.EqualFunc(valSets[perm[p]], valSets[perm[p-1]], Value.Identical) {
 			starts = append(starts, p)
 		}
 	}
@@ -535,30 +511,59 @@ func (r *Relation) matchEqualBatch(pl lookupPlan, valSets []Tuple, st *MatchStat
 		}
 	}
 	if pl.kind == planScan {
-		// No index: one shared scan buckets every value set at once. The
-		// scan is in primary-key order, so each bucket comes out
-		// key-ordered; a row's projection, encoded the way the value sets
-		// were, finds its set by binary search.
-		buckets := make([][]Row, len(starts))
+		// No index: one shared scan buckets every value set at once, in
+		// primary-key order. A row joins a set's bucket when each of its
+		// values is Value.Equal to the set's. The key codec encodes a value
+		// set exactly, so a row whose values it also encodes exactly can
+		// only equal the sets with its encoding, which a binary search
+		// finds; a row holding any other value — an int past ±2^53, which
+		// shares its encoding with a neighbour, or a NaN — is compared
+		// with every set. Such a row can tell apart sets the codec encodes
+		// alike (Int(1<<53+1) equals Float(1<<53) but not Int(1<<53)), so
+		// the scan groups identical sets, and neighbouring groups encoded
+		// alike share a bucket once the scan finds them equal.
+		var oneBucket [1][]Row
+		buckets := oneBucket[:]
+		if len(starts) > 1 {
+			buckets = make([][]Row, len(starts))
+		}
 		var rowBuf [64]byte // not encBuf: the closure would move it to the heap
-		r.rows.ascend("", func(_ string, row Row) bool {
-			enc := rowBuf[:0]
-			for _, j := range pl.idx {
-				enc = AppendKey(enc, row.At(j))
+		// sets returns the groups [lo, hi) row can equal.
+		sets := func(row Row) (lo, hi int) {
+			enc, ok := appendExactKey(rowBuf[:0], row, pl.idx)
+			if !ok {
+				return 0, len(starts)
 			}
-			g, ok := slices.BinarySearchFunc(starts, enc, func(p int, e []byte) int {
-				return strings.Compare(key(perm[p]), string(e))
-			})
-			if ok {
-				buckets[g] = append(buckets[g], row)
+			lo = sort.Search(len(starts), func(g int) bool { return key(perm[starts[g]]) >= string(enc) })
+			for hi = lo; hi < len(starts) && key(perm[starts[hi]]) == string(enc); hi++ {
+			}
+			return lo, hi
+		}
+		only := valSets[perm[0]]
+		r.rows.ascend("", func(_ string, row Row) bool {
+			if len(starts) == 1 {
+				// One distinct set, as a single lookup has, needs no search.
+				if equalAt(row, pl.idx, only) {
+					buckets[0] = append(buckets[0], row)
+				}
+				return true
+			}
+			lo, hi := sets(row)
+			for g := lo; g < hi; g++ {
+				if equalAt(row, pl.idx, valSets[perm[starts[g]]]) {
+					buckets[g] = append(buckets[g], row)
+				}
 			}
 			return true
 		})
 		r.obsScan(st, r.Count())
-		for g, b := range buckets {
-			spread(g, slices.Clip(b))
+		for g := range buckets {
+			if g > 0 && key(perm[starts[g]]) == key(perm[starts[g-1]]) && slices.EqualFunc(buckets[g], buckets[g-1], Row.Same) {
+				buckets[g] = buckets[g-1]
+			}
+			spread(g, slices.Clip(buckets[g]))
 		}
-		return out, nil
+		return nil
 	}
 	all := r.probe(pl, len(starts), func(g int) string { return key(perm[starts[g]]) }, runs, st)
 	lo := 0
@@ -568,7 +573,30 @@ func (r *Relation) matchEqualBatch(pl lookupPlan, valSets []Tuple, st *MatchStat
 		}
 		lo = hi
 	}
-	return out, nil
+	return nil
+}
+
+// appendExactKey appends to dst the encoding of row's values at idx,
+// and reports whether the key codec encodes each of them exactly.
+func appendExactKey(dst []byte, row Row, idx []int) ([]byte, bool) {
+	for _, j := range idx {
+		v := row.At(j)
+		if !keyEncodable(v) {
+			return dst, false
+		}
+		dst = AppendKey(dst, v)
+	}
+	return dst, true
+}
+
+// equalAt reports whether row's values at idx are Value.Equal to vals.
+func equalAt(row Row, idx []int, vals Tuple) bool {
+	for i, j := range idx {
+		if !row.At(j).Equal(vals[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // sameIntSet reports whether a and b hold the same elements (both are

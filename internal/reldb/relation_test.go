@@ -313,7 +313,7 @@ func TestIndexMaintainedByMutations(t *testing.T) {
 func indexLookup(t testing.TB, r *Relation, attrs []string, vals Tuple) ([]Row, error) {
 	t.Helper()
 	var st MatchStats
-	out, err := r.MatchEqualStats(attrs, vals, &st)
+	out, err := matchStats(r, attrs, vals, &st)
 	if err == nil && (st.Probes != 1 || st.Scans != 0) {
 		t.Fatalf("MatchEqual %v on %s: stats %+v, want one probe", attrs, r.Name(), st)
 	}

@@ -230,15 +230,20 @@ func (s *Schema) EncodeKey(key Tuple) (string, error) {
 
 // Indices maps attribute names to their indices, failing on unknown names.
 func (s *Schema) Indices(names []string) ([]int, error) {
-	idx := make([]int, len(names))
-	for i, n := range names {
+	return s.AppendIndices(make([]int, 0, len(names)), names)
+}
+
+// AppendIndices is Indices appending to dst: a caller that resolves a
+// short list on every call can keep it on its stack.
+func (s *Schema) AppendIndices(dst []int, names []string) ([]int, error) {
+	for _, n := range names {
 		j, ok := s.byName[n]
 		if !ok {
 			return nil, fmt.Errorf("reldb: %s has no attribute %s", s.name, n)
 		}
-		idx[i] = j
+		dst = append(dst, j)
 	}
-	return idx, nil
+	return dst, nil
 }
 
 // String renders the schema as an RQL CREATE TABLE statement body.

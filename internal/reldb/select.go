@@ -144,7 +144,9 @@ func (r *Relation) probeEqual(terms []predTerm, st *MatchStats) ([]Row, bool) {
 			return nil, false
 		}
 	}
-	return r.probeOne(pl, vals, st), true
+	var buf [64]byte
+	prefix := string(pl.appendPrefix(buf[:0], vals))
+	return r.probe(pl, 1, func(int) string { return prefix }, nil, st), true
 }
 
 // walkRange serves a range over one attribute — at most one lower (>,

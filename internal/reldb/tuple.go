@@ -73,8 +73,9 @@ func (t Tuple) String() string {
 // length 0. The string holds no pointers, so the collector never scans
 // it.
 //
-// Every read — Get, MatchEqual, Select, Scan, All, a Delta's images, the
-// row Delete or Replace took out — hands out the stored string itself:
+// Every read — Get, MatchEqualBatchAt and MatchEqual, Select, Scan,
+// All, a Delta's images, the row Delete or Replace took out — hands out
+// the stored string itself:
 // committed versions are immutable, and a Row has no method that writes.
 // At decodes one value in place (a string value is a substring), so a
 // read allocates nothing; Tuple decodes a copy a writer may edit. The

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"penguin/internal/reldb"
+	"penguin/internal/viewobject"
 	"penguin/internal/workload"
 )
 
@@ -163,4 +164,66 @@ func TestReplaceAllocations(t *testing.T) {
 		t.Errorf("one replace allocates %v times, want <= 290", a)
 	}
 	t.Logf("%v allocations per replace", a)
+}
+
+// churnInstances assembles the instance of every root key k < roots, the
+// VO-CI half of a churn puts back.
+func churnInstances(tb testing.TB, sw *workload.ShardedWorkload, roots int) []*viewobject.Instance {
+	tb.Helper()
+	insts := make([]*viewobject.Instance, roots)
+	for k := range insts {
+		inst, ok, err := sw.C.InstantiateByKey(workload.ShardedObject, reldb.Tuple{reldb.Int(int64(k))})
+		if err != nil || !ok {
+			tb.Fatalf("instance %d: %v, %v", k, ok, err)
+		}
+		insts[k] = inst
+	}
+	return insts
+}
+
+// churn deletes the instance of root key k through the cluster (VO-CD)
+// and inserts it again (VO-CI): the write mix's 20 % churn slot, whose
+// cascade, dependency checks and re-insertion cross connections one
+// row at a time.
+func churn(tb testing.TB, sw *workload.ShardedWorkload, insts []*viewobject.Instance, k int) {
+	if _, err := sw.C.DeleteByKey(workload.ShardedObject, reldb.Tuple{reldb.Int(int64(k))}); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := sw.C.InsertInstance(workload.ShardedObject, insts[k]); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkChurnCluster drives one VO-CD then VO-CI of a 46-node
+// instance through a 1-shard cluster of 100 roots per iteration.
+func BenchmarkChurnCluster(b *testing.B) {
+	const roots = 100
+	_, sw := benchTree(b, roots)
+	insts := churnInstances(b, sw, roots)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		churn(b, sw, insts, i%roots)
+	}
+}
+
+// churnAllocs is one churn's allocation count before the edge crossings
+// of the cascade and the dependency checks shared the batched lookup.
+const churnAllocs = 2086
+
+// TestChurnAllocations pins what one churn (BenchmarkChurnCluster's
+// iteration) allocates.
+func TestChurnAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const roots = 8
+	_, sw := benchTree(t, roots)
+	insts := churnInstances(t, sw, roots)
+	churn(t, sw, insts, 3)
+	a := testing.AllocsPerRun(100, func() { churn(t, sw, insts, 3) })
+	if a > churnAllocs {
+		t.Errorf("one churn allocates %v times, want <= %d", a, churnAllocs)
+	}
+	t.Logf("%v allocations per churn", a)
 }

@@ -23,8 +23,8 @@ func seedOwned(t *testing.T, db *reldb.Database, owners, fanout int) {
 	}
 }
 
-// ConnectedViaBatch must agree with per-tuple ConnectedVia on every input
-// — same alignment, same ordering, same nil-for-null semantics.
+// A batch of many rows must agree with a batch of each one on every
+// input — same alignment, same ordering, same nil-for-null semantics.
 func TestConnectedViaBatchMatchesSingle(t *testing.T) {
 	db := miniDB(t)
 	g := NewGraph(db)
@@ -59,7 +59,7 @@ func TestConnectedViaBatchMatchesSingle(t *testing.T) {
 		{"reference with null and dangling", Edge{Conn: ref, Forward: true}, refer.All()},
 	}
 	for _, tc := range cases {
-		batch, err := ConnectedViaBatchStats(db, tc.edge, sourceIdx(t, db, tc.edge), targetIdx(t, db, tc.edge), tc.tuples, nil)
+		batch, err := ConnectedVia(db, tc.edge, tc.tuples, nil)
 		if err != nil {
 			t.Fatalf("%s: batch: %v", tc.name, err)
 		}
@@ -67,7 +67,7 @@ func TestConnectedViaBatchMatchesSingle(t *testing.T) {
 			t.Fatalf("%s: batch returned %d results for %d inputs", tc.name, len(batch), len(tc.tuples))
 		}
 		for i, tuple := range tc.tuples {
-			single, err := ConnectedVia(db, tc.edge, tuple)
+			single, err := connectedOne(db, tc.edge, tuple)
 			if err != nil {
 				t.Fatalf("%s: single: %v", tc.name, err)
 			}
@@ -90,7 +90,7 @@ func TestConnectedViaBatchMatchesSingle(t *testing.T) {
 	var st reldb.MatchStats
 	owners := db.MustRelation("OWNER").All()
 	e := Edge{Conn: own, Forward: true}
-	if _, err := ConnectedViaBatchStats(db, e, sourceIdx(t, db, e), targetIdx(t, db, e), owners, &st); err != nil {
+	if _, err := ConnectedVia(db, e, owners, &st); err != nil {
 		t.Fatal(err)
 	}
 	if st.Scans != 0 || st.Probes != len(owners) {
@@ -104,33 +104,19 @@ func TestConnectedViaBatchEmpty(t *testing.T) {
 	g.MustAddConnection(ownershipConn())
 	own, _ := g.Connection("own")
 	e := Edge{Conn: own, Forward: true}
-	out, err := ConnectedViaBatchStats(db, e, sourceIdx(t, db, e), targetIdx(t, db, e), nil, nil)
+	out, err := ConnectedVia(db, e, nil, nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch = %v, %v", out, err)
 	}
 }
 
-// sourceIdx resolves e's source attributes in its source schema.
-func sourceIdx(t *testing.T, res Resolver, e Edge) []int {
-	return attrIdx(t, res, e.Source(), e.SourceAttrs())
-}
-
-// targetIdx resolves the edge's target attributes in the target schema.
-func targetIdx(t *testing.T, res Resolver, e Edge) []int {
-	return attrIdx(t, res, e.Target(), e.TargetAttrs())
-}
-
-func attrIdx(t *testing.T, res Resolver, rel string, attrs []string) []int {
-	t.Helper()
-	r, err := res.Relation(rel)
+// connectedOne crosses e for the one row.
+func connectedOne(res Resolver, e Edge, row reldb.Row) ([]reldb.Row, error) {
+	out, err := ConnectedVia(res, e, []reldb.Row{row}, nil)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	idx, err := r.Schema().Indices(attrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return idx
+	return out[0], nil
 }
 
 // AddConnection must register edge indexes on connecting-attribute sets

@@ -63,12 +63,12 @@ func (g *Graph) AddConnection(c *Connection) error {
 }
 
 // ensureEdgeIndexes registers a secondary index on each side's connecting
-// attributes so that edge traversal — ConnectedVia and the batched level
-// fetch — probes instead of scanning. Both directions get one, because
-// instantiation crosses connections forward (ownership children) and
-// inverse (reference parents) alike. Sides whose attribute set is the
-// whole primary key are skipped: MatchEqual serves those with a point
-// lookup already. Index creation here relies on the same setup-phase
+// attributes so that every edge crossing (ConnectedVia, for a level of
+// an instance or for one translated row) probes instead of scanning.
+// Both directions get one, because instantiation crosses connections
+// forward (ownership children) and inverse (reference parents) alike.
+// Sides whose attribute set is the whole primary key are skipped: the
+// lookup serves those with a point probe of the row tree already. Index creation here relies on the same setup-phase
 // discipline as the rest of schema wiring: connections are added before
 // any concurrent access to the database starts.
 func (g *Graph) ensureEdgeIndexes(c *Connection) error {

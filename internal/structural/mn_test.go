@@ -79,13 +79,13 @@ func TestManyToManyViaLinkRelation(t *testing.T) {
 	aw, _ := g.Connection("author-wrote")
 	pw, _ := g.Connection("paper-wrote")
 	codd, _ := db.MustRelation("AUTHORS").Get(reldb.Tuple{reldb.Int(1)})
-	links, err := ConnectedVia(db, Edge{Conn: aw, Forward: true}, codd)
+	links, err := connectedOne(db, Edge{Conn: aw, Forward: true}, codd)
 	if err != nil || len(links) != 2 {
 		t.Fatalf("Codd's links = %d, %v", len(links), err)
 	}
 	papers := map[int64]bool{}
 	for _, l := range links {
-		ps, err := ConnectedVia(db, Edge{Conn: pw, Forward: false}, l)
+		ps, err := connectedOne(db, Edge{Conn: pw, Forward: false}, l)
 		if err != nil || len(ps) != 1 {
 			t.Fatalf("link->paper: %v, %v", ps, err)
 		}

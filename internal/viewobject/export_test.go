@@ -85,3 +85,37 @@ func fillChildren(res structural.Resolver, def *Definition, in *InstNode) error 
 	}
 	return nil
 }
+
+// traversePath follows a connection path from one source row, crossing
+// each edge once per frontier row: the reference for the batched walk.
+func traversePath(res structural.Resolver, start reldb.Row, path []structural.Edge, st *reldb.MatchStats) ([]reldb.Row, error) {
+	frontier := []reldb.Row{start}
+	for _, e := range path {
+		tgtRel, err := res.Relation(e.Target())
+		if err != nil {
+			return nil, err
+		}
+		tgtSchema := tgtRel.Schema()
+		seen := make(map[string]bool)
+		var next []reldb.Row
+		for _, ft := range frontier {
+			matches, err := structural.ConnectedVia(res, e, []reldb.Row{ft}, st)
+			if err != nil {
+				return nil, err
+			}
+			for _, mt := range matches[0] {
+				ek := mt.EncodeKey(tgtSchema)
+				if seen[ek] {
+					continue
+				}
+				seen[ek] = true
+				next = append(next, mt)
+			}
+		}
+		frontier = next
+		if len(frontier) == 0 {
+			return nil, nil
+		}
+	}
+	return frontier, nil
+}

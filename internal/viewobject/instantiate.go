@@ -223,8 +223,12 @@ func fillLevel(res structural.Resolver, def *Definition, parents []*InstNode) er
 // Every carved slice is full-capacity, so a later AddChild reallocates
 // it and never writes into a neighbour's.
 func fillChildSegment(res structural.Resolver, def *Definition, parents []*InstNode, child *Node) ([]*InstNode, error) {
+	starts := make([]reldb.Row, len(parents))
+	for i, p := range parents {
+		starts[i] = p.row
+	}
 	var st reldb.MatchStats
-	perParent, err := traverseLevel(res, parents, child, &st)
+	perParent, err := walkPath(res, child.Path, starts, &st)
 	if err != nil {
 		return nil, fmt.Errorf("viewobject: %s: node %s: %w", def.Name, child.ID, err)
 	}
@@ -263,24 +267,32 @@ func fillChildSegment(res structural.Resolver, def *Definition, parents []*InstN
 	return level, nil
 }
 
-// traverseLevel follows child's connection path for many source nodes
-// at once. The result is aligned with parents: out[i] holds the distinct
-// rows parents[i] reaches at the far end, in the same order the naive
-// TraversePath would produce (per-step key order, first-seen dedup).
-// Each edge costs one batched lookup for the whole level. The result
-// slices may be shared between parents with equal connecting values
-// (see structural.ConnectedViaBatchStats); callers only read them.
-func traverseLevel(res structural.Resolver, parents []*InstNode, child *Node, st *reldb.MatchStats) ([][]reldb.Row, error) {
-	path := child.Path
-	// First edge: each parent's frontier is its own row, so the batch
-	// is the parents' rows and its results align with parents as they
-	// stand — one probe of one relation cannot return a key twice, so
-	// there is nothing to deduplicate either.
-	flat := make([]reldb.Row, len(parents))
-	for i, p := range parents {
-		flat[i] = p.row
+// TraversePath follows a connection path starting from one source row
+// and returns the distinct rows reached at the far end, in key order at
+// each step. Intermediate relations contribute join steps only; their
+// rows are not returned.
+func TraversePath(res structural.Resolver, start reldb.Row, path []structural.Edge) ([]reldb.Row, error) {
+	reached, err := walkPath(res, path, []reldb.Row{start}, nil)
+	if err != nil {
+		return nil, err
 	}
-	frontiers, err := structural.ConnectedViaBatchStats(res, path[0], child.pathSrc[0], child.pathTgt[0], flat, st)
+	return reached[0], nil
+}
+
+// walkPath follows a non-empty connection path from many start rows at
+// once. The result is aligned with starts: out[i] holds the distinct
+// rows starts[i] reaches at the far end, in the order a walk from
+// starts[i] alone finds them (per-step key order, first-seen dedup).
+// Each edge costs one batched lookup over every start's frontier
+// together. The result slices may be shared between starts with equal
+// connecting values (see structural.ConnectedVia); callers only read
+// them.
+func walkPath(res structural.Resolver, path []structural.Edge, starts []reldb.Row, st *reldb.MatchStats) ([][]reldb.Row, error) {
+	// First edge: each start's frontier is its own row, so the batch is
+	// the starts and its results align with them as they stand — one
+	// probe of one relation cannot return a key twice, so there is
+	// nothing to deduplicate either.
+	frontiers, err := structural.ConnectedVia(res, path[0], starts, st)
 	if err != nil {
 		return nil, err
 	}
@@ -288,22 +300,24 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, child *Node, st
 	if len(path) == 1 {
 		return frontiers, nil
 	}
-	offs := make([]int, len(parents)+1)
-	// One dedupe set and one key buffer serve every parent of every edge.
+	offs := make([]int, len(starts)+1)
+	// One flattened frontier, one dedupe set and one key buffer serve
+	// every start of every edge.
+	flat := make([]reldb.Row, 0, len(starts))
 	seen := make(map[string]bool)
-	for step, e := range path[1:] {
-		// Flatten the per-parent frontiers, remembering each parent's
+	for _, e := range path[1:] {
+		// Flatten the per-start frontiers, remembering each start's
 		// segment so results can be distributed back.
 		flat = flat[:0]
 		for i, fr := range frontiers {
 			offs[i] = len(flat)
 			flat = append(flat, fr...)
 		}
-		offs[len(parents)] = len(flat)
+		offs[len(starts)] = len(flat)
 		if len(flat) == 0 {
 			break
 		}
-		results, err := structural.ConnectedViaBatchStats(res, e, child.pathSrc[step+1], child.pathTgt[step+1], flat, st)
+		results, err := structural.ConnectedVia(res, e, flat, st)
 		if err != nil {
 			return nil, err
 		}
@@ -315,7 +329,7 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, child *Node, st
 		// A stored row's key is a prefix of its string: deduplicating by
 		// it encodes and allocates nothing.
 		tgtSchema := tgtRel.Schema()
-		for i := range parents {
+		for i := range starts {
 			if offs[i+1]-offs[i] == 1 {
 				// A single-tuple frontier is again one probe.
 				frontiers[i] = results[offs[i]]
@@ -337,46 +351,6 @@ func traverseLevel(res structural.Resolver, parents []*InstNode, child *Node, st
 		}
 	}
 	return frontiers, nil
-}
-
-// TraversePath follows a connection path starting from one source row
-// and returns the distinct rows reached at the far end, in key order at
-// each step. Intermediate relations contribute join steps only; their
-// rows are not returned.
-func TraversePath(res structural.Resolver, start reldb.Row, path []structural.Edge) ([]reldb.Row, error) {
-	return traversePath(res, start, path, nil)
-}
-
-func traversePath(res structural.Resolver, start reldb.Row, path []structural.Edge, st *reldb.MatchStats) ([]reldb.Row, error) {
-	frontier := []reldb.Row{start}
-	for _, e := range path {
-		tgtRel, err := res.Relation(e.Target())
-		if err != nil {
-			return nil, err
-		}
-		tgtSchema := tgtRel.Schema()
-		seen := make(map[string]bool)
-		var next []reldb.Row
-		for _, ft := range frontier {
-			matches, err := structural.ConnectedViaStats(res, e, ft, st)
-			if err != nil {
-				return nil, err
-			}
-			for _, mt := range matches {
-				ek := mt.EncodeKey(tgtSchema)
-				if seen[ek] {
-					continue
-				}
-				seen[ek] = true
-				next = append(next, mt)
-			}
-		}
-		frontier = next
-		if len(frontier) == 0 {
-			return nil, nil
-		}
-	}
-	return frontier, nil
 }
 
 // matches evaluates the query's node predicates and count conditions

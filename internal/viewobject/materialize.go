@@ -294,16 +294,18 @@ func (m *Materializer) patchLocked(rtx *reldb.ReadTx, op obs.Op) (bool, error) {
 		for _, rc := range d.Replaces {
 			images = append(images, rc.Old, rc.New)
 		}
-		for _, img := range images {
-			if d.Relation == m.pivotRel {
+		if d.Relation == m.pivotRel {
+			for _, img := range images {
 				touched[img.EncodeKey(m.pivotSchema)] = true
-				continue
 			}
-			for _, rp := range m.revPaths[d.Relation] {
-				pivots, err := TraversePath(rtx, img, rp)
-				if err != nil {
-					return false, err
-				}
+			continue
+		}
+		for _, rp := range m.revPaths[d.Relation] {
+			reached, err := walkPath(rtx, rp, images, nil)
+			if err != nil {
+				return false, err
+			}
+			for _, pivots := range reached {
 				for _, p := range pivots {
 					touched[p.EncodeKey(m.pivotSchema)] = true
 				}

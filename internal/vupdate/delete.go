@@ -124,11 +124,11 @@ func (s *session) deleteCascade(relName string, tuple reldb.Row, deleted map[str
 		if c.Type != structural.Reference {
 			continue
 		}
-		refs, err := structural.ConnectedVia(s.tx, structural.Edge{Conn: c, Forward: false}, tuple)
+		refs, err := structural.ConnectedVia(s.tx, structural.Edge{Conn: c, Forward: false}, []reldb.Row{tuple}, nil)
 		if err != nil {
 			return err
 		}
-		if len(refs) == 0 {
+		if len(refs[0]) == 0 {
 			continue
 		}
 		policy := s.referencingPolicy(c.From)
@@ -137,13 +137,13 @@ func (s *session) deleteCascade(relName string, tuple reldb.Row, deleted map[str
 			return reject("vupdate: %s: deletion touches %s through %s, which the translator does not allow",
 				s.def.Name, c.From, c)
 		case PeninsulaDeleteTuple:
-			for _, rt := range refs {
+			for _, rt := range refs[0] {
 				if err := s.deleteCascade(c.From, rt, deleted); err != nil {
 					return err
 				}
 			}
 		case PeninsulaSetNull, PeninsulaReplaceDefault:
-			if err := s.rewriteReferencing(c, refs, policy); err != nil {
+			if err := s.rewriteReferencing(c, refs[0], policy); err != nil {
 				return err
 			}
 		}
@@ -154,11 +154,11 @@ func (s *session) deleteCascade(relName string, tuple reldb.Row, deleted map[str
 		if c.Type != structural.Ownership && c.Type != structural.Subset {
 			continue
 		}
-		deps, err := structural.ConnectedVia(s.tx, structural.Edge{Conn: c, Forward: true}, tuple)
+		deps, err := structural.ConnectedVia(s.tx, structural.Edge{Conn: c, Forward: true}, []reldb.Row{tuple}, nil)
 		if err != nil {
 			return err
 		}
-		for _, dt := range deps {
+		for _, dt := range deps[0] {
 			if err := s.deleteCascade(c.To, dt, deleted); err != nil {
 				return err
 			}

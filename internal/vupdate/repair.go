@@ -36,15 +36,15 @@ func (s *session) ensureDependencies(relName string, tuple reldb.Row, seen map[s
 			continue
 		}
 		e := structural.Edge{Conn: c, Forward: false}
-		owners, err := structural.ConnectedVia(s.tx, e, tuple)
+		owners, err := structural.ConnectedVia(s.tx, e, []reldb.Row{tuple}, nil)
 		if err != nil {
 			return err
 		}
-		if owners == nil {
+		if owners[0] == nil {
 			return fmt.Errorf("vupdate: %s tuple %s has null connecting values for %s",
 				relName, tuple, c)
 		}
-		if len(owners) > 0 {
+		if len(owners[0]) > 0 {
 			continue
 		}
 		if err := s.repairInsert(c.From, e, tuple, seen); err != nil {
@@ -58,11 +58,11 @@ func (s *session) ensureDependencies(relName string, tuple reldb.Row, seen map[s
 			continue
 		}
 		e := structural.Edge{Conn: c, Forward: true}
-		targets, err := structural.ConnectedVia(s.tx, e, tuple)
+		targets, err := structural.ConnectedVia(s.tx, e, []reldb.Row{tuple}, nil)
 		if err != nil {
 			return err
 		}
-		if targets == nil || len(targets) > 0 {
+		if targets[0] == nil || len(targets[0]) > 0 {
 			continue // null reference, or satisfied
 		}
 		if err := s.repairInsert(c.To, e, tuple, seen); err != nil {

@@ -410,11 +410,11 @@ func (s *session) propagateOneKeyChange(relName string, ch keyChange) error {
 			continue
 		}
 		e := structural.Edge{Conn: c, Forward: false}
-		refs, err := structural.ConnectedVia(s.tx, e, ch.before)
+		refs, err := structural.ConnectedVia(s.tx, e, []reldb.Row{ch.before}, nil)
 		if err != nil {
 			return err
 		}
-		if len(refs) == 0 {
+		if len(refs[0]) == 0 {
 			continue
 		}
 		if err := s.checkFKRewriteAllowed(c.From); err != nil {
@@ -424,7 +424,7 @@ func (s *session) propagateOneKeyChange(relName string, ch keyChange) error {
 		if err != nil {
 			return err
 		}
-		for _, rt := range refs {
+		for _, rt := range refs[0] {
 			nt := rt.Tuple()
 			if err := s.carry(e, ch.after, nt); err != nil {
 				return err
@@ -443,11 +443,11 @@ func (s *session) propagateOneKeyChange(relName string, ch keyChange) error {
 			continue
 		}
 		e := structural.Edge{Conn: c, Forward: true}
-		deps, err := structural.ConnectedVia(s.tx, e, ch.before)
+		deps, err := structural.ConnectedVia(s.tx, e, []reldb.Row{ch.before}, nil)
 		if err != nil {
 			return err
 		}
-		if len(deps) == 0 {
+		if len(deps[0]) == 0 {
 			continue
 		}
 		toRel, err := s.relation(c.To)
@@ -455,7 +455,7 @@ func (s *session) propagateOneKeyChange(relName string, ch keyChange) error {
 			return err
 		}
 		toSchema := toRel.Schema()
-		for _, dt := range deps {
+		for _, dt := range deps[0] {
 			nt := dt.Tuple()
 			if err := s.carry(e, ch.after, nt); err != nil {
 				return err
