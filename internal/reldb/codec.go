@@ -2,12 +2,10 @@ package reldb
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 )
 
 // Snapshot persistence: a compact binary format holding every schema and
@@ -25,7 +23,13 @@ import (
 //	  u32 nIndexes | per index: string name, u32 nAttrs, per attr: u32 idx
 //	  u32 nRows | per row: per attr: value
 //	u32 crc32c over every preceding byte (magic included)
-//	value: u8 kind | payload (varint int, 8-byte float, string, u8 bool)
+//	value: AppendBinaryValue's encoding (tuple.go), the bytes a stored
+//	  row holds its values in
+//
+// A row's values are written as the row holds them, so writing a
+// snapshot or a WAL record decodes nothing; readBinaryValue is the one
+// decoder of those bytes, and refuses any that AppendBinaryValue would
+// not have written.
 //
 // headGen is the database's commit generation at serialization time.
 // Restoring it on load is what keeps every generation-keyed subsystem
@@ -33,10 +37,13 @@ import (
 // monotone across a restart: without it a post-restore commit would
 // publish generation 1 and every consumer's clock would run backwards.
 const (
-	snapshotMagic     = "PNGW"
-	snapshotVersion   = 2
-	maxSnapshotString = 1 << 24
-	maxSnapshotCount  = 1 << 24
+	snapshotMagic    = "PNGW"
+	snapshotVersion  = 2
+	maxSnapshotCount = 1 << 24
+	// maxStringBytes caps a string the snapshot and WAL readers accept,
+	// a name or a value; the schema check refuses a longer value, so
+	// nothing a commit stores is too long to read back.
+	maxStringBytes = 1 << 24
 )
 
 // castagnoli is the CRC-32C table shared by the snapshot trailer and the
@@ -243,12 +250,15 @@ func writeRelation(w byteWriter, rel *Relation) error {
 		}
 	}
 	writeU32(w, uint32(rel.Count()))
-	var scanErr error
+	// Write, not WriteString: the CRC writer would copy a string to hash it.
+	var buf []byte
+	var err error
 	rel.rows.ascend("", func(_ string, row Row) bool {
-		scanErr = writeValues(w, row)
-		return scanErr == nil
+		buf = append(buf[:0], row.s[row.pos(0):]...)
+		_, err = w.Write(buf)
+		return err == nil
 	})
-	return scanErr
+	return err
 }
 
 // writeSchema serializes a schema's name, attributes, and primary key —
@@ -385,143 +395,53 @@ func readRelation(r byteReader, db *Database) error {
 	if nRows > maxSnapshotCount {
 		return fmt.Errorf("reldb: snapshot %s: row count %d too large", name, nRows)
 	}
-	// Insert encodes the tuple into a row string, so one tuple serves
-	// every row.
-	t := make(Tuple, schema.Arity())
+	var buf []byte
 	for i := uint32(0); i < nRows; i++ {
-		for j := range t {
-			v, err := readValue(r)
-			if err != nil {
-				return fmt.Errorf("reldb: snapshot %s row %d: %w", name, i, err)
-			}
-			t[j] = v
+		var row Row
+		row, buf, err = readRow(r, uint32(schema.Arity()), buf)
+		if err == nil {
+			err = rel.insertRow(row)
 		}
-		if err := rel.Insert(t); err != nil {
+		if err != nil {
 			return fmt.Errorf("reldb: snapshot %s row %d: %w", name, i, err)
 		}
 	}
 	return nil
 }
 
-// AppendBinaryValue appends the snapshot codec's encoding of v to dst.
-// This is the engine's canonical byte-level value encoding: it preserves
-// the kind tag (Int(3) and Float(3) encode differently, unlike the
-// order-preserving AppendKey), every int64, every float bit pattern
-// including NaN payloads, and arbitrary (non-UTF-8) string bytes.
-// External codecs (the serving tier's JSON value codec) test their
-// round-trips against it: two Values are interchangeable exactly when
-// their AppendBinaryValue encodings are equal.
-func AppendBinaryValue(dst []byte, v Value) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.Grow(len(v.s) + 10)
-	if err := writeValue(&buf, v); err != nil {
-		return dst, err
-	}
-	return append(dst, buf.Bytes()...), nil
-}
-
-func writeValue(w byteWriter, v Value) error {
-	w.WriteByte(byte(v.kind))
-	switch v.kind {
-	case KindNull:
-	case KindInt:
-		var buf [binary.MaxVarintLen64]byte
-		n := binary.PutVarint(buf[:], v.i())
-		w.Write(buf[:n])
-	case KindFloat:
-		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], v.bits)
-		w.Write(buf[:])
-	case KindString:
-		writeString(w, v.s)
-	case KindBool:
-		if v.b() {
-			w.WriteByte(1)
-		} else {
-			w.WriteByte(0)
-		}
-	default:
-		return fmt.Errorf("reldb: cannot serialize kind %s", v.kind)
-	}
-	return nil
-}
-
-func readValue(r byteReader) (Value, error) {
-	kb, err := r.ReadByte()
-	if err != nil {
-		return Null(), err
-	}
-	switch Kind(kb) {
-	case KindNull:
-		return Null(), nil
-	case KindInt:
-		n, err := binary.ReadVarint(r)
-		if err != nil {
-			return Null(), err
-		}
-		return Int(n), nil
-	case KindFloat:
-		var buf [8]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return Null(), err
-		}
-		return Float(math.Float64frombits(binary.BigEndian.Uint64(buf[:]))), nil
-	case KindString:
-		s, err := readString(r)
-		if err != nil {
-			return Null(), err
-		}
-		return String(s), nil
-	case KindBool:
-		b, err := r.ReadByte()
-		if err != nil {
-			return Null(), err
-		}
-		return Bool(b == 1), nil
-	default:
-		return Null(), fmt.Errorf("reldb: snapshot has unknown value kind %d", kb)
-	}
-}
-
-// writeTuple serializes a row's values as a tuple with an arity prefix
-// (WAL records carry tuples for relations whose schema is only known at
-// replay time, so the count makes each record self-delimiting).
-func writeTuple(w byteWriter, r Row) error {
+// writeTuple writes a row's values with an arity prefix, the bytes the
+// row holds them in (WAL records carry tuples for relations whose schema
+// is only known at replay time, so the count makes each record
+// self-delimiting).
+func writeTuple(w byteWriter, r Row) {
 	writeU32(w, uint32(r.Len()))
-	return writeValues(w, r)
+	w.WriteString(r.s[r.pos(0):])
 }
 
-// writeValues serializes a row's values, decoded, in order: the bytes a
-// tuple of them wrote.
-func writeValues(w byteWriter, r Row) error {
-	for p := r.pos(0); p < len(r.s); {
-		var v Value
-		v, p = valueAt(r.s, p)
-		if err := writeValue(w, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readTuple decodes what writeTuple produced.
-func readTuple(r byteReader) (Tuple, error) {
+// readTuple decodes what writeTuple wrote into a row with no key.
+func readTuple(r byteReader, buf []byte) (Row, []byte, error) {
 	n, err := readU32(r)
 	if err != nil {
-		return nil, err
+		return Row{}, buf, err
 	}
 	if n > maxSnapshotCount || overruns(r, n) {
-		return nil, fmt.Errorf("reldb: tuple arity %d too large", n)
+		return Row{}, buf, fmt.Errorf("reldb: tuple arity %d too large", n)
 	}
-	t := make(Tuple, n)
-	for i := range t {
-		v, err := readValue(r)
-		if err != nil {
-			return nil, err
-		}
-		t[i] = v
+	return readRow(r, n, buf)
+}
+
+// readRow reads n values into a row with no key, each checked by
+// readBinaryValue. buf is scratch space, returned for the next call.
+func readRow(r byteReader, n uint32, buf []byte) (Row, []byte, error) {
+	buf = append(buf[:0], 0)
+	var err error
+	for ; n > 0 && err == nil; n-- {
+		buf, err = readBinaryValue(r, buf)
 	}
-	return t, nil
+	if err != nil {
+		return Row{}, buf, err
+	}
+	return Row{string(buf)}, buf, nil
 }
 
 func writeString(w byteWriter, s string) {
@@ -534,7 +454,7 @@ func readString(r byteReader) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > maxSnapshotString || overruns(r, n) {
+	if n > maxStringBytes || overruns(r, n) {
 		return "", fmt.Errorf("reldb: snapshot string length %d too large", n)
 	}
 	buf := make([]byte, n)

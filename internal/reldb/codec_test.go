@@ -3,6 +3,7 @@ package reldb
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"runtime"
@@ -200,5 +201,41 @@ func snapshotRoundTrip(t *testing.T, data []byte) {
 	}
 	if second := replayState(t, back); !bytes.Equal(first, second) {
 		t.Fatalf("the database changed across a snapshot round trip:\nfirst  %q\nsecond %q", first, second)
+	}
+}
+
+// TestSnapshotRefusesOffEncodings: a sealed snapshot — its CRC trailer
+// matching — whose one row holds value bytes AppendBinaryValue would not
+// write is refused as corrupt, and the same snapshot with the value's
+// own bytes loads.
+func TestSnapshotRefusesOffEncodings(t *testing.T) {
+	for _, c := range offEncodings {
+		db := NewDatabase()
+		r := db.MustCreateRelation(MustSchema("R", []Attribute{
+			{Name: "K", Type: KindInt},
+			{Name: "V", Type: c.v.Kind()},
+		}, []string{"K"}))
+		if err := r.Insert(Tuple{Int(0), c.v}); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := db.WriteSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		// The row's value is the last thing before the 4-byte trailer.
+		body, canonical := buf.Bytes()[:buf.Len()-4], AppendBinaryValue(nil, c.v)
+		if !bytes.HasSuffix(body, canonical) {
+			t.Fatalf("%s: the snapshot does not end in % x", c.name, canonical)
+		}
+		seal := func(value []byte) []byte {
+			b := append(bytes.Clone(body[:len(body)-len(canonical)]), value...)
+			return binary.BigEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
+		}
+		if _, err := ReadSnapshot(bytes.NewReader(seal(canonical))); err != nil {
+			t.Errorf("%s: the canonical bytes % x are refused: %v", c.name, canonical, err)
+		}
+		if _, err := ReadSnapshot(bytes.NewReader(seal(c.off))); !errors.Is(err, ErrSnapshotCorrupt) {
+			t.Errorf("%s: a snapshot holding % x loads, or fails as %v", c.name, c.off, err)
+		}
 	}
 }

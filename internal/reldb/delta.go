@@ -29,9 +29,9 @@
 //
 // A delta is net effect per primary key: an insert followed by a delete
 // of the same key inside one transaction cancels out, an insert followed
-// by replaces is one insert of the final image, a replace by an equal
-// tuple is nothing, and a key-changing replace is a delete of the old key
-// plus an insert of the new one.
+// by replaces is one insert of the final image, a replace by an
+// identical tuple is nothing, and a key-changing replace is a delete of
+// the old key plus an insert of the new one.
 package reldb
 
 import (
@@ -80,14 +80,16 @@ func (b *DeltaBatch) stamp(gen uint64) {
 
 // Diff returns the net change from one version of a relation to another:
 // rows only old holds as Deletes, rows only new holds as Inserts, and rows
-// both hold under one key with unequal values as Replaces, each in encoded
-// primary-key order. It descends the two row trees together and never
-// enters a subtree both versions share by pointer, so it costs what the
-// versions do not share — about one root-to-leaf path per side for a
-// one-row commit, splits and merges included — not what they hold. If new
-// is not a later version of old (the relation was dropped and created
-// again in between) the delta is Structural and carries no tuples. The
-// images are the versions' stored rows; Gen is left zero.
+// both hold under one key with different bytes as Replaces (any value not
+// Identical: Int(1) for Float(1), 0 for -0 and a number for a NaN all
+// count), each in encoded primary-key order. It descends the two row
+// trees together and never enters a subtree both versions share by
+// pointer, so it costs what the versions do not share — about one
+// root-to-leaf path per side for a one-row commit, splits and merges
+// included — not what they hold. If new is not a later version of old
+// (the relation was dropped and created again in between) the delta is
+// Structural and carries no tuples. The images are the versions' stored
+// rows; Gen is left zero.
 func Diff(old, new *Relation) Delta {
 	d, _ := diff(old, new)
 	return d
@@ -112,7 +114,7 @@ func diff(old, new *Relation) (d Delta, read int) {
 			d.Inserts = append(d.Inserts, vb[j])
 			j++
 		default:
-			if !va[i].Same(vb[j]) && !va[i].Equal(vb[j]) {
+			if !va[i].Same(vb[j]) {
 				d.Replaces = append(d.Replaces, TupleChange{Old: va[i], New: vb[j]})
 			}
 			i, j = i+1, j+1

@@ -293,17 +293,30 @@ func (db *Database) ResolveInDoubt(xid string, commit bool) error {
 func applyDelta(rel *Relation, d Delta) error {
 	s := rel.Schema()
 	for _, t := range d.Inserts {
-		if err := rel.Insert(t.Tuple()); err != nil {
+		if err := rel.insertRow(t); err != nil {
 			return err
 		}
 	}
+	// A deleted or replaced image is checked too: its key is read from
+	// it, and a WAL record's rows have the arity the record gave them.
 	for _, t := range d.Deletes {
-		if _, err := rel.Delete(t.Key(s)); err != nil {
+		err := s.CheckRow(t)
+		if err == nil {
+			_, err = rel.Delete(t.Key(s))
+		}
+		if err != nil {
 			return err
 		}
 	}
 	for _, rc := range d.Replaces {
-		if err := rel.Replace(rc.Old.Key(s), rc.New.Tuple()); err != nil {
+		nt, err := rel.storableRow(rc.New)
+		if err == nil {
+			err = s.CheckRow(rc.Old)
+		}
+		if err == nil {
+			_, err = rel.replace(rc.Old.Key(s), nt)
+		}
+		if err != nil {
 			return err
 		}
 	}

@@ -3,8 +3,10 @@ package reldb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -485,5 +487,106 @@ func TestCheckpointRacesGroupCommit(t *testing.T) {
 	}
 	if got := rowsOf(t, re, "R"); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("recovered %d rows differ from the %d live ones", len(got), len(want))
+	}
+}
+
+// TestRecoveryKeepsReplacesOfEqualValues: a replace whose new values are
+// Equal to the old but not Identical — a number for a NaN, 0 for -0, a
+// Float for the Int it equals in a Float column — is a change the log
+// must carry: after a reopen each value reads back Identical to what
+// the commit stored.
+func TestRecoveryKeepsReplacesOfEqualValues(t *testing.T) {
+	dir := t.TempDir()
+	opts := OpenOptions{Sync: SyncNone, CheckpointInterval: -1}
+	db, err := OpenDatabaseWith(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateRelation(MustSchema("R", []Attribute{
+		{Name: "K", Type: KindInt},
+		{Name: "F", Type: KindFloat, Nullable: true},
+	}, []string{"K"})); err != nil {
+		t.Fatal(err)
+	}
+	was := []Value{Float(math.NaN()), Float(math.Copysign(0, -1)), Int(1)}
+	now := []Value{Float(5), Float(0), Float(1)}
+	mustCommit(t, db, func(tx *Tx) error {
+		for k, v := range was {
+			if err := tx.Insert("R", Tuple{Int(int64(k)), v}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	mustCommit(t, db, func(tx *Tx) error {
+		for k, v := range now {
+			if _, err := tx.Replace("R", Tuple{Int(int64(k))}, Tuple{Int(int64(k)), v}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	check := func(what string, db *Database) {
+		t.Helper()
+		r, err := db.Relation("R")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range now {
+			row, ok := r.Get(Tuple{Int(int64(k))})
+			if !ok || !row.At(1).Identical(v) {
+				t.Errorf("%s: row %d holds %#v, want %#v (replaced %#v)", what, k, row.At(1), v, was[k])
+			}
+		}
+	}
+	check("live", db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDatabaseWith(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check("reopened", re)
+}
+
+// TestStringTooLongToReadBackRefused: the schema check refuses a string
+// longer than the snapshot and WAL readers accept, so a commit cannot
+// log a value recovery would refuse; one of exactly the limit commits
+// and reopens.
+func TestStringTooLongToReadBackRefused(t *testing.T) {
+	dir := t.TempDir()
+	opts := OpenOptions{Sync: SyncNone, CheckpointInterval: -1}
+	db, err := OpenDatabaseWith(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateRelation(kvSchema("R")); err != nil {
+		t.Fatal(err)
+	}
+	long := strings.Repeat("x", maxStringBytes+1)
+	if err := db.RunInTx(func(tx *Tx) error {
+		return tx.Insert("R", Tuple{Int(1), String(long)})
+	}); err == nil {
+		t.Fatalf("a %d-byte string committed; readers accept at most %d", len(long), maxStringBytes)
+	}
+	mustCommit(t, db, func(tx *Tx) error {
+		return tx.Insert("R", Tuple{Int(2), String(long[1:])})
+	})
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenDatabaseWith(dir, opts)
+	if err != nil {
+		t.Fatalf("reopening: %v", err)
+	}
+	defer re.Close()
+	r, err := re.Relation("R")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row, ok := r.Get(Tuple{Int(2)}); !ok || len(row.At(1).MustString()) != maxStringBytes || r.Count() != 1 {
+		t.Fatalf("reopened relation holds %d rows; row 2 found %v", r.Count(), ok)
 	}
 }

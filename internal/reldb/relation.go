@@ -111,7 +111,21 @@ func (r *Relation) storable(t Tuple) (Row, error) {
 	if err := r.schema.CheckTuple(t); err != nil {
 		return Row{}, err
 	}
-	row := newRow(r.schema.key, t)
+	return r.indexable(newRow(r.schema.key, t))
+}
+
+// storableRow is storable for a row's values: a row read from the WAL or
+// a snapshot, or a delta's image, whose value bytes are stored as they
+// are.
+func (r *Relation) storableRow(vals Row) (Row, error) {
+	if err := r.schema.CheckRow(vals); err != nil {
+		return Row{}, err
+	}
+	return r.indexable(vals.keyed(r.schema.key))
+}
+
+// indexable returns row if every index can file it.
+func (r *Relation) indexable(row Row) (Row, error) {
 	for _, ix := range r.indexes {
 		if err := ix.check(r, row); err != nil {
 			return Row{}, err
@@ -128,9 +142,23 @@ func (r *Relation) Insert(t Tuple) error {
 	if err != nil {
 		return err
 	}
+	return r.insert(row)
+}
+
+// insertRow is Insert of a row's values (storableRow).
+func (r *Relation) insertRow(vals Row) error {
+	row, err := r.storableRow(vals)
+	if err != nil {
+		return err
+	}
+	return r.insert(row)
+}
+
+// insert stores a storable row.
+func (r *Relation) insert(row Row) error {
 	ek := row.key()
 	if _, exists := r.rows.get(ek); exists {
-		return fmt.Errorf("reldb: %s: insert %s: %w", r.Name(), r.schema.KeyOf(t), ErrDuplicateKey)
+		return fmt.Errorf("reldb: %s: insert %s: %w", r.Name(), row.Key(r.schema), ErrDuplicateKey)
 	}
 	// One stored string, filed under its key prefix in the row tree and
 	// under its indexed values in every index tree.
@@ -189,16 +217,16 @@ func (r *Relation) Delete(key Tuple) (Row, error) {
 // ErrNoSuchTuple if oldKey is absent and with ErrDuplicateKey if the new
 // key collides with a different existing tuple.
 func (r *Relation) Replace(oldKey Tuple, newTuple Tuple) error {
-	_, err := r.replace(oldKey, newTuple)
+	nt, err := r.storable(newTuple)
+	if err == nil {
+		_, err = r.replace(oldKey, nt)
+	}
 	return err
 }
 
-// replace is Replace that also returns the stored row it took out.
-func (r *Relation) replace(oldKey Tuple, newTuple Tuple) (Row, error) {
-	nt, err := r.storable(newTuple)
-	if err != nil {
-		return Row{}, err
-	}
+// replace stores nt, a storable row, in place of the row under oldKey
+// and returns the row it took out.
+func (r *Relation) replace(oldKey Tuple, nt Row) (Row, error) {
 	oldEK, err := r.schema.EncodeKey(oldKey)
 	if err != nil {
 		return Row{}, err
@@ -210,7 +238,7 @@ func (r *Relation) replace(oldKey Tuple, newTuple Tuple) (Row, error) {
 	newEK := nt.key()
 	if _, clash := r.rows.get(newEK); clash && newEK != oldEK {
 		return Row{}, fmt.Errorf("reldb: %s: replace %s -> %s: %w",
-			r.Name(), oldKey, r.schema.KeyOf(newTuple), ErrDuplicateKey)
+			r.Name(), oldKey, nt.Key(r.schema), ErrDuplicateKey)
 	}
 	// An entry whose key is unchanged — in the row tree or in an index — is
 	// overwritten rather than deleted and inserted: it still has to point

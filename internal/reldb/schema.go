@@ -136,8 +136,9 @@ func (s *Schema) IsKeyName(name string) bool {
 }
 
 // CheckTuple validates t against the schema: arity, per-attribute kinds,
-// nullability, and non-null key attributes inside the key codec's exact
-// domain.
+// nullability, non-null key attributes inside the key codec's exact
+// domain, and strings no longer than the snapshot and WAL readers accept
+// (maxStringBytes).
 func (s *Schema) CheckTuple(t Tuple) error {
 	if len(t) != len(s.attrs) {
 		return fmt.Errorf("reldb: %s: tuple arity %d, want %d", s.name, len(t), len(s.attrs))
@@ -168,6 +169,9 @@ func (s *Schema) checkValue(i int, v Value) error {
 	}
 	if s.isKey[i] && !keyEncodable(v) {
 		return fmt.Errorf("reldb: %s: key attribute %s: %s: %w", s.name, a.Name, v, ErrKeyDomain)
+	}
+	if len(v.s) > maxStringBytes {
+		return fmt.Errorf("reldb: %s: attribute %s: a string of %d bytes, longer than %d", s.name, a.Name, len(v.s), maxStringBytes)
 	}
 	return nil
 }

@@ -362,3 +362,49 @@ func TestRangeWalkAccounting(t *testing.T) {
 		t.Fatalf("unindexed range charged %+v, want one full scan", st)
 	}
 }
+
+// TestNaNEqualsNoNumber: floats compare as cmp.Compare orders them — a
+// NaN equals a NaN and sorts below every number — so on an unindexed
+// Float column holding a NaN and 5, an equality with 5 finds only the 5,
+// by MatchEqual and by Select alike, and a range below 5 finds the NaN.
+func TestNaNEqualsNoNumber(t *testing.T) {
+	nan := Float(math.NaN())
+	for _, c := range []struct {
+		a, b Value
+		want int
+	}{
+		{nan, nan, 0}, {nan, Float(math.Inf(-1)), -1}, {Int(5), nan, 1}, {nan, Null(), 1},
+	} {
+		if got, err := Compare(c.a, c.b); err != nil || got != c.want {
+			t.Errorf("Compare(%v, %v) = %d, %v; want %d", c.a, c.b, got, err, c.want)
+		}
+	}
+	r := NewRelation(MustSchema("R", []Attribute{
+		{Name: "K", Type: KindInt},
+		{Name: "F", Type: KindFloat, Nullable: true},
+	}, []string{"K"}))
+	for _, tu := range []Tuple{{Int(1), nan}, {Int(2), Float(5)}} {
+		if err := r.Insert(tu); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keys := func(what string, rows []Row, err error, want ...int64) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		var got []int64
+		for _, row := range rows {
+			got = append(got, row.At(0).MustInt())
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s returns keys %v, want %v", what, got, want)
+		}
+	}
+	rows, err := r.MatchEqual([]string{"F"}, Tuple{Float(5)})
+	keys("MatchEqual([F], 5)", rows, err, 2)
+	rows, err = r.Select(Cmp{Op: OpEq, L: Attr{Name: "F"}, R: Const{V: Int(5)}})
+	keys("Select(F = 5)", rows, err, 2)
+	rows, err = r.Select(Cmp{Op: OpLt, L: Attr{Name: "F"}, R: Const{V: Int(5)}})
+	keys("Select(F < 5)", rows, err, 1)
+}

@@ -2,6 +2,9 @@ package reldb
 
 import (
 	"encoding/binary"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 )
 
@@ -64,14 +67,12 @@ func (t Tuple) String() string {
 // Row is a tuple as reldb hands it out: read-only, and one immutable
 // string. The string holds a uvarint key length, the row's primary-key
 // encoding (AppendKey of the key values in declaration order, the bytes
-// the row tree sorts by), then every value in declaration order: a kind
-// tag, then a zigzag varint for an int, the 8 little-endian bytes of a
-// float's bits, a uvarint length and the raw bytes for a string, and
-// nothing more for a null or a bool. A stored row carries its key, and
-// its row-tree entry is keyed by that substring; a row built from a
-// client's tuple (RowOf, CopyRows, a join or a projection) has key
-// length 0. The string holds no pointers, so the collector never scans
-// it.
+// the row tree sorts by), then every value in declaration order as
+// AppendBinaryValue encodes it: the bytes the WAL and snapshot write. A
+// stored row carries its key, and its row-tree entry is keyed by that
+// substring; a row built from a client's tuple (RowOf, CopyRows, a join
+// or a projection) or read from a WAL record has key length 0. The
+// string holds no pointers, so the collector never scans it.
 //
 // Every read — Get, MatchEqualBatchAt and MatchEqual, Select, Scan,
 // All, a Delta's images, the row Delete or Replace took out — hands out
@@ -82,34 +83,87 @@ func (t Tuple) String() string {
 // zero Row has no values.
 type Row struct{ s string }
 
-// The kind tags of a row's values.
-const (
-	rowNull byte = iota
-	rowInt
-	rowFloat
-	rowString
-	rowFalse
-	rowTrue
-)
-
-// appendRowValue appends v's tagged encoding to dst.
-func appendRowValue(dst []byte, v Value) []byte {
+// AppendBinaryValue appends v's binary encoding to dst: its Kind byte,
+// then an int's zigzag varint, a float's 8 big-endian Float64bits bytes,
+// a string's u32 big-endian length and raw bytes, a bool's byte 0 or 1,
+// and nothing more for a null. It is the engine's one byte-level value
+// encoding: a stored row holds its values in it, and the WAL and the
+// snapshot write those bytes as they are. Unlike the order-preserving
+// AppendKey it keeps the kind (Int(3) and Float(3) encode differently),
+// every int64, every float bit pattern (-0 and NaN payloads included)
+// and arbitrary string bytes, and each value has one encoding: two
+// Values are Identical exactly when their encodings are equal. External
+// codecs (the serving tier's JSON value codec) test their round-trips
+// against it.
+func AppendBinaryValue(dst []byte, v Value) []byte {
+	dst = append(dst, byte(v.kind))
 	switch v.kind {
 	case KindInt:
-		return binary.AppendVarint(append(dst, rowInt), v.i())
+		return binary.AppendVarint(dst, v.i())
 	case KindFloat:
-		return binary.LittleEndian.AppendUint64(append(dst, rowFloat), v.bits)
+		return binary.BigEndian.AppendUint64(dst, v.bits)
 	case KindString:
-		dst = binary.AppendUvarint(append(dst, rowString), uint64(len(v.s)))
-		return append(dst, v.s...)
+		return append(binary.BigEndian.AppendUint32(dst, uint32(len(v.s))), v.s...)
 	case KindBool:
-		if v.b() {
-			return append(dst, rowTrue)
-		}
-		return append(dst, rowFalse)
-	default:
-		return append(dst, rowNull)
+		return append(dst, byte(v.bits))
 	}
+	return dst
+}
+
+// readBinaryValue reads one value's encoding from r and appends its
+// bytes to dst: the one decoder of the bytes the WAL and snapshot hold.
+// It accepts exactly what AppendBinaryValue writes — a known kind, a
+// varint with no over-long tail, a bool byte of 0 or 1, a string of at
+// most maxStringBytes that fits in what r has left — so valueAt reads
+// the bytes in place and they re-encode to themselves.
+func readBinaryValue(r byteReader, dst []byte) ([]byte, error) {
+	k, err := r.ReadByte()
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, k)
+	n := 0
+	switch Kind(k) {
+	case KindNull:
+	case KindInt:
+		for i := 0; ; i++ {
+			b, err := r.ReadByte()
+			if err != nil {
+				return dst, err
+			}
+			dst = append(dst, b)
+			if i == binary.MaxVarintLen64-1 && b > 1 || i > 0 && b == 0 {
+				return dst, fmt.Errorf("reldb: malformed varint % x", dst[len(dst)-i-1:])
+			}
+			if b < 0x80 {
+				return dst, nil
+			}
+		}
+	case KindFloat:
+		n = 8
+	case KindString:
+		l, err := readU32(r)
+		if err != nil {
+			return dst, err
+		}
+		if l > maxStringBytes || overruns(r, l) {
+			return dst, fmt.Errorf("reldb: string length %d too large", l)
+		}
+		dst, n = binary.BigEndian.AppendUint32(dst, l), int(l)
+	case KindBool:
+		n = 1
+	default:
+		return dst, fmt.Errorf("reldb: unknown value kind %d", k)
+	}
+	p := len(dst)
+	dst = slices.Grow(dst, n)[:p+n]
+	if _, err := io.ReadFull(r, dst[p:]); err != nil {
+		return dst, err
+	}
+	if Kind(k) == KindBool && dst[p] > 1 {
+		return dst, fmt.Errorf("reldb: bool byte %d", dst[p])
+	}
+	return dst, nil
 }
 
 // appendRow appends to dst the row string of t, keyed by the values at
@@ -122,7 +176,7 @@ func appendRow(dst []byte, key []int, t Tuple) []byte {
 	}
 	dst = append(binary.AppendUvarint(dst, uint64(len(k))), k...)
 	for _, v := range t {
-		dst = appendRowValue(dst, v)
+		dst = AppendBinaryValue(dst, v)
 	}
 	return dst
 }
@@ -132,6 +186,19 @@ func appendRow(dst []byte, key []int, t Tuple) []byte {
 func newRow(key []int, t Tuple) Row {
 	var buf [256]byte
 	return Row{string(appendRow(buf[:0], key, t))}
+}
+
+// keyed returns a row holding r's value bytes as they are, keyed by the
+// values at key: a relation stores a row read from the WAL or a snapshot
+// as vals.keyed(schema.key).
+func (r Row) keyed(key []int) Row {
+	var kb [64]byte
+	k := kb[:0]
+	for _, j := range key {
+		k = AppendKey(k, r.At(j))
+	}
+	var lb [binary.MaxVarintLen64]byte
+	return Row{string(binary.AppendUvarint(lb[:0], uint64(len(k)))) + string(k) + r.s[r.pos(0):]}
 }
 
 // RowOf returns a Row holding a copy of t's values: the caller may go on
@@ -145,7 +212,7 @@ func CopyRows(ts []Tuple) []Row {
 	for _, t := range ts {
 		n++ // the zero key length
 		for _, v := range t {
-			n += rowValueLen(v)
+			n += binaryValueLen(v)
 		}
 	}
 	var b strings.Builder
@@ -163,13 +230,13 @@ func CopyRows(ts []Tuple) []Row {
 	return rows
 }
 
-// rowValueLen returns the length of v's tagged encoding.
-func rowValueLen(v Value) int {
-	var b [binary.MaxVarintLen64 + 1]byte
+// binaryValueLen returns the length of v's binary encoding.
+func binaryValueLen(v Value) int {
 	if v.kind == KindString {
-		return len(binary.AppendUvarint(b[:1], uint64(len(v.s)))) + len(v.s)
+		return 5 + len(v.s)
 	}
-	return len(appendRowValue(b[:0], v))
+	var b [binary.MaxVarintLen64 + 1]byte
+	return len(AppendBinaryValue(b[:0], v))
 }
 
 // uvarintAt decodes the uvarint at s[p:] and returns it with the
@@ -189,26 +256,28 @@ func uvarintAt(s string, p int) (uint64, int) {
 	}
 }
 
+// u32At and u64At read the big-endian integer at s[p:].
+func u32At(s string, p int) uint32 {
+	b := s[p : p+4]
+	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
+}
+
+func u64At(s string, p int) uint64 { return uint64(u32At(s, p))<<32 | uint64(u32At(s, p+4)) }
+
 // valueAt decodes the value at s[p:] and returns it with the position
 // past it. A string value is a substring of s.
 func valueAt(s string, p int) (Value, int) {
-	switch s[p] {
-	case rowInt:
+	switch Kind(s[p]) {
+	case KindInt:
 		u, q := uvarintAt(s, p+1)
 		return Value{kind: KindInt, bits: u>>1 ^ -(u & 1)}, q
-	case rowFloat:
-		b := s[p+1 : p+9]
-		bits := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-		return Value{kind: KindFloat, bits: bits}, p + 9
-	case rowString:
-		n, q := uvarintAt(s, p+1)
-		e := q + int(n)
-		return Value{kind: KindString, s: s[q:e]}, e
-	case rowFalse:
-		return Value{kind: KindBool}, p + 1
-	case rowTrue:
-		return Value{kind: KindBool, bits: 1}, p + 1
+	case KindFloat:
+		return Value{kind: KindFloat, bits: u64At(s, p+1)}, p + 9
+	case KindString:
+		e := p + 5 + int(u32At(s, p+1))
+		return Value{kind: KindString, s: s[p+5 : e]}, e
+	case KindBool:
+		return Value{kind: KindBool, bits: uint64(s[p+1])}, p + 2
 	}
 	return Value{}, p + 1
 }
@@ -217,16 +286,17 @@ func valueAt(s string, p int) (Value, int) {
 // value before the one it reads, so this loop is what a read costs.
 func skip(s string, p, n int) int {
 	for ; n > 0; n-- {
-		switch s[p] {
-		case rowInt:
+		switch Kind(s[p]) {
+		case KindInt:
 			for p++; s[p] >= 0x80; p++ {
 			}
 			p++
-		case rowFloat:
+		case KindFloat:
 			p += 9
-		case rowString:
-			l, q := uvarintAt(s, p+1)
-			p = q + int(l)
+		case KindString:
+			p += 5 + int(u32At(s, p+1))
+		case KindBool:
+			p += 2
 		default:
 			p++
 		}
@@ -337,7 +407,8 @@ func (r Row) concat(u Row) Row {
 	return Row{"\x00" + r.s[r.pos(0):] + u.s[u.pos(0):]}
 }
 
-// nullRow returns a row of n nulls: a zero key length and n null tags.
+// nullRow returns a row of n nulls: a zero key length and n KindNull
+// bytes.
 func nullRow(n int) Row { return Row{strings.Repeat("\x00", n+1)} }
 
 // Key returns the row's primary-key values under schema s, in canonical

@@ -189,14 +189,12 @@ func FuzzRowCodec(f *testing.F) {
 				t.Fatalf("%s: not Equal to a copy of its own tuple", what)
 			}
 			var buf bytes.Buffer
-			if err := writeTuple(&buf, row); err != nil {
-				t.Fatal(err)
-			}
-			back, err := readTuple(&buf)
+			writeTuple(&buf, row)
+			back, _, err := readTuple(&buf, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			same(what+" through the WAL tuple codec", back)
+			same(what+" through the WAL tuple codec", back.Tuple())
 		}
 		stored := newRow(s.key, tup)
 		if stored.key() != ek {

@@ -121,7 +121,11 @@ func (tx *Tx) Replace(relName string, oldKey Tuple, newTuple Tuple) (Row, error)
 	if err != nil {
 		return Row{}, err
 	}
-	old, err := r.replace(oldKey, newTuple)
+	nt, err := r.storable(newTuple)
+	if err != nil {
+		return Row{}, err
+	}
+	old, err := r.replace(oldKey, nt)
 	if err != nil {
 		return Row{}, err
 	}

@@ -13,6 +13,7 @@
 package reldb
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -176,8 +177,9 @@ func (v Value) Identical(w Value) bool {
 }
 
 // Compare orders two values. Null sorts before every non-null value and
-// equals null. Numeric kinds (int, float) are mutually comparable; any
-// other cross-kind comparison is an error.
+// equals null. Numeric kinds (int, float) are mutually comparable, as
+// cmp.Compare orders float64s: -0 equals 0, and a NaN equals a NaN and
+// sorts below every number. Any other cross-kind comparison is an error.
 func Compare(a, b Value) (int, error) {
 	if a.kind == KindNull || b.kind == KindNull {
 		switch {
@@ -193,7 +195,7 @@ func Compare(a, b Value) (int, error) {
 		af, aok := a.AsFloat()
 		bf, bok := b.AsFloat()
 		if aok && bok {
-			return cmpFloat(af, bf), nil
+			return cmp.Compare(af, bf), nil
 		}
 		return 0, fmt.Errorf("reldb: cannot compare %s with %s", a.kind, b.kind)
 	}
@@ -208,7 +210,7 @@ func Compare(a, b Value) (int, error) {
 			return 0, nil
 		}
 	case KindFloat:
-		return cmpFloat(a.f(), b.f()), nil
+		return cmp.Compare(a.f(), b.f()), nil
 	case KindString:
 		return strings.Compare(a.s, b.s), nil
 	case KindBool:
@@ -222,17 +224,6 @@ func Compare(a, b Value) (int, error) {
 		}
 	default:
 		return 0, fmt.Errorf("reldb: cannot compare kind %s", a.kind)
-	}
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
 	}
 }
 
@@ -310,7 +301,7 @@ func ParseValue(kind Kind, text string) (Value, error) {
 // Numbers of both kinds share one encoding, that of the float64 value, so
 // the property holds only on the codec's exact domain: integers within
 // ±2^53 (beyond it distinct ints round to one float64) and floats other
-// than NaN (which Compare cannot order). keyEncodable is that domain;
+// than NaN (which the codec has no bytes for). keyEncodable is that domain;
 // everything that stores or looks up a key or indexed value checks it and
 // fails with ErrKeyDomain outside.
 

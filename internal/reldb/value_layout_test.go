@@ -106,48 +106,44 @@ func TestValueLayout(t *testing.T) {
 }
 
 // FuzzBinaryValue: a value built from any (kind, bits, string) survives
-// the durable value codec — it decodes to the same kind and payload bits
-// (NaN payloads and -0 included) and re-encodes to the same bytes — and
-// readValue never panics on arbitrary bytes.
+// the one binary value codec — readBinaryValue accepts its encoding and
+// valueAt decodes it to the same kind and payload bits (NaN payloads and
+// -0 included) — and any raw bytes readBinaryValue accepts are the bytes
+// AppendBinaryValue writes for the value valueAt reads from them: no
+// value has a second encoding.
 func FuzzBinaryValue(f *testing.F) {
 	// The seed corpus is in testdata/fuzz.
 	f.Fuzz(func(t *testing.T, kind byte, bits uint64, s string) {
 		p := valueParts{Kind(kind), bits, s}
-		enc, err := AppendBinaryValue(nil, p.build())
-		if err != nil {
-			t.Fatal(err)
+		enc := AppendBinaryValue(nil, p.build())
+		read, err := readBinaryValue(bytes.NewReader(enc), nil)
+		if err != nil || !bytes.Equal(read, enc) {
+			t.Fatalf("%+v: reading %x gives %x, %v", p, enc, read, err)
 		}
-		r := bytes.NewReader(enc)
-		got, err := readValue(r)
-		if err != nil {
-			t.Fatalf("%+v: decoding %x: %v", p, enc, err)
-		}
-		if r.Len() != 0 {
-			t.Fatalf("%+v: %d of %d bytes left after decoding", p, r.Len(), len(enc))
+		got, end := valueAt(string(enc), 0)
+		if end != len(enc) {
+			t.Fatalf("%+v: valueAt ends at %d of %d bytes", p, end, len(enc))
 		}
 		if rb := readBack(got); rb != p.canonical() {
 			t.Fatalf("%+v decodes as %+v", p, rb)
 		}
-		if again, _ := AppendBinaryValue(nil, got); !bytes.Equal(again, enc) {
-			t.Fatalf("%+v: re-encodes as %x, first as %x", p, again, enc)
-		}
 
-		// The string as raw codec input: whatever decodes must re-encode
-		// to bytes that decode to the same value.
-		v, err := readValue(bytes.NewReader([]byte(s)))
+		// The string as raw codec input: whatever the reader accepts is
+		// the encoding of the value it holds.
+		r := bytes.NewReader([]byte(s))
+		raw, err := readBinaryValue(r, nil)
 		if err != nil {
 			return
 		}
-		enc, err = AppendBinaryValue(nil, v)
-		if err != nil {
-			t.Fatal(err)
+		if want := s[:len(s)-r.Len()]; string(raw) != want {
+			t.Fatalf("reader consumed %x but appended %x", want, raw)
 		}
-		w, err := readValue(bytes.NewReader(enc))
-		if err != nil {
-			t.Fatalf("%x decoded from %x does not decode: %v", enc, s, err)
+		v, end := valueAt(string(raw), 0)
+		if end != len(raw) {
+			t.Fatalf("%x: valueAt ends at %d of %d bytes", raw, end, len(raw))
 		}
-		if readBack(w) != readBack(v) {
-			t.Fatalf("%x: decoded %+v, its re-encoding %+v", s, readBack(v), readBack(w))
+		if again := AppendBinaryValue(nil, v); !bytes.Equal(again, raw) {
+			t.Fatalf("%x is accepted as %#v, which encodes as %x", raw, v, again)
 		}
 	})
 }

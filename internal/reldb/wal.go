@@ -35,8 +35,9 @@ import (
 //	  recordType 5 (cross-decide): string xid | u8 commit (gen field is
 //	    the published generation for commits, 0 for aborts)
 //
-// Tuples and values reuse the snapshot codec's encoding (codec.go), so
-// the log is the serialized DeltaBatch stream.
+// A tuple is its arity and its values' bytes, the bytes a stored row
+// holds them in (codec.go's writeTuple); names and schemas use the
+// snapshot's layout, so the log is the serialized DeltaBatch stream.
 //
 // Group commit: records are appended (buffered in the OS page cache)
 // under the writer lock, in generation order, before the commit
@@ -369,41 +370,30 @@ func encodeCommitRecord(batch DeltaBatch) ([]byte, error) {
 	var buf bytes.Buffer
 	buf.WriteByte(recCommit)
 	writeU64(&buf, batch.Gen)
-	if err := writeBatchBody(&buf, batch); err != nil {
-		return nil, err
-	}
+	writeBatchBody(&buf, batch)
 	return buf.Bytes(), nil
 }
 
 // writeBatchBody serializes a DeltaBatch's deltas (the commit-record body
 // layout, shared with cross-shard prepare records).
-func writeBatchBody(buf *bytes.Buffer, batch DeltaBatch) error {
+func writeBatchBody(buf *bytes.Buffer, batch DeltaBatch) {
 	writeU32(buf, uint32(len(batch.Deltas)))
 	for _, d := range batch.Deltas {
 		writeString(buf, d.Relation)
 		writeU32(buf, uint32(len(d.Inserts)))
 		for _, t := range d.Inserts {
-			if err := writeTuple(buf, t); err != nil {
-				return err
-			}
+			writeTuple(buf, t)
 		}
 		writeU32(buf, uint32(len(d.Deletes)))
 		for _, t := range d.Deletes {
-			if err := writeTuple(buf, t); err != nil {
-				return err
-			}
+			writeTuple(buf, t)
 		}
 		writeU32(buf, uint32(len(d.Replaces)))
 		for _, rc := range d.Replaces {
-			if err := writeTuple(buf, rc.Old); err != nil {
-				return err
-			}
-			if err := writeTuple(buf, rc.New); err != nil {
-				return err
-			}
+			writeTuple(buf, rc.Old)
+			writeTuple(buf, rc.New)
 		}
 	}
-	return nil
 }
 
 // encodeCrossPrepareRecord serializes a two-shard commit prepare: the
@@ -419,9 +409,7 @@ func encodeCrossPrepareRecord(xid string, parts []int, batch DeltaBatch) ([]byte
 	for _, p := range parts {
 		writeU32(&buf, uint32(p))
 	}
-	if err := writeBatchBody(&buf, batch); err != nil {
-		return nil, err
-	}
+	writeBatchBody(&buf, batch)
 	return buf.Bytes(), nil
 }
 
@@ -554,47 +542,47 @@ func readBatchBody(r *bytes.Reader, gen uint64) (DeltaBatch, error) {
 		return batch, fmt.Errorf("delta count %d too large", nDeltas)
 	}
 	batch.Gen = gen
+	var buf []byte
+	// rows reads a count and that many tuples.
+	rows := func() ([]Row, error) {
+		n, err := readU32(r)
+		if err != nil {
+			return nil, err
+		}
+		var out []Row
+		for ; n > 0; n-- {
+			var row Row
+			if row, buf, err = readTuple(r, buf); err != nil {
+				return nil, err
+			}
+			out = append(out, row)
+		}
+		return out, nil
+	}
 	for i := uint32(0); i < nDeltas; i++ {
 		d := Delta{Gen: gen}
 		if d.Relation, err = readString(r); err != nil {
 			return batch, err
 		}
-		nIns, err := readU32(r)
-		if err != nil {
+		if d.Inserts, err = rows(); err != nil {
 			return batch, err
 		}
-		for j := uint32(0); j < nIns; j++ {
-			t, err := readTuple(r)
-			if err != nil {
-				return batch, err
-			}
-			d.Inserts = append(d.Inserts, RowOf(t))
-		}
-		nDel, err := readU32(r)
-		if err != nil {
+		if d.Deletes, err = rows(); err != nil {
 			return batch, err
-		}
-		for j := uint32(0); j < nDel; j++ {
-			t, err := readTuple(r)
-			if err != nil {
-				return batch, err
-			}
-			d.Deletes = append(d.Deletes, RowOf(t))
 		}
 		nRep, err := readU32(r)
 		if err != nil {
 			return batch, err
 		}
 		for j := uint32(0); j < nRep; j++ {
-			old, err := readTuple(r)
-			if err != nil {
+			var old, nw Row
+			if old, buf, err = readTuple(r, buf); err != nil {
 				return batch, err
 			}
-			nw, err := readTuple(r)
-			if err != nil {
+			if nw, buf, err = readTuple(r, buf); err != nil {
 				return batch, err
 			}
-			d.Replaces = append(d.Replaces, TupleChange{Old: RowOf(old), New: RowOf(nw)})
+			d.Replaces = append(d.Replaces, TupleChange{Old: old, New: nw})
 		}
 		batch.Deltas = append(batch.Deltas, d)
 	}

@@ -2,6 +2,7 @@ package reldb
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -155,4 +156,80 @@ func replayState(t *testing.T, db *Database) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// offEncodings are value bytes AppendBinaryValue never writes, each
+// beside the bytes of the value a lenient reader would take them for:
+// the one value reader must refuse them, or a value would have a second
+// encoding on disk.
+var offEncodings = []struct {
+	name string
+	v    Value
+	off  []byte
+}{
+	{"bool byte 2", Bool(false), []byte{byte(KindBool), 2}},
+	{"over-long varint", Int(1), []byte{byte(KindInt), 0x82, 0x00}},
+	{"varint past 64 bits", Int(math.MaxInt64), []byte{byte(KindInt), 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x03}},
+}
+
+// TestWALRecordRefusesOffEncodings: a commit record inserting a tuple
+// whose value bytes AppendBinaryValue would not write is refused, and
+// the same record with the value's own bytes decodes.
+func TestWALRecordRefusesOffEncodings(t *testing.T) {
+	record := func(value []byte) []byte {
+		return walPayload(recCommit, 1, func(b *bytes.Buffer) {
+			writeU32(b, 1) // one delta
+			writeString(b, "R")
+			writeU32(b, 1) // one insert, of arity 1
+			writeU32(b, 1)
+			b.Write(value)
+			writeU32(b, 0) // no deletes
+			writeU32(b, 0) // no replaces
+		})
+	}
+	for _, c := range offEncodings {
+		canonical := AppendBinaryValue(nil, c.v)
+		if _, err := decodeWALRecord(record(canonical)); err != nil {
+			t.Errorf("%s: the canonical bytes % x are refused: %v", c.name, canonical, err)
+		}
+		if rec, err := decodeWALRecord(record(c.off)); err == nil {
+			t.Errorf("%s: % x decoded as %v", c.name, c.off, rec.batch.Deltas[0].Inserts[0])
+		}
+	}
+}
+
+// TestReplayRefusesShortImages: a commit record whose deleted or
+// replaced image has fewer values than its relation's key reads fails
+// replay with an error, where reading the key from it would run off the
+// row.
+func TestReplayRefusesShortImages(t *testing.T) {
+	for name, images := range map[string]func(b *bytes.Buffer){
+		"delete": func(b *bytes.Buffer) {
+			writeU32(b, 0) // no inserts
+			writeU32(b, 1) // one delete, of arity 0
+			writeU32(b, 0)
+			writeU32(b, 0) // no replaces
+		},
+		"replace": func(b *bytes.Buffer) {
+			writeU32(b, 0) // no inserts
+			writeU32(b, 0) // no deletes
+			writeU32(b, 1) // one replace, from arity 0
+			writeU32(b, 0)
+			writeTuple(b, RowOf(Tuple{Int(1), String("v")}))
+		},
+	} {
+		db := NewDatabase()
+		db.MustCreateRelation(kvSchema("R"))
+		rec, err := decodeWALRecord(walPayload(recCommit, db.gen+1, func(b *bytes.Buffer) {
+			writeU32(b, 1) // one delta
+			writeString(b, "R")
+			images(b)
+		}))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := applyWALRecord(db, rec); err == nil {
+			t.Errorf("%s: a record with an empty image replays", name)
+		}
+	}
 }

@@ -10,7 +10,7 @@
 // stores Int values in Float attributes — "cross-kind" values — and the
 // two compare differently), and JSON strings silently replace invalid
 // UTF-8 with U+FFFD. The codec's tagged forms carry exactly enough to
-// reproduce the value byte-for-byte under the snapshot codec's canonical
+// reproduce the value byte-for-byte under the engine's one binary value
 // encoding (reldb.AppendBinaryValue), which the property tests assert.
 package serve
 

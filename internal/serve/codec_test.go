@@ -33,20 +33,12 @@ func roundTrip(t *testing.T, v reldb.Value) reldb.Value {
 	return got
 }
 
-// binaryEq compares two values under the engine's canonical binary
-// encoding — the snapshot codec — so kind tags, every int64, every
-// float bit pattern, and every string byte must match exactly.
-func binaryEq(t *testing.T, a, b reldb.Value) bool {
-	t.Helper()
-	ab, err := reldb.AppendBinaryValue(nil, a)
-	if err != nil {
-		t.Fatalf("encode %s: %v", a, err)
-	}
-	bb, err := reldb.AppendBinaryValue(nil, b)
-	if err != nil {
-		t.Fatalf("encode %s: %v", b, err)
-	}
-	return bytes.Equal(ab, bb)
+// binaryEq compares two values under the engine's one binary value
+// encoding — the bytes a stored row, the WAL and the snapshot hold — so
+// kind tags, every int64, every float bit pattern, and every string byte
+// must match exactly.
+func binaryEq(a, b reldb.Value) bool {
+	return bytes.Equal(reldb.AppendBinaryValue(nil, a), reldb.AppendBinaryValue(nil, b))
 }
 
 // TestValueCodecEdgeCases pins the cases plain encoding/json gets
@@ -83,12 +75,12 @@ func TestValueCodecEdgeCases(t *testing.T) {
 	}
 	for _, v := range cases {
 		got := roundTrip(t, v)
-		if !binaryEq(t, v, got) {
+		if !binaryEq(v, got) {
 			t.Errorf("round trip changed %s (kind %s) into %s (kind %s)", v, v.Kind(), got, got.Kind())
 		}
 	}
 	// Int(3) and Float(3) must stay distinguishable through the wire.
-	if binaryEq(t, roundTrip(t, reldb.Int(3)), roundTrip(t, reldb.Float(3))) {
+	if binaryEq(roundTrip(t, reldb.Int(3)), roundTrip(t, reldb.Float(3))) {
 		t.Error("Int(3) and Float(3) collapsed to the same wire value")
 	}
 }
@@ -116,7 +108,7 @@ func TestValueCodecProperty(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		v := randValue()
 		got := roundTrip(t, v)
-		if !binaryEq(t, v, got) {
+		if !binaryEq(v, got) {
 			t.Fatalf("iteration %d: round trip changed %s (kind %s) into %s (kind %s)",
 				i, v, v.Kind(), got, got.Kind())
 		}
@@ -150,7 +142,7 @@ func TestDecodeConvenienceForms(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.in, err)
 		}
-		if !binaryEq(t, got, c.want) {
+		if !binaryEq(got, c.want) {
 			t.Errorf("%s decoded to %s (kind %s), want %s (kind %s)", c.in, got, got.Kind(), c.want, c.want.Kind())
 		}
 	}

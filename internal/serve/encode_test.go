@@ -262,7 +262,7 @@ func FuzzAppendValue(f *testing.F) {
 		if err != nil {
 			t.Fatalf("%s: %v", got, err)
 		}
-		if !binaryEq(t, v, back) {
+		if !binaryEq(v, back) {
 			t.Fatalf("%s (kind %s) came back as %s (kind %s)", v, v.Kind(), back, back.Kind())
 		}
 	})
