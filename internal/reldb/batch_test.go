@@ -81,11 +81,11 @@ func TestMatchEqualUsesOrderPermutedIndex(t *testing.T) {
 		}
 	}
 
-	if !r.HasIndexOn([]string{"B", "A"}) || !r.HasIndexOn([]string{"A", "B"}) {
-		t.Fatal("HasIndexOn must match attribute sets order-insensitively")
+	if !r.TreeServes([]string{"B", "A"}) || !r.TreeServes([]string{"A", "B"}) {
+		t.Fatal("TreeServes must match attribute sets order-insensitively")
 	}
-	if r.HasIndexOn([]string{"A"}) || r.HasIndexOn([]string{"Nope"}) {
-		t.Fatal("HasIndexOn matched a non-covered attribute set")
+	if r.TreeServes([]string{"A"}) || r.TreeServes([]string{"Nope"}) {
+		t.Fatal("TreeServes matched an attribute set no tree serves")
 	}
 }
 
@@ -128,45 +128,56 @@ func TestLookupIndexValidatesValues(t *testing.T) {
 	}
 }
 
+// batchRel holds rows grade(C<pid%5>, pid, G<pid%4>): CourseID leads
+// the key, Grade is no key attribute.
 func batchRel(t *testing.T, rows int) *Relation {
 	t.Helper()
 	r := newGradesRel(t)
 	for pid := int64(1); pid <= int64(rows); pid++ {
 		course := fmt.Sprintf("C%d", pid%5)
-		if err := r.Insert(grade(course, pid, "A")); err != nil {
+		if err := r.Insert(grade(course, pid, fmt.Sprintf("G%d", pid%4))); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return r
 }
 
-func checkBatch(t *testing.T, r *Relation, st MatchStats) {
-	t.Helper()
-	valSets := []Tuple{
-		{String("C1")},
-		{String("C3")},
-		{String("C1")},   // duplicate: must collapse into one probe
-		{String("nope")}, // no matches: a nil bucket
+// batchSets are the value sets checkBatch looks up over one attribute
+// whose values start with p.
+func batchSets(p string) []Tuple {
+	return []Tuple{
+		{String(p + "1")},
+		{String(p + "3")},
+		{String(p + "1")}, // duplicate: must collapse into one probe
+		{String("nope")},  // no matches: a nil bucket
 	}
-	got, err := matchBatch(r, []string{"CourseID"}, valSets, &st)
+}
+
+// checkBatch looks batchSets(p) up over attr in one batch and checks
+// each bucket against a single lookup, and returns the batch's cost.
+func checkBatch(t *testing.T, r *Relation, attr, p string) MatchStats {
+	t.Helper()
+	var st MatchStats
+	valSets := batchSets(p)
+	got, err := matchBatch(r, []string{attr}, valSets, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(valSets) {
 		t.Fatalf("batch returned %d buckets, want one per value set (%d)", len(got), len(valSets))
 	}
-	for i, course := range []string{"C1", "C3", "C1"} {
+	for i, vs := range valSets[:3] {
 		bucket := got[i]
-		want, err := r.MatchEqual([]string{"CourseID"}, Tuple{String(course)})
+		want, err := r.MatchEqual([]string{attr}, vs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(bucket) != len(want) || len(bucket) == 0 {
-			t.Fatalf("%s: batch %d rows, single %d rows", course, len(bucket), len(want))
+			t.Fatalf("%v: batch %d rows, single %d rows", vs, len(bucket), len(want))
 		}
 		for i := range bucket {
 			if !bucket[i].Equal(want[i]) {
-				t.Fatalf("%s row %d: batch %v, single %v (key-order mismatch)", course, i, bucket[i], want[i])
+				t.Fatalf("%v row %d: batch %v, single %v (key-order mismatch)", vs, i, bucket[i], want[i])
 			}
 		}
 	}
@@ -176,40 +187,50 @@ func checkBatch(t *testing.T, r *Relation, st MatchStats) {
 	if got[3] != nil {
 		t.Fatalf("value set with no match got bucket %v, want nil", got[3])
 	}
+	return st
 }
 
+// An attribute that does not lead the key, with no index over it: one
+// shared scan for the whole batch, not one per value set.
 func TestMatchEqualBatchScanPath(t *testing.T) {
 	r := batchRel(t, 50)
-	var st MatchStats
-	valSets := []Tuple{{String("C1")}, {String("C3")}, {String("C1")}, {String("nope")}}
-	if _, err := matchBatch(r, []string{"CourseID"}, valSets, &st); err != nil {
-		t.Fatal(err)
-	}
-	// One shared scan for the whole batch, not one per value set.
+	st := checkBatch(t, r, "Grade", "G")
 	if st.Scans != 1 || st.Probes != 0 {
 		t.Fatalf("scan-path stats = %+v, want exactly one shared scan", st)
 	}
 	if st.Scanned != r.Count() {
 		t.Fatalf("scan path visited %d tuples, want %d", st.Scanned, r.Count())
 	}
-	checkBatch(t, r, MatchStats{})
 }
 
 func TestMatchEqualBatchIndexPath(t *testing.T) {
 	r := batchRel(t, 50)
-	if err := r.CreateIndex("byCourse", []string{"CourseID"}); err != nil {
-		t.Fatal(err)
-	}
-	var st MatchStats
-	valSets := []Tuple{{String("C1")}, {String("C3")}, {String("C1")}, {String("nope")}}
-	if _, err := matchBatch(r, []string{"CourseID"}, valSets, &st); err != nil {
+	if err := r.CreateIndex("byGrade", []string{"Grade"}); err != nil {
 		t.Fatal(err)
 	}
 	// One probe per distinct value set (3 distinct), no scans.
-	if st.Scans != 0 || st.Probes != 3 {
+	if st := checkBatch(t, r, "Grade", "G"); st.Scans != 0 || st.Probes != 3 {
 		t.Fatalf("index-path stats = %+v, want 3 probes and no scans", st)
 	}
-	checkBatch(t, r, MatchStats{})
+}
+
+// The attribute leading the key probes the row tree, one probe per
+// distinct value set, with or without an index over it.
+func TestMatchEqualBatchKeyPrefixPath(t *testing.T) {
+	r := batchRel(t, 50)
+	for _, ix := range []bool{false, true} {
+		if ix {
+			if err := r.CreateIndex("byCourse", []string{"CourseID"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := checkBatch(t, r, "CourseID", "C"); st.Scans != 0 || st.Probes != 3 {
+			t.Fatalf("key-prefix stats = %+v, want 3 probes and no scans", st)
+		}
+		if pl, err := r.planFor("test", []string{"CourseID"}); err != nil || pl.kind != planKeyPrefix {
+			t.Fatalf("plan = %+v, %v; want the row tree's key prefix", pl, err)
+		}
+	}
 }
 
 func TestMatchEqualBatchPointLookupPath(t *testing.T) {
@@ -232,7 +253,7 @@ func TestMatchEqualBatchPointLookupPath(t *testing.T) {
 		t.Fatalf("point path returned buckets %v, want hits for the first two sets only", got)
 	}
 	hit := got[0]
-	if len(hit) != 1 || !hit[0].Equal(RowOf(grade("C3", 3, "A"))) {
+	if len(hit) != 1 || !hit[0].Equal(RowOf(grade("C3", 3, "G3"))) {
 		t.Fatalf("point lookup bucket = %v", hit)
 	}
 }

@@ -235,10 +235,7 @@ func readSnapshotBody(r byteReader, db *Database) error {
 }
 
 func writeRelation(w byteWriter, rel *Relation) error {
-	s := rel.Schema()
-	if err := writeSchema(w, s); err != nil {
-		return err
-	}
+	writeSchema(w, rel.Schema())
 	ixNames := rel.IndexNames()
 	writeU32(w, uint32(len(ixNames)))
 	for _, name := range ixNames {
@@ -263,16 +260,15 @@ func writeRelation(w byteWriter, rel *Relation) error {
 
 // writeSchema serializes a schema's name, attributes, and primary key —
 // shared by the snapshot relation records and the WAL's create-relation
-// records.
-func writeSchema(w byteWriter, s *Schema) error {
+// records. Like the other writers it leaves errors to w: a bytes.Buffer
+// has none, and a snapshot's bufio.Writer keeps its first for Flush.
+func writeSchema(w byteWriter, s *Schema) {
 	writeString(w, s.Name())
 	writeU32(w, uint32(s.Arity()))
 	for i := 0; i < s.Arity(); i++ {
 		a := s.Attr(i)
 		writeString(w, a.Name)
-		if err := w.WriteByte(byte(a.Type)); err != nil {
-			return err
-		}
+		w.WriteByte(byte(a.Type))
 		if a.Nullable {
 			w.WriteByte(1)
 		} else {
@@ -284,7 +280,6 @@ func writeSchema(w byteWriter, s *Schema) error {
 	for _, k := range key {
 		writeU32(w, uint32(k))
 	}
-	return nil
 }
 
 // readSchema decodes what writeSchema produced.

@@ -83,11 +83,8 @@ func (db *Database) CreateRelation(schema *Schema) (*Relation, error) {
 		if dup {
 			return nil, fmt.Errorf("reldb: create %s: %w", schema.Name(), ErrRelationExists)
 		}
-		payload, err := encodeCreateRecord(walGen, schema)
-		if err != nil {
-			return nil, err
-		}
-		if walSeq, err = db.wal.append(walGen, payload); err != nil {
+		var err error
+		if walSeq, err = db.wal.append(walGen, encodeCreateRecord(walGen, schema)); err != nil {
 			return nil, err
 		}
 	}
@@ -134,11 +131,8 @@ func (db *Database) DropRelation(name string) error {
 		if !ok {
 			return fmt.Errorf("reldb: drop %s: %w", name, ErrNoSuchRelation)
 		}
-		payload, err := encodeDropRecord(walGen, name)
-		if err != nil {
-			return err
-		}
-		if walSeq, err = db.wal.append(walGen, payload); err != nil {
+		var err error
+		if walSeq, err = db.wal.append(walGen, encodeDropRecord(walGen, name)); err != nil {
 			return err
 		}
 	}

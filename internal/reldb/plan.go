@@ -10,11 +10,13 @@ import (
 type planKind uint8
 
 const (
-	// planScan: no covering index — fall back to a full-relation scan.
+	// planScan: no tree serves the attribute set — fall back to a
+	// full-relation scan.
 	planScan planKind = iota
-	// planPoint: the attribute set is exactly the primary key — serve
-	// with a prefix probe of the row tree (at most one tuple).
-	planPoint
+	// planKeyPrefix: the attribute set is a leading prefix of the
+	// primary key (the whole key included) — serve with a prefix probe
+	// of the row tree.
+	planKeyPrefix
 	// planIndex: a secondary index covers the attribute set — serve with
 	// a prefix probe of its tree.
 	planIndex
@@ -29,22 +31,28 @@ type lookupPlan struct {
 	kind planKind
 	// ix is the serving secondary index (planIndex only).
 	ix *secondaryIndex
-	// order is the serving tree's attribute order: the primary key
-	// (planPoint) or ix.attrs (planIndex); idx itself for planScan. A
-	// batch encodes its value sets in this order.
+	// order is the serving tree's attribute order: the leading len(idx)
+	// key attributes (planKeyPrefix) or ix.attrs (planIndex); idx itself
+	// for planScan. A batch encodes its value sets in this order.
 	order []int
 }
 
 // planFor resolves the access path for attrNames on this version: a
-// point probe when the attribute set is exactly the primary key, else a
-// probe of the secondary index over exactly that set (in any order; the
-// lexicographically first name wins when several do), else a scan.
-// MatchEqual and HasIndexOn call it, and so does Select, the one
-// predicate planner, for an equality conjunction (a range over one
-// attribute walks rangeTree's tree instead); MatchEqualBatchAt, given
-// indices, calls planAt. It runs on
-// every call: nothing is memoized, so a committed version has no mutable
-// state and an answer depends on that version alone.
+// prefix probe of the row tree when the attribute set is a leading
+// prefix of the primary key — the row tree is sorted by it, so every
+// match is one run of it, already in primary-key order — else a probe
+// of the secondary index over exactly that set (in any order; the
+// lexicographically first name wins when several do), else a scan. The
+// row tree wins over any index: an index over a key prefix would hold
+// the same rows in the same order under longer keys. An ownership
+// crossing is such a lookup: Def. 2.2 puts the owner's key inside the
+// owned relation's, and a schema that declares it first needs no index
+// for the edge. MatchEqual and TreeServes call it, and so does Select,
+// the one predicate planner, for an equality conjunction (a range over
+// one attribute walks rangeTree's tree instead); MatchEqualBatchAt,
+// given indices, calls planAt. It runs on every call: nothing is
+// memoized, so a committed version has no mutable state and an answer
+// depends on that version alone.
 func (r *Relation) planFor(what string, attrNames []string) (lookupPlan, error) {
 	idx, err := r.schema.Indices(attrNames)
 	if err != nil {
@@ -68,8 +76,8 @@ func (r *Relation) planAt(what string, idx []int) (lookupPlan, error) {
 		}
 	}
 	pl := lookupPlan{idx: idx, kind: planScan, order: idx}
-	if sameIntSet(idx, r.schema.key) {
-		pl.kind, pl.order = planPoint, r.schema.key
+	if key, m := r.schema.key, len(idx); m > 0 && m <= len(key) && sameIntSet(idx, key[:m]) {
+		pl.kind, pl.order = planKeyPrefix, key[:m]
 		return pl, nil
 	}
 	for _, ix := range r.indexes {

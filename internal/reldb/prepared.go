@@ -83,11 +83,8 @@ func (tx *Tx) Prepare(xid string, parts []int) (*PreparedTx, error) {
 		tx.db.mu.RLock()
 		p.batch = tx.batchLocked()
 		tx.db.mu.RUnlock()
-		payload, err := encodeCrossPrepareRecord(xid, parts, p.batch)
-		if err == nil {
-			p.prepSeq, err = tx.db.wal.append(0, payload)
-		}
-		if err != nil {
+		var err error
+		if p.prepSeq, err = tx.db.wal.append(0, encodeCrossPrepareRecord(xid, parts, p.batch)); err != nil {
 			tx.db.ckptMu.Unlock()
 			tx.end()
 			obs.Default.Rollbacks.Inc()
@@ -125,12 +122,7 @@ func (p *PreparedTx) CommitDecided() error {
 	gen := tx.db.gen + 1
 	tx.db.mu.RUnlock()
 	if tx.db.wal != nil {
-		payload, err := encodeCrossDecideRecord(p.xid, true, gen)
-		if err == nil {
-			p.decideSeq, appendErr = tx.db.wal.append(gen, payload)
-		} else {
-			appendErr = err
-		}
+		p.decideSeq, appendErr = tx.db.wal.append(gen, encodeCrossDecideRecord(p.xid, true, gen))
 	}
 	tx.db.mu.Lock()
 	if tx.db.wal == nil && len(tx.db.subs) > 0 {
@@ -178,9 +170,7 @@ func (p *PreparedTx) Abort() error {
 	p.released = true
 	tx := p.tx
 	if tx.db.wal != nil {
-		if payload, err := encodeCrossDecideRecord(p.xid, false, 0); err == nil {
-			_, _ = tx.db.wal.append(0, payload)
-		}
+		_, _ = tx.db.wal.append(0, encodeCrossDecideRecord(p.xid, false, 0))
 	}
 	tx.db.ckptMu.Unlock()
 	tx.end()
@@ -228,9 +218,7 @@ func (db *Database) ResolveInDoubt(xid string, commit bool) error {
 	}
 	if !commit {
 		if db.wal != nil {
-			if payload, err := encodeCrossDecideRecord(xid, false, 0); err == nil {
-				_, _ = db.wal.append(0, payload)
-			}
+			_, _ = db.wal.append(0, encodeCrossDecideRecord(xid, false, 0))
 		}
 		db.mu.Lock()
 		delete(db.pendingX, xid)
@@ -248,11 +236,8 @@ func (db *Database) ResolveInDoubt(xid string, commit bool) error {
 	db.mu.RUnlock()
 	p.batch.stamp(gen)
 	if db.wal != nil {
-		payload, err := encodeCrossDecideRecord(xid, true, gen)
-		if err != nil {
-			return err
-		}
-		if walSeq, err = db.wal.append(gen, payload); err != nil {
+		var err error
+		if walSeq, err = db.wal.append(gen, encodeCrossDecideRecord(xid, true, gen)); err != nil {
 			return err
 		}
 	}

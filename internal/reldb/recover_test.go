@@ -154,6 +154,88 @@ func TestRecoveryDDL(t *testing.T) {
 	}
 }
 
+// TestOldKeyPrefixIndexReopens: a checkpoint written while an ownership
+// crossing still needed an edge index declares one over a leading prefix
+// of the owned relation's key. Such a data directory opens with no
+// conversion: the index is rebuilt and maintained, the planner never
+// chooses it (the row tree serves the set), and every lookup answers as
+// it did before the reopen, and after a write as the row tree does.
+func TestOldKeyPrefixIndexReopens(t *testing.T) {
+	dir := t.TempDir()
+	db := durableDB(t, dir)
+	db.MustCreateRelation(gradesSchema(t))
+	mustCommit(t, db, func(tx *Tx) error {
+		for pid := int64(0); pid < 400; pid++ {
+			if err := tx.Insert("GRADES", grade(fmt.Sprintf("CS%d", pid%7), pid, string(rune('A'+pid%4)))); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	const old = "conn_course-grades_to"
+	if err := db.MustRelation("GRADES").CreateIndex(old, []string{"CourseID"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// answers renders every course's and every grade's rows, through
+	// MatchEqual and Select, with what each charged.
+	answers := func(db *Database) string {
+		t.Helper()
+		r := db.MustRelation("GRADES")
+		var b strings.Builder
+		for _, q := range []struct {
+			attr string
+			vals []Value
+		}{
+			{"CourseID", []Value{String("CS0"), String("CS3"), String("CS6"), String("CS9")}},
+			{"Grade", []Value{String("A"), String("D")}},
+		} {
+			for _, v := range q.vals {
+				var st, sst MatchStats
+				got, err := matchStats(r, []string{q.attr}, Tuple{v}, &st)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sel, err := r.SelectStats(Eq(q.attr, v), &sst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&b, "%s=%s %+v %v\n%+v %v\n", q.attr, v, st, got, sst, sel)
+			}
+		}
+		return b.String()
+	}
+	want := answers(db)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re := durableDB(t, dir)
+	defer re.Close()
+	r := re.MustRelation("GRADES")
+	if names := r.IndexNames(); len(names) != 1 || names[0] != old {
+		t.Fatalf("reopened indexes = %v, want [%s]", names, old)
+	}
+	if pl, err := r.planFor("test", []string{"CourseID"}); err != nil || pl.kind != planKeyPrefix {
+		t.Fatalf("reopened plan = %+v, %v; want the row tree's key prefix", pl, err)
+	}
+	if got := answers(re); got != want {
+		t.Fatalf("answers after reopen:\n%s\nwant:\n%s", got, want)
+	}
+	mustCommit(t, re, func(tx *Tx) error {
+		if _, err := tx.Delete("GRADES", Tuple{String("CS0"), Int(7)}); err != nil {
+			return err
+		}
+		return tx.Insert("GRADES", grade("CS0", 1000, "A"))
+	})
+	r = re.MustRelation("GRADES")
+	var entries []Row
+	r.indexes[old].tree.ascend("", func(_ string, row Row) bool { entries = append(entries, row); return true })
+	sameTuples(t, "the kept index after a write", entries, tuplesOf(r.All()))
+}
+
 // TestRecoveryTornTail: bytes of an unfinished append at the end of the
 // last segment are discarded and the file is truncated back to the
 // acknowledged prefix.

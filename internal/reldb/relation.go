@@ -13,10 +13,12 @@ import (
 
 // Relation is an in-memory keyed table. Rows live in a path-copying
 // ordered tree (ptree.go) keyed by the order-preserving encoding of the
-// primary key, so a scan is an in-order walk. Optional secondary indexes —
-// trees of the same kind, keyed by the indexed values followed by the
-// primary key — accelerate equality and range lookups on other attribute
-// sets (the connection attributes of the structural model).
+// primary key, so a scan is an in-order walk and an equality lookup over
+// a leading prefix of the key is a prefix probe of it. Optional
+// secondary indexes — trees of the same kind, keyed by the indexed
+// values followed by the primary key — accelerate equality and range
+// lookups on other attribute sets (the connection attributes of the
+// structural model that no key prefix covers).
 //
 // Relation is not internally synchronized. Under the database's copy-on-
 // write discipline, committed versions are immutable: write transactions
@@ -350,7 +352,8 @@ type MatchStats struct {
 	// Scanned counts tuples visited: probed bucket entries for indexed
 	// lookups, a walked window for ranges, the whole relation for scans.
 	Scanned int
-	// Probes counts point lookups, index-bucket probes and range walks.
+	// Probes counts row-tree prefix probes (a point lookup among them),
+	// index-bucket probes and range walks.
 	Probes int
 	// Scans counts full-relation scan fallbacks.
 	Scans int
@@ -370,7 +373,7 @@ func (st *MatchStats) addScan(visited int) {
 	}
 }
 
-// obsProbe records one point lookup or index-bucket probe: into the
+// obsProbe records one row-tree or index-bucket probe: into the
 // caller's MatchStats (may be nil) and into the per-relation labeled
 // counters, charging the relation that served the lookup. Slot-indexed
 // atomic adds — allocation-free.
@@ -389,19 +392,20 @@ func (r *Relation) obsScan(st *MatchStats, visited int) {
 	obs.Default.RelScanned.At(r.obsSlot).Add(int64(visited))
 }
 
-// HasIndexOn reports whether a secondary index serves lookups over
-// exactly the named attribute set, in any order. The primary key's own
-// set is served by the row tree and reports false.
-func (r *Relation) HasIndexOn(attrNames []string) bool {
-	pl, err := r.planFor("HasIndexOn", attrNames)
-	return err == nil && pl.kind == planIndex
+// TreeServes reports whether a tree serves equality lookups over
+// exactly the named attribute set, in any order: the row tree when the
+// set is a leading prefix of the primary key, else a secondary index
+// over it. A set no tree serves is looked up by a scan.
+func (r *Relation) TreeServes(attrNames []string) bool {
+	pl, err := r.planFor("TreeServes", attrNames)
+	return err == nil && pl.kind != planScan
 }
 
 // MatchEqual returns the rows whose attributes attrNames equal vals, in
 // primary-key order: a batch of one through the lookup MatchEqualBatchAt
-// makes, so the access path — point lookup, secondary index over those
-// attributes (in any order) or scan — is resolved by planFor on every
-// call.
+// makes, so the access path — a prefix probe of the row tree when the
+// attributes lead the primary key, a secondary index over them (in any
+// order) or a scan — is resolved by planFor on every call.
 func (r *Relation) MatchEqual(attrNames []string, vals Tuple) ([]Row, error) {
 	pl, err := r.planFor("MatchEqual", attrNames)
 	if err != nil {
@@ -416,7 +420,7 @@ func (r *Relation) MatchEqual(attrNames []string, vals Tuple) ([]Row, error) {
 
 // probe serves n planned lookups that have an ordered access path: rows
 // equal on the plan's attributes share a key prefix in its tree — the row
-// tree when they are the primary key, else the plan's index's — so each
+// tree when they lead the primary key, else the plan's index's — so each
 // answer is one seek and a walk of that prefix, already in primary-key
 // order. prefix(g) is the g-th lookup's values encoded in the tree's
 // attribute order (appendPrefix); the n prefixes are distinct and
@@ -451,12 +455,16 @@ func (r *Relation) probe(pl lookupPlan, n int, prefix func(g int) string, ends [
 // list, given as attribute indices (Schema.Indices resolves names): a
 // caller that probes one list many times resolves it once. The result is
 // aligned with valSets: out[i] holds the rows whose attributes equal
-// valSets[i], in primary-key order, or nil when none does. Equal value
-// sets are looked up once and share one bucket. With an index (or a
-// primary-key match) the batch costs one probe per distinct value set;
-// without one it costs a single shared scan — never one scan per value
-// set. A bad value set anywhere fails the whole batch before anything is
-// read. st, which may be nil, accumulates the lookup cost.
+// valSets[i], in primary-key order, or nil when none does. When a tree
+// serves the list (TreeServes), value sets with one key encoding are
+// looked up once and share one bucket, and the batch costs one probe per
+// distinct encoding; otherwise it costs a single shared scan — never one
+// scan per value set — in which identical value sets share one bucket.
+// Sets that encode alike without being identical (Int(1<<53) and
+// Float(1<<53)) may get separate buckets on a scan: a stored
+// Int(1<<53+1) equals the float and not the int. A bad value set
+// anywhere fails the whole batch before anything is read. st, which may
+// be nil, accumulates the lookup cost.
 func (r *Relation) MatchEqualBatchAt(attrs []int, valSets []Tuple, st *MatchStats) ([][]Row, error) {
 	pl, err := r.planAt("MatchEqual", attrs)
 	if err != nil {
@@ -521,7 +529,15 @@ func (r *Relation) matchEqual(pl lookupPlan, valSets []Tuple, out [][]Row, st *M
 		}
 		return keys[ends[i-1]:ends[i]]
 	}
-	slices.SortFunc(perm, func(a, b int) int { return cmp.Compare(key(a), key(b)) })
+	slices.SortFunc(perm, func(a, b int) int {
+		c := cmp.Compare(key(a), key(b))
+		if c == 0 && pl.kind == planScan {
+			// A scan tells apart sets that encode alike, so identical
+			// sets must be neighbours to share a bucket.
+			c = slices.CompareFunc(valSets[a], valSets[b], Value.compareIdentity)
+		}
+		return c
+	})
 	for p := range perm {
 		if p == 0 || key(perm[p]) != key(perm[p-1]) ||
 			pl.kind == planScan && !slices.EqualFunc(valSets[perm[p]], valSets[perm[p-1]], Value.Identical) {

@@ -408,3 +408,94 @@ func TestNaNEqualsNoNumber(t *testing.T) {
 	rows, err = r.Select(Cmp{Op: OpLt, L: Attr{Name: "F"}, R: Const{V: Int(5)}})
 	keys("Select(F < 5)", rows, err, 1)
 }
+
+// TestKeyPrefixLookupMatchesScan: an equality over a leading prefix of
+// the primary key, its attributes listed in any order, is a prefix probe
+// of the row tree that returns what a scan does, in the same order —
+// through MatchEqual, MatchEqualBatchAt and Select alike — with runs long
+// enough to cross many leaves. A key attribute that does not lead, or a
+// set with a gap before its last key attribute, still scans.
+func TestKeyPrefixLookupMatchesScan(t *testing.T) {
+	// The key is (A, B, C), in declaration order.
+	r := NewRelation(MustSchema("K3", []Attribute{
+		{Name: "A", Type: KindInt},
+		{Name: "V", Type: KindString, Nullable: true},
+		{Name: "B", Type: KindInt},
+		{Name: "C", Type: KindInt},
+	}, []string{"C", "B", "A"}))
+	// Inserted out of key order: C descends, then A, then B.
+	for c := int64(29); c >= 0; c-- {
+		for a := int64(0); a < 5; a++ {
+			for b := int64(9); b >= 0; b-- {
+				if err := r.Insert(Tuple{Int(a), String(fmt.Sprintf("v%d", (a+b+c)%4)), Int(b), Int(c)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	scanRef := func(attrs []string, vals Tuple) []Tuple {
+		idx, err := r.Schema().Indices(attrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []Tuple
+		r.Scan(func(row Row) bool {
+			if equalAt(row, idx, vals) {
+				out = append(out, row.Tuple())
+			}
+			return true
+		})
+		return out
+	}
+	for _, c := range []struct {
+		attrs []string
+		sets  []Tuple
+	}{
+		{[]string{"A"}, []Tuple{{Int(3)}, {Int(1)}, {Int(3)}, {Int(7)}}},
+		{[]string{"B", "A"}, []Tuple{{Int(4), Int(2)}, {Int(0), Int(4)}, {Int(9), Int(0)}, {Int(4), Int(2)}}},
+		{[]string{"C", "A", "B"}, []Tuple{{Int(17), Int(2), Int(5)}, {Int(30), Int(2), Int(5)}}},
+	} {
+		var st MatchStats
+		got, err := matchBatch(r, c.attrs, c.sets, &st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := map[string]bool{}
+		for i, vs := range c.sets {
+			distinct[EncodeValues(vs...)] = true
+			want := scanRef(c.attrs, vs)
+			sameTuples(t, fmt.Sprintf("MatchEqualBatchAt %v %v", c.attrs, vs), got[i], want)
+			one, err := r.MatchEqual(c.attrs, vs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameTuples(t, fmt.Sprintf("MatchEqual %v %v", c.attrs, vs), one, want)
+			eqs := make([]Expr, len(vs))
+			for j, a := range c.attrs {
+				eqs[j] = Eq(a, vs[j])
+			}
+			if path := selectPath(t, r, And{Terms: eqs}); path != "probe" {
+				t.Fatalf("Select %v = %v took a %s, want a probe", c.attrs, vs, path)
+			}
+		}
+		if st.Scans != 0 || st.Probes != len(distinct) {
+			t.Fatalf("batch over %v charged %+v, want %d probes", c.attrs, st, len(distinct))
+		}
+	}
+	if len(scanRef([]string{"A"}, Tuple{Int(3)})) != 300 {
+		t.Fatal("a leading-attribute run does not span many leaves")
+	}
+	for _, attrs := range [][]string{{"B"}, {"C", "A"}} {
+		vals := Tuple{Int(1), Int(1)}[:len(attrs)]
+		eqs := make([]Expr, len(attrs))
+		for j, a := range attrs {
+			eqs[j] = Eq(a, vals[j])
+		}
+		if path := selectPath(t, r, And{Terms: eqs}); path != "scan" {
+			t.Fatalf("Select over %v took a %s, want a scan", attrs, path)
+		}
+		if r.TreeServes(attrs) {
+			t.Fatalf("TreeServes(%v) with no tree over it", attrs)
+		}
+	}
+}

@@ -176,11 +176,8 @@ func (tx *Tx) Commit() error {
 		batch = tx.batchLocked()
 		batch.stamp(tx.db.gen + 1)
 		tx.db.mu.RUnlock()
-		payload, err := encodeCommitRecord(batch)
-		if err == nil {
-			walSeq, err = tx.db.wal.append(batch.Gen, payload)
-		}
-		if err != nil {
+		var err error
+		if walSeq, err = tx.db.wal.append(batch.Gen, encodeCommitRecord(batch)); err != nil {
 			tx.end()
 			obs.Default.Rollbacks.Inc()
 			return fmt.Errorf("reldb: commit aborted: %w", err)

@@ -176,6 +176,12 @@ func (v Value) Identical(w Value) bool {
 	return v.kind == w.kind && v.bits == w.bits && v.s == w.s
 }
 
+// compareIdentity orders values by kind, payload bits and string: a
+// total order under which exactly the Identical values compare equal.
+func (v Value) compareIdentity(w Value) int {
+	return cmp.Or(cmp.Compare(v.kind, w.kind), cmp.Compare(v.bits, w.bits), strings.Compare(v.s, w.s))
+}
+
 // Compare orders two values. Null sorts before every non-null value and
 // equals null. Numeric kinds (int, float) are mutually comparable, as
 // cmp.Compare orders float64s: -0 equals 0, and a NaN equals a NaN and

@@ -366,12 +366,12 @@ func putU32(b []byte, v uint32) {
 // encodeCommitRecord serializes a commit's DeltaBatch as a WAL payload.
 // The batch's Gen must already be stamped. Structural deltas never occur
 // here — DDL writes its own record types.
-func encodeCommitRecord(batch DeltaBatch) ([]byte, error) {
+func encodeCommitRecord(batch DeltaBatch) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(recCommit)
 	writeU64(&buf, batch.Gen)
 	writeBatchBody(&buf, batch)
-	return buf.Bytes(), nil
+	return buf.Bytes()
 }
 
 // writeBatchBody serializes a DeltaBatch's deltas (the commit-record body
@@ -400,7 +400,7 @@ func writeBatchBody(buf *bytes.Buffer, batch DeltaBatch) {
 // transaction id, the participant shard indices, and the pending delta
 // batch. The record carries gen 0 — the generation is assigned by the
 // decide record that resolves it.
-func encodeCrossPrepareRecord(xid string, parts []int, batch DeltaBatch) ([]byte, error) {
+func encodeCrossPrepareRecord(xid string, parts []int, batch DeltaBatch) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(recCrossPrepare)
 	writeU64(&buf, 0)
@@ -410,13 +410,13 @@ func encodeCrossPrepareRecord(xid string, parts []int, batch DeltaBatch) ([]byte
 		writeU32(&buf, uint32(p))
 	}
 	writeBatchBody(&buf, batch)
-	return buf.Bytes(), nil
+	return buf.Bytes()
 }
 
 // encodeCrossDecideRecord serializes a two-shard commit decision. Commit
 // decisions carry the generation the pending batch publishes as; abort
 // decisions carry gen 0 (no generation is consumed).
-func encodeCrossDecideRecord(xid string, commit bool, gen uint64) ([]byte, error) {
+func encodeCrossDecideRecord(xid string, commit bool, gen uint64) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(recCrossDecide)
 	writeU64(&buf, gen)
@@ -426,27 +426,25 @@ func encodeCrossDecideRecord(xid string, commit bool, gen uint64) ([]byte, error
 	} else {
 		buf.WriteByte(0)
 	}
-	return buf.Bytes(), nil
+	return buf.Bytes()
 }
 
 // encodeCreateRecord serializes a CreateRelation as a WAL payload.
-func encodeCreateRecord(gen uint64, schema *Schema) ([]byte, error) {
+func encodeCreateRecord(gen uint64, schema *Schema) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(recCreate)
 	writeU64(&buf, gen)
-	if err := writeSchema(&buf, schema); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	writeSchema(&buf, schema)
+	return buf.Bytes()
 }
 
 // encodeDropRecord serializes a DropRelation as a WAL payload.
-func encodeDropRecord(gen uint64, name string) ([]byte, error) {
+func encodeDropRecord(gen uint64, name string) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(recDrop)
 	writeU64(&buf, gen)
 	writeString(&buf, name)
-	return buf.Bytes(), nil
+	return buf.Bytes()
 }
 
 // walRecord is one decoded log record.

@@ -119,8 +119,9 @@ func connectedOne(res Resolver, e Edge, row reldb.Row) ([]reldb.Row, error) {
 	return out[0], nil
 }
 
-// AddConnection must register edge indexes on connecting-attribute sets
-// that are not already served by the primary key, and skip the rest.
+// AddConnection must register an edge index on each connecting-attribute
+// set no tree serves already, and skip the rest: a whole key is a point
+// of the row tree, and so is a leading prefix of the key a run of it.
 func TestAddConnectionRegistersEdgeIndexes(t *testing.T) {
 	db := miniDB(t)
 	g := NewGraph(db)
@@ -128,16 +129,19 @@ func TestAddConnectionRegistersEdgeIndexes(t *testing.T) {
 	g.MustAddConnection(referenceConn())
 	g.MustAddConnection(subsetConn())
 
-	// Ownership own: OWNER(ID)=whole key → skip; OWNED(ID)⊂key → index.
-	if !db.MustRelation("OWNED").HasIndexOn([]string{"ID"}) {
-		t.Fatal("ownership target side not indexed")
+	// Ownership own: OWNER(ID) = whole key, OWNED(ID) leads OWNED's key
+	// (ID, Seq): both served by row trees, no index.
+	for _, rel := range []string{"OWNER", "OWNED"} {
+		if !db.MustRelation(rel).TreeServes([]string{"ID"}) {
+			t.Fatalf("%s(ID) is not served by a tree", rel)
+		}
+		if names := db.MustRelation(rel).IndexNames(); len(names) != 0 {
+			t.Fatalf("%s side indexed: %v", rel, names)
+		}
 	}
-	if len(db.MustRelation("OWNER").IndexNames()) != 0 {
-		t.Fatalf("whole-key side indexed: %v", db.MustRelation("OWNER").IndexNames())
-	}
-	// Reference ref: TARGET(K)=whole key → skip; REFER(FK) non-key → index.
-	if !db.MustRelation("REFER").HasIndexOn([]string{"FK"}) {
-		t.Fatal("reference source side not indexed")
+	// Reference ref: TARGET(K) = whole key → skip; REFER(FK) non-key → index.
+	if names := db.MustRelation("REFER").IndexNames(); len(names) != 1 || names[0] != "conn_ref_from" {
+		t.Fatalf("reference source side indexes = %v, want [conn_ref_from]", names)
 	}
 	if len(db.MustRelation("TARGET").IndexNames()) != 0 {
 		t.Fatalf("whole-key side indexed: %v", db.MustRelation("TARGET").IndexNames())
@@ -152,12 +156,12 @@ func TestAddConnectionRegistersEdgeIndexes(t *testing.T) {
 // reused rather than duplicated.
 func TestAddConnectionReusesExistingIndex(t *testing.T) {
 	db := miniDB(t)
-	if err := db.MustRelation("OWNED").CreateIndex("mine", []string{"ID"}); err != nil {
+	if err := db.MustRelation("REFER").CreateIndex("mine", []string{"FK"}); err != nil {
 		t.Fatal(err)
 	}
 	g := NewGraph(db)
-	g.MustAddConnection(ownershipConn())
-	names := db.MustRelation("OWNED").IndexNames()
+	g.MustAddConnection(referenceConn())
+	names := db.MustRelation("REFER").IndexNames()
 	if len(names) != 1 || names[0] != "mine" {
 		t.Fatalf("indexes after AddConnection = %v, want just the pre-existing one", names)
 	}

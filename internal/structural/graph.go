@@ -62,13 +62,15 @@ func (g *Graph) AddConnection(c *Connection) error {
 	return nil
 }
 
-// ensureEdgeIndexes registers a secondary index on each side's connecting
-// attributes so that every edge crossing (ConnectedVia, for a level of
-// an instance or for one translated row) probes instead of scanning.
-// Both directions get one, because instantiation crosses connections
-// forward (ownership children) and inverse (reference parents) alike.
-// Sides whose attribute set is the whole primary key are skipped: the
-// lookup serves those with a point probe of the row tree already. Index creation here relies on the same setup-phase
+// ensureEdgeIndexes makes every edge crossing (ConnectedVia, for a level
+// of an instance or for one translated row) probe instead of scanning.
+// Both directions must probe, because instantiation crosses connections
+// forward (ownership children) and inverse (reference parents) alike. A
+// side some tree already serves (reldb's TreeServes) gets nothing: a
+// whole key is a point in the owner's row tree, and an ownership child
+// whose key lists the inherited owner key first is one run of its row
+// tree. Every other side gets a secondary index over its connecting
+// attributes. Index creation here relies on the same setup-phase
 // discipline as the rest of schema wiring: connections are added before
 // any concurrent access to the database starts.
 func (g *Graph) ensureEdgeIndexes(c *Connection) error {
@@ -83,9 +85,6 @@ func (g *Graph) ensureEdgeIndex(relName string, attrs []string, idxName string) 
 	if err != nil {
 		return err
 	}
-	if attrSetKind(rel.Schema(), attrs) == wholeKey {
-		return nil
-	}
 	seen := make(map[string]bool, len(attrs))
 	for _, a := range attrs {
 		if seen[a] {
@@ -95,7 +94,7 @@ func (g *Graph) ensureEdgeIndex(relName string, attrs []string, idxName string) 
 		}
 		seen[a] = true
 	}
-	if rel.HasIndexOn(attrs) {
+	if rel.TreeServes(attrs) {
 		return nil
 	}
 	return rel.CreateIndex(idxName, attrs)

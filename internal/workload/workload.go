@@ -127,8 +127,8 @@ func buildTree(db *reldb.Database, spec TreeSpec, create bool) (*Workload, error
 				From: f.name, To: childName,
 				FromAttrs: f.keyAttr, ToAttrs: f.keyAttr,
 			}
-			// AddConnection registers the edge index over f.keyAttr on the
-			// child, so traversal probes instead of scanning.
+			// childKey declares f.keyAttr first, so the child's row tree
+			// serves the crossing and AddConnection registers no index.
 			if err := g.AddConnection(conn); err != nil {
 				return nil, err
 			}
